@@ -505,7 +505,7 @@ func byteLabel(n int) string {
 // The ev/sec metric is the end-to-end counterpart of internal/sim's
 // BenchmarkSched_FleetTimers: here hashing and verification dilute the
 // queue's share of the profile, so the wheel's edge is smaller than the
-// pure-timer ratio recorded in BENCH_sched.json. -short trims the
+// pure-timer ratio (the bench module's sim.timer_arm_ns). -short trims the
 // fleet/horizon (CI bench-smoke runs -short at -benchtime=1x).
 func BenchmarkSched_SelfFleet(b *testing.B) {
 	devices, horizon := 10_000, 2*sim.Hour

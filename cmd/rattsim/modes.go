@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand/v2"
 	"net"
@@ -12,7 +11,6 @@ import (
 	"saferatt/internal/costmodel"
 	"saferatt/internal/device"
 	"saferatt/internal/experiments"
-	"saferatt/internal/inccache"
 	"saferatt/internal/malware"
 	"saferatt/internal/mem"
 	"saferatt/internal/rattd"
@@ -275,21 +273,11 @@ func runTyTAN(seed uint64, isolation bool) {
 	k.Run()
 
 	fmt.Printf("TyTAN per-process attestation, isolation=%v, colluding malware in both processes\n", isolation)
-	goldenDigests := inccache.NewImage(golden, 1024, inccache.DigestHash(suite.SHA256))
+	img := verifier.ImageOf(golden, 1024)
+	scheme := suite.Scheme{Hash: suite.SHA256, Key: dev.AttestationKey}
 	allClean := true
 	for name, rep := range reports {
-		scheme := suite.Scheme{Hash: suite.SHA256, Key: dev.AttestationKey}
-		order := core.DeriveOrderRegion(dev.AttestationKey, rep.Nonce, rep.Round,
-			rep.RegionStart, rep.RegionCount, false)
-		var buf bytes.Buffer
-		if rep.Incremental {
-			if err := core.ExpectedDigestStream(&buf, goldenDigests.DigestOK, rep.Nonce, rep.Round, order); err != nil {
-				fatal(err)
-			}
-		} else {
-			core.ExpectedStream(&buf, golden, 1024, rep.Nonce, rep.Round, order)
-		}
-		ok, _ := scheme.VerifyTag(&buf, rep.Tag)
+		ok, _ := img.VerifyTag(scheme, dev.AttestationKey, core.Options{}, rep)
 		fmt.Printf("  %s: verified=%v\n", name, ok)
 		allClean = allClean && ok
 	}

@@ -37,7 +37,7 @@ func main() {
 		Kernel: k, Link: link,
 		Scheme:  suite.Scheme{Hash: suite.SHA256, Key: dev.AttestationKey},
 		PermKey: dev.AttestationKey,
-		Ref:     golden, Opts: opts,
+		Image:   verifier.ImageOf(golden, 1024), Opts: opts,
 	})
 	if err != nil {
 		panic(err)
@@ -98,7 +98,7 @@ func main() {
 	//    attests clean against the NEW reference.
 	newGolden := append([]byte(nil), golden...)
 	copy(newGolden[5*1024:6*1024], newFirmware)
-	v.Ref = newGolden
+	v.Image = verifier.ImageOf(newGolden, 1024)
 	attest("5. attestation vs new golden:")
 
 	fmt.Println("\nRA as a foundation: detection -> provable erasure -> authenticated")

@@ -18,7 +18,7 @@ import (
 // distribution against the Fig. 5 closed form (≈ T_M/2 + T_C/2 from
 // infection end) and the scheduler throughput that pays for it —
 // events/sec and ns/event on the host, the quantity the timing-wheel
-// backend moves (see BENCH_sched.json for the heap/wheel comparison).
+// backend moves (bench/baseline.json keeps the heap/wheel comparison).
 type E12Config struct {
 	// Devices is the fleet size; default 10_000.
 	Devices int
@@ -198,6 +198,6 @@ func RenderE12(rows []E12Row) string {
 			r.Events, r.EventsPerSec/1e6, r.NsPerEvent)
 	}
 	b.WriteString("detection latency is measured from infection end to the collection that exposes it (Fig. 5: ≈ T_M/2 + T_C/2)\n")
-	b.WriteString("Mev/s and ns/event are host scheduler throughput; compare backends via -sched heap|wheel and BENCH_sched.json\n")
+	b.WriteString("Mev/s and ns/event are host scheduler throughput; compare backends via -sched heap|wheel and bench/baseline.json\n")
 	return b.String()
 }

@@ -16,11 +16,12 @@ import (
 // one host, swept over shard counts. Each row reports aggregate
 // verifications/sec, client-side SMART round-trip percentiles, and
 // the tier's per-shard load-balance ratio — the quantities
-// BENCH_shard.json records. Scaling past 1 shard measures what the
+// bench/baseline.json keeps. Scaling past 1 shard measures what the
 // tier removes: the daemon-wide mutex plus the single socket's
 // receive path. On a single-core host the sweep still validates
 // routing, leasing, and balance, but verifications/sec cannot scale
-// (every shard shares the one core); BENCH_shard.json notes this.
+// (every shard shares the one core): bench/baseline.json files
+// scaling_1_to_8 as unmeasured.
 type E14Config struct {
 	// Provers is the fleet size per row; default 100_000.
 	Provers int

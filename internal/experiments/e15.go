@@ -21,7 +21,8 @@ import (
 // for a slice of the fleet, replays a sample (each replay must be
 // rejected exactly once), and checkpoints the final state.
 //
-// The quantities it certifies, recorded in BENCH_rattd.json:
+// The quantities it certifies (bench/baseline.json; now ops_per_s on
+// inproc_mixed and rattd.state_bytes_per_prover):
 //
 //   - zero verification failures at fleet scale (counts are conserved
 //     and every submitted fresh report is accepted);

@@ -18,16 +18,13 @@
 package experiments
 
 import (
-	"io"
 	"math/rand/v2"
-	"sync"
 
 	"saferatt/internal/channel"
 	"saferatt/internal/core"
 	"saferatt/internal/costmodel"
 	"saferatt/internal/device"
 	"saferatt/internal/engine"
-	"saferatt/internal/inccache"
 	"saferatt/internal/mem"
 	"saferatt/internal/sim"
 	"saferatt/internal/suite"
@@ -45,12 +42,6 @@ type World struct {
 	Ver  *verifier.Verifier
 	Ref  []byte
 	Log  *trace.Log // nil when built with NoTrace
-
-	// golden lazily caches per-block digests of Ref for incremental
-	// VerifyLocally calls; goldenDigest is its bound lookup, cached so
-	// the hot loop does not re-create the method value per report.
-	golden       *inccache.ImageCache
-	goldenDigest func(b int) ([]byte, error)
 }
 
 // EngineConfig is the shared engine-knob block (Seed, Parallelism,
@@ -110,7 +101,7 @@ func NewWorld(cfg WorldConfig) *World {
 		Kernel: k, Link: link,
 		Scheme:  suite.Scheme{Hash: cfg.Opts.Hash, Key: dev.AttestationKey},
 		PermKey: dev.AttestationKey,
-		Ref:     ref,
+		Image:   verifier.ImageOf(ref, cfg.BlockSize),
 		Opts:    cfg.Opts,
 		Trace:   log,
 	})
@@ -122,41 +113,14 @@ func NewWorld(cfg WorldConfig) *World {
 
 func adversaryOrNil(a channel.Adversary) channel.Adversary { return a }
 
-// verifyOrders recycles traversal-order slices across VerifyLocally
-// calls; Monte Carlo loops verify thousands of reports, and the order
-// is only needed while the expected stream is being fed to the tagger.
-var verifyOrders = sync.Pool{New: func() any { return new([]int) }}
-
 // VerifyLocally recomputes the expected tag for a report against the
 // world's golden image without going through the link — the
-// ground-truth detection check used by Monte Carlo experiments. It is
-// the innermost hot path of every trial loop: the expected stream is
-// fed straight into pooled hash state (no image-sized buffer) and the
-// derived order reuses a pooled slice. Safe to call from concurrent
-// trials (each World is private to its trial).
+// ground-truth detection check used by Monte Carlo experiments, and
+// the innermost hot path of every trial loop. Safe to call from
+// concurrent trials (each World is private to its trial).
 func (w *World) VerifyLocally(rep *core.Report, shuffled bool) bool {
-	scheme := suite.Scheme{Hash: suite.SHA256, Key: w.Dev.AttestationKey}
-	op := verifyOrders.Get().(*[]int)
-	order := core.AppendOrderRegion((*op)[:0], w.Dev.AttestationKey, rep.Nonce, rep.Round,
-		0, w.Mem.NumBlocks(), shuffled)
-	var ok bool
-	var err error
-	if rep.Incremental {
-		if w.golden == nil {
-			w.golden = inccache.NewImage(w.Ref, w.Mem.BlockSize(), inccache.DigestHash(suite.SHA256))
-			w.goldenDigest = w.golden.DigestOK
-		}
-		ok, err = scheme.VerifyStream(func(wr io.Writer) error {
-			return core.ExpectedDigestStream(wr, w.goldenDigest, rep.Nonce, rep.Round, order)
-		}, rep.Tag)
-	} else {
-		ok, err = scheme.VerifyStream(func(wr io.Writer) error {
-			core.ExpectedStream(wr, w.Ref, w.Mem.BlockSize(), rep.Nonce, rep.Round, order)
-			return nil
-		}, rep.Tag)
-	}
-	*op = order
-	verifyOrders.Put(op)
+	key := w.Dev.AttestationKey
+	ok, err := w.Ver.Image.VerifyTag(suite.Scheme{Hash: suite.SHA256, Key: key}, key, core.Options{Shuffled: shuffled}, rep)
 	if err != nil {
 		panic("experiments: " + err.Error())
 	}

@@ -34,12 +34,11 @@ type Checkpoint struct {
 	// Seed maps prover -> highest accepted SeED counter.
 	Seed map[string]uint64
 	// Images maps prover -> bound image name, for provers bound to a
-	// non-default image (v4 records; nil for pre-v4 files). Restore
-	// remaps names unknown to the target registry to the default image
-	// and counts the fallback.
+	// non-default image. Restore remaps names unknown to the target
+	// registry to the default image and counts the fallback.
 	Images map[string]string
 
-	// Delta marks a v3 delta file: the prover maps are an overlay of
+	// Delta marks a delta file: the prover maps are an overlay of
 	// only the records dirtied since the previous snapshot in the
 	// chain, not the whole fleet.
 	Delta bool
@@ -54,37 +53,25 @@ type Checkpoint struct {
 // Checkpoint wire format, versioned like the transport codec so
 // mixed-version restarts fail loudly instead of misparsing:
 //
-//	magic "RC" | u8 version | u8 flags
-//	v3+:  u64 chainID | u32 seq           (flags bit0 = delta)
+//	magic "RC" | u8 version | u8 flags (bit0 = delta)
+//	u64 chainID | u32 seq
 //	u32 lease.Shard | u64 lease.Epoch | u64 lease.Lo | u64 lease.Hi
 //	u64 nonceCtr
-//	v3+: a record stream, then u8 0 end marker | u32 record count:
+//	a record stream, then u8 0 end marker | u32 record count:
 //	    window record:    u8 1 | u16 len | name | u64 top | DedupWords × u64 bits
 //	    watermark record: u8 2 | u16 len | name | u64 lastCounter
-//	    image record:     u8 3 | u16 len | name | u8 len | image name (v4 only)
-//	v2: u32 nErasmus, then per prover (sorted):
-//	    u16 len | name | u64 windowTop | DedupWords × u64 bits
-//	    u32 nSeed, then per prover (sorted): u16 len | name | u64 lastCounter
-//	v1: like v2 but each erasmus entry carries
-//	    u32 nCounters | u64 counters (sorted) instead of a window
+//	    image record:     u8 3 | u16 len | name | u8 len | image name
 //
-// Version 3 replaced v2's two globally-sorted sections with a typed
-// record stream so a snapshot can be *streamed*: the server encodes
-// stripe by stripe (records sorted within a stripe, per-prover
+// The typed record stream lets a snapshot be *streamed*: the server
+// encodes stripe by stripe (records sorted within a stripe, per-prover
 // records adjacent) through a pooled scratch buffer, never
-// materializing the fleet, and a *delta* file carries only the
-// records dirtied since the previous snapshot. The trailing record
-// count doubles as a torn-write detector: strict decode rejects any
+// materializing the fleet, and a *delta* file carries only the records
+// dirtied since the previous snapshot. The trailing record count
+// doubles as a torn-write detector: strict decode rejects any
 // mismatch, and the chain reader (DecodeChain) can fall back to the
-// last fully-parsed record of a torn delta tail. Version 4 adds the
-// image record carrying a prover's image binding (heterogeneous
-// fleets); provers bound to the default image write none, so a
-// homogeneous fleet's v4 file is byte-for-byte a v3 file with a
-// bumped version. Encode always writes v4; v1–v3 files still decode
-// (v1 counter lists are replayed into windows, oldest first,
-// converging to the window the live server would have held; strict v3
-// decode rejects image records). A v4 chain accepts v3 deltas and
-// vice versa — record streams are self-describing.
+// last fully-parsed record of a torn delta tail. Provers bound to the
+// default image write no image record. One version exists; any other
+// version byte is refused by name.
 //
 // Encoding is deterministic for a given encoder (sorted iteration;
 // windows kept in canonical form with out-of-range bits zero). The
@@ -93,19 +80,16 @@ type Checkpoint struct {
 // duplicated records, truncation, trailing bytes, unknown flags, and
 // lying counts outright.
 const (
-	checkpointMagic0   = 'R'
-	checkpointMagic1   = 'C'
-	CheckpointVersion  = 4
-	checkpointVersion3 = 3
-	checkpointVersion2 = 2
-	checkpointVersion1 = 1
+	checkpointMagic0  = 'R'
+	checkpointMagic1  = 'C'
+	CheckpointVersion = 4
 
-	cpFlagDelta = 0x01 // v3+: file is a delta, not a full snapshot
+	cpFlagDelta = 0x01 // file is a delta, not a full snapshot
 
 	cpRecEnd    = 0 // end of record stream, followed by u32 count
 	cpRecWindow = 1 // ERASMUS dedup window
 	cpRecSeed   = 2 // SeED watermark
-	cpRecImage  = 3 // prover→image binding (v4)
+	cpRecImage  = 3 // prover→image binding
 
 	// cpFlushBytes bounds the encoder's scratch buffer: the streaming
 	// paths hand the buffer to the io.Writer whenever it crosses this
@@ -158,7 +142,7 @@ type SnapshotStats struct {
 	NonceCtr uint64 // challenge-counter cursor stamped in the header
 }
 
-// WriteCheckpoint streams the server's fleet state to w in v3 form —
+// WriteCheckpoint streams the server's fleet state to w —
 // the persistence hot path. It walks stripes one at a time, holding
 // only that stripe's lock while copying its fixed-size records into
 // pooled scratch; sorting and encoding run off-lock, and the buffer
@@ -225,11 +209,11 @@ func (s *Server) WriteCheckpoint(w io.Writer, o SnapshotOptions) (SnapshotStats,
 		for i := range recs {
 			e := &recs[i]
 			if e.rec.hasWin {
-				buf = appendWindowRec(buf, e.name, &e.rec.win)
+				buf = appendWindowRec(buf, e.name, &e.rec.fresh.Window)
 				stats.Records++
 			}
 			if e.rec.hasSeed {
-				buf = appendSeedRec(buf, e.name, e.rec.seedLast)
+				buf = appendSeedRec(buf, e.name, e.rec.fresh.SeedLast)
 				stats.Records++
 			}
 			if e.rec.image != "" {
@@ -276,10 +260,10 @@ func (s *Server) Checkpoint() *Checkpoint {
 		st.mu.Lock()
 		for name, rec := range st.provers {
 			if rec.hasWin {
-				cp.Erasmus[name] = rec.win
+				cp.Erasmus[name] = rec.fresh.Window
 			}
 			if rec.hasSeed {
-				cp.Seed[name] = rec.seedLast
+				cp.Seed[name] = rec.fresh.SeedLast
 			}
 			if rec.image != "" {
 				if cp.Images == nil {
@@ -322,14 +306,14 @@ func (s *Server) Restore(cp *Checkpoint) {
 		st := s.stripeFor(p)
 		st.mu.Lock()
 		rec := st.rec(s, p)
-		rec.hasWin, rec.win = true, w
+		rec.hasWin, rec.fresh.Window = true, w
 		st.mu.Unlock()
 	}
 	for p, last := range cp.Seed {
 		st := s.stripeFor(p)
 		st.mu.Lock()
 		rec := st.rec(s, p)
-		rec.hasSeed, rec.seedLast = true, last
+		rec.hasSeed, rec.fresh.SeedLast = true, last
 		st.mu.Unlock()
 	}
 	for p, img := range cp.Images {
@@ -354,81 +338,73 @@ func (s *Server) Restore(cp *Checkpoint) {
 	}
 }
 
-// EncodeTo serializes a materialized checkpoint in v3 form through a
+// EncodeTo serializes a materialized checkpoint through a
 // pooled scratch buffer, flushing to w every cpFlushBytes. Returns
 // the bytes written. Iteration is sorted (windows first, then
 // watermarks), so equal structs always yield equal bytes.
 func (cp *Checkpoint) EncodeTo(w io.Writer) (int64, error) {
 	sc := cpScratchPool.Get().(*cpScratch)
-	defer func() {
-		sc.buf = sc.buf[:0]
-		sc.keys = sc.keys[:0]
+	cw := &countingWriter{w: w}
+	buf, keys := cp.appendHeader(sc.buf[:0]), sc.keys
+	defer func() { // keep the grown backing arrays pooled
+		sc.buf, sc.keys = buf[:0], keys[:0]
 		cpScratchPool.Put(sc)
 	}()
-	cw := &countingWriter{w: w}
-	buf := cp.appendHeader(sc.buf[:0])
 	n := 0
-
+	// flush counts the record just staged and hands the buffer to w
+	// once it crosses the flush window.
 	flush := func() error {
-		if len(buf) >= cpFlushBytes {
-			if _, err := cw.Write(buf); err != nil {
-				return err
-			}
-			buf = buf[:0]
-		}
-		return nil
-	}
-	keys := sc.keys[:0]
-	if n := len(cp.Erasmus); cap(keys) < n {
-		keys = make([]string, 0, n)
-	}
-	for k := range cp.Erasmus {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, p := range keys {
-		w := cp.Erasmus[p]
-		buf = appendWindowRec(buf, p, &w)
 		n++
+		if len(buf) < cpFlushBytes {
+			return nil
+		}
+		_, err := cw.Write(buf)
+		buf = buf[:0]
+		return err
+	}
+	keys = sortedKeys(keys, cp.Erasmus)
+	for _, p := range keys {
+		win := cp.Erasmus[p]
+		buf = appendWindowRec(buf, p, &win)
 		if err := flush(); err != nil {
-			sc.buf, sc.keys = buf, keys
 			return cw.n, err
 		}
 	}
-	keys = keys[:0]
-	for k := range cp.Seed {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	keys = sortedKeys(keys, cp.Seed)
 	for _, p := range keys {
 		buf = appendSeedRec(buf, p, cp.Seed[p])
-		n++
 		if err := flush(); err != nil {
-			sc.buf, sc.keys = buf, keys
 			return cw.n, err
 		}
 	}
-	keys = keys[:0]
-	for k := range cp.Images {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	keys = sortedKeys(keys, cp.Images)
 	for _, p := range keys {
 		buf = appendImageRec(buf, p, cp.Images[p])
-		n++
 		if err := flush(); err != nil {
-			sc.buf, sc.keys = buf, keys
 			return cw.n, err
 		}
 	}
 	buf = append(buf, cpRecEnd)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(n))
 	_, err := cw.Write(buf)
-	sc.buf, sc.keys = buf, keys
 	return cw.n, err
 }
 
-// appendHeader writes the v3 header fields shared by full and delta
+// sortedKeys refills dst with m's keys in ascending order, sized once
+// (growing a fleet-sized slice through append would churn several times
+// its final size in garbage).
+func sortedKeys[V any](dst []string, m map[string]V) []string {
+	if dst = dst[:0]; cap(dst) < len(m) {
+		dst = make([]string, 0, len(m))
+	}
+	for k := range m {
+		dst = append(dst, k)
+	}
+	sort.Strings(dst)
+	return dst
+}
+
+// appendHeader writes the header fields shared by full and delta
 // files.
 func (cp *Checkpoint) appendHeader(b []byte) []byte {
 	flags := byte(0)
@@ -472,49 +448,27 @@ func appendImageRec(b []byte, name, image string) []byte {
 	return append(b, image...)
 }
 
-// DecodeCheckpoint parses an encoded checkpoint, strictly: unknown
-// versions or flags, truncation, trailing bytes, duplicated records,
-// and lying counts are all errors. The current v4 format, the v3
-// stream format (full and delta files) and the pre-stream v2 and v1
-// formats are accepted.
+// DecodeCheckpoint parses an encoded checkpoint, strictly: any version
+// but CheckpointVersion, unknown flags, truncation, trailing bytes,
+// duplicated records, and lying counts are all errors.
 func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
-	ver, err := checkpointVersionOf(b)
-	if err != nil {
-		return nil, err
-	}
-	if ver >= checkpointVersion3 {
-		return decodeStream(b, ver, false)
-	}
-	return decodeLegacy(b, ver)
+	return decodeStream(b, false)
 }
 
-func checkpointVersionOf(b []byte) (byte, error) {
+// decodeStream parses a checkpoint file. In lenient mode — used only by
+// DecodeChain to salvage a torn delta tail — a malformed record stream
+// is not an error: decoding stops at the last fully-parsed record and
+// returns that prefix. The header must be intact either way.
+func decodeStream(b []byte, lenient bool) (*Checkpoint, error) {
 	if len(b) < 4 || b[0] != checkpointMagic0 || b[1] != checkpointMagic1 {
-		return 0, fmt.Errorf("rattd: not a checkpoint (bad magic)")
+		return nil, fmt.Errorf("rattd: not a checkpoint (bad magic)")
 	}
-	ver := b[2]
-	switch ver {
-	case CheckpointVersion, checkpointVersion3, checkpointVersion2, checkpointVersion1:
-	default:
-		return 0, fmt.Errorf("rattd: checkpoint version %d not supported (want 1..%d)", ver, CheckpointVersion)
+	if b[2] != CheckpointVersion {
+		return nil, fmt.Errorf("rattd: unsupported checkpoint version %d (this build reads only %d)", b[2], CheckpointVersion)
 	}
-	if ver < checkpointVersion3 && b[3] != 0 {
-		return 0, fmt.Errorf("rattd: checkpoint v%d with nonzero flags 0x%02x", ver, b[3])
+	if b[3]&^cpFlagDelta != 0 {
+		return nil, fmt.Errorf("rattd: checkpoint with unknown flags 0x%02x", b[3])
 	}
-	if ver >= checkpointVersion3 && b[3]&^cpFlagDelta != 0 {
-		return 0, fmt.Errorf("rattd: checkpoint v%d with unknown flags 0x%02x", ver, b[3])
-	}
-	return ver, nil
-}
-
-// decodeStream parses a v3/v4 record-stream file. The image record is
-// accepted only when the header says v4 — strict v3 decode rejects it
-// as an unknown record type, exactly as a v3 binary would have. In
-// lenient mode — used only by DecodeChain to salvage a torn delta
-// tail — a malformed record stream is not an error: decoding stops at
-// the last fully-parsed record and returns that prefix. The header
-// must be intact either way.
-func decodeStream(b []byte, ver byte, lenient bool) (*Checkpoint, error) {
 	d := cpDecoder{b: b, off: 4}
 	cp := &Checkpoint{
 		Delta:   b[3]&cpFlagDelta != 0,
@@ -582,10 +536,6 @@ func decodeStream(b []byte, ver byte, lenient bool) (*Checkpoint, error) {
 			cp.Seed[p] = last
 			n++
 		case cpRecImage:
-			if ver < CheckpointVersion {
-				d.err = fmt.Errorf("rattd: unknown checkpoint record type %d at offset %d", t, d.off-1)
-				break
-			}
 			p := d.name()
 			img := d.str8()
 			if d.err != nil {
@@ -621,79 +571,6 @@ func decodeStream(b []byte, ver byte, lenient bool) (*Checkpoint, error) {
 	return nil, d.err
 }
 
-// decodeLegacy parses the v1/v2 section formats.
-func decodeLegacy(b []byte, ver byte) (*Checkpoint, error) {
-	d := cpDecoder{b: b, off: 4}
-	cp := &Checkpoint{}
-	cp.Lease.Shard = int(d.u32())
-	cp.Lease.Epoch = d.u64()
-	cp.Lease.Lo = d.u64()
-	cp.Lease.Hi = d.u64()
-	cp.NonceCtr = d.u64()
-
-	// Counts are checked against the bytes actually present (an entry
-	// costs at least its fixed fields) so a lying count cannot force a
-	// huge allocation before the truncation error surfaces.
-	ne := int(d.u32())
-	minEntry := 6
-	if ver == checkpointVersion2 {
-		minEntry = 2 + 8 + 8*DedupWords
-	}
-	if d.err == nil && ne > d.remaining()/minEntry {
-		return nil, fmt.Errorf("rattd: checkpoint claims %d erasmus entries in %d bytes", ne, d.remaining())
-	}
-	cp.Erasmus = make(map[string]DedupWindow, ne)
-	for i := 0; i < ne && d.err == nil; i++ {
-		p := d.name()
-		var w DedupWindow
-		if ver == checkpointVersion2 {
-			w.Top = d.u64()
-			for j := range w.Bits {
-				w.Bits[j] = d.u64()
-			}
-		} else {
-			// v1 carried the full sorted counter list; replaying it
-			// oldest-first converges to the same window the live server
-			// would have held.
-			nc := int(d.u32())
-			if d.err == nil && nc > d.remaining()/8 {
-				return nil, fmt.Errorf("rattd: checkpoint claims %d counters in %d bytes", nc, d.remaining())
-			}
-			for j := 0; j < nc && d.err == nil; j++ {
-				w.Add(d.u64())
-			}
-		}
-		if d.err == nil {
-			if _, dup := cp.Erasmus[p]; dup {
-				return nil, fmt.Errorf("rattd: duplicated erasmus entry for %q", p)
-			}
-			cp.Erasmus[p] = w
-		}
-	}
-	ns := int(d.u32())
-	if d.err == nil && ns > d.remaining()/10 {
-		return nil, fmt.Errorf("rattd: checkpoint claims %d seed entries in %d bytes", ns, d.remaining())
-	}
-	cp.Seed = make(map[string]uint64, ns)
-	for i := 0; i < ns && d.err == nil; i++ {
-		p := d.name()
-		last := d.u64()
-		if d.err == nil {
-			if _, dup := cp.Seed[p]; dup {
-				return nil, fmt.Errorf("rattd: duplicated seed entry for %q", p)
-			}
-			cp.Seed[p] = last
-		}
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(b) {
-		return nil, fmt.Errorf("rattd: %d trailing bytes after checkpoint", len(b)-d.off)
-	}
-	return cp, nil
-}
-
 // ChainStats reports how a chain restore went.
 type ChainStats struct {
 	// Applied counts delta files merged into the base (a truncated
@@ -708,8 +585,7 @@ type ChainStats struct {
 }
 
 // DecodeChain restores fleet state from a checkpoint chain: a base
-// snapshot (any supported version) plus v3 delta files in sequence
-// order. Deltas overlay the base per prover record; the lease and
+// snapshot plus delta files in sequence order. Deltas overlay the base per prover record; the lease and
 // counter cursor come from the newest applied file.
 //
 // The chain degrades instead of failing: a delta with a stale chain
@@ -735,7 +611,7 @@ func DecodeChain(base []byte, deltas ...[]byte) (*Checkpoint, ChainStats, error)
 			// A torn tail — the crash-mid-write shape — still names its
 			// chain position in the (intact) header; salvage the prefix
 			// if and only if it is the next link of this chain.
-			if pcp, perr := decodeV3Prefix(db); perr == nil &&
+			if pcp, perr := decodeStream(db, true); perr == nil &&
 				pcp.Delta && pcp.ChainID == cp.ChainID && pcp.Seq == want {
 				dcp, torn = pcp, true
 			} else {
@@ -757,19 +633,6 @@ func DecodeChain(base []byte, deltas ...[]byte) (*Checkpoint, ChainStats, error)
 		}
 	}
 	return cp, st, nil
-}
-
-// decodeV3Prefix parses as much of a v3/v4 file as is well-formed
-// (see decodeStream's lenient mode). Pre-stream bytes are an error.
-func decodeV3Prefix(b []byte) (*Checkpoint, error) {
-	ver, err := checkpointVersionOf(b)
-	if err != nil {
-		return nil, err
-	}
-	if ver < checkpointVersion3 {
-		return nil, fmt.Errorf("rattd: v%d file cannot be a chain delta", ver)
-	}
-	return decodeStream(b, ver, true)
 }
 
 // applyDelta overlays a delta's records onto an accumulated state.
@@ -815,13 +678,11 @@ type cpDecoder struct {
 	err error
 }
 
-func (d *cpDecoder) remaining() int { return len(d.b) - d.off }
-
 func (d *cpDecoder) need(n int) bool {
 	if d.err != nil {
 		return false
 	}
-	if d.remaining() < n {
+	if len(d.b)-d.off < n {
 		d.err = fmt.Errorf("rattd: truncated checkpoint at offset %d", d.off)
 		return false
 	}

@@ -2,171 +2,9 @@ package rattd
 
 import (
 	"bytes"
-	"encoding/binary"
 	"reflect"
-	"sort"
 	"testing"
 )
-
-// encodeLegacyV2 reproduces the retired v2 encoder (two
-// globally-sorted sections), so the fuzz corpus and the
-// backward-compat test exercise real old-format bytes.
-func encodeLegacyV2(cp *Checkpoint) []byte {
-	b := legacyHeader(checkpointVersion2, cp)
-	keys := sortedMapKeys(cp.Erasmus)
-	b = binary.BigEndian.AppendUint32(b, uint32(len(keys)))
-	for _, p := range keys {
-		w := cp.Erasmus[p]
-		b = appendName(b, p)
-		b = binary.BigEndian.AppendUint64(b, w.Top)
-		for _, word := range w.Bits {
-			b = binary.BigEndian.AppendUint64(b, word)
-		}
-	}
-	skeys := make([]string, 0, len(cp.Seed))
-	for k := range cp.Seed {
-		skeys = append(skeys, k)
-	}
-	sort.Strings(skeys)
-	b = binary.BigEndian.AppendUint32(b, uint32(len(skeys)))
-	for _, p := range skeys {
-		b = appendName(b, p)
-		b = binary.BigEndian.AppendUint64(b, cp.Seed[p])
-	}
-	return b
-}
-
-// encodeLegacyV1 reproduces the original v1 encoder, which carried
-// each prover's full sorted counter list instead of a window.
-func encodeLegacyV1(lease EpochLease, nonce uint64, counters map[string][]uint64, seed map[string]uint64) []byte {
-	cp := &Checkpoint{Lease: lease, NonceCtr: nonce}
-	b := legacyHeader(checkpointVersion1, cp)
-	keys := make([]string, 0, len(counters))
-	for k := range counters {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	b = binary.BigEndian.AppendUint32(b, uint32(len(keys)))
-	for _, p := range keys {
-		b = appendName(b, p)
-		b = binary.BigEndian.AppendUint32(b, uint32(len(counters[p])))
-		for _, c := range counters[p] {
-			b = binary.BigEndian.AppendUint64(b, c)
-		}
-	}
-	skeys := make([]string, 0, len(seed))
-	for k := range seed {
-		skeys = append(skeys, k)
-	}
-	sort.Strings(skeys)
-	b = binary.BigEndian.AppendUint32(b, uint32(len(skeys)))
-	for _, p := range skeys {
-		b = appendName(b, p)
-		b = binary.BigEndian.AppendUint64(b, seed[p])
-	}
-	return b
-}
-
-func legacyHeader(ver byte, cp *Checkpoint) []byte {
-	b := []byte{checkpointMagic0, checkpointMagic1, ver, 0}
-	b = binary.BigEndian.AppendUint32(b, uint32(cp.Lease.Shard))
-	b = binary.BigEndian.AppendUint64(b, cp.Lease.Epoch)
-	b = binary.BigEndian.AppendUint64(b, cp.Lease.Lo)
-	b = binary.BigEndian.AppendUint64(b, cp.Lease.Hi)
-	return binary.BigEndian.AppendUint64(b, cp.NonceCtr)
-}
-
-func sortedMapKeys(m map[string]DedupWindow) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// TestCheckpointLegacyDecode pins backward compatibility: v1 and v2
-// files written by earlier releases must still restore — v2 windows
-// verbatim, v1 counter lists replayed into equivalent windows.
-func TestCheckpointLegacyDecode(t *testing.T) {
-	lease := EpochLease{Shard: 1, Epoch: 7, Lo: 1 << 16, Hi: 1<<16 + 1<<16}
-	want := &Checkpoint{
-		Lease:    lease,
-		NonceCtr: 1<<16 + 42,
-		Erasmus: map[string]DedupWindow{
-			"prv00001": windowOf(1, 2, 3),
-			"prv00009": windowOf(8),
-		},
-		Seed: map[string]uint64{"prv00001": 5},
-	}
-	v2cp, err := DecodeCheckpoint(encodeLegacyV2(want))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(v2cp, want) {
-		t.Fatalf("v2 decode mismatch:\n got %+v\nwant %+v", v2cp, want)
-	}
-
-	v1 := encodeLegacyV1(lease, want.NonceCtr,
-		map[string][]uint64{"prv00001": {1, 2, 3}, "prv00009": {8}},
-		map[string]uint64{"prv00001": 5})
-	v1cp, err := DecodeCheckpoint(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(v1cp, want) {
-		t.Fatalf("v1 decode mismatch:\n got %+v\nwant %+v", v1cp, want)
-	}
-
-	// Legacy files restore into a live server with freshness intact.
-	s := localServer(t, Config{Stripes: 2})
-	s.Restore(v1cp)
-	if got := s.Enrolled(); got != 2 {
-		t.Fatalf("enrolled %d after legacy restore, want 2", got)
-	}
-	liveCp := s.Checkpoint()
-	if !reflect.DeepEqual(liveCp.Erasmus, want.Erasmus) || !reflect.DeepEqual(liveCp.Seed, want.Seed) {
-		t.Fatal("legacy restore diverged from encoded state")
-	}
-
-	// A legacy base can even root a v3 delta chain (ChainID 0, the
-	// value legacy headers imply).
-	delta := encodeCP(t, &Checkpoint{
-		Lease: lease, NonceCtr: 1<<16 + 99,
-		Erasmus: map[string]DedupWindow{"prv00002": windowOf(1)},
-		Seed:    map[string]uint64{},
-		Delta:   true, Seq: 1,
-	})
-	merged, chain, err := DecodeChain(encodeLegacyV2(want), delta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if chain.Applied != 1 || len(merged.Erasmus) != 3 || merged.NonceCtr != 1<<16+99 {
-		t.Fatalf("legacy-rooted chain: %+v, %d provers", chain, len(merged.Erasmus))
-	}
-
-	// Lying section counts in legacy files must error before any huge
-	// allocation, and duplicated entries must be rejected.
-	lying := append([]byte(nil), encodeLegacyV2(want)[:40]...)
-	lying = append(lying, 0xff, 0xff, 0xff, 0xff)
-	if _, err := DecodeCheckpoint(lying); err == nil {
-		t.Fatal("absurd v2 entry count accepted")
-	}
-	dup := encodeLegacyV1(lease, 0,
-		map[string][]uint64{"prv00001": {1}}, nil)
-	// Duplicate the single erasmus entry by hand: bump the count and
-	// repeat the entry bytes.
-	entry := dup[44:] // after header(40) + u32 count
-	entry = entry[:len(entry)-4]
-	forged := append([]byte(nil), dup[:40]...)
-	forged = binary.BigEndian.AppendUint32(forged, 2)
-	forged = append(forged, entry...)
-	forged = append(forged, entry...)
-	forged = binary.BigEndian.AppendUint32(forged, 0)
-	if _, err := DecodeCheckpoint(forged); err == nil {
-		t.Fatal("duplicated v1 entry accepted")
-	}
-}
 
 // FuzzCheckpointCodec throws arbitrary bytes at the strict decoder
 // and the chain reader. Invariants: no panic ever; successful strict
@@ -206,19 +44,25 @@ func FuzzCheckpointCodec(f *testing.F) {
 
 	f.Add(fullEnc)
 	f.Add(deltaEnc)
-	f.Add(encodeLegacyV2(full))
-	f.Add(encodeLegacyV1(full.Lease, full.NonceCtr,
-		map[string][]uint64{"prv00001": {1, 2, 3}}, map[string]uint64{"prv00001": 12}))
 	f.Add(fullEnc[:len(fullEnc)/2])
 	f.Add(deltaEnc[:len(deltaEnc)-3])
 	f.Add([]byte{})
-	f.Add([]byte{'R', 'C', 3, 0})
-	f.Add([]byte{'R', 'C', 1, 0, 0xff, 0xff})
-	// A v4 file downgraded to v3: the image records it carries must be
-	// rejected, never silently dropped.
-	v3img := append([]byte(nil), fullEnc...)
-	v3img[2] = checkpointVersion3
-	f.Add(v3img)
+	// Any version byte but the current one is refused, whatever follows.
+	older := append([]byte(nil), fullEnc...)
+	older[2] = CheckpointVersion - 1
+	f.Add(older)
+	newer := append([]byte(nil), deltaEnc...)
+	newer[2] = CheckpointVersion + 1
+	f.Add(newer)
+	f.Add([]byte{'R', 'C', CheckpointVersion, 0, 0xff, 0xff})
+	// Unknown flag bits.
+	flags := append([]byte(nil), fullEnc...)
+	flags[3] = 0x82
+	f.Add(flags)
+	// A trailer whose record count lies.
+	lying := append([]byte(nil), fullEnc...)
+	lying[len(lying)-1]++
+	f.Add(lying)
 	// A truncated image record (name present, image id torn off).
 	f.Add(fullEnc[:len(fullEnc)-3])
 

@@ -2,6 +2,7 @@ package rattd
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -222,7 +223,7 @@ func TestRotationVerdictReasons(t *testing.T) {
 	box.send(t, transport.Msg{Kind: transport.KindCollection, Image: "default@v1",
 		Reports: []*core.Report{&r}})
 	v := box.await(t, transport.KindVerdict)
-	if v.OK || v.Reason != ReasonStaleImage {
+	if v.OK || v.Reason != verifier.ReasonStaleImage.String() {
 		t.Fatalf("stale verdict: ok=%v reason=%q", v.OK, v.Reason)
 	}
 	// Unknown image name: its own reason.
@@ -230,7 +231,7 @@ func TestRotationVerdictReasons(t *testing.T) {
 	box.send(t, transport.Msg{Kind: transport.KindCollection, Image: "ghost",
 		Reports: []*core.Report{&r2}})
 	v = box.await(t, transport.KindVerdict)
-	if v.OK || v.Reason != ReasonUnknownImage {
+	if v.OK || v.Reason != verifier.ReasonUnknownImage.String() {
 		t.Fatalf("unknown verdict: ok=%v reason=%q", v.OK, v.Reason)
 	}
 	// The binding from the first contact ("default", normalized away)
@@ -300,12 +301,12 @@ func TestCheckpointCarriesImageBindings(t *testing.T) {
 	}
 }
 
-// TestCheckpointV3Legacy pins the v3 wire compatibility at the byte
-// level: a homogeneous fleet's v4 file IS a v3 file with a bumped
-// version byte, so flipping it back must decode identically — and a
-// v3 file carrying a v4 image record must be rejected, exactly as a
-// v3 binary would have done.
-func TestCheckpointV3Legacy(t *testing.T) {
+// TestCheckpointOtherVersionsRefused pins that one checkpoint version
+// exists: a homogeneous fleet stores no image bindings, a file with
+// bindings round-trips, and the same bytes under any other version byte
+// — as the base or as a delta of a chain — are refused by name, never
+// misparsed.
+func TestCheckpointOtherVersionsRefused(t *testing.T) {
 	s := localServer(t, Config{})
 	image := GoldenImage(7, testMem, testBlock)
 	for i := 0; i < 3; i++ {
@@ -323,38 +324,35 @@ func TestCheckpointV3Legacy(t *testing.T) {
 	if cp.Images != nil {
 		t.Fatalf("homogeneous fleet stored bindings: %v", cp.Images)
 	}
+	cp.Images = map[string]string{"prv00000": "gateway"}
 	var buf writerBuf
 	if _, err := cp.EncodeTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	v3 := append([]byte(nil), buf.b...)
-	v3[2] = checkpointVersion3
-	dec, err := DecodeCheckpoint(v3)
-	if err != nil {
-		t.Fatalf("v3 decode: %v", err)
-	}
-	if len(dec.Erasmus) != len(cp.Erasmus) || dec.NonceCtr != cp.NonceCtr {
-		t.Fatalf("v3 decode mangled: %d windows", len(dec.Erasmus))
-	}
-
-	// A v4 file WITH image records downgraded to v3 must reject.
-	cp.Images = map[string]string{"prv00000": "gateway"}
-	var buf4 writerBuf
-	if _, err := cp.EncodeTo(&buf4); err != nil {
-		t.Fatal(err)
-	}
-	bad := append([]byte(nil), buf4.b...)
-	bad[2] = checkpointVersion3
-	if _, err := DecodeCheckpoint(bad); err == nil {
-		t.Fatal("strict v3 decode accepted an image record")
-	}
-	// And at v4 it round-trips.
-	dec4, err := DecodeCheckpoint(buf4.b)
+	dec, err := DecodeCheckpoint(buf.b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec4.Images["prv00000"] != "gateway" {
-		t.Fatalf("v4 images = %v", dec4.Images)
+	if dec.Images["prv00000"] != "gateway" || len(dec.Erasmus) != len(cp.Erasmus) {
+		t.Fatalf("round trip: images %v, %d windows", dec.Images, len(dec.Erasmus))
+	}
+	for ver := 0; ver < 256; ver++ {
+		if ver == CheckpointVersion {
+			continue
+		}
+		other := append([]byte(nil), buf.b...)
+		other[2] = byte(ver)
+		want := fmt.Sprintf("unsupported checkpoint version %d (this build reads only %d)", ver, CheckpointVersion)
+		if _, err := DecodeCheckpoint(other); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("version %d: err = %v, want %q", ver, err, want)
+		}
+		if _, _, err := DecodeChain(other); err == nil {
+			t.Fatalf("version %d accepted as a chain base", ver)
+		}
+		// As a delta it is dropped, like any unreadable link.
+		if _, st, err := DecodeChain(buf.b, other); err != nil || st.Applied != 0 || st.Dropped != 1 {
+			t.Fatalf("version %d as a delta: %+v, %v", ver, st, err)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"saferatt/internal/mem"
 	"saferatt/internal/sim"
 	"saferatt/internal/suite"
+	"saferatt/internal/verifier"
 )
 
 // GoldenImage deterministically generates the golden memory content a
@@ -35,7 +36,7 @@ type Prover struct {
 	// ImageName, when non-empty, is the golden-image id this prover
 	// announces on every wire message ("name" or "name@vN") so a
 	// multi-image daemon verifies it against the right registry entry.
-	// Empty means the daemon's default image (the v1-peer behavior).
+	// Empty means the daemon's default image.
 	ImageName string
 
 	order []int // traversal scratch, reused across reports
@@ -86,14 +87,14 @@ func (p *Prover) Respond(nonce []byte) (*core.Report, error) {
 // SelfMeasure produces one ERASMUS self-measurement for counter ctr,
 // with the counter-bound self-derived nonce the daemon expects.
 func (p *Prover) SelfMeasure(ctr uint64) (*core.Report, error) {
-	nonce := core.PRF(p.Key, "erasmus-nonce", ctr)
+	nonce := verifier.AppendErasmusNonce(nil, p.Key, ctr)
 	return p.report(core.NoLock, nonce, 0, ctr, sim.Time(ctr)*sim.Time(sim.Second))
 }
 
 // SeedReport produces one SeED report for counter ctr, nonce-bound to
 // the prover's derived schedule seed.
 func (p *Prover) SeedReport(ctr uint64) (*core.Report, error) {
-	nonce := core.PRF(SeedFor(p.Key, p.Name), "seed-nonce", ctr)
+	nonce := verifier.AppendSeedNonce(nil, SeedFor(p.Key, p.Name), ctr)
 	return p.report(core.NoLock, nonce, 0, ctr, sim.Time(ctr)*sim.Time(sim.Second))
 }
 

@@ -7,10 +7,12 @@
 //
 // The daemon speaks typed transport messages only, so the same Server
 // runs over transport.Sim in deterministic tests and over
-// transport.Net on real UDP sockets (cmd/rattd). It keeps no
-// simulation clock: freshness bookkeeping that needs wall time lives
-// with the caller; protocol-level replay protection (nonce binding,
-// monotonic counters) is self-contained.
+// transport.Net on real UDP sockets (cmd/rattd). It keeps no clock:
+// the accept rules it applies (nonce binding, replay windows, monotonic
+// counters, the expected tag) are the clock-free verification core of
+// internal/verifier, shared with the simulated verifier.Verifier; what
+// this package adds is striping, leases, enrollment, image binding and
+// checkpointing.
 //
 // Concurrency model (one shard's insides). The transport delivers
 // frames on RecvQueues dispatch workers at once, so the Server is
@@ -27,8 +29,6 @@
 package rattd
 
 import (
-	"crypto/hmac"
-	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -46,30 +46,19 @@ import (
 // (mirrors the device default; real deployments provision their own).
 var DefaultKey = []byte("saferatt-default-attestation-key")
 
-// PRF labels, held as byte slices so hot-path derivations write them
-// without a per-call string conversion.
-var (
-	labelChallenge = []byte("rattd-challenge")
-	labelErasmus   = []byte("erasmus-nonce")
-	labelSeedNonce = []byte("seed-nonce")
-	labelSeedFor   = []byte("rattd-seed:")
-)
+// labelChallenge keys the daemon's SMART challenge nonce stream (the
+// other derivations and every accept rule live in the verification
+// core, internal/verifier/protocol.go).
+var labelChallenge = []byte("rattd-challenge")
+
+// DedupWindow is the ERASMUS replay window of the verification core,
+// aliased here because checkpoints (Checkpoint.Erasmus) and the frozen
+// bench module name it through this package.
+type DedupWindow = verifier.DedupWindow
 
 // DefaultImageName is the registry name a single-image Config's Ref is
-// registered under, and the image v1 peers and imageless reports are
-// served against.
+// registered under, and the image imageless reports are served against.
 const DefaultImageName = "default"
-
-// Image-related rejection reasons. ReasonStaleImage is the explicit
-// attestation-during-update outcome: a report pinned to a version that
-// was rotated out and is past its grace window is rejected with this
-// distinct reason — never spuriously passed against either image.
-const (
-	ReasonStaleImage     = "stale image version (retired past rotation grace)"
-	ReasonUnknownImage   = "unknown image id"
-	ReasonImageMismatch  = "image binding mismatch"
-	ReasonMalformedImage = "malformed image id"
-)
 
 // DefaultPendingCap bounds outstanding (unanswered) SMART challenges
 // held across the server. A prover that hellos and never reports used
@@ -185,15 +174,14 @@ type stripe struct {
 	dirty   []string
 }
 
-// proverRec is one prover's durable freshness state — exactly what a
-// checkpoint persists: the ERASMUS replay window, the SeED watermark,
-// and the dirty stamp the delta encoder keys off. One record lives on
-// one stripe, so per-prover checkpoint consistency is a single-lock
-// property.
+// proverRec is one prover's durable state — exactly what a checkpoint
+// persists: the core's freshness record (ERASMUS replay window, SeED
+// watermark), the image binding, and the dirty stamp the delta encoder
+// keys off. One record lives on one stripe, so per-prover checkpoint
+// consistency is a single-lock property.
 type proverRec struct {
-	win      DedupWindow // ERASMUS replay window (valid when hasWin)
-	seedLast uint64      // highest accepted SeED counter (valid when hasSeed)
-	image    string      // bound image name; "" = the fleet default
+	fresh    verifier.Freshness // Window valid when hasWin, SeedLast when hasSeed
+	image    string             // bound image name; "" = the fleet default
 	hasWin   bool
 	hasSeed  bool
 	dirtyGen uint64 // stripe ckptGen this record was last dirtied under
@@ -225,7 +213,7 @@ func (st *stripe) rec(s *Server, name string) *proverRec {
 }
 
 type pendingChallenge struct {
-	nonce []byte
+	nonce verifier.Challenge
 	seq   uint64
 }
 
@@ -458,7 +446,7 @@ func (s *Server) Ingest(from string, kind transport.Kind, reports []core.Report)
 func (s *Server) IngestImage(from string, kind transport.Kind, image string, reports []core.Report) {
 	id, err := verifier.ParseImageID(image)
 	if err != nil {
-		s.rejectBundle(from, kind, len(reports), ReasonMalformedImage)
+		s.rejectBundle(from, kind, len(reports), verifier.ReasonMalformedImage)
 		return
 	}
 	switch kind {
@@ -476,16 +464,13 @@ func (s *Server) IngestImage(from string, kind transport.Kind, image string, rep
 // rejectBundle counts one rejection per report (conserving the
 // accepted+rejected == reports invariant) and answers the verdict the
 // kind calls for.
-func (s *Server) rejectBundle(from string, kind transport.Kind, n int, reason string) {
+func (s *Server) rejectBundle(from string, kind transport.Kind, n int, why verifier.Reason) {
 	for i := 0; i < n; i++ {
-		s.count(false)
-	}
-	if s.cfg.Logf != nil {
-		s.logf("bundle %s (%d reports): rejected: %s", from, n, reason)
+		s.count(why)
 	}
 	switch kind {
 	case transport.KindReport, transport.KindCollection:
-		s.tr.Send(transport.Msg{From: s.cfg.Name, To: from, Kind: transport.KindVerdict, OK: false, Reason: reason})
+		s.verdict(from, "bundle", n, why, nil)
 	}
 }
 
@@ -540,7 +525,7 @@ func (s *Server) bindImage(st *stripe, from, name string, create bool) (string, 
 // prover's stripe.
 func (s *Server) handleHello(from string) {
 	ctr := s.nextChallengeCtr()
-	nonce := core.AppendPRF(make([]byte, 0, 32), s.cfg.Key, labelChallenge, ctr)[:16]
+	nonce := verifier.ChallengeNonce(s.cfg.Key, labelChallenge, ctr)
 	st := s.stripeFor(from)
 	st.mu.Lock()
 	st.putPending(from, nonce)
@@ -575,15 +560,13 @@ func (st *stripe) putPending(name string, nonce []byte) {
 	}
 }
 
-// takePending consumes a prover's outstanding challenge.
-func (st *stripe) takePending(name string) ([]byte, bool) {
+// takePending consumes a prover's outstanding challenge (nil: none).
+func (st *stripe) takePending(name string) verifier.Challenge {
 	st.mu.Lock()
-	p, ok := st.pending[name]
-	if ok {
-		delete(st.pending, name)
-	}
+	p := st.pending[name]
+	delete(st.pending, name)
 	st.mu.Unlock()
-	return p.nonce, ok
+	return p.nonce
 }
 
 // handleReport validates a challenge response and answers with a
@@ -592,31 +575,28 @@ func (st *stripe) takePending(name string) ([]byte, bool) {
 func (s *Server) handleReport(from string, id verifier.ImageID, reports []core.Report) {
 	st := s.stripeFor(from)
 	name, bound := s.bindImage(st, from, id.Name, false)
-	nonce, outstanding := st.takePending(from)
-	ok, reason := false, ""
-	if !bound {
-		reason = ReasonImageMismatch
-	} else if !outstanding {
-		reason = "unsolicited report"
-	} else if len(reports) == 0 {
-		reason = "empty report bundle"
-	} else {
-		eff := verifier.ImageID{Name: name, Version: id.Version}
-		ok = true
-		for i := range reports {
-			r := &reports[i]
-			if !hmac.Equal(r.Nonce, nonce) {
-				ok, reason = false, "nonce mismatch"
-				break
-			}
-			if ok, reason = s.verify(r, eff); !ok {
-				break
-			}
+	nonce := st.takePending(from)
+	why := verifier.ReasonImageMismatch
+	var err error
+	if bound {
+		why = nonce.Open(len(reports))
+	}
+	eff := verifier.ImageID{Name: name, Version: id.Version}
+	for i := 0; i < len(reports) && why == verifier.ReasonOK; i++ {
+		r := &reports[i]
+		if why = nonce.Check(r); why == verifier.ReasonOK {
+			why, err = s.verify(r, eff)
 		}
 	}
-	s.count(ok)
-	if s.cfg.Logf != nil {
-		s.logf("report %s: ok=%v %s", from, ok, reason)
+	s.count(why)
+	s.verdict(from, "report", len(reports), why, err)
+}
+
+// verdict answers a bundle with its first failure (or OK).
+func (s *Server) verdict(from, what string, n int, why verifier.Reason, err error) {
+	ok, reason := why == verifier.ReasonOK, why.Text(err)
+	if s.cfg.Logf != nil { // guarded: the variadic boxing allocates
+		s.cfg.Logf("%s %s (%d reports): ok=%v %s", what, from, n, ok, reason)
 	}
 	s.tr.Send(transport.Msg{From: s.cfg.Name, To: from, Kind: transport.KindVerdict, OK: ok, Reason: reason})
 }
@@ -631,14 +611,12 @@ type ingestScratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(ingestScratch) }}
 
-// handleCollection validates an ERASMUS measurement history: per-report
-// tags, counter-bound self-derived nonces, no replayed and no
-// non-monotonic counters (§3.3). Each offending report is rejected
-// exactly once; the verdict covers the whole bundle. Replay state is
-// the prover's bounded DedupWindow: the stripe lock is taken for the
-// window probe and (after an off-lock tag verification) the commit,
-// which re-checks the window so two racing bundles for one prover
-// cannot double-accept a counter.
+// handleCollection validates an ERASMUS measurement history under the
+// core's §3.3 rules (Freshness.CheckErasmus / CommitErasmus). Each
+// offending report is rejected exactly once; the verdict covers the
+// whole bundle. The stripe lock is taken for the cheap check and (after
+// an off-lock tag verification) the commit, which re-checks the window
+// so two racing bundles for one prover cannot double-accept a counter.
 func (s *Server) handleCollection(from string, id verifier.ImageID, reports []core.Report) {
 	st := s.stripeFor(from)
 	// Binding before enrollment bookkeeping: a mismatched image claim
@@ -646,22 +624,22 @@ func (s *Server) handleCollection(from string, id verifier.ImageID, reports []co
 	// window state moves.
 	name, bound := s.bindImage(st, from, id.Name, true)
 	if !bound {
-		s.rejectBundle(from, transport.KindCollection, len(reports), ReasonImageMismatch)
+		s.rejectBundle(from, transport.KindCollection, len(reports), verifier.ReasonImageMismatch)
 		return
 	}
 	eff := verifier.ImageID{Name: name, Version: id.Version}
-	ok, reason := true, ""
+	first := verifier.ReasonOK // the bundle's first failure
+	var firstErr error
 	if len(reports) == 0 {
-		ok, reason = false, "empty collection"
+		first = verifier.ReasonEmptyCollection
 	}
 	// Enrollment: the prover gets its window on first contact, so a
 	// restarted shard's checkpoint covers provers whose every report
 	// was rejected too (they are enrolled, just never clean). The
 	// record pointer is stable (heap value behind the stripe map), so
-	// the window can be probed under later lock acquisitions.
+	// it can be used under later lock acquisitions.
 	st.mu.Lock()
 	rec := st.rec(s, from)
-	w := &rec.win
 	if !rec.hasWin {
 		rec.hasWin = true
 		st.markDirty(s, from, rec)
@@ -672,51 +650,36 @@ func (s *Server) handleCollection(from string, id verifier.ImageID, reports []co
 	var prevCtr uint64
 	for i := range reports {
 		r := &reports[i]
-		rok, rreason := true, ""
-		replay := false
-		sc.nonce = core.AppendPRF(sc.nonce[:0], s.cfg.Key, labelErasmus, r.Counter)
+		sc.nonce = verifier.AppendErasmusNonce(sc.nonce[:0], s.cfg.Key, r.Counter)
 		st.mu.Lock()
-		seen := w.Seen(r.Counter)
+		why := rec.fresh.CheckErasmus(r, sc.nonce, i == 0, prevCtr)
 		st.mu.Unlock()
-		switch {
-		case !hmac.Equal(r.Nonce, sc.nonce):
-			rok, rreason = false, "self-measurement nonce not bound to counter"
-		case seen:
-			rok, rreason, replay = false, "replayed measurement counter", true
-		case i > 0 && r.Counter <= prevCtr:
-			rok, rreason = false, "non-monotonic measurement counter"
-		default:
-			if rok, rreason = s.verify(r, eff); rok {
+		var err error
+		if why == verifier.ReasonOK {
+			if why, err = s.verify(r, eff); why == verifier.ReasonOK {
 				st.mu.Lock()
-				if !w.Add(r.Counter) { // lost a same-counter race
-					rok, rreason, replay = false, "replayed measurement counter", true
-				} else {
+				if why = rec.fresh.CommitErasmus(r.Counter); why == verifier.ReasonOK {
 					st.markDirty(s, from, rec)
 				}
 				st.mu.Unlock()
 			}
 		}
-		if replay {
-			s.cnt.replays.Add(1)
-		}
-		s.count(rok)
-		if !rok && ok {
-			ok, reason = false, rreason
+		s.count(why)
+		if first == verifier.ReasonOK {
+			first, firstErr = why, err
 		}
 		prevCtr = r.Counter
 	}
 	scratchPool.Put(sc)
-	if s.cfg.Logf != nil { // guarded: the variadic boxing allocates
-		s.logf("collection %s (%d reports): ok=%v %s", from, len(reports), ok, reason)
-	}
-	s.tr.Send(transport.Msg{From: s.cfg.Name, To: from, Kind: transport.KindVerdict, OK: ok, Reason: reason})
+	s.verdict(from, "collection", len(reports), first, firstErr)
 }
 
-// handleSeed ingests unsolicited SeED reports: nonce bound to the
-// prover's derived seed and counter, counters strictly monotonic
-// above a per-prover watermark. SeED is non-interactive, so no
-// verdict is sent back. Seed derivation and verification run
-// off-lock; the watermark commit re-checks under the stripe lock.
+// handleSeed ingests unsolicited SeED reports under the core's rules
+// (Freshness.CheckSeed / CommitSeed): nonce bound to the prover's
+// derived seed and counter, counters strictly above a per-prover
+// watermark. SeED is non-interactive, so no verdict is sent back. Seed
+// derivation and verification run off-lock; the commit re-checks under
+// the stripe lock.
 func (s *Server) handleSeed(from string, id verifier.ImageID, reports []core.Report) {
 	st := s.stripeFor(from)
 	// SeED bundles enroll on first accepted report (see the commit
@@ -724,60 +687,42 @@ func (s *Server) handleSeed(from string, id verifier.ImageID, reports []core.Rep
 	// named contact that never verifies clean still binds nothing.
 	name, bound := s.bindImage(st, from, id.Name, false)
 	if !bound {
-		s.rejectBundle(from, transport.KindSeedReport, len(reports), ReasonImageMismatch)
+		s.rejectBundle(from, transport.KindSeedReport, len(reports), verifier.ReasonImageMismatch)
 		return
 	}
 	eff := verifier.ImageID{Name: name, Version: id.Version}
 	sc := scratchPool.Get().(*ingestScratch)
 	sc.name = append(sc.name[:0], from...)
-	var err error
-	if sc.seed, err = suite.AppendMAC(sc.seed[:0], suite.SHA256, s.cfg.Key, labelSeedFor, sc.name); err != nil {
-		scratchPool.Put(sc)
-		return
-	}
+	sc.seed = verifier.AppendSeedFor(sc.seed[:0], s.cfg.Key, sc.name)
 	for i := range reports {
 		r := &reports[i]
-		rok, rreason := true, ""
-		replay := false
-		sc.nonce = core.AppendPRF(sc.nonce[:0], sc.seed, labelSeedNonce, r.Counter)
+		sc.nonce = verifier.AppendSeedNonce(sc.nonce[:0], sc.seed, r.Counter)
+		// A prover not yet enrolled is judged against the zero record.
+		var fresh verifier.Freshness
 		st.mu.Lock()
-		var last uint64
-		if rec := st.provers[from]; rec != nil && rec.hasSeed {
-			last = rec.seedLast
+		if rec := st.provers[from]; rec != nil {
+			fresh = rec.fresh
 		}
 		st.mu.Unlock()
-		switch {
-		case !hmac.Equal(r.Nonce, sc.nonce):
-			rok, rreason = false, "SeED nonce not bound to counter"
-		case r.Counter <= last:
-			rok, rreason, replay = false, "replayed SeED report", true
-		default:
-			if rok, rreason = s.verify(r, eff); rok {
+		why := fresh.CheckSeed(r, sc.nonce)
+		var err error
+		if why == verifier.ReasonOK {
+			if why, err = s.verify(r, eff); why == verifier.ReasonOK {
 				st.mu.Lock()
-				rec := st.provers[from]
-				if rec != nil && rec.hasSeed && r.Counter <= rec.seedLast {
-					// lost a race since the pre-check
-					rok, rreason, replay = false, "replayed SeED report", true
-				} else {
-					if rec == nil {
-						rec = st.rec(s, from) // first contact: enrolls
-					}
+				rec := st.rec(s, from) // first contact: enrolls
+				if why = rec.fresh.CommitSeed(r.Counter); why == verifier.ReasonOK {
 					if rec.image == "" && name != "" {
 						rec.image = name // enrollment-time binding
 					}
 					rec.hasSeed = true
-					rec.seedLast = r.Counter
 					st.markDirty(s, from, rec)
 				}
 				st.mu.Unlock()
 			}
 		}
-		if replay {
-			s.cnt.replays.Add(1)
-		}
-		s.count(rok)
+		s.count(why)
 		if s.cfg.Logf != nil {
-			s.logf("seed-report %s ctr=%d: ok=%v %s", from, r.Counter, rok, rreason)
+			s.cfg.Logf("seed-report %s ctr=%d: ok=%v %s", from, r.Counter, why == verifier.ReasonOK, why.Text(err))
 		}
 	}
 	scratchPool.Put(sc)
@@ -790,48 +735,30 @@ func (s *Server) handleSeed(from string, id verifier.ImageID, reports []core.Rep
 // a stale-but-in-grace version verifies against the pinned
 // predecessor, a stale-past-grace version is ReasonStaleImage, never
 // a spurious pass.
-func (s *Server) verify(r *core.Report, id verifier.ImageID) (bool, string) {
+func (s *Server) verify(r *core.Report, id verifier.ImageID) (verifier.Reason, error) {
 	if r.RegionCount > 0 || r.Data != nil {
 		// Per-device regions and reported data blocks defeat the shared
 		// expected tag; the daemon serves uniform fleets.
-		return false, "region/data reports are not served by rattd"
+		return verifier.ReasonRegionUnserved, nil
 	}
 	ok, err := s.images.Verify(s.cfg.Key, id, r, s.cfg.Shuffled)
-	if err != nil {
-		switch {
-		case errors.Is(err, verifier.ErrStaleImage):
-			return false, ReasonStaleImage
-		case errors.Is(err, verifier.ErrUnknownImage):
-			return false, ReasonUnknownImage
-		}
-		return false, "verification error: " + err.Error()
-	}
-	if !ok {
-		return false, "tag mismatch (memory deviates from golden image)"
-	}
-	return true, ""
+	return verifier.TagReason(ok, err), err
 }
 
-func (s *Server) count(ok bool) {
-	if ok {
+// count tallies one verdict.
+func (s *Server) count(why verifier.Reason) {
+	if why == verifier.ReasonOK {
 		s.cnt.accepted.Add(1)
-	} else {
-		s.cnt.rejected.Add(1)
+		return
 	}
-}
-
-func (s *Server) logf(format string, args ...any) {
-	if s.cfg.Logf != nil {
-		s.cfg.Logf(format, args...)
+	s.cnt.rejected.Add(1)
+	if why.IsReplay() {
+		s.cnt.replays.Add(1)
 	}
 }
 
 // SeedFor derives a prover's SeED schedule seed from the shared key
 // and its name; daemon and prover compute it independently.
 func SeedFor(key []byte, prover string) []byte {
-	out, err := suite.AppendMAC(nil, suite.SHA256, key, labelSeedFor, []byte(prover))
-	if err != nil {
-		panic(err) // SHA-256 is always registered
-	}
-	return out
+	return verifier.AppendSeedFor(nil, key, []byte(prover))
 }

@@ -3,6 +3,8 @@ package rattd
 import (
 	"math"
 	"testing"
+
+	"saferatt/internal/verifier"
 )
 
 // windowOf builds a DedupWindow holding exactly the given counters
@@ -43,7 +45,7 @@ func TestDedupWindowBasics(t *testing.T) {
 
 func TestDedupWindowSlide(t *testing.T) {
 	var w DedupWindow
-	for c := uint64(1); c <= DedupBits+10; c++ {
+	for c := uint64(1); c <= verifier.DedupBits+10; c++ {
 		if !w.Add(c) {
 			t.Fatalf("fresh counter %d rejected", c)
 		}
@@ -51,29 +53,29 @@ func TestDedupWindowSlide(t *testing.T) {
 			t.Fatalf("immediate replay of %d accepted", c)
 		}
 	}
-	if w.Top != DedupBits+10 {
-		t.Fatalf("Top = %d, want %d", w.Top, DedupBits+10)
+	if w.Top != verifier.DedupBits+10 {
+		t.Fatalf("Top = %d, want %d", w.Top, verifier.DedupBits+10)
 	}
-	// Everything in (Top-DedupBits, Top] is exactly tracked...
-	for c := w.Top - DedupBits + 1; c <= w.Top; c++ {
+	// Everything in (Top-verifier.DedupBits, Top] is exactly tracked...
+	for c := w.Top - verifier.DedupBits + 1; c <= w.Top; c++ {
 		if !w.Seen(c) {
 			t.Fatalf("in-window counter %d forgot its accept", c)
 		}
 	}
-	// ...and everything at or below Top-DedupBits is conservatively a
+	// ...and everything at or below Top-verifier.DedupBits is conservatively a
 	// replay, even a counter never actually accepted.
-	if !w.Seen(1) || !w.Seen(w.Top-DedupBits) {
+	if !w.Seen(1) || !w.Seen(w.Top-verifier.DedupBits) {
 		t.Fatal("aged-out counters must read as seen (conservative reject)")
 	}
 	if w.Add(2) {
 		t.Fatal("aged-out counter accepted")
 	}
 	// A far jump clears the skipped range.
-	jump := w.Top + 3*DedupBits
+	jump := w.Top + 3*verifier.DedupBits
 	if !w.Add(jump) {
 		t.Fatal("far-future counter rejected")
 	}
-	for c := jump - DedupBits + 1; c < jump; c++ {
+	for c := jump - verifier.DedupBits + 1; c < jump; c++ {
 		if w.Seen(c) {
 			t.Fatalf("counter %d seen after window jump cleared it", c)
 		}
@@ -111,8 +113,8 @@ func TestDedupWindowCheckpointCanonical(t *testing.T) {
 	// identically (canonical form: out-of-window bits zero).
 	a := windowOf(1, 2, 3, 300)
 	b := windowOf(300)
-	b.Add(300 - DedupBits + 1) // in-window
-	a = windowOf(300, 300-DedupBits+1)
+	b.Add(300 - verifier.DedupBits + 1) // in-window
+	a = windowOf(300, 300-verifier.DedupBits+1)
 	if a != b {
 		t.Fatalf("equal tracked sets differ structurally:\n a=%+v\n b=%+v", a, b)
 	}

@@ -63,7 +63,7 @@ func TestSecureUpdateRoundTrip(t *testing.T) {
 		Kernel: w.k, Link: w.link,
 		Scheme:  suite.Scheme{Hash: suite.SHA256, Key: w.dev.AttestationKey},
 		PermKey: w.dev.AttestationKey,
-		Ref:     golden,
+		Image:   verifier.ImageOf(golden, w.m.BlockSize()),
 		Opts:    opts,
 	})
 	if err != nil {

@@ -288,7 +288,7 @@ func TestWheelArmDoesNotAllocate(t *testing.T) {
 // pseudorandom periods multiplexed on ONE kernel — the shape of a
 // long-horizon self-measurement fleet (E12), where every device keeps a
 // measurement trigger and a collection timer pending. Per-event cost is
-// pure scheduler work; ev/sec is the headline BENCH_sched.json metric.
+// pure scheduler work; ev/sec is the headline metric (bench: sim.schedule_ns_per_event).
 func BenchmarkSched_FleetTimers(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
 		for _, bk := range backends {

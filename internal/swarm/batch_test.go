@@ -110,12 +110,8 @@ func TestCollectorGoldenRegistrationSharesImage(t *testing.T) {
 		c.Register(node)
 	}
 	for _, node := range f.nodes {
-		ref := c.refs[node.Name]
-		if &ref[0] != &g.Bytes()[0] {
+		if img := c.images[node.Name]; img.Golden() != g || &img.Bytes()[0] != &g.Bytes()[0] {
 			t.Fatalf("node %s ref is a private copy", node.Name)
-		}
-		if c.ownRef[node.Name] {
-			t.Fatalf("node %s golden-backed ref marked owned", node.Name)
 		}
 	}
 	if c.batches["node00"] != c.batches["node01"] || c.batches["node01"] != c.batches["node02"] {
@@ -126,11 +122,8 @@ func TestCollectorGoldenRegistrationSharesImage(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Register(f.nodes[1])
-	if &c.refs["node01"][0] == &g.Bytes()[0] {
+	if img := c.images["node01"]; img.Golden() != nil || &img.Bytes()[0] == &g.Bytes()[0] {
 		t.Fatal("divergent node still aliases the golden image")
-	}
-	if !c.ownRef["node01"] {
-		t.Fatal("private snapshot not marked owned")
 	}
 	if c.batches["node01"] == c.batches["node00"] {
 		t.Fatal("divergent node still shares the fleet batch")

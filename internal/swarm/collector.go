@@ -2,12 +2,10 @@ package swarm
 
 import (
 	"bytes"
-	"io"
 	"sort"
 
 	"saferatt/internal/core"
 	"saferatt/internal/device"
-	"saferatt/internal/inccache"
 	"saferatt/internal/mem"
 	"saferatt/internal/sim"
 	"saferatt/internal/suite"
@@ -69,25 +67,16 @@ type Collector struct {
 	// per-report path regardless.
 	Batched bool
 	keys    map[string][]byte
-	refs    map[string][]byte
-	geoms   map[string][2]int // blockSize, numBlocks
+	// images holds each node's golden image: a handle on the shared
+	// golden for clean copy-on-write devices, a collector-private
+	// snapshot (reused on re-registration) otherwise.
+	images  map[string]verifier.Image
 	shuffle bool
-	// order is judgeNode's traversal-order scratch, reused across
-	// reports (a Collector judges one aggregate at a time).
-	order []int
-	// goldens lazily caches per-block digests of each node's golden
-	// image, for judging incremental reports: digests are computed once
-	// per node, not once per swarm round.
-	goldens map[string]*inccache.ImageCache
 	// batches maps node name -> batch verifier; nodes on the same
 	// shared golden image are interned onto one Batch (byGolden), so a
 	// fleet's expected tag is computed once per round, not per node.
 	batches  map[string]*verifier.Batch
 	byGolden map[*mem.Golden]*verifier.Batch
-	// ownRef marks refs entries backed by a collector-private buffer
-	// (safe to reuse for the next snapshot) as opposed to aliasing a
-	// shared golden image (must never be written).
-	ownRef map[string]bool
 }
 
 // NewCollector builds an empty collector for the given measurement
@@ -97,11 +86,9 @@ func NewCollector(hash suite.HashID) *Collector {
 		hash:     hash,
 		Batched:  true,
 		keys:     map[string][]byte{},
-		refs:     map[string][]byte{},
-		geoms:    map[string][2]int{},
+		images:   map[string]verifier.Image{},
 		batches:  map[string]*verifier.Batch{},
 		byGolden: map[*mem.Golden]*verifier.Batch{},
-		ownRef:   map[string]bool{},
 	}
 }
 
@@ -117,34 +104,27 @@ func (c *Collector) Register(n *Node) { c.RegisterDevice(n.Name, n.Dev, n.Opts) 
 func (c *Collector) RegisterDevice(name string, dev *device.Device, opts core.Options) {
 	m := dev.Mem
 	c.keys[name] = dev.AttestationKey
-	c.geoms[name] = [2]int{m.BlockSize(), m.NumBlocks()}
 	c.shuffle = opts.Shuffled
 	if g := m.SharedGolden(); g != nil && m.DirtyBlocks() == 0 {
-		c.refs[name] = g.Bytes()
-		delete(c.ownRef, name) // absent = not collector-owned
 		b := c.byGolden[g]
 		if b == nil {
 			b = verifier.NewBatch(c.hash, verifier.ImageOfGolden(g))
 			c.byGolden[g] = b
 		}
+		c.images[name] = verifier.ImageOfGolden(g)
 		c.batches[name] = b
-		if c.goldens == nil {
-			c.goldens = map[string]*inccache.ImageCache{}
-		}
-		c.goldens[name] = inccache.SharedImage(g, inccache.DigestHash(c.hash))
 		return
 	}
 	// Divergent or flat image: private snapshot, reusing the previous
 	// registration's buffer when re-registering (never a buffer that
 	// aliases a shared golden).
 	var dst []byte
-	if c.ownRef[name] {
-		dst = c.refs[name][:0]
+	if prev := c.images[name]; prev.Golden() == nil {
+		dst = prev.Bytes()[:0]
 	}
-	c.refs[name] = m.SnapshotInto(dst)
-	c.ownRef[name] = true
-	c.batches[name] = verifier.NewBatch(c.hash, verifier.ImageOf(c.refs[name], m.BlockSize()))
-	delete(c.goldens, name)
+	img := verifier.ImageOf(m.SnapshotInto(dst), m.BlockSize())
+	c.images[name] = img
+	c.batches[name] = verifier.NewBatch(c.hash, img)
 }
 
 // Judge validates an aggregate received at time now against all
@@ -157,7 +137,7 @@ func (c *Collector) Judge(agg *Aggregate, nonce []byte, now sim.Time) *SwarmResu
 	for _, name := range agg.Duplicates {
 		dup[name] = true
 	}
-	for name := range c.refs {
+	for name := range c.images {
 		reports, present := agg.Reports[name]
 		if !present {
 			res.Missing = append(res.Missing, name)
@@ -200,8 +180,6 @@ func (c *Collector) judgeNode(name string, reports []*core.Report, nonce []byte)
 		return v
 	}
 	key := c.keys[name]
-	ref := c.refs[name]
-	geom := c.geoms[name]
 	scheme := suite.Scheme{Hash: c.hash, Key: key}
 	for _, rep := range reports {
 		if nonce != nil && !bytes.Equal(rep.Nonce, nonce) {
@@ -210,44 +188,14 @@ func (c *Collector) judgeNode(name string, reports []*core.Report, nonce []byte)
 		}
 		// Batched fast path: amortize the expected tag across all
 		// reports in this round's (key, round, order) group. Region- or
-		// data-carrying reports vary per device and fall through to the
-		// per-report path.
-		if b := c.batches[name]; b != nil && c.Batched && rep.RegionCount == 0 && rep.Data == nil {
-			ok, err := b.Verify(key, rep, c.shuffle)
-			if err != nil {
-				v.Reason = "verification error: " + err.Error()
-				return v
-			}
-			if !ok {
-				v.Reason = "tag mismatch"
-				return v
-			}
-			continue
-		}
-		// Stream the expected measurement straight into pooled hash
-		// state; a swarm round judges every member, so the image-sized
-		// buffer this used to build dominated collector allocations.
-		// Incremental reports are judged over cached golden digests.
-		c.order = core.AppendOrderRegion(c.order[:0], key, rep.Nonce, rep.Round, 0, geom[1], c.shuffle)
+		// data-carrying reports vary per device and take the per-report
+		// path.
 		var ok bool
 		var err error
-		if rep.Incremental {
-			g := c.goldens[name]
-			if g == nil {
-				if c.goldens == nil {
-					c.goldens = map[string]*inccache.ImageCache{}
-				}
-				g = inccache.NewImage(ref, geom[0], inccache.DigestHash(c.hash))
-				c.goldens[name] = g
-			}
-			ok, err = scheme.VerifyStream(func(w io.Writer) error {
-				return core.ExpectedDigestStream(w, g.DigestOK, rep.Nonce, rep.Round, c.order)
-			}, rep.Tag)
+		if b := c.batches[name]; b != nil && c.Batched && rep.RegionCount == 0 && rep.Data == nil {
+			ok, err = b.Verify(key, rep, c.shuffle)
 		} else {
-			ok, err = scheme.VerifyStream(func(w io.Writer) error {
-				core.ExpectedStream(w, ref, geom[0], rep.Nonce, rep.Round, c.order)
-				return nil
-			}, rep.Tag)
+			ok, err = c.images[name].VerifyTag(scheme, key, core.Options{Shuffled: c.shuffle}, rep)
 		}
 		if err != nil {
 			v.Reason = "verification error: " + err.Error()

@@ -9,11 +9,11 @@ import (
 	"saferatt/internal/core"
 	"saferatt/internal/costmodel"
 	"saferatt/internal/device"
-	"saferatt/internal/inccache"
 	"saferatt/internal/mem"
 	"saferatt/internal/parallel"
 	"saferatt/internal/sim"
 	"saferatt/internal/suite"
+	"saferatt/internal/verifier"
 )
 
 // SelfFleet runs long-horizon self-measurement at fleet scale (E12):
@@ -165,13 +165,9 @@ type selfShard struct {
 	devs   []*selfDev
 	scheme suite.Scheme
 	golden *mem.Golden
-	// digest serves per-block golden digests for reports produced by
-	// the incremental measurement engine (process-wide shared cache,
-	// race-safe across shards).
-	digest func(b int) ([]byte, error)
+	image  verifier.Image // golden, as the verifier sees it
 
-	tags  map[selfTagKey][]byte
-	order []int
+	tags map[selfTagKey][]byte
 
 	measurements, skipped             uint64
 	collections, reports, bad, tags64 uint64
@@ -244,9 +240,9 @@ func RunSelfFleet(cfg SelfFleetConfig) (*SelfFleetResult, error) {
 			cfg:    &cfg,
 			kernel: sim.NewKernelOn(cfg.KernelBackend),
 			golden: golden,
+			image:  verifier.ImageOfGolden(golden),
 			tags:   make(map[selfTagKey][]byte),
 		}
-		sh.digest = inccache.SharedImage(golden, inccache.DigestHash(cfg.Opts.Hash)).DigestOK
 		lo, hi := s*cfg.Devices/workers, (s+1)*cfg.Devices/workers
 		for i := lo; i < hi; i++ {
 			sh.devs = append(sh.devs, sh.newDevice(i))
@@ -385,9 +381,9 @@ func (sh *selfShard) measure(d *selfDev) {
 	d.counter++
 	var nonce []byte
 	if sh.cfg.Mode == SelfSeED {
-		nonce = core.PRF(d.seed, "seed-nonce", d.counter)
+		nonce = verifier.AppendSeedNonce(nil, d.seed, d.counter)
 	} else {
-		nonce = core.PRF(d.dev.AttestationKey, "erasmus-nonce", d.counter)
+		nonce = verifier.AppendErasmusNonce(nil, d.dev.AttestationKey, d.counter)
 	}
 	s, err := core.NewSession(d.dev, d.task, sh.cfg.Opts, nonce, d.counter)
 	if err != nil {
@@ -447,23 +443,8 @@ func (sh *selfShard) expectedTag(rep *core.Report) []byte {
 	if tag, ok := sh.tags[key]; ok {
 		return tag
 	}
-	sh.order = core.AppendOrderRegion(sh.order[:0], sh.scheme.Key, rep.Nonce, rep.Round,
-		0, sh.golden.NumBlocks(), sh.cfg.Opts.Shuffled)
-	tg, err := sh.scheme.AcquireTagger()
-	if err != nil {
-		panic("swarm: " + err.Error())
-	}
-	if rep.Incremental {
-		err = core.ExpectedDigestStream(tg, sh.digest, rep.Nonce, rep.Round, sh.order)
-	} else {
-		core.ExpectedStream(tg, sh.golden.Bytes(), sh.golden.BlockSize(), rep.Nonce, rep.Round, sh.order)
-	}
-	if err != nil {
-		sh.scheme.ReleaseTagger(tg)
-		panic("swarm: " + err.Error())
-	}
-	tag, err := tg.Tag()
-	sh.scheme.ReleaseTagger(tg)
+	tag, err := sh.image.ExpectedTag(sh.scheme, sh.scheme.Key,
+		core.Options{Shuffled: sh.cfg.Opts.Shuffled}, rep)
 	if err != nil {
 		panic("swarm: " + err.Error())
 	}

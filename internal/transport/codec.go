@@ -11,8 +11,7 @@ import (
 // The wire format. Every datagram is one frame:
 //
 //	0:2  magic "RA"
-//	2    version (currently 2; version-1 data and ack frames decode
-//	     unchanged — v2 only *adds* the batch frame type, see frame.go)
+//	2    version (2; a frame with any other version byte is refused)
 //	3    frame type: frameData | frameAck | frameBatch
 //	4:12 request ID (big endian)
 //
@@ -25,8 +24,7 @@ import (
 //	     to    (u16 length + bytes)
 //	     image (u8 length + bytes) — only when flag bit 1 is set; a
 //	            verifier.ImageID in wire form naming the golden image
-//	            the sender's reports measure. Wire-v2 only: decoders
-//	            reject the flag on version-1 frames, and reject a set
+//	            the sender's reports measure. Decoders reject a set
 //	            flag with an empty id (the canonical encoding of "no
 //	            image" is a clear flag).
 //	     payload (per kind, see below)
@@ -48,11 +46,8 @@ import (
 const (
 	codecMagic0 = 'R'
 	codecMagic1 = 'A'
-	// CodecVersion is the current frame format version. Decoders accept
-	// version 1 (whose data and ack layouts are identical) and reject
-	// anything else instead of guessing; batch frames require version 2.
-	// Senders learn a peer's version from its inbound traffic and fall
-	// back to per-message data frames for version-1 peers.
+	// CodecVersion is the frame format version. Every peer speaks it;
+	// decoders reject anything else instead of guessing.
 	CodecVersion = 2
 
 	frameData  = 0
@@ -63,7 +58,7 @@ const (
 
 	// Data-frame flag bits (byte 13).
 	flagOK    = 0x01 // verdict OK
-	flagImage = 0x02 // image field follows the to field (wire v2)
+	flagImage = 0x02 // image field follows the to field
 )
 
 // Decode limits: a frame that claims more elements than its bytes
@@ -74,35 +69,11 @@ const (
 	maxDataEntry = 1 << 14
 )
 
-// AppendFrame encodes m as a data frame appended to dst.
+// AppendFrame encodes m as a data frame appended to dst: the frame
+// header, then exactly what a batch carries per message (appendSub).
 func AppendFrame(dst []byte, m *Msg) []byte {
 	dst = append(dst, codecMagic0, codecMagic1, CodecVersion, frameData)
-	dst = be64(dst, m.ReqID)
-	var flags byte
-	if m.OK {
-		flags |= flagOK
-	}
-	if m.Image != "" {
-		flags |= flagImage
-	}
-	dst = append(dst, byte(m.Kind), flags)
-	dst = appendBytes16(dst, []byte(m.From))
-	dst = appendBytes16(dst, []byte(m.To))
-	if m.Image != "" {
-		dst = appendBytes8(dst, []byte(m.Image))
-	}
-	switch m.Kind {
-	case KindChallenge:
-		dst = appendBytes16(dst, m.Nonce)
-	case KindVerdict:
-		dst = appendBytes16(dst, []byte(m.Reason))
-	case KindReport, KindCollection, KindSeedReport:
-		dst = be16(dst, uint16(len(m.Reports)))
-		for _, r := range m.Reports {
-			dst = appendReport(dst, r)
-		}
-	}
-	return dst
+	return appendSub(dst, m)
 }
 
 // AppendAck encodes an ack frame for reqID appended to dst.

@@ -2,6 +2,8 @@ package transport
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
 	"saferatt/internal/core"
@@ -66,11 +68,7 @@ func TestCodecAck(t *testing.T) {
 
 func TestCodecRejects(t *testing.T) {
 	good := AppendFrame(nil, &Msg{From: "a", To: "b", Kind: KindHello, ReqID: 1})
-	// An image-bearing frame downgraded to version 1: the flag must be
-	// rejected (v1 peers cannot express the field).
 	withImg := AppendFrame(nil, &Msg{From: "a", To: "b", Kind: KindHello, ReqID: 1, Image: "i"})
-	v1img := append([]byte(nil), withImg...)
-	v1img[2] = 1
 	// The image flag set with a zero-length id: non-canonical, rejected
 	// ("no image" is a clear flag, nothing else).
 	emptyImg := append(append([]byte(nil), withImg[:len(withImg)-2]...), 0)
@@ -82,13 +80,25 @@ func TestCodecRejects(t *testing.T) {
 		"bad frametype":   append([]byte{'R', 'A', CodecVersion, 7}, good[4:]...),
 		"trailing":        append(append([]byte{}, good...), 0),
 		"truncated":       good[:len(good)-1],
-		"image on v1":     v1img,
 		"empty image id":  emptyImg,
 		"image truncated": withImg[:len(withImg)-1],
 	}
 	for name, frame := range cases {
 		if _, _, err := DecodeFrame(frame); err == nil {
 			t.Errorf("%s: decode accepted a bad frame", name)
+		}
+	}
+	// One wire version exists: the same well-formed bytes under version
+	// 1 (the retired format, data, image-bearing and ack frames alike)
+	// or any other version are refused by name.
+	for name, frame := range map[string][]byte{"data": good, "image on v1": withImg, "ack": AppendAck(nil, 7)} {
+		for _, ver := range []byte{0, 1, CodecVersion + 1} {
+			other := append([]byte(nil), frame...)
+			other[2] = ver
+			want := fmt.Sprintf("unsupported frame version %d", ver)
+			if _, _, err := DecodeFrame(other); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s at version %d: err = %v, want %q", name, ver, err, want)
+			}
 		}
 	}
 }
@@ -108,7 +118,7 @@ func FuzzWireCodec(f *testing.F) {
 	f.Add(imgSeed)
 	v1img := append([]byte(nil), imgSeed...)
 	v1img[2] = 1
-	f.Add(v1img) // image flag on a v1 frame: must reject, not panic
+	f.Add(v1img)                                                       // a frame of the retired wire version 1: must reject, not panic
 	f.Add(append(append([]byte(nil), imgSeed[:len(imgSeed)-2]...), 0)) // empty image id
 	f.Add(AppendAck(nil, 12345))
 	f.Add([]byte{'R', 'A', CodecVersion, frameData, 0, 0, 0, 0, 0, 0, 0, 1})

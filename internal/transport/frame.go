@@ -25,9 +25,6 @@ import (
 // strings (From, To, report Mechanism/Scheme) are immutable and safe
 // to retain as-is; only []byte fields are borrowed.
 type Frame struct {
-	// Ver is the wire version the frame arrived with (1 or 2); peers
-	// announcing version >= 2 may be sent batch frames.
-	Ver byte
 	// Ack marks an acknowledgment frame: only ReqID is meaningful.
 	Ack bool
 	// Batch marks a multi-message batch frame: Sub holds the decoded
@@ -41,7 +38,7 @@ type Frame struct {
 	From  string // interned
 	To    string // interned
 	// Image is the sender's golden image id ("name" or "name@vN"),
-	// interned; empty when the frame carries none (v1 frames always).
+	// interned; empty when the frame carries none.
 	Image string
 	// Nonce aliases the decode buffer.
 	Nonce []byte
@@ -60,7 +57,7 @@ type Frame struct {
 
 // reset clears f for reuse, keeping the Reports/Sub backing arrays.
 func (f *Frame) reset() {
-	f.Ver, f.Ack, f.Batch = 0, false, false
+	f.Ack, f.Batch = false, false
 	f.ReqID, f.Kind = 0, KindInvalid
 	f.From, f.To, f.Image = "", "", ""
 	f.Nonce = nil
@@ -91,7 +88,7 @@ func (f *Frame) Msg() Msg {
 // return. Sub-frames of a batch are detached recursively.
 func (f *Frame) Copy() *Frame {
 	out := &Frame{
-		Ver: f.Ver, Ack: f.Ack, Batch: f.Batch,
+		Ack: f.Ack, Batch: f.Batch,
 		ReqID: f.ReqID, Kind: f.Kind, From: f.From, To: f.To,
 		Image: f.Image, OK: f.OK, Reason: f.Reason,
 	}
@@ -118,7 +115,7 @@ func (f *Frame) Copy() *Frame {
 // m, which owns it), so the usual view lifetime caveats do not apply.
 func FrameOfMsg(m *Msg) Frame {
 	f := Frame{
-		Ver: CodecVersion, ReqID: m.ReqID, Kind: m.Kind,
+		ReqID: m.ReqID, Kind: m.Kind,
 		From: m.From, To: m.To, Image: m.Image, Nonce: m.Nonce,
 		OK: m.OK, Reason: m.Reason,
 	}
@@ -166,11 +163,9 @@ func DecodeFrameInto(buf []byte, f *Frame) error {
 	if buf[0] != codecMagic0 || buf[1] != codecMagic1 {
 		return fmt.Errorf("transport: bad magic %#x%x", buf[0], buf[1])
 	}
-	ver := buf[2]
-	if ver != 1 && ver != CodecVersion {
-		return fmt.Errorf("transport: unsupported frame version %d", ver)
+	if buf[2] != CodecVersion {
+		return fmt.Errorf("transport: unsupported frame version %d (this build speaks only %d)", buf[2], CodecVersion)
 	}
-	f.Ver = ver
 	f.ReqID = binary.BigEndian.Uint64(buf[4:12])
 	switch buf[3] {
 	case frameAck:
@@ -189,9 +184,6 @@ func DecodeFrameInto(buf []byte, f *Frame) error {
 		}
 		return nil
 	case frameBatch:
-		if ver < 2 {
-			return fmt.Errorf("transport: batch frame with version %d", ver)
-		}
 		return decodeBatch(buf, f)
 	default:
 		return fmt.Errorf("transport: unknown frame type %d", buf[3])
@@ -211,11 +203,6 @@ func decodeBody(d *decoder, f *Frame) error {
 	f.From = interned.get(d.bytes16())
 	f.To = interned.get(d.bytes16())
 	if flags&flagImage != 0 {
-		// The image field is a wire-v2 addition: a v1 frame claiming one
-		// is malformed, not a fallback case.
-		if f.Ver < 2 {
-			return fmt.Errorf("transport: image field on version %d frame", f.Ver)
-		}
 		img := d.bytes8()
 		if d.err == nil && len(img) == 0 {
 			return fmt.Errorf("transport: image flag set with empty image id")
@@ -295,12 +282,12 @@ func reportInto(d *decoder, r *core.Report) {
 	}
 }
 
-// The batch frame (wire version 2): one datagram carrying many
+// The batch frame: one datagram carrying many
 // messages, amortizing the per-datagram syscall and header cost across
 // an ERASMUS collection sweep or a burst of coalesced small sends.
 //
 //	0:2   magic "RA"
-//	2     version (>= 2)
+//	2     version
 //	3     frame type: frameBatch
 //	4:12  batch request ID (big endian) — identifies and acks the
 //	      whole datagram
@@ -400,7 +387,6 @@ func decodeBatch(buf []byte, f *Frame) error {
 			f.Sub = append(f.Sub, Frame{})
 			sf = &f.Sub[len(f.Sub)-1]
 		}
-		sf.Ver = f.Ver
 		sf.ReqID = d.u64()
 		sd := decoder{b: buf[:end], off: d.off}
 		if err := decodeBody(&sd, sf); err != nil {

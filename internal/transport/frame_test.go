@@ -187,7 +187,7 @@ func TestBatchDecodeRejects(t *testing.T) {
 		{From: "c", To: "b", Kind: KindHello, ReqID: 3},
 	})
 	v1 := append([]byte(nil), good...)
-	v1[2] = 1 // batch frames did not exist in wire v1
+	v1[2] = 1 // the retired wire version
 	zeroCount := append([]byte(nil), good...)
 	zeroCount[12], zeroCount[13] = 0, 0
 	hugeCount := append([]byte(nil), good...)

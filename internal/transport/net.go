@@ -49,10 +49,8 @@ type NetConfig struct {
 	// CoalesceDelay is the longest a queued send may wait for the
 	// batch to fill before it is flushed. Zero means the 500 µs
 	// default; negative disables coalescing. Coalescing only engages
-	// toward peers that have announced wire version >= 2 (learned from
-	// their inbound traffic) and only while earlier sends to that
-	// destination are still in flight, so a lone request/response
-	// round trip never pays the delay.
+	// while earlier sends to that destination are still in flight, so
+	// a lone request/response round trip never pays the delay.
 	CoalesceDelay time.Duration
 	// MaxBatch caps messages per batch datagram; default 256.
 	MaxBatch int
@@ -132,15 +130,13 @@ type NetStats struct {
 }
 
 // peerState is the per-destination-address send state: the resolved
-// address, the peer's announced wire version, the count of reliable
-// sends in flight toward it, and the coalescing queue of encoded
+// address, the count of reliable sends in flight toward it, and the coalescing queue of encoded
 // sub-frames awaiting a batch flush. Peers register once per distinct
 // address; every endpoint name routed to the same address shares one
 // peerState, so a daemon answering a thousand provers behind one
 // client socket coalesces across all of them.
 type peerState struct {
 	ap       netip.AddrPort
-	v2       atomic.Bool  // peer has announced wire version >= 2
 	inflight atomic.Int64 // reliable sends awaiting ack toward ap
 
 	cmu     sync.Mutex // guards the coalescing queue below
@@ -395,46 +391,42 @@ func (n *Net) route(to string) (*peerState, error) {
 // batch datagram), and retries with backoff until acked or the request
 // deadline passes. Send itself does not block on delivery.
 func (n *Net) Send(m Msg) error {
+	st, err := n.prepare(&m)
+	if err != nil {
+		return err
+	}
+	if !n.coalesce(st, &m, false) {
+		n.sendReliable(m.ReqID, AppendFrame(nil, &m), st)
+	}
+	return nil
+}
+
+// prepare validates an outbound message, assigns its request ID and
+// resolves its destination.
+func (n *Net) prepare(m *Msg) (*peerState, error) {
 	if m.Kind == KindInvalid || m.Kind >= kindMax {
-		return fmt.Errorf("transport: cannot send kind %v", m.Kind)
+		return nil, fmt.Errorf("transport: cannot send kind %v", m.Kind)
 	}
 	if n.closing.Load() {
-		return errors.New("transport: net closed")
+		return nil, errors.New("transport: net closed")
 	}
 	if m.ReqID == 0 {
 		m.ReqID = n.reqID.Add(1)
 	}
-	st, err := n.route(m.To)
-	if err != nil {
-		return err
-	}
-	if n.coalesce(st, &m, false) {
-		return nil
-	}
-	n.sendReliable(m.ReqID, AppendFrame(nil, &m), st)
-	return nil
+	return n.route(m.To)
 }
 
 // SendBatch implements BatchSender: it queues every message into its
 // destination's coalescing buffer (flushing on the size budget) and
-// flushes the touched destinations at the end, so a burst addressed to
-// version-2 peers leaves in as few datagrams as the budget allows.
-// Messages for version-1 peers, oversized messages, and everything
-// else coalescing cannot carry fall back to individual data frames.
+// flushes the touched destinations at the end, so a burst leaves in as
+// few datagrams as the budget allows. Oversized messages, and
+// everything else coalescing cannot carry, fall back to individual
+// data frames.
 func (n *Net) SendBatch(ms []Msg) error {
 	touched := make(map[*peerState]struct{}, 4)
 	for i := range ms {
 		m := ms[i]
-		if m.Kind == KindInvalid || m.Kind >= kindMax {
-			return fmt.Errorf("transport: cannot send kind %v", m.Kind)
-		}
-		if n.closing.Load() {
-			return errors.New("transport: net closed")
-		}
-		if m.ReqID == 0 {
-			m.ReqID = n.reqID.Add(1)
-		}
-		st, err := n.route(m.To)
+		st, err := n.prepare(&m)
 		if err != nil {
 			return err
 		}
@@ -457,7 +449,7 @@ func (n *Net) SendBatch(ms []Msg) error {
 // reporting whether it consumed the message. force (SendBatch) skips
 // the lone-round-trip heuristic.
 func (n *Net) coalesce(st *peerState, m *Msg, force bool) bool {
-	if !n.cfg.coalescing() || !st.v2.Load() {
+	if !n.cfg.coalescing() {
 		return false
 	}
 	if !force && st.inflight.Load() <= 1 && st.queuedNone() {
@@ -622,7 +614,7 @@ func (n *Net) transmit(frame []byte, ap netip.AddrPort, retry bool) {
 	n.conn.WriteToUDPAddrPort(frame, ap)
 }
 
-func (n *Net) getBuf() *recvBuf  { return n.bufPool.Get().(*recvBuf) }
+func (n *Net) getBuf() *recvBuf { return n.bufPool.Get().(*recvBuf) }
 func (n *Net) putBuf(rb *recvBuf) {
 	rb.epoch.Add(1) // invalidate any views still pointing here
 	n.bufPool.Put(rb)
@@ -675,7 +667,7 @@ func (n *Net) recvLoop() {
 }
 
 // handleAck resolves an ack against the pending table: the request is
-// confirmed, and the ack's version byte reveals the peer speaks v2.
+// confirmed.
 func (n *Net) handleAck(f *Frame) {
 	sh := &n.pend[f.ReqID%pendShards]
 	sh.mu.Lock()
@@ -687,9 +679,6 @@ func (n *Net) handleAck(f *Frame) {
 	}
 	e.st.inflight.Add(-1)
 	n.stats.acked.Add(1)
-	if f.Ver >= 2 && !e.st.v2.Load() {
-		e.st.v2.Store(true)
-	}
 }
 
 // addrShard maps a source address onto a queue index (FNV-1a over the
@@ -761,10 +750,10 @@ func (n *Net) sendAck(scratch []byte, reqID uint64, to netip.AddrPort) []byte {
 }
 
 // deliver routes one decoded data frame (standalone or batch sub) to
-// its handler: learn the sender's address and version, suppress
-// duplicates, dispatch.
+// its handler: learn the sender's address, suppress duplicates,
+// dispatch.
 func (n *Net) deliver(f *Frame, from netip.AddrPort) {
-	n.learnPeer(f.From, from, f.Ver)
+	n.learnPeer(f.From, from)
 	if f.ReqID != 0 {
 		ds := &n.dedups[strShard(f.From)]
 		ds.mu.Lock()
@@ -794,8 +783,8 @@ func (n *Net) deliver(f *Frame, from netip.AddrPort) {
 	}
 }
 
-// learnPeer records name -> address and the peer's wire version.
-func (n *Net) learnPeer(name string, from netip.AddrPort, ver byte) {
+// learnPeer records name -> address.
+func (n *Net) learnPeer(name string, from netip.AddrPort) {
 	if name == "" {
 		return
 	}
@@ -807,9 +796,6 @@ func (n *Net) learnPeer(name string, from netip.AddrPort, ver byte) {
 		st = n.peerForLocked(from)
 		n.peers[name] = st
 		n.pmu.Unlock()
-	}
-	if ver >= 2 && !st.v2.Load() {
-		st.v2.Store(true)
 	}
 }
 

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -91,8 +92,10 @@ func TestNetDrainCompletes(t *testing.T) {
 	if left := cli.pendingCount(); left != 0 {
 		t.Fatalf("%d requests still pending after drain", left)
 	}
-	if s := cli.Stats(); s.Acked != 50 {
-		t.Fatalf("acked %d/50 after drain: %+v", s.Acked, s)
+	// One ack confirms one datagram: a plain frame is one message, a
+	// batch frame the Coalesced messages it carries.
+	if s := cli.Stats(); s.Acked-s.BatchesSent+s.Coalesced != 50 {
+		t.Fatalf("acked %d datagrams covering fewer than 50 messages after drain: %+v", s.Acked, s)
 	}
 }
 
@@ -329,24 +332,47 @@ func TestNetCoalescingUnderLoss(t *testing.T) {
 	}
 }
 
-// TestNetV1PeerFallback pins the compatibility path: with coalescing
-// enabled locally but the peer's version unknown (never learned v2),
-// every send travels as a plain per-message data frame.
-func TestNetV1PeerFallback(t *testing.T) {
+// TestNetRefusesOtherWireVersions pins that one wire version exists on
+// a live socket: a well-formed frame of the retired version 1 is
+// counted malformed — neither delivered nor acked — and, with no
+// version to discover first, a burst toward a never-heard-from peer
+// coalesces from its first datagram.
+func TestNetRefusesOtherWireVersions(t *testing.T) {
 	srv, err := Listen(NetConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	var n atomic.Int64
+	srv.Bind("vrf", func(m Msg) { n.Add(1) })
+
+	raw, err := net.Dial("udp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	v1 := AppendFrame(nil, &Msg{From: "old", To: "vrf", Kind: KindHello, ReqID: 1})
+	v1[2] = 1
+	if _, err := raw.Write(v1); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) && srv.Stats().Malformed == 0 {
+		time.Sleep(2 * time.Millisecond)
+	}
+	if ss := srv.Stats(); ss.Malformed != 1 || ss.Received != 0 || n.Load() != 0 {
+		t.Fatalf("v1 frame not refused as malformed: %+v, delivered %d", ss, n.Load())
+	}
+	raw.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+	if k, err := raw.Read(make([]byte, 64)); err == nil {
+		t.Fatalf("v1 frame was answered with %d bytes", k)
+	}
+
 	cli, err := Dial(srv.Addr().String(), NetConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	var n atomic.Int64
-	srv.Bind("vrf", func(m Msg) { n.Add(1) })
-	// No priming round: the peer's version is unknown, so SendBatch
-	// must fall back to individual frames rather than stall or batch.
 	ms := make([]Msg, 30)
 	for i := range ms {
 		ms[i] = Msg{From: "prv", To: "vrf", Kind: KindHello, ReqID: uint64(1 + i)}
@@ -355,15 +381,14 @@ func TestNetV1PeerFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	cli.Drain(5 * time.Second)
-	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) && n.Load() != int64(len(ms)) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	if n.Load() != int64(len(ms)) {
 		t.Fatalf("delivered %d/%d", n.Load(), len(ms))
 	}
-	if cs := cli.Stats(); cs.BatchesSent != 0 {
-		t.Fatalf("batched toward a version-unknown peer: %+v", cs)
+	if cs := cli.Stats(); cs.BatchesSent == 0 {
+		t.Fatalf("unprimed burst did not coalesce: %+v", cs)
 	}
 }
 

@@ -120,8 +120,8 @@ type Msg struct {
 	Reason string
 	// Image, when non-empty, names the golden image the sender's
 	// reports measure — a verifier.ImageID in wire form ("name" or
-	// "name@vN"). Carried on wire-v2 data frames only; v1 peers cannot
-	// express it and are served the fleet's default image.
+	// "name@vN"). A message without one is served the fleet's default
+	// image.
 	Image string
 }
 
@@ -149,7 +149,7 @@ type FrameBinder interface {
 // BatchSender is implemented by transports that can pack many
 // messages into shared datagrams. SendBatch has Send's semantics per
 // message (IDs assigned, reliable retry, per-message routing) but may
-// coalesce messages bound for the same wire-v2 destination into batch
+// coalesce messages bound for the same destination into batch
 // frames, amortizing per-datagram cost. Transports without batching
 // (Sim) implement it as a Send loop, so callers can use it
 // unconditionally.

@@ -8,8 +8,6 @@ import (
 	"sync/atomic"
 
 	"saferatt/internal/core"
-	"saferatt/internal/inccache"
-	"saferatt/internal/mem"
 	"saferatt/internal/suite"
 )
 
@@ -42,15 +40,12 @@ type Batch struct {
 	// Set it before the first Verify; it is read on the insert path.
 	KeepEpochs int
 
-	hash      suite.HashID
-	ref       []byte
-	blockSize int
-	nblocks   int
+	hash suite.HashID
+	img  Image
 
-	cache  atomic.Pointer[batchCache]        // immutable epoch→group→tag table
-	golden atomic.Pointer[inccache.ImageCache] // lazily built for incremental reports
-	key    atomic.Pointer[keyMemo]           // []byte→string memo of the fleet key
-	mu     sync.Mutex                        // serializes copy-on-write publication
+	cache atomic.Pointer[batchCache] // immutable epoch→group→tag table
+	key   atomic.Pointer[keyMemo]    // []byte→string memo of the fleet key
+	mu    sync.Mutex                 // serializes copy-on-write publication
 
 	reports  atomic.Uint64
 	computed atomic.Uint64
@@ -88,40 +83,12 @@ type BatchStats struct {
 }
 
 // NewBatch builds a batch verifier over an image handle — the single
-// constructor the ImageSet registry plugs into. A golden-backed image
-// (ImageOfGolden) wires the incremental path to the process-wide
-// golden digest cache, so verifier and devices share one set of
-// per-block digests; a raw-bytes image (ImageOf) builds a private
-// cache lazily.
+// constructor the ImageSet registry plugs into.
 func NewBatch(hash suite.HashID, img Image) *Batch {
 	if img.IsZero() {
 		panic("verifier: NewBatch over a zero Image")
 	}
-	b := &Batch{
-		hash:      hash,
-		ref:       img.ref,
-		blockSize: img.blockSize,
-		nblocks:   img.NumBlocks(),
-	}
-	if img.golden != nil {
-		b.golden.Store(inccache.SharedImage(img.golden, inccache.DigestHash(hash)))
-	}
-	return b
-}
-
-// NewBatchRef builds a batch verifier over raw golden bytes.
-//
-// Deprecated: use NewBatch(hash, ImageOf(ref, blockSize)). Kept one
-// release for the pre-registry three-argument constructor's callers.
-func NewBatchRef(hash suite.HashID, ref []byte, blockSize int) *Batch {
-	return NewBatch(hash, ImageOf(ref, blockSize))
-}
-
-// NewBatchGolden builds a batch verifier over a shared golden image.
-//
-// Deprecated: use NewBatch(hash, ImageOfGolden(g)). Kept one release.
-func NewBatchGolden(hash suite.HashID, g *mem.Golden) *Batch {
-	return NewBatch(hash, ImageOfGolden(g))
+	return &Batch{hash: hash, img: img}
 }
 
 // Verify checks one report against the golden image under the given
@@ -130,9 +97,8 @@ func NewBatchGolden(hash suite.HashID, g *mem.Golden) *Batch {
 // first cost one MAC comparison, no hashing, no locks, and no
 // allocations. Safe for concurrent use.
 func (b *Batch) Verify(key []byte, r *core.Report, shuffled bool) (bool, error) {
-	if r.BlockSize != b.blockSize || r.NumBlocks != b.nblocks {
-		return false, fmt.Errorf("verifier: geometry mismatch: report %dx%d vs batch %dx%d",
-			r.NumBlocks, r.BlockSize, b.nblocks, b.blockSize)
+	if err := b.img.checkGeometry(r); err != nil {
+		return false, err
 	}
 	if r.RegionCount > 0 || r.Data != nil {
 		return false, fmt.Errorf("verifier: region/data reports are not batchable")
@@ -152,7 +118,7 @@ func (b *Batch) Verify(key []byte, r *core.Report, shuffled bool) (bool, error) 
 			return hmac.Equal(exp, r.Tag), nil
 		}
 	}
-	exp, err := b.compute(key, r, shuffled)
+	exp, err := b.img.ExpectedTag(suite.Scheme{Hash: b.hash, Key: key}, key, core.Options{Shuffled: shuffled}, r)
 	if err != nil {
 		return false, err
 	}
@@ -200,42 +166,6 @@ func (b *Batch) publish(epoch string, k groupKey, exp []byte) {
 	}
 	b.cache.Store(next)
 }
-
-// compute produces the expected tag for a group, streaming golden
-// content (or cached golden digests, on the incremental path) through
-// pooled MAC state.
-func (b *Batch) compute(key []byte, r *core.Report, shuffled bool) ([]byte, error) {
-	scheme := suite.Scheme{Hash: b.hash, Key: key}
-	sc := orderScratch.Get().(*orderBuf)
-	defer orderScratch.Put(sc)
-	sc.order = core.AppendOrderRegion(sc.order[:0], key, r.Nonce, r.Round, 0, b.nblocks, shuffled)
-	t, err := scheme.AcquireTagger()
-	if err != nil {
-		return nil, err
-	}
-	defer scheme.ReleaseTagger(t)
-	if r.Incremental {
-		g := b.golden.Load()
-		if g == nil {
-			b.mu.Lock()
-			if g = b.golden.Load(); g == nil {
-				g = inccache.NewImage(b.ref, b.blockSize, inccache.DigestHash(b.hash))
-				b.golden.Store(g)
-			}
-			b.mu.Unlock()
-		}
-		if err := core.ExpectedDigestStream(t, g.DigestOK, r.Nonce, r.Round, sc.order); err != nil {
-			return nil, err
-		}
-	} else {
-		core.ExpectedStream(t, b.ref, b.blockSize, r.Nonce, r.Round, sc.order)
-	}
-	return t.Tag()
-}
-
-type orderBuf struct{ order []int }
-
-var orderScratch = sync.Pool{New: func() any { return new(orderBuf) }}
 
 // Stats returns a snapshot of amortization counters.
 func (b *Batch) Stats() BatchStats {

@@ -45,7 +45,7 @@ func batchWorld(t *testing.T) (*mem.Golden, core.Options) {
 
 func TestBatchAmortizesCleanFleet(t *testing.T) {
 	g, opts := batchWorld(t)
-	b := NewBatchGolden(suite.SHA256, g)
+	b := NewBatch(suite.SHA256, ImageOfGolden(g))
 	nonce := []byte("round-nonce")
 	var key []byte
 	for i := 0; i < 4; i++ {
@@ -73,7 +73,7 @@ func TestBatchAmortizesCleanFleet(t *testing.T) {
 
 func TestBatchDetectsInfectedDevice(t *testing.T) {
 	g, opts := batchWorld(t)
-	b := NewBatchGolden(suite.SHA256, g)
+	b := NewBatch(suite.SHA256, ImageOfGolden(g))
 	nonce := []byte("round-nonce")
 
 	clean := mem.NewShared(g, mem.SharedConfig{})
@@ -104,7 +104,7 @@ func TestBatchMatchesVerifier(t *testing.T) {
 	for _, path := range []core.PathMode{core.PathIncremental, core.PathStreaming} {
 		opts := base
 		opts.Path = path
-		b := NewBatchGolden(suite.SHA256, g)
+		b := NewBatch(suite.SHA256, ImageOfGolden(g))
 		nonce := []byte("pin-nonce")
 
 		mems := []*mem.Memory{mem.NewShared(g, mem.SharedConfig{}), mem.NewShared(g, mem.SharedConfig{})}
@@ -114,7 +114,7 @@ func TestBatchMatchesVerifier(t *testing.T) {
 		for i, m := range mems {
 			rep, key := measureOnce(t, m, opts, nonce, 0)
 			single := &Verifier{Scheme: suite.Scheme{Hash: suite.SHA256, Key: key},
-				PermKey: key, Ref: g.Bytes(), Opts: opts}
+				PermKey: key, Image: ImageOfGolden(g), Opts: opts}
 			wantOK, err := single.CheckTag(rep)
 			if err != nil {
 				t.Fatal(err)
@@ -135,7 +135,7 @@ func TestBatchMatchesVerifier(t *testing.T) {
 
 func TestBatchNonceEpochEviction(t *testing.T) {
 	g, opts := batchWorld(t)
-	b := NewBatchGolden(suite.SHA256, g)
+	b := NewBatch(suite.SHA256, ImageOfGolden(g))
 	m := mem.NewShared(g, mem.SharedConfig{})
 	rep1, key := measureOnce(t, m, opts, []byte("epoch-1"), 0)
 	rep2, _ := measureOnce(t, m, opts, []byte("epoch-2"), 0)
@@ -153,7 +153,7 @@ func TestBatchNonceEpochEviction(t *testing.T) {
 
 func TestBatchRejectsUnbatchable(t *testing.T) {
 	g, opts := batchWorld(t)
-	b := NewBatchGolden(suite.SHA256, g)
+	b := NewBatch(suite.SHA256, ImageOfGolden(g))
 	m := mem.NewShared(g, mem.SharedConfig{})
 	rep, key := measureOnce(t, m, opts, []byte("n"), 0)
 
@@ -197,11 +197,11 @@ func TestBatchKeepEpochs(t *testing.T) {
 		return b.Stats()
 	}
 
-	single := verifyInterleaved(NewBatchGolden(suite.SHA256, g))
+	single := verifyInterleaved(NewBatch(suite.SHA256, ImageOfGolden(g)))
 	if single.Computed != 8 {
 		t.Fatalf("single-epoch cache computed %d tags, want 8 (thrash)", single.Computed)
 	}
-	multi := NewBatchGolden(suite.SHA256, g)
+	multi := NewBatch(suite.SHA256, ImageOfGolden(g))
 	multi.KeepEpochs = 2
 	ms := verifyInterleaved(multi)
 	if ms.Computed != 2 {
@@ -213,7 +213,7 @@ func TestBatchKeepEpochs(t *testing.T) {
 
 	// Eviction stays bounded: with KeepEpochs=1 semantics forced via the
 	// LRU (capacity 1 < number of live epochs), recomputation returns.
-	lru := NewBatchGolden(suite.SHA256, g)
+	lru := NewBatch(suite.SHA256, ImageOfGolden(g))
 	lru.KeepEpochs = 2
 	third := func() *core.Report {
 		m := mem.NewShared(g, mem.SharedConfig{})

@@ -1,8 +1,6 @@
 package verifier
 
 import (
-	"bytes"
-
 	"saferatt/internal/core"
 	"saferatt/internal/sim"
 )
@@ -30,60 +28,54 @@ func (v *Verifier) HandleCollection(prover string, reports []*core.Report) {
 
 // ValidateCollection checks a self-measurement history and records one
 // Result per report plus cadence violations. It returns true when the
-// whole history is acceptable.
+// whole history is acceptable. The accept rules are the shared
+// Freshness check and commit; the cadence policy, which needs the
+// reports' virtual timestamps, is this stack's own and runs between
+// them, before the tag is paid for.
 func (v *Verifier) ValidateCollection(prover string, reports []*core.Report, pol CollectionPolicy) bool {
 	ok := true
-	seen := v.seen[prover]
-	if seen == nil {
-		seen = map[uint64]bool{}
-		v.seen[prover] = seen
-	}
-
-	var prevTS sim.Time
-	var prevCtr uint64
-	first := true
+	f := v.freshnessOf(prover)
+	var prev *core.Report
 	for _, r := range reports {
-		res := v.verifyOne(prover, r, nil)
-		if res.OK {
-			// Self-derived nonce must be PRF(key, counter): prevents a
-			// compromised prover from re-labeling one old honest
-			// measurement as many.
-			want := core.PRF(v.PermKey, "erasmus-nonce", r.Counter)
-			if !bytes.Equal(r.Nonce, want) {
-				res.OK = false
-				res.Reason = "self-measurement nonce not bound to counter"
-			}
+		v.nonce = AppendErasmusNonce(v.nonce[:0], v.PermKey, r.Counter)
+		var prevCtr uint64
+		if prev != nil {
+			prevCtr = prev.Counter
 		}
-		if res.OK && seen[r.Counter] {
-			res.OK = false
-			res.Reason = "replayed measurement counter"
+		why := f.CheckErasmus(r, v.nonce, prev == nil, prevCtr)
+		if why == ReasonOK && prev != nil && !pol.allows(prev, r) {
+			why = ReasonCadence
+		}
+		var err error
+		if why == ReasonOK {
+			why, err = v.checkTag(r)
+		}
+		if why == ReasonOK {
+			why = f.CommitErasmus(r.Counter)
+		}
+		if why.IsReplay() {
 			v.counts.Replays++
 		}
-		if res.OK && !first {
-			if r.Counter <= prevCtr {
-				res.OK = false
-				res.Reason = "non-monotonic measurement counter"
-			} else if pol.TM > 0 {
-				slack := pol.Slack
-				if slack == 0 {
-					slack = pol.TM / 2
-				}
-				gap := r.TS.Sub(prevTS)
-				expect := sim.Duration(r.Counter-prevCtr) * pol.TM
-				if gap < expect-slack || gap > expect+slack {
-					res.OK = false
-					res.Reason = "measurement cadence violates advertised QoA"
-				}
-			}
-		}
-		if res.OK {
-			seen[r.Counter] = true
-		}
-		v.record(res)
-		ok = ok && res.OK
-		prevTS, prevCtr, first = r.TS, r.Counter, false
+		v.record(v.result(prover, r, why, err))
+		ok = ok && why == ReasonOK
+		prev = r
 	}
 	return ok
+}
+
+// allows reports whether the gap between two consecutive measurements
+// matches the advertised period.
+func (pol CollectionPolicy) allows(prev, r *core.Report) bool {
+	if pol.TM <= 0 {
+		return true
+	}
+	slack := pol.Slack
+	if slack == 0 {
+		slack = pol.TM / 2
+	}
+	gap := r.TS.Sub(prev.TS)
+	expect := sim.Duration(r.Counter-prev.Counter) * pol.TM
+	return gap >= expect-slack && gap <= expect+slack
 }
 
 // QoA summarizes the Quality of Attestation a collection provides

@@ -50,7 +50,7 @@ func newFleetWorld(t *testing.T, n int, linkCfg channel.Config) *fleetWorld {
 		Kernel: k, Link: link,
 		Scheme:  suite.Scheme{Hash: suite.SHA256, Key: key},
 		PermKey: key,
-		Ref:     golden,
+		Image:   ImageOf(golden, 256),
 		Opts:    opts,
 	})
 	if err != nil {

@@ -12,12 +12,15 @@ import (
 // raw bytes plus measurement geometry, optionally backed by a
 // mem.Golden so the incremental path can share the process-wide
 // per-block digest cache with the devices provisioned from it. It is
-// a small value type — copy freely — and the single image surface the
-// batch verifier and the ImageSet registry plug into.
+// a small value type — copy freely; copies share one digest cache —
+// and the single image surface every verifier plugs into: the sim
+// Verifier, the batch verifier, the ImageSet registry, the swarm
+// collector (see expected.go for what is computed over it).
 type Image struct {
 	ref       []byte
 	blockSize int
 	golden    *mem.Golden // nil when built from raw bytes
+	dig       *digestSlot
 }
 
 // ImageOf wraps a raw golden image. The caller must not mutate ref
@@ -27,18 +30,17 @@ func ImageOf(ref []byte, blockSize int) Image {
 	if blockSize <= 0 || len(ref) == 0 || len(ref)%blockSize != 0 {
 		panic(fmt.Sprintf("verifier: image of %d bytes is not a positive multiple of block size %d", len(ref), blockSize))
 	}
-	return Image{ref: ref, blockSize: blockSize}
+	return Image{ref: ref, blockSize: blockSize, dig: new(digestSlot)}
 }
 
 // ImageOfGolden wraps a shared mem.Golden, wiring the incremental
-// path of any Batch built over it to the process-wide golden digest
-// cache — verifier and devices then share one set of per-block
-// digests.
+// path to the process-wide golden digest cache — verifier and devices
+// then share one set of per-block digests.
 func ImageOfGolden(g *mem.Golden) Image {
 	if g == nil {
 		panic("verifier: ImageOfGolden with nil Golden")
 	}
-	return Image{ref: g.Bytes(), blockSize: g.BlockSize(), golden: g}
+	return Image{ref: g.Bytes(), blockSize: g.BlockSize(), golden: g, dig: new(digestSlot)}
 }
 
 // IsZero reports whether the handle is the zero Image.

@@ -1,8 +1,6 @@
 package verifier
 
 import (
-	"bytes"
-
 	"saferatt/internal/core"
 	"saferatt/internal/sim"
 )
@@ -24,8 +22,8 @@ type SeedMonitor struct {
 	// before declaring a report missing (covers MP duration + network).
 	Grace sim.Duration
 
-	expected uint64 // next counter we are waiting for
-	lastCtr  uint64
+	expected uint64     // next counter we are waiting for
+	fresh    *Freshness // the prover's replay state; SeedLast is the watermark
 	stopped  bool
 	// MissingCounters lists counters whose watchdog expired.
 	MissingCounters []uint64
@@ -41,7 +39,7 @@ func (v *Verifier) MonitorSeED(prover string, seed []byte, base, jitter sim.Dura
 	m := &SeedMonitor{
 		v: v, prover: prover, seed: append([]byte(nil), seed...),
 		base: base, jitter: jitter, start: start, Grace: grace,
-		expected: 1,
+		expected: 1, fresh: v.freshnessOf(prover),
 	}
 	if m.Grace <= 0 {
 		m.Grace = base
@@ -58,15 +56,12 @@ func (m *SeedMonitor) armWatchdog() {
 	ctr := m.expected
 	due := core.TriggerTime(m.seed, ctr, m.start, m.base, m.jitter).Add(m.Grace)
 	m.v.Kernel.At(due, func() {
-		if m.stopped || m.lastCtr >= ctr {
+		if m.stopped || m.fresh.SeedLast >= ctr {
 			return // arrived in time, or monitoring ended
 		}
 		m.MissingCounters = append(m.MissingCounters, ctr)
 		m.v.counts.Missing++
-		m.v.record(Result{
-			Prover: m.prover, At: m.v.Kernel.Now(), OK: false,
-			Reason: "expected SeED report missing (dropped or device down)",
-		})
+		m.v.record(m.v.result(m.prover, nil, ReasonSeedMissing, nil))
 		m.expected = ctr + 1
 		m.armWatchdog()
 	})
@@ -74,48 +69,44 @@ func (m *SeedMonitor) armWatchdog() {
 
 // HandleSeedReports processes an unsolicited SeED report bundle. It is
 // the transport-agnostic entry point behind the "seed-report" kind.
+// The accept rules are the shared Freshness check and commit; flagging
+// skipped counters and re-arming the watchdog is this stack's own. A
+// prover nobody monitors has no seed, so its reports fail the nonce
+// binding.
 func (v *Verifier) HandleSeedReports(prover string, reports []*core.Report) {
 	m := v.seedMons[prover]
+	var seed []byte
+	if m != nil {
+		seed = m.seed
+	}
+	f := v.freshnessOf(prover)
 	for _, r := range reports {
-		res := v.verifyOne(prover, r, nil)
-		if res.OK {
-			want := core.PRF(v.seedFor(prover), "seed-nonce", r.Counter)
-			if !bytes.Equal(r.Nonce, want) {
-				res.OK = false
-				res.Reason = "SeED nonce not bound to counter"
+		v.nonce = AppendSeedNonce(v.nonce[:0], seed, r.Counter)
+		why := f.CheckSeed(r, v.nonce)
+		var err error
+		if why == ReasonOK {
+			why, err = v.checkTag(r)
+		}
+		if why == ReasonOK {
+			why = f.CommitSeed(r.Counter)
+		}
+		if why.IsReplay() {
+			v.counts.Replays++
+		}
+		if why == ReasonOK && m != nil {
+			// Counters skipped between the last accepted report and
+			// this one were dropped in flight: flag them now instead of
+			// waiting for their watchdogs.
+			for ctr := m.expected; ctr < r.Counter; ctr++ {
+				m.MissingCounters = append(m.MissingCounters, ctr)
+				v.counts.Missing++
+				v.record(v.result(prover, nil, ReasonSeedGap, nil))
+			}
+			if r.Counter >= m.expected {
+				m.expected = r.Counter + 1
+				m.armWatchdog()
 			}
 		}
-		if m != nil && res.OK {
-			if r.Counter <= m.lastCtr {
-				res.OK = false
-				res.Reason = "replayed SeED report"
-				v.counts.Replays++
-			} else {
-				// Counters skipped between the last accepted report
-				// and this one were dropped in flight: flag them now
-				// instead of waiting for their watchdogs.
-				for ctr := m.expected; ctr < r.Counter; ctr++ {
-					m.MissingCounters = append(m.MissingCounters, ctr)
-					v.counts.Missing++
-					v.record(Result{
-						Prover: m.prover, At: v.Kernel.Now(), OK: false,
-						Reason: "SeED report counter gap (report dropped in flight)",
-					})
-				}
-				m.lastCtr = r.Counter
-				if r.Counter >= m.expected {
-					m.expected = r.Counter + 1
-					m.armWatchdog()
-				}
-			}
-		}
-		v.record(res)
+		v.record(v.result(prover, r, why, err))
 	}
-}
-
-func (v *Verifier) seedFor(prover string) []byte {
-	if m, ok := v.seedMons[prover]; ok {
-		return m.seed
-	}
-	return nil
 }

@@ -6,16 +6,10 @@
 package verifier
 
 import (
-	"bytes"
-	"crypto/hmac"
-	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
-	"io"
 
 	"saferatt/internal/channel"
 	"saferatt/internal/core"
-	"saferatt/internal/inccache"
 	"saferatt/internal/sim"
 	"saferatt/internal/suite"
 	"saferatt/internal/trace"
@@ -61,8 +55,9 @@ type Verifier struct {
 	// PermKey derives shuffled traversal orders (the attestation key
 	// in the MAC setting).
 	PermKey []byte
-	// Ref is the golden memory image the prover should have.
-	Ref []byte
+	// Image is the golden memory image the prover should have. Assign
+	// a new one to move the reference forward (an installed update).
+	Image Image
 	// Opts mirror the prover's mechanism configuration.
 	Opts core.Options
 	// Trace is optional.
@@ -70,24 +65,16 @@ type Verifier struct {
 	// OnResult, if set, observes each result as it is recorded.
 	OnResult func(Result)
 
-	pending  map[string]pendingChallenge
-	seen     map[string]map[uint64]bool // prover -> counters already accepted
+	// The protocol state the shared rules (protocol.go) run over.
+	pending  map[string]Challenge
+	fresh    map[string]*Freshness
 	seedMons map[string]*SeedMonitor
 	results  []Result
 	counts   Counts
 	nonceCtr uint64
-	// order is CheckTag's traversal-order scratch, reused across
-	// reports (a Verifier handles one report at a time).
-	order []int
-	// golden lazily caches per-block digests of Ref for incremental
-	// reports: the golden image is immutable, so its digests are
-	// computed once per verifier, not once per report.
-	golden *inccache.ImageCache
-}
-
-type pendingChallenge struct {
-	nonce  []byte
-	sentAt sim.Time
+	// nonce is the self-derived-nonce scratch of the ERASMUS and SeED
+	// checks (a Verifier handles one report at a time).
+	nonce []byte
 }
 
 // Config assembles a Verifier.
@@ -100,7 +87,7 @@ type Config struct {
 	Port    Port
 	Scheme  suite.Scheme
 	PermKey []byte
-	Ref     []byte
+	Image   Image
 	Opts    core.Options
 	Trace   *trace.Log
 }
@@ -113,7 +100,7 @@ func New(cfg Config) (*Verifier, error) {
 	if err := cfg.Scheme.Validate(); err != nil {
 		return nil, fmt.Errorf("verifier: %w", err)
 	}
-	if len(cfg.Ref) == 0 {
+	if cfg.Image.IsZero() {
 		return nil, fmt.Errorf("verifier: empty reference image")
 	}
 	name := cfg.Name
@@ -122,10 +109,10 @@ func New(cfg Config) (*Verifier, error) {
 	}
 	v := &Verifier{
 		Name: name, Kernel: cfg.Kernel, Link: cfg.Link, port: cfg.Port,
-		Scheme: cfg.Scheme, PermKey: cfg.PermKey, Ref: cfg.Ref,
+		Scheme: cfg.Scheme, PermKey: cfg.PermKey, Image: cfg.Image,
 		Opts: cfg.Opts, Trace: cfg.Trace,
-		pending: map[string]pendingChallenge{},
-		seen:    map[string]map[uint64]bool{},
+		pending: map[string]Challenge{},
+		fresh:   map[string]*Freshness{},
 	}
 	if cfg.Link != nil {
 		v.port = cfg.Link
@@ -138,8 +125,10 @@ func New(cfg Config) (*Verifier, error) {
 // (step 1 of the §2.2 timeline) and returns the nonce.
 func (v *Verifier) Challenge(prover string) []byte {
 	v.nonceCtr++
-	nonce := nonceBytes(v.PermKey, v.nonceCtr)
-	v.pending[prover] = pendingChallenge{nonce: nonce, sentAt: v.Kernel.Now()}
+	// A deterministic per-verifier nonce stream keeps experiments
+	// reproducible while remaining unpredictable to the prover.
+	nonce := ChallengeNonce(v.PermKey, labelChallenge, v.nonceCtr)
+	v.pending[prover] = nonce
 	v.Trace.Add(v.Kernel.Now(), trace.KindRequestSent, v.Name, "to "+prover)
 	v.port.Send(v.Name, prover, core.MsgChallenge, nonce)
 	return nonce
@@ -155,16 +144,7 @@ func (v *Verifier) Collect(prover string) {
 	v.port.Send(v.Name, prover, core.MsgCollect, nil)
 }
 
-func nonceBytes(key []byte, ctr uint64) []byte {
-	// Deterministic per-verifier nonce stream keeps experiments
-	// reproducible while remaining unpredictable to the prover.
-	mac := hmac.New(sha256.New, key)
-	var c [8]byte
-	binary.BigEndian.PutUint64(c[:], ctr)
-	mac.Write([]byte("challenge"))
-	mac.Write(c[:])
-	return mac.Sum(nil)[:16]
-}
+var labelChallenge = []byte("challenge")
 
 func (v *Verifier) onMessage(m channel.Message) {
 	reports, ok := m.Payload.([]*core.Report)
@@ -186,85 +166,58 @@ func (v *Verifier) onMessage(m channel.Message) {
 // transport-agnostic entry point behind the "report" message kind.
 func (v *Verifier) HandleReports(prover string, reports []*core.Report) {
 	v.Trace.Add(v.Kernel.Now(), trace.KindReportReceived, v.Name, "from "+prover)
-	pc, ok := v.pending[prover]
-	if !ok {
-		v.record(Result{Prover: prover, At: v.Kernel.Now(), OK: false,
-			Reason: "unsolicited report"})
+	c := v.pending[prover]
+	delete(v.pending, prover)
+	if why := c.Open(len(reports)); why != ReasonOK {
+		v.record(v.result(prover, nil, why, nil))
 		return
 	}
-	delete(v.pending, prover)
 	for _, r := range reports {
-		res := v.verifyOne(prover, r, pc.nonce)
-		v.record(res)
-		if !res.OK {
+		why := c.Check(r)
+		var err error
+		if why == ReasonOK {
+			why, err = v.checkTag(r)
+		}
+		v.record(v.result(prover, r, why, err))
+		if why != ReasonOK {
 			return
 		}
 	}
 	v.Trace.Add(v.Kernel.Now(), trace.KindReportVerified, v.Name, "from "+prover)
 }
 
-// verifyOne checks a single report: nonce binding (if expected) and
-// tag correctness against the golden image.
-func (v *Verifier) verifyOne(prover string, r *core.Report, wantNonce []byte) Result {
+// result stamps a verdict with the decision time and, for a verdict
+// about a report, the attested state's staleness.
+func (v *Verifier) result(prover string, r *core.Report, why Reason, err error) Result {
 	now := v.Kernel.Now()
-	res := Result{Prover: prover, At: now, Report: r, Freshness: now.Sub(r.TS)}
-	if wantNonce != nil && !bytes.Equal(r.Nonce, wantNonce) {
-		res.Reason = "nonce mismatch"
-		return res
+	res := Result{Prover: prover, At: now, OK: why == ReasonOK, Reason: why.Text(err), Report: r}
+	if r != nil {
+		res.Freshness = now.Sub(r.TS)
 	}
-	ok, err := v.CheckTag(r)
-	if err != nil {
-		res.Reason = "verification error: " + err.Error()
-		return res
-	}
-	if !ok {
-		res.Reason = "tag mismatch (memory deviates from golden image)"
-		return res
-	}
-	res.OK = true
 	return res
 }
 
+// freshnessOf returns the prover's replay state, creating it on first
+// contact.
+func (v *Verifier) freshnessOf(prover string) *Freshness {
+	f := v.fresh[prover]
+	if f == nil {
+		f = &Freshness{}
+		v.fresh[prover] = f
+	}
+	return f
+}
+
 // CheckTag recomputes the expected measurement over the golden image
-// in the report's (re-derived) traversal order and compares tags. The
-// configured data region is honored: zeroed blocks are expected zero,
-// reported blocks are taken verbatim from the report (§2.3). The
-// recomputation mirrors the report's data path: raw bytes for streaming
-// reports, cached per-block golden digests for incremental ones.
+// and compares tags (Image.VerifyTag under the verifier's scheme, key
+// and options).
 func (v *Verifier) CheckTag(r *core.Report) (bool, error) {
-	n := len(v.Ref) / r.BlockSize
-	if n*r.BlockSize != len(v.Ref) || n != r.NumBlocks {
-		return false, fmt.Errorf("verifier: geometry mismatch: report %dx%d vs ref %d bytes",
-			r.NumBlocks, r.BlockSize, len(v.Ref))
-	}
-	start, count := 0, n
-	if r.RegionCount > 0 {
-		if r.RegionStart < 0 || r.RegionStart+r.RegionCount > n {
-			return false, fmt.Errorf("verifier: report region [%d,+%d) exceeds memory", r.RegionStart, r.RegionCount)
-		}
-		start, count = r.RegionStart, r.RegionCount
-	}
-	v.order = core.AppendOrderRegion(v.order[:0], v.PermKey, r.Nonce, r.Round, start, count, v.Opts.Shuffled)
-	if r.Incremental {
-		if v.golden == nil || v.golden.BlockSize() != r.BlockSize {
-			v.golden = inccache.NewImage(v.Ref, r.BlockSize, inccache.DigestHash(v.Scheme.Hash))
-		}
-		digest, err := core.EffectiveDigests(v.golden, v.Opts.Data, r.Data)
-		if err != nil {
-			return false, err
-		}
-		return v.Scheme.VerifyStream(func(w io.Writer) error {
-			return core.ExpectedDigestStream(w, digest, r.Nonce, r.Round, v.order)
-		}, r.Tag)
-	}
-	ref, err := core.EffectiveReference(v.Ref, r.BlockSize, v.Opts.Data, r.Data)
-	if err != nil {
-		return false, err
-	}
-	return v.Scheme.VerifyStream(func(w io.Writer) error {
-		core.ExpectedStream(w, ref, r.BlockSize, r.Nonce, r.Round, v.order)
-		return nil
-	}, r.Tag)
+	return v.Image.VerifyTag(v.Scheme, v.PermKey, v.Opts, r)
+}
+
+func (v *Verifier) checkTag(r *core.Report) (Reason, error) {
+	ok, err := v.CheckTag(r)
+	return TagReason(ok, err), err
 }
 
 func (v *Verifier) record(res Result) {

@@ -35,7 +35,7 @@ func newWorld(t *testing.T, opts core.Options, linkCfg channel.Config) *world {
 		Kernel: k, Link: link,
 		Scheme:  suite.Scheme{Hash: opts.Hash, Key: dev.AttestationKey},
 		PermKey: dev.AttestationKey,
-		Ref:     m.Snapshot(),
+		Image:   ImageOf(m.Snapshot(), m.BlockSize()),
 		Opts:    opts,
 		Trace:   dev.Trace,
 	})
@@ -48,14 +48,14 @@ func newWorld(t *testing.T, opts core.Options, linkCfg channel.Config) *world {
 func TestConfigValidation(t *testing.T) {
 	k := sim.NewKernel()
 	link := channel.New(channel.Config{Kernel: k})
-	good := Config{Kernel: k, Link: link, Scheme: suite.Scheme{Hash: suite.SHA256, Key: []byte("k")}, Ref: []byte{1}}
+	good := Config{Kernel: k, Link: link, Scheme: suite.Scheme{Hash: suite.SHA256, Key: []byte("k")}, Image: ImageOf([]byte{1}, 1)}
 	if _, err := New(good); err != nil {
 		t.Fatalf("good config rejected: %v", err)
 	}
 	for _, bad := range []Config{
-		{Link: link, Scheme: good.Scheme, Ref: good.Ref},
-		{Kernel: k, Scheme: good.Scheme, Ref: good.Ref},
-		{Kernel: k, Link: link, Ref: good.Ref},
+		{Link: link, Scheme: good.Scheme, Image: good.Image},
+		{Kernel: k, Scheme: good.Scheme, Image: good.Image},
+		{Kernel: k, Link: link, Image: good.Image},
 		{Kernel: k, Link: link, Scheme: good.Scheme},
 	} {
 		if _, err := New(bad); err == nil {
@@ -384,7 +384,7 @@ func TestSignatureSchemeVerification(t *testing.T) {
 		Kernel: k, Link: link,
 		Scheme:  suite.Scheme{Hash: suite.SHA256, Signer: sg},
 		PermKey: dev.AttestationKey,
-		Ref:     m.Snapshot(),
+		Image:   ImageOf(m.Snapshot(), m.BlockSize()),
 		Opts:    opts,
 	})
 	if err != nil {

@@ -1,11 +1,12 @@
-package rattd
+package verifier
 
-// Bounded ERASMUS replay protection. The daemon used to remember every
-// accepted measurement counter per prover in a map[uint64]bool — exact,
-// but O(reports) memory forever, which makes a million-prover fleet
-// ingesting measurements for months infeasible. DedupWindow replaces it
-// with the classic anti-replay shape (IPsec/DTLS sliding window): a
-// high watermark plus a fixed bitmap over the counters trailing it.
+// Bounded ERASMUS replay protection, shared by both verifier stacks.
+// Remembering every accepted measurement counter per prover in a
+// map[uint64]bool is exact but O(reports) memory forever, which makes
+// a million-prover fleet ingesting measurements for months infeasible.
+// DedupWindow is the classic anti-replay shape (IPsec/DTLS sliding
+// window): a high watermark plus a fixed bitmap over the counters
+// trailing it.
 //
 // Semantics: a counter is "seen" if its bit is set, or if it has fallen
 // off the back of the window (more than DedupBits behind the highest
@@ -81,7 +82,7 @@ func (w *DedupWindow) Add(c uint64) bool {
 
 // Count returns how many counters the window currently tracks as seen
 // inside its exact range (the watermark's implicit tail is not
-// counted) — the v2 analogue of len(seen-counter set), used by
+// counted) — the analogue of len(seen-counter set), used by
 // diagnostics and tests.
 func (w *DedupWindow) Count() int {
 	n := 0

@@ -12,9 +12,11 @@ import (
 )
 
 // BenchmarkServer_VerifySteady prices the steady-state ERASMUS verify
-// path — fleet provers reporting the current counter, expected tag
-// already cached: one PRF, one window probe, one MAC compare, one
-// window commit. The CI gate asserts 0 allocs/op here.
+// path — fleet provers reporting the current counter, nonce and
+// expected tag already memoised: one nonce-memo probe, one window probe,
+// one tag-cache probe and MAC compare, one window commit (plus one PRF
+// and one tag computation per counter, fleet-wide). The CI gate asserts
+// 0 allocs/op here.
 func BenchmarkServer_VerifySteady(b *testing.B) {
 	const fleet = 4096
 	s := localServer(b, Config{Stripes: 8})
@@ -67,6 +69,47 @@ func BenchmarkServer_VerifySteady(b *testing.B) {
 	b.StopTimer()
 	if c := s.Counts(); c.Rejected != 0 {
 		b.Fatalf("steady-state bench rejected %d reports", c.Rejected)
+	}
+}
+
+// BenchmarkServer_RejectUnboundCounter prices the path a sender who
+// picks its own counters takes: an enrolled name, a counter nobody ever
+// committed, a nonce that is not its PRF — so every bundle misses the
+// (full) nonce memo, pays the PRF, fails the binding check and draws a
+// verdict. It must cost what it did before the memo existed; the CI
+// gate asserts 0 allocs/op here.
+func BenchmarkServer_RejectUnboundCounter(b *testing.B) {
+	const fleet = 1024
+	s := localServer(b, Config{Stripes: 8})
+	image := GoldenImage(7, testMem, testBlock)
+	tmpl, err := NewProver("tmpl", DefaultKey, image, testBlock)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Enroll the fleet on KeepEpochs distinct counters, which fills the
+	// memo to its bound.
+	names := make([]string, fleet)
+	for i := range names {
+		names[i] = fmt.Sprintf("prv%05d", i)
+		ctr := uint64(1 + i%s.cfg.KeepEpochs)
+		s.Ingest(names[i], transport.KindCollection, []core.Report{selfMeasure(b, tmpl, ctr)})
+	}
+	before := s.Counts()
+	bundle := []core.Report{selfMeasure(b, tmpl, 1)}
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bundle[0].Counter = mix64(uint64(i)) | 1<<32 // chosen by the sender, never committed
+		s.Ingest(names[i%fleet], transport.KindCollection, bundle)
+	}
+	b.StopTimer()
+	after := s.Counts()
+	if after.Accepted != before.Accepted || after.Rejected-before.Rejected != uint64(b.N) || after.Replays != before.Replays {
+		b.Fatalf("counts moved %+v -> %+v over %d unbound bundles", before, after, b.N)
+	}
+	if got := len(s.nonces.Counters()); got != s.cfg.KeepEpochs {
+		b.Fatalf("memo holds %d counters after the flood, want it still full at %d", got, s.cfg.KeepEpochs)
 	}
 }
 

@@ -2,6 +2,7 @@ package rattd
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -403,6 +404,29 @@ func TestServerVerifyMultiImageZeroAllocs(t *testing.T) {
 	}
 }
 
+// interleavedRatio times two arms round by round — base, then arm, on
+// the same round number — and returns the median of the per-round
+// arm/base ratios with each arm's total time. Adjacent rounds share
+// clock drift, GC weather and whatever else the host is running, and
+// the median discards the rounds a burst of it hit: a ratio of sums
+// over a few milliseconds moves by more than the budgets below when
+// one arm is preempted once.
+func interleavedRatio(from, to int, base, arm func(round int)) (ratio float64, baseNS, armNS int64) {
+	ratios := make([]float64, 0, to-from)
+	for r := from; r < to; r++ {
+		t0 := time.Now()
+		base(r)
+		b := time.Since(t0).Nanoseconds()
+		t0 = time.Now()
+		arm(r)
+		a := time.Since(t0).Nanoseconds()
+		baseNS, armNS = baseNS+b, armNS+a
+		ratios = append(ratios, float64(a)/float64(b))
+	}
+	sort.Float64s(ratios)
+	return ratios[len(ratios)/2], baseNS, armNS
+}
+
 // TestServerVerifyMultiImageOverhead gates the heterogeneous-fleet
 // verify cost: routing every bundle through the registry by wire
 // image id must stay within 1.15x of the single-image steady path.
@@ -414,7 +438,7 @@ func TestServerVerifyMultiImageOverhead(t *testing.T) {
 		t.Skip("race instrumentation distorts timing; the gate runs in the non-race suite")
 	}
 	const fleet = 2048
-	const rounds = 16
+	const rounds = 48
 	const warmup = 2
 
 	single := localServer(t, Config{Stripes: 8})
@@ -492,24 +516,15 @@ func TestServerVerifyMultiImageOverhead(t *testing.T) {
 		singleRound(r)
 		multiRound(r)
 	}
-	var sNS, mNS int64
-	for r := warmup; r < total; r++ {
-		t0 := time.Now()
-		singleRound(r)
-		sNS += time.Since(t0).Nanoseconds()
-		t0 = time.Now()
-		multiRound(r)
-		mNS += time.Since(t0).Nanoseconds()
-	}
+	ratio, sNS, mNS := interleavedRatio(warmup, total, singleRound, multiRound)
 	if c := single.Counts(); c.Rejected != 0 {
 		t.Fatalf("single arm rejected %d", c.Rejected)
 	}
 	if c := multi.Counts(); c.Rejected != 0 {
 		t.Fatalf("multi arm rejected %d", c.Rejected)
 	}
-	ratio := float64(mNS) / float64(sNS)
 	ops := int64(fleet * rounds)
-	t.Logf("single %.0f ns/report, multi-image %.0f ns/report (%.3fx)",
+	t.Logf("single %.0f ns/report, multi-image %.0f ns/report (median round %.3fx)",
 		float64(sNS)/float64(ops), float64(mNS)/float64(ops), ratio)
 	if ratio > 1.15 {
 		t.Fatalf("multi-image verify is %.3fx the single-image path, budget 1.15x", ratio)

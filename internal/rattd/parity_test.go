@@ -17,6 +17,8 @@ import (
 // once, against the Reason it must produce, rather than once per stack.
 type stacks struct {
 	t     *testing.T
+	image []byte
+	tr    *transport.Local
 	prv   *Prover
 	sim   *verifier.Verifier
 	srv   *Server
@@ -31,35 +33,60 @@ func (nullPort) Send(from, to, kind string, payload any) {}
 
 func newStacks(t *testing.T) *stacks {
 	t.Helper()
-	image := GoldenImage(7, testMem, testBlock)
-	prv, err := NewProver("prv-x", DefaultKey, image, testBlock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := &stacks{t: t, prv: prv}
-	h.sim, err = verifier.New(verifier.Config{
-		Kernel: sim.NewKernel(), Port: nullPort{},
-		Scheme:  suite.Scheme{Hash: suite.SHA256, Key: DefaultKey},
-		PermKey: DefaultKey,
-		Image:   verifier.ImageOf(image, testBlock),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The kernel never runs, so the watchdog only supplies the seed.
-	h.sim.MonitorSeED(prv.Name, SeedFor(DefaultKey, prv.Name), sim.Second, 0, 0, sim.Second)
-	tr := transport.NewLocal()
-	h.srv, err = Serve(tr, Config{Ref: image, BlockSize: testBlock, Logf: func(format string, args ...any) {
+	h := &stacks{t: t, image: GoldenImage(7, testMem, testBlock), tr: transport.NewLocal()}
+	var err error
+	h.srv, err = Serve(h.tr, Config{Ref: h.image, BlockSize: testBlock, Logf: func(format string, args ...any) {
 		h.logs = append(h.logs, args[len(args)-1].(string))
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(h.srv.Close)
-	if err := tr.Bind(prv.Name, func(m transport.Msg) { h.inbox = append(h.inbox, m) }); err != nil {
-		t.Fatal(err)
-	}
+	h.enter("prv-x")
 	return h
+}
+
+// enter makes name the prover the harness speaks as: a prover neither
+// stack has seen (a fresh sim Verifier, a new name to the Server). The
+// Server itself, and so everything it has derived from the fleet key,
+// stays.
+func (h *stacks) enter(name string) {
+	h.t.Helper()
+	var err error
+	if h.prv, err = NewProver(name, DefaultKey, h.image, testBlock); err != nil {
+		h.t.Fatal(err)
+	}
+	h.sim, err = verifier.New(verifier.Config{
+		Kernel: sim.NewKernel(), Port: nullPort{},
+		Scheme:  suite.Scheme{Hash: suite.SHA256, Key: DefaultKey},
+		PermKey: DefaultKey,
+		Image:   verifier.ImageOf(h.image, testBlock),
+	})
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	// The kernel never runs, so the watchdog only supplies the seed.
+	h.sim.MonitorSeED(name, SeedFor(DefaultKey, name), sim.Second, 0, 0, sim.Second)
+	if err := h.tr.Bind(name, func(m transport.Msg) { h.inbox = append(h.inbox, m) }); err != nil {
+		h.t.Fatal(err)
+	}
+}
+
+// warm has a third prover commit every ERASMUS counter the table below
+// uses, so the Server's nonce memo (and its tag cache) hold them all.
+func (h *stacks) warm() {
+	h.t.Helper()
+	p, err := NewProver("prv-warm", DefaultKey, h.image, testBlock)
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	ctrs := []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 40, 41, verifier.DedupBits + 40}
+	for _, c := range ctrs {
+		h.srv.Ingest(p.Name, transport.KindCollection, []core.Report{selfMeasure(h.t, p, c)})
+		if _, hit := h.srv.nonces.Nonce(nil, c); !hit {
+			h.t.Fatalf("counter %d not memoised after a clean commit", c)
+		}
+	}
 }
 
 func values(reports []*core.Report) []core.Report {
@@ -157,7 +184,11 @@ func tampered(r *core.Report) *core.Report {
 
 // TestStacksAgreeOnReasons is the (protocol × rule) table of the
 // verification core: each row feeds one report sequence to both stacks
-// and pins the Reason both must give.
+// and pins the Reason both must give. Each row runs twice against one
+// Server — first with its nonce memo cold, then, as a second prover,
+// with every counter of the table memoised — and must draw the same
+// Reason, the same verdict text and the same movement of the Server's
+// counters both times: the memo is a cache of the PRF, not a rule.
 func TestStacksAgreeOnReasons(t *testing.T) {
 	cases := []struct {
 		name string
@@ -238,12 +269,33 @@ func TestStacksAgreeOnReasons(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			simGot, srvGot := tc.run(newStacks(t))
+			h := newStacks(t)
+			pass := func() (string, string, Counts) {
+				before := h.srv.Counts()
+				simGot, srvGot := tc.run(h)
+				after := h.srv.Counts()
+				return simGot, srvGot, Counts{
+					Challenges: after.Challenges - before.Challenges,
+					Accepted:   after.Accepted - before.Accepted,
+					Rejected:   after.Rejected - before.Rejected,
+					Replays:    after.Replays - before.Replays,
+				}
+			}
+			simGot, srvGot, moved := pass()
 			if simGot != tc.want.String() {
 				t.Errorf("Verifier: %q, want %q", simGot, tc.want)
 			}
 			if srvGot != tc.want.String() {
 				t.Errorf("Server: %q, want %q", srvGot, tc.want)
+			}
+			h.warm()
+			h.enter("prv-y")
+			simWarm, srvWarm, movedWarm := pass()
+			if simWarm != simGot || srvWarm != srvGot {
+				t.Errorf("memo warm: Verifier %q, Server %q; cold: %q, %q", simWarm, srvWarm, simGot, srvGot)
+			}
+			if movedWarm != moved {
+				t.Errorf("memo warm: counts moved by %+v, cold by %+v", movedWarm, moved)
 			}
 		})
 	}

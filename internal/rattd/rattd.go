@@ -20,12 +20,13 @@
 // mutex: per-prover freshness state (outstanding challenges, ERASMUS
 // dedup windows, SeED watermarks) is partitioned across lock stripes
 // keyed by prover-name hash, so handlers for different provers never
-// contend; all crypto — PRF nonce derivation through pooled MAC
-// state, batch tag verification through the read-mostly expected-tag
-// cache — runs outside every stripe lock; and outcome counters are
-// atomics. A stripe lock is held only for map touches measured in
-// nanoseconds, which is what lets a shard's throughput scale with the
-// cores the transport already fans out to.
+// contend; all crypto — nonce derivation (memoised per counter where
+// the fleet shares it, pooled MAC state otherwise), tag verification
+// through the read-mostly expected-tag cache — runs outside every
+// stripe lock; and outcome counters are atomics. A stripe lock is held
+// only for map touches measured in nanoseconds, which is what lets a
+// shard's throughput scale with the cores the transport already fans
+// out to.
 package rattd
 
 import (
@@ -91,9 +92,9 @@ type Config struct {
 	// Hash is the measurement hash; defaults to suite.SHA256.
 	Hash suite.HashID
 	// KeepEpochs sizes the batch verifier's multi-epoch expected-tag
-	// cache. ERASMUS self-measurements carry counter-derived nonces, so
-	// bundles from a fleet interleave a handful of epochs; defaults
-	// to 64.
+	// cache and the ERASMUS nonce memo beside it. ERASMUS
+	// self-measurements carry counter-derived nonces, so bundles from a
+	// fleet interleave a handful of epochs; defaults to 64.
 	KeepEpochs int
 	// Stripes is the number of lock stripes the per-prover freshness
 	// state is partitioned across (rounded up to a power of two).
@@ -132,7 +133,8 @@ type Server struct {
 	cfg     Config
 	tr      transport.Transport
 	images  *verifier.ImageSet
-	defName string // default image's name (normalized away in bindings)
+	defName string              // default image's name (normalized away in bindings)
+	nonces  *verifier.NonceMemo // ERASMUS nonce per counter, fleet-shared like the tags
 
 	stripes []*stripe
 	mask    uint64
@@ -273,6 +275,7 @@ func Serve(tr transport.Transport, cfg Config) (*Server, error) {
 		tr:      tr,
 		images:  images,
 		defName: images.Default().Name,
+		nonces:  verifier.NewNonceMemo(cfg.Key, cfg.KeepEpochs),
 		stripes: make([]*stripe, nstripes),
 		mask:    uint64(nstripes - 1),
 	}
@@ -571,7 +574,9 @@ func (st *stripe) takePending(name string) verifier.Challenge {
 
 // handleReport validates a challenge response and answers with a
 // verdict. The pending lookup and binding check are the only stripe
-// touches; nonce comparison and tag verification run off-lock.
+// touches; nonce comparison and tag verification run off-lock. The
+// challenge is consumed here, so its nonce cannot recur and the tag is
+// verified without being cached.
 func (s *Server) handleReport(from string, id verifier.ImageID, reports []core.Report) {
 	st := s.stripeFor(from)
 	name, bound := s.bindImage(st, from, id.Name, false)
@@ -585,7 +590,7 @@ func (s *Server) handleReport(from string, id verifier.ImageID, reports []core.R
 	for i := 0; i < len(reports) && why == verifier.ReasonOK; i++ {
 		r := &reports[i]
 		if why = nonce.Check(r); why == verifier.ReasonOK {
-			why, err = s.verify(r, eff)
+			why, err = s.verify(r, eff, false)
 		}
 	}
 	s.count(why)
@@ -617,6 +622,9 @@ var scratchPool = sync.Pool{New: func() any { return new(ingestScratch) }}
 // whole bundle. The stripe lock is taken for the cheap check and (after
 // an off-lock tag verification) the commit, which re-checks the window
 // so two racing bundles for one prover cannot double-accept a counter.
+// The nonce and the expected tag depend only on (key, counter), which
+// the fleet shares, so both come from read-mostly memos; a counter
+// enters the nonce memo only once a report carrying it has committed.
 func (s *Server) handleCollection(from string, id verifier.ImageID, reports []core.Report) {
 	st := s.stripeFor(from)
 	// Binding before enrollment bookkeeping: a mismatched image claim
@@ -650,18 +658,24 @@ func (s *Server) handleCollection(from string, id verifier.ImageID, reports []co
 	var prevCtr uint64
 	for i := range reports {
 		r := &reports[i]
-		sc.nonce = verifier.AppendErasmusNonce(sc.nonce[:0], s.cfg.Key, r.Counter)
+		want, memoised := s.nonces.Nonce(sc.nonce, r.Counter)
+		if !memoised {
+			sc.nonce = want // derived into the scratch: keep its backing array
+		}
 		st.mu.Lock()
-		why := rec.fresh.CheckErasmus(r, sc.nonce, i == 0, prevCtr)
+		why := rec.fresh.CheckErasmus(r, want, i == 0, prevCtr)
 		st.mu.Unlock()
 		var err error
 		if why == verifier.ReasonOK {
-			if why, err = s.verify(r, eff); why == verifier.ReasonOK {
+			if why, err = s.verify(r, eff, true); why == verifier.ReasonOK {
 				st.mu.Lock()
 				if why = rec.fresh.CommitErasmus(r.Counter); why == verifier.ReasonOK {
 					st.markDirty(s, from, rec)
 				}
 				st.mu.Unlock()
+				if why == verifier.ReasonOK && !memoised {
+					s.nonces.Admit(r.Counter)
+				}
 			}
 		}
 		s.count(why)
@@ -679,7 +693,9 @@ func (s *Server) handleCollection(from string, id verifier.ImageID, reports []co
 // derived seed and counter, counters strictly above a per-prover
 // watermark. SeED is non-interactive, so no verdict is sent back. Seed
 // derivation and verification run off-lock; the commit re-checks under
-// the stripe lock.
+// the stripe lock. The nonce is per prover and, once accepted, at or
+// below the watermark for good, so the tag is verified without being
+// cached.
 func (s *Server) handleSeed(from string, id verifier.ImageID, reports []core.Report) {
 	st := s.stripeFor(from)
 	// SeED bundles enroll on first accepted report (see the commit
@@ -707,7 +723,7 @@ func (s *Server) handleSeed(from string, id verifier.ImageID, reports []core.Rep
 		why := fresh.CheckSeed(r, sc.nonce)
 		var err error
 		if why == verifier.ReasonOK {
-			if why, err = s.verify(r, eff); why == verifier.ReasonOK {
+			if why, err = s.verify(r, eff, false); why == verifier.ReasonOK {
 				st.mu.Lock()
 				rec := st.rec(s, from) // first contact: enrolls
 				if why = rec.fresh.CommitSeed(r.Counter); why == verifier.ReasonOK {
@@ -728,20 +744,27 @@ func (s *Server) handleSeed(from string, id verifier.ImageID, reports []core.Rep
 	scratchPool.Put(sc)
 }
 
-// verify checks one report's tag through the registry's batch fast
-// path under the given image id. Runs under no lock: the registry
-// table and every batch's expected-tag cache are read-mostly
-// concurrent. Image-policy failures map to their distinct reasons —
-// a stale-but-in-grace version verifies against the pinned
-// predecessor, a stale-past-grace version is ReasonStaleImage, never
-// a spurious pass.
-func (s *Server) verify(r *core.Report, id verifier.ImageID) (verifier.Reason, error) {
+// verify checks one report's tag through the registry under the given
+// image id: by the batch fast path when the report's nonce is shared
+// across the fleet, computed and not cached when it is one-shot. Runs
+// under no lock: the registry table and every batch's expected-tag
+// cache are read-mostly concurrent. Image-policy failures map to their
+// distinct reasons — a stale-but-in-grace version verifies against the
+// pinned predecessor, a stale-past-grace version is ReasonStaleImage,
+// never a spurious pass.
+func (s *Server) verify(r *core.Report, id verifier.ImageID, shared bool) (verifier.Reason, error) {
 	if r.RegionCount > 0 || r.Data != nil {
 		// Per-device regions and reported data blocks defeat the shared
 		// expected tag; the daemon serves uniform fleets.
 		return verifier.ReasonRegionUnserved, nil
 	}
-	ok, err := s.images.Verify(s.cfg.Key, id, r, s.cfg.Shuffled)
+	var ok bool
+	var err error
+	if shared {
+		ok, err = s.images.Verify(s.cfg.Key, id, r, s.cfg.Shuffled)
+	} else {
+		ok, err = s.images.VerifyOnce(s.cfg.Key, id, r, s.cfg.Shuffled)
+	}
 	return verifier.TagReason(ok, err), err
 }
 

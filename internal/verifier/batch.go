@@ -34,6 +34,17 @@ import (
 // misses on the same group may compute the tag redundantly, which is
 // harmless and rare. Eviction is insertion-ordered and bounded by
 // KeepEpochs (≤1 keeps the single-epoch behavior).
+//
+// A tag is worth a cache slot only if its nonce can recur. Verify
+// publishes, and is for nonces a fleet shares: ERASMUS collections
+// (rattd.Server's collection handler, whose nonce is a PRF of the fleet
+// key and the counter) and a swarm round's common challenge
+// (swarm.Collector). VerifyOnce is for nonces the protocol makes
+// one-shot — a SMART challenge is consumed by its response, a SeED
+// nonce is per prover and sits at or below the watermark once accepted
+// — and computes the same expected tag without looking in the cache or
+// inserting: an insert there would cost an O(KeepEpochs) table clone
+// and evict an epoch the fleet still shares.
 type Batch struct {
 	// KeepEpochs bounds how many nonce epochs of expected tags stay
 	// cached at once. Zero or one keeps the single-epoch behavior.
@@ -97,25 +108,39 @@ func NewBatch(hash suite.HashID, img Image) *Batch {
 // first cost one MAC comparison, no hashing, no locks, and no
 // allocations. Safe for concurrent use.
 func (b *Batch) Verify(key []byte, r *core.Report, shuffled bool) (bool, error) {
+	return b.verify(key, r, shuffled, true)
+}
+
+// VerifyOnce is Verify for a report whose nonce cannot recur: the same
+// checks against the same expected tag, computed every time and never
+// cached (see the type comment). Counted in Stats like any other miss.
+func (b *Batch) VerifyOnce(key []byte, r *core.Report, shuffled bool) (bool, error) {
+	return b.verify(key, r, shuffled, false)
+}
+
+func (b *Batch) verify(key []byte, r *core.Report, shuffled, shared bool) (bool, error) {
 	if err := b.img.checkGeometry(r); err != nil {
 		return false, err
 	}
 	if r.RegionCount > 0 || r.Data != nil {
 		return false, fmt.Errorf("verifier: region/data reports are not batchable")
 	}
-	km := b.key.Load()
-	if km == nil || !bytes.Equal(key, km.b) {
-		km = &keyMemo{str: string(key), b: append([]byte(nil), key...)}
-		b.key.Store(km)
-	}
-	k := groupKey{key: km.str, round: r.Round, shuffled: shuffled, incremental: r.Incremental}
-	// The map probe with an inline []byte→string conversion does not
-	// allocate (compiler-recognized pattern); the conversion is only
-	// materialized on a miss, when the epoch key must be owned.
-	if c := b.cache.Load(); c != nil {
-		if exp, ok := c.epochs[string(r.Nonce)][k]; ok {
-			b.reports.Add(1)
-			return hmac.Equal(exp, r.Tag), nil
+	var k groupKey
+	if shared {
+		km := b.key.Load()
+		if km == nil || !bytes.Equal(key, km.b) {
+			km = &keyMemo{str: string(key), b: append([]byte(nil), key...)}
+			b.key.Store(km)
+		}
+		k = groupKey{key: km.str, round: r.Round, shuffled: shuffled, incremental: r.Incremental}
+		// The map probe with an inline []byte→string conversion does not
+		// allocate (compiler-recognized pattern); the conversion is only
+		// materialized on a miss, when the epoch key must be owned.
+		if c := b.cache.Load(); c != nil {
+			if exp, ok := c.epochs[string(r.Nonce)][k]; ok {
+				b.reports.Add(1)
+				return hmac.Equal(exp, r.Tag), nil
+			}
 		}
 	}
 	exp, err := b.img.ExpectedTag(suite.Scheme{Hash: b.hash, Key: key}, key, core.Options{Shuffled: shuffled}, r)
@@ -123,7 +148,9 @@ func (b *Batch) Verify(key []byte, r *core.Report, shuffled bool) (bool, error) 
 		return false, err
 	}
 	b.computed.Add(1)
-	b.publish(string(r.Nonce), k, exp)
+	if shared {
+		b.publish(string(r.Nonce), k, exp)
+	}
 	b.reports.Add(1)
 	return hmac.Equal(exp, r.Tag), nil
 }

@@ -230,3 +230,49 @@ func TestBatchKeepEpochs(t *testing.T) {
 		t.Fatalf("eviction path computed %d tags, want 4", s.Computed)
 	}
 }
+
+// TestBatchVerifyOnce pins the one-shot path: the same verdicts as
+// Verify (clean, tampered, unbatchable), counted as a computation every
+// time, and neither read from nor written to the cache — so a shared
+// epoch warmed before any number of one-shot verifications is still a
+// hit after them.
+func TestBatchVerifyOnce(t *testing.T) {
+	g, opts := batchWorld(t)
+	b := NewBatch(suite.SHA256, ImageOfGolden(g)) // KeepEpochs 0: one slot
+	m := mem.NewShared(g, mem.SharedConfig{})
+	shared, key := measureOnce(t, m, opts, []byte("fleet-epoch"), 0)
+	if ok, err := b.Verify(key, shared, false); err != nil || !ok {
+		t.Fatalf("shared report: ok=%v err=%v", ok, err)
+	}
+
+	const oneShots = 5
+	for i := 0; i < oneShots; i++ {
+		rep, _ := measureOnce(t, m, opts, []byte{'o', 'n', 'c', 'e', byte(i)}, 0)
+		if ok, err := b.VerifyOnce(key, rep, false); err != nil || !ok {
+			t.Fatalf("one-shot %d: ok=%v err=%v", i, ok, err)
+		}
+		rep.Tag[0] ^= 1
+		if ok, err := b.VerifyOnce(key, rep, false); err != nil || ok {
+			t.Fatalf("tampered one-shot %d: ok=%v err=%v", i, ok, err)
+		}
+	}
+	// The warm shared report verifies without a cache probe too.
+	if ok, err := b.VerifyOnce(key, shared, false); err != nil || !ok {
+		t.Fatalf("shared report through VerifyOnce: ok=%v err=%v", ok, err)
+	}
+	bad := *shared
+	bad.RegionCount = 4
+	if _, err := b.VerifyOnce(key, &bad, false); err == nil {
+		t.Fatal("region report accepted by VerifyOnce")
+	}
+	if s := b.Stats(); s.Reports != 2*oneShots+2 || s.Computed != 2*oneShots+2 {
+		t.Fatalf("stats %+v, want every one-shot verification counted and computed", s)
+	}
+
+	if ok, err := b.Verify(key, shared, false); err != nil || !ok {
+		t.Fatalf("shared report after one-shots: ok=%v err=%v", ok, err)
+	}
+	if s := b.Stats(); s.Computed != 2*oneShots+2 {
+		t.Fatalf("one-shot verifications evicted the shared epoch: computed %d, want %d", s.Computed, 2*oneShots+2)
+	}
+}

@@ -325,6 +325,26 @@ func (s *ImageSet) resolve(t *imageTable, id ImageID) (ImageID, *imageEntry) {
 // state — current version of a registered image — is one atomic load
 // and one map probe on top of Batch.Verify: no lock, no allocation.
 func (s *ImageSet) Verify(key []byte, id ImageID, r *core.Report, shuffled bool) (bool, error) {
+	b, err := s.batchFor(id)
+	if err != nil {
+		return false, err
+	}
+	return b.Verify(key, r, shuffled)
+}
+
+// VerifyOnce is Verify — the same resolution, grace and stale policy —
+// through Batch.VerifyOnce: for reports whose nonce cannot recur.
+func (s *ImageSet) VerifyOnce(key []byte, id ImageID, r *core.Report, shuffled bool) (bool, error) {
+	b, err := s.batchFor(id)
+	if err != nil {
+		return false, err
+	}
+	return b.VerifyOnce(key, r, shuffled)
+}
+
+// batchFor resolves an id to the Batch its reports verify through,
+// applying the rotation policy Verify documents.
+func (s *ImageSet) batchFor(id ImageID) (*Batch, error) {
 	t := s.tab.Load()
 	id, e := s.resolve(t, id)
 	if e == nil {
@@ -334,19 +354,19 @@ func (s *ImageSet) Verify(key []byte, id ImageID, r *core.Report, shuffled bool)
 					// A version this name once published, pruned after its
 					// grace lapsed: stale, not unknown.
 					s.staleProbes.Add(1)
-					return false, ErrStaleImage
+					return nil, ErrStaleImage
 				}
 				// A version the registry never published.
 			}
 		}
 		s.unknownProbes.Add(1)
-		return false, ErrUnknownImage
+		return nil, ErrUnknownImage
 	}
 	if e.retired != 0 && s.epoch.Load() > e.retired+s.grace {
 		s.staleProbes.Add(1)
-		return false, ErrStaleImage
+		return nil, ErrStaleImage
 	}
-	return e.batch.Verify(key, r, shuffled)
+	return e.batch, nil
 }
 
 // ImageSetStats snapshots registry-level counters and per-image batch

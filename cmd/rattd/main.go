@@ -89,7 +89,6 @@ func main() {
 		recvQueues = flag.Int("recv-queues", 0, "receive dispatch workers per shard (0 = GOMAXPROCS, min 4; each drives the striped verify path concurrently)")
 		queueCap   = flag.Int("queue-cap", 0, "per-shard receive queue capacity (0 = default)")
 		batchBytes = flag.Int("batch-bytes", 0, "batch datagram size budget (0 = default, <0 disables coalescing)")
-		coalesce   = flag.Duration("coalesce", 0, "max delay a queued send waits for a batch (0 = default, <0 disables)")
 		maxBatch   = flag.Int("max-batch", 0, "messages per batch datagram cap (0 = default)")
 	)
 	var images imageFlags
@@ -131,7 +130,7 @@ func main() {
 		tr, err := transport.Listen(transport.NetConfig{
 			Addr: a, DropRate: *drop,
 			RecvLoops: *recvLoops, RecvQueues: *recvQueues, QueueCap: *queueCap,
-			BatchBytes: *batchBytes, CoalesceDelay: *coalesce, MaxBatch: *maxBatch,
+			BatchBytes: *batchBytes, MaxBatch: *maxBatch,
 		})
 		if err != nil {
 			log.Fatalf("rattd: %v", err)

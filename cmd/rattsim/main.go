@@ -17,11 +17,11 @@
 //	rattsim -mode rattping -addr 127.0.0.1:9779 -shards 8 -provers 100000  # fleet vs a sharded rattd tier
 //
 // rattping tuning flags (mirror the daemon's transport knobs): -loss
-// injects datagram drop, -no-batch disables batch-frame coalescing,
-// -concurrency caps simultaneously active provers, and -recv-loops,
-// -recv-queues, -queue-cap, -batch-bytes, -coalesce, -max-batch
-// configure the client socket's receive parallelism and send
-// batching exactly as on cmd/rattd.
+// injects datagram drop, -no-batch disables batch-frame coalescing
+// (it sets BatchBytes = -1, the one switch there is), -concurrency caps
+// simultaneously active provers, and -recv-loops, -recv-queues,
+// -queue-cap, -batch-bytes, -max-batch configure the client socket's
+// receive parallelism and send batching exactly as on cmd/rattd.
 package main
 
 import (
@@ -68,7 +68,6 @@ func main() {
 		recvQueues = flag.Int("recv-queues", 0, "rattping: receive dispatch workers (0 = GOMAXPROCS, min 4)")
 		queueCap   = flag.Int("queue-cap", 0, "rattping: per-shard receive queue capacity (0 = default)")
 		batchBytes = flag.Int("batch-bytes", 0, "rattping: batch datagram size budget (0 = default, <0 disables coalescing)")
-		coalesce   = flag.Duration("coalesce", 0, "rattping: max delay a queued send waits for a batch (0 = default, <0 disables)")
 		maxBatch   = flag.Int("max-batch", 0, "rattping: messages per batch datagram cap (0 = default)")
 		inc        = flag.Bool("incremental", true, "use the incremental measurement engine (dirty-block digest caching)")
 		sched      = flag.String("sched", "", "event-queue backend: heap or wheel (results identical)")
@@ -113,11 +112,10 @@ func main() {
 		net := transport.NetConfig{
 			DropRate:  *loss,
 			RecvLoops: *recvLoops, RecvQueues: *recvQueues, QueueCap: *queueCap,
-			BatchBytes: *batchBytes, CoalesceDelay: *coalesce, MaxBatch: *maxBatch,
+			BatchBytes: *batchBytes, MaxBatch: *maxBatch,
 		}
 		if *noBatch {
 			net.BatchBytes = -1
-			net.CoalesceDelay = -1
 		}
 		runRattping(rattpingOpts{
 			addr: *addr, shards: *shards, provers: *provers, seed: *seed,

@@ -26,7 +26,7 @@ func TestE2ELoopbackFleet(t *testing.T) {
 		batched bool
 	}{
 		{"Batched", func(c *transport.NetConfig) {}, true},
-		{"PerReport", func(c *transport.NetConfig) { c.BatchBytes = -1; c.CoalesceDelay = -1 }, false},
+		{"PerReport", func(c *transport.NetConfig) { c.BatchBytes = -1 }, false},
 	}
 	for _, mode := range modes {
 		t.Run(mode.name, func(t *testing.T) {

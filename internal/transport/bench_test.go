@@ -123,6 +123,17 @@ func BenchmarkTransport_NetRoundTrip(b *testing.B) {
 	}
 }
 
+// BenchmarkTransport_NetRoundTripLoaded measures the same round trip
+// with eight exchanges in flight through one socket pair — the path a
+// daemon's hello/challenge/report/verdict hops take under any load,
+// which the lone round trip above never exercises. ns/op is wall time
+// over all trips; p50-us is the median of the individual round trips.
+func BenchmarkTransport_NetRoundTripLoaded(b *testing.B) {
+	const pairs = 8
+	rtts := pingPong(b, pairs, (b.N+pairs-1)/pairs)
+	b.ReportMetric(float64(rtts[len(rtts)/2].Nanoseconds())/1e3, "p50-us")
+}
+
 // BenchmarkTransport_NetThroughput measures sustained one-way reliable
 // message throughput with many requests in flight.
 func BenchmarkTransport_NetThroughput(b *testing.B) {

@@ -302,7 +302,7 @@ func runConformance(t *testing.T, mk func(t *testing.T) *harness) {
 // message travels as its own data frame, the wire-v1-compatible shape.
 func netHarnessPerReport(t *testing.T) *harness {
 	t.Helper()
-	cfg := NetConfig{BatchBytes: -1, CoalesceDelay: -1}
+	cfg := NetConfig{BatchBytes: -1}
 	srv, err := Listen(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	mrand "math/rand/v2"
 	"net"
 	"net/netip"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,17 +42,13 @@ type NetConfig struct {
 	// retransmit, so backpressure costs latency, not delivery.
 	// Default 1024.
 	QueueCap int
-	// BatchBytes budgets per-peer send coalescing: queued small sends
-	// to one destination are packed into a single batch datagram of at
-	// most this many bytes. Zero means the 1400-byte default (one
-	// conservative MTU); negative disables coalescing.
+	// BatchBytes budgets per-peer send coalescing: sends to one
+	// destination queue and leave packed into batch datagrams of at
+	// most this many bytes. A queue is flushed as soon as its sender
+	// goes idle — there is no timer to wait out — or earlier, when the
+	// next message would overflow the budget. Zero means the 1400-byte
+	// default (one conservative MTU); negative disables coalescing.
 	BatchBytes int
-	// CoalesceDelay is the longest a queued send may wait for the
-	// batch to fill before it is flushed. Zero means the 500 µs
-	// default; negative disables coalescing. Coalescing only engages
-	// while earlier sends to that destination are still in flight, so
-	// a lone request/response round trip never pays the delay.
-	CoalesceDelay time.Duration
 	// MaxBatch caps messages per batch datagram; default 256.
 	MaxBatch int
 	// DropRate injects independent datagram loss on the send path
@@ -94,12 +91,6 @@ func (c *NetConfig) withDefaults() NetConfig {
 	case out.BatchBytes < batchOverhead+perSubOverhead+16:
 		out.BatchBytes = batchOverhead + perSubOverhead + 16
 	}
-	switch {
-	case out.CoalesceDelay < 0:
-		out.CoalesceDelay = 0 // coalescing disabled
-	case out.CoalesceDelay == 0:
-		out.CoalesceDelay = 500 * time.Microsecond
-	}
 	if out.MaxBatch <= 0 {
 		out.MaxBatch = 256
 	}
@@ -110,7 +101,7 @@ func (c *NetConfig) withDefaults() NetConfig {
 }
 
 // coalescing reports whether send coalescing is configured on.
-func (c *NetConfig) coalescing() bool { return c.BatchBytes > 0 && c.CoalesceDelay > 0 }
+func (c *NetConfig) coalescing() bool { return c.BatchBytes > 0 }
 
 // NetStats counts datagram-level outcomes.
 type NetStats struct {
@@ -130,19 +121,18 @@ type NetStats struct {
 }
 
 // peerState is the per-destination-address send state: the resolved
-// address, the count of reliable sends in flight toward it, and the coalescing queue of encoded
-// sub-frames awaiting a batch flush. Peers register once per distinct
-// address; every endpoint name routed to the same address shares one
-// peerState, so a daemon answering a thousand provers behind one
-// client socket coalesces across all of them.
+// address and the coalescing queue of encoded sub-frames awaiting a
+// flush. Peers register once per distinct address; every endpoint name
+// routed to the same address shares one peerState, so a daemon
+// answering a thousand provers behind one client socket coalesces
+// across all of them.
 type peerState struct {
-	ap       netip.AddrPort
-	inflight atomic.Int64 // reliable sends awaiting ack toward ap
+	ap netip.AddrPort
 
-	cmu     sync.Mutex // guards the coalescing queue below
-	q       []byte     // length-prefixed encoded sub-frames
-	qn      int
-	timerOn bool
+	cmu   sync.Mutex // guards the coalescing queue below
+	q     []byte     // length-prefixed encoded sub-frames
+	qn    int
+	dirty bool // listed in Net.dirty, awaiting the flusher
 }
 
 // Net is a Transport over real UDP sockets. One Net owns one socket
@@ -159,6 +149,10 @@ type peerState struct {
 // from inbound traffic (a daemon discovers each prover's address from
 // its first datagram) or pinned with AddRoute / the Dial default
 // route.
+//
+// Send path: messages queue per destination address and leave as soon
+// as their sender goes idle (see flusher), packed into batch frames
+// when more than one is waiting; no send waits on a clock.
 //
 // Receive path: RecvLoops goroutines read datagrams into pooled
 // buffers and decode them in place (zero-copy view frames), feeding
@@ -191,6 +185,13 @@ type Net struct {
 
 	pend  [pendShards]pendingShard
 	wheel *retryWheel
+
+	// Flush-on-idle: a Send that leaves a peer's queue non-empty lists
+	// the peer here and wakes the flusher, which runs as soon as the
+	// scheduler has a P for it — on a busy P, when the sender parks.
+	dmu   sync.Mutex
+	dirty []*peerState
+	wake  chan struct{} // 1 slot: a pending wake covers every listing before it
 
 	dedups [dedupShards]struct {
 		mu sync.Mutex
@@ -245,6 +246,7 @@ func Listen(cfg NetConfig) (*Net, error) {
 		handlers:  map[string]Handler{},
 		fhandlers: map[string]FrameHandler{},
 		wheel:     newRetryWheel(cfg.RetryBase, cfg.RetryCap),
+		wake:      make(chan struct{}, 1),
 		closed:    make(chan struct{}),
 	}
 	n.bufPool.New = func() any { return &recvBuf{data: make([]byte, 64<<10)} }
@@ -273,8 +275,9 @@ func Listen(cfg NetConfig) (*Net, error) {
 		n.wg.Add(1)
 		go n.recvLoop()
 	}
-	n.wg.Add(1)
+	n.wg.Add(2)
 	go n.runWheel()
+	go n.flusher()
 	return n, nil
 }
 
@@ -387,16 +390,36 @@ func (n *Net) route(to string) (*peerState, error) {
 }
 
 // Send implements Transport. It assigns a fresh request ID when
-// m.ReqID is zero, transmits the frame (possibly coalesced into a
-// batch datagram), and retries with backoff until acked or the request
-// deadline passes. Send itself does not block on delivery.
+// m.ReqID is zero, queues the frame for its destination (to leave alone
+// or coalesced into a batch datagram as soon as this sender goes idle),
+// and retries with backoff until acked or the request deadline passes.
+// Send itself does not block on delivery.
 func (n *Net) Send(m Msg) error {
 	st, err := n.prepare(&m)
 	if err != nil {
 		return err
 	}
-	if !n.coalesce(st, &m, false) {
+	if !n.cfg.coalescing() {
 		n.sendReliable(m.ReqID, AppendFrame(nil, &m), st)
+		return nil
+	}
+	st.cmu.Lock()
+	n.enqueueLocked(st, &m)
+	// Hand the peer to the flusher unless the queue already left (it
+	// filled) or an earlier Send's listing is still outstanding.
+	list := st.qn > 0 && !st.dirty
+	if list {
+		st.dirty = true
+	}
+	st.cmu.Unlock()
+	if list {
+		n.dmu.Lock()
+		n.dirty = append(n.dirty, st)
+		n.dmu.Unlock()
+		select {
+		case n.wake <- struct{}{}:
+		default: // a wake is already pending; it covers this listing
+		}
 	}
 	return nil
 }
@@ -416,87 +439,92 @@ func (n *Net) prepare(m *Msg) (*peerState, error) {
 	return n.route(m.To)
 }
 
-// SendBatch implements BatchSender: it queues every message into its
-// destination's coalescing buffer (flushing on the size budget) and
-// flushes the touched destinations at the end, so a burst leaves in as
-// few datagrams as the budget allows. Oversized messages, and
-// everything else coalescing cannot carry, fall back to individual
-// data frames.
+// SendBatch implements BatchSender: the caller has the whole burst in
+// hand, so it queues every message into its destination's coalescing
+// buffer (flushing on the size budget) and flushes the touched
+// destinations itself at the end — the burst leaves in as few
+// datagrams as the budget allows without waiting for the flusher.
 func (n *Net) SendBatch(ms []Msg) error {
-	touched := make(map[*peerState]struct{}, 4)
+	if !n.cfg.coalescing() {
+		for i := range ms {
+			if err := n.Send(ms[i]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	var few [4]*peerState
+	touched := few[:0]
+	var err error
 	for i := range ms {
 		m := ms[i]
-		st, err := n.prepare(&m)
-		if err != nil {
-			return err
+		var st *peerState
+		if st, err = n.prepare(&m); err != nil {
+			break
 		}
-		if n.coalesce(st, &m, true) {
-			touched[st] = struct{}{}
-			continue
-		}
-		n.sendReliable(m.ReqID, AppendFrame(nil, &m), st)
-	}
-	for st := range touched {
 		st.cmu.Lock()
-		st.timerOn = false
+		n.enqueueLocked(st, &m)
+		st.cmu.Unlock()
+		if !slices.Contains(touched, st) {
+			touched = append(touched, st)
+		}
+	}
+	for _, st := range touched {
+		st.cmu.Lock()
 		n.flushLocked(st)
 		st.cmu.Unlock()
 	}
-	return nil
+	return err
 }
 
-// coalesce queues m into st's batch buffer when coalescing applies,
-// reporting whether it consumed the message. force (SendBatch) skips
-// the lone-round-trip heuristic.
-func (n *Net) coalesce(st *peerState, m *Msg, force bool) bool {
-	if !n.cfg.coalescing() {
-		return false
-	}
-	if !force && st.inflight.Load() <= 1 && st.queuedNone() {
-		// At most one send awaiting ack toward this destination: a
-		// serial request/response exchange (whose previous ack may
-		// still be in flight). Send direct so a lone round trip never
-		// pays the coalescing delay; batches form only once genuinely
-		// concurrent load stacks up.
-		return false
-	}
-	sub := appendSub(nil, m)
-	if batchOverhead+perSubOverhead+len(sub) > n.cfg.BatchBytes {
-		return false
-	}
-	st.cmu.Lock()
-	if st.qn > 0 && batchOverhead+len(st.q)+perSubOverhead+len(sub) > n.cfg.BatchBytes {
+// enqueueLocked encodes m straight onto st's queue. One queue carries
+// everything bound for st, in submission order: a message that does
+// not fit behind what is queued pushes that out first, and one too
+// large for any batch leaves at once as a plain data frame — after
+// what preceded it, never around it. Callers hold st.cmu.
+func (n *Net) enqueueLocked(st *peerState, m *Msg) {
+	mark := len(st.q)
+	st.q = appendSub(be32(st.q, 0), m)
+	binary.BigEndian.PutUint32(st.q[mark:], uint32(len(st.q)-mark-perSubOverhead))
+	if mark > 0 && batchOverhead+len(st.q) > n.cfg.BatchBytes {
+		// Roll the append back, send what was queued, requeue m at
+		// the front (same backing array; append copies like memmove).
+		sub := st.q[mark:]
+		st.q = st.q[:mark]
 		n.flushLocked(st)
+		st.q = append(st.q, sub...)
 	}
-	st.q = be32(st.q, uint32(len(sub)))
-	st.q = append(st.q, sub...)
 	st.qn++
-	if st.qn >= n.cfg.MaxBatch {
+	if st.qn >= n.cfg.MaxBatch || batchOverhead+len(st.q) > n.cfg.BatchBytes {
 		n.flushLocked(st)
-	} else if !st.timerOn && !force {
-		st.timerOn = true
-		time.AfterFunc(n.cfg.CoalesceDelay, func() { n.flushPeer(st) })
 	}
-	st.cmu.Unlock()
-	return true
 }
 
-func (st *peerState) queuedNone() bool {
-	st.cmu.Lock()
-	none := st.qn == 0
-	st.cmu.Unlock()
-	return none
-}
-
-// flushPeer is the coalescing timer callback.
-func (n *Net) flushPeer(st *peerState) {
-	if n.closing.Load() {
-		return
+// flusher is the one goroutine that sends what Send queued. It holds no
+// clock: it is woken when a peer's queue becomes non-empty and gets the
+// processor when the scheduler has one free — at once on an idle P,
+// and on a busy one when the sender (a caller mid-burst, a dispatch
+// worker mid-backlog) parks. Whatever that sender queued meanwhile
+// rides in the same datagram, so batches grow with load, not with time.
+func (n *Net) flusher() {
+	defer n.wg.Done()
+	var batch []*peerState
+	for {
+		select {
+		case <-n.closed:
+			return
+		case <-n.wake:
+		}
+		n.dmu.Lock()
+		batch, n.dirty = n.dirty, batch[:0]
+		n.dmu.Unlock()
+		for _, st := range batch {
+			st.cmu.Lock()
+			st.dirty = false
+			n.flushLocked(st)
+			st.cmu.Unlock()
+		}
 	}
-	st.cmu.Lock()
-	st.timerOn = false
-	n.flushLocked(st)
-	st.cmu.Unlock()
 }
 
 // flushLocked emits st's queued sub-frames as one datagram: a plain
@@ -542,7 +570,6 @@ func (n *Net) sendReliable(id uint64, frame []byte, st *peerState) {
 	sh.mu.Lock()
 	sh.m[id] = e
 	sh.mu.Unlock()
-	st.inflight.Add(1)
 	n.transmit(frame, st.ap, false)
 	n.wheel.schedule(id, n.cfg.RetryBase)
 }
@@ -575,7 +602,6 @@ func (n *Net) runWheel() {
 			if !now.Before(e.deadline) {
 				delete(sh.m, id)
 				sh.mu.Unlock()
-				e.st.inflight.Add(-1)
 				n.stats.expired.Add(1)
 				if n.cfg.Logf != nil {
 					n.cfg.Logf("transport: request %d to %s expired", id, e.st.ap)
@@ -677,7 +703,6 @@ func (n *Net) handleAck(f *Frame) {
 	if e == nil {
 		return
 	}
-	e.st.inflight.Add(-1)
 	n.stats.acked.Add(1)
 }
 
@@ -848,7 +873,7 @@ func (n *Net) Drain(timeout time.Duration) {
 
 // Close implements Transport: it stops accepting new sends, drains
 // in-flight reliable sends (bounded by the request deadline), then
-// closes the socket and joins the receive, worker and retry
+// closes the socket and joins the receive, worker, retry and flusher
 // goroutines.
 func (n *Net) Close() error {
 	if n.closing.Swap(true) {

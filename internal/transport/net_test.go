@@ -404,7 +404,7 @@ func TestNetQueueDropRecovery(t *testing.T) {
 	defer srv.Close()
 	cli, err := Dial(srv.Addr().String(), NetConfig{
 		RetryBase: 2 * time.Millisecond, RetryCap: 20 * time.Millisecond,
-		BatchBytes: -1, CoalesceDelay: -1})
+		BatchBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -162,10 +162,9 @@ func BenchmarkTransport_NetThroughput(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	// Count-based completion rather than a WaitGroup: if the dedup
-	// window ever overflows under pressure a duplicate delivery must
-	// not panic the benchmark, and the sender retries until everything
-	// lands at least once.
+	// Count-based completion rather than a WaitGroup: the sender
+	// retries until everything lands, and a retransmission delivered
+	// again past the dedup horizon must not panic the benchmark.
 	for n.Load() < int64(b.N)+1 {
 		time.Sleep(50 * time.Microsecond)
 	}

@@ -188,6 +188,15 @@ func runConformance(t *testing.T, mk func(t *testing.T) *harness) {
 		if box.get(1).ReqID != 78 {
 			t.Fatalf("duplicate ReqID delivered: %+v", box.get(1))
 		}
+		// Request identity is the (From, ReqID) pair: the same ID under
+		// another name is another request.
+		if err := h.client.Send(Msg{From: "prv2", To: "vrf", Kind: KindHello, ReqID: 77}); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, h, func() bool { return box.len() == 3 })
+		if got := box.get(2); got.From != "prv2" || got.ReqID != 77 {
+			t.Fatalf("same ID under a second name: %+v", got)
+		}
 	})
 
 	t.Run("BatchSendFidelity", func(t *testing.T) {

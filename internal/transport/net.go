@@ -72,7 +72,7 @@ func (c *NetConfig) withDefaults() NetConfig {
 		out.RetryCap = 400 * time.Millisecond
 	}
 	if out.RequestTimeout <= 0 {
-		out.RequestTimeout = 5 * time.Second
+		out.RequestTimeout = defaultRequestTimeout
 	}
 	if out.RecvLoops <= 0 {
 		out.RecvLoops = 2
@@ -193,6 +193,7 @@ type Net struct {
 	dirty []*peerState
 	wake  chan struct{} // 1 slot: a pending wake covers every listing before it
 
+	start  time.Time // zero of the dedup clock (monotonic)
 	dedups [dedupShards]struct {
 		mu sync.Mutex
 		dd dedup
@@ -211,7 +212,7 @@ type Net struct {
 	}
 }
 
-// dedupShards shards the request-ID dedup windows by sender name, so
+// dedupShards shards the request-ID dedup state by sender name, so
 // dispatch workers processing different peers never serialize on one
 // lock.
 const dedupShards = 16
@@ -248,6 +249,12 @@ func Listen(cfg NetConfig) (*Net, error) {
 		wheel:     newRetryWheel(cfg.RetryBase, cfg.RetryCap),
 		wake:      make(chan struct{}, 1),
 		closed:    make(chan struct{}),
+		start:     time.Now(),
+	}
+	for i := range n.dedups {
+		// A peer stops retransmitting at its own request timeout, which
+		// we cannot see; ours stands in for it (DESIGN §7).
+		n.dedups[i].dd = newDedup(cfg.RequestTimeout)
 	}
 	n.bufPool.New = func() any { return &recvBuf{data: make([]byte, 64<<10)} }
 	for i := range n.pend {
@@ -257,8 +264,8 @@ func Listen(cfg NetConfig) (*Net, error) {
 		n.dropRNG = mrand.New(mrand.NewPCG(cfg.DropSeed, 0xd809))
 	}
 	// Random starting request ID: IDs stay unique across process
-	// restarts, so a rebooted peer cannot collide into the receiver's
-	// dedup window.
+	// restarts, so a rebooted peer cannot collide with what the
+	// receiver still remembers of its previous life.
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err == nil {
 		n.reqID.Store(binary.BigEndian.Uint64(b[:]) | 1)
@@ -737,13 +744,14 @@ func (n *Net) worker(q *pktRing) {
 			return
 		}
 		f := &rb.frame
+		now := int64(time.Since(n.start))
 		if f.Batch {
 			n.stats.batchesRecv.Add(1)
 			if f.ReqID != 0 {
 				ack = n.sendAck(ack, f.ReqID, rb.from)
 			}
 			for i := range f.Sub {
-				n.deliver(&f.Sub[i], rb.from)
+				n.deliver(&f.Sub[i], rb.from, now)
 			}
 		} else {
 			// Ack duplicates included — the peer may have missed our
@@ -751,7 +759,7 @@ func (n *Net) worker(q *pktRing) {
 			if f.ReqID != 0 {
 				ack = n.sendAck(ack, f.ReqID, rb.from)
 			}
-			n.deliver(f, rb.from)
+			n.deliver(f, rb.from, now)
 		}
 		n.putBuf(rb)
 	}
@@ -775,20 +783,11 @@ func (n *Net) sendAck(scratch []byte, reqID uint64, to netip.AddrPort) []byte {
 }
 
 // deliver routes one decoded data frame (standalone or batch sub) to
-// its handler: learn the sender's address, suppress duplicates,
-// dispatch.
-func (n *Net) deliver(f *Frame, from netip.AddrPort) {
+// its handler: learn the sender's address, find the handler, suppress
+// duplicates, dispatch. The handler comes first so that a frame for an
+// endpoint nobody bound costs no dedup state.
+func (n *Net) deliver(f *Frame, from netip.AddrPort, now int64) {
 	n.learnPeer(f.From, from)
-	if f.ReqID != 0 {
-		ds := &n.dedups[strShard(f.From)]
-		ds.mu.Lock()
-		dup := ds.dd.seen(f.From, f.ReqID)
-		ds.mu.Unlock()
-		if dup {
-			n.stats.dups.Add(1)
-			return
-		}
-	}
 	n.hmu.RLock()
 	fh := n.fhandlers[f.To]
 	var h Handler
@@ -796,15 +795,25 @@ func (n *Net) deliver(f *Frame, from netip.AddrPort) {
 		h = n.handlers[f.To]
 	}
 	n.hmu.RUnlock()
-	switch {
-	case fh != nil:
-		n.stats.received.Add(1)
-		fh(f)
-	case h != nil:
-		n.stats.received.Add(1)
-		h(f.Msg())
-	default:
+	if fh == nil && h == nil {
 		n.stats.noHandler.Add(1)
+		return
+	}
+	if f.ReqID != 0 {
+		ds := &n.dedups[strShard(f.From)]
+		ds.mu.Lock()
+		dup := ds.dd.seen(f.From, f.ReqID, now)
+		ds.mu.Unlock()
+		if dup {
+			n.stats.dups.Add(1)
+			return
+		}
+	}
+	n.stats.received.Add(1)
+	if fh != nil {
+		fh(f)
+	} else {
+		h(f.Msg())
 	}
 }
 

@@ -149,7 +149,7 @@ func TestNetNoRoute(t *testing.T) {
 	}
 }
 
-// TestNetConcurrentSenders exercises the socket, dedup window and
+// TestNetConcurrentSenders exercises the socket, dedup shards and
 // pending map from many goroutines at once (meaningful under -race).
 func TestNetConcurrentSenders(t *testing.T) {
 	srv, err := Listen(NetConfig{})

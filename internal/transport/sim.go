@@ -28,7 +28,7 @@ func NewSim(link *channel.Link) *Sim {
 	if link == nil {
 		panic("transport: nil link")
 	}
-	return &Sim{link: link}
+	return &Sim{link: link, dd: newDedup(defaultRequestTimeout)}
 }
 
 // Link returns the underlying simulated link.
@@ -44,7 +44,7 @@ func (s *Sim) Bind(name string, h Handler) error {
 		if !ok {
 			return
 		}
-		if m.ReqID != 0 && s.dd.seen(m.From, m.ReqID) {
+		if m.ReqID != 0 && s.dd.seen(m.From, m.ReqID, int64(s.link.Kernel.Now())) {
 			return
 		}
 		h(m)

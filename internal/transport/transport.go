@@ -10,6 +10,7 @@ package transport
 
 import (
 	"fmt"
+	"time"
 
 	"saferatt/internal/core"
 )
@@ -179,47 +180,57 @@ type Transport interface {
 }
 
 // dedup suppresses re-deliveries of (from, ReqID) pairs: the receive
-// half of idempotent requests. Each peer gets a sliding window of the
-// last dedupWindow request IDs, so memory stays bounded per peer while
-// comfortably covering any in-flight retry horizon.
+// half of idempotent requests. A pair has to be remembered exactly as
+// long as its sender may still retransmit it — the sender's request
+// timeout — and a count of recent IDs is the wrong measure of that: a
+// fast sender overruns any count before its first retry is due, and a
+// count kept per name is paid for every name that ever spoke. So time
+// is cut into horizon-long generations and the pairs of the current
+// and the previous one are kept: a pair is remembered for between one
+// and two horizons, and state is bounded by the messages received in
+// two horizons, however many names sent them. The emptied generation's
+// map is reused, so traffic below its earlier peak allocates nothing.
 type dedup struct {
-	perFrom map[string]*seenRing
+	horizon  int64 // generation length, in the caller's clock units
+	gen      int64 // latest generation (now / horizon) any call has reached
+	cur, old map[dedupKey]struct{}
 }
 
-const dedupWindow = 512
-
-type seenRing struct {
-	ids  map[uint64]struct{}
-	ring [dedupWindow]uint64
-	pos  int
-	full bool
+type dedupKey struct {
+	from string
+	id   uint64
 }
 
-// seen records (from, id) and reports whether it was already present.
-// id 0 is never tracked.
-func (d *dedup) seen(from string, id uint64) bool {
+// defaultRequestTimeout is NetConfig.RequestTimeout's default, and the
+// horizon of Sim, whose senders have no timeout of their own.
+const defaultRequestTimeout = 5 * time.Second
+
+func newDedup(horizon time.Duration) dedup {
+	return dedup{horizon: int64(horizon), cur: map[dedupKey]struct{}{}, old: map[dedupKey]struct{}{}}
+}
+
+// seen records (from, id) at time now and reports whether the pair was
+// already present. Only a later generation turns the table: a now read
+// before an earlier call's (Net's workers read the clock outside the
+// lock) counts as the current one. id 0 is never tracked.
+func (d *dedup) seen(from string, id uint64, now int64) bool {
 	if id == 0 {
 		return false
 	}
-	if d.perFrom == nil {
-		d.perFrom = map[string]*seenRing{}
+	if g := now / d.horizon; g > d.gen {
+		if g > d.gen+1 {
+			clear(d.cur) // idle for a whole generation: both are stale
+		}
+		d.gen, d.cur, d.old = g, d.old, d.cur
+		clear(d.cur)
 	}
-	r := d.perFrom[from]
-	if r == nil {
-		r = &seenRing{ids: map[uint64]struct{}{}}
-		d.perFrom[from] = r
-	}
-	if _, dup := r.ids[id]; dup {
+	k := dedupKey{from, id}
+	if _, dup := d.cur[k]; dup {
 		return true
 	}
-	if r.full {
-		delete(r.ids, r.ring[r.pos])
+	if _, dup := d.old[k]; dup {
+		return true
 	}
-	r.ids[id] = struct{}{}
-	r.ring[r.pos] = id
-	r.pos++
-	if r.pos == dedupWindow {
-		r.pos, r.full = 0, true
-	}
+	d.cur[k] = struct{}{}
 	return false
 }

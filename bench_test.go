@@ -500,27 +500,32 @@ func byteLabel(n int) string {
 	}
 }
 
-// BenchmarkSched_SelfFleet runs the E12 fleet end to end — 10k devices
-// self-measuring on one-kernel-per-shard schedulers — once per backend.
-// The ev/sec metric is the end-to-end counterpart of internal/sim's
+// BenchmarkSched_SelfFleet runs the E12 fleet end to end — devices
+// self-measuring on one-kernel-per-shard schedulers — at two sizes: the
+// bench module's sim_paper fleet (125 devices, 1 h: 250 standing timers,
+// at the kernel's wheel threshold, where heap and wheel read level) and
+// the paper-scale one (10k devices, where the wheel is ahead). The ev/sec
+// metric is the end-to-end counterpart of internal/sim's
 // BenchmarkSched_FleetTimers: here hashing and verification dilute the
-// queue's share of the profile, so the wheel's edge is smaller than the
-// pure-timer ratio (the bench module's sim.timer_arm_ns). -short trims the
-// fleet/horizon (CI bench-smoke runs -short at -benchtime=1x).
+// queue's share of the profile. -short trims the large fleet (CI
+// bench-smoke runs -short at -benchtime=1x).
 func BenchmarkSched_SelfFleet(b *testing.B) {
-	devices, horizon := 10_000, 2*sim.Hour
+	big, horizon := 10_000, 2*sim.Hour
 	if testing.Short() {
-		devices, horizon = 1000, sim.Hour
+		big, horizon = 1000, sim.Hour
 	}
-	for _, backend := range []sim.Backend{sim.Heap, sim.Wheel} {
-		b.Run(fmt.Sprintf("N%d/%s", devices, backend), func(b *testing.B) {
+	for _, size := range []struct {
+		devices int
+		horizon sim.Duration
+	}{{125, sim.Hour}, {big, horizon}} {
+		b.Run(fmt.Sprintf("N%d", size.devices), func(b *testing.B) {
 			b.ReportAllocs()
 			var events uint64
 			for i := 0; i < b.N; i++ {
 				res, err := swarm.RunSelfFleet(swarm.SelfFleetConfig{
-					EngineConfig: swarm.EngineConfig{Seed: 42, KernelBackend: backend},
-					Devices:      devices, Mode: swarm.SelfErasmus,
-					TM: 2 * sim.Minute, TC: 30 * sim.Minute, Horizon: horizon,
+					EngineConfig: swarm.EngineConfig{Seed: 42},
+					Devices:      size.devices, Mode: swarm.SelfErasmus,
+					TM: 2 * sim.Minute, TC: 30 * sim.Minute, Horizon: size.horizon,
 				})
 				if err != nil {
 					b.Fatal(err)

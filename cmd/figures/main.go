@@ -16,7 +16,6 @@
 //	figures -ablation a1..a5     # ablations
 //	figures -quick               # reduced trial counts
 //	figures -parallel 4          # trial worker count (results identical)
-//	figures -sched heap|wheel    # event-queue backend (results identical)
 //	figures -incremental=false   # streaming measurement path (results identical)
 //	figures -cpuprofile cpu.out  # write a pprof CPU profile
 //	figures -memprofile mem.out  # write a pprof heap profile at exit
@@ -52,7 +51,6 @@ func main() {
 		memProf  = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
 		inc      = flag.Bool("incremental", true, "use the incremental measurement engine (results are identical)")
 		naive    = flag.Bool("naive-swarm", false, "e11: full-copy images and per-report verification (pre-optimization baseline)")
-		sched    = flag.String("sched", "", "event-queue backend: heap or wheel (results are identical)")
 	)
 	flag.Parse()
 
@@ -60,12 +58,6 @@ func main() {
 		parallel.SetDefault(*par)
 	}
 	core.SetStreamingDefault(!*inc)
-	backend, err := sim.ParseBackend(*sched)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "figures:", err)
-		os.Exit(2)
-	}
-	sim.SetDefaultBackend(backend)
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {

@@ -33,7 +33,6 @@ import (
 
 	"saferatt"
 	"saferatt/internal/core"
-	"saferatt/internal/sim"
 	"saferatt/internal/transport"
 )
 
@@ -70,15 +69,9 @@ func main() {
 		batchBytes = flag.Int("batch-bytes", 0, "rattping: batch datagram size budget (0 = default, <0 disables coalescing)")
 		maxBatch   = flag.Int("max-batch", 0, "rattping: messages per batch datagram cap (0 = default)")
 		inc        = flag.Bool("incremental", true, "use the incremental measurement engine (dirty-block digest caching)")
-		sched      = flag.String("sched", "", "event-queue backend: heap or wheel (results identical)")
 	)
 	flag.Parse()
 	core.SetStreamingDefault(!*inc)
-	backend, err := sim.ParseBackend(*sched)
-	if err != nil {
-		log.Fatalf("rattsim: %v", err)
-	}
-	sim.SetDefaultBackend(backend)
 
 	switch *mode {
 	case "ondemand":

@@ -5,12 +5,9 @@
 // which transient infections are caught (Figure 5).
 //
 // Run with: go run ./examples/erasmus
-// Pick the event-queue backend with -sched heap|wheel (results are
-// identical; the final fleet comparison times both).
 package main
 
 import (
-	"flag"
 	"fmt"
 	"math/rand/v2"
 	"time"
@@ -26,14 +23,6 @@ import (
 )
 
 func main() {
-	sched := flag.String("sched", "", "event-queue backend: heap or wheel (results identical)")
-	flag.Parse()
-	backend, err := sim.ParseBackend(*sched)
-	if err != nil {
-		panic(err)
-	}
-	sim.SetDefaultBackend(backend)
-
 	fmt.Println("ERASMUS: recurrent self-measurement + occasional collection")
 	fmt.Println()
 
@@ -84,23 +73,19 @@ func main() {
 	})
 	fmt.Print(experiments.RenderE7(rows))
 
-	// Scheduler backends: the same ERASMUS fleet, timed on the heap and
-	// on the timing wheel. Outcomes are bit-identical; only the host
-	// events/sec moves (E12 runs this at 10k devices for a day).
-	fmt.Println("\nscheduler backends (same fleet, identical results):")
-	for _, b := range []sim.Backend{sim.Heap, sim.Wheel} {
-		start := time.Now()
-		res, err := swarm.RunSelfFleet(swarm.SelfFleetConfig{
-			EngineConfig: swarm.EngineConfig{Seed: 7, KernelBackend: b, Parallelism: 1},
-			Devices:      500, Mode: swarm.SelfErasmus,
-			TM: 30 * sim.Second, TC: 5 * sim.Minute, Horizon: sim.Hour,
-		})
-		if err != nil {
-			panic(err)
-		}
-		wall := time.Since(start)
-		fmt.Printf("  %-5s: %d measurements, %d events in %v (%.2f Mev/s)\n",
-			b, res.Measurements, res.Events, wall.Round(time.Millisecond),
-			float64(res.Events)/wall.Seconds()/1e6)
+	// The same protocol as a fleet: 500 devices multiplexed on one
+	// kernel for an hour (E12 runs this at 10k devices for a day).
+	start := time.Now()
+	res, err := swarm.RunSelfFleet(swarm.SelfFleetConfig{
+		EngineConfig: swarm.EngineConfig{Seed: 7, Parallelism: 1},
+		Devices:      500, Mode: swarm.SelfErasmus,
+		TM: 30 * sim.Second, TC: 5 * sim.Minute, Horizon: sim.Hour,
+	})
+	if err != nil {
+		panic(err)
 	}
+	wall := time.Since(start)
+	fmt.Printf("\nfleet of 500: %d measurements, %d events in %v (%.2f Mev/s)\n",
+		res.Measurements, res.Events, wall.Round(time.Millisecond),
+		float64(res.Events)/wall.Seconds()/1e6)
 }

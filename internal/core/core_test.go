@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
 	"math/rand/v2"
 	"testing"
 
@@ -475,6 +477,30 @@ func TestPRFDeterministicAndKeyed(t *testing.T) {
 	}
 	if len(a) != 32 {
 		t.Fatalf("PRF length %d", len(a))
+	}
+}
+
+// Both forms are HMAC-SHA256(key, label || counter) for every key
+// length HMAC treats differently (empty, short, one block, longer), and
+// the one-shot form allocates nothing.
+func TestPRFFormsMatchHMAC(t *testing.T) {
+	label := []byte("label")
+	for _, n := range []int{0, 1, 32, 63, 64, 65, 200} {
+		key := bytes.Repeat([]byte{byte(n + 1)}, n)
+		mac := hmac.New(sha256.New, key)
+		mac.Write(label)
+		mac.Write([]byte{0, 0, 0, 0, 0, 0, 1, 7})
+		want := mac.Sum(nil)
+		if got := AppendPRFOnce(nil, key, label, 0x107); !bytes.Equal(got, want) {
+			t.Fatalf("AppendPRFOnce with a %d-byte key = %x, HMAC %x", n, got, want)
+		}
+		if got := AppendPRF(nil, key, label, 0x107); !bytes.Equal(got, want) {
+			t.Fatalf("AppendPRF with a %d-byte key = %x, HMAC %x", n, got, want)
+		}
+	}
+	key, dst := make([]byte, 32), make([]byte, 0, 32)
+	if allocs := testing.AllocsPerRun(100, func() { AppendPRFOnce(dst, key, label, 1) }); allocs != 0 {
+		t.Fatalf("AppendPRFOnce allocates %.1f objects a call", allocs)
 	}
 }
 

@@ -69,6 +69,13 @@ func NewSeED(name string, dev *device.Device, link *channel.Link, opts Options, 
 // Task exposes the measurement task.
 func (p *SeEDProver) Task() *device.Task { return p.task }
 
+// PRF labels, as byte slices so a derivation converts nothing. Both are
+// keyed by one prover's seed, hence AppendPRFOnce.
+var (
+	labelSeedSchedule = []byte("seed-schedule")
+	labelSeedNonce    = []byte("seed-nonce")
+)
+
 // ScheduleDelay returns the delay between trigger i-1 and trigger i —
 // a pure function of (seed, i) so the verifier can reconstruct the
 // whole schedule.
@@ -76,7 +83,7 @@ func ScheduleDelay(seed []byte, i uint64, base, jitter sim.Duration) sim.Duratio
 	if jitter <= 0 {
 		return base
 	}
-	r := PRF(seed, "seed-schedule", i)
+	r := AppendPRFOnce(nil, seed, labelSeedSchedule, i)
 	off := sim.Duration(binary.BigEndian.Uint64(r[:8]) % uint64(jitter))
 	return base + off
 }
@@ -117,7 +124,7 @@ func (p *SeEDProver) armNext() {
 func (p *SeEDProver) trigger() {
 	p.counter++
 	counter := p.counter
-	nonce := PRF(p.Seed, "seed-nonce", counter)
+	nonce := AppendPRFOnce(nil, p.Seed, labelSeedNonce, counter)
 	s, err := NewSession(p.Dev, p.task, p.Opts, nonce, counter)
 	if err != nil {
 		return

@@ -1,13 +1,11 @@
 // Package engine defines the configuration block shared by every
-// simulation engine in the repository. The same four knobs —
-// determinism seed, worker parallelism, kernel backend, trace
-// suppression — used to be declared independently (with drifting
-// names and doc comments) on experiments.WorldConfig,
-// swarm.ShardedConfig and swarm.SelfFleetConfig; they now live here
-// once and are embedded as `EngineConfig` in each of those structs.
+// simulation engine in the repository. The same three knobs —
+// determinism seed, worker parallelism, trace suppression — used to be
+// declared independently (with drifting names and doc comments) on
+// experiments.WorldConfig, swarm.ShardedConfig and
+// swarm.SelfFleetConfig; they now live here once and are embedded as
+// `EngineConfig` in each of those structs.
 package engine
-
-import "saferatt/internal/sim"
 
 // Config carries the cross-cutting engine knobs. It is embedded (under
 // the alias EngineConfig) in each engine's own config struct, so the
@@ -20,7 +18,7 @@ import "saferatt/internal/sim"
 //
 // None of these knobs ever changes simulation results — they select
 // seeds, host-side scheduling, and observability only. Determinism
-// across Parallelism and KernelBackend values is pinned by tests.
+// across Parallelism values is pinned by tests.
 type Config struct {
 	// Seed derives every pseudorandom stream of the run: golden image
 	// content, link jitter/loss draws, per-device PRF schedules.
@@ -29,14 +27,9 @@ type Config struct {
 	// their work (0 = engine default, typically GOMAXPROCS; 1 = fully
 	// serial). Engines without internal fan-out ignore it.
 	Parallelism int
-	// KernelBackend selects the event-queue implementation (heap or
-	// timing wheel; zero tracks the -sched process default). Results
-	// are bit-identical either way.
-	KernelBackend sim.Backend
 	// NoTrace drops the event log entirely where the engine supports
 	// tracing (a nil trace.Log discards events). Monte Carlo hot loops
 	// set it: formatting trace details otherwise dominates the
 	// allocation profile.
 	NoTrace bool
 }
-

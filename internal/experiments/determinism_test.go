@@ -164,79 +164,6 @@ func TestAblationPathEquivalence(t *testing.T) {
 	})
 }
 
-// bothBackends runs an experiment once on the heap event queue and once
-// on the timing wheel and requires bit-identical results. This pins the
-// scheduler-backend contract: the wheel is a host-CPU optimization —
-// dispatch order at equal virtual times, detection outcomes and Monte
-// Carlo statistics are backend-invariant.
-func bothBackends[T any](t *testing.T, name string, run func() T) {
-	t.Helper()
-	defer sim.SetDefaultBackend(sim.DefaultBackend)
-	sim.SetDefaultBackend(sim.Heap)
-	h := run()
-	sim.SetDefaultBackend(sim.Wheel)
-	w := run()
-	if !reflect.DeepEqual(h, w) {
-		t.Fatalf("%s: heap != wheel\nheap:  %+v\nwheel: %+v", name, h, w)
-	}
-}
-
-func TestTable1BackendEquivalence(t *testing.T) {
-	bothBackends(t, "Table1", func() []Table1Row {
-		return Table1(Table1Config{Trials: 4, Seed: 11, Parallelism: 4})
-	})
-}
-
-func TestE5ToE10BackendEquivalence(t *testing.T) {
-	bothBackends(t, "E5", func() []E5Row {
-		return E5FireAlarm(E5Config{SimSizes: []int{1 << 20}, Parallelism: 4})
-	})
-	bothBackends(t, "E6", func() []E6Row {
-		return E6SMARM(E6Config{BlockCounts: []int{16}, Rounds: []int{1, 3},
-			Trials: 12, Seed: 77, Parallelism: 4})
-	})
-	bothBackends(t, "E7", func() []E7Row {
-		return E7QoA(E7Config{Dwells: []sim.Duration{2 * sim.Second}, Trials: 8, Seed: 21, Parallelism: 4})
-	})
-	bothBackends(t, "E8", func() E8Result {
-		return E8SeED(E8Config{LossRates: []float64{0, 0.1}, Horizon: 40 * sim.Second,
-			ScheduleTrials: 4, Seed: 5, Parallelism: 4})
-	})
-	bothBackends(t, "E9", func() []E9Row {
-		return E9SoftwareRA(E9Config{Overheads: []int{40}, Jitters: []sim.Duration{sim.Millisecond},
-			Iterations: 100_000, Trials: 4, Seed: 9, Parallelism: 4})
-	})
-	bothBackends(t, "E10", func() []E10Row {
-		return E10DoS(E10Config{FloodPeriods: []sim.Duration{500 * sim.Millisecond},
-			Horizon: 20 * sim.Second, MemSize: 1 << 20, Seed: 3})
-	})
-}
-
-func TestE11BackendEquivalence(t *testing.T) {
-	bothBackends(t, "E11", func() []E11Row {
-		rows := E11SwarmScale(E11Config{DeviceCounts: []int{60}, Rounds: 1, Seed: 3})
-		for i := range rows {
-			rows[i].WallNS = 0 // host timing, legitimately backend-dependent
-		}
-		return rows
-	})
-}
-
-func TestE12BackendEquivalence(t *testing.T) {
-	bothBackends(t, "E12", func() []E12Row {
-		rows := E12FleetSelf(E12Config{
-			Devices: 60, Horizon: 2 * sim.Hour,
-			TMs: []sim.Duration{2 * sim.Minute}, TCs: []sim.Duration{20 * sim.Minute},
-			Seed: 5, Shards: 4,
-		})
-		for i := range rows {
-			// Host timing is the quantity the backends are allowed to move.
-			rows[i].WallNS, rows[i].EventsPerSec, rows[i].NsPerEvent = 0, 0, 0
-		}
-		return rows
-	})
-}
-
 // TestAblationsDeterministic covers the positional-argument ablation
 // APIs, which take their worker count from the package default.
 func TestAblationsDeterministic(t *testing.T) {

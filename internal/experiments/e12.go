@@ -41,8 +41,6 @@ type E12Config struct {
 	// Shards is the worker count (0 = parallel.Default()); results are
 	// identical for any value.
 	Shards int
-	// KernelBackend pins the scheduler backend (zero tracks -sched).
-	KernelBackend sim.Backend
 }
 
 func (c *E12Config) setDefaults() {
@@ -124,9 +122,8 @@ func e12Point(cfg E12Config, mode swarm.SelfMode, tm, tc sim.Duration) E12Row {
 	start := time.Now()
 	res, err := swarm.RunSelfFleet(swarm.SelfFleetConfig{
 		EngineConfig: swarm.EngineConfig{
-			Seed:          cfg.Seed + uint64(tm/sim.Second)<<16 + uint64(tc/sim.Second),
-			Parallelism:   cfg.Shards,
-			KernelBackend: cfg.KernelBackend,
+			Seed:        cfg.Seed + uint64(tm/sim.Second)<<16 + uint64(tc/sim.Second),
+			Parallelism: cfg.Shards,
 		},
 		Devices:    cfg.Devices,
 		Mode:       mode,

@@ -45,12 +45,12 @@ type World struct {
 }
 
 // EngineConfig is the shared engine-knob block (Seed, Parallelism,
-// KernelBackend, NoTrace) embedded in WorldConfig; see engine.Config.
+// NoTrace) embedded in WorldConfig; see engine.Config.
 type EngineConfig = engine.Config
 
 // WorldConfig parameterizes NewWorld. The cross-cutting knobs (Seed,
-// KernelBackend, NoTrace) live in the embedded EngineConfig;
-// Parallelism is ignored here — a World is a single-prover universe
+// NoTrace) live in the embedded EngineConfig; Parallelism is ignored
+// here — a World is a single-prover universe
 // with no internal fan-out.
 type WorldConfig struct {
 	EngineConfig
@@ -81,7 +81,7 @@ func NewWorld(cfg WorldConfig) *World {
 	if cfg.Profile == nil {
 		cfg.Profile = costmodel.ODROIDXU4()
 	}
-	k := sim.NewKernelOn(cfg.KernelBackend)
+	k := sim.NewKernel()
 	m := mem.New(mem.Config{
 		Size: cfg.MemSize, BlockSize: cfg.BlockSize, ROMBlocks: cfg.ROMBlocks,
 		Clock: k.Now, LogWrites: cfg.LogWrites,

@@ -2,6 +2,7 @@ package rattd
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -435,5 +436,51 @@ func TestServerVerifySteadyZeroAllocs(t *testing.T) {
 	}
 	if c := s.Counts(); c.Accepted != uint64(2*n) {
 		t.Fatalf("accepted %d, want %d (a measured report was rejected)", c.Accepted, 2*n)
+	}
+}
+
+// TestSeedNamesLeaveNoPoolState pins "state bounded by the legitimate
+// fleet" for the SeED path: a well-formed bundle under a never-seen
+// name makes the daemon derive that name's seed and nonce before it can
+// refuse the forged tag, and neither derivation may leave anything
+// behind — no record, and no MAC pool keyed by the seed (115 B a name,
+// for ever, when the nonce went through the keyed pool).
+func TestSeedNamesLeaveNoPoolState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap accounting is meaningless under the race detector")
+	}
+	const names = 50_000
+	s := localServer(t, Config{Stripes: 4})
+	image := GoldenImage(7, testMem, testBlock)
+	forged := func(i int) {
+		p, err := NewProver(fmt.Sprintf("ghost-%06d", i), DefaultKey, image, testBlock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := p.SeedReport(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Tag[0] ^= 1
+		s.Ingest(p.Name, transport.KindSeedReport, []core.Report{*r})
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	forged(-1) // scratch pools and hash states exist before the baseline
+	before := heap()
+	for i := 0; i < names; i++ {
+		forged(i)
+	}
+	perName := float64(int64(heap()-before)) / names
+	t.Logf("%.1f heap bytes per name after %d names", perName, names)
+	if perName > 32 {
+		t.Fatalf("%.1f heap bytes retained per never-seen SeED name, want <= 32", perName)
+	}
+	if c := s.Counts(); s.Enrolled() != 0 || c.Accepted != 0 || c.Rejected != names+1 {
+		t.Fatalf("enrolled %d, counts %+v: want nothing enrolled, every forged report rejected", s.Enrolled(), c)
 	}
 }

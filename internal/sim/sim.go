@@ -9,14 +9,13 @@
 // the kind studied in the paper have a single core, and determinism is a
 // design goal (see DESIGN.md §6).
 //
-// Two queue backends implement the same Kernel API with identical
-// semantics (see backend.go): a binary heap (O(log n) per operation)
-// and a hierarchical timing wheel (O(1) amortized Schedule/Arm/Cancel,
-// wheel.go). Long-horizon fleet simulations with tens of thousands of
-// pending timers in one kernel are heap-churn-bound; the wheel removes
-// that log factor. Both backends produce bit-identical event orderings
-// (pinned by TestBackendsEquivalent and the experiment determinism
-// tests), so the choice is purely a host-performance knob.
+// The kernel owns one event queue and picks its structure from the
+// number of pending events: a value-keyed 4-ary heap (heap.go) while
+// they are few, a hierarchical timing wheel (wheel.go, O(1) amortized
+// Schedule/Arm/Cancel) from the first time they reach wheelThreshold.
+// Both pop in the same (time, scheduling order) total order, checked
+// against a container/heap reference by TestQueueMatchesOracle, so
+// which one a kernel is on never shows in a simulation's results.
 package sim
 
 import "fmt"
@@ -60,12 +59,12 @@ type Event struct {
 	at  Time
 	seq uint64
 	fn  func()
-	// index is the position marker inside the active backend: the heap
-	// index for the heap backend, level*wheelSlots+slot for the wheel.
-	// -1 once popped or cancelled; >= 0 means pending.
+	// index is the position marker inside the queue: the heap position
+	// while the kernel is on the heap, level*wheelSlots+slot on the
+	// wheel. -1 once popped or cancelled; >= 0 means pending.
 	index int
 	// next/prev link the event into its wheel bucket (intrusive doubly
-	// linked list; nil under the heap backend and whenever not queued).
+	// linked list; nil on the heap and whenever not queued).
 	next, prev *Event
 	kernel     *Kernel
 }
@@ -81,7 +80,11 @@ func (e *Event) Cancel() {
 	if e == nil || e.index < 0 || e.kernel == nil {
 		return
 	}
-	e.kernel.q.remove(e)
+	if k := e.kernel; k.wheel != nil {
+		k.wheel.remove(e)
+	} else {
+		k.heap.remove(e)
+	}
 	e.fn = nil
 }
 
@@ -91,46 +94,94 @@ func (e *Event) Pending() bool { return e != nil && e.index >= 0 }
 // Kernel is a deterministic discrete-event scheduler.
 // The zero value is not usable; call NewKernel.
 type Kernel struct {
-	now     Time
-	q       queue
-	seq     uint64
-	steps   uint64
-	backend Backend
+	now   Time
+	seq   uint64
+	steps uint64
+	// Pending events live on heap until there are wheelAt of them, and
+	// on wheel (nil until then) ever after.
+	heap    eventHeap
+	wheel   *wheelQueue
+	wheelAt int
 }
 
-// NewKernel returns a kernel with the clock at 0 and an empty queue,
-// using the process-wide default backend (SetDefaultBackend).
-func NewKernel() *Kernel { return NewKernelOn(DefaultBackend) }
+// wheelThreshold is the pending-event count at which a kernel moves
+// from the heap to the timing wheel, once and for good. The heap costs
+// O(log n) an event and nothing to set up; the wheel costs the same at
+// any n but pays ns-tick cascades through lazily allocated levels
+// (some 5 KB) that a kernel of a handful of events — a Monte Carlo
+// trial — never earns back.
+//
+// BenchmarkSched_FleetTimers, ns an event on one P (median of five),
+// each structure forced at every size:
+//
+//	   N    heap   wheel
+//	  16    54.7    96.7
+//	  64    79.8    89.1
+//	 256    95.6    81.6
+//	1024   120.0    79.1
+//	4096   145.3    86.5
+//
+// The wheel is ahead from N 256 on. End to end the two read level on a
+// self-measuring fleet of 125 devices (250-280 pending events), the wheel
+// 3-17 % ahead at 10 000, and the heap 14 % ahead on an E6 cell of five
+// pending events a kernel (DESIGN.md §6).
+const wheelThreshold = 256
 
-// NewKernelOn returns a kernel using the given queue backend.
-// DefaultBackend resolves to the process-wide default.
-func NewKernelOn(b Backend) *Kernel {
-	b = resolveBackend(b)
-	k := &Kernel{backend: b}
-	switch b {
-	case Wheel:
-		k.q = newWheelQueue()
-	default:
-		k.q = &heapQueue{}
+// NewKernel returns a kernel with the clock at 0 and an empty queue.
+func NewKernel() *Kernel { return &Kernel{wheelAt: wheelThreshold} }
+
+// push queues e, moving the kernel onto the wheel if e is the pending
+// event that reaches the threshold.
+func (k *Kernel) push(e *Event) {
+	if k.wheel == nil {
+		if len(k.heap)+1 < k.wheelAt {
+			k.heap.push(e)
+			return
+		}
+		// Every pending event is at or after now, so the wheel can
+		// start there. Draining in (at, seq) order keeps each slot's
+		// list FIFO by seq, which is all the wheel's ordering rests on.
+		k.wheel = &wheelQueue{cur: uint64(k.now)}
+		for p := k.heap.pop(); p != nil; p = k.heap.pop() {
+			k.wheel.push(p)
+		}
+		k.heap = nil
 	}
-	return k
+	k.wheel.push(e)
 }
 
-// Backend reports which queue backend this kernel runs on.
-func (k *Kernel) Backend() Backend { return k.backend }
+func (k *Kernel) pop() *Event {
+	if k.wheel != nil {
+		return k.wheel.pop()
+	}
+	return k.heap.pop()
+}
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
 
 // Len returns the number of pending events.
-func (k *Kernel) Len() int { return k.q.len() }
+func (k *Kernel) Len() int {
+	if k.wheel != nil {
+		return k.wheel.count
+	}
+	return len(k.heap)
+}
 
 // Steps returns the number of events dispatched so far.
 func (k *Kernel) Steps() uint64 { return k.steps }
 
 // NextTime returns the timestamp of the earliest pending event, or
 // false if the queue is empty.
-func (k *Kernel) NextTime() (Time, bool) { return k.q.peek() }
+func (k *Kernel) NextTime() (Time, bool) {
+	if k.wheel != nil {
+		return k.wheel.peek()
+	}
+	if len(k.heap) == 0 {
+		return 0, false
+	}
+	return k.heap[0].at, true
+}
 
 // Schedule queues fn to run after delay. A negative delay is treated as
 // zero (run at the current instant, after already-queued events for this
@@ -153,14 +204,14 @@ func (k *Kernel) At(t Time, fn func()) *Event {
 	}
 	e := &Event{at: t, seq: k.seq, fn: fn, kernel: k}
 	k.seq++
-	k.q.push(e)
+	k.push(e)
 	return e
 }
 
 // Step dispatches the earliest pending event, advancing the clock to its
 // timestamp. It returns false if the queue is empty.
 func (k *Kernel) Step() bool {
-	e := k.q.pop()
+	e := k.pop()
 	if e == nil {
 		return false
 	}
@@ -188,14 +239,14 @@ func (k *Kernel) RunLimited(maxSteps uint64) bool {
 			return true
 		}
 	}
-	return k.q.len() == 0
+	return k.Len() == 0
 }
 
 // RunUntil dispatches events with timestamps <= t, then advances the
 // clock to exactly t (even if no event fired there).
 func (k *Kernel) RunUntil(t Time) {
 	for {
-		at, ok := k.q.peek()
+		at, ok := k.NextTime()
 		if !ok || at > t {
 			break
 		}
@@ -247,7 +298,7 @@ func (t *Timer) Arm(delay Duration) {
 	t.ev.seq = k.seq
 	k.seq++
 	t.ev.fn = t.fn
-	k.q.push(&t.ev)
+	k.push(&t.ev)
 }
 
 // Cancel removes a pending activation (no-op if not pending).

@@ -22,7 +22,7 @@ import "math/bits"
 // sequence-number-preserving order (pushes carry globally increasing
 // seq; cascades replay a bucket front-to-back and always complete
 // before any event at the new instant fires), so pop order at equal
-// times is exactly FIFO-by-seq — bit-identical to the heap backend.
+// times is exactly FIFO-by-seq — bit-identical to the heap.
 //
 // Levels above the first few are only touched by very long timers
 // (level 3 starts at ~17 s spans), so slot arrays allocate lazily:
@@ -53,10 +53,6 @@ type wheelQueue struct {
 	peekAt Time
 	peekOK bool
 }
-
-func newWheelQueue() *wheelQueue { return &wheelQueue{} }
-
-func (w *wheelQueue) len() int { return w.count }
 
 // place computes the (level, slot) an expiry belongs to relative to the
 // current tick.

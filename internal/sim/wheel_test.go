@@ -2,52 +2,16 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"runtime"
 	"testing"
 )
 
-// backends lists the two concrete queue implementations; tests that
-// pin backend-identical semantics run over both.
-var backends = []Backend{Heap, Wheel}
-
-func TestParseBackend(t *testing.T) {
-	for _, c := range []struct {
-		in   string
-		want Backend
-		err  bool
-	}{
-		{"heap", Heap, false},
-		{"wheel", Wheel, false},
-		{"", DefaultBackend, false},
-		{"default", DefaultBackend, false},
-		{"fifo", DefaultBackend, true},
-	} {
-		got, err := ParseBackend(c.in)
-		if (err != nil) != c.err || got != c.want {
-			t.Fatalf("ParseBackend(%q) = %v, %v", c.in, got, err)
-		}
-	}
-}
-
-func TestDefaultBackendResolution(t *testing.T) {
-	defer SetDefaultBackend(DefaultBackend)
-	if b := NewKernel().Backend(); b != Heap {
-		t.Fatalf("default backend = %v, want heap", b)
-	}
-	SetDefaultBackend(Wheel)
-	if b := NewKernel().Backend(); b != Wheel {
-		t.Fatalf("after SetDefaultBackend(Wheel): %v", b)
-	}
-	if b := NewKernelOn(Heap).Backend(); b != Heap {
-		t.Fatalf("explicit heap overridden by default: %v", b)
-	}
-}
-
 // TestWheelOrdering drives the wheel through same-tick collisions and
 // multi-level cascades and checks exact dispatch order and clocking.
 func TestWheelOrdering(t *testing.T) {
-	k := NewKernelOn(Wheel)
+	k := newKernelAt(1)
 	var got []int
 	add := func(id int, at Time) { k.At(at, func() { got = append(got, id) }) }
 	// Deliberately out of order, spanning level 0 through level 3+,
@@ -73,7 +37,7 @@ func TestWheelOrdering(t *testing.T) {
 // boundaries, including scheduling while the wheel's tick lags the
 // kernel clock.
 func TestWheelRunUntil(t *testing.T) {
-	k := NewKernelOn(Wheel)
+	k := newKernelAt(1)
 	fired := map[int]Time{}
 	k.At(100, func() { fired[0] = k.Now() })
 	k.At(100_000, func() { fired[1] = k.Now() })
@@ -90,11 +54,13 @@ func TestWheelRunUntil(t *testing.T) {
 	}
 }
 
-// TestBackendsEquivalentRandom is the randomized property test: the
-// same schedule/re-arm/cancel workload — same-tick collisions, Ticker
-// re-arming, cancellations of pending and fired events, partial
-// RunUntil advances — drives a heap kernel and a wheel kernel, and the
-// firing order, clocks, and step counts must match exactly.
+// TestBackendsEquivalentRandom is the randomized property test at the
+// API's own level: the same schedule/re-arm/cancel workload — same-tick
+// collisions, Ticker re-arming, cancellations of pending and fired
+// events, partial RunUntil advances, callbacks that schedule — drives a
+// kernel held on the heap, one on the wheel from its first event and
+// one that migrates part-way, and the firing order, clocks, and step
+// counts must match exactly.
 func TestBackendsEquivalentRandom(t *testing.T) {
 	type op struct {
 		kind  int // 0 = schedule, 1 = cancel, 2 = run-until, 3 = timer re-arm chain, 4 = ticker
@@ -133,8 +99,8 @@ func TestBackendsEquivalentRandom(t *testing.T) {
 			}
 		}
 
-		run := func(b Backend) (fired []int, now Time, steps uint64) {
-			k := NewKernelOn(b)
+		run := func(wheelAt int) (fired []int, now Time, steps uint64) {
+			k := newKernelAt(wheelAt)
 			events := map[int]*Event{}
 			for _, o := range script {
 				switch o.kind {
@@ -170,13 +136,15 @@ func TestBackendsEquivalentRandom(t *testing.T) {
 			return fired, k.Now(), k.Steps()
 		}
 
-		hf, hn, hs := run(Heap)
-		wf, wn, ws := run(Wheel)
-		if fmt.Sprint(hf) != fmt.Sprint(wf) {
-			t.Fatalf("seed %d: firing order diverged\nheap:  %v\nwheel: %v", seed, hf, wf)
-		}
-		if hn != wn || hs != ws {
-			t.Fatalf("seed %d: heap now=%v steps=%d, wheel now=%v steps=%d", seed, hn, hs, wn, ws)
+		hf, hn, hs := run(math.MaxInt)
+		for _, wheelAt := range []int{1, 24} { // 24: crossed mid-script
+			wf, wn, ws := run(wheelAt)
+			if fmt.Sprint(hf) != fmt.Sprint(wf) {
+				t.Fatalf("seed %d: firing order diverged\nheap:  %v\nwheel at %d: %v", seed, hf, wheelAt, wf)
+			}
+			if hn != wn || hs != ws {
+				t.Fatalf("seed %d: heap now=%v steps=%d, wheel at %d now=%v steps=%d", seed, hn, hs, wheelAt, wn, ws)
+			}
 		}
 	}
 }
@@ -184,13 +152,13 @@ func TestBackendsEquivalentRandom(t *testing.T) {
 const sim10s = 10 * Second
 
 // TestCancelReleasesCallback pins the no-retention contract on both
-// backends: cancelling or firing an event must drop the stored closure
+// structures: cancelling or firing an event must drop the stored closure
 // immediately — not when the slot is reused — so captured device state
 // becomes collectable while the queue lives on.
 func TestCancelReleasesCallback(t *testing.T) {
-	for _, b := range backends {
-		t.Run(b.String(), func(t *testing.T) {
-			k := NewKernelOn(b)
+	for _, th := range structures {
+		t.Run(th.name, func(t *testing.T) {
+			k := newKernelAt(th.wheelAt)
 			// Keep unrelated events pending so the queue stays populated.
 			for i := 0; i < 16; i++ {
 				k.Schedule(Duration(1000+i), func() {})
@@ -230,9 +198,9 @@ func TestCancelReleasesCallback(t *testing.T) {
 // closure must be dropped even though the Event object (a Timer's, say)
 // lives on for reuse.
 func TestFireReleasesCallback(t *testing.T) {
-	for _, b := range backends {
-		t.Run(b.String(), func(t *testing.T) {
-			k := NewKernelOn(b)
+	for _, th := range structures {
+		t.Run(th.name, func(t *testing.T) {
+			k := newKernelAt(th.wheelAt)
 			ran := false
 			e := k.Schedule(1, func() { ran = true })
 			k.Run()
@@ -248,7 +216,7 @@ func TestFireReleasesCallback(t *testing.T) {
 // intrusive lists: cancel + re-arm + fire, repeatedly, with bucket
 // neighbors present.
 func TestWheelTimerReuse(t *testing.T) {
-	k := NewKernelOn(Wheel)
+	k := newKernelAt(1)
 	fired := 0
 	tm := k.NewTimer(func() { fired++ })
 	for i := 0; i < 50; i++ {
@@ -270,7 +238,7 @@ func TestWheelTimerReuse(t *testing.T) {
 // TestWheelArmDoesNotAllocate pins the wheel's zero-allocation Arm hot
 // path (after the level's slot table exists).
 func TestWheelArmDoesNotAllocate(t *testing.T) {
-	k := NewKernelOn(Wheel)
+	k := newKernelAt(1)
 	tm := k.NewTimer(func() {})
 	tm.Arm(1) // warm the level-0 slot table
 	k.Run()
@@ -283,17 +251,19 @@ func TestWheelArmDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// BenchmarkSched_FleetTimers is the timer-heavy fleet workload the
-// wheel exists for: N self-re-arming timers with deterministic
-// pseudorandom periods multiplexed on ONE kernel — the shape of a
-// long-horizon self-measurement fleet (E12), where every device keeps a
-// measurement trigger and a collection timer pending. Per-event cost is
-// pure scheduler work; ev/sec is the headline metric (bench: sim.schedule_ns_per_event).
+// BenchmarkSched_FleetTimers is the timer-heavy fleet workload: N
+// self-re-arming timers with deterministic pseudorandom periods
+// multiplexed on ONE kernel — the shape of a long-horizon
+// self-measurement fleet (E12), where every device keeps a measurement
+// trigger and a collection timer pending. Per-event cost is pure
+// scheduler work; ev/sec is the headline metric (bench:
+// sim.schedule_ns_per_event). The N sweep, with each structure forced
+// beside the kernel's own choice, is what wheelThreshold was read from.
 func BenchmarkSched_FleetTimers(b *testing.B) {
-	for _, n := range []int{1000, 10000} {
-		for _, bk := range backends {
-			b.Run(fmt.Sprintf("N%d/%s", n, bk), func(b *testing.B) {
-				k := NewKernelOn(bk)
+	for _, n := range []int{16, 64, 256, 1024, 4096} {
+		for _, th := range thresholds {
+			b.Run(fmt.Sprintf("N%d/%s", n, th.name), func(b *testing.B) {
+				k := newKernelAt(th.wheelAt)
 				// splitmix-style period derivation: deterministic, spread
 				// across ~1ms..67ms so buckets and heap layers churn.
 				period := func(i int) Duration {
@@ -321,15 +291,14 @@ func BenchmarkSched_FleetTimers(b *testing.B) {
 	}
 }
 
-// BenchmarkSched_ScheduleCancel exercises the allocate/cancel path per
-// backend (cancellation is O(1) on both, but the wheel avoids the
-// sift).
+// BenchmarkSched_ScheduleCancel exercises the allocate/cancel path
+// against a standing population of N events (cancellation is O(1) on
+// the wheel, a sift on the heap).
 func BenchmarkSched_ScheduleCancel(b *testing.B) {
-	for _, bk := range backends {
-		b.Run(bk.String(), func(b *testing.B) {
-			k := NewKernelOn(bk)
-			// A standing population keeps the structures non-trivial.
-			for i := 0; i < 4096; i++ {
+	for _, n := range []int{16, 64, 256, 1024, 4096} {
+		b.Run(fmt.Sprintf("N%d", n), func(b *testing.B) {
+			k := NewKernel()
+			for i := 0; i < n; i++ {
 				k.Schedule(Duration(1+i%1000)*Microsecond, func() {})
 			}
 			fn := func() {}

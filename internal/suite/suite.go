@@ -133,14 +133,21 @@ func (s Scheme) Validate() error {
 }
 
 // Name returns a human-readable scheme name, e.g. "HMAC-SHA-256" or
-// "SHA-256+RSA-2048".
+// "SHA-256+RSA-2048". Every report carries it, so the MAC forms are
+// constants; only the signer form is built.
 func (s Scheme) Name() string {
 	if s.Signer != nil {
 		return string(s.Hash) + "+" + s.Signer.Name()
 	}
 	switch s.Hash {
-	case BLAKE2b, BLAKE2s:
-		return "keyed-" + string(s.Hash)
+	case SHA256:
+		return "HMAC-SHA-256"
+	case SHA512:
+		return "HMAC-SHA-512"
+	case BLAKE2b:
+		return "keyed-BLAKE2b"
+	case BLAKE2s:
+		return "keyed-BLAKE2s"
 	case AESCMAC:
 		return string(AESCMAC)
 	default:

@@ -78,6 +78,7 @@ func TestSchemeNames(t *testing.T) {
 	sig, _ := NewSigner(ECDSA256)
 	cases := map[string]Scheme{
 		"HMAC-SHA-256":       {Hash: SHA256, Key: []byte("k")},
+		"HMAC-SHA-512":       {Hash: SHA512, Key: []byte("k")},
 		"keyed-BLAKE2b":      {Hash: BLAKE2b, Key: []byte("k")},
 		"keyed-BLAKE2s":      {Hash: BLAKE2s, Key: []byte("k")},
 		"SHA-256+ECDSA-P256": {Hash: SHA256, Signer: sig},

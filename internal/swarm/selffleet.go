@@ -30,11 +30,12 @@ import (
 // trigger phases, schedules, infection windows, report bits, detection
 // latencies — derives from (Seed, device index) alone. Devices on a
 // shared kernel never interact, so neither the shard count nor the
-// queue backend can change any reported bit; only host cost moves.
+// structure the kernel's queue is on can change any reported bit; only
+// host cost moves.
 // RunSelfFleet merges per-device outcomes in device-index order.
 //
-// Seed (golden image + every per-device PRF stream), Parallelism
-// (shard fan-out) and KernelBackend live in the embedded EngineConfig.
+// Seed (golden image + every per-device PRF stream) and Parallelism
+// (shard fan-out) live in the embedded EngineConfig.
 type SelfFleetConfig struct {
 	EngineConfig
 	// Devices is the fleet size (required, > 0).
@@ -238,7 +239,7 @@ func RunSelfFleet(cfg SelfFleetConfig) (*SelfFleetResult, error) {
 	parallel.For(workers, workers, func(s int) {
 		sh := &selfShard{
 			cfg:    &cfg,
-			kernel: sim.NewKernelOn(cfg.KernelBackend),
+			kernel: sim.NewKernel(),
 			golden: golden,
 			image:  verifier.ImageOfGolden(golden),
 			tags:   make(map[selfTagKey][]byte),

@@ -92,31 +92,33 @@ func normalizeSelf(r *SelfFleetResult) *SelfFleetResult {
 	return r
 }
 
-// TestSelfFleetInvariance pins the engine's central contract: shard
-// count and kernel backend change host cost only — every reported bit
-// (counts, latencies in device order, total events, final instant) is
-// identical.
+// TestSelfFleetInvariance pins the engine's central contract: the shard
+// count, and with it the structure each shard's kernel keeps its queue
+// on, changes host cost only — every reported bit (counts, latencies in
+// device order, total events, final instant) is identical. The fleet is
+// sized to sit on both sides of sim's wheel threshold (256 pending
+// events): one shard starts with two armed timers for each of 240
+// devices and is on the wheel before it runs; four shards of 60 peak
+// near 150 and stay on the heap.
 func TestSelfFleetInvariance(t *testing.T) {
 	for _, mode := range []SelfMode{SelfErasmus, SelfSeED} {
 		var base *SelfFleetResult
-		for _, backend := range []sim.Backend{sim.Heap, sim.Wheel} {
-			for _, shards := range []int{1, 4} {
-				cfg := smallFleet(mode)
-				cfg.KernelBackend = backend
-				cfg.Parallelism = shards
-				res, err := RunSelfFleet(cfg)
-				if err != nil {
-					t.Fatalf("%v/%v/shards=%d: %v", mode, backend, shards, err)
-				}
-				normalizeSelf(res)
-				if base == nil {
-					base = res
-					continue
-				}
-				if !reflect.DeepEqual(base, res) {
-					t.Fatalf("%v: %v/shards=%d diverges\nbase: %+v\ngot:  %+v",
-						mode, backend, shards, base, res)
-				}
+		for _, shards := range []int{1, 4} {
+			cfg := smallFleet(mode)
+			cfg.Devices = 240
+			cfg.Parallelism = shards
+			res, err := RunSelfFleet(cfg)
+			if err != nil {
+				t.Fatalf("%v/shards=%d: %v", mode, shards, err)
+			}
+			normalizeSelf(res)
+			if base == nil {
+				base = res
+				continue
+			}
+			if !reflect.DeepEqual(base, res) {
+				t.Fatalf("%v: shards=%d diverges\nbase: %+v\ngot:  %+v",
+					mode, shards, base, res)
 			}
 		}
 	}

@@ -42,14 +42,13 @@ type Sharded struct {
 }
 
 // EngineConfig is the shared engine-knob block (Seed, Parallelism,
-// KernelBackend, NoTrace) embedded in ShardedConfig and
-// SelfFleetConfig; see engine.Config.
+// NoTrace) embedded in ShardedConfig and SelfFleetConfig; see
+// engine.Config.
 type EngineConfig = engine.Config
 
-// ShardedConfig sizes a sharded fleet. Seed, Parallelism (worker
-// fan-out for Round) and KernelBackend live in the embedded
-// EngineConfig; neither ever changes Round output, only wall-clock
-// time.
+// ShardedConfig sizes a sharded fleet. Seed and Parallelism (worker
+// fan-out for Round) live in the embedded EngineConfig; Parallelism
+// never changes Round output, only wall-clock time.
 type ShardedConfig struct {
 	EngineConfig
 	// Devices is the fleet size (required, > 0).
@@ -120,7 +119,7 @@ func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 		agg:       &Aggregate{Reports: map[string][]*core.Report{}},
 	}
 	for i := 0; i < cfg.Devices; i++ {
-		k := sim.NewKernelOn(cfg.KernelBackend)
+		k := sim.NewKernel()
 		var m *mem.Memory
 		if cfg.FullCopy {
 			m = mem.New(mem.Config{Size: cfg.MemSize, BlockSize: cfg.BlockSize,

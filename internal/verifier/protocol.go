@@ -123,9 +123,9 @@ func AppendErasmusNonce(dst, key []byte, ctr uint64) []byte {
 }
 
 // AppendSeedNonce is AppendErasmusNonce for SeED, keyed by the prover's
-// schedule seed.
+// schedule seed: one prover's key, so derived without a keyed pool.
 func AppendSeedNonce(dst, seed []byte, ctr uint64) []byte {
-	return core.AppendPRF(dst, seed, labelSeedNonce, ctr)
+	return core.AppendPRFOnce(dst, seed, labelSeedNonce, ctr)
 }
 
 // AppendSeedFor appends a networked prover's SeED schedule seed; daemon

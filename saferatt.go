@@ -279,8 +279,7 @@ type (
 	// Daemon is a running verifier daemon.
 	Daemon = rattd.Server
 	// EngineConfig is the engine-knob block (Seed, Parallelism,
-	// KernelBackend, NoTrace) embedded in the experiment and fleet
-	// configs.
+	// NoTrace) embedded in the experiment and fleet configs.
 	EngineConfig = engine.Config
 )
 

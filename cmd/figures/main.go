@@ -9,7 +9,6 @@
 //	figures -exp e5|e6|e8|e9|e10 # section experiments
 //	figures -exp e11             # swarm-at-scale experiment (100/1k/10k devices)
 //	figures -exp e12             # long-horizon self-measurement fleet (QoA sweep)
-//	figures -exp e14             # sharded verifier tier (100k provers over real sockets)
 //	figures -exp e15             # million-prover single-shard run (intra-shard concurrency)
 //	figures -exp e16             # zero-stall incremental checkpointing under fleet ingest
 //	figures -exp e17             # heterogeneous fleet: image registry + live golden rotation
@@ -41,7 +40,7 @@ func main() {
 	var (
 		fig      = flag.Int("fig", 0, "regenerate figure N (1, 2, 4, 5)")
 		table    = flag.Int("table", 0, "regenerate table N (1)")
-		exp      = flag.String("exp", "", "run section experiment (e5, e6, e8, e9, e10, e11, e12, e14, e15, e16, e17)")
+		exp      = flag.String("exp", "", "run section experiment (e5, e6, e8, e9, e10, e11, e12, e15, e16, e17)")
 		ablation = flag.String("ablation", "", "run ablation (a1, a2, a3, a4, a5)")
 		all      = flag.Bool("all", false, "run everything")
 		quick    = flag.Bool("quick", false, "reduced Monte Carlo trial counts")
@@ -185,22 +184,6 @@ func main() {
 			cfg.TMs = []sim.Duration{2 * sim.Minute}
 		}
 		fmt.Print(experiments.RenderE12(experiments.E12FleetSelf(cfg)))
-	})
-	run("E14: sharded verifier tier (shard-count sweep over real UDP sockets)", *exp == "e14", func() {
-		cfg := experiments.E14Config{Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		}}
-		if *quick {
-			cfg.Provers = 5000
-			cfg.ShardCounts = []int{1, 4}
-		}
-		rows, err := experiments.E14ShardScale(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "e14:", err)
-			os.Exit(1)
-		}
-		fmt.Print(experiments.RenderE14(rows))
-		writeCSV("e14.csv", func(w io.Writer) error { return experiments.E14CSV(w, rows) })
 	})
 	run("E15: million-prover single-shard run (intra-shard concurrency)", *exp == "e15", func() {
 		cfg := experiments.E15Config{Logf: func(format string, args ...any) {

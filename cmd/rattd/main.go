@@ -15,9 +15,11 @@
 //	rattd -addr 127.0.0.1:9779 -shards 8 -checkpoint /var/lib/rattd/state
 //
 // -checkpoint makes every shard persist its fleet state (enrollment,
-// freshness counters, epoch lease) to <path>.<shard> on exit and at
-// every stats interval; -restore loads those files on startup so a
-// restarted tier keeps verifying enrolled provers without
+// freshness counters, epoch lease) to <path>.<shard> on exit and, in
+// the background, every -checkpoint-interval (default 10s; it does not
+// follow -stats, so `-stats 0 -checkpoint-interval 1s` prints nothing
+// and persists every second); -restore loads those files on startup so
+// a restarted tier keeps verifying enrolled provers without
 // re-enrollment and still rejects replays. -pprof exposes
 // net/http/pprof for live profiling of the shard hot paths.
 //
@@ -88,7 +90,7 @@ func main() {
 		recvLoops  = flag.Int("recv-loops", 0, "socket receive goroutines per shard (0 = default)")
 		recvQueues = flag.Int("recv-queues", 0, "receive dispatch workers per shard (0 = GOMAXPROCS, min 4; each drives the striped verify path concurrently)")
 		queueCap   = flag.Int("queue-cap", 0, "per-shard receive queue capacity (0 = default)")
-		batchBytes = flag.Int("batch-bytes", 0, "batch datagram size budget (0 = default, <0 disables coalescing)")
+		batchBytes = flag.Int("batch-bytes", 0, "batch datagram size budget (0 = default)")
 		maxBatch   = flag.Int("max-batch", 0, "messages per batch datagram cap (0 = default)")
 	)
 	var images imageFlags

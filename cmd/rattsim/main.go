@@ -17,9 +17,8 @@
 //	rattsim -mode rattping -addr 127.0.0.1:9779 -shards 8 -provers 100000  # fleet vs a sharded rattd tier
 //
 // rattping tuning flags (mirror the daemon's transport knobs): -loss
-// injects datagram drop, -no-batch disables batch-frame coalescing
-// (it sets BatchBytes = -1, the one switch there is), -concurrency caps
-// simultaneously active provers, and -recv-loops, -recv-queues,
+// injects datagram drop, -concurrency caps simultaneously active
+// provers, and -recv-loops, -recv-queues,
 // -queue-cap, -batch-bytes, -max-batch configure the client socket's
 // receive parallelism and send batching exactly as on cmd/rattd.
 package main
@@ -61,12 +60,11 @@ func main() {
 		provers = flag.Int("provers", 100, "rattping: fleet size")
 		history = flag.Int("history", 3, "rattping: self-measurements per collection (negative skips)")
 		conc    = flag.Int("concurrency", 0, "rattping: max simultaneously active provers (0 = all)")
-		noBatch = flag.Bool("no-batch", false, "rattping: disable batch-frame send coalescing (per-report datagrams)")
 
 		recvLoops  = flag.Int("recv-loops", 0, "rattping: socket receive goroutines (0 = default)")
 		recvQueues = flag.Int("recv-queues", 0, "rattping: receive dispatch workers (0 = GOMAXPROCS, min 4)")
 		queueCap   = flag.Int("queue-cap", 0, "rattping: per-shard receive queue capacity (0 = default)")
-		batchBytes = flag.Int("batch-bytes", 0, "rattping: batch datagram size budget (0 = default, <0 disables coalescing)")
+		batchBytes = flag.Int("batch-bytes", 0, "rattping: batch datagram size budget (0 = default)")
 		maxBatch   = flag.Int("max-batch", 0, "rattping: messages per batch datagram cap (0 = default)")
 		inc        = flag.Bool("incremental", true, "use the incremental measurement engine (dirty-block digest caching)")
 	)
@@ -102,18 +100,14 @@ func main() {
 				*recvQueues = 4
 			}
 		}
-		net := transport.NetConfig{
-			DropRate:  *loss,
-			RecvLoops: *recvLoops, RecvQueues: *recvQueues, QueueCap: *queueCap,
-			BatchBytes: *batchBytes, MaxBatch: *maxBatch,
-		}
-		if *noBatch {
-			net.BatchBytes = -1
-		}
 		runRattping(rattpingOpts{
 			addr: *addr, shards: *shards, provers: *provers, seed: *seed,
 			memSize: *memSize, block: *block, history: *history,
-			concurrency: *conc, net: net,
+			concurrency: *conc, net: transport.NetConfig{
+				DropRate:  *loss,
+				RecvLoops: *recvLoops, RecvQueues: *recvQueues, QueueCap: *queueCap,
+				BatchBytes: *batchBytes, MaxBatch: *maxBatch,
+			},
 		})
 		return
 	default:

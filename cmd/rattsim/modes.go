@@ -13,6 +13,7 @@ import (
 	"saferatt/internal/experiments"
 	"saferatt/internal/malware"
 	"saferatt/internal/mem"
+	"saferatt/internal/prover"
 	"saferatt/internal/rattd"
 	"saferatt/internal/sim"
 	"saferatt/internal/suite"
@@ -31,7 +32,7 @@ func runErasmus(memSize, block int, seed uint64, horizonSec, tmSec int) {
 		Opts: opts, Latency: 5 * sim.Millisecond,
 	})
 	tm := sim.Duration(tmSec) * sim.Second
-	e, err := core.NewErasmus("prv", w.Dev, w.Link, opts, tm, 5)
+	e, err := prover.NewErasmus("prv", w.Dev, w.Tr, opts, tm, 5)
 	if err != nil {
 		fatal(err)
 	}
@@ -67,7 +68,7 @@ func runSeed(memSize, block int, seed uint64, horizonSec int, loss float64) {
 		Opts: opts, Latency: 5 * sim.Millisecond, Loss: loss,
 	})
 	shared := core.PRF([]byte{byte(seed)}, "demo-seed", seed)[:16]
-	p, err := core.NewSeED("prv", w.Dev, w.Link, opts, shared, 5*sim.Second, 2500*sim.Millisecond, 5)
+	p, err := prover.NewSeED("prv", w.Dev, w.Tr, opts, shared, 5*sim.Second, 2500*sim.Millisecond, 5)
 	if err != nil {
 		fatal(err)
 	}

@@ -15,10 +15,10 @@ import (
 	"saferatt/internal/core"
 	"saferatt/internal/experiments"
 	"saferatt/internal/malware"
+	"saferatt/internal/prover"
 	"saferatt/internal/sim"
 	"saferatt/internal/suite"
 	"saferatt/internal/swarm"
-	"saferatt/internal/transport"
 	"saferatt/internal/verifier"
 )
 
@@ -32,15 +32,9 @@ func main() {
 	w := experiments.NewWorld(experiments.WorldConfig{
 		EngineConfig: experiments.EngineConfig{Seed: 11},
 		MemSize:      8 << 10, BlockSize: 512, ROMBlocks: 1,
-		Opts:         opts, Latency: 10 * sim.Millisecond,
+		Opts: opts, Latency: 10 * sim.Millisecond,
 	})
-	// The verifier collects over the typed transport API; on a simulated
-	// link the traffic is bit-identical to direct link wiring, and the
-	// same protocol code also runs over UDP (see cmd/rattd).
-	if err := w.Ver.Attach(transport.NewSim(w.Link)); err != nil {
-		panic(err)
-	}
-	e, err := core.NewErasmus("prv", w.Dev, w.Link, opts, 10*sim.Second, 5)
+	e, err := prover.NewErasmus("prv", w.Dev, w.Tr, opts, 10*sim.Second, 5)
 	if err != nil {
 		panic(err)
 	}

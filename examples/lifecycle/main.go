@@ -18,9 +18,11 @@ import (
 	"saferatt/internal/device"
 	"saferatt/internal/malware"
 	"saferatt/internal/mem"
+	"saferatt/internal/prover"
 	"saferatt/internal/services"
 	"saferatt/internal/sim"
 	"saferatt/internal/suite"
+	"saferatt/internal/transport"
 	"saferatt/internal/verifier"
 )
 
@@ -29,12 +31,16 @@ func main() {
 	m := mem.New(mem.Config{Size: 16 << 10, BlockSize: 1024, ROMBlocks: 1, Clock: k.Now})
 	m.FillRandom(rand.New(rand.NewPCG(99, 99)))
 	dev := device.New(device.Config{Kernel: k, Mem: m, Profile: costmodel.ODROIDXU4()})
+	// One link carries both planes: attestation endpoints speak typed
+	// protocol messages through tr, the update/erase services drive the
+	// link directly.
 	link := channel.New(channel.Config{Kernel: k, Latency: 2 * sim.Millisecond})
+	tr := transport.NewSim(link)
 
 	opts := core.Preset(core.SMART, suite.SHA256)
 	golden := m.Snapshot()
 	v, err := verifier.New(verifier.Config{
-		Kernel: k, Link: link,
+		Kernel: k, Transport: tr,
 		Scheme:  suite.Scheme{Hash: suite.SHA256, Key: dev.AttestationKey},
 		PermKey: dev.AttestationKey,
 		Image:   verifier.ImageOf(golden, 1024), Opts: opts,
@@ -42,7 +48,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	if _, err := core.NewProver("prv", dev, link, opts, 10); err != nil {
+	if _, err := prover.NewProver("prv", dev, tr, opts, 10); err != nil {
 		panic(err)
 	}
 	services.NewAgent("prv-svc", dev, link, 5)

@@ -14,6 +14,7 @@ import (
 	"saferatt/internal/core"
 	"saferatt/internal/experiments"
 	"saferatt/internal/malware"
+	"saferatt/internal/prover"
 	"saferatt/internal/sim"
 	"saferatt/internal/suite"
 	"saferatt/internal/transport"
@@ -29,16 +30,10 @@ func main() {
 	w := experiments.NewWorld(experiments.WorldConfig{
 		EngineConfig: experiments.EngineConfig{Seed: 21},
 		MemSize:      8 << 10, BlockSize: 512, ROMBlocks: 1,
-		Opts:         opts, Latency: 5 * sim.Millisecond, Loss: 0.10,
+		Opts: opts, Latency: 5 * sim.Millisecond, Loss: 0.10,
 	})
-	// The verifier receives this run over the typed transport API; on a
-	// simulated link the traffic is bit-identical to direct link wiring,
-	// and the same protocol code also runs over UDP (see cmd/rattd).
-	if err := w.Ver.Attach(transport.NewSim(w.Link)); err != nil {
-		panic(err)
-	}
 	shared := []byte("factory-provisioned-seed")
-	p, err := core.NewSeED("prv", w.Dev, w.Link, opts, shared, 5*sim.Second, 2500*sim.Millisecond, 5)
+	p, err := prover.NewSeED("prv", w.Dev, w.Tr, opts, shared, 5*sim.Second, 2500*sim.Millisecond, 5)
 	if err != nil {
 		panic(err)
 	}
@@ -64,13 +59,12 @@ func main() {
 			EngineConfig: experiments.EngineConfig{Seed: 33},
 			MemSize:      4096, BlockSize: 256, ROMBlocks: 1, Opts: opts,
 		})
-		prv, err := core.NewSeED("prv", w.Dev, w.Link, opts, []byte("s"), 5*sim.Second, 2*sim.Second, 5)
+		prv, err := prover.NewSeED("prv", w.Dev, w.Tr, opts, []byte("s"), 5*sim.Second, 2*sim.Second, 5)
 		if err != nil {
 			panic(err)
 		}
 		var reports []*core.Report
-		tr := transport.NewSim(w.Link)
-		tr.Bind("verifier", func(m transport.Msg) {
+		w.Tr.Bind("verifier", func(m transport.Msg) {
 			if m.Kind == transport.KindSeedReport {
 				reports = append(reports, m.Reports...)
 			}

@@ -85,6 +85,28 @@ func AppendPRFOnce(dst []byte, key []byte, label []byte, counter uint64) []byte 
 	return dst
 }
 
+// The labels of the two self-derived nonces (§3.3), held as byte slices
+// so a derivation converts nothing. Prover and verifier of both stacks
+// derive through the two functions below and nowhere else.
+var (
+	labelErasmusNonce = []byte("erasmus-nonce")
+	labelSeedNonce    = []byte("seed-nonce")
+)
+
+// AppendErasmusNonce appends the nonce an ERASMUS self-measurement must
+// carry: binding it to the counter stops a compromised prover from
+// re-labeling one old honest measurement as many. key is the fleet's
+// attestation key.
+func AppendErasmusNonce(dst, key []byte, ctr uint64) []byte {
+	return AppendPRF(dst, key, labelErasmusNonce, ctr)
+}
+
+// AppendSeedNonce is AppendErasmusNonce for SeED, keyed by the prover's
+// schedule seed: one prover's key, so derived without a keyed pool.
+func AppendSeedNonce(dst, seed []byte, ctr uint64) []byte {
+	return AppendPRFOnce(dst, seed, labelSeedNonce, ctr)
+}
+
 // prfScratch pools what a derivation stages before writing it through
 // a hash.Hash interface, where a stack buffer would escape and cost one
 // heap allocation per call: the counter, and for the hand-run HMAC its

@@ -12,6 +12,7 @@ import (
 	"saferatt/internal/malware"
 	"saferatt/internal/mem"
 	"saferatt/internal/parallel"
+	"saferatt/internal/prover"
 	"saferatt/internal/qoa"
 	"saferatt/internal/safety"
 	"saferatt/internal/sim"
@@ -166,7 +167,7 @@ func AblationErasmusScheduling(seed uint64) []A3Row {
 		// T_M deliberately misaligned with the 100 ms sensor period
 		// (730 ms) so fixed-schedule measurements drift across the
 		// sensor phase and periodically collide with a pass.
-		e, err := core.NewErasmus("prv", w.Dev, nil, opts, 730*sim.Millisecond, mpPrio)
+		e, err := prover.NewErasmus("prv", w.Dev, nil, opts, 730*sim.Millisecond, mpPrio)
 		if err != nil {
 			panic("experiments: " + err.Error())
 		}

@@ -6,9 +6,11 @@ import (
 
 	"saferatt/internal/core"
 	"saferatt/internal/parallel"
+	"saferatt/internal/prover"
 	"saferatt/internal/safety"
 	"saferatt/internal/sim"
 	"saferatt/internal/suite"
+	"saferatt/internal/transport"
 )
 
 // E10Row quantifies §3.3's DoS claim — "Lack of interaction makes SeED
@@ -79,10 +81,11 @@ func e10Point(cfg E10Config, floodPeriod sim.Duration, seedScheme bool) E10Row {
 	}
 
 	row := E10Row{FloodPeriod: floodPeriod}
+	bogus := transport.Msg{From: "attacker", To: "prv", Kind: transport.KindChallenge, Nonce: []byte("flood")}
 
 	if seedScheme {
 		row.Scheme = "SeED"
-		p, err := core.NewSeED("prv", w.Dev, w.Link, opts, []byte("dos-seed"),
+		p, err := prover.NewSeED("prv", w.Dev, w.Tr, opts, []byte("dos-seed"),
 			10*sim.Second, 5*sim.Second, mpPrio)
 		if err != nil {
 			panic("experiments: " + err.Error())
@@ -91,7 +94,7 @@ func e10Point(cfg E10Config, floodPeriod sim.Duration, seedScheme bool) E10Row {
 		// The flood: bogus challenges. SeED has no challenge handler —
 		// traffic is simply not delivered to any attestation path.
 		flood := w.K.NewTicker(floodPeriod, func(sim.Time) {
-			w.Link.Send("attacker", "prv", core.MsgChallenge, []byte("flood"))
+			w.Tr.Send(bogus)
 		})
 		w.K.RunUntil(sim.Time(cfg.Horizon))
 		flood.Stop()
@@ -101,7 +104,7 @@ func e10Point(cfg E10Config, floodPeriod sim.Duration, seedScheme bool) E10Row {
 		row.CPUAttestPct = attestShare(w, p.Task().Stats().Busy)
 	} else {
 		row.Scheme = "on-demand"
-		p, err := core.NewProver("prv", w.Dev, w.Link, opts, mpPrio)
+		p, err := prover.NewProver("prv", w.Dev, w.Tr, opts, mpPrio)
 		if err != nil {
 			panic("experiments: " + err.Error())
 		}
@@ -109,7 +112,7 @@ func e10Point(cfg E10Config, floodPeriod sim.Duration, seedScheme bool) E10Row {
 			// The attacker forges challenge traffic; the prover cannot
 			// authenticate requests (SMART-style RA has no
 			// request authentication) and serves whenever idle.
-			w.Link.Send("attacker", "prv", core.MsgChallenge, []byte("flood"))
+			w.Tr.Send(bogus)
 		})
 		w.K.RunUntil(sim.Time(cfg.Horizon))
 		flood.Stop()

@@ -15,8 +15,7 @@ import (
 
 // E15 is the million-prover scale run: one rattd shard, driven
 // in-process over transport.Local by GOMAXPROCS concurrent ingest
-// workers — the intra-shard concurrency experiment, where E14 swept
-// shards. The run enrolls cfg.Provers provers, pushes two ERASMUS
+// workers — the intra-shard concurrency experiment. The run enrolls cfg.Provers provers, pushes two ERASMUS
 // collection rounds through every one of them, mixes in SeED reports
 // for a slice of the fleet, replays a sample (each replay must be
 // rejected exactly once), and checkpoints the final state.

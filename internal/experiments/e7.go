@@ -7,6 +7,7 @@ import (
 	"saferatt/internal/core"
 	"saferatt/internal/malware"
 	"saferatt/internal/parallel"
+	"saferatt/internal/prover"
 	"saferatt/internal/qoa"
 	"saferatt/internal/sim"
 	"saferatt/internal/suite"
@@ -77,7 +78,7 @@ func e7Point(cfg E7Config, dwell sim.Duration) E7Row {
 		opts := core.Preset(core.SMART, suite.SHA256) // atomic core, as in ERASMUS
 		w := NewWorld(WorldConfig{EngineConfig: EngineConfig{Seed: uint64(i) + cfg.Seed, NoTrace: true},
 			MemSize: blocks * blockSize, BlockSize: blockSize, ROMBlocks: 1, Opts: opts})
-		e, err := core.NewErasmus("prv", w.Dev, nil, opts, cfg.TM, mpPrio)
+		e, err := prover.NewErasmus("prv", w.Dev, nil, opts, cfg.TM, mpPrio)
 		if err != nil {
 			panic("experiments: " + err.Error())
 		}

@@ -8,8 +8,10 @@ import (
 	"saferatt/internal/core"
 	"saferatt/internal/malware"
 	"saferatt/internal/parallel"
+	"saferatt/internal/prover"
 	"saferatt/internal/sim"
 	"saferatt/internal/suite"
+	"saferatt/internal/transport"
 )
 
 // E8Result reproduces the §3.3 SeED analysis as three measured
@@ -83,7 +85,7 @@ func e8Loss(cfg E8Config, loss float64) E8LossRow {
 	w := NewWorld(WorldConfig{EngineConfig: EngineConfig{Seed: cfg.Seed + uint64(loss*1000)},
 		MemSize: 4096, BlockSize: 256, ROMBlocks: 1, Opts: opts, Loss: loss})
 	seed := []byte("e8-shared-seed")
-	p, err := core.NewSeED("prv", w.Dev, w.Link, opts, seed, cfg.Period, cfg.Period/2, mpPrio)
+	p, err := prover.NewSeED("prv", w.Dev, w.Tr, opts, seed, cfg.Period, cfg.Period/2, mpPrio)
 	if err != nil {
 		panic("experiments: " + err.Error())
 	}
@@ -109,18 +111,17 @@ func e8Loss(cfg E8Config, loss float64) E8LossRow {
 // e8Replay: a recording adversary replays every report once.
 func e8Replay(cfg E8Config) (injected, accepted int) {
 	opts := core.Preset(core.NoLock, suite.SHA256)
-	var w *World
-	var captured []any
-	adv := channel.AdversaryFunc(func(m channel.Message) channel.Verdict {
-		if m.Kind == core.MsgSeedReport && m.From == "prv" {
-			captured = append(captured, m.Payload)
+	var captured []transport.Msg
+	adv := channel.AdversaryFunc(func(cm channel.Message) channel.Verdict {
+		if m, ok := transport.MsgOf(cm); ok && m.Kind == transport.KindSeedReport && m.From == "prv" {
+			captured = append(captured, m)
 		}
 		return channel.Deliver
 	})
-	w = NewWorld(WorldConfig{EngineConfig: EngineConfig{Seed: cfg.Seed + 5},
+	w := NewWorld(WorldConfig{EngineConfig: EngineConfig{Seed: cfg.Seed + 5},
 		MemSize: 4096, BlockSize: 256, ROMBlocks: 1, Opts: opts, Adv: adv})
 	seed := []byte("e8-shared-seed")
-	p, err := core.NewSeED("prv", w.Dev, w.Link, opts, seed, cfg.Period, cfg.Period/2, mpPrio)
+	p, err := prover.NewSeED("prv", w.Dev, w.Tr, opts, seed, cfg.Period, cfg.Period/2, mpPrio)
 	if err != nil {
 		panic("experiments: " + err.Error())
 	}
@@ -132,8 +133,8 @@ func e8Replay(cfg E8Config) (injected, accepted int) {
 	w.K.Run()
 
 	before := w.Ver.Counts()
-	for _, payload := range captured {
-		w.Link.Send("prv", "verifier", core.MsgSeedReport, payload)
+	for _, m := range captured {
+		w.Tr.Send(m)
 	}
 	w.K.Run()
 	after := w.Ver.Counts()
@@ -151,14 +152,14 @@ func e8Schedule(cfg E8Config) (secretEscapes, leakedEscapes int) {
 			EngineConfig: EngineConfig{Seed: cfg.Seed + uint64(trial)*31 + boolU64(leaked), NoTrace: true},
 			MemSize:      4096, BlockSize: 256, ROMBlocks: 1, Opts: opts})
 		seed := []byte{byte(trial), 0x88}
-		p, err := core.NewSeED("prv", w.Dev, w.Link, opts, seed, cfg.Period, cfg.Period/2, mpPrio)
+		p, err := prover.NewSeED("prv", w.Dev, w.Tr, opts, seed, cfg.Period, cfg.Period/2, mpPrio)
 		if err != nil {
 			panic("experiments: " + err.Error())
 		}
 		var reports []*core.Report
-		w.Link.Connect("verifier", func(m channel.Message) {
-			if m.Kind == core.MsgSeedReport {
-				reports = append(reports, m.Payload.([]*core.Report)...)
+		w.Tr.Bind("verifier", func(m transport.Msg) {
+			if m.Kind == transport.KindSeedReport {
+				reports = append(reports, m.Reports...)
 			}
 		})
 

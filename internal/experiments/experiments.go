@@ -29,16 +29,19 @@ import (
 	"saferatt/internal/sim"
 	"saferatt/internal/suite"
 	"saferatt/internal/trace"
+	"saferatt/internal/transport"
 	"saferatt/internal/verifier"
 )
 
 // World is a fully wired single-prover universe: device, link,
-// verifier, golden image.
+// verifier, golden image. Protocol endpoints attach to Tr; Link is the
+// medium under it, kept for its loss/jitter/adversary knobs and Stats.
 type World struct {
 	K    *sim.Kernel
 	Mem  *mem.Memory
 	Dev  *device.Device
 	Link *channel.Link
+	Tr   *transport.Sim
 	Ver  *verifier.Verifier
 	Ref  []byte
 	Log  *trace.Log // nil when built with NoTrace
@@ -94,11 +97,12 @@ func NewWorld(cfg WorldConfig) *World {
 	dev := device.New(device.Config{Kernel: k, Mem: m, Profile: cfg.Profile, Trace: log})
 	link := channel.New(channel.Config{
 		Kernel: k, Latency: cfg.Latency, Jitter: cfg.Jitter, Loss: cfg.Loss,
-		Adv: adversaryOrNil(cfg.Adv), Trace: log, Seed: cfg.Seed + 1,
+		Adv: cfg.Adv, Trace: log, Seed: cfg.Seed + 1,
 	})
+	tr := transport.NewSim(link)
 	ref := m.Snapshot()
 	v, err := verifier.New(verifier.Config{
-		Kernel: k, Link: link,
+		Kernel: k, Transport: tr,
 		Scheme:  suite.Scheme{Hash: cfg.Opts.Hash, Key: dev.AttestationKey},
 		PermKey: dev.AttestationKey,
 		Image:   verifier.ImageOf(ref, cfg.BlockSize),
@@ -108,10 +112,8 @@ func NewWorld(cfg WorldConfig) *World {
 	if err != nil {
 		panic("experiments: " + err.Error())
 	}
-	return &World{K: k, Mem: m, Dev: dev, Link: link, Ver: v, Ref: ref, Log: log}
+	return &World{K: k, Mem: m, Dev: dev, Link: link, Tr: tr, Ver: v, Ref: ref, Log: log}
 }
-
-func adversaryOrNil(a channel.Adversary) channel.Adversary { return a }
 
 // VerifyLocally recomputes the expected tag for a report against the
 // world's golden image without going through the link — the

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"saferatt/internal/core"
+	"saferatt/internal/prover"
 	"saferatt/internal/sim"
 	"saferatt/internal/suite"
 	"saferatt/internal/trace"
@@ -55,9 +56,9 @@ func Fig1Timeline(cfg Fig1Config) Fig1Result {
 	opts := core.Preset(core.SMART, suite.SHA256)
 	w := NewWorld(WorldConfig{EngineConfig: EngineConfig{Seed: 1},
 		MemSize: cfg.MemSize, BlockSize: cfg.BlockSize,
-		Opts:    opts, Latency: cfg.Latency})
+		Opts: opts, Latency: cfg.Latency})
 
-	if _, err := core.NewProver("prv", w.Dev, w.Link, opts, 5); err != nil {
+	if _, err := prover.NewProver("prv", w.Dev, w.Tr, opts, 5); err != nil {
 		panic("experiments: " + err.Error())
 	}
 	// The busy previous task: occupies the CPU at request arrival so

@@ -1,14 +1,15 @@
-package core
+package prover
 
 import (
-	"saferatt/internal/channel"
+	"saferatt/internal/core"
 	"saferatt/internal/device"
 	"saferatt/internal/sim"
+	"saferatt/internal/transport"
 )
 
 // ErasmusProver performs ERASMUS-style recurrent self-measurements
 // (§3.3): every TM it measures itself with a self-derived nonce and
-// stores the report locally; a verifier occasionally sends MsgCollect
+// stores the report locally; a verifier occasionally sends KindCollect
 // and receives the stored history. Measurement frequency (TM) and
 // collection frequency (TC, chosen by the verifier) are the two
 // components of Quality of Attestation.
@@ -21,10 +22,10 @@ import (
 type ErasmusProver struct {
 	Name string
 	Dev  *device.Device
-	Link *channel.Link
+	Tr   transport.Transport
 	// Opts configure each self-measurement (typically an interruptible
 	// preset: No-Lock, a sliding lock, or SMARM).
-	Opts Options
+	Opts core.Options
 	// TM is the self-measurement period.
 	TM sim.Duration
 	// HistoryCap bounds stored reports (oldest evicted). 0 means 64.
@@ -36,12 +37,12 @@ type ErasmusProver struct {
 	// OnDemand additionally serves explicit challenges (hybrid mode).
 	OnDemand bool
 	// Hooks are installed on every measurement.
-	Hooks Hooks
+	Hooks core.Hooks
 
 	task    *device.Task
 	ticker  *sim.Ticker
 	counter uint64
-	history []*Report
+	history []*core.Report
 	running bool
 	// Deferred counts ticks postponed for context-awareness; Skipped
 	// counts ticks dropped because the previous measurement still ran.
@@ -49,9 +50,10 @@ type ErasmusProver struct {
 	Skipped  int
 }
 
-// NewErasmus wires an ERASMUS prover to the link (link may be nil for
-// purely local experiments). prio is the measurement task priority.
-func NewErasmus(name string, dev *device.Device, link *channel.Link, opts Options, tm sim.Duration, prio int) (*ErasmusProver, error) {
+// NewErasmus binds an ERASMUS prover to the transport under name (tr
+// may be nil for purely local experiments). prio is the measurement
+// task priority.
+func NewErasmus(name string, dev *device.Device, tr transport.Transport, opts core.Options, tm sim.Duration, prio int) (*ErasmusProver, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -59,12 +61,14 @@ func NewErasmus(name string, dev *device.Device, link *channel.Link, opts Option
 		tm = 10 * sim.Second
 	}
 	e := &ErasmusProver{
-		Name: name, Dev: dev, Link: link, Opts: opts, TM: tm,
+		Name: name, Dev: dev, Tr: tr, Opts: opts, TM: tm,
 		HistoryCap: 64, RetryDelay: tm / 10,
 	}
 	e.task = dev.NewTask("MP:"+name, prio)
-	if link != nil {
-		link.Connect(name, e.onMessage)
+	if tr != nil {
+		if err := tr.Bind(name, e.onMsg); err != nil {
+			return nil, err
+		}
 	}
 	return e, nil
 }
@@ -98,81 +102,63 @@ func (e *ErasmusProver) tick() {
 		e.Dev.Kernel.Schedule(delay, e.tick)
 		return
 	}
-	e.measureNow(nil)
+	e.counter++
+	e.measure(core.AppendErasmusNonce(nil, e.Dev.AttestationKey, e.counter), "")
 }
 
-// measureNow runs one measurement; challengeNonce is nil for scheduled
-// self-measurements (the nonce is then self-derived from the counter).
-func (e *ErasmusProver) measureNow(challengeNonce []byte) {
-	e.counter++
-	counter := e.counter
-	nonce := challengeNonce
-	if nonce == nil {
-		nonce = PRF(e.Dev.AttestationKey, "erasmus-nonce", counter)
-	}
-	s, err := NewSession(e.Dev, e.task, e.Opts, nonce, counter)
+// measure runs one measurement under the already-advanced counter and
+// stores its reports; a non-empty replyTo (a hybrid challenge) also
+// gets them as a KindReport.
+func (e *ErasmusProver) measure(nonce []byte, replyTo string) {
+	s, err := core.NewSession(e.Dev, e.task, e.Opts, nonce, e.counter)
 	if err != nil {
 		return
 	}
 	s.Hooks = e.Hooks
 	e.running = true
-	s.Start(func(reports []*Report, err error) {
+	s.Start(func(reports []*core.Report, err error) {
 		e.running = false
 		if err != nil {
 			return
 		}
 		e.store(reports)
+		if replyTo != "" {
+			e.send(transport.Msg{From: e.Name, To: replyTo, Kind: transport.KindReport, Reports: reports})
+		}
 	})
 }
 
-func (e *ErasmusProver) store(reports []*Report) {
+func (e *ErasmusProver) store(reports []*core.Report) {
 	e.history = append(e.history, reports...)
 	limit := e.HistoryCap
 	if limit <= 0 {
 		limit = 64
 	}
 	if len(e.history) > limit {
-		e.history = append([]*Report(nil), e.history[len(e.history)-limit:]...)
+		e.history = append([]*core.Report(nil), e.history[len(e.history)-limit:]...)
 	}
 }
 
 // History returns a copy of the stored reports (oldest first).
-func (e *ErasmusProver) History() []*Report {
-	return append([]*Report(nil), e.history...)
+func (e *ErasmusProver) History() []*core.Report {
+	return append([]*core.Report(nil), e.history...)
 }
 
 // Counter returns the number of measurements started.
 func (e *ErasmusProver) Counter() uint64 { return e.counter }
 
-func (e *ErasmusProver) onMessage(m channel.Message) {
+func (e *ErasmusProver) onMsg(m transport.Msg) {
 	switch m.Kind {
-	case MsgCollect:
-		e.Link.Send(e.Name, m.From, MsgCollection, e.History())
-	case MsgChallenge:
-		if !e.OnDemand {
-			return
-		}
-		if nonce, ok := m.Payload.([]byte); ok && !e.running {
-			from := m.From
-			e.measureAndReply(from, nonce)
+	case transport.KindCollect:
+		e.send(transport.Msg{From: e.Name, To: m.From, Kind: transport.KindCollection, Reports: e.History()})
+	case transport.KindChallenge:
+		if e.OnDemand && !e.running {
+			e.counter++
+			e.measure(m.Nonce, m.From)
 		}
 	}
 }
 
-func (e *ErasmusProver) measureAndReply(from string, nonce []byte) {
-	e.counter++
-	s, err := NewSession(e.Dev, e.task, e.Opts, nonce, e.counter)
-	if err != nil {
-		return
-	}
-	s.Hooks = e.Hooks
-	e.running = true
-	s.Start(func(reports []*Report, err error) {
-		e.running = false
-		if err != nil {
-			return
-		}
-		e.store(reports)
-		e.Link.Send(e.Name, from, MsgReport, reports)
-	})
-}
+// send has datagram semantics: a bundle that cannot leave is a lost
+// bundle, which the verifier's next collection covers.
+func (e *ErasmusProver) send(m transport.Msg) { _ = e.Tr.Send(m) }

@@ -11,78 +11,57 @@ import (
 // completing a SMART challenge/response round and an ERASMUS
 // collection, with 5% datagram loss injected on BOTH sides so the
 // retry/backoff machinery is load-bearing. Zero verification failures
-// allowed; round-trip latency percentiles are reported. The round runs
-// in both wire modes: Batched (default coalescing — reports ride batch
-// frames) and PerReport (coalescing disabled, one data frame per
-// message, the wire-v1-compatible shape).
+// allowed; round-trip latency percentiles are reported.
 func TestE2ELoopbackFleet(t *testing.T) {
 	provers := 1000
 	if testing.Short() {
 		provers = 100
 	}
-	modes := []struct {
-		name    string
-		tune    func(c *transport.NetConfig)
-		batched bool
-	}{
-		{"Batched", func(c *transport.NetConfig) {}, true},
-		{"PerReport", func(c *transport.NetConfig) { c.BatchBytes = -1 }, false},
-	}
-	for _, mode := range modes {
-		t.Run(mode.name, func(t *testing.T) {
-			image := GoldenImage(42, testMem, testBlock)
-			srvCfg := transport.NetConfig{DropRate: 0.05, DropSeed: 11}
-			mode.tune(&srvCfg)
-			lis, err := transport.Listen(srvCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer lis.Close()
-			srv, err := Serve(lis, Config{Ref: image, BlockSize: testBlock})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer srv.Close()
+	t.Run("Batched", func(t *testing.T) {
+		image := GoldenImage(42, testMem, testBlock)
+		lis, err := transport.Listen(transport.NetConfig{DropRate: 0.05, DropSeed: 11})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer lis.Close()
+		srv, err := Serve(lis, Config{Ref: image, BlockSize: testBlock})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
 
-			cliCfg := transport.NetConfig{DropRate: 0.05, DropSeed: 12}
-			mode.tune(&cliCfg)
-			res, err := RunFleet(FleetConfig{
-				Addr:      lis.Addr().String(),
-				Provers:   provers,
-				Image:     image,
-				BlockSize: testBlock,
-				Net:       cliCfg,
-				Logf:      t.Logf,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.SMARTOK != provers || res.CollectOK != provers || res.Failures() != 0 {
-				t.Fatalf("fleet failures: %+v (daemon counts %+v)", res, srv.Counts())
-			}
-			t.Logf("fleet %d provers: SMART p50=%v p99=%v max=%v", provers, res.P50, res.P99, res.Max)
-			t.Logf("client net: %+v", res.Net)
-			t.Logf("daemon net: %+v", lis.Stats())
-			t.Logf("daemon batch: %+v", srv.BatchStats())
-			if res.Net.Injected == 0 {
-				t.Fatal("injected loss never fired; e2e did not exercise retries")
-			}
-			// Amortization sanity: the shared-nonce collection epochs must
-			// have been computed once each, not once per prover.
-			bs := srv.BatchStats()
-			if bs.Computed >= bs.Reports {
-				t.Fatalf("batch fast path never amortized: %+v", bs)
-			}
-			if mode.batched {
-				// With a thousand provers sharing one socket, some sends
-				// must genuinely have coalesced into batch frames on at
-				// least one side of the link.
-				if res.Net.Coalesced == 0 && lis.Stats().Coalesced == 0 {
-					t.Fatalf("batched mode never coalesced: cli %+v srv %+v", res.Net, lis.Stats())
-				}
-			} else if res.Net.BatchesSent != 0 || lis.Stats().BatchesSent != 0 {
-				t.Fatalf("per-report mode emitted batch frames: cli %+v srv %+v", res.Net, lis.Stats())
-			}
+		res, err := RunFleet(FleetConfig{
+			Addr:      lis.Addr().String(),
+			Provers:   provers,
+			Image:     image,
+			BlockSize: testBlock,
+			Net:       transport.NetConfig{DropRate: 0.05, DropSeed: 12},
+			Logf:      t.Logf,
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.SMARTOK != provers || res.CollectOK != provers || res.Failures() != 0 {
+			t.Fatalf("fleet failures: %+v (daemon counts %+v)", res, srv.Counts())
+		}
+		t.Logf("fleet %d provers: SMART p50=%v p99=%v max=%v", provers, res.P50, res.P99, res.Max)
+		t.Logf("client net: %+v", res.Net)
+		t.Logf("daemon net: %+v", lis.Stats())
+		t.Logf("daemon batch: %+v", srv.BatchStats())
+		if res.Net.Injected == 0 {
+			t.Fatal("injected loss never fired; e2e did not exercise retries")
+		}
+		// Amortization sanity: the shared-nonce collection epochs must
+		// have been computed once each, not once per prover.
+		bs := srv.BatchStats()
+		if bs.Computed >= bs.Reports {
+			t.Fatalf("batch fast path never amortized: %+v", bs)
+		}
+		// With a thousand provers sharing one socket, some sends
+		// must genuinely have coalesced into batch frames on at
+		// least one side of the link.
+		if res.Net.Coalesced == 0 && lis.Stats().Coalesced == 0 {
+			t.Fatalf("never coalesced: cli %+v srv %+v", res.Net, lis.Stats())
+		}
+	})
 }

@@ -28,8 +28,8 @@ type FleetConfig struct {
 	Provers int
 	// Concurrency caps how many provers run their protocol at once;
 	// 0 means all of them (the historical behavior, fine to ~1k).
-	// 100k-prover fleets (E14) need a bound so the retry machinery
-	// is not fighting 100k goroutines' worth of in-flight datagrams.
+	// 100k-prover fleets need a bound so the retry machinery is not
+	// fighting 100k goroutines' worth of in-flight datagrams.
 	Concurrency int
 	// Key/Image/BlockSize/Shuffled mirror the daemon's configuration.
 	Key       []byte
@@ -78,6 +78,13 @@ func (r *FleetResult) Failures() int { return r.SMARTFail + r.CollectFail }
 // one shared client socket: each completes a SMART challenge/response
 // round and then ships an ERASMUS collection, and the result reports
 // verdict counts plus round-trip latency percentiles.
+//
+// RunFleet is a functional client — what `rattsim -mode rattping` and
+// the loopback e2e tests drive a daemon with — and not a benchmark: it
+// is closed-loop and, in those tests, shares the daemon's process, so
+// its timings include the daemon's own load. Throughput and latency
+// claims come from bench/, whose open-loop generator is a separate
+// process.
 func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	if cfg.Daemon == "" {
 		cfg.Daemon = "rattd"

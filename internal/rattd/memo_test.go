@@ -273,7 +273,7 @@ func TestConcurrentIngestAdvancingCounter(t *testing.T) {
 			t.Fatalf("memo holds counter %d, which no accepted report carried", ctr)
 		}
 		got, _ := s.nonces.Nonce(nil, ctr)
-		if want := verifier.AppendErasmusNonce(nil, DefaultKey, ctr); !slices.Equal(got, want) {
+		if want := core.AppendErasmusNonce(nil, DefaultKey, ctr); !slices.Equal(got, want) {
 			t.Fatalf("counter %d memoised as %x, PRF gives %x", ctr, got, want)
 		}
 	}
@@ -317,7 +317,7 @@ func TestNonceMemoMissOverhead(t *testing.T) {
 	direct := func(round int) {
 		for i := uint64(0); i < perArm; i++ {
 			r.Counter = uint64(round)<<33 + i
-			scratch = verifier.AppendErasmusNonce(scratch[:0], DefaultKey, r.Counter)
+			scratch = core.AppendErasmusNonce(scratch[:0], DefaultKey, r.Counter)
 			if fresh.CheckErasmus(&r, scratch, true, 0) == verifier.ReasonNonceUnbound {
 				unbound++
 			}

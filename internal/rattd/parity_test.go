@@ -26,11 +26,6 @@ type stacks struct {
 	logs  []string        // the reason of each decision the server logged
 }
 
-// nullPort swallows the sim verifier's outbound messages.
-type nullPort struct{}
-
-func (nullPort) Send(from, to, kind string, payload any) {}
-
 func newStacks(t *testing.T) *stacks {
 	t.Helper()
 	h := &stacks{t: t, image: GoldenImage(7, testMem, testBlock), tr: transport.NewLocal()}
@@ -57,7 +52,9 @@ func (h *stacks) enter(name string) {
 		h.t.Fatal(err)
 	}
 	h.sim, err = verifier.New(verifier.Config{
-		Kernel: sim.NewKernel(), Port: nullPort{},
+		// A transport of its own, with nobody else on it, swallows the
+		// sim verifier's outbound messages.
+		Kernel: sim.NewKernel(), Transport: transport.NewLocal(),
 		Scheme:  suite.Scheme{Hash: suite.SHA256, Key: DefaultKey},
 		PermKey: DefaultKey,
 		Image:   verifier.ImageOf(h.image, testBlock),

@@ -8,7 +8,6 @@ import (
 	"saferatt/internal/mem"
 	"saferatt/internal/sim"
 	"saferatt/internal/suite"
-	"saferatt/internal/verifier"
 )
 
 // GoldenImage deterministically generates the golden memory content a
@@ -87,14 +86,14 @@ func (p *Prover) Respond(nonce []byte) (*core.Report, error) {
 // SelfMeasure produces one ERASMUS self-measurement for counter ctr,
 // with the counter-bound self-derived nonce the daemon expects.
 func (p *Prover) SelfMeasure(ctr uint64) (*core.Report, error) {
-	nonce := verifier.AppendErasmusNonce(nil, p.Key, ctr)
+	nonce := core.AppendErasmusNonce(nil, p.Key, ctr)
 	return p.report(core.NoLock, nonce, 0, ctr, sim.Time(ctr)*sim.Time(sim.Second))
 }
 
 // SeedReport produces one SeED report for counter ctr, nonce-bound to
 // the prover's derived schedule seed.
 func (p *Prover) SeedReport(ctr uint64) (*core.Report, error) {
-	nonce := verifier.AppendSeedNonce(nil, SeedFor(p.Key, p.Name), ctr)
+	nonce := core.AppendSeedNonce(nil, SeedFor(p.Key, p.Name), ctr)
 	return p.report(core.NoLock, nonce, 0, ctr, sim.Time(ctr)*sim.Time(sim.Second))
 }
 

@@ -287,19 +287,12 @@ func Serve(tr transport.Transport, cfg Config) (*Server, error) {
 			ckptGen:    1,
 		}
 	}
-	// Prefer the zero-copy receive path: report fields arrive as views
-	// into the transport's receive buffer and are consumed before the
-	// handler returns (every retained value below — nonces, counters,
-	// prover names — is owned or interned), so ingesting a collection
-	// costs no per-report copies. Transports without BindFrames get the
-	// owning-Msg path.
-	var err error
-	if fb, ok := tr.(transport.FrameBinder); ok {
-		err = fb.BindFrames(cfg.Name, s.onFrame)
-	} else {
-		err = tr.Bind(cfg.Name, s.onMsg)
-	}
-	if err != nil {
+	// The zero-copy receive form: over Net, report fields arrive as
+	// views into the transport's receive buffer and are consumed before
+	// the handler returns (every retained value below — nonces,
+	// counters, prover names — is owned or interned), so ingesting a
+	// collection costs no per-report copies.
+	if err := tr.BindFrames(cfg.Name, s.onFrame); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -403,28 +396,11 @@ func (s *Server) nextChallengeCtr() uint64 {
 	return c
 }
 
-// onFrame is the zero-copy receive path: report fields are views into
-// the transport buffer, consumed entirely inside the handler. The
+// onFrame is the receive path: report fields may be views into the
+// transport's buffer, and are consumed entirely inside the handler. The
 // frame's image id is interned, so threading it through costs nothing.
 func (s *Server) onFrame(f *transport.Frame) {
 	s.IngestImage(f.From, f.Kind, f.Image, f.Reports)
-}
-
-// onMsg is the owning-copy receive path for transports without frame
-// delivery. Msg carries pointer reports; the handlers take value
-// slices, so the bundle is reshaped here (a copy of headers only —
-// the byte fields are shared, and the Msg owns them).
-func (s *Server) onMsg(m transport.Msg) {
-	var reports []core.Report
-	if len(m.Reports) > 0 {
-		reports = make([]core.Report, 0, len(m.Reports))
-		for _, r := range m.Reports {
-			if r != nil {
-				reports = append(reports, *r)
-			}
-		}
-	}
-	s.IngestImage(m.From, m.Kind, m.Image, reports)
 }
 
 // Ingest delivers one bundle to the server exactly as if it had
@@ -712,7 +688,7 @@ func (s *Server) handleSeed(from string, id verifier.ImageID, reports []core.Rep
 	sc.seed = verifier.AppendSeedFor(sc.seed[:0], s.cfg.Key, sc.name)
 	for i := range reports {
 		r := &reports[i]
-		sc.nonce = verifier.AppendSeedNonce(sc.nonce[:0], sc.seed, r.Counter)
+		sc.nonce = core.AppendSeedNonce(sc.nonce[:0], sc.seed, r.Counter)
 		// A prover not yet enrolled is judged against the zero record.
 		var fresh verifier.Freshness
 		st.mu.Lock()

@@ -11,8 +11,10 @@ import (
 	"saferatt/internal/device"
 	"saferatt/internal/malware"
 	"saferatt/internal/mem"
+	"saferatt/internal/prover"
 	"saferatt/internal/sim"
 	"saferatt/internal/suite"
+	"saferatt/internal/transport"
 	"saferatt/internal/verifier"
 )
 
@@ -59,8 +61,9 @@ func TestSecureUpdateRoundTrip(t *testing.T) {
 	// image and a normal attestation confirms installation.
 	opts := core.Preset(core.SMART, suite.SHA256)
 	golden := w.m.Snapshot()
+	tr := transport.NewSim(w.link)
 	v, err := verifier.New(verifier.Config{
-		Kernel: w.k, Link: w.link,
+		Kernel: w.k, Transport: tr,
 		Scheme:  suite.Scheme{Hash: suite.SHA256, Key: w.dev.AttestationKey},
 		PermKey: w.dev.AttestationKey,
 		Image:   verifier.ImageOf(golden, w.m.BlockSize()),
@@ -69,7 +72,7 @@ func TestSecureUpdateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.NewProver("prv-att", w.dev, w.link, opts, 10); err != nil {
+	if _, err := prover.NewProver("prv-att", w.dev, tr, opts, 10); err != nil {
 		t.Fatal(err)
 	}
 	v.Challenge("prv-att")

@@ -45,25 +45,16 @@ func (c *Collector) PullOver(tr transport.Transport, self string, members []stri
 		return nil, err
 	}
 	// A round's fan-out is one small collect request per member — the
-	// shape batch coalescing exists for. When the transport can pack
-	// datagrams (transport.Net toward wire-v2 peers), the whole fan-out
-	// leaves in a few batch frames instead of len(members) datagrams.
-	if bs, ok := tr.(transport.BatchSender); ok {
-		ms := make([]transport.Msg, len(members))
-		for i, m := range members {
-			ms[i] = transport.Msg{From: self, To: m, Kind: transport.KindCollect}
-		}
-		if err := bs.SendBatch(ms); err != nil {
-			tr.Unbind(self)
-			return nil, err
-		}
-		return p, nil
+	// shape batch coalescing exists for: over transport.Net the whole
+	// fan-out leaves in a few batch frames instead of len(members)
+	// datagrams.
+	ms := make([]transport.Msg, len(members))
+	for i, m := range members {
+		ms[i] = transport.Msg{From: self, To: m, Kind: transport.KindCollect}
 	}
-	for _, m := range members {
-		if err := tr.Send(transport.Msg{From: self, To: m, Kind: transport.KindCollect}); err != nil {
-			tr.Unbind(self)
-			return nil, err
-		}
+	if err := tr.SendBatch(ms); err != nil {
+		tr.Unbind(self)
+		return nil, err
 	}
 	return p, nil
 }

@@ -1,7 +1,6 @@
 package swarm
 
 import (
-	"crypto/hmac"
 	"encoding/binary"
 	"fmt"
 	"math/rand/v2"
@@ -80,10 +79,10 @@ type SelfMode uint8
 
 const (
 	// SelfErasmus measures every TM (uniform PRF-derived phase per
-	// device), like core.ErasmusProver.
+	// device), like prover.ErasmusProver.
 	SelfErasmus SelfMode = iota
 	// SelfSeED measures at pseudorandom instants derived from a
-	// per-device secret seed, like core.SeEDProver: each gap is
+	// per-device secret seed, like prover.SeEDProver: each gap is
 	// TM + (PRF mod Jitter), and the next trigger is armed when the
 	// previous measurement completes.
 	SelfSeED
@@ -157,33 +156,20 @@ type selfDev struct {
 }
 
 // selfShard is one worker's slice of the fleet: a private kernel
-// multiplexing the shard's devices, plus an expected-tag cache keyed by
-// (nonce, round) — ERASMUS nonces are fleet-wide per counter, so one
-// computation serves every device in the shard.
+// multiplexing the shard's devices, plus the verifier's expected-tag
+// cache over the golden image — ERASMUS nonces are fleet-wide per
+// counter, so one computation serves every device in the shard.
 type selfShard struct {
 	cfg    *SelfFleetConfig
 	kernel *sim.Kernel
 	devs   []*selfDev
-	scheme suite.Scheme
+	key    []byte // the fleet's attestation key
 	golden *mem.Golden
-	image  verifier.Image // golden, as the verifier sees it
+	batch  *verifier.Batch
 
-	tags map[selfTagKey][]byte
-
-	measurements, skipped             uint64
-	collections, reports, bad, tags64 uint64
+	measurements, skipped     uint64
+	collections, reports, bad uint64
 }
-
-type selfTagKey struct {
-	nonce       string
-	round       int
-	incremental bool
-}
-
-// selfTagCacheCap bounds the per-shard expected-tag cache; SeED mode
-// never re-uses nonces, so the map is cleared rather than grown without
-// bound.
-const selfTagCacheCap = 4096
 
 // RunSelfFleet executes one fleet run to the horizon and returns the
 // merged result. It is a one-shot engine: configuration in, aggregate
@@ -241,14 +227,21 @@ func RunSelfFleet(cfg SelfFleetConfig) (*SelfFleetResult, error) {
 			cfg:    &cfg,
 			kernel: sim.NewKernel(),
 			golden: golden,
-			image:  verifier.ImageOfGolden(golden),
-			tags:   make(map[selfTagKey][]byte),
+			batch:  verifier.NewBatch(cfg.Opts.Hash, verifier.ImageOfGolden(golden)),
 		}
+		// Phases spread one counter's measurements over a TM and a visit
+		// reads back a TC of them, so the counters being verified at any
+		// instant span TC/TM plus one either side. Every device measures
+		// the same image at the same cost, so when TM is too short they
+		// all skip the same ticks and the counters stay in step. Each
+		// miss clones the table (Batch.publish), O(TC/TM): level with a
+		// plain map up to E12's largest ratio (60), slower far past it.
+		sh.batch.KeepEpochs = int(cfg.TC/cfg.TM) + 4
 		lo, hi := s*cfg.Devices/workers, (s+1)*cfg.Devices/workers
 		for i := lo; i < hi; i++ {
 			sh.devs = append(sh.devs, sh.newDevice(i))
 		}
-		sh.scheme = suite.Scheme{Hash: cfg.Opts.Hash, Key: sh.devs[0].dev.AttestationKey}
+		sh.key = sh.devs[0].dev.AttestationKey
 		sh.run()
 		shards[s] = sh
 	})
@@ -275,7 +268,7 @@ func RunSelfFleet(cfg SelfFleetConfig) (*SelfFleetResult, error) {
 		res.Collections += sh.collections
 		res.Reports += sh.reports
 		res.BadReports += sh.bad
-		res.TagsComputed += sh.tags64
+		res.TagsComputed += sh.batch.Stats().Computed
 		res.Events += sh.kernel.Steps()
 		if t := sh.kernel.Now(); t > res.FinalTime {
 			res.FinalTime = t
@@ -382,9 +375,9 @@ func (sh *selfShard) measure(d *selfDev) {
 	d.counter++
 	var nonce []byte
 	if sh.cfg.Mode == SelfSeED {
-		nonce = verifier.AppendSeedNonce(nil, d.seed, d.counter)
+		nonce = core.AppendSeedNonce(nil, d.seed, d.counter)
 	} else {
-		nonce = verifier.AppendErasmusNonce(nil, d.dev.AttestationKey, d.counter)
+		nonce = core.AppendErasmusNonce(nil, d.dev.AttestationKey, d.counter)
 	}
 	s, err := core.NewSession(d.dev, d.task, sh.cfg.Opts, nonce, d.counter)
 	if err != nil {
@@ -412,13 +405,23 @@ func (sh *selfShard) measure(d *selfDev) {
 
 // collect is one verifier visit: every pending report is checked
 // against the expected tag for its (nonce, round) over the golden
-// image, and tag mismatches are attributed to the device's infection.
+// image — cached while the nonce is one the fleet shares, computed once
+// for a SeED nonce no other report will carry — and tag mismatches are
+// attributed to the device's infection.
 func (sh *selfShard) collect(d *selfDev) {
 	now := sh.kernel.Now()
 	sh.collections++
+	verify := sh.batch.Verify
+	if sh.cfg.Mode == SelfSeED {
+		verify = sh.batch.VerifyOnce
+	}
 	for _, rep := range d.pending {
 		sh.reports++
-		if hmac.Equal(sh.expectedTag(rep), rep.Tag) {
+		ok, err := verify(sh.key, rep, sh.cfg.Opts.Shuffled)
+		if err != nil && d.err == nil {
+			d.err = err
+		}
+		if ok {
 			continue
 		}
 		sh.bad++
@@ -433,28 +436,6 @@ func (sh *selfShard) collect(d *selfDev) {
 		}
 	}
 	d.pending = d.pending[:0]
-}
-
-// expectedTag returns the tag a healthy device would produce for the
-// report's (nonce, round), computed over the golden image — mirroring
-// the data path (raw blocks vs per-block digests) the report's engine
-// used — and cached per shard.
-func (sh *selfShard) expectedTag(rep *core.Report) []byte {
-	key := selfTagKey{nonce: string(rep.Nonce), round: rep.Round, incremental: rep.Incremental}
-	if tag, ok := sh.tags[key]; ok {
-		return tag
-	}
-	tag, err := sh.image.ExpectedTag(sh.scheme, sh.scheme.Key,
-		core.Options{Shuffled: sh.cfg.Opts.Shuffled}, rep)
-	if err != nil {
-		panic("swarm: " + err.Error())
-	}
-	sh.tags64++
-	if len(sh.tags) >= selfTagCacheCap {
-		clear(sh.tags)
-	}
-	sh.tags[key] = tag
-	return tag
 }
 
 // run dispatches the shard's kernel up to the horizon.

@@ -76,9 +76,9 @@ func BenchmarkTransport_CodecBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkTransport_SimSend measures typed sends through the sim
-// bridge, kernel drain included — the overhead migrated experiments pay
-// versus raw link.Send.
+// BenchmarkTransport_SimSend measures one send through Sim, kernel
+// drain included — what every simulated protocol message costs on top
+// of the measurement it carries.
 func BenchmarkTransport_SimSend(b *testing.B) {
 	k := sim.NewKernel()
 	link := channel.New(channel.Config{Kernel: k, Latency: sim.Millisecond, Seed: 1})

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,11 +13,11 @@ import (
 )
 
 // The conformance suite: one set of semantic checks run verbatim
-// against both Transport implementations. Sim and Net must agree on
-// everything protocol code can observe — typed field fidelity,
-// reply routing, idempotent request IDs, unbind behavior — so code
-// written against the interface behaves identically in simulation and
-// on real sockets.
+// against every Transport implementation. Sim, Local and Net must agree
+// on everything protocol code can observe — typed field fidelity,
+// reply routing, idempotent request IDs, both bind forms, unbind
+// behavior — so code written against the interface behaves identically
+// in simulation, in process and on real sockets.
 
 // mailbox is a thread-safe message sink usable as a Handler.
 type mailbox struct {
@@ -47,9 +48,12 @@ func (b *mailbox) get(i int) Msg {
 type harness struct {
 	client, server Transport
 	// settle advances the world one delivery quantum: a kernel drain
-	// for Sim, a real-time pause for Net.
+	// for Sim, a real-time pause for Net, nothing for Local.
 	settle func()
 	close  func()
+	// reliable marks a transport that cannot lose or repeat a message
+	// (Local: a synchronous call), and so keeps no request-ID memory.
+	reliable bool
 }
 
 // waitFor settles until cond holds or the attempt budget runs out.
@@ -74,6 +78,18 @@ func simHarness(t *testing.T) *harness {
 		server: tr,
 		settle: func() { k.Run() },
 		close:  func() {},
+	}
+}
+
+func localHarness(t *testing.T) *harness {
+	t.Helper()
+	tr := NewLocal()
+	return &harness{
+		client:   tr,
+		server:   tr,
+		settle:   func() {},
+		close:    func() { tr.Close() },
+		reliable: true,
 	}
 }
 
@@ -167,6 +183,9 @@ func runConformance(t *testing.T, mk func(t *testing.T) *harness) {
 	t.Run("DuplicateRequestSuppressed", func(t *testing.T) {
 		h := mk(t)
 		defer h.close()
+		if h.reliable {
+			t.Skip("no retransmissions to suppress: delivery is a synchronous call")
+		}
 		var box mailbox
 		if err := h.server.Bind("vrf", box.handle); err != nil {
 			t.Fatal(err)
@@ -200,15 +219,11 @@ func runConformance(t *testing.T, mk func(t *testing.T) *harness) {
 	})
 
 	t.Run("BatchSendFidelity", func(t *testing.T) {
-		// Both transports implement BatchSender (Net coalesces into
-		// batch frames once the peer is known v2; Sim loops Send), so a
-		// burst submitted at once must arrive complete and intact.
+		// Net coalesces a burst into batch frames, Sim and Local send
+		// each message in turn; either way a burst submitted at once
+		// must arrive complete and intact.
 		h := mk(t)
 		defer h.close()
-		bs, ok := h.client.(BatchSender)
-		if !ok {
-			t.Fatalf("transport does not implement BatchSender")
-		}
 		var box mailbox
 		if err := h.server.Bind("vrf", box.handle); err != nil {
 			t.Fatal(err)
@@ -225,7 +240,7 @@ func runConformance(t *testing.T, mk func(t *testing.T) *harness) {
 			ms[i] = Msg{From: "prv", To: "vrf", Kind: KindCollection, ReqID: uint64(100 + i),
 				Reports: []*core.Report{conformanceReport(i%4 + 1)}}
 		}
-		if err := bs.SendBatch(ms); err != nil {
+		if err := h.client.SendBatch(ms); err != nil {
 			t.Fatal(err)
 		}
 		waitFor(t, h, func() bool { return box.len() == 1+burst })
@@ -249,13 +264,9 @@ func runConformance(t *testing.T, mk func(t *testing.T) *harness) {
 		// Msg handler, and Frame.Copy must survive buffer reuse.
 		h := mk(t)
 		defer h.close()
-		fb, ok := h.server.(FrameBinder)
-		if !ok {
-			t.Fatalf("transport does not implement FrameBinder")
-		}
 		var mu sync.Mutex
 		var frames []*Frame
-		if err := fb.BindFrames("vrf", func(f *Frame) {
+		if err := h.server.BindFrames("vrf", func(f *Frame) {
 			mu.Lock()
 			frames = append(frames, f.Copy())
 			mu.Unlock()
@@ -304,41 +315,43 @@ func runConformance(t *testing.T, mk func(t *testing.T) *harness) {
 		if box.len() != 1 {
 			t.Fatalf("delivery after unbind: %d messages", box.len())
 		}
+		// A nil handler of either form is refused at bind time, not found
+		// on the first delivery.
+		if h.server.Bind("vrf", nil) == nil || h.server.BindFrames("vrf", nil) == nil {
+			t.Fatal("nil handler bound")
+		}
+		// A name holds one handler, of either form: BindFrames takes the
+		// name over from Bind, and Unbind removes that form too.
+		if err := h.server.Bind("vrf", box.handle); err != nil {
+			t.Fatal(err)
+		}
+		var frames atomic.Int64
+		if err := h.server.BindFrames("vrf", func(*Frame) { frames.Add(1) }); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.client.Send(Msg{From: "prv", To: "vrf", Kind: KindHello, ReqID: 3}); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, h, func() bool { return frames.Load() == 1 })
+		h.server.Unbind("vrf")
+		if err := h.client.Send(Msg{From: "prv", To: "vrf", Kind: KindHello, ReqID: 4}); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 20; i++ {
+			h.settle()
+		}
+		if box.len() != 1 || frames.Load() != 1 {
+			t.Fatalf("after rebinding as frames and unbinding: %d messages, %d frames", box.len(), frames.Load())
+		}
 	})
 }
 
-// netHarnessPerReport disables send coalescing on both ends: every
-// message travels as its own data frame, the wire-v1-compatible shape.
-func netHarnessPerReport(t *testing.T) *harness {
-	t.Helper()
-	cfg := NetConfig{BatchBytes: -1}
-	srv, err := Listen(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cli, err := Dial(srv.Addr().String(), cfg)
-	if err != nil {
-		srv.Close()
-		t.Fatal(err)
-	}
-	return &harness{
-		client: cli,
-		server: srv,
-		settle: func() { time.Sleep(2 * time.Millisecond) },
-		close: func() {
-			cli.Close()
-			srv.Close()
-		},
-	}
-}
-
-// The conformance matrix: {per-report, batch-frame} x {Sim, Net}. Sim
-// has no datagram coalescing, so its one harness covers both modes;
-// Net runs once with coalescing on (the default — bursts travel as
-// batch frames) and once forced to per-report data frames.
-func TestConformanceSim(t *testing.T)          { runConformance(t, simHarness) }
-func TestConformanceNet(t *testing.T)          { runConformance(t, netHarness) }
-func TestConformanceNetPerReport(t *testing.T) { runConformance(t, netHarnessPerReport) }
+// Every transport passes the one suite. Net coalesces whatever is
+// queued when its sender goes idle, so its harness covers lone data
+// frames and batch frames alike.
+func TestConformanceSim(t *testing.T)   { runConformance(t, simHarness) }
+func TestConformanceLocal(t *testing.T) { runConformance(t, localHarness) }
+func TestConformanceNet(t *testing.T)   { runConformance(t, netHarness) }
 
 // conformanceReport builds a report exercising every wire field.
 func conformanceReport(i int) *core.Report {
@@ -386,37 +399,41 @@ func assertReportEqual(t *testing.T, got, want *core.Report) {
 	}
 }
 
-// TestSimSharesLegacyPayloads pins the bridge property: a typed Send
-// with ReqID 0 travels as the legacy payload shape, so pre-transport
-// receivers (core provers, the verifier) understand it — and legacy
-// link.Send traffic surfaces as typed messages on a Bind.
-func TestSimSharesLegacyPayloads(t *testing.T) {
+// TestSimLinkShape pins what a Sim puts on its link: one datagram per
+// Send, kind = Kind.String() (the key of Stats.Kinds and of every trace
+// line), payload = the Msg itself, which is what MsgOf hands an in-path
+// adversary. Link traffic that is not a Msg never reaches a Bind.
+func TestSimLinkShape(t *testing.T) {
 	k := sim.NewKernel()
-	link := channel.New(channel.Config{Kernel: k, Latency: sim.Millisecond, Seed: 7})
+	var seen []Msg
+	link := channel.New(channel.Config{Kernel: k, Latency: sim.Millisecond, Loss: 0.3, Seed: 7,
+		Adv: channel.AdversaryFunc(func(cm channel.Message) channel.Verdict {
+			if m, ok := MsgOf(cm); ok && cm.Kind == m.Kind.String() && cm.From == m.From && cm.To == m.To {
+				seen = append(seen, m)
+			}
+			return channel.Deliver
+		})})
 	tr := NewSim(link)
+	var box mailbox
+	tr.Bind("prv", box.handle)
 
-	var rawKind string
-	var rawPayload any
-	link.Connect("legacy", func(m channel.Message) { rawKind, rawPayload = m.Kind, m.Payload })
-	nonce := []byte{1, 2, 3}
-	tr.Send(Msg{From: "vrf", To: "legacy", Kind: KindChallenge, Nonce: nonce})
+	const n = 40
+	for i := 0; i < n; i++ {
+		tr.Send(Msg{From: "vrf", To: "prv", Kind: KindChallenge, Nonce: []byte{byte(i)}})
+		tr.Send(Msg{From: "vrf", To: "prv", Kind: KindCollect})
+	}
+	link.Send("mgr", "prv", "update", []byte("not RA traffic"))
 	k.Run()
-	if rawKind != core.MsgChallenge {
-		t.Fatalf("legacy kind %q", rawKind)
-	}
-	if got, ok := rawPayload.([]byte); !ok || !bytes.Equal(got, nonce) {
-		t.Fatalf("legacy payload %T %v", rawPayload, rawPayload)
-	}
 
-	var typed mailbox
-	tr.Bind("typed", typed.handle)
-	reports := []*core.Report{conformanceReport(3)}
-	link.Send("prv", "typed", core.MsgReport, reports)
-	k.Run()
-	if typed.len() != 1 {
-		t.Fatalf("typed deliveries: %d", typed.len())
+	st := link.Stats()
+	if len(seen) != 2*n || st.Sent != 2*n+1 {
+		t.Fatalf("adversary saw %d typed datagrams, link sent %d; want %d and %d", len(seen), st.Sent, 2*n, 2*n+1)
 	}
-	if got := typed.get(0); got.Kind != KindReport || len(got.Reports) != 1 || got.Reports[0] != reports[0] {
-		t.Fatalf("legacy payload not surfaced as typed message: %+v", got)
+	ch, co := st.Kinds["challenge"], st.Kinds["collect"]
+	if ch.Sent != n || co.Sent != n || st.Kinds["update"].Delivered != 1 {
+		t.Fatalf("per-kind stats: %+v", st.Kinds)
+	}
+	if st.LostRandom == 0 || box.len() != ch.Delivered+co.Delivered {
+		t.Fatalf("%d typed deliveries, stats %+v", box.len(), st)
 	}
 }

@@ -110,8 +110,8 @@ func (f *Frame) Copy() *Frame {
 	return out
 }
 
-// FrameOfMsg wraps an owning Msg in Frame form — the adapter Sim uses
-// to serve FrameBinder. The result owns its memory (it shares it with
+// FrameOfMsg wraps an owning Msg in Frame form — how Sim and Local
+// serve BindFrames. The result owns its memory (it shares it with
 // m, which owns it), so the usual view lifetime caveats do not apply.
 func FrameOfMsg(m *Msg) Frame {
 	f := Frame{
@@ -128,6 +128,14 @@ func FrameOfMsg(m *Msg) Frame {
 		}
 	}
 	return f
+}
+
+// framed adapts a frame handler to a transport that delivers Msgs.
+func framed(h FrameHandler) Handler {
+	return func(m Msg) {
+		f := FrameOfMsg(&m)
+		h(&f)
+	}
 }
 
 // copyReport deep-copies one report's borrowed fields.

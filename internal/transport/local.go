@@ -15,8 +15,9 @@ import (
 // safe for any number of concurrent senders: the handler table is
 // read-locked per delivery, and handlers are expected to be
 // concurrency-safe themselves (rattd.Server's are). Delivery is
-// reliable and ordered per sender — there is no loss model, so ReqID
-// deduplication is not applied.
+// reliable and ordered per sender: nothing is lost and nothing is
+// retransmitted, so Local keeps no request-ID memory and a caller that
+// sends one (From, ReqID) pair twice is delivered it twice.
 //
 // The delivered Msg is the sender's value: a handler may retain it
 // only if the sender does not mutate the payload afterwards (the
@@ -34,6 +35,9 @@ func NewLocal() *Local {
 
 // Bind registers name's handler, replacing any previous one.
 func (l *Local) Bind(name string, h Handler) error {
+	if h == nil {
+		return fmt.Errorf("transport: nil handler for %q", name)
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -41,6 +45,15 @@ func (l *Local) Bind(name string, h Handler) error {
 	}
 	l.handlers[name] = h
 	return nil
+}
+
+// BindFrames implements Transport: Local has no receive buffer to
+// alias, so each delivered Msg is wrapped in an owning Frame.
+func (l *Local) BindFrames(name string, h FrameHandler) error {
+	if h == nil {
+		return fmt.Errorf("transport: nil frame handler for %q", name)
+	}
+	return l.Bind(name, framed(h))
 }
 
 // Unbind removes name's handler; later sends to it are dropped.
@@ -67,8 +80,7 @@ func (l *Local) Send(m Msg) error {
 }
 
 // SendBatch delivers each message in turn (no coalescing to do in
-// process); implements BatchSender so callers can use it
-// unconditionally.
+// process).
 func (l *Local) SendBatch(ms []Msg) error {
 	for _, m := range ms {
 		if err := l.Send(m); err != nil {

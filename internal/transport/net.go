@@ -46,8 +46,8 @@ type NetConfig struct {
 	// destination queue and leave packed into batch datagrams of at
 	// most this many bytes. A queue is flushed as soon as its sender
 	// goes idle — there is no timer to wait out — or earlier, when the
-	// next message would overflow the budget. Zero means the 1400-byte
-	// default (one conservative MTU); negative disables coalescing.
+	// next message would overflow the budget. Default 1400 (one
+	// conservative MTU).
 	BatchBytes int
 	// MaxBatch caps messages per batch datagram; default 256.
 	MaxBatch int
@@ -83,12 +83,10 @@ func (c *NetConfig) withDefaults() NetConfig {
 	if out.QueueCap <= 0 {
 		out.QueueCap = 1024
 	}
-	switch {
-	case out.BatchBytes < 0:
-		out.BatchBytes = 0 // coalescing disabled
-	case out.BatchBytes == 0:
+	if out.BatchBytes <= 0 {
 		out.BatchBytes = 1400
-	case out.BatchBytes < batchOverhead+perSubOverhead+16:
+	}
+	if out.BatchBytes < batchOverhead+perSubOverhead+16 {
 		out.BatchBytes = batchOverhead + perSubOverhead + 16
 	}
 	if out.MaxBatch <= 0 {
@@ -99,9 +97,6 @@ func (c *NetConfig) withDefaults() NetConfig {
 	}
 	return out
 }
-
-// coalescing reports whether send coalescing is configured on.
-func (c *NetConfig) coalescing() bool { return c.BatchBytes > 0 }
 
 // NetStats counts datagram-level outcomes.
 type NetStats struct {
@@ -172,9 +167,8 @@ type Net struct {
 	byAddr map[netip.AddrPort]*peerState
 	def    *peerState
 
-	hmu       sync.RWMutex
-	handlers  map[string]Handler
-	fhandlers map[string]FrameHandler
+	hmu      sync.RWMutex
+	handlers map[string]FrameHandler
 
 	// The loss model has a dedicated lock: injected-loss draws happen
 	// on every transmission, and serializing them behind the route or
@@ -240,16 +234,15 @@ func Listen(cfg NetConfig) (*Net, error) {
 		return nil, fmt.Errorf("transport: listen %q: %w", cfg.Addr, err)
 	}
 	n := &Net{
-		cfg:       cfg,
-		conn:      conn,
-		peers:     map[string]*peerState{},
-		byAddr:    map[netip.AddrPort]*peerState{},
-		handlers:  map[string]Handler{},
-		fhandlers: map[string]FrameHandler{},
-		wheel:     newRetryWheel(cfg.RetryBase, cfg.RetryCap),
-		wake:      make(chan struct{}, 1),
-		closed:    make(chan struct{}),
-		start:     time.Now(),
+		cfg:      cfg,
+		conn:     conn,
+		peers:    map[string]*peerState{},
+		byAddr:   map[netip.AddrPort]*peerState{},
+		handlers: map[string]FrameHandler{},
+		wheel:    newRetryWheel(cfg.RetryBase, cfg.RetryCap),
+		wake:     make(chan struct{}, 1),
+		closed:   make(chan struct{}),
+		start:    time.Now(),
 	}
 	for i := range n.dedups {
 		// A peer stops retransmitting at its own request timeout, which
@@ -339,27 +332,20 @@ func (n *Net) AddRoute(name, addr string) error {
 	return nil
 }
 
-// Bind implements Transport. Handlers receive owning Msg copies; for
-// the allocation-free view form use BindFrames.
+// Bind implements Transport. The handler receives owning Msg copies
+// (Frame.Msg of each delivered frame); for the allocation-free view
+// form use BindFrames.
 func (n *Net) Bind(name string, h Handler) error {
 	if h == nil {
 		return fmt.Errorf("transport: nil handler for %q", name)
 	}
-	if n.closing.Load() {
-		return errors.New("transport: net closed")
-	}
-	n.hmu.Lock()
-	n.handlers[name] = h
-	delete(n.fhandlers, name)
-	n.hmu.Unlock()
-	return nil
+	return n.BindFrames(name, func(f *Frame) { h(f.Msg()) })
 }
 
-// BindFrames registers a zero-copy handler for an endpoint name,
-// replacing any previous handler of either form. The handler receives
-// view frames whose byte fields alias a pooled receive buffer; they
-// are valid only until the handler returns (detach with Frame.Copy or
-// Frame.Msg to retain).
+// BindFrames implements Transport: the handler receives view frames
+// whose byte fields alias a pooled receive buffer; they are valid only
+// until the handler returns (detach with Frame.Copy or Frame.Msg to
+// retain).
 func (n *Net) BindFrames(name string, h FrameHandler) error {
 	if h == nil {
 		return fmt.Errorf("transport: nil frame handler for %q", name)
@@ -368,8 +354,7 @@ func (n *Net) BindFrames(name string, h FrameHandler) error {
 		return errors.New("transport: net closed")
 	}
 	n.hmu.Lock()
-	n.fhandlers[name] = h
-	delete(n.handlers, name)
+	n.handlers[name] = h
 	n.hmu.Unlock()
 	return nil
 }
@@ -378,7 +363,6 @@ func (n *Net) BindFrames(name string, h FrameHandler) error {
 func (n *Net) Unbind(name string) {
 	n.hmu.Lock()
 	delete(n.handlers, name)
-	delete(n.fhandlers, name)
 	n.hmu.Unlock()
 }
 
@@ -405,10 +389,6 @@ func (n *Net) Send(m Msg) error {
 	st, err := n.prepare(&m)
 	if err != nil {
 		return err
-	}
-	if !n.cfg.coalescing() {
-		n.sendReliable(m.ReqID, AppendFrame(nil, &m), st)
-		return nil
 	}
 	st.cmu.Lock()
 	n.enqueueLocked(st, &m)
@@ -446,20 +426,12 @@ func (n *Net) prepare(m *Msg) (*peerState, error) {
 	return n.route(m.To)
 }
 
-// SendBatch implements BatchSender: the caller has the whole burst in
+// SendBatch implements Transport: the caller has the whole burst in
 // hand, so it queues every message into its destination's coalescing
 // buffer (flushing on the size budget) and flushes the touched
 // destinations itself at the end — the burst leaves in as few
 // datagrams as the budget allows without waiting for the flusher.
 func (n *Net) SendBatch(ms []Msg) error {
-	if !n.cfg.coalescing() {
-		for i := range ms {
-			if err := n.Send(ms[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	var few [4]*peerState
 	touched := few[:0]
 	var err error
@@ -789,13 +761,9 @@ func (n *Net) sendAck(scratch []byte, reqID uint64, to netip.AddrPort) []byte {
 func (n *Net) deliver(f *Frame, from netip.AddrPort, now int64) {
 	n.learnPeer(f.From, from)
 	n.hmu.RLock()
-	fh := n.fhandlers[f.To]
-	var h Handler
-	if fh == nil {
-		h = n.handlers[f.To]
-	}
+	h := n.handlers[f.To]
 	n.hmu.RUnlock()
-	if fh == nil && h == nil {
+	if h == nil {
 		n.stats.noHandler.Add(1)
 		return
 	}
@@ -810,11 +778,7 @@ func (n *Net) deliver(f *Frame, from netip.AddrPort, now int64) {
 		}
 	}
 	n.stats.received.Add(1)
-	if fh != nil {
-		fh(f)
-	} else {
-		h(f.Msg())
-	}
+	h(f)
 }
 
 // learnPeer records name -> address.
@@ -835,9 +799,6 @@ func (n *Net) learnPeer(name string, from netip.AddrPort) {
 
 // flushAll flushes every destination's coalescing queue.
 func (n *Net) flushAll() {
-	if !n.cfg.coalescing() {
-		return
-	}
 	n.pmu.RLock()
 	sts := make([]*peerState, 0, len(n.byAddr))
 	for _, st := range n.byAddr {

@@ -404,7 +404,7 @@ func TestNetQueueDropRecovery(t *testing.T) {
 	defer srv.Close()
 	cli, err := Dial(srv.Addr().String(), NetConfig{
 		RetryBase: 2 * time.Millisecond, RetryCap: 20 * time.Millisecond,
-		BatchBytes: -1})
+		MaxBatch: 1}) // one datagram a message, so 300 of them overflow the queue
 	if err != nil {
 		t.Fatal(err)
 	}

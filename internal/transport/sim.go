@@ -4,16 +4,13 @@ import (
 	"fmt"
 
 	"saferatt/internal/channel"
-	"saferatt/internal/core"
 )
 
-// Sim adapts a simulated channel.Link to the Transport interface. It
-// is a zero-cost veneer: every Send maps to exactly one link.Send with
-// the same payload representation the legacy code used ([]byte nonce,
-// []*core.Report bundle, nil control message), so latency, jitter,
-// loss-model RNG draws, adversary inspection and trace output are
-// bit-identical to driving the link directly — the property the
-// conformance and equivalence suites pin.
+// Sim is the Transport over a simulated channel.Link. Every Send is
+// exactly one link.Send, with the kind's name as the link-level kind
+// and the Msg itself as the payload, so latency, jitter, loss-model RNG
+// draws, adversary inspection, per-kind Stats and trace output depend
+// only on the order of sends.
 //
 // Sim inherits the kernel's single-goroutine discipline: Bind/Send
 // must be called from the simulation goroutine, and handlers fire
@@ -31,8 +28,14 @@ func NewSim(link *channel.Link) *Sim {
 	return &Sim{link: link, dd: newDedup(defaultRequestTimeout)}
 }
 
-// Link returns the underlying simulated link.
-func (s *Sim) Link() *channel.Link { return s.link }
+// MsgOf returns the protocol message a link datagram carries — what an
+// in-path channel.Adversary inspects. ok is false for traffic that is
+// not RA protocol (update/erase services, software attestation, swarm
+// tree aggregation share the link but not this package).
+func MsgOf(cm channel.Message) (Msg, bool) {
+	m, ok := cm.Payload.(Msg)
+	return m, ok
+}
 
 // Bind implements Transport.
 func (s *Sim) Bind(name string, h Handler) error {
@@ -40,7 +43,7 @@ func (s *Sim) Bind(name string, h Handler) error {
 		return fmt.Errorf("transport: nil handler for %q", name)
 	}
 	s.link.Connect(name, func(cm channel.Message) {
-		m, ok := fromChannel(cm)
+		m, ok := MsgOf(cm)
 		if !ok {
 			return
 		}
@@ -52,24 +55,18 @@ func (s *Sim) Bind(name string, h Handler) error {
 	return nil
 }
 
-// BindFrames implements FrameBinder. Sim has no wire buffers to
-// alias, so it adapts: each delivered Msg is wrapped in an owning
-// Frame (FrameOfMsg) before the handler runs. Zero-copy is a Net
-// property; this adapter only preserves the interface contract so
-// protocol code can bind frames against either transport.
+// BindFrames implements Transport: each delivered Msg is wrapped in an
+// owning Frame before the handler runs.
 func (s *Sim) BindFrames(name string, h FrameHandler) error {
 	if h == nil {
 		return fmt.Errorf("transport: nil frame handler for %q", name)
 	}
-	return s.Bind(name, func(m Msg) {
-		f := FrameOfMsg(&m)
-		h(&f)
-	})
+	return s.Bind(name, framed(h))
 }
 
-// SendBatch implements BatchSender as a Send loop: the simulated link
-// has no datagram overhead to amortize, and per-message sends keep the
-// loss-model RNG draw sequence identical to legacy traffic.
+// SendBatch implements Transport as a Send loop: per-message sends keep
+// the loss-model RNG draw sequence that of the same messages sent
+// singly.
 func (s *Sim) SendBatch(ms []Msg) error {
 	for i := range ms {
 		if err := s.Send(ms[i]); err != nil {
@@ -87,53 +84,9 @@ func (s *Sim) Send(m Msg) error {
 	if m.Kind == KindInvalid || m.Kind >= kindMax {
 		return fmt.Errorf("transport: cannot send kind %v", m.Kind)
 	}
-	s.link.Send(m.From, m.To, m.Kind.ChannelKind(), toChannelPayload(m))
+	s.link.Send(m.From, m.To, m.Kind.String(), m)
 	return nil
 }
 
 // Close implements Transport. The link belongs to the caller.
 func (s *Sim) Close() error { return nil }
-
-// toChannelPayload produces the legacy payload representation for a
-// typed message. Messages that fit the legacy shapes travel as those
-// exact shapes (so pre-transport receivers still understand them);
-// anything richer — a nonzero ReqID, a verdict — travels as the Msg
-// value itself.
-func toChannelPayload(m Msg) any {
-	if m.ReqID == 0 && m.Image == "" {
-		switch m.Kind {
-		case KindChallenge:
-			return m.Nonce
-		case KindReport, KindCollection, KindSeedReport:
-			return m.Reports
-		case KindRelease, KindCollect:
-			return nil
-		}
-	}
-	return m
-}
-
-// fromChannel reconstructs a typed message from a delivered
-// channel.Message, whether it was sent through a Sim (Msg payload or
-// legacy shape) or by legacy code driving the link directly.
-func fromChannel(cm channel.Message) (Msg, bool) {
-	if m, ok := cm.Payload.(Msg); ok {
-		m.From, m.To = cm.From, cm.To
-		return m, true
-	}
-	kind := KindOfChannel(cm.Kind)
-	if kind == KindInvalid {
-		return Msg{}, false
-	}
-	m := Msg{From: cm.From, To: cm.To, Kind: kind}
-	switch p := cm.Payload.(type) {
-	case nil:
-	case []byte:
-		m.Nonce = p
-	case []*core.Report:
-		m.Reports = p
-	default:
-		return Msg{}, false
-	}
-	return m, true
-}

@@ -1,11 +1,14 @@
-// Package transport abstracts the messaging layer between provers and
-// verifiers behind one typed interface, so the same protocol code runs
-// over the deterministic simulated link (Sim, wrapping channel.Link)
-// and over real sockets (Net, UDP with retries and replay-safe request
-// IDs). The paper's protocols — SMART challenge/response (§2.2),
-// ERASMUS collection and SeED prover-initiated reports (§3.3) — are
-// real network protocols; this package is where their messages stop
-// being `any` payloads and become versioned wire frames.
+// Package transport is the one messaging surface between provers and
+// verifiers: every RA endpoint of both stacks — the device-side provers
+// (internal/prover), the simulated verifier.Verifier, rattd.Server,
+// swarm.Pull, the load generators — speaks Msg over a Transport, so the
+// same protocol code runs over the deterministic simulated link (Sim,
+// on a channel.Link), in process (Local) and over real sockets (Net,
+// UDP with retries and replay-safe request IDs). The paper's protocols
+// — SMART challenge/response (§2.2), ERASMUS collection and SeED
+// prover-initiated reports (§3.3) — are real network protocols; this
+// package is where their messages are typed and become versioned wire
+// frames.
 package transport
 
 import (
@@ -15,12 +18,10 @@ import (
 	"saferatt/internal/core"
 )
 
-// Kind is a typed protocol message kind — the wire-level replacement
-// for the free-form channel.Message.Kind string.
+// Kind is a typed protocol message kind.
 type Kind uint8
 
-// Protocol message kinds. The first six mirror the legacy core.Msg*
-// strings one-for-one; Hello and Verdict exist only on the networked
+// Protocol message kinds. Hello and Verdict exist only on the networked
 // request/response surface (a simulated verifier challenges
 // spontaneously, a daemon is asked to).
 const (
@@ -47,58 +48,24 @@ const (
 	kindMax
 )
 
-// String names the kind.
-func (k Kind) String() string {
-	switch k {
-	case KindChallenge:
-		return core.MsgChallenge
-	case KindRelease:
-		return core.MsgRelease
-	case KindCollect:
-		return core.MsgCollect
-	case KindReport:
-		return core.MsgReport
-	case KindCollection:
-		return core.MsgCollection
-	case KindSeedReport:
-		return core.MsgSeedReport
-	case KindHello:
-		return "hello"
-	case KindVerdict:
-		return "verdict"
-	default:
-		return fmt.Sprintf("kind(%d)", uint8(k))
-	}
+var kindNames = [kindMax]string{
+	KindChallenge:  "challenge",
+	KindRelease:    "release",
+	KindCollect:    "collect",
+	KindReport:     "report",
+	KindCollection: "collection",
+	KindSeedReport: "seed-report",
+	KindHello:      "hello",
+	KindVerdict:    "verdict",
 }
 
-// ChannelKind returns the legacy channel.Message.Kind string for k.
-// Every kind has one, so Sim traffic renders in traces exactly like
-// pre-transport traffic.
-func (k Kind) ChannelKind() string { return k.String() }
-
-// KindOfChannel maps a legacy kind string back to a Kind
-// (KindInvalid for unknown strings, e.g. swarm-internal messages).
-func KindOfChannel(s string) Kind {
-	switch s {
-	case core.MsgChallenge:
-		return KindChallenge
-	case core.MsgRelease:
-		return KindRelease
-	case core.MsgCollect:
-		return KindCollect
-	case core.MsgReport:
-		return KindReport
-	case core.MsgCollection:
-		return KindCollection
-	case core.MsgSeedReport:
-		return KindSeedReport
-	case "hello":
-		return KindHello
-	case "verdict":
-		return KindVerdict
-	default:
-		return KindInvalid
+// String names the kind. Sim hands the name to its link, so it is also
+// the key of channel.Stats.Kinds and what trace lines print.
+func (k Kind) String() string {
+	if k == KindInvalid || k >= kindMax {
+		return fmt.Sprintf("kind(%d)", uint8(k))
 	}
+	return kindNames[k]
 }
 
 // Msg is one typed protocol message. Exactly one payload group is
@@ -107,10 +74,12 @@ func KindOfChannel(s string) Kind {
 type Msg struct {
 	From, To string
 	Kind     Kind
-	// ReqID, when nonzero, makes delivery idempotent: every transport
-	// delivers a given (From, ReqID) pair at most once, so sender-side
-	// retries cannot double-deliver. Zero means "no request identity"
-	// (legacy sim traffic), and is never deduplicated.
+	// ReqID, when nonzero, makes delivery idempotent: Net (which
+	// retransmits) and Sim (whose senders may model a retry) deliver a
+	// given (From, ReqID) pair at most once, so sender-side retries
+	// cannot double-deliver. Local is a synchronous call that never
+	// retransmits and keeps no such memory. Zero means "no request
+	// identity" (simulated traffic), and is never deduplicated.
 	ReqID uint64
 	// Nonce is the challenge payload (KindChallenge).
 	Nonce []byte
@@ -139,41 +108,37 @@ type Handler func(m Msg)
 // Frame.To, Report.Dev) are plain strings and always safe to keep.
 type FrameHandler func(f *Frame)
 
-// FrameBinder is implemented by transports that can deliver view
-// frames without materializing an owning Msg (Net; Sim wraps Bind).
-// BindFrames replaces any handler previously registered for name with
-// either Bind or BindFrames; Unbind removes both forms.
-type FrameBinder interface {
-	BindFrames(name string, h FrameHandler) error
-}
-
-// BatchSender is implemented by transports that can pack many
-// messages into shared datagrams. SendBatch has Send's semantics per
-// message (IDs assigned, reliable retry, per-message routing) but may
-// coalesce messages bound for the same destination into batch
-// frames, amortizing per-datagram cost. Transports without batching
-// (Sim) implement it as a Send loop, so callers can use it
-// unconditionally.
-type BatchSender interface {
-	SendBatch(ms []Msg) error
-}
-
-// Transport moves typed messages between named endpoints. Both
-// implementations — Sim (virtual time, deterministic) and Net (real
-// sockets) — satisfy the same conformance suite; protocol code written
-// against this interface runs unchanged on either.
+// Transport moves typed messages between named endpoints. The three
+// implementations — Sim (virtual time, deterministic), Local (in
+// process, synchronous) and Net (real sockets) — satisfy the same
+// conformance suite (Local but for request-ID suppression, see
+// Msg.ReqID); protocol code written against this interface runs
+// unchanged on any of them, and a wrapper of it (a fault injector) sees
+// every RA endpoint of both stacks.
 type Transport interface {
 	// Bind registers the receive handler for an endpoint name,
-	// replacing any previous handler.
+	// replacing any previous handler of either form. A nil handler, to
+	// Bind or BindFrames, is an error.
 	Bind(name string, h Handler) error
-	// Unbind removes an endpoint's handler; later deliveries to the
-	// name are dropped (and the handler reference released).
+	// BindFrames is Bind for a handler that takes the view form. Only
+	// Net has receive buffers to alias; Sim and Local wrap each Msg
+	// with FrameOfMsg.
+	BindFrames(name string, h FrameHandler) error
+	// Unbind removes an endpoint's handler, whichever form it was bound
+	// in; later deliveries to the name are dropped (and the handler
+	// reference released).
 	Unbind(name string)
 	// Send queues m for delivery to m.To. Delivery is asynchronous and
 	// datagram-shaped: messages may be lost (Sim loss model, real UDP)
 	// unless a nonzero ReqID lets the transport retry, and distinct
 	// messages may be reordered.
 	Send(m Msg) error
+	// SendBatch has Send's semantics per message (IDs assigned,
+	// reliable retry, per-message routing), for a caller that has a
+	// whole burst in hand: Net packs messages bound for one destination
+	// into shared datagrams; Sim and Local, with no datagram cost to
+	// amortize, send each in turn.
+	SendBatch(ms []Msg) error
 	// Close releases the transport. Net drains in-flight retried sends
 	// first (graceful drain); Sim is a no-op.
 	Close() error

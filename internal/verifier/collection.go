@@ -37,7 +37,7 @@ func (v *Verifier) ValidateCollection(prover string, reports []*core.Report, pol
 	f := v.freshnessOf(prover)
 	var prev *core.Report
 	for _, r := range reports {
-		v.nonce = AppendErasmusNonce(v.nonce[:0], v.PermKey, r.Counter)
+		v.nonce = core.AppendErasmusNonce(v.nonce[:0], v.PermKey, r.Counter)
 		var prevCtr uint64
 		if prev != nil {
 			prevCtr = prev.Counter

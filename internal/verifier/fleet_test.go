@@ -10,15 +10,16 @@ import (
 	"saferatt/internal/costmodel"
 	"saferatt/internal/device"
 	"saferatt/internal/mem"
+	"saferatt/internal/prover"
 	"saferatt/internal/sim"
 	"saferatt/internal/suite"
+	"saferatt/internal/transport"
 )
 
 // fleetWorld builds N identical provers (same golden image, same shared
 // key — a fleet of identical sensors) behind one verifier.
 type fleetWorld struct {
 	k    *sim.Kernel
-	link *channel.Link
 	v    *Verifier
 	devs []*device.Device
 }
@@ -27,7 +28,7 @@ func newFleetWorld(t *testing.T, n int, linkCfg channel.Config) *fleetWorld {
 	t.Helper()
 	k := sim.NewKernel()
 	linkCfg.Kernel = k
-	link := channel.New(linkCfg)
+	tr := transport.NewSim(channel.New(linkCfg))
 	key := []byte("fleet-shared-attestation-key!!!!")
 	opts := core.Preset(core.SMART, suite.SHA256)
 
@@ -41,13 +42,13 @@ func newFleetWorld(t *testing.T, n int, linkCfg channel.Config) *fleetWorld {
 			golden = m.Snapshot()
 		}
 		name := "prv" + string(rune('A'+i))
-		if _, err := core.NewProver(name, dev, link, opts, 10); err != nil {
+		if _, err := prover.NewProver(name, dev, tr, opts, 10); err != nil {
 			t.Fatal(err)
 		}
 		devs = append(devs, dev)
 	}
 	v, err := New(Config{
-		Kernel: k, Link: link,
+		Kernel: k, Transport: tr,
 		Scheme:  suite.Scheme{Hash: suite.SHA256, Key: key},
 		PermKey: key,
 		Image:   ImageOf(golden, 256),
@@ -56,7 +57,7 @@ func newFleetWorld(t *testing.T, n int, linkCfg channel.Config) *fleetWorld {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &fleetWorld{k: k, link: link, v: v, devs: devs}
+	return &fleetWorld{k: k, v: v, devs: devs}
 }
 
 func TestFleetAllHealthy(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 
 	"saferatt/internal/channel"
 	"saferatt/internal/core"
+	"saferatt/internal/prover"
 	"saferatt/internal/suite"
 )
 
@@ -18,7 +19,7 @@ func TestVerifierPathMirroring(t *testing.T) {
 
 		// Clean round accepted.
 		w := newWorld(t, opts, channel.Config{})
-		if _, err := core.NewProver("prv", w.dev, w.link, opts, 10); err != nil {
+		if _, err := prover.NewProver("prv", w.dev, w.tr, opts, 10); err != nil {
 			t.Fatal(err)
 		}
 		w.v.Challenge("prv")
@@ -59,7 +60,7 @@ func TestVerifierIncrementalDataPolicies(t *testing.T) {
 	opts.Path = core.PathIncremental
 	opts.Data = core.DataRegion{Blocks: []int{9, 10}, Policy: core.DataZeroed}
 	w := newWorld(t, opts, channel.Config{})
-	if _, err := core.NewProver("prv", w.dev, w.link, opts, 10); err != nil {
+	if _, err := prover.NewProver("prv", w.dev, w.tr, opts, 10); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.m.Poke(9*256+5, 0x3C); err != nil {
@@ -75,7 +76,7 @@ func TestVerifierIncrementalDataPolicies(t *testing.T) {
 	opts2.Path = core.PathIncremental
 	opts2.Data = core.DataRegion{Blocks: []int{9}, Policy: core.DataReported}
 	w2 := newWorld(t, opts2, channel.Config{})
-	if _, err := core.NewProver("prv", w2.dev, w2.link, opts2, 10); err != nil {
+	if _, err := prover.NewProver("prv", w2.dev, w2.tr, opts2, 10); err != nil {
 		t.Fatal(err)
 	}
 	w2.v.Challenge("prv")

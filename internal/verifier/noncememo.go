@@ -3,9 +3,11 @@ package verifier
 import (
 	"sync"
 	"sync/atomic"
+
+	"saferatt/internal/core"
 )
 
-// NonceMemo memoises AppendErasmusNonce. The ERASMUS self-measurement
+// NonceMemo memoises core.AppendErasmusNonce. The ERASMUS self-measurement
 // nonce is a PRF of (K, counter) and a fleet shares K, so — like the
 // expected tag Batch caches — it is one value per counter for the whole
 // fleet, and a verifier ingesting that fleet's collections would
@@ -17,7 +19,7 @@ import (
 // mutex and evicts in insertion order past the bound.
 //
 // Two properties make it safe to put in front of Freshness.CheckErasmus.
-// A table value is only ever written by Admit from AppendErasmusNonce
+// A table value is only ever written by Admit from core.AppendErasmusNonce
 // itself, so a hit is byte-identical to what a miss would have derived:
 // the memo cannot change a verdict. And Nonce never inserts — the caller
 // admits a counter only after a report carrying it was accepted (nonce,
@@ -50,7 +52,7 @@ func NewNonceMemo(key []byte, keep int) *NonceMemo {
 	return m
 }
 
-// Nonce returns AppendErasmusNonce(dst[:0], key, ctr). On a hit the
+// Nonce returns core.AppendErasmusNonce(dst[:0], key, ctr). On a hit the
 // result is the memo's own copy — shared and read-only — and dst is
 // untouched; on a miss it is derived into dst, so a caller that keeps
 // the returned slice as its next dst allocates nothing either way.
@@ -58,7 +60,7 @@ func (m *NonceMemo) Nonce(dst []byte, ctr uint64) (nonce []byte, hit bool) {
 	if n, ok := m.tab.Load().nonces[ctr]; ok {
 		return n, true
 	}
-	return AppendErasmusNonce(dst[:0], m.key, ctr), false
+	return core.AppendErasmusNonce(dst[:0], m.key, ctr), false
 }
 
 // Admit publishes ctr's nonce to later Nonce calls. Call it for a
@@ -80,7 +82,7 @@ func (m *NonceMemo) Admit(ctr uint64) {
 		next.nonces[c] = n
 	}
 	next.order = append(next.order, old.order...)
-	next.nonces[ctr] = AppendErasmusNonce(nil, m.key, ctr)
+	next.nonces[ctr] = core.AppendErasmusNonce(nil, m.key, ctr)
 	next.order = append(next.order, ctr)
 	for len(next.order) > m.keep {
 		delete(next.nonces, next.order[0])

@@ -5,6 +5,8 @@ import (
 	"math/rand/v2"
 	"slices"
 	"testing"
+
+	"saferatt/internal/core"
 )
 
 // TestNonceMemoMatchesPRF is the memo's oracle: over seeded random
@@ -22,7 +24,7 @@ func TestNonceMemoMatchesPRF(t *testing.T) {
 	var scratch []byte
 	check := func(ctr uint64) {
 		t.Helper()
-		want := AppendErasmusNonce(nil, key, ctr)
+		want := core.AppendErasmusNonce(nil, key, ctr)
 		tail := admitted[max(0, len(admitted)-keep):]
 		got, hit := m.Nonce(scratch, ctr)
 		if !bytes.Equal(got, want) {

@@ -100,32 +100,14 @@ func TagReason(ok bool, err error) Reason {
 	return ReasonError
 }
 
-// PRF labels, held as byte slices so hot-path derivations write them
-// without a per-call string conversion. The device side spells the
-// first two in core/erasmus.go and core/seed.go.
-var (
-	labelErasmus   = []byte("erasmus-nonce")
-	labelSeedNonce = []byte("seed-nonce")
-	labelSeedFor   = []byte("rattd-seed:")
-)
+// labelSeedFor is held as a byte slice so the derivation writes it
+// without a per-call string conversion.
+var labelSeedFor = []byte("rattd-seed:")
 
 // ChallengeNonce derives the SMART challenge nonce for a verifier's
 // challenge counter; each stack passes its own label.
 func ChallengeNonce(key, label []byte, ctr uint64) []byte {
 	return core.AppendPRF(make([]byte, 0, 32), key, label, ctr)[:16]
-}
-
-// AppendErasmusNonce appends the nonce an ERASMUS self-measurement must
-// carry: binding it to the counter stops a compromised prover from
-// re-labeling one old honest measurement as many.
-func AppendErasmusNonce(dst, key []byte, ctr uint64) []byte {
-	return core.AppendPRF(dst, key, labelErasmus, ctr)
-}
-
-// AppendSeedNonce is AppendErasmusNonce for SeED, keyed by the prover's
-// schedule seed: one prover's key, so derived without a keyed pool.
-func AppendSeedNonce(dst, seed []byte, ctr uint64) []byte {
-	return core.AppendPRFOnce(dst, seed, labelSeedNonce, ctr)
 }
 
 // AppendSeedFor appends a networked prover's SeED schedule seed; daemon
@@ -171,7 +153,7 @@ type Freshness struct {
 }
 
 // CheckErasmus applies the cheap §3.3 rules to one report of a
-// collection: its nonce is want (AppendErasmusNonce of its counter),
+// collection: its nonce is want (core.AppendErasmusNonce of its counter),
 // the counter was not accepted before, and — unless the report is the
 // first of its bundle — it is above prev, the counter of the report
 // before it.
@@ -197,7 +179,7 @@ func (f *Freshness) CommitErasmus(ctr uint64) Reason {
 }
 
 // CheckSeed applies the cheap rules to one SeED report: nonce bound to
-// the prover's seed and counter (want is AppendSeedNonce), counter above
+// the prover's seed and counter (want is core.AppendSeedNonce), counter above
 // the watermark.
 func (f *Freshness) CheckSeed(r *core.Report, want []byte) Reason {
 	switch {

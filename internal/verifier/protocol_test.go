@@ -6,6 +6,7 @@ import (
 
 	"saferatt/internal/channel"
 	"saferatt/internal/core"
+	"saferatt/internal/prover"
 	"saferatt/internal/suite"
 )
 
@@ -87,7 +88,7 @@ func TestVerifierImageMovesForward(t *testing.T) {
 	opts := core.Preset(core.SMART, suite.SHA256)
 	opts.Path = core.PathIncremental
 	w := newWorld(t, opts, channel.Config{})
-	if _, err := core.NewProver("prv", w.dev, w.link, opts, 10); err != nil {
+	if _, err := prover.NewProver("prv", w.dev, w.tr, opts, 10); err != nil {
 		t.Fatal(err)
 	}
 	attest := func() bool {

@@ -81,7 +81,7 @@ func (v *Verifier) HandleSeedReports(prover string, reports []*core.Report) {
 	}
 	f := v.freshnessOf(prover)
 	for _, r := range reports {
-		v.nonce = AppendSeedNonce(v.nonce[:0], seed, r.Counter)
+		v.nonce = core.AppendSeedNonce(v.nonce[:0], seed, r.Counter)
 		why := f.CheckSeed(r, v.nonce)
 		var err error
 		if why == ReasonOK {

@@ -8,11 +8,11 @@ package verifier
 import (
 	"fmt"
 
-	"saferatt/internal/channel"
 	"saferatt/internal/core"
 	"saferatt/internal/sim"
 	"saferatt/internal/suite"
 	"saferatt/internal/trace"
+	"saferatt/internal/transport"
 )
 
 // Result records one verification decision.
@@ -35,20 +35,12 @@ type Counts struct {
 	Missing  int // expected-but-absent reports (SeED watchdog)
 }
 
-// Port is the minimal send surface the verifier needs: fire one
-// protocol message toward a named endpoint. *channel.Link satisfies it
-// directly; transport-backed ports adapt typed messages (see Attach).
-type Port interface {
-	Send(from, to, kind string, payload any)
-}
-
 // Verifier is Vrf.
 type Verifier struct {
 	Name   string
 	Kernel *sim.Kernel
-	Link   *channel.Link
-	// port carries outbound protocol messages; defaults to Link.
-	port Port
+	// tr carries the verifier's protocol messages both ways.
+	tr transport.Transport
 	// Scheme mirrors the prover's tagging scheme; in MAC mode Key is
 	// the shared attestation key.
 	Scheme suite.Scheme
@@ -79,23 +71,20 @@ type Verifier struct {
 
 // Config assembles a Verifier.
 type Config struct {
-	Name   string // defaults to "verifier"
-	Kernel *sim.Kernel
-	Link   *channel.Link
-	// Port carries outbound messages when no Link is given (a
-	// transport-agnostic verifier); ignored when Link is set.
-	Port    Port
-	Scheme  suite.Scheme
-	PermKey []byte
-	Image   Image
-	Opts    core.Options
-	Trace   *trace.Log
+	Name      string // defaults to "verifier"
+	Kernel    *sim.Kernel
+	Transport transport.Transport
+	Scheme    suite.Scheme
+	PermKey   []byte
+	Image     Image
+	Opts      core.Options
+	Trace     *trace.Log
 }
 
-// New builds a Verifier and connects it to the link (or Port).
+// New builds a Verifier and binds it to the transport under its name.
 func New(cfg Config) (*Verifier, error) {
-	if cfg.Kernel == nil || (cfg.Link == nil && cfg.Port == nil) {
-		return nil, fmt.Errorf("verifier: Kernel and Link (or Port) are required")
+	if cfg.Kernel == nil || cfg.Transport == nil {
+		return nil, fmt.Errorf("verifier: Kernel and Transport are required")
 	}
 	if err := cfg.Scheme.Validate(); err != nil {
 		return nil, fmt.Errorf("verifier: %w", err)
@@ -108,17 +97,33 @@ func New(cfg Config) (*Verifier, error) {
 		name = "verifier"
 	}
 	v := &Verifier{
-		Name: name, Kernel: cfg.Kernel, Link: cfg.Link, port: cfg.Port,
+		Name: name, Kernel: cfg.Kernel, tr: cfg.Transport,
 		Scheme: cfg.Scheme, PermKey: cfg.PermKey, Image: cfg.Image,
 		Opts: cfg.Opts, Trace: cfg.Trace,
 		pending: map[string]Challenge{},
 		fresh:   map[string]*Freshness{},
 	}
-	if cfg.Link != nil {
-		v.port = cfg.Link
-		cfg.Link.Connect(name, v.onMessage)
+	if err := cfg.Transport.Bind(name, v.onMsg); err != nil {
+		return nil, fmt.Errorf("verifier: %w", err)
 	}
 	return v, nil
+}
+
+func (v *Verifier) onMsg(m transport.Msg) {
+	switch m.Kind {
+	case transport.KindReport:
+		v.HandleReports(m.From, m.Reports)
+	case transport.KindCollection:
+		v.HandleCollection(m.From, m.Reports)
+	case transport.KindSeedReport:
+		v.HandleSeedReports(m.From, m.Reports)
+	}
+}
+
+// send has datagram semantics: a request that cannot leave is a lost
+// request, which shows as the missing response.
+func (v *Verifier) send(to string, kind transport.Kind, nonce []byte) {
+	_ = v.tr.Send(transport.Msg{From: v.Name, To: to, Kind: kind, Nonce: nonce})
 }
 
 // Challenge sends a fresh-nonce attestation request to a prover
@@ -130,40 +135,24 @@ func (v *Verifier) Challenge(prover string) []byte {
 	nonce := ChallengeNonce(v.PermKey, labelChallenge, v.nonceCtr)
 	v.pending[prover] = nonce
 	v.Trace.Add(v.Kernel.Now(), trace.KindRequestSent, v.Name, "to "+prover)
-	v.port.Send(v.Name, prover, core.MsgChallenge, nonce)
+	v.send(prover, transport.KindChallenge, nonce)
 	return nonce
 }
 
 // Release asks a prover to drop extended locks (defines t_r).
 func (v *Verifier) Release(prover string) {
-	v.port.Send(v.Name, prover, core.MsgRelease, nil)
+	v.send(prover, transport.KindRelease, nil)
 }
 
 // Collect requests an ERASMUS prover's stored measurement history.
 func (v *Verifier) Collect(prover string) {
-	v.port.Send(v.Name, prover, core.MsgCollect, nil)
+	v.send(prover, transport.KindCollect, nil)
 }
 
 var labelChallenge = []byte("challenge")
 
-func (v *Verifier) onMessage(m channel.Message) {
-	reports, ok := m.Payload.([]*core.Report)
-	if !ok {
-		return
-	}
-	switch m.Kind {
-	case core.MsgReport:
-		v.HandleReports(m.From, reports)
-	case core.MsgCollection:
-		v.HandleCollection(m.From, reports)
-	case core.MsgSeedReport:
-		v.HandleSeedReports(m.From, reports)
-	}
-}
-
 // HandleReports validates a challenge response: every round's report
-// must carry the outstanding nonce and a correct tag. It is the
-// transport-agnostic entry point behind the "report" message kind.
+// must carry the outstanding nonce and a correct tag.
 func (v *Verifier) HandleReports(prover string, reports []*core.Report) {
 	v.Trace.Add(v.Kernel.Now(), trace.KindReportReceived, v.Name, "from "+prover)
 	c := v.pending[prover]

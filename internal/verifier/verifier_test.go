@@ -9,9 +9,11 @@ import (
 	"saferatt/internal/costmodel"
 	"saferatt/internal/device"
 	"saferatt/internal/mem"
+	"saferatt/internal/prover"
 	"saferatt/internal/sim"
 	"saferatt/internal/suite"
 	"saferatt/internal/trace"
+	"saferatt/internal/transport"
 )
 
 // world is a full verifier+link+prover-device fixture.
@@ -20,6 +22,7 @@ type world struct {
 	m    *mem.Memory
 	dev  *device.Device
 	link *channel.Link
+	tr   *transport.Sim
 	v    *Verifier
 }
 
@@ -31,8 +34,9 @@ func newWorld(t *testing.T, opts core.Options, linkCfg channel.Config) *world {
 	dev := device.New(device.Config{Kernel: k, Mem: m, Profile: costmodel.ODROIDXU4(), Trace: &trace.Log{}})
 	linkCfg.Kernel = k
 	link := channel.New(linkCfg)
+	tr := transport.NewSim(link)
 	v, err := New(Config{
-		Kernel: k, Link: link,
+		Kernel: k, Transport: tr,
 		Scheme:  suite.Scheme{Hash: opts.Hash, Key: dev.AttestationKey},
 		PermKey: dev.AttestationKey,
 		Image:   ImageOf(m.Snapshot(), m.BlockSize()),
@@ -42,21 +46,21 @@ func newWorld(t *testing.T, opts core.Options, linkCfg channel.Config) *world {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &world{k: k, m: m, dev: dev, link: link, v: v}
+	return &world{k: k, m: m, dev: dev, link: link, tr: tr, v: v}
 }
 
 func TestConfigValidation(t *testing.T) {
 	k := sim.NewKernel()
-	link := channel.New(channel.Config{Kernel: k})
-	good := Config{Kernel: k, Link: link, Scheme: suite.Scheme{Hash: suite.SHA256, Key: []byte("k")}, Image: ImageOf([]byte{1}, 1)}
+	tr := transport.NewSim(channel.New(channel.Config{Kernel: k}))
+	good := Config{Kernel: k, Transport: tr, Scheme: suite.Scheme{Hash: suite.SHA256, Key: []byte("k")}, Image: ImageOf([]byte{1}, 1)}
 	if _, err := New(good); err != nil {
 		t.Fatalf("good config rejected: %v", err)
 	}
 	for _, bad := range []Config{
-		{Link: link, Scheme: good.Scheme, Image: good.Image},
+		{Transport: tr, Scheme: good.Scheme, Image: good.Image},
 		{Kernel: k, Scheme: good.Scheme, Image: good.Image},
-		{Kernel: k, Link: link, Image: good.Image},
-		{Kernel: k, Link: link, Scheme: good.Scheme},
+		{Kernel: k, Transport: tr, Image: good.Image},
+		{Kernel: k, Transport: tr, Scheme: good.Scheme},
 	} {
 		if _, err := New(bad); err == nil {
 			t.Errorf("bad config accepted: %+v", bad)
@@ -67,7 +71,7 @@ func TestConfigValidation(t *testing.T) {
 func TestOnDemandRoundTripClean(t *testing.T) {
 	opts := core.Preset(core.SMART, suite.SHA256)
 	w := newWorld(t, opts, channel.Config{Latency: 5 * sim.Millisecond})
-	_, err := core.NewProver("prv", w.dev, w.link, opts, 10)
+	_, err := prover.NewProver("prv", w.dev, w.tr, opts, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +114,7 @@ func TestOnDemandRoundTripClean(t *testing.T) {
 func TestOnDemandDetectsTamperedMemory(t *testing.T) {
 	opts := core.Preset(core.SMART, suite.SHA256)
 	w := newWorld(t, opts, channel.Config{})
-	if _, err := core.NewProver("prv", w.dev, w.link, opts, 10); err != nil {
+	if _, err := prover.NewProver("prv", w.dev, w.tr, opts, 10); err != nil {
 		t.Fatal(err)
 	}
 	// Persistent malware: corrupt a block and never move.
@@ -133,10 +137,10 @@ func TestNonceMismatchRejected(t *testing.T) {
 	w := newWorld(t, opts, channel.Config{})
 	w.v.Challenge("prv")
 	// Forge a "report" with the wrong nonce from a fake prover.
-	w.link.Connect("prv", func(m channel.Message) {
-		if m.Kind == core.MsgChallenge {
+	w.tr.Bind("prv", func(m transport.Msg) {
+		if m.Kind == transport.KindChallenge {
 			rep := &core.Report{Nonce: []byte("stale"), Tag: []byte{1}, BlockSize: 256, NumBlocks: 16}
-			w.link.Send("prv", "verifier", core.MsgReport, []*core.Report{rep})
+			w.tr.Send(transport.Msg{From: "prv", To: "verifier", Kind: transport.KindReport, Reports: []*core.Report{rep}})
 		}
 	})
 	w.k.Run()
@@ -150,7 +154,7 @@ func TestUnsolicitedReportRejected(t *testing.T) {
 	opts := core.Preset(core.SMART, suite.SHA256)
 	w := newWorld(t, opts, channel.Config{})
 	rep := &core.Report{Nonce: []byte("x"), BlockSize: 256, NumBlocks: 16}
-	w.link.Send("prv", "verifier", core.MsgReport, []*core.Report{rep})
+	w.tr.Send(transport.Msg{From: "prv", To: "verifier", Kind: transport.KindReport, Reports: []*core.Report{rep}})
 	w.k.Run()
 	res, ok := w.v.LastResult()
 	if !ok || res.OK || res.Reason != "unsolicited report" {
@@ -171,7 +175,7 @@ func TestSMARMMultiRoundVerifies(t *testing.T) {
 	opts := core.Preset(core.SMARM, suite.SHA256)
 	opts.Rounds = 3
 	w := newWorld(t, opts, channel.Config{})
-	if _, err := core.NewProver("prv", w.dev, w.link, opts, 10); err != nil {
+	if _, err := prover.NewProver("prv", w.dev, w.tr, opts, 10); err != nil {
 		t.Fatal(err)
 	}
 	w.v.Challenge("prv")
@@ -185,7 +189,7 @@ func TestSMARMMultiRoundVerifies(t *testing.T) {
 func TestReleaseMessageReachesProver(t *testing.T) {
 	opts := core.Preset(core.AllLockExt, suite.SHA256)
 	w := newWorld(t, opts, channel.Config{Latency: sim.Millisecond})
-	p, err := core.NewProver("prv", w.dev, w.link, opts, 10)
+	p, err := prover.NewProver("prv", w.dev, w.tr, opts, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +214,7 @@ func TestReleaseMessageReachesProver(t *testing.T) {
 func TestErasmusCollectionValidation(t *testing.T) {
 	opts := core.Preset(core.NoLock, suite.SHA256)
 	w := newWorld(t, opts, channel.Config{Latency: sim.Millisecond})
-	e, err := core.NewErasmus("prv", w.dev, w.link, opts, sim.Second, 10)
+	e, err := prover.NewErasmus("prv", w.dev, w.tr, opts, sim.Second, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +233,7 @@ func TestErasmusCollectionValidation(t *testing.T) {
 func TestCollectionReplayAndCadence(t *testing.T) {
 	opts := core.Preset(core.NoLock, suite.SHA256)
 	w := newWorld(t, opts, channel.Config{})
-	e, _ := core.NewErasmus("prv", w.dev, nil, opts, sim.Second, 10)
+	e, _ := prover.NewErasmus("prv", w.dev, nil, opts, sim.Second, 10)
 	e.Start()
 	w.k.RunUntil(sim.Time(4 * sim.Second))
 	e.Stop()
@@ -264,7 +268,7 @@ func TestCollectionReplayAndCadence(t *testing.T) {
 func TestCollectionCadenceViolation(t *testing.T) {
 	opts := core.Preset(core.NoLock, suite.SHA256)
 	w := newWorld(t, opts, channel.Config{})
-	e, _ := core.NewErasmus("prv", w.dev, nil, opts, sim.Second, 10)
+	e, _ := prover.NewErasmus("prv", w.dev, nil, opts, sim.Second, 10)
 	e.Start()
 	w.k.RunUntil(sim.Time(3 * sim.Second))
 	e.Stop()
@@ -310,7 +314,7 @@ func TestSeEDMonitorAcceptsAndWatchdogs(t *testing.T) {
 	// Adversary drops the 2nd report.
 	drops := 0
 	adv := channel.AdversaryFunc(func(m channel.Message) channel.Verdict {
-		if m.Kind == core.MsgSeedReport {
+		if m.Kind == transport.KindSeedReport.String() {
 			drops++
 			if drops == 2 {
 				return channel.Drop
@@ -320,7 +324,7 @@ func TestSeEDMonitorAcceptsAndWatchdogs(t *testing.T) {
 	})
 	w := newWorld(t, opts, channel.Config{Adv: adv})
 	seed := []byte("shared")
-	p, err := core.NewSeED("prv", w.dev, w.link, opts, seed, sim.Second, 0, 10)
+	p, err := prover.NewSeED("prv", w.dev, w.tr, opts, seed, sim.Second, 0, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,16 +346,16 @@ func TestSeEDMonitorAcceptsAndWatchdogs(t *testing.T) {
 func TestSeEDReplayRejected(t *testing.T) {
 	opts := core.Preset(core.NoLock, suite.SHA256)
 	// Adversary records every report and replays the first one later.
-	var captured []channel.Message
-	adv := channel.AdversaryFunc(func(m channel.Message) channel.Verdict {
-		if m.Kind == core.MsgSeedReport && m.From == "prv" {
+	var captured []transport.Msg
+	adv := channel.AdversaryFunc(func(cm channel.Message) channel.Verdict {
+		if m, ok := transport.MsgOf(cm); ok && m.Kind == transport.KindSeedReport && m.From == "prv" {
 			captured = append(captured, m)
 		}
 		return channel.Deliver
 	})
 	w := newWorld(t, opts, channel.Config{Adv: adv})
 	seed := []byte("shared")
-	p, _ := core.NewSeED("prv", w.dev, w.link, opts, seed, sim.Second, 0, 10)
+	p, _ := prover.NewSeED("prv", w.dev, w.tr, opts, seed, sim.Second, 0, 10)
 	w.v.MonitorSeED("prv", seed, sim.Second, 0, 0, 5*sim.Second)
 	p.Start()
 	w.k.RunUntil(sim.Time(3500 * sim.Millisecond))
@@ -360,7 +364,7 @@ func TestSeEDReplayRejected(t *testing.T) {
 	if len(captured) == 0 {
 		t.Fatal("nothing captured")
 	}
-	w.link.Send("prv", "verifier", core.MsgSeedReport, captured[0].Payload)
+	w.tr.Send(captured[0])
 	w.k.RunUntil(sim.Time(4 * sim.Second))
 
 	if w.v.Counts().Replays == 0 {
@@ -375,13 +379,13 @@ func TestSignatureSchemeVerification(t *testing.T) {
 	m := mem.New(mem.Config{Size: 2048, BlockSize: 256, Clock: k.Now})
 	m.FillRandom(rand.New(rand.NewPCG(3, 3)))
 	dev := device.New(device.Config{Kernel: k, Mem: m, Profile: costmodel.ODROIDXU4()})
-	link := channel.New(channel.Config{Kernel: k})
+	tr := transport.NewSim(channel.New(channel.Config{Kernel: k}))
 	sg, err := suite.NewSigner(suite.ECDSA256)
 	if err != nil {
 		t.Fatal(err)
 	}
 	v, err := New(Config{
-		Kernel: k, Link: link,
+		Kernel: k, Transport: tr,
 		Scheme:  suite.Scheme{Hash: suite.SHA256, Signer: sg},
 		PermKey: dev.AttestationKey,
 		Image:   ImageOf(m.Snapshot(), m.BlockSize()),
@@ -390,7 +394,7 @@ func TestSignatureSchemeVerification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.NewProver("prv", dev, link, opts, 10); err != nil {
+	if _, err := prover.NewProver("prv", dev, tr, opts, 10); err != nil {
 		t.Fatal(err)
 	}
 	v.Challenge("prv")
@@ -407,7 +411,7 @@ func TestDataRegionEndToEnd(t *testing.T) {
 	opts := core.Preset(core.NoLock, suite.SHA256)
 	opts.Data = core.DataRegion{Blocks: []int{9, 10}, Policy: core.DataZeroed}
 	w := newWorld(t, opts, channel.Config{})
-	if _, err := core.NewProver("prv", w.dev, w.link, opts, 10); err != nil {
+	if _, err := prover.NewProver("prv", w.dev, w.tr, opts, 10); err != nil {
 		t.Fatal(err)
 	}
 	// Volatile data mutates before attestation — must not matter.
@@ -424,7 +428,7 @@ func TestDataRegionEndToEnd(t *testing.T) {
 	opts2 := core.Preset(core.NoLock, suite.SHA256)
 	opts2.Data = core.DataRegion{Blocks: []int{9}, Policy: core.DataReported}
 	w2 := newWorld(t, opts2, channel.Config{})
-	if _, err := core.NewProver("prv", w2.dev, w2.link, opts2, 10); err != nil {
+	if _, err := prover.NewProver("prv", w2.dev, w2.tr, opts2, 10); err != nil {
 		t.Fatal(err)
 	}
 	if err := w2.m.Poke(9*256+5, 0x3C); err != nil {

@@ -44,6 +44,7 @@ import (
 	"saferatt/internal/experiments"
 	"saferatt/internal/malware"
 	"saferatt/internal/mem"
+	"saferatt/internal/prover"
 	"saferatt/internal/qoa"
 	"saferatt/internal/rattd"
 	"saferatt/internal/safety"
@@ -110,17 +111,19 @@ const (
 )
 
 // Scenario is a ready-to-run single-prover world: a simulated device
-// with a golden memory image, a network link, and a verifier.
+// with a golden memory image, a network link with the transport the
+// prover and verifier speak over it, and a verifier.
 type Scenario struct {
-	Kernel   *sim.Kernel
-	Device   *device.Device
-	Memory   *mem.Memory
-	Link     *channel.Link
-	Verifier *verifier.Verifier
-	Trace    *trace.Log
-	Opts     Options
+	Kernel    *sim.Kernel
+	Device    *device.Device
+	Memory    *mem.Memory
+	Link      *channel.Link
+	Transport *transport.Sim
+	Verifier  *verifier.Verifier
+	Trace     *trace.Log
+	Opts      Options
 
-	prover *core.Prover
+	prover *prover.Prover
 }
 
 // ScenarioConfig configures NewScenario. Zero values give a 4 KiB
@@ -161,12 +164,12 @@ func NewScenario(cfg ScenarioConfig) *Scenario {
 	if cfg.Mechanism == HYDRA {
 		prio = 1000
 	}
-	p, err := core.NewProver("prv", w.Dev, w.Link, opts, prio)
+	p, err := prover.NewProver("prv", w.Dev, w.Tr, opts, prio)
 	if err != nil {
 		panic("saferatt: " + err.Error())
 	}
 	return &Scenario{
-		Kernel: w.K, Device: w.Dev, Memory: w.Mem, Link: w.Link,
+		Kernel: w.K, Device: w.Dev, Memory: w.Mem, Link: w.Link, Transport: w.Tr,
 		Verifier: w.Ver, Trace: w.Log, Opts: opts, prover: p,
 	}
 }
@@ -289,8 +292,7 @@ func Listen(cfg NetConfig) (*transport.Net, error) { return transport.Listen(cfg
 // Dial opens a UDP transport whose unrouted sends default to addr.
 func Dial(addr string, cfg NetConfig) (*transport.Net, error) { return transport.Dial(addr, cfg) }
 
-// NewSimTransport wraps a simulated link in the Transport interface;
-// traffic is bit-identical to driving the link directly.
+// NewSimTransport wraps a simulated link in the Transport interface.
 func NewSimTransport(link *channel.Link) *transport.Sim { return transport.NewSim(link) }
 
 // Serve starts a verifier daemon on tr — SMART challenge/response,

@@ -13,11 +13,20 @@ import (
 
 // BenchmarkServer_VerifySteady prices the steady-state ERASMUS verify
 // path — fleet provers reporting the current counter, nonce and
-// expected tag already memoised: one nonce-memo probe, one window probe,
-// one tag-cache probe and MAC compare, one window commit (plus one PRF
-// and one tag computation per counter, fleet-wide). The CI gate asserts
-// 0 allocs/op here.
-func BenchmarkServer_VerifySteady(b *testing.B) {
+// expected tag already memoised: two stripe visits and one verdict a
+// bundle; one nonce-memo probe, one window probe, one tag-cache probe
+// and MAC compare, one window commit a report (plus one PRF and one tag
+// computation per counter, fleet-wide). The CI gate asserts 0 allocs/op
+// here.
+func BenchmarkServer_VerifySteady(b *testing.B) { benchVerifySteady(b, 1) }
+
+// BenchmarkServer_VerifySteadyDepth4 is the same path at the history
+// depth the benchmark's fleets send (bench/: four reports a bundle), so
+// ns/op is per bundle of four. Held to 0 allocs/op beside the 1-deep
+// one.
+func BenchmarkServer_VerifySteadyDepth4(b *testing.B) { benchVerifySteady(b, 4) }
+
+func benchVerifySteady(b *testing.B, depth int) {
 	const fleet = 4096
 	s := localServer(b, Config{Stripes: 8})
 	image := GoldenImage(7, testMem, testBlock)
@@ -34,36 +43,31 @@ func BenchmarkServer_VerifySteady(b *testing.B) {
 	}
 	// The fleet shares one key, so every prover's report for a given
 	// counter is byte-identical except replay state: enroll everyone at
-	// counter 1, then bump each measured report's counter past anything
-	// seen so every iteration takes the accept path.
+	// counter 1, then hand the whole fleet one bundle a round, its
+	// counters past anything seen, so every iteration takes the accept
+	// path.
 	for i := range names {
 		s.Ingest(names[i], transport.KindCollection, base[i:i+1])
 	}
-	reports := make(map[uint64][]core.Report) // counter -> one-report bundle
-	bundleFor := func(ctr uint64) []core.Report {
-		if r, ok := reports[ctr]; ok {
-			return r
-		}
-		p, err := NewProver("tmpl", DefaultKey, image, testBlock)
-		if err != nil {
-			b.Fatal(err)
-		}
-		r := []core.Report{selfMeasure(b, p, ctr)}
-		reports[ctr] = r
-		return r
+	p, err := NewProver("tmpl", DefaultKey, image, testBlock)
+	if err != nil {
+		b.Fatal(err)
 	}
-	for ctr := uint64(2); ctr < 2+uint64((b.N+len(names)-1)/len(names))+1; ctr++ {
-		bundleFor(ctr) // pre-build outside the timed loop
+	reports := make(map[uint64][]core.Report) // round -> one bundle, depth counters from 2+(round-2)*depth
+	for round := uint64(2); round < 2+uint64((b.N+len(names)-1)/len(names))+1; round++ {
+		for i := 0; i < depth; i++ { // pre-built outside the timed loop
+			reports[round] = append(reports[round], selfMeasure(b, p, 2+(round-2)*uint64(depth)+uint64(i)))
+		}
 	}
 
 	b.ReportAllocs()
 	b.ResetTimer()
-	ctr, idx := uint64(2), 0
+	round, idx := uint64(2), 0
 	for i := 0; i < b.N; i++ {
-		s.Ingest(names[idx], transport.KindCollection, reports[ctr])
+		s.Ingest(names[idx], transport.KindCollection, reports[round])
 		idx++
 		if idx == len(names) {
-			idx, ctr = 0, ctr+1
+			idx, round = 0, round+1
 		}
 	}
 	b.StopTimer()
@@ -179,8 +183,9 @@ func BenchmarkServer_ConcurrentIngest(b *testing.B) {
 // accept path through a four-class image registry: every bundle
 // arrives under its class's wire image id, so each ingest parses the
 // id, checks the binding and resolves the named image before the
-// batch-cached verify. The CI gate pins this at 0 allocs/op and
-// within 1.15x of BenchmarkServer_VerifySteady.
+// batch-cached verify. The CI gate pins this at 0 allocs/op;
+// TestServerVerifyMultiImageOverhead bounds what it costs over
+// BenchmarkServer_VerifySteady.
 func BenchmarkServer_VerifySteadyMultiImage(b *testing.B) {
 	const fleet = 4096
 	classes := []string{"sensor", "actuator", "gateway", "camera"}

@@ -428,12 +428,30 @@ func interleavedRatio(from, to int, base, arm func(round int)) (ratio float64, b
 }
 
 // TestServerVerifyMultiImageOverhead gates the heterogeneous-fleet
-// verify cost: routing every bundle through the registry by wire
-// image id must stay within 1.15x of the single-image steady path.
+// verify cost: what routing every bundle through the registry by wire
+// image id adds to a report — four expected tags a round against one,
+// a registry probe a bundle — must stay within the budget the gate was
+// set with, 0.15 of the single-image steady path as it then stood.
 // The two arms are measured round-by-round interleaved, so clock
 // drift and GC weather hit both equally — a cross-benchmark median
 // comparison would confound the ratio with run ordering.
+//
+// The budget is held in the nanoseconds it was set in, not as a ratio
+// to whatever the single arm costs today: judging a bundle as one unit
+// took a quarter off the single-image report and nothing off the named
+// arm's extra, so 1.15x of the new denominator would have been a
+// tighter gate on an unchanged cost (lone runs crossed it 4 times in 20
+// with the extra smaller than before; CHANGES.md, PR 19). The single arm
+// the budget refers to is singleArmAtGate times this run's, which keeps
+// the test free of a host's clock.
 func TestServerVerifyMultiImageOverhead(t *testing.T) {
+	// BenchmarkServer_VerifySteady before bundles were judged as one
+	// unit over the same benchmark since, -cpu 1, alternating runs
+	// (CHANGES.md, PR 19). A later change that speeds the single-image
+	// path up again without touching the named arm's extra restates
+	// this the same way.
+	const singleArmAtGate = 1.31
+
 	if raceEnabled {
 		t.Skip("race instrumentation distorts timing; the gate runs in the non-race suite")
 	}
@@ -526,7 +544,9 @@ func TestServerVerifyMultiImageOverhead(t *testing.T) {
 	ops := int64(fleet * rounds)
 	t.Logf("single %.0f ns/report, multi-image %.0f ns/report (median round %.3fx)",
 		float64(sNS)/float64(ops), float64(mNS)/float64(ops), ratio)
-	if ratio > 1.15 {
-		t.Fatalf("multi-image verify is %.3fx the single-image path, budget 1.15x", ratio)
+	singleNS := float64(sNS) / float64(ops)
+	extra, budget := (ratio-1)*singleNS, 0.15*singleArmAtGate*singleNS
+	if extra > budget {
+		t.Fatalf("a named image adds %.0f ns/report (median round %.3fx of %.0f ns), budget %.0f", extra, ratio, singleNS, budget)
 	}
 }

@@ -20,13 +20,21 @@
 // mutex: per-prover freshness state (outstanding challenges, ERASMUS
 // dedup windows, SeED watermarks) is partitioned across lock stripes
 // keyed by prover-name hash, so handlers for different provers never
-// contend; all crypto — nonce derivation (memoised per counter where
-// the fleet shares it, pooled MAC state otherwise), tag verification
-// through the read-mostly expected-tag cache — runs outside every
-// stripe lock; and outcome counters are atomics. A stripe lock is held
-// only for map touches measured in nanoseconds, which is what lets a
-// shard's throughput scale with the cores the transport already fans
-// out to.
+// contend. The unit of work is the bundle: a handler visits its
+// prover's stripe once to snapshot (bind the image, enrol, copy the
+// prover's verifier.Freshness out), judges every report against that
+// copy under no lock — all crypto runs here: nonce derivation (memoised
+// per counter where the fleet shares it, pooled MAC state otherwise),
+// one image resolution, tag verification through the read-mostly
+// expected-tag cache — and visits the stripe a second time to commit
+// what came out clean. The commit re-checks, which is what makes the
+// copy sound: freshness state only grows, so a racing bundle can only
+// turn a clean report into a replay, and the re-check finds exactly
+// that (see the comment above handleCollection). Outcome counters are
+// atomics, added to once a bundle. A stripe lock is held only for map
+// touches and window updates measured in nanoseconds, which is what
+// lets a shard's throughput scale with the cores the transport already
+// fans out to.
 package rattd
 
 import (
@@ -444,9 +452,7 @@ func (s *Server) IngestImage(from string, kind transport.Kind, image string, rep
 // accepted+rejected == reports invariant) and answers the verdict the
 // kind calls for.
 func (s *Server) rejectBundle(from string, kind transport.Kind, n int, why verifier.Reason) {
-	for i := 0; i < n; i++ {
-		s.count(why)
-	}
+	s.count(why, n)
 	switch kind {
 	case transport.KindReport, transport.KindCollection:
 		s.verdict(from, "bundle", n, why, nil)
@@ -459,11 +465,10 @@ func (s *Server) rejectBundle(from string, kind transport.Kind, n int, why verif
 // later bundles may omit the name, and a conflicting name rejects.
 // The default image's own name normalizes to "" so homogeneous fleets
 // store no binding at all. When create is false a missing record
-// leaves the binding unstored — the SMART report path does not enroll.
-// Returns the effective name and false on a binding mismatch.
-func (s *Server) bindImage(st *stripe, from, name string, create bool) (string, bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
+// leaves the binding unstored — the SMART and SeED paths do not enroll
+// here. Returns the effective name and false on a binding mismatch.
+// Caller holds st.mu.
+func (st *stripe) bindImage(s *Server, from, name string, create bool) (string, bool) {
 	rec := st.provers[from]
 	bound := ""
 	if rec != nil {
@@ -540,36 +545,37 @@ func (st *stripe) putPending(name string, nonce []byte) {
 }
 
 // takePending consumes a prover's outstanding challenge (nil: none).
+// Caller holds st.mu.
 func (st *stripe) takePending(name string) verifier.Challenge {
-	st.mu.Lock()
 	p := st.pending[name]
 	delete(st.pending, name)
-	st.mu.Unlock()
 	return p.nonce
 }
 
 // handleReport validates a challenge response and answers with a
-// verdict. The pending lookup and binding check are the only stripe
-// touches; nonce comparison and tag verification run off-lock. The
+// verdict. One stripe visit checks the binding and consumes the pending
+// challenge; nonce comparison and tag verification run off-lock. The
 // challenge is consumed here, so its nonce cannot recur and the tag is
 // verified without being cached.
 func (s *Server) handleReport(from string, id verifier.ImageID, reports []core.Report) {
 	st := s.stripeFor(from)
-	name, bound := s.bindImage(st, from, id.Name, false)
+	st.mu.Lock()
+	name, bound := st.bindImage(s, from, id.Name, false)
 	nonce := st.takePending(from)
+	st.mu.Unlock()
 	why := verifier.ReasonImageMismatch
 	var err error
 	if bound {
 		why = nonce.Open(len(reports))
 	}
-	eff := verifier.ImageID{Name: name, Version: id.Version}
+	tags := bundleTags{s: s, id: verifier.ImageID{Name: name, Version: id.Version}}
 	for i := 0; i < len(reports) && why == verifier.ReasonOK; i++ {
 		r := &reports[i]
 		if why = nonce.Check(r); why == verifier.ReasonOK {
-			why, err = s.verify(r, eff, false)
+			why, err = tags.verify(r)
 		}
 	}
-	s.count(why)
+	s.count(why, 1)
 	s.verdict(from, "report", len(reports), why, err)
 }
 
@@ -582,177 +588,315 @@ func (s *Server) verdict(from, what string, n int, why verifier.Reason, err erro
 	s.tr.Send(transport.Msg{From: s.cfg.Name, To: from, Kind: transport.KindVerdict, OK: ok, Reason: reason})
 }
 
-// ingestScratch holds the reusable derivation buffers of one bundle's
-// ingest: pooled so the steady-state verify path allocates nothing.
+// ingestScratch holds the reusable buffers of one bundle's ingest:
+// pooled so the steady-state verify path allocates nothing.
 type ingestScratch struct {
-	nonce []byte // PRF output
-	seed  []byte // derived SeED schedule seed
-	name  []byte // prover name bytes (string→[]byte staging)
+	nonce []byte            // PRF output
+	seed  []byte            // derived SeED schedule seed
+	name  []byte            // prover name bytes (string→[]byte staging)
+	why   []verifier.Reason // the bundle's verdicts, one per report
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(ingestScratch) }}
 
+// A collection or SeED bundle is judged as one unit, in three steps
+// that visit the prover's stripe twice:
+//
+//	snapshot  (locked)   bind the image, enrol, copy the 48-byte
+//	                     verifier.Freshness out
+//	judge     (no lock)  every report against the copy, with the core's
+//	                     rules in the core's order: check, tag, commit
+//	                     on the copy — so a duplicate or an out-of-order
+//	                     counter inside the bundle meets the state the
+//	                     reports before it left
+//	commit    (locked)   replay the commit on the real record for the
+//	                     reports that came out clean, mark dirty once
+//
+// Judging a copy is sound because the commit re-checks: Freshness only
+// ever grows (a window bit is never cleared while its counter is inside
+// the window, the SeED watermark never falls), so whatever a racing
+// bundle committed since the snapshot can only turn a clean report into
+// a replay, and CommitErasmus / CommitSeed on the real record catches
+// exactly that. Of two racing bundles exactly one wins each counter.
+// Every PRF, tag computation and registry lookup happens in the judge
+// step, outside the lock.
+
 // handleCollection validates an ERASMUS measurement history under the
 // core's §3.3 rules (Freshness.CheckErasmus / CommitErasmus). Each
 // offending report is rejected exactly once; the verdict covers the
-// whole bundle. The stripe lock is taken for the cheap check and (after
-// an off-lock tag verification) the commit, which re-checks the window
-// so two racing bundles for one prover cannot double-accept a counter.
-// The nonce and the expected tag depend only on (key, counter), which
-// the fleet shares, so both come from read-mostly memos; a counter
-// enters the nonce memo only once a report carrying it has committed.
+// whole bundle and carries its first failure in bundle order, whichever
+// step found it. The nonce and the expected tag depend only on (key,
+// counter), which the fleet shares, so both come from read-mostly memos;
+// a counter enters the nonce memo only once a report carrying it has
+// committed on the real record.
 func (s *Server) handleCollection(from string, id verifier.ImageID, reports []core.Report) {
+	sc := scratchPool.Get().(*ingestScratch)
+	s.collect(sc, from, id, reports)
+	scratchPool.Put(sc)
+}
+
+// collect is handleCollection on the caller's scratch: it returns the
+// verdict it sent and leaves each report's own in sc.why, unless the
+// binding refused the bundle whole.
+func (s *Server) collect(sc *ingestScratch, from string, id verifier.ImageID, reports []core.Report) verifier.Reason {
 	st := s.stripeFor(from)
-	// Binding before enrollment bookkeeping: a mismatched image claim
-	// rejects the whole bundle (every report counted) before any
-	// window state moves.
-	name, bound := s.bindImage(st, from, id.Name, true)
-	if !bound {
-		s.rejectBundle(from, transport.KindCollection, len(reports), verifier.ReasonImageMismatch)
-		return
-	}
-	eff := verifier.ImageID{Name: name, Version: id.Version}
-	first := verifier.ReasonOK // the bundle's first failure
-	var firstErr error
-	if len(reports) == 0 {
-		first = verifier.ReasonEmptyCollection
-	}
-	// Enrollment: the prover gets its window on first contact, so a
-	// restarted shard's checkpoint covers provers whose every report
-	// was rejected too (they are enrolled, just never clean). The
-	// record pointer is stable (heap value behind the stripe map), so
-	// it can be used under later lock acquisitions.
+
+	// Snapshot. Binding comes before enrollment bookkeeping: a
+	// mismatched image claim rejects the whole bundle (every report
+	// counted) before any window state moves. Then the prover gets its
+	// window on first contact, so a restarted shard's checkpoint covers
+	// provers whose every report was rejected too (they are enrolled,
+	// just never clean). The record pointer is stable (heap value behind
+	// the stripe map), so the commit visit reuses it.
 	st.mu.Lock()
+	name, bound := st.bindImage(s, from, id.Name, true)
+	if !bound {
+		st.mu.Unlock()
+		sc.why = sc.why[:0]
+		s.rejectBundle(from, transport.KindCollection, len(reports), verifier.ReasonImageMismatch)
+		return verifier.ReasonImageMismatch
+	}
 	rec := st.rec(s, from)
 	if !rec.hasWin {
 		rec.hasWin = true
 		st.markDirty(s, from, rec)
 	}
+	fresh := rec.fresh
 	st.mu.Unlock()
 
-	sc := scratchPool.Get().(*ingestScratch)
+	// Judge.
+	tags := bundleTags{s: s, id: verifier.ImageID{Name: name, Version: id.Version}, shared: true}
+	first, firstAt := verifier.ReasonOK, len(reports) // the bundle's first failure
+	var firstErr error
+	if len(reports) == 0 {
+		first = verifier.ReasonEmptyCollection
+	}
+	why := sc.why[:0]
+	var cnt bundleCounts
+	missed := false // some nonce was not in the memo
 	var prevCtr uint64
 	for i := range reports {
 		r := &reports[i]
 		want, memoised := s.nonces.Nonce(sc.nonce, r.Counter)
 		if !memoised {
-			sc.nonce = want // derived into the scratch: keep its backing array
+			sc.nonce, missed = want, true // derived into the scratch: keep its backing array
 		}
-		st.mu.Lock()
-		why := rec.fresh.CheckErasmus(r, want, i == 0, prevCtr)
-		st.mu.Unlock()
+		w := fresh.CheckErasmus(r, want, i == 0, prevCtr)
 		var err error
-		if why == verifier.ReasonOK {
-			if why, err = s.verify(r, eff, true); why == verifier.ReasonOK {
-				st.mu.Lock()
-				if why = rec.fresh.CommitErasmus(r.Counter); why == verifier.ReasonOK {
-					st.markDirty(s, from, rec)
-				}
-				st.mu.Unlock()
-				if why == verifier.ReasonOK && !memoised {
-					s.nonces.Admit(r.Counter)
+		if w == verifier.ReasonOK {
+			if w, err = tags.verify(r); w == verifier.ReasonOK {
+				w = fresh.CommitErasmus(r.Counter)
+			}
+		}
+		cnt.add(w, 1)
+		if w != verifier.ReasonOK && first == verifier.ReasonOK {
+			first, firstErr, firstAt = w, err, i
+		}
+		why = append(why, w)
+		prevCtr = r.Counter
+	}
+	sc.why = why
+
+	// Commit.
+	if cnt.accepted > 0 {
+		st.mu.Lock()
+		for i, w := range why {
+			if w != verifier.ReasonOK {
+				continue
+			}
+			if w = rec.fresh.CommitErasmus(reports[i].Counter); w != verifier.ReasonOK {
+				why[i] = w // a racing bundle took the counter
+				cnt.accepted--
+				cnt.add(w, 1)
+				if i < firstAt {
+					first, firstErr, firstAt = w, nil, i
 				}
 			}
 		}
-		s.count(why)
-		if first == verifier.ReasonOK {
-			first, firstErr = why, err
+		if cnt.accepted > 0 {
+			st.markDirty(s, from, rec)
 		}
-		prevCtr = r.Counter
+		st.mu.Unlock()
 	}
-	scratchPool.Put(sc)
+	s.tally(cnt)
+	// A bundle whose every nonce came from the memo has nothing to
+	// admit. Otherwise every committed counter is offered, in bundle
+	// order: Admit leaves one that is already there alone.
+	if missed && cnt.accepted > 0 {
+		for i, w := range why {
+			if w == verifier.ReasonOK {
+				s.nonces.Admit(reports[i].Counter)
+			}
+		}
+	}
 	s.verdict(from, "collection", len(reports), first, firstErr)
+	return first
 }
 
 // handleSeed ingests unsolicited SeED reports under the core's rules
 // (Freshness.CheckSeed / CommitSeed): nonce bound to the prover's
 // derived seed and counter, counters strictly above a per-prover
-// watermark. SeED is non-interactive, so no verdict is sent back. Seed
-// derivation and verification run off-lock; the commit re-checks under
-// the stripe lock. The nonce is per prover and, once accepted, at or
-// below the watermark for good, so the tag is verified without being
-// cached.
+// watermark. SeED is non-interactive, so no verdict is sent back. The
+// bundle takes the same snapshot → judge → commit shape as a
+// collection; a prover not yet enrolled is judged against the zero
+// record and enrolled by its first report to commit. The nonce is per
+// prover and, once accepted, at or below the watermark for good, so the
+// tag is verified without being cached.
 func (s *Server) handleSeed(from string, id verifier.ImageID, reports []core.Report) {
 	st := s.stripeFor(from)
-	// SeED bundles enroll on first accepted report (see the commit
-	// below), so the binding pass must not create the record; a first
+	// Snapshot. The binding pass must not create the record; a first
 	// named contact that never verifies clean still binds nothing.
-	name, bound := s.bindImage(st, from, id.Name, false)
+	var fresh verifier.Freshness
+	st.mu.Lock()
+	name, bound := st.bindImage(s, from, id.Name, false)
+	if rec := st.provers[from]; rec != nil {
+		fresh = rec.fresh
+	}
+	st.mu.Unlock()
 	if !bound {
 		s.rejectBundle(from, transport.KindSeedReport, len(reports), verifier.ReasonImageMismatch)
 		return
 	}
-	eff := verifier.ImageID{Name: name, Version: id.Version}
+
+	// Judge.
+	var errs []error // per report, kept for the decision log only
+	if s.cfg.Logf != nil {
+		errs = make([]error, len(reports))
+	}
+	tags := bundleTags{s: s, id: verifier.ImageID{Name: name, Version: id.Version}}
 	sc := scratchPool.Get().(*ingestScratch)
 	sc.name = append(sc.name[:0], from...)
 	sc.seed = verifier.AppendSeedFor(sc.seed[:0], s.cfg.Key, sc.name)
+	why := sc.why[:0]
+	var cnt bundleCounts
 	for i := range reports {
 		r := &reports[i]
 		sc.nonce = core.AppendSeedNonce(sc.nonce[:0], sc.seed, r.Counter)
-		// A prover not yet enrolled is judged against the zero record.
-		var fresh verifier.Freshness
-		st.mu.Lock()
-		if rec := st.provers[from]; rec != nil {
-			fresh = rec.fresh
-		}
-		st.mu.Unlock()
-		why := fresh.CheckSeed(r, sc.nonce)
-		var err error
-		if why == verifier.ReasonOK {
-			if why, err = s.verify(r, eff, false); why == verifier.ReasonOK {
-				st.mu.Lock()
-				rec := st.rec(s, from) // first contact: enrolls
-				if why = rec.fresh.CommitSeed(r.Counter); why == verifier.ReasonOK {
-					if rec.image == "" && name != "" {
-						rec.image = name // enrollment-time binding
-					}
-					rec.hasSeed = true
-					st.markDirty(s, from, rec)
-				}
-				st.mu.Unlock()
+		w := fresh.CheckSeed(r, sc.nonce)
+		if w == verifier.ReasonOK {
+			var err error
+			if w, err = tags.verify(r); w == verifier.ReasonOK {
+				w = fresh.CommitSeed(r.Counter)
+			}
+			if errs != nil {
+				errs[i] = err
 			}
 		}
-		s.count(why)
-		if s.cfg.Logf != nil {
-			s.cfg.Logf("seed-report %s ctr=%d: ok=%v %s", from, r.Counter, why == verifier.ReasonOK, why.Text(err))
+		cnt.add(w, 1)
+		why = append(why, w)
+	}
+
+	// Commit; the first report to get here enrolls the prover.
+	if cnt.accepted > 0 {
+		st.mu.Lock()
+		rec := st.rec(s, from)
+		for i, w := range why {
+			if w != verifier.ReasonOK {
+				continue
+			}
+			if w = rec.fresh.CommitSeed(reports[i].Counter); w != verifier.ReasonOK {
+				why[i] = w
+				cnt.accepted--
+				cnt.add(w, 1)
+			}
+		}
+		if cnt.accepted > 0 {
+			if rec.image == "" && name != "" {
+				rec.image = name // enrollment-time binding
+			}
+			rec.hasSeed = true
+			st.markDirty(s, from, rec)
+		}
+		st.mu.Unlock()
+	}
+	s.tally(cnt)
+	if errs != nil {
+		for i, w := range why {
+			s.cfg.Logf("seed-report %s ctr=%d: ok=%v %s", from, reports[i].Counter, w == verifier.ReasonOK, w.Text(errs[i]))
 		}
 	}
+	sc.why = why
 	scratchPool.Put(sc)
 }
 
-// verify checks one report's tag through the registry under the given
-// image id: by the batch fast path when the report's nonce is shared
-// across the fleet, computed and not cached when it is one-shot. Runs
-// under no lock: the registry table and every batch's expected-tag
-// cache are read-mostly concurrent. Image-policy failures map to their
-// distinct reasons — a stale-but-in-grace version verifies against the
-// pinned predecessor, a stale-past-grace version is ReasonStaleImage,
-// never a spurious pass.
-func (s *Server) verify(r *core.Report, id verifier.ImageID, shared bool) (verifier.Reason, error) {
+// bundleTags checks the tags of one bundle's reports. The image id is
+// resolved once, by the first report that gets as far as its tag, so a
+// bundle is judged against one registry generation and a bundle that
+// is refused on freshness alone never probes the registry. shared
+// says the reports' nonces are shared across the fleet (the batch fast
+// path: cached expected tags); one-shot nonces are computed and not
+// cached. Runs under no lock: the registry table and every batch's
+// expected-tag cache are read-mostly concurrent. Image-policy failures
+// map to their distinct reasons — a stale-but-in-grace version verifies
+// against the pinned predecessor, a stale-past-grace version is
+// ReasonStaleImage, never a spurious pass.
+type bundleTags struct {
+	s      *Server
+	id     verifier.ImageID
+	shared bool
+
+	resolved bool
+	batch    *verifier.Batch
+	err      error
+}
+
+func (t *bundleTags) verify(r *core.Report) (verifier.Reason, error) {
 	if r.RegionCount > 0 || r.Data != nil {
 		// Per-device regions and reported data blocks defeat the shared
 		// expected tag; the daemon serves uniform fleets.
 		return verifier.ReasonRegionUnserved, nil
 	}
+	if !t.resolved {
+		t.batch, t.err = t.s.images.BatchFor(t.id)
+		t.resolved = true
+	}
+	if t.err != nil {
+		return verifier.TagReason(false, t.err), t.err
+	}
 	var ok bool
 	var err error
-	if shared {
-		ok, err = s.images.Verify(s.cfg.Key, id, r, s.cfg.Shuffled)
+	if t.shared {
+		ok, err = t.batch.Verify(t.s.cfg.Key, r, t.s.cfg.Shuffled)
 	} else {
-		ok, err = s.images.VerifyOnce(s.cfg.Key, id, r, s.cfg.Shuffled)
+		ok, err = t.batch.VerifyOnce(t.s.cfg.Key, r, t.s.cfg.Shuffled)
 	}
 	return verifier.TagReason(ok, err), err
 }
 
-// count tallies one verdict.
-func (s *Server) count(why verifier.Reason) {
-	if why == verifier.ReasonOK {
-		s.cnt.accepted.Add(1)
-		return
+// bundleCounts is one bundle's share of Counts, summed on the handler's
+// stack and added to the shared atomics once.
+type bundleCounts struct{ accepted, rejected, replays uint64 }
+
+// add counts n reports that drew the verdict why.
+func (c *bundleCounts) add(why verifier.Reason, n int) {
+	switch {
+	case why == verifier.ReasonOK:
+		c.accepted += uint64(n)
+	case why.IsReplay():
+		c.replays += uint64(n)
+		fallthrough
+	default:
+		c.rejected += uint64(n)
 	}
-	s.cnt.rejected.Add(1)
-	if why.IsReplay() {
-		s.cnt.replays.Add(1)
+}
+
+// count tallies n reports that all drew the verdict why.
+func (s *Server) count(why verifier.Reason, n int) {
+	var c bundleCounts
+	c.add(why, n)
+	s.tally(c)
+}
+
+// tally adds a bundle's outcomes to the server's counters.
+func (s *Server) tally(c bundleCounts) {
+	if c.accepted != 0 {
+		s.cnt.accepted.Add(c.accepted)
+	}
+	if c.rejected != 0 {
+		s.cnt.rejected.Add(c.rejected)
+	}
+	if c.replays != 0 {
+		s.cnt.replays.Add(c.replays)
 	}
 }
 

@@ -233,9 +233,8 @@ func RunSelfFleet(cfg SelfFleetConfig) (*SelfFleetResult, error) {
 		// reads back a TC of them, so the counters being verified at any
 		// instant span TC/TM plus one either side. Every device measures
 		// the same image at the same cost, so when TM is too short they
-		// all skip the same ticks and the counters stay in step. Each
-		// miss clones the table (Batch.publish), O(TC/TM): level with a
-		// plain map up to E12's largest ratio (60), slower far past it.
+		// all skip the same ticks and the counters stay in step. A miss
+		// links one entry in (Batch.publish), whatever TC/TM is.
 		sh.batch.KeepEpochs = int(cfg.TC/cfg.TM) + 4
 		lo, hi := s*cfg.Devices/workers, (s+1)*cfg.Devices/workers
 		for i := lo; i < hi; i++ {

@@ -2,8 +2,8 @@ package verifier
 
 import (
 	"bytes"
-	"crypto/hmac"
 	"fmt"
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 
@@ -24,16 +24,15 @@ import (
 // blocks vary per device and are not batchable; callers route them to
 // the ordinary per-report path (see swarm.Collector.Judge).
 //
-// Expected tags are cached per nonce epoch, with the whole epoch→group
-// table held as an immutable value behind an atomic pointer: Verify is
+// Expected tags are cached per nonce epoch in a fifoTable: Verify is
 // safe for any number of concurrent callers, and the steady-state hit
 // path — the one a daemon's dispatch workers hammer — takes no lock
 // and performs no allocation. Inserts (one per new (epoch, group),
-// i.e. once per fleet-wide expected-tag computation) copy-on-write the
-// table under a writer mutex and publish it atomically; concurrent
-// misses on the same group may compute the tag redundantly, which is
-// harmless and rare. Eviction is insertion-ordered and bounded by
-// KeepEpochs (≤1 keeps the single-epoch behavior).
+// i.e. once per fleet-wide expected-tag computation) link one entry in
+// under a writer mutex, whatever the table holds; concurrent misses on
+// the same group may compute the tag redundantly, which is harmless
+// and rare. Eviction is insertion-ordered and bounded by KeepEpochs
+// (≤1 keeps the single-epoch behavior).
 //
 // A tag is worth a cache slot only if its nonce can recur. Verify
 // publishes, and is for nonces a fleet shares: ERASMUS collections
@@ -43,8 +42,8 @@ import (
 // one-shot — a SMART challenge is consumed by its response, a SeED
 // nonce is per prover and sits at or below the watermark once accepted
 // — and computes the same expected tag without looking in the cache or
-// inserting: an insert there would cost an O(KeepEpochs) table clone
-// and evict an epoch the fleet still shares.
+// inserting: an insert there would evict an epoch the fleet still
+// shares.
 type Batch struct {
 	// KeepEpochs bounds how many nonce epochs of expected tags stay
 	// cached at once. Zero or one keeps the single-epoch behavior.
@@ -54,20 +53,62 @@ type Batch struct {
 	hash suite.HashID
 	img  Image
 
-	cache atomic.Pointer[batchCache] // immutable epoch→group→tag table
-	key   atomic.Pointer[keyMemo]    // []byte→string memo of the fleet key
-	mu    sync.Mutex                 // serializes copy-on-write publication
+	cache atomic.Pointer[fifoTable[batchEpoch]] // epoch→group→tag; nil until the first publish
+	key   atomic.Pointer[keyMemo]               // []byte→string memo of the fleet key
+	mu    sync.Mutex                            // serializes publication
 
 	reports  atomic.Uint64
 	computed atomic.Uint64
 }
 
-// batchCache is one published generation of the expected-tag table.
-// Everything reachable from it is immutable: readers probe with no
-// synchronization beyond the pointer load.
-type batchCache struct {
-	epochs map[string]map[groupKey][]byte
-	order  []string // insertion order, for KeepEpochs eviction
+// batchEpoch is one nonce epoch's expected tags: an immutable
+// push-front list, one element per group (almost always one).
+type batchEpoch struct {
+	nonce  string
+	groups atomic.Pointer[batchGroup]
+}
+
+type batchGroup struct {
+	k    groupKey
+	tag  []byte
+	next *batchGroup
+}
+
+// epochSeed keys the hash of nonce epochs. Nonces arrive off the wire,
+// so the seed is per process and random.
+var epochSeed = maphash.MakeSeed()
+
+// findEpoch returns the table's entry for a nonce epoch, nil when it
+// holds none.
+func findEpoch(t *fifoTable[batchEpoch], h uint64, nonce []byte) *batchEpoch {
+	for e := t.first(h); e != nil; e = e.next.Load() {
+		// Comparing through an inline []byte→string conversion does not
+		// allocate (compiler-recognized pattern).
+		if e.hash == h && e.val.nonce == string(nonce) {
+			return &e.val
+		}
+	}
+	return nil
+}
+
+// tag returns the epoch's expected tag for group k.
+func (e *batchEpoch) tag(k groupKey) ([]byte, bool) {
+	for g := e.groups.Load(); g != nil; g = g.next {
+		if g.k == k {
+			return g.tag, true
+		}
+	}
+	return nil, false
+}
+
+// lookup returns the expected tag cached for (nonce, k).
+func (b *Batch) lookup(nonce []byte, k groupKey) ([]byte, bool) {
+	if t := b.cache.Load(); t != nil {
+		if e := findEpoch(t, maphash.Bytes(epochSeed, nonce), nonce); e != nil {
+			return e.tag(k)
+		}
+	}
+	return nil, false
 }
 
 // keyMemo memoizes the []byte→string conversion of the attestation
@@ -133,14 +174,9 @@ func (b *Batch) verify(key []byte, r *core.Report, shuffled, shared bool) (bool,
 			b.key.Store(km)
 		}
 		k = groupKey{key: km.str, round: r.Round, shuffled: shuffled, incremental: r.Incremental}
-		// The map probe with an inline []byte→string conversion does not
-		// allocate (compiler-recognized pattern); the conversion is only
-		// materialized on a miss, when the epoch key must be owned.
-		if c := b.cache.Load(); c != nil {
-			if exp, ok := c.epochs[string(r.Nonce)][k]; ok {
-				b.reports.Add(1)
-				return hmac.Equal(exp, r.Tag), nil
-			}
+		if exp, ok := b.lookup(r.Nonce, k); ok {
+			b.reports.Add(1)
+			return ctEqual(exp, r.Tag), nil
 		}
 	}
 	exp, err := b.img.ExpectedTag(suite.Scheme{Hash: b.hash, Key: key}, key, core.Options{Shuffled: shuffled}, r)
@@ -149,49 +185,35 @@ func (b *Batch) verify(key []byte, r *core.Report, shuffled, shared bool) (bool,
 	}
 	b.computed.Add(1)
 	if shared {
-		b.publish(string(r.Nonce), k, exp)
+		b.publish(r.Nonce, k, exp)
 	}
 	b.reports.Add(1)
-	return hmac.Equal(exp, r.Tag), nil
+	return ctEqual(exp, r.Tag), nil
 }
 
-// publish inserts (epoch, group) → tag by copy-on-write: clone the
-// table, insert, evict past KeepEpochs, swap the pointer. Runs once
-// per expected-tag computation — off every hit path.
-func (b *Batch) publish(epoch string, k groupKey, exp []byte) {
+// publish inserts (epoch, group) → tag: a new group is pushed onto its
+// epoch's list, a new epoch is one table insert, which evicts past
+// KeepEpochs. Neither copies anything the table already holds. Runs
+// once per expected-tag computation — off every hit path.
+func (b *Batch) publish(nonce []byte, k groupKey, exp []byte) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	keep := b.KeepEpochs
-	if keep < 1 {
-		keep = 1
+	t := b.cache.Load()
+	if t == nil {
+		t = newFifoTable[batchEpoch](b.KeepEpochs)
+		b.cache.Store(t)
 	}
-	old := b.cache.Load()
-	next := &batchCache{epochs: map[string]map[groupKey][]byte{}}
-	if old != nil {
-		for e, g := range old.epochs {
-			next.epochs[e] = g
+	h := maphash.Bytes(epochSeed, nonce)
+	if e := findEpoch(t, h, nonce); e != nil {
+		if _, dup := e.tag(k); !dup { // else a racing miss published it first
+			e.groups.Store(&batchGroup{k: k, tag: exp, next: e.groups.Load()})
 		}
-		next.order = append(next.order, old.order...)
+		return
 	}
-	g, ok := next.epochs[epoch]
-	if !ok {
-		next.epochs[epoch] = map[groupKey][]byte{k: exp}
-		next.order = append(next.order, epoch)
-	} else if _, dup := g[k]; !dup {
-		// Clone the epoch's group map before mutating: the published
-		// generation may be mid-probe on another goroutine.
-		ng := make(map[groupKey][]byte, len(g)+1)
-		for gk, tag := range g {
-			ng[gk] = tag
-		}
-		ng[k] = exp
-		next.epochs[epoch] = ng
-	}
-	for len(next.order) > keep {
-		delete(next.epochs, next.order[0])
-		next.order = next.order[1:]
-	}
-	b.cache.Store(next)
+	e := &fifoEntry[batchEpoch]{hash: h}
+	e.val.nonce = string(nonce)
+	e.val.groups.Store(&batchGroup{k: k, tag: exp})
+	t.insert(e, b.KeepEpochs)
 }
 
 // Stats returns a snapshot of amortization counters.

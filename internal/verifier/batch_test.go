@@ -1,7 +1,9 @@
 package verifier
 
 import (
+	"encoding/binary"
 	"math/rand/v2"
+	"runtime"
 	"testing"
 
 	"saferatt/internal/core"
@@ -274,5 +276,57 @@ func TestBatchVerifyOnce(t *testing.T) {
 	}
 	if s := b.Stats(); s.Computed != 2*oneShots+2 {
 		t.Fatalf("one-shot verifications evicted the shared epoch: computed %d, want %d", s.Computed, 2*oneShots+2)
+	}
+}
+
+// TestBatchPublishIsConstant pins what an insert costs: with the table
+// full — so every insert also evicts — the bytes allocated per
+// Batch.publish and per NonceMemo.Admit at a bound of 1,024 epochs are
+// within 2x of those at a bound of 4. (Both used to clone their table
+// on every insert, a thousand-odd map entries at the larger bound.)
+func TestBatchPublishIsConstant(t *testing.T) {
+	const inserts = 4096
+	perInsert := func(keep int, insert func(i int)) float64 {
+		for i := 0; i < 2*keep; i++ {
+			insert(i) // fill to the bound, and past it
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 2 * keep; i < 2*keep+inserts; i++ {
+			insert(i)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / inserts
+	}
+	g, _ := batchWorld(t)
+	publish := func(keep int) float64 {
+		b := NewBatch(suite.SHA256, ImageOfGolden(g))
+		b.KeepEpochs = keep
+		k := groupKey{key: "k"}
+		tag := make([]byte, 32)
+		var nonce [8]byte
+		n := perInsert(keep, func(i int) {
+			binary.LittleEndian.PutUint64(nonce[:], uint64(i))
+			b.publish(nonce[:], k, tag)
+		})
+		if got := b.cache.Load().n; got != keep {
+			t.Fatalf("KeepEpochs %d: table holds %d epochs", keep, got)
+		}
+		return n
+	}
+	admit := func(keep int) float64 {
+		m := NewNonceMemo([]byte("key"), keep)
+		n := perInsert(keep, func(i int) { m.Admit(uint64(i)) })
+		if got := len(m.Counters()); got != keep {
+			t.Fatalf("keep %d: memo holds %d counters", keep, got)
+		}
+		return n
+	}
+	for name, f := range map[string]func(int) float64{"Batch.publish": publish, "NonceMemo.Admit": admit} {
+		small, large := f(4), f(1024)
+		t.Logf("%s: %.0f B/insert at a bound of 4, %.0f at 1024", name, small, large)
+		if large > 2*small || small > 2*large {
+			t.Errorf("%s allocates %.0f B/insert at a bound of 1024 against %.0f at 4: not constant", name, large, small)
+		}
 	}
 }

@@ -42,11 +42,12 @@ func (im Image) digests(hash suite.HashID) *inccache.ImageCache {
 
 // checkGeometry compares a report's claimed geometry with the image's
 // own. The report's numbers come off the wire; nothing may index or
-// divide by them.
-func (im Image) checkGeometry(r *core.Report) error {
-	if im.IsZero() || r.BlockSize != im.blockSize || r.NumBlocks != im.NumBlocks() {
+// divide by them. Pointer receiver: Batch calls this once per report,
+// and the handle is seven words.
+func (im *Image) checkGeometry(r *core.Report) error {
+	if im.ref == nil || r.BlockSize != im.blockSize || r.NumBlocks != im.numBlocks {
 		return fmt.Errorf("verifier: geometry mismatch: report %dx%d vs image %dx%d",
-			r.NumBlocks, r.BlockSize, im.NumBlocks(), im.blockSize)
+			r.NumBlocks, r.BlockSize, im.numBlocks, im.blockSize)
 	}
 	return nil
 }

@@ -19,6 +19,7 @@ import (
 type Image struct {
 	ref       []byte
 	blockSize int
+	numBlocks int         // len(ref)/blockSize, divided once here
 	golden    *mem.Golden // nil when built from raw bytes
 	dig       *digestSlot
 }
@@ -30,7 +31,7 @@ func ImageOf(ref []byte, blockSize int) Image {
 	if blockSize <= 0 || len(ref) == 0 || len(ref)%blockSize != 0 {
 		panic(fmt.Sprintf("verifier: image of %d bytes is not a positive multiple of block size %d", len(ref), blockSize))
 	}
-	return Image{ref: ref, blockSize: blockSize, dig: new(digestSlot)}
+	return Image{ref: ref, blockSize: blockSize, numBlocks: len(ref) / blockSize, dig: new(digestSlot)}
 }
 
 // ImageOfGolden wraps a shared mem.Golden, wiring the incremental
@@ -40,7 +41,7 @@ func ImageOfGolden(g *mem.Golden) Image {
 	if g == nil {
 		panic("verifier: ImageOfGolden with nil Golden")
 	}
-	return Image{ref: g.Bytes(), blockSize: g.BlockSize(), golden: g, dig: new(digestSlot)}
+	return Image{ref: g.Bytes(), blockSize: g.BlockSize(), numBlocks: g.NumBlocks(), golden: g, dig: new(digestSlot)}
 }
 
 // IsZero reports whether the handle is the zero Image.
@@ -53,12 +54,7 @@ func (im Image) Bytes() []byte { return im.ref }
 func (im Image) BlockSize() int { return im.blockSize }
 
 // NumBlocks returns the number of measurement blocks.
-func (im Image) NumBlocks() int {
-	if im.blockSize <= 0 {
-		return 0
-	}
-	return len(im.ref) / im.blockSize
-}
+func (im Image) NumBlocks() int { return im.numBlocks }
 
 // Golden returns the backing mem.Golden, or nil for a raw-bytes image.
 func (im Image) Golden() *mem.Golden { return im.golden }

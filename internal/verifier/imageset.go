@@ -325,26 +325,19 @@ func (s *ImageSet) resolve(t *imageTable, id ImageID) (ImageID, *imageEntry) {
 // state — current version of a registered image — is one atomic load
 // and one map probe on top of Batch.Verify: no lock, no allocation.
 func (s *ImageSet) Verify(key []byte, id ImageID, r *core.Report, shuffled bool) (bool, error) {
-	b, err := s.batchFor(id)
+	b, err := s.BatchFor(id)
 	if err != nil {
 		return false, err
 	}
 	return b.Verify(key, r, shuffled)
 }
 
-// VerifyOnce is Verify — the same resolution, grace and stale policy —
-// through Batch.VerifyOnce: for reports whose nonce cannot recur.
-func (s *ImageSet) VerifyOnce(key []byte, id ImageID, r *core.Report, shuffled bool) (bool, error) {
-	b, err := s.batchFor(id)
-	if err != nil {
-		return false, err
-	}
-	return b.VerifyOnce(key, r, shuffled)
-}
-
-// batchFor resolves an id to the Batch its reports verify through,
-// applying the rotation policy Verify documents.
-func (s *ImageSet) batchFor(id ImageID) (*Batch, error) {
+// BatchFor resolves an id to the Batch its reports verify through,
+// applying the rotation policy Verify documents (and counting a stale
+// or unknown id as one probe). A caller with several reports under one
+// id — a collection bundle — resolves once and calls Batch.Verify per
+// report, so the bundle is judged against one registry generation.
+func (s *ImageSet) BatchFor(id ImageID) (*Batch, error) {
 	t := s.tab.Load()
 	id, e := s.resolve(t, id)
 	if e == nil {

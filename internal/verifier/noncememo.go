@@ -2,7 +2,6 @@ package verifier
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"saferatt/internal/core"
 )
@@ -13,9 +12,8 @@ import (
 // fleet, and a verifier ingesting that fleet's collections would
 // otherwise pay one HMAC per report to re-derive it.
 //
-// It has Batch's cache shape: the counter→nonce table is an immutable
-// value behind an atomic pointer, so Nonce's hit path takes no lock and
-// allocates nothing; Admit copy-on-writes the table under a writer
+// It has Batch's cache shape, a fifoTable: Nonce's hit path takes no
+// lock and allocates nothing; Admit links one entry in under a writer
 // mutex and evicts in insertion order past the bound.
 //
 // Two properties make it safe to put in front of Freshness.CheckErasmus.
@@ -30,26 +28,27 @@ type NonceMemo struct {
 	key  []byte
 	keep int
 
-	tab atomic.Pointer[nonceTable] // immutable counter→nonce table
-	mu  sync.Mutex                 // serializes copy-on-write publication
+	tab *fifoTable[memoNonce] // counter→nonce
+	mu  sync.Mutex            // serializes admissions
 }
 
-// nonceTable is one published generation of the memo; immutable.
-type nonceTable struct {
-	nonces map[uint64][]byte
-	order  []uint64 // insertion order, for eviction
+type memoNonce struct {
+	ctr   uint64
+	nonce []byte
+}
+
+// hashCounter spreads consecutive counters over the table's chains
+// (Fibonacci hashing; the table masks the low bits).
+func hashCounter(ctr uint64) uint64 {
+	h := ctr * 0x9e3779b97f4a7c15
+	return h ^ h>>32
 }
 
 // NewNonceMemo returns an empty memo of the ERASMUS nonces under key,
 // holding at most keep counters (less than one means one). It owns a
 // copy of key.
 func NewNonceMemo(key []byte, keep int) *NonceMemo {
-	if keep < 1 {
-		keep = 1
-	}
-	m := &NonceMemo{key: append([]byte(nil), key...), keep: keep}
-	m.tab.Store(&nonceTable{})
-	return m
+	return &NonceMemo{key: append([]byte(nil), key...), keep: keep, tab: newFifoTable[memoNonce](keep)}
 }
 
 // Nonce returns core.AppendErasmusNonce(dst[:0], key, ctr). On a hit the
@@ -57,10 +56,19 @@ func NewNonceMemo(key []byte, keep int) *NonceMemo {
 // untouched; on a miss it is derived into dst, so a caller that keeps
 // the returned slice as its next dst allocates nothing either way.
 func (m *NonceMemo) Nonce(dst []byte, ctr uint64) (nonce []byte, hit bool) {
-	if n, ok := m.tab.Load().nonces[ctr]; ok {
-		return n, true
+	if e := m.find(ctr); e != nil {
+		return e.nonce, true
 	}
 	return core.AppendErasmusNonce(dst[:0], m.key, ctr), false
+}
+
+func (m *NonceMemo) find(ctr uint64) *memoNonce {
+	for e := m.tab.first(hashCounter(ctr)); e != nil; e = e.next.Load() {
+		if e.val.ctr == ctr {
+			return &e.val
+		}
+	}
+	return nil
 }
 
 // Admit publishes ctr's nonce to later Nonce calls. Call it for a
@@ -68,31 +76,25 @@ func (m *NonceMemo) Nonce(dst []byte, ctr uint64) (nonce []byte, hit bool) {
 // counter already present is left alone, so racing admissions of one
 // counter are harmless.
 func (m *NonceMemo) Admit(ctr uint64) {
+	if m.find(ctr) != nil {
+		return // the usual case when a fleet reports one counter: no lock
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	old := m.tab.Load()
-	if _, dup := old.nonces[ctr]; dup {
+	if m.find(ctr) != nil {
 		return
 	}
-	next := &nonceTable{
-		nonces: make(map[uint64][]byte, len(old.nonces)+1),
-		order:  make([]uint64, 0, len(old.order)+1),
-	}
-	for c, n := range old.nonces {
-		next.nonces[c] = n
-	}
-	next.order = append(next.order, old.order...)
-	next.nonces[ctr] = core.AppendErasmusNonce(nil, m.key, ctr)
-	next.order = append(next.order, ctr)
-	for len(next.order) > m.keep {
-		delete(next.nonces, next.order[0])
-		next.order = next.order[1:]
-	}
-	m.tab.Store(next)
+	e := &fifoEntry[memoNonce]{hash: hashCounter(ctr)}
+	e.val = memoNonce{ctr: ctr, nonce: core.AppendErasmusNonce(nil, m.key, ctr)}
+	m.tab.insert(e, m.keep)
 }
 
 // Counters returns the memoised counters, oldest admission first
 // (diagnostics and tests).
 func (m *NonceMemo) Counters() []uint64 {
-	return append([]uint64(nil), m.tab.Load().order...)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var out []uint64
+	m.tab.each(func(e *memoNonce) { out = append(out, e.ctr) })
+	return out
 }

@@ -1,7 +1,6 @@
 package verifier
 
 import (
-	"crypto/hmac"
 	"errors"
 
 	"saferatt/internal/core"
@@ -10,11 +9,17 @@ import (
 
 // The verification core: the accept rules of the paper's protocols
 // (§2.2 on-demand, §3.3 ERASMUS and SeED), written once with no clock,
-// no transport and no lock. The simulated Verifier calls check and
-// commit back to back on one goroutine; rattd.Server checks under a
-// stripe lock, verifies the tag off-lock, and commits under the lock
-// again (the commit re-checks, so a racing duplicate loses). Rules run
-// cheapest first: nonce binding, replay, monotonicity, then the tag.
+// no transport and no lock. Both stacks run the same loop over a
+// bundle's reports — check, tag, commit — on a plain Freshness value:
+// the simulated Verifier on the one it owns, rattd.Server on a copy it
+// snapshots under a stripe lock, after which it replays the commits of
+// the reports that came out clean on the real record, under the lock
+// again. Judging the copy is sound because a commit re-checks and
+// Freshness only grows: whatever a racing bundle committed in between
+// can only turn a clean report into a replay, which is what the replayed
+// commit reports. Rules run cheapest first: nonce binding, replay,
+// monotonicity, then the tag. Nonces and tags are compared in constant
+// time (ctEqual).
 
 // Reason is a verification verdict. Its String is the only place each
 // verdict's text is spelled.
@@ -138,7 +143,7 @@ func (c Challenge) Open(n int) Reason {
 
 // Check judges one report of a response bundle that Open let in.
 func (c Challenge) Check(r *core.Report) Reason {
-	if !hmac.Equal(r.Nonce, c) {
+	if !ctEqual(r.Nonce, c) {
 		return ReasonNonceMismatch
 	}
 	return ReasonOK
@@ -159,7 +164,7 @@ type Freshness struct {
 // before it.
 func (f *Freshness) CheckErasmus(r *core.Report, want []byte, first bool, prev uint64) Reason {
 	switch {
-	case !hmac.Equal(r.Nonce, want):
+	case !ctEqual(r.Nonce, want):
 		return ReasonNonceUnbound
 	case f.Window.Seen(r.Counter):
 		return ReasonReplay
@@ -183,7 +188,7 @@ func (f *Freshness) CommitErasmus(ctr uint64) Reason {
 // the watermark.
 func (f *Freshness) CheckSeed(r *core.Report, want []byte) Reason {
 	switch {
-	case !hmac.Equal(r.Nonce, want):
+	case !ctEqual(r.Nonce, want):
 		return ReasonSeedNonceUnbound
 	case r.Counter <= f.SeedLast:
 		return ReasonSeedReplay

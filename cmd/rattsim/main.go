@@ -16,11 +16,10 @@
 //	rattsim -mode rattping -addr 127.0.0.1:9779 -provers 1000  # fleet vs a live rattd daemon
 //	rattsim -mode rattping -addr 127.0.0.1:9779 -shards 8 -provers 100000  # fleet vs a sharded rattd tier
 //
-// rattping tuning flags (mirror the daemon's transport knobs): -loss
-// injects datagram drop, -concurrency caps simultaneously active
-// provers, and -recv-loops, -recv-queues,
-// -queue-cap, -batch-bytes, -max-batch configure the client socket's
-// receive parallelism and send batching exactly as on cmd/rattd.
+// rattping tuning flags: -loss injects datagram drop and -concurrency
+// caps simultaneously active provers. The client socket runs one
+// receive worker per core (at least four) and the transport's default
+// batching; the receive and batching knobs are cmd/rattd's.
 package main
 
 import (
@@ -60,13 +59,7 @@ func main() {
 		provers = flag.Int("provers", 100, "rattping: fleet size")
 		history = flag.Int("history", 3, "rattping: self-measurements per collection (negative skips)")
 		conc    = flag.Int("concurrency", 0, "rattping: max simultaneously active provers (0 = all)")
-
-		recvLoops  = flag.Int("recv-loops", 0, "rattping: socket receive goroutines (0 = default)")
-		recvQueues = flag.Int("recv-queues", 0, "rattping: receive dispatch workers (0 = GOMAXPROCS, min 4)")
-		queueCap   = flag.Int("queue-cap", 0, "rattping: per-shard receive queue capacity (0 = default)")
-		batchBytes = flag.Int("batch-bytes", 0, "rattping: batch datagram size budget (0 = default)")
-		maxBatch   = flag.Int("max-batch", 0, "rattping: messages per batch datagram cap (0 = default)")
-		inc        = flag.Bool("incremental", true, "use the incremental measurement engine (dirty-block digest caching)")
+		inc     = flag.Bool("incremental", true, "use the incremental measurement engine (dirty-block digest caching)")
 	)
 	flag.Parse()
 	core.SetStreamingDefault(!*inc)
@@ -91,23 +84,14 @@ func main() {
 		runTyTAN(*seed, !*noIso)
 		return
 	case "rattping":
-		if *recvQueues == 0 {
-			// Match the daemon side: one dispatch worker per core, with
-			// a small-host floor, so client receive capacity keeps pace
-			// with a striped tier's reply rate.
-			*recvQueues = runtime.GOMAXPROCS(0)
-			if *recvQueues < 4 {
-				*recvQueues = 4
-			}
-		}
+		// Match the daemon side: one dispatch worker per core, with a
+		// small-host floor, so client receive capacity keeps pace with a
+		// striped tier's reply rate.
+		recvQueues := max(runtime.GOMAXPROCS(0), 4)
 		runRattping(rattpingOpts{
 			addr: *addr, shards: *shards, provers: *provers, seed: *seed,
 			memSize: *memSize, block: *block, history: *history,
-			concurrency: *conc, net: transport.NetConfig{
-				DropRate:  *loss,
-				RecvLoops: *recvLoops, RecvQueues: *recvQueues, QueueCap: *queueCap,
-				BatchBytes: *batchBytes, MaxBatch: *maxBatch,
-			},
+			concurrency: *conc, net: transport.NetConfig{DropRate: *loss, RecvQueues: recvQueues},
 		})
 		return
 	default:

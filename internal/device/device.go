@@ -282,7 +282,7 @@ func (d *Device) dispatch() {
 		dur += d.Profile.CtxSwitch
 		if d.lastRan != nil && len(d.lastRan.queue) > 0 {
 			d.lastRan.stats.Preemptions++
-			d.Trace.Add(d.Kernel.Now(), trace.KindTaskPreempt, d.lastRan.name, "preempted by "+t.name)
+			d.Trace.AddCat(d.Kernel.Now(), trace.KindTaskPreempt, d.lastRan.name, "preempted by ", t.name)
 		}
 		d.Trace.Add(d.Kernel.Now(), trace.KindTaskStart, t.name, "")
 	}

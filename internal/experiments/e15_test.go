@@ -17,6 +17,9 @@ func TestE15Small(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if res.Phases < 4 || res.PhasesChecked != res.Phases {
+		t.Fatalf("the runner checked %d phases of a %d-phase script (want all, of at least 4)", res.PhasesChecked, res.Phases)
+	}
 	if res.Accepted == 0 || res.Enrolled != 2000 {
 		t.Fatalf("implausible result: %+v", res)
 	}

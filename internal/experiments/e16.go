@@ -1,409 +1,225 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
-	"sync"
 	"time"
 
 	"saferatt/internal/core"
 	"saferatt/internal/rattd"
-	"saferatt/internal/transport"
+	"saferatt/internal/verifier"
 )
 
 // E16 certifies zero-stall incremental checkpointing at fleet scale:
 // a single shard serving a large fleet keeps ingesting while a
 // background checkpointer persists its state to a real on-disk
 // base+delta chain. Where E15 measured what one checkpoint costs,
-// E16 measures what checkpointing costs the *service*:
-//
-//   - ingest throughput with the checkpointer running continuously,
-//     as a ratio of the no-checkpoint baseline (the zero-stall claim);
-//   - a full streaming snapshot's wall time and allocation — bounded
-//     by the pooled scratch (O(stripe)), not an O(fleet) buffer;
-//   - a delta snapshot with ~1% of the fleet dirty, and its speedup
-//     over the full encode (the O(dirty) claim, gated ≥10x);
-//   - chain restore: the on-disk base+deltas reload into a fresh
-//     server whose freshness state still rejects pre-crash replays.
+// E16 measures what checkpointing costs the *service*: ingest
+// throughput with the checkpointer running and with a slow snapshot in
+// flight, against a no-checkpoint baseline (the zero-stall claim); a
+// full streaming snapshot's time and allocation (O(stripe), not
+// O(fleet)); a 1%-dirty delta's speedup over it (the O(dirty) claim,
+// gated ≥10x); and the chain's reload into a fresh server that still
+// rejects pre-crash replays.
 type E16Config struct {
 	// Provers is the fleet size; default 1_000_000.
 	Provers int
-	// MemSize / BlockSize set the golden image; defaults 4 KiB / 256.
-	MemSize   int
-	BlockSize int
-	// DirtyFrac is the fleet fraction re-ingested before the delta
-	// measurement; default 0.01.
-	DirtyFrac float64
 	// CheckpointEvery is the background checkpoint interval during the
 	// concurrent round; default 250ms.
 	CheckpointEvery time.Duration
 	// Workers is the ingest concurrency; default GOMAXPROCS.
 	Workers int
-	// Stripes overrides the server's lock-stripe count; 0 = default.
-	Stripes int
-	// Seed parameterizes the golden image.
-	Seed uint64
-	// MinDeltaSpeedup fails the run if the ~1%-dirty delta encode is
+	// MinDeltaSpeedup fails the run if the 1%-dirty delta encode is
 	// not at least this many times faster than the full encode;
 	// default 10, <0 disables.
 	MinDeltaSpeedup float64
-	// MinStallRatio fails the run if ingest throughput while a
-	// disk-speed full snapshot is in flight drops below this fraction
-	// of baseline — the zero-stall gate. The snapshot streams to a
-	// deliberately slow writer that sleeps off-lock, so (unlike
-	// MinConcurrentRatio) the number isolates lock stalls from the
-	// write's wall time. Default when the fleet is ≥100k (below that
-	// the encode is too brief to overlap a round): 0.8 with two or
-	// more CPUs; 0.5 on a single CPU, where the encoder's sort/encode
-	// work has no second core to run on and time-shares with ingest —
-	// a lock-holding writer would score ~0.1 there, so 0.5 still
-	// separates the two designs decisively. <0 disables.
-	MinStallRatio float64
-	// MinConcurrentRatio fails the run if ingest throughput with the
-	// checkpointer running drops below this fraction of baseline;
-	// default 0 (record only — on a single-core host the checkpointer
-	// and the verifiers share one CPU, so the ratio conflates
-	// zero-stall locking with plain CPU contention).
-	MinConcurrentRatio float64
-	// Dir holds the checkpoint chain; "" uses a temp dir.
-	Dir string
 	// Logf, if set, receives phase progress.
 	Logf func(format string, args ...any)
 }
 
-func (c *E16Config) setDefaults() {
-	if c.Provers == 0 {
-		c.Provers = 1_000_000
-	}
-	if c.MemSize == 0 {
-		c.MemSize = 4 << 10
-	}
-	if c.BlockSize == 0 {
-		c.BlockSize = 256
-	}
-	if c.DirtyFrac == 0 {
-		c.DirtyFrac = 0.01
-	}
-	if c.CheckpointEvery == 0 {
-		c.CheckpointEvery = 250 * time.Millisecond
-	}
-	if c.Workers == 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.Seed == 0 {
-		c.Seed = 7
-	}
-	if c.MinDeltaSpeedup == 0 {
-		c.MinDeltaSpeedup = 10
-	}
-	if c.MinStallRatio == 0 && c.Provers >= 100_000 {
-		if runtime.GOMAXPROCS(0) >= 2 {
-			c.MinStallRatio = 0.8
-		} else {
-			c.MinStallRatio = 0.5
-		}
-	}
-}
-
 // E16Result is the run's outcome.
 type E16Result struct {
-	Provers int
-	Workers int
-	Stripes int
+	Provers, Workers, Stripes int
+	// Phases the script holds, and how many the runner checked.
+	Phases, PhasesChecked int
 
 	// Baseline round: ingest with no checkpointer.
 	BaseVerPerSec float64
 	// Concurrent round: same traffic with the checkpointer ticking
 	// every CheckpointEvery; Checkpoints counts files written during
-	// the round (fulls + deltas), ConcurrentRatio is ckpt/base.
-	CkptVerPerSec   float64
-	ConcurrentRatio float64
-	Checkpoints     uint64
+	// the round (fulls + deltas), ConcurrentRatio is ckpt/base —
+	// recorded, not gated: on one core the two share a CPU.
+	CkptVerPerSec, ConcurrentRatio float64
+	Checkpoints                    uint64
 
 	// Zero-stall round: ingest while a full snapshot streams to a
 	// disk-speed (deliberately slow, off-lock) writer. StallRatio is
 	// slow/base throughput; EncodeOverlapped reports whether the
 	// snapshot was still in flight when the round finished (the
 	// ratio only means something when true).
-	SlowVerPerSec    float64
-	StallRatio       float64
-	EncodeOverlapped bool
+	SlowVerPerSec, StallRatio float64
+	EncodeOverlapped          bool
 
 	// Full streaming snapshot, pool warm: wall time, encoded bytes,
 	// and bytes allocated during the encode.
-	FullNS         int64
-	FullBytes      int64
-	FullAllocBytes uint64
+	FullNS, FullBytes int64
+	FullAllocBytes    uint64
 
-	// Delta snapshot with DirtyProvers (~DirtyFrac of the fleet)
-	// dirty; DeltaSpeedup = FullNS / DeltaNS.
-	DirtyProvers int64
-	DeltaNS      int64
-	DeltaBytes   int64
-	DeltaSpeedup float64
+	// Delta snapshot with DirtyProvers (1% of the fleet) dirty;
+	// DeltaSpeedup = FullNS / DeltaNS.
+	DirtyProvers, DeltaNS, DeltaBytes int64
+	DeltaSpeedup                      float64
 
-	// Chain restore from disk: files replayed, wall time, and the
-	// replay-rejection spot check.
+	// Chain restore from disk: files replayed and wall time.
 	ChainDeltas int
 	RestoreNS   int64
 }
 
-// E16ZeroStallCheckpoint runs the experiment.
+// E16ZeroStallCheckpoint runs the experiment: the seven-phase script at
+// the end, with the checkpointer, the slow writer, the full and delta
+// encodes and the chain restore in the hooks between its phases.
 func E16ZeroStallCheckpoint(cfg E16Config) (*E16Result, error) {
-	cfg.setDefaults()
-	logf := func(format string, args ...any) {
-		if cfg.Logf != nil {
-			cfg.Logf(format, args...)
-		}
-	}
-	dir := cfg.Dir
-	if dir == "" {
-		var err error
-		if dir, err = os.MkdirTemp("", "e16-ckpt"); err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(dir)
-	}
-
-	image := rattd.GoldenImage(cfg.Seed, cfg.MemSize, cfg.BlockSize)
-	srv, err := rattd.Serve(transport.NewLocal(), rattd.Config{
-		Ref: image, BlockSize: cfg.BlockSize, Stripes: cfg.Stripes,
-	})
+	provers, workers := cmp.Or(cfg.Provers, 1_000_000), cmp.Or(cfg.Workers, runtime.GOMAXPROCS(0))
+	dir, err := os.MkdirTemp("", "e16-ckpt")
 	if err != nil {
 		return nil, err
 	}
-	defer srv.Close()
-	res := &E16Result{Provers: cfg.Provers, Workers: cfg.Workers, Stripes: srv.Stripes()}
-
-	names := make([]string, cfg.Provers)
-	for i := range names {
-		names[i] = fmt.Sprintf("prv%07d", i)
-	}
-	// One shared key: for a given counter every prover's report is
-	// byte-identical, so one template measurement serves the fleet
-	// (E15's amortization).
-	tmpl, err := rattd.NewProver("tmpl", rattd.DefaultKey, image, cfg.BlockSize)
-	if err != nil {
-		return nil, err
-	}
-	report := func(ctr uint64) ([]core.Report, error) {
-		r, err := tmpl.SelfMeasure(ctr)
-		if err != nil {
-			return nil, err
-		}
-		return []core.Report{*r}, nil
-	}
-	round1, err := report(1)
-	if err != nil {
-		return nil, err
-	}
-	round2, err := report(2)
-	if err != nil {
-		return nil, err
-	}
-	round3, err := report(3)
-	if err != nil {
-		return nil, err
-	}
-
-	fanOut := func(fn func(i int)) {
-		var wg sync.WaitGroup
-		per := (cfg.Provers + cfg.Workers - 1) / cfg.Workers
-		for w := 0; w < cfg.Workers; w++ {
-			lo, hi := w*per, (w+1)*per
-			if hi > cfg.Provers {
-				hi = cfg.Provers
-			}
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				for i := lo; i < hi; i++ {
-					fn(i)
-				}
-			}(lo, hi)
-		}
-		wg.Wait()
-	}
-
-	// Round 1 enrolls the fleet (also warms every code path).
-	fanOut(func(i int) { srv.Ingest(names[i], transport.KindCollection, round1) })
-	logf("e16: enrolled %d provers", srv.Enrolled())
-
-	// Round 2: no-checkpoint baseline throughput.
-	start := time.Now()
-	fanOut(func(i int) { srv.Ingest(names[i], transport.KindCollection, round2) })
-	res.BaseVerPerSec = float64(cfg.Provers) / time.Since(start).Seconds()
-	logf("e16: baseline round: %.0f ver/s", res.BaseVerPerSec)
-
-	// Round 3: same traffic while the checkpointer runs continuously
-	// against the on-disk chain — base first (the whole enrolled
-	// fleet), then interval-driven deltas/compactions during ingest.
+	defer os.RemoveAll(dir)
 	path := filepath.Join(dir, "cp.0")
+	image := fleetImage(0)
+	rig, err := newFleetRig(provers, workers, rattd.Config{Ref: image}, cfg.Logf)
+	if err != nil {
+		return nil, err
+	}
+	srv := rig.srv
+	defer srv.Close()
+	restored, err := serveFleet(rattd.Config{Ref: image}) // the fresh server the chain reloads into
+	if err != nil {
+		return nil, err
+	}
+	defer restored.Close()
+	res := &E16Result{Provers: provers, Workers: workers, Stripes: srv.Stripes()}
+
+	// The checkpointer runs against the on-disk chain — base first (the
+	// whole enrolled fleet), then interval-driven deltas/compactions
+	// during ingest. Then the chain reloads into the fresh server; the
+	// two phases that follow spot-check that freshness survived.
 	ck := rattd.NewCheckpointer(srv, rattd.CheckpointerConfig{
-		Path: path, Interval: cfg.CheckpointEvery, Logf: logf,
+		Path: path, Interval: cmp.Or(cfg.CheckpointEvery, 250*time.Millisecond), Logf: rig.logf,
 	})
-	if err := ck.Tick(); err != nil {
-		return nil, fmt.Errorf("e16: base checkpoint: %v", err)
+	startCheckpointer := func() error {
+		if err := ck.Tick(); err != nil {
+			return fmt.Errorf("base checkpoint: %v", err)
+		}
+		ck.Start()
+		return nil
 	}
-	ck.Start()
-	start = time.Now()
-	fanOut(func(i int) { srv.Ingest(names[i], transport.KindCollection, round3) })
-	ckptWall := time.Since(start)
-	if err := ck.Close(); err != nil {
-		return nil, fmt.Errorf("e16: final checkpoint: %v", err)
+	stopAndRestore := func(st phaseStat) error {
+		if err := ck.Close(); err != nil {
+			return fmt.Errorf("final checkpoint: %v", err)
+		}
+		res.CkptVerPerSec, res.ConcurrentRatio = st.perSec(), st.perSec()/res.BaseVerPerSec
+		res.Checkpoints = ck.Stats().Fulls + ck.Stats().Deltas
+		start := time.Now()
+		cp, chain, err := rattd.LoadChain(path)
+		if err != nil {
+			return fmt.Errorf("chain restore: %v", err)
+		}
+		restored.Restore(cp)
+		res.RestoreNS, res.ChainDeltas = time.Since(start).Nanoseconds(), chain.Applied
+		if got := restored.Enrolled(); got != provers {
+			return fmt.Errorf("restored %d provers, want %d", got, provers)
+		}
+		return nil
 	}
-	res.CkptVerPerSec = float64(cfg.Provers) / ckptWall.Seconds()
-	res.ConcurrentRatio = res.CkptVerPerSec / res.BaseVerPerSec
-	st := ck.Stats()
-	res.Checkpoints = st.Fulls + st.Deltas
-	logf("e16: concurrent round: %.0f ver/s (%.2fx of baseline), %d checkpoint files (%d full, %d delta, %d compactions)",
-		res.CkptVerPerSec, res.ConcurrentRatio, res.Checkpoints, st.Fulls, st.Deltas, st.Compactions)
 
-	// Chain restore: reload the on-disk base+deltas into a fresh
-	// server and spot-check freshness survived — a pre-crash counter
-	// replays exactly once, the next counter is accepted.
-	restoreStart := time.Now()
-	cp, chain, err := rattd.LoadChain(path)
-	if err != nil {
-		return nil, fmt.Errorf("e16: chain restore: %v", err)
-	}
-	srv2, err := rattd.Serve(transport.NewLocal(), rattd.Config{
-		Ref: image, BlockSize: cfg.BlockSize, Stripes: cfg.Stripes,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer srv2.Close()
-	srv2.Restore(cp)
-	res.RestoreNS = time.Since(restoreStart).Nanoseconds()
-	res.ChainDeltas = chain.Applied
-	if got := srv2.Enrolled(); got != cfg.Provers {
-		return nil, fmt.Errorf("e16: restored %d provers, want %d", got, cfg.Provers)
-	}
-	probe := names[cfg.Provers/2]
-	srv2.Ingest(probe, transport.KindCollection, round3) // already accepted pre-"crash"
-	if c := srv2.Counts(); c.Replays != 1 {
-		return nil, fmt.Errorf("e16: restored server did not reject pre-crash replay: %+v", c)
-	}
-	round4, err := report(4)
-	if err != nil {
-		return nil, err
-	}
-	srv2.Ingest(probe, transport.KindCollection, round4)
-	if c := srv2.Counts(); c.Accepted != 1 {
-		return nil, fmt.Errorf("e16: restored server rejected fresh counter: %+v", c)
-	}
-	logf("e16: chain restore (%d deltas) in %.2fs, replay rejected, fresh accepted",
-		res.ChainDeltas, float64(res.RestoreNS)/1e9)
-
-	// Zero-stall round: a full snapshot streams to a writer that
-	// sleeps 10ms per flush (~6 MB/s — a slow disk) on a background
-	// goroutine while the fleet ingests a full round. The sleeps are
-	// off-lock, so the checkpoint holds each stripe only for its copy
-	// window; if the walk held the fleet locked for the write's
-	// duration, this round would take as long as the encode. The
-	// ratio against baseline is the zero-stall number — unlike the
-	// concurrent round above it does not conflate in lock-free CPU
-	// sharing, which on a single-core host is all the checkpointer's
-	// encode time. Counter 4 is fresh for srv's fleet (only the srv2
-	// probe above has seen it).
-	sw := &slowWriter{delay: 10 * time.Millisecond}
+	// Zero-stall round: a full snapshot streams to a writer that sleeps
+	// 10ms per flush (~6 MB/s — a slow disk) on a background goroutine
+	// while the fleet ingests a full round. The sleeps are off-lock, so
+	// the checkpoint holds each stripe only for its copy window; a walk
+	// that held the fleet locked for the write's duration would make
+	// this round take as long as the encode. Unlike the concurrent
+	// round's, the ratio isolates lock stalls from CPU sharing.
 	encDone := make(chan error, 1)
-	go func() {
-		_, err := srv.WriteCheckpoint(sw, rattd.SnapshotOptions{ChainID: 98})
-		encDone <- err
-	}()
-	start = time.Now()
-	fanOut(func(i int) { srv.Ingest(names[i], transport.KindCollection, round4) })
-	slowWall := time.Since(start)
-	select {
-	case err := <-encDone:
-		if err != nil {
-			return nil, err
-		}
-	default:
-		res.EncodeOverlapped = true
-		if err := <-encDone; err != nil {
-			return nil, err
-		}
+	startSlowSnapshot := func() error {
+		go func() {
+			_, err := srv.WriteCheckpoint(slowWriter{10 * time.Millisecond}, rattd.SnapshotOptions{ChainID: 98})
+			encDone <- err
+		}()
+		return nil
 	}
-	res.SlowVerPerSec = float64(cfg.Provers) / slowWall.Seconds()
-	res.StallRatio = res.SlowVerPerSec / res.BaseVerPerSec
-	logf("e16: zero-stall round: %.0f ver/s (%.2fx of baseline) with a disk-speed snapshot in flight (overlapped=%v, %d B written)",
-		res.SlowVerPerSec, res.StallRatio, res.EncodeOverlapped, sw.n)
+	awaitSlowSnapshot := func(st phaseStat) error {
+		res.EncodeOverlapped = len(encDone) == 0 // still encoding as the round ended
+		res.SlowVerPerSec, res.StallRatio = st.perSec(), st.perSec()/res.BaseVerPerSec
+		return <-encDone
+	}
 
-	// Full streaming encode, pool warm. A throwaway encode first: it
-	// drains the dirt left by round 4 and guarantees the scratch pool
-	// is populated (GC may have emptied it during the slow round's
-	// sleeps), so the measured pass reflects the steady-state cost and
-	// its allocation bound.
-	if _, err := srv.WriteCheckpoint(io.Discard, rattd.SnapshotOptions{ChainID: 99}); err != nil {
-		return nil, err
-	}
-	// The allocation figure is the least of several encodes: a pooled
-	// scratch buffer lost between the throwaway encode and a measured one
-	// (its goroutine moved to another P, or a GC cycle ran) is allocated
-	// again in full, which says nothing about whether the encode streams.
-	for i := 0; i < 5; i++ {
-		var msBefore, msAfter runtime.MemStats
-		runtime.ReadMemStats(&msBefore)
-		fullStart := time.Now()
-		fullStats, err := srv.WriteCheckpoint(io.Discard, rattd.SnapshotOptions{ChainID: 99})
-		if err != nil {
-			return nil, err
+	// Full streaming encode, pool warm: a throwaway encode first drains
+	// the dirt the round before left and repopulates the scratch pool
+	// (GC may have emptied it during the slow round's sleeps). The
+	// allocation figure is the least of several encodes: a pooled buffer
+	// lost between two of them (its goroutine moved to another P, or a
+	// GC cycle ran) is allocated again in full, which says nothing about
+	// whether the encode streams.
+	measureFull := func() error {
+		_, _, err := timeCheckpoint(srv, rattd.SnapshotOptions{ChainID: 99})
+		for i := 0; i < 5 && err == nil; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			var ns, size int64
+			ns, size, err = timeCheckpoint(srv, rattd.SnapshotOptions{ChainID: 99})
+			runtime.ReadMemStats(&after)
+			alloc := after.TotalAlloc - before.TotalAlloc
+			if i == 0 {
+				res.FullNS, res.FullBytes, res.FullAllocBytes = ns, size, alloc
+			}
+			res.FullAllocBytes = min(res.FullAllocBytes, alloc)
 		}
-		ns := time.Since(fullStart).Nanoseconds()
-		runtime.ReadMemStats(&msAfter)
-		alloc := msAfter.TotalAlloc - msBefore.TotalAlloc
-		if i == 0 {
-			res.FullNS, res.FullBytes, res.FullAllocBytes = ns, fullStats.Bytes, alloc
-		}
-		res.FullAllocBytes = min(res.FullAllocBytes, alloc)
+		return err
 	}
-	logf("e16: full streaming encode: %d bytes in %.3fs, %.1f KiB allocated",
-		res.FullBytes, float64(res.FullNS)/1e9, float64(res.FullAllocBytes)/1024)
+	measureDelta := func(phaseStat) (err error) {
+		res.DirtyProvers = srv.DirtyCount()
+		res.DeltaNS, res.DeltaBytes, err = timeCheckpoint(srv, rattd.SnapshotOptions{Delta: true, ChainID: 99, Seq: 1})
+		res.DeltaSpeedup = float64(res.FullNS) / float64(res.DeltaNS)
+		return err
+	}
 
-	// Delta encode with ~DirtyFrac of the fleet freshly dirty.
-	every := int(1 / cfg.DirtyFrac)
-	round5, err := report(5)
+	// One report a round: counter c is round c.
+	round := func(c uint64) func(int) ([]core.Report, error) { return rig.bundle(image, c, c) }
+	probe := func(i int) bool { return i == provers/2 }
+	script := []phase{
+		{name: "enrol", bundle: round(1), enrols: true},
+		{name: "baseline", bundle: round(2), after: func(st phaseStat) error { res.BaseVerPerSec = st.perSec(); return nil }},
+		{name: "checkpointer running", bundle: round(3), before: startCheckpointer, after: stopAndRestore},
+		{name: "restored: pre-crash replay", srv: restored, who: probe, bundle: round(3), want: verifier.ReasonReplay},
+		{name: "restored: fresh counter", srv: restored, who: probe, bundle: round(4)},
+		{name: "slow snapshot in flight", bundle: round(4), before: startSlowSnapshot, after: awaitSlowSnapshot},
+		{name: "1% dirty", who: every(100), bundle: round(5), before: measureFull, after: measureDelta},
+	}
+	err = rig.play(script)
+	res.Phases, res.PhasesChecked = len(script), rig.checked
 	if err != nil {
-		return nil, err
+		return res, err
 	}
-	fanOut(func(i int) {
-		if i%every == 0 {
-			srv.Ingest(names[i], transport.KindCollection, round5)
-		}
-	})
-	res.DirtyProvers = srv.DirtyCount()
-	deltaStart := time.Now()
-	deltaStats, err := srv.WriteCheckpoint(io.Discard, rattd.SnapshotOptions{Delta: true, ChainID: 99, Seq: 1})
-	if err != nil {
-		return nil, err
-	}
-	res.DeltaNS = time.Since(deltaStart).Nanoseconds()
-	res.DeltaBytes = deltaStats.Bytes
-	res.DeltaSpeedup = float64(res.FullNS) / float64(res.DeltaNS)
-	logf("e16: delta encode (%d dirty): %d bytes in %.4fs — %.0fx faster than full",
-		res.DirtyProvers, res.DeltaBytes, float64(res.DeltaNS)/1e9, res.DeltaSpeedup)
 
-	if cfg.MinDeltaSpeedup > 0 && res.DeltaSpeedup < cfg.MinDeltaSpeedup {
-		return res, fmt.Errorf("e16: delta speedup %.1fx below required %.1fx",
-			res.DeltaSpeedup, cfg.MinDeltaSpeedup)
+	if need := cmp.Or(cfg.MinDeltaSpeedup, 10); res.DeltaSpeedup < need {
+		return res, fmt.Errorf("delta speedup %.1fx below required %.1fx", res.DeltaSpeedup, need)
 	}
-	if cfg.MinConcurrentRatio > 0 && res.ConcurrentRatio < cfg.MinConcurrentRatio {
-		return res, fmt.Errorf("e16: concurrent ingest ratio %.2f below required %.2f",
-			res.ConcurrentRatio, cfg.MinConcurrentRatio)
+	// The zero-stall gate: 0.8 with two or more CPUs; 0.5 on a single
+	// CPU, where the encoder's sort/encode work has no second core to run
+	// on and time-shares with ingest — a lock-holding writer would score
+	// ~0.1 there, so 0.5 still separates the two designs decisively.
+	// Below 100k provers the encode is too brief to overlap a round.
+	need := 0.8
+	if runtime.GOMAXPROCS(0) < 2 {
+		need = 0.5
 	}
-	if cfg.MinStallRatio > 0 && res.EncodeOverlapped && res.StallRatio < cfg.MinStallRatio {
-		return res, fmt.Errorf("e16: ingest during in-flight snapshot ran at %.2fx of baseline, below required %.2f",
-			res.StallRatio, cfg.MinStallRatio)
+	if provers >= 100_000 && res.EncodeOverlapped && res.StallRatio < need {
+		return res, fmt.Errorf("ingest during in-flight snapshot ran at %.2fx of baseline, below required %.2f", res.StallRatio, need)
 	}
 	return res, nil
 }
@@ -412,46 +228,49 @@ func E16ZeroStallCheckpoint(cfg E16Config) (*E16Result, error) {
 // before "completing". The sleep happens in the encoder's write path
 // — never under a stripe lock — which is exactly what makes it
 // useful for isolating lock stalls.
-type slowWriter struct {
-	delay time.Duration
-	n     int64
-}
+type slowWriter struct{ delay time.Duration }
 
-func (w *slowWriter) Write(p []byte) (int, error) {
+func (w slowWriter) Write(p []byte) (int, error) {
 	time.Sleep(w.delay)
-	w.n += int64(len(p))
 	return len(p), nil
 }
 
-// RenderE16 formats the run as text.
-func RenderE16(r *E16Result) string {
-	var b strings.Builder
-	b.WriteString("E16: zero-stall incremental checkpointing under fleet ingest\n")
-	fmt.Fprintf(&b, "provers %d  workers %d  stripes %d\n", r.Provers, r.Workers, r.Stripes)
-	fmt.Fprintf(&b, "ingest: baseline %.0f ver/s, with continuous checkpointing %.0f ver/s (ratio %.2f, %d files written)\n",
-		r.BaseVerPerSec, r.CkptVerPerSec, r.ConcurrentRatio, r.Checkpoints)
-	if r.EncodeOverlapped {
-		fmt.Fprintf(&b, "zero-stall: ingest under an in-flight slow-disk snapshot ran at %.0f ver/s (%.2fx of baseline — stripe locks never held across writes)\n",
-			r.SlowVerPerSec, r.StallRatio)
+func (r *E16Result) fields() []field {
+	// The zero-stall line is printed only when the snapshot overlapped
+	// the round; the ratio means nothing otherwise.
+	slow, stall := "zero-stall: ingest under an in-flight slow-disk snapshot ran at %.0f ver/s", " (%.2fx of baseline — stripe locks never held across writes)\n"
+	if !r.EncodeOverlapped {
+		slow, stall = "", ""
 	}
-	fmt.Fprintf(&b, "full streaming encode: %d bytes in %.3fs (%.1f KiB allocated — pooled scratch, not O(fleet))\n",
-		r.FullBytes, float64(r.FullNS)/1e9, float64(r.FullAllocBytes)/1024)
-	fmt.Fprintf(&b, "delta encode: %d dirty provers, %d bytes in %.4fs — %.0fx faster than full\n",
-		r.DirtyProvers, r.DeltaBytes, float64(r.DeltaNS)/1e9, r.DeltaSpeedup)
-	fmt.Fprintf(&b, "chain restore: base + %d deltas in %.2fs, pre-crash replay rejected exactly once\n",
-		r.ChainDeltas, float64(r.RestoreNS)/1e9)
-	return b.String()
+	return []field{
+		{"", "", "E16: zero-stall incremental checkpointing under fleet ingest\n", nil, nil},
+		{"provers", "%d", "provers %d", r.Provers, nil},
+		{"workers", "%d", "  workers %d", r.Workers, nil},
+		{"stripes", "%d", "  stripes %d\n", r.Stripes, nil},
+		{"base_ver_per_sec", "%.1f", "ingest: baseline %.0f ver/s", r.BaseVerPerSec, nil},
+		{"ckpt_ver_per_sec", "%.1f", ", with continuous checkpointing %.0f ver/s", r.CkptVerPerSec, nil},
+		{"concurrent_ratio", "%.3f", " (ratio %.2f", r.ConcurrentRatio, nil},
+		{"", "", ", %d files written)\n", r.Checkpoints, nil},
+		{"slow_ver_per_sec", "%.1f", slow, r.SlowVerPerSec, nil},
+		{"stall_ratio", "%.3f", stall, r.StallRatio, nil},
+		{"encode_overlapped", "%t", "", r.EncodeOverlapped, nil},
+		{"checkpoints", "%d", "", r.Checkpoints, nil},
+		{"full_ns", "%d", "", r.FullNS, nil},
+		{"full_bytes", "%d", "full streaming encode: %d bytes", r.FullBytes, nil},
+		{"", "", " in %.3fs", secs(r.FullNS), nil},
+		{"full_alloc_bytes", "%d", " (%.1f KiB allocated — pooled scratch, not O(fleet))\n", r.FullAllocBytes, float64(r.FullAllocBytes) / 1024},
+		{"dirty_provers", "%d", "delta encode: %d dirty provers", r.DirtyProvers, nil},
+		{"delta_ns", "%d", "", r.DeltaNS, nil},
+		{"delta_bytes", "%d", ", %d bytes", r.DeltaBytes, nil},
+		{"", "", " in %.4fs", secs(r.DeltaNS), nil},
+		{"delta_speedup", "%.1f", " — %.0fx faster than full\n", r.DeltaSpeedup, nil},
+		{"chain_deltas", "%d", "chain restore: base + %d deltas", r.ChainDeltas, nil},
+		{"restore_ns", "%d", " in %.2fs, pre-crash replay rejected exactly once\n", r.RestoreNS, secs(r.RestoreNS)},
+	}
 }
 
+// RenderE16 formats the run as text.
+func RenderE16(r *E16Result) string { return renderFields(r.fields()) }
+
 // E16CSV writes the run machine-readably.
-func E16CSV(w io.Writer, r *E16Result) error {
-	if _, err := fmt.Fprintln(w, "provers,workers,stripes,base_ver_per_sec,ckpt_ver_per_sec,concurrent_ratio,slow_ver_per_sec,stall_ratio,encode_overlapped,checkpoints,full_ns,full_bytes,full_alloc_bytes,dirty_provers,delta_ns,delta_bytes,delta_speedup,chain_deltas,restore_ns"); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%d,%d,%d,%.1f,%.1f,%.3f,%.1f,%.3f,%t,%d,%d,%d,%d,%d,%d,%d,%.1f,%d,%d\n",
-		r.Provers, r.Workers, r.Stripes, r.BaseVerPerSec, r.CkptVerPerSec, r.ConcurrentRatio,
-		r.SlowVerPerSec, r.StallRatio, r.EncodeOverlapped,
-		r.Checkpoints, r.FullNS, r.FullBytes, r.FullAllocBytes, r.DirtyProvers, r.DeltaNS,
-		r.DeltaBytes, r.DeltaSpeedup, r.ChainDeltas, r.RestoreNS)
-	return err
-}
+func E16CSV(w io.Writer, r *E16Result) error { return fieldsCSV(w, r.fields()) }

@@ -21,6 +21,9 @@ func TestE16Small(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if res.Phases < 5 || res.PhasesChecked != res.Phases {
+		t.Fatalf("the runner checked %d phases of a %d-phase script (want all, of at least 5)", res.PhasesChecked, res.Phases)
+	}
 	if res.Checkpoints < 2 {
 		t.Fatalf("only %d checkpoint files written (want base + final delta at least)", res.Checkpoints)
 	}

@@ -19,6 +19,9 @@ func TestE17Small(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if res.Phases < 8 || res.PhasesChecked != res.Phases {
+		t.Fatalf("the runner checked %d phases of a %d-phase script (want all, of at least 8)", res.PhasesChecked, res.Phases)
+	}
 	if res.Accepted == 0 || res.Laggards == 0 || res.DiffBlocks != 1 {
 		t.Fatalf("implausible result: %+v", res)
 	}

@@ -298,6 +298,36 @@ func TestStacksAgreeOnReasons(t *testing.T) {
 	}
 }
 
+// TestOneOutcomePerExchange pins the unit the Server's counters count
+// in, on the handlers' paths and on the path that refuses a bundle whole
+// (a malformed image id never reaches a handler): a SMART response is one
+// outcome however many rounds it carries, a collection or a SeED bundle
+// one outcome a report. The malformed-id path used to count a three-round
+// response three times.
+func TestOneOutcomePerExchange(t *testing.T) {
+	h := newStacks(t)
+	three := values([]*core.Report{h.measure(1), h.measure(2), h.measure(3)})
+	for _, tc := range []struct {
+		kind  transport.Kind
+		image string
+		want  uint64
+	}{
+		{transport.KindReport, "", 1}, // judged by handleReport: unsolicited
+		{transport.KindReport, "x@v", 1},
+		{transport.KindCollection, "", 3},
+		{transport.KindCollection, "x@v", 3},
+		{transport.KindSeedReport, "", 3},
+		{transport.KindSeedReport, "x@v", 3},
+	} {
+		before := h.srv.Counts()
+		h.srv.IngestImage(h.prv.Name, tc.kind, tc.image, three)
+		after := h.srv.Counts()
+		if got := after.Accepted + after.Rejected - before.Accepted - before.Rejected; got != tc.want {
+			t.Errorf("%v under image id %q: %d outcomes counted for 3 reports, want %d", tc.kind, tc.image, got, tc.want)
+		}
+	}
+}
+
 // TestHostileGeometryIsAnErrorVerdict covers a report whose geometry
 // fields — any int32 the codec will carry — disagree with the image:
 // both stacks answer with an error verdict and neither divides or

@@ -448,28 +448,32 @@ func (s *Server) IngestImage(from string, kind transport.Kind, image string, rep
 	}
 }
 
-// rejectBundle counts one rejection per report (conserving the
-// accepted+rejected == reports invariant) and answers the verdict the
-// kind calls for.
+// rejectBundle refuses a bundle whole, counting what the kind's handler
+// would have — one outcome for a SMART exchange however many rounds it
+// carries, one per report otherwise (accepted + rejected == exchanges +
+// reports) — and answers the verdict the kind calls for.
 func (s *Server) rejectBundle(from string, kind transport.Kind, n int, why verifier.Reason) {
-	s.count(why, n)
+	if kind == transport.KindReport {
+		s.count(why, 1)
+	} else {
+		s.count(why, n)
+	}
 	switch kind {
 	case transport.KindReport, transport.KindCollection:
 		s.verdict(from, "bundle", n, why, nil)
 	}
 }
 
-// bindImage resolves a bundle's image name against the prover's
-// stored binding: the first named contact binds (enrollment-time
+// bindImage resolves a bundle's image name against the binding stored
+// in the prover's record: the first named contact binds (enrollment-time
 // assignment in a fleet whose provers always present their class),
 // later bundles may omit the name, and a conflicting name rejects.
 // The default image's own name normalizes to "" so homogeneous fleets
-// store no binding at all. When create is false a missing record
-// leaves the binding unstored — the SMART and SeED paths do not enroll
-// here. Returns the effective name and false on a binding mismatch.
+// store no binding at all. A nil rec is a prover not enrolled yet — the
+// SMART and SeED paths do not enroll here — and leaves the binding
+// unstored. Returns the effective name and false on a binding mismatch.
 // Caller holds st.mu.
-func (st *stripe) bindImage(s *Server, from, name string, create bool) (string, bool) {
-	rec := st.provers[from]
+func (st *stripe) bindImage(s *Server, from string, rec *proverRec, name string) (string, bool) {
 	bound := ""
 	if rec != nil {
 		bound = rec.image
@@ -490,15 +494,10 @@ func (st *stripe) bindImage(s *Server, from, name string, create bool) (string, 
 	case bound != "":
 		return "", false
 	}
-	// First named contact binds.
-	if rec == nil {
-		if !create {
-			return name, true
-		}
-		rec = st.rec(s, from)
+	if rec != nil { // first named contact binds
+		rec.image = name
+		st.markDirty(s, from, rec)
 	}
-	rec.image = name
-	st.markDirty(s, from, rec)
 	return name, true
 }
 
@@ -560,7 +559,7 @@ func (st *stripe) takePending(name string) verifier.Challenge {
 func (s *Server) handleReport(from string, id verifier.ImageID, reports []core.Report) {
 	st := s.stripeFor(from)
 	st.mu.Lock()
-	name, bound := st.bindImage(s, from, id.Name, false)
+	name, bound := st.bindImage(s, from, st.provers[from], id.Name)
 	nonce := st.takePending(from)
 	st.mu.Unlock()
 	why := verifier.ReasonImageMismatch
@@ -641,22 +640,23 @@ func (s *Server) handleCollection(from string, id verifier.ImageID, reports []co
 func (s *Server) collect(sc *ingestScratch, from string, id verifier.ImageID, reports []core.Report) verifier.Reason {
 	st := s.stripeFor(from)
 
-	// Snapshot. Binding comes before enrollment bookkeeping: a
-	// mismatched image claim rejects the whole bundle (every report
-	// counted) before any window state moves. Then the prover gets its
-	// window on first contact, so a restarted shard's checkpoint covers
-	// provers whose every report was rejected too (they are enrolled,
-	// just never clean). The record pointer is stable (heap value behind
-	// the stripe map), so the commit visit reuses it.
+	// Snapshot: one probe for the record, enrolling on first contact,
+	// then the binding on it — a mismatch needs a stored binding, hence
+	// a record that already existed, so a mismatched image claim still
+	// rejects the whole bundle (every report counted) before any state
+	// moves. Then the prover gets its window, so a restarted shard's
+	// checkpoint covers provers whose every report was rejected too
+	// (enrolled, just never clean). The record pointer is stable (heap
+	// value behind the stripe map), so the commit visit reuses it.
 	st.mu.Lock()
-	name, bound := st.bindImage(s, from, id.Name, true)
+	rec := st.rec(s, from)
+	name, bound := st.bindImage(s, from, rec, id.Name)
 	if !bound {
 		st.mu.Unlock()
 		sc.why = sc.why[:0]
 		s.rejectBundle(from, transport.KindCollection, len(reports), verifier.ReasonImageMismatch)
 		return verifier.ReasonImageMismatch
 	}
-	rec := st.rec(s, from)
 	if !rec.hasWin {
 		rec.hasWin = true
 		st.markDirty(s, from, rec)
@@ -748,8 +748,9 @@ func (s *Server) handleSeed(from string, id verifier.ImageID, reports []core.Rep
 	// named contact that never verifies clean still binds nothing.
 	var fresh verifier.Freshness
 	st.mu.Lock()
-	name, bound := st.bindImage(s, from, id.Name, false)
-	if rec := st.provers[from]; rec != nil {
+	rec := st.provers[from]
+	name, bound := st.bindImage(s, from, rec, id.Name)
+	if rec != nil {
 		fresh = rec.fresh
 	}
 	st.mu.Unlock()
@@ -789,7 +790,7 @@ func (s *Server) handleSeed(from string, id verifier.ImageID, reports []core.Rep
 	// Commit; the first report to get here enrolls the prover.
 	if cnt.accepted > 0 {
 		st.mu.Lock()
-		rec := st.rec(s, from)
+		rec = st.rec(s, from)
 		for i, w := range why {
 			if w != verifier.ReasonOK {
 				continue

@@ -72,6 +72,17 @@ func (l *Log) Add(at sim.Time, kind Kind, actor, detail string) {
 	l.events = append(l.events, Event{At: at, Kind: kind, Actor: actor, Detail: detail})
 }
 
+// AddCat appends an event whose detail is prefix+name. A call site that
+// builds "to "+prover itself pays for the string before Add can see the
+// log is nil; here the concatenation waits for the nil check, so a trace
+// nobody keeps costs no allocation per event.
+func (l *Log) AddCat(at sim.Time, kind Kind, actor, prefix, name string) {
+	if l == nil {
+		return
+	}
+	l.Add(at, kind, actor, prefix+name)
+}
+
 // Addf appends an event with a formatted detail string.
 func (l *Log) Addf(at sim.Time, kind Kind, actor, format string, args ...any) {
 	if l == nil {

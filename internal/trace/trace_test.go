@@ -20,6 +20,22 @@ func TestAddAndEvents(t *testing.T) {
 	}
 }
 
+// TestAddCatBuildsDetailOnlyWhenKept: a kept log records prefix+name; a
+// nil log — the state of every world that asks for no trace — allocates
+// nothing per event, which "prefix"+name at the call site did.
+func TestAddCatBuildsDetailOnlyWhenKept(t *testing.T) {
+	var l Log
+	name := strings.Repeat("p", 8) // not a constant: the concatenation must allocate
+	l.AddCat(0, KindRequestSent, "vrf", "to ", name)
+	if got := l.Events()[0].Detail; got != "to pppppppp" {
+		t.Fatalf("AddCat detail %q", got)
+	}
+	var none *Log
+	if n := testing.AllocsPerRun(100, func() { none.AddCat(0, KindRequestSent, "vrf", "to ", name) }); n != 0 {
+		t.Fatalf("AddCat on a nil log: %v allocs/op, want 0", n)
+	}
+}
+
 func TestNilLogIsSafe(t *testing.T) {
 	var l *Log
 	l.Add(0, KindWrite, "x", "y") // must not panic

@@ -5,6 +5,7 @@ import (
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -275,6 +276,16 @@ func TestNetNoHandlerCostsNoDedupState(t *testing.T) {
 	}
 }
 
+// settledHeap is the live heap after two collections: pooled buffers an
+// earlier test left behind survive one cycle in sync.Pool's victim cache.
+func settledHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
 // TestNetBytesPerName pins what a Net keeps for a name it has heard
 // from once: 50 000 never-seen names send one identified frame each,
 // and the live heap may grow by at most 256 B a name. What remains is
@@ -304,17 +315,11 @@ func TestNetBytesPerName(t *testing.T) {
 	// scratch exist before the baseline is read.
 	sendRaw(t, raw, srv, func(i int) string { return fmt.Sprintf("warm-%03d", i) }, ids)
 
-	heap := func() uint64 {
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
-	before := heap()
+	before := settledHeap()
 	for base := 0; base < names; base += perDatagram {
 		sendRaw(t, raw, srv, func(i int) string { return fmt.Sprintf("mem-%06d", base+i) }, ids)
 	}
-	perName := float64(int64(heap()-before)) / names
+	perName := float64(int64(settledHeap()-before)) / names
 	t.Logf("%.0f heap bytes per name after %d names", perName, names)
 	if perName > 256 {
 		t.Fatalf("%.0f heap bytes per name, want <= 256", perName)
@@ -322,4 +327,64 @@ func TestNetBytesPerName(t *testing.T) {
 	if s := srv.Stats(); s.Received != names+perDatagram || s.Dups != 0 {
 		t.Fatalf("not every name was delivered once: %+v", s)
 	}
+}
+
+// TestNetRingHoldsDatagrams bounds what a full receive ring costs: one
+// handler blocks while a sender floods a 64-slot ring with 200-byte
+// messages, and the settled heap may grow by at most 1 MiB. A ring slot
+// owns a copy of its datagram, not a buffer sized for the largest
+// datagram UDP could carry — 64 slots of those were 4 MiB. An oversized
+// frame still arrives whole afterwards (and TestNetOrderAcrossOversized
+// holds its order).
+func TestNetRingHoldsDatagrams(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap accounting is meaningless under the race detector")
+	}
+	const slots, extra = 64, 16
+	srv, err := Listen(NetConfig{RecvLoops: 1, RecvQueues: 1, QueueCap: slots})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	entered, release := make(chan struct{}, 1), make(chan struct{})
+	unblock := sync.OnceFunc(func() { close(release) })
+	defer unblock() // before Close, which waits for the worker the handler holds
+	var largest atomic.Int64
+	if err := srv.Bind("vrf", func(m Msg) {
+		if n := int64(len(m.Nonce)); n > largest.Load() {
+			largest.Store(n)
+		}
+		select {
+		case entered <- struct{}{}:
+			<-release // the first delivery holds the ring's only worker
+		default:
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	raw := rawSender(t, srv)
+	send := func(nonce []byte) {
+		t.Helper()
+		if _, err := raw.Write(AppendFrame(nil, &Msg{From: "prv", To: "vrf", Kind: KindChallenge, Nonce: nonce})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	payload := make([]byte, 170) // a 200-byte frame with its header and names
+	send(payload)
+	<-entered
+
+	before := settledHeap()
+	for i := 0; i < slots+extra; i++ {
+		send(payload)
+	}
+	waitUntil(t, "the ring to fill and shed", func() bool { return srv.Stats().QueueDrops == extra })
+	grew := int64(settledHeap() - before)
+	t.Logf("a full %d-slot ring holds %d heap bytes", slots, grew)
+	if grew > 1<<20 {
+		t.Fatalf("a full %d-slot ring of 200-byte datagrams grew the heap by %d B, want <= 1 MiB", slots, grew)
+	}
+
+	unblock()
+	send(make([]byte, 20<<10))
+	waitUntil(t, "the oversized frame", func() bool { return largest.Load() == 20<<10 })
 }

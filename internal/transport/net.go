@@ -211,8 +211,9 @@ type Net struct {
 // lock.
 const dedupShards = 16
 
-// recvBuf is one pooled receive buffer plus the view frame decoded
-// from it. The epoch counter advances every time the buffer returns
+// recvBuf is one pooled datagram — a copy, sized to the bytes read, of
+// what a recvLoop's read buffer held — plus the view frame decoded from
+// it. The epoch counter advances every time the buffer returns
 // to the pool; Frame views into the buffer are valid only within one
 // epoch (the handler invocation they were delivered to).
 type recvBuf struct {
@@ -249,7 +250,7 @@ func Listen(cfg NetConfig) (*Net, error) {
 		// we cannot see; ours stands in for it (DESIGN §7).
 		n.dedups[i].dd = newDedup(cfg.RequestTimeout)
 	}
-	n.bufPool.New = func() any { return &recvBuf{data: make([]byte, 64<<10)} }
+	n.bufPool.New = func() any { return &recvBuf{data: make([]byte, 0, recvBufSize)} }
 	for i := range n.pend {
 		n.pend[i].m = map[uint64]*inflight{}
 	}
@@ -619,22 +620,29 @@ func (n *Net) transmit(frame []byte, ap netip.AddrPort, retry bool) {
 	n.conn.WriteToUDPAddrPort(frame, ap)
 }
 
-func (n *Net) getBuf() *recvBuf { return n.bufPool.Get().(*recvBuf) }
+// recvBufSize is what a pooled recvBuf holds: BatchBytes defaults to 1,400,
+// so a full ring costs its slots times this, not times the 64 KiB a UDP
+// read must be ready for. A larger frame grows its buffer; putBuf trims it.
+const recvBufSize = 2 << 10
+
 func (n *Net) putBuf(rb *recvBuf) {
 	rb.epoch.Add(1) // invalidate any views still pointing here
+	if cap(rb.data) > recvBufSize {
+		rb.data = make([]byte, 0, recvBufSize)
+	}
 	n.bufPool.Put(rb)
 }
 
-// recvLoop reads datagrams into pooled buffers, decodes them in place,
-// consumes acks inline (they only touch the pending table), and feeds
-// data and batch frames to the shard queues.
+// recvLoop reads datagrams into its own buffer, copies each into a
+// pooled one and decodes it there, consumes acks inline (they only
+// touch the pending table), and feeds data and batch frames to the
+// shard queues.
 func (n *Net) recvLoop() {
 	defer n.wg.Done()
+	read := make([]byte, 64<<10) // the largest UDP datagram
 	for {
-		rb := n.getBuf()
-		sz, from, err := n.conn.ReadFromUDPAddrPort(rb.data)
+		sz, from, err := n.conn.ReadFromUDPAddrPort(read)
 		if err != nil {
-			n.bufPool.Put(rb)
 			select {
 			case <-n.closed:
 				return
@@ -650,14 +658,16 @@ func (n *Net) recvLoop() {
 			}
 			continue
 		}
-		if err := DecodeFrameInto(rb.data[:sz], &rb.frame); err != nil {
+		rb := n.bufPool.Get().(*recvBuf)
+		rb.data = append(rb.data[:0], read[:sz]...)
+		if err := DecodeFrameInto(rb.data, &rb.frame); err != nil {
 			n.stats.malformed.Add(1)
-			n.bufPool.Put(rb)
+			n.putBuf(rb)
 			continue
 		}
 		if rb.frame.Ack {
 			n.handleAck(&rb.frame)
-			n.bufPool.Put(rb)
+			n.putBuf(rb)
 			continue
 		}
 		rb.from = canonical(from)

@@ -82,14 +82,16 @@ func (id ImageID) String() string {
 // (current version) or "name@vN". The name substring aliases s, so
 // parsing an interned string allocates nothing. Malformed version
 // suffixes ("name@", "name@v", "name@vx", version 0) are errors —
-// a peer that tries to speak versions must speak them correctly.
+// a peer that tries to speak versions must speak them correctly — and
+// so is any spelling String would not produce ("name@v007"): one
+// version reaches the registry under one id.
 func ParseImageID(s string) (ImageID, error) {
 	at := strings.LastIndexByte(s, '@')
 	if at < 0 {
 		return ImageID{Name: s}, nil
 	}
 	suffix := s[at+1:]
-	if len(suffix) < 2 || suffix[0] != 'v' {
+	if len(suffix) < 2 || suffix[0] != 'v' || suffix[1] == '0' {
 		return ImageID{}, fmt.Errorf("verifier: malformed image id %q", s)
 	}
 	v, err := strconv.ParseUint(suffix[1:], 10, 32)

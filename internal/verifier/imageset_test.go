@@ -70,11 +70,32 @@ func TestParseImageID(t *testing.T) {
 			t.Fatalf("ParseImageID(%q).String() = %q", c.in, got.String())
 		}
 	}
-	for _, bad := range []string{"sensor@", "sensor@v", "sensor@vx", "sensor@v0", "sensor@v-1"} {
+	for _, bad := range []string{"sensor@", "sensor@v", "sensor@vx", "sensor@v0", "sensor@v-1", "sensor@v007", "sensor@v+7"} {
 		if _, err := ParseImageID(bad); err == nil {
 			t.Fatalf("ParseImageID(%q): want error", bad)
 		}
 	}
+}
+
+// FuzzParseImageID: parsing never panics, and an id it accepts has one
+// spelling — String gives the input back and the input's parse gives the
+// id back — so two wire ids that differ name two registry entries.
+func FuzzParseImageID(f *testing.F) {
+	for _, s := range []string{"", "a", "a@", "a@v", "a@v0", "a@v1", "a@v007", "@v3", "a@b@v2", "a@v4294967296"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		id, err := ParseImageID(s)
+		if err != nil {
+			return
+		}
+		if got := id.String(); got != s {
+			t.Fatalf("ParseImageID(%q) = %+v, which String spells %q", s, id, got)
+		}
+		if back, err := ParseImageID(id.String()); err != nil || back != id {
+			t.Fatalf("ParseImageID(%q) = %+v, %v; want %+v", id.String(), back, err, id)
+		}
+	})
 }
 
 func TestImageSetAddAndResolve(t *testing.T) {

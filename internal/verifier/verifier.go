@@ -134,7 +134,7 @@ func (v *Verifier) Challenge(prover string) []byte {
 	// reproducible while remaining unpredictable to the prover.
 	nonce := ChallengeNonce(v.PermKey, labelChallenge, v.nonceCtr)
 	v.pending[prover] = nonce
-	v.Trace.Add(v.Kernel.Now(), trace.KindRequestSent, v.Name, "to "+prover)
+	v.Trace.AddCat(v.Kernel.Now(), trace.KindRequestSent, v.Name, "to ", prover)
 	v.send(prover, transport.KindChallenge, nonce)
 	return nonce
 }
@@ -154,7 +154,7 @@ var labelChallenge = []byte("challenge")
 // HandleReports validates a challenge response: every round's report
 // must carry the outstanding nonce and a correct tag.
 func (v *Verifier) HandleReports(prover string, reports []*core.Report) {
-	v.Trace.Add(v.Kernel.Now(), trace.KindReportReceived, v.Name, "from "+prover)
+	v.Trace.AddCat(v.Kernel.Now(), trace.KindReportReceived, v.Name, "from ", prover)
 	c := v.pending[prover]
 	delete(v.pending, prover)
 	if why := c.Open(len(reports)); why != ReasonOK {
@@ -172,7 +172,7 @@ func (v *Verifier) HandleReports(prover string, reports []*core.Report) {
 			return
 		}
 	}
-	v.Trace.Add(v.Kernel.Now(), trace.KindReportVerified, v.Name, "from "+prover)
+	v.Trace.AddCat(v.Kernel.Now(), trace.KindReportVerified, v.Name, "from ", prover)
 }
 
 // result stamps a verdict with the decision time and, for a verdict

@@ -367,25 +367,11 @@ func Benchmark_DeriveOrder(b *testing.B) {
 	})
 }
 
-// Benchmark_TaggerReuse isolates the per-measurement MAC state: a fresh
-// tagger per round (the old engine behavior) against the pooled
-// acquire/release cycle.
+// Benchmark_TaggerReuse isolates the per-measurement MAC state: the
+// pooled acquire/release cycle the engine runs once per round.
 func Benchmark_TaggerReuse(b *testing.B) {
 	scheme := suite.Scheme{Hash: suite.SHA256, Key: []byte("bench-attestation-key")}
 	block := make([]byte, 4096)
-	b.Run("fresh", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tg, err := scheme.NewTagger()
-			if err != nil {
-				b.Fatal(err)
-			}
-			tg.Write(block)
-			if _, err := tg.Tag(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("pooled", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -403,89 +389,70 @@ func Benchmark_TaggerReuse(b *testing.B) {
 }
 
 // BenchmarkSwarm_Round measures fleet attestation on the sharded
-// engine: one iteration provisions a fleet and runs three collection
-// rounds (like every benchmark in this file, an iteration is the full
-// experiment). "naive" is the pre-optimization baseline: every device
-// holds a private full image copy, the collector snapshots each one,
-// every device warms its own digest cache, and each report is verified
-// independently. "optimized" is the shipping configuration:
-// copy-on-write views of one golden image (provisioning copies
-// nothing), one shared digest cache, and batched verification (one
-// expected tag per round for the whole clean fleet). Verdicts are
-// bit-identical (see TestShardedCOWMatchesFullCopy and
-// TestCollectorBatchedMatchesUnbatched); only cost differs.
-// ns/dev-round and B/dev-round divide by devices × rounds.
+// engine: one iteration provisions a fleet and runs a collection round
+// (like every benchmark in this file, an iteration is the full
+// experiment): copy-on-write views of one golden image (provisioning
+// copies nothing), one shared digest cache, and batched verification
+// (one expected tag per round for the whole clean fleet). The arms it
+// replaced — private full-image copies, per-report verification — live
+// on as the oracles of TestShardedCOWMatchesFullCopy and
+// TestCollectorBatchedMatchesUnbatched. ns/dev-round and B/dev-round
+// divide by devices × rounds.
 func BenchmarkSwarm_Round(b *testing.B) {
 	const rounds = 1
 	for _, n := range []int{100, 1000} {
-		for _, m := range []struct {
-			name  string
-			naive bool
-		}{{"naive", true}, {"optimized", false}} {
-			b.Run(fmt.Sprintf("N%d/%s", n, m.name), func(b *testing.B) {
-				nonce := make([]byte, 0, 32)
-				b.ReportAllocs()
-				var ms runtime.MemStats
-				runtime.ReadMemStats(&ms)
-				bytesBefore := ms.TotalAlloc
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					s, err := swarm.NewSharded(swarm.ShardedConfig{
-						EngineConfig: swarm.EngineConfig{Seed: uint64(i)},
-						Devices:      n, MemSize: 16 << 10, BlockSize: 256,
-						FullCopy:     m.naive,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					s.Collector.Batched = !m.naive
-					for r := 0; r < rounds; r++ {
-						nonce = fmt.Appendf(nonce[:0], "bench-%d-%d", i, r)
-						res, err := s.Round(nonce)
-						if err != nil {
-							b.Fatal(err)
-						}
-						if !res.Healthy() {
-							b.Fatal("clean fleet judged unhealthy")
-						}
-					}
-				}
-				b.StopTimer()
-				runtime.ReadMemStats(&ms)
-				perDev := float64(b.N * n * rounds)
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/perDev, "ns/dev-round")
-				b.ReportMetric(float64(ms.TotalAlloc-bytesBefore)/perDev, "B/dev-round")
-			})
-		}
-	}
-}
-
-// BenchmarkSwarm_Provision measures fleet construction: N private
-// full-image copies (naive) vs N copy-on-write views of one shared
-// golden image (optimized). The bytes/op gap is the resident-memory
-// story behind TestSharded10K.
-func BenchmarkSwarm_Provision(b *testing.B) {
-	const n = 100
-	for _, m := range []struct {
-		name  string
-		naive bool
-	}{{"naive", true}, {"optimized", false}} {
-		b.Run(m.name, func(b *testing.B) {
+		b.Run(fmt.Sprintf("N%d", n), func(b *testing.B) {
+			nonce := make([]byte, 0, 32)
 			b.ReportAllocs()
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			bytesBefore := ms.TotalAlloc
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s, err := swarm.NewSharded(swarm.ShardedConfig{
 					EngineConfig: swarm.EngineConfig{Seed: uint64(i)},
 					Devices:      n, MemSize: 16 << 10, BlockSize: 256,
-					FullCopy:     m.naive,
 				})
 				if err != nil {
 					b.Fatal(err)
 				}
-				if s.Devices() != n {
-					b.Fatal("fleet size")
+				for r := 0; r < rounds; r++ {
+					nonce = fmt.Appendf(nonce[:0], "bench-%d-%d", i, r)
+					res, err := s.Round(nonce)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if !res.Healthy() {
+						b.Fatal("clean fleet judged unhealthy")
+					}
 				}
 			}
+			b.StopTimer()
+			runtime.ReadMemStats(&ms)
+			perDev := float64(b.N * n * rounds)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/perDev, "ns/dev-round")
+			b.ReportMetric(float64(ms.TotalAlloc-bytesBefore)/perDev, "B/dev-round")
 		})
+	}
+}
+
+// BenchmarkSwarm_Provision measures fleet construction: N
+// copy-on-write views of one shared golden image. The bytes/op figure
+// is the resident-memory story behind TestSharded10K.
+func BenchmarkSwarm_Provision(b *testing.B) {
+	const n = 100
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s, err := swarm.NewSharded(swarm.ShardedConfig{
+			EngineConfig: swarm.EngineConfig{Seed: uint64(i)},
+			Devices:      n, MemSize: 16 << 10, BlockSize: 256,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if s.ResidentBytes() != 16<<10 {
+			b.Fatal("a clean fleet holds more than its golden image")
+		}
 	}
 }
 

@@ -15,7 +15,6 @@
 //	figures -ablation a1..a5     # ablations
 //	figures -quick               # reduced trial counts
 //	figures -parallel 4          # trial worker count (results identical)
-//	figures -incremental=false   # streaming measurement path (results identical)
 //	figures -cpuprofile cpu.out  # write a pprof CPU profile
 //	figures -memprofile mem.out  # write a pprof heap profile at exit
 package main
@@ -29,7 +28,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 
-	"saferatt/internal/core"
 	"saferatt/internal/costmodel"
 	"saferatt/internal/experiments"
 	"saferatt/internal/parallel"
@@ -48,15 +46,12 @@ func main() {
 		par      = flag.Int("parallel", 0, "Monte Carlo worker count (0 = GOMAXPROCS, 1 = serial; results are identical)")
 		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
-		inc      = flag.Bool("incremental", true, "use the incremental measurement engine (results are identical)")
-		naive    = flag.Bool("naive-swarm", false, "e11: full-copy images and per-report verification (pre-optimization baseline)")
 	)
 	flag.Parse()
 
 	if *par > 0 {
 		parallel.SetDefault(*par)
 	}
-	core.SetStreamingDefault(!*inc)
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
@@ -169,7 +164,7 @@ func main() {
 		fmt.Print(experiments.RenderE10(experiments.E10DoS(experiments.E10Config{})))
 	})
 	run("E11: swarm at scale (COW images, sharded rounds, batched verification)", *exp == "e11", func() {
-		cfg := experiments.E11Config{Shards: *par, FullCopy: *naive}
+		cfg := experiments.E11Config{Shards: *par}
 		if *quick {
 			cfg.DeviceCounts = []int{100, 1000}
 			cfg.Rounds = 1

@@ -59,10 +59,8 @@ func main() {
 		provers = flag.Int("provers", 100, "rattping: fleet size")
 		history = flag.Int("history", 3, "rattping: self-measurements per collection (negative skips)")
 		conc    = flag.Int("concurrency", 0, "rattping: max simultaneously active provers (0 = all)")
-		inc     = flag.Bool("incremental", true, "use the incremental measurement engine (dirty-block digest caching)")
 	)
 	flag.Parse()
-	core.SetStreamingDefault(!*inc)
 
 	switch *mode {
 	case "ondemand":

@@ -9,7 +9,6 @@ package main
 import (
 	"fmt"
 	"math/rand/v2"
-	"sort"
 
 	"saferatt/internal/channel"
 	"saferatt/internal/core"
@@ -79,7 +78,6 @@ func main() {
 
 	res := collector.Judge(agg, nonce, k.Now())
 	infected := res.Infected()
-	sort.Strings(infected)
 	for _, name := range infected {
 		fmt.Printf("  %s: REJECTED (%s)\n", name, res.Verdicts[name].Reason)
 	}

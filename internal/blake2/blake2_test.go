@@ -140,9 +140,6 @@ func TestSizeAndBlockSize(t *testing.T) {
 	if s.Size() != 32 || s.BlockSize() != 64 {
 		t.Errorf("BLAKE2s: Size=%d BlockSize=%d", s.Size(), s.BlockSize())
 	}
-	if New256B().Size() != 32 {
-		t.Error("New256B size")
-	}
 }
 
 func TestSumDoesNotFinalizeState(t *testing.T) {

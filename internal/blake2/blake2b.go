@@ -83,15 +83,6 @@ func New512() hash.Hash {
 	return d
 }
 
-// New256B returns an unkeyed BLAKE2b-256 hash.
-func New256B() hash.Hash {
-	d, err := NewB(32, nil)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
 // SumB is a convenience one-shot BLAKE2b.
 func SumB(size int, key, data []byte) ([]byte, error) {
 	d, err := NewB(size, key)

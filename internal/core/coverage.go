@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"saferatt/internal/inccache"
 )
@@ -140,15 +139,4 @@ func EffectiveDigests(golden *inccache.ImageCache, region DataRegion, reported m
 		}
 		return golden.Digest(b), nil
 	}, nil
-}
-
-// SortedDataBlocks returns the region's blocks in ascending order
-// (stable iteration for rendering and tests).
-func SortedDataBlocks(reported map[int][]byte) []int {
-	out := make([]int, 0, len(reported))
-	for b := range reported {
-		out = append(out, b)
-	}
-	sort.Ints(out)
-	return out
 }

@@ -324,9 +324,6 @@ func (m *Measurement) finishErr(err error) {
 	m.dev.Kernel.Schedule(0, func() { m.done(nil, err) })
 }
 
-// Holding reports whether extended-release locks are currently held.
-func (m *Measurement) Holding() bool { return m.extHeld }
-
 // Release releases extended locks (t_r). It is a no-op unless the
 // measurement used ExtRelease and has finished. Returns the release
 // time (zero if nothing was held).

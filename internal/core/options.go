@@ -114,18 +114,16 @@ func (p PathMode) String() string {
 }
 
 // streamingDefault flips the package default from incremental to
-// streaming. Atomic because parallel trial workers read it while a CLI
-// or test flips it between runs.
+// streaming. Atomic because parallel trial workers read it while a
+// test flips it between runs.
 var streamingDefault atomic.Bool
 
 // SetStreamingDefault selects the package-wide default measurement
-// path: on = streaming, off (the default) = incremental. Equivalence
-// tests and the CLIs' -incremental=false toggle use it; experiment code
-// should prefer Options.Path for a per-measurement choice.
+// path: on = streaming, off (the default) = incremental. Only the
+// path-equivalence suites call it, to run whole experiments on both
+// paths; no program does, and code that wants the streaming path for
+// one measurement sets Options.Path.
 func SetStreamingDefault(on bool) { streamingDefault.Store(on) }
-
-// StreamingDefault reports the current package default.
-func StreamingDefault() bool { return streamingDefault.Load() }
 
 // Options configure one measurement.
 type Options struct {

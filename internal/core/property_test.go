@@ -1,7 +1,7 @@
 package core
 
 import (
-	"bytes"
+	"io"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -109,7 +109,7 @@ func TestPropertyEngineInvariants(t *testing.T) {
 				return false
 			}
 			for b := 0; b < blocks; b++ {
-				if !rep.Coverage.Covered(b) {
+				if rep.Coverage.CoveredAt[b] < 0 {
 					return false
 				}
 			}
@@ -178,9 +178,10 @@ func TestPropertyCleanDeviceAlwaysVerifies(t *testing.T) {
 
 		scheme := suite.Scheme{Hash: opts.Hash, Key: dev.AttestationKey}
 		order := DeriveOrder(dev.AttestationKey, rep.Nonce, rep.Round, blocks, opts.Shuffled)
-		var buf bytes.Buffer
-		ExpectedStreamForReport(&buf, opts.Hash, rep, ref, blockSize, order)
-		ok, err := scheme.VerifyTag(&buf, rep.Tag)
+		ok, err := scheme.VerifyStream(func(w io.Writer) error {
+			ExpectedStreamForReport(w, opts.Hash, rep, ref, blockSize, order)
+			return nil
+		}, rep.Tag)
 		return err == nil && ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -221,7 +222,7 @@ func TestPropertyRegionCoverage(t *testing.T) {
 		}
 		for b := 0; b < blocks; b++ {
 			in := b >= start && b < start+count
-			if rep.Coverage.Covered(b) != in {
+			if (rep.Coverage.CoveredAt[b] >= 0) != in {
 				return false
 			}
 		}

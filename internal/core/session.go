@@ -67,9 +67,6 @@ func (s *Session) Release() {
 	}
 }
 
-// Holding reports whether extended locks are still held.
-func (s *Session) Holding() bool { return s.last != nil && s.last.Holding() }
-
 // PRF computes HMAC-SHA256(key, label || counter): the pseudorandom
 // function used to self-derive nonces (ERASMUS), schedule times (SeED),
 // and traversal permutations. Hot paths that reuse an output buffer

@@ -63,9 +63,6 @@ func NewTyTAN(dev *device.Device, mpPrio int, procs []*Process) (*TyTAN, error) 
 	}, nil
 }
 
-// Processes returns the registered processes.
-func (t *TyTAN) Processes() []*Process { return t.procs }
-
 // MeasureAll measures every process in registration order, suspending
 // each for exactly the span of its own measurement. done receives one
 // report per process name.

@@ -35,11 +35,9 @@ type Profile struct {
 	// HashFixed is the per-measurement overhead (init + finalization)
 	// of each hash.
 	HashFixed map[suite.HashID]sim.Duration
-	// SignCost and VerifyCost are fixed per-operation signature costs;
-	// they do not depend on input size because only the digest is
-	// signed (§2.4).
-	SignCost   map[suite.SignerID]sim.Duration
-	VerifyCost map[suite.SignerID]sim.Duration
+	// SignCost is the fixed per-operation signature cost; it does not
+	// depend on input size because only the digest is signed (§2.4).
+	SignCost map[suite.SignerID]sim.Duration
 	// CtxSwitch is the cost of one preemption (save/restore).
 	CtxSwitch sim.Duration
 	// LockOp is the cost of one MPU reconfiguration (lock or unlock a
@@ -87,14 +85,6 @@ func ODROIDXU4() *Profile {
 			suite.ECDSA256: 1200 * sim.Microsecond,
 			suite.ECDSA384: 3500 * sim.Microsecond,
 		},
-		VerifyCost: map[suite.SignerID]sim.Duration{
-			suite.RSA1024:  70 * sim.Microsecond,
-			suite.RSA2048:  200 * sim.Microsecond,
-			suite.RSA4096:  700 * sim.Microsecond,
-			suite.ECDSA224: 2 * sim.Millisecond,
-			suite.ECDSA256: 2400 * sim.Microsecond,
-			suite.ECDSA384: 7 * sim.Millisecond,
-		},
 		CtxSwitch:   5 * sim.Microsecond,
 		LockOp:      1 * sim.Microsecond,
 		CopyPerByte: 0.5,
@@ -113,7 +103,6 @@ func LowEndMCU() *Profile {
 		HashPerByte: map[suite.HashID]float64{},
 		HashFixed:   map[suite.HashID]sim.Duration{},
 		SignCost:    map[suite.SignerID]sim.Duration{},
-		VerifyCost:  map[suite.SignerID]sim.Duration{},
 		CtxSwitch:   p.CtxSwitch * scale,
 		LockOp:      p.LockOp * scale,
 		CopyPerByte: p.CopyPerByte * scale,
@@ -126,9 +115,6 @@ func LowEndMCU() *Profile {
 	}
 	for k, v := range p.SignCost {
 		q.SignCost[k] = v * scale
-	}
-	for k, v := range p.VerifyCost {
-		q.VerifyCost[k] = v * scale
 	}
 	return q
 }
@@ -174,24 +160,6 @@ func (p *Profile) SignTime(id suite.SignerID) sim.Duration {
 		panic(fmt.Sprintf("costmodel: no sign cost for %q in profile %s", id, p.Name))
 	}
 	return d
-}
-
-// VerifyTime returns the fixed cost of verifying a signature.
-func (p *Profile) VerifyTime(id suite.SignerID) sim.Duration {
-	d, ok := p.VerifyCost[id]
-	if !ok {
-		panic(fmt.Sprintf("costmodel: no verify cost for %q in profile %s", id, p.Name))
-	}
-	return d
-}
-
-// MeasureTime returns the complete cost of the paper's measurement
-// process timing for n bytes: MAC, or hash-and-sign.
-func (p *Profile) MeasureTime(hash suite.HashID, signer suite.SignerID, n int) sim.Duration {
-	if signer == "" {
-		return p.MACTime(hash, n)
-	}
-	return p.HashTime(hash, n) + p.SignTime(signer)
 }
 
 // CrossoverBytes returns the attested size at which hashing with hash

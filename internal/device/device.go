@@ -43,8 +43,6 @@ type Device struct {
 	busy        bool
 	kickPending bool
 	atomicOwner *Task
-	ctxSwitches int
-	busyTime    sim.Duration
 
 	// The scheduler has at most one step completion and one dispatch
 	// kick outstanding at a time, so both reuse a single kernel timer
@@ -146,13 +144,6 @@ func (d *Device) NewTask(name string, prio int) *Task {
 // Name returns the task name.
 func (t *Task) Name() string { return t.name }
 
-// Priority returns the task priority.
-func (t *Task) Priority() int { return t.prio }
-
-// SetPriority changes the task priority (HYDRA manipulates priorities
-// to make attestation effectively atomic).
-func (t *Task) SetPriority(p int) { t.prio = p }
-
 // Stats returns a copy of the task's scheduling statistics.
 func (t *Task) Stats() Stats { return t.stats }
 
@@ -171,14 +162,6 @@ func (t *Task) Submit(dur sim.Duration, fn func()) {
 	t.queue = append(t.queue, step{dur: dur, fn: fn, submitted: t.dev.Kernel.Now()})
 	t.dev.kick()
 }
-
-// SubmitFn enqueues a zero-duration step (bookkeeping that consumes no
-// modeled CPU time).
-func (t *Task) SubmitFn(fn func()) { t.Submit(0, fn) }
-
-// Drop discards all queued steps (used when malware erases itself or a
-// mechanism aborts).
-func (t *Task) Drop() { t.queue = nil }
 
 // Suspend makes the task unschedulable until Resume: TyTAN-style
 // designs suspend the process whose memory is being measured so it
@@ -210,20 +193,6 @@ func (d *Device) EnableInterrupts() {
 
 // InterruptsDisabled reports whether an atomic section is active.
 func (d *Device) InterruptsDisabled() bool { return d.atomicOwner != nil }
-
-// ContextSwitches returns the number of task switches performed.
-func (d *Device) ContextSwitches() int { return d.ctxSwitches }
-
-// BusyTime returns total CPU time consumed by all tasks.
-func (d *Device) BusyTime() sim.Duration { return d.busyTime }
-
-// Utilization returns busy time divided by elapsed virtual time.
-func (d *Device) Utilization() float64 {
-	if d.Kernel.Now() == 0 {
-		return 0
-	}
-	return float64(d.busyTime) / float64(d.Kernel.Now())
-}
 
 // kick schedules a dispatch at the current instant if the CPU is idle
 // and none is already scheduled.
@@ -278,7 +247,6 @@ func (d *Device) dispatch() {
 
 	dur := st.dur
 	if d.lastRan != t {
-		d.ctxSwitches++
 		dur += d.Profile.CtxSwitch
 		if d.lastRan != nil && len(d.lastRan.queue) > 0 {
 			d.lastRan.stats.Preemptions++
@@ -308,7 +276,6 @@ func (d *Device) stepDone() {
 	d.busy = false
 	d.current = nil
 	d.lastRan = t
-	d.busyTime += dur
 	t.stats.Busy += dur
 	t.stats.Steps++
 	resp := d.Kernel.Now().Sub(st.submitted)

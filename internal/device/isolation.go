@@ -47,7 +47,3 @@ func (d *Device) EnableProcessIsolation(regions map[*Task]Region) {
 		return nil
 	})
 }
-
-// DisableProcessIsolation removes the guard (models the exploited OS
-// vulnerability).
-func (d *Device) DisableProcessIsolation() { d.Mem.SetGuard(nil) }

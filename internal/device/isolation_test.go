@@ -56,12 +56,12 @@ func TestProcessIsolationEnforced(t *testing.T) {
 	}
 
 	// Disabling restores free writes.
-	d.DisableProcessIsolation()
+	d.Mem.SetGuard(nil)
 	var freeErr error
 	a.Submit(sim.Microsecond, func() { freeErr = d.Mem.Write(10*64, []byte{1}) })
 	k.Run()
 	if freeErr != nil {
-		t.Fatalf("write denied after DisableProcessIsolation: %v", freeErr)
+		t.Fatalf("write denied after the guard was removed: %v", freeErr)
 	}
 }
 
@@ -84,7 +84,7 @@ func TestSuspendResume(t *testing.T) {
 		t.Fatal("not suspended")
 	}
 	a.Submit(sim.Microsecond, func() { ran = true })
-	k.RunFor(sim.Second)
+	k.RunUntil(k.Now().Add(sim.Second))
 	if ran {
 		t.Fatal("suspended task ran")
 	}
@@ -106,7 +106,7 @@ func TestSuspendedTaskDoesNotBlockOthers(t *testing.T) {
 	hi.Submit(sim.Microsecond, nil)
 	ran := false
 	lo.Submit(sim.Microsecond, func() { ran = true })
-	k.RunFor(sim.Second)
+	k.RunUntil(k.Now().Add(sim.Second))
 	if !ran {
 		t.Fatal("lower-priority task starved by a suspended task")
 	}

@@ -48,23 +48,19 @@ func AblationSMARMBlocks(blockCounts []int, trials int, seed uint64) []A1Row {
 		// Trials shard across the package-default worker count; the
 		// ablation helpers take positional arguments, so per-call knobs
 		// go through parallel.SetDefault.
-		escapes := parallel.Sum(0, trials, func(i int) int {
-			s := seed + uint64(i+n*13)
-			w := NewWorld(WorldConfig{EngineConfig: EngineConfig{Seed: s, NoTrace: true},
-				MemSize: memSize, BlockSize: blockSize, ROMBlocks: 1, Opts: opts})
-			mw := malware.NewSelfRelocating(w.Dev, malwarePrio, s^0x515)
-			mustInfect(w, mw.Infect, int(s)%(n-1)+1)
-			reports := w.RunSessionToEnd(opts, []byte{byte(i), byte(n)}, mpPrio, mw.Hooks())
-			if w.VerifyLocally(reports[0], true) {
-				return 1
-			}
-			return 0
-		})
+		escaped := escapes(0, trials, n, blockSize, opts, mpPrio,
+			func(i int) uint64 { return seed + uint64(i+n*13) },
+			func(i int) []byte { return []byte{byte(i), byte(n)} },
+			func(w *World, s uint64) core.Hooks {
+				mw := malware.NewSelfRelocating(w.Dev, malwarePrio, s^0x515)
+				mustInfect(mw.Infect, int(s)%(n-1)+1)
+				return mw.Hooks()
+			})
 		p := costmodel.ODROIDXU4()
 		rows = append(rows, A1Row{
 			Blocks:         n,
 			EscapeAnalytic: qoa.SMARMEscapeSingle(n - 1),
-			EscapeMC:       float64(escapes) / float64(trials),
+			EscapeMC:       float64(escaped) / float64(trials),
 			Trials:         trials,
 			PreemptLatency: p.StreamTime(suite.SHA256, blockSize) + p.CtxSwitch,
 		})
@@ -103,10 +99,7 @@ func AblationLockGranularity(blockCounts []int, seed uint64) []A2Row {
 	return parallel.Map(0, len(mechs)*len(blockCounts), func(i int) A2Row {
 		id := mechs[i/len(blockCounts)]
 		n := blockCounts[i%len(blockCounts)]
-		cfg := Table1Config{Blocks: n, BlockSize: memSize / n, Trials: 1, Seed: seed}
-		cfg.setDefaults()
-		cfg.Blocks = n
-		cfg.BlockSize = memSize / n
+		cfg := Table1Config{Blocks: n, BlockSize: memSize / n, Seed: seed}
 		opts := core.Preset(id, suite.SHA256)
 		return A2Row{
 			Mechanism:    id,
@@ -167,10 +160,7 @@ func AblationErasmusScheduling(seed uint64) []A3Row {
 		// T_M deliberately misaligned with the 100 ms sensor period
 		// (730 ms) so fixed-schedule measurements drift across the
 		// sensor phase and periodically collide with a pass.
-		e, err := prover.NewErasmus("prv", w.Dev, nil, opts, 730*sim.Millisecond, mpPrio)
-		if err != nil {
-			panic("experiments: " + err.Error())
-		}
+		e := must(prover.NewErasmus("prv", w.Dev, nil, opts, 730*sim.Millisecond, mpPrio))
 		if aware {
 			e.ContextAware = true
 			e.RetryDelay = 20 * sim.Millisecond
@@ -248,49 +238,29 @@ func swarmPoint(n int, seed uint64, mode swarm.NodeMode) A4Row {
 		m := mem.New(mem.Config{Size: 16 << 10, BlockSize: 1024, ROMBlocks: 1, Clock: k.Now})
 		m.FillRandom(rand.New(rand.NewPCG(seed+uint64(i), 4)))
 		dev := device.New(device.Config{Kernel: k, Mem: m, Profile: costmodel.ODROIDXU4()})
-		node, err := swarm.NewNode(name, dev, link, opts, mpPrio)
-		if err != nil {
-			panic("experiments: " + err.Error())
-		}
+		node := must(swarm.NewNode(name, dev, link, opts, mpPrio))
 		node.Mode = mode
 		nodes = append(nodes, node)
 		collector.Register(node)
 	}
-	root, err := swarm.BuildTree(nodes, 2)
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
+	root := must(swarm.BuildTree(nodes, 2))
 	nonce := []byte("swarm-round")
 	agg := &swarm.Aggregate{Reports: map[string][]*core.Report{}}
 	var doneAt sim.Time
-	got := 0
-	root.OnComplete = func(a *swarm.Aggregate) {
+	merge := func(a *swarm.Aggregate) {
 		for k2, v := range a.Reports {
 			agg.Reports[k2] = v
 		}
-		got = len(agg.Reports)
 		doneAt = k.Now()
 	}
-	root.OnPartial = func(a *swarm.Aggregate) {
-		for k2, v := range a.Reports {
-			agg.Reports[k2] = v
-		}
-		got = len(agg.Reports)
-		doneAt = k.Now()
-	}
+	root.OnComplete, root.OnPartial = merge, merge
 	root.Attest(nonce)
 	k.Run()
-	if got != n {
+	if len(agg.Reports) != n {
 		panic("experiments: swarm round incomplete")
 	}
 
 	res := collector.Judge(agg, nonce, k.Now())
-	verified := 0
-	for _, v := range res.Verdicts {
-		if v.OK {
-			verified++
-		}
-	}
 	modeName := "aggregate"
 	if mode == swarm.ModeRelay {
 		modeName = "relay"
@@ -300,7 +270,7 @@ func swarmPoint(n int, seed uint64, mode swarm.NodeMode) A4Row {
 		Nodes:      n,
 		Messages:   link.Stats().Sent,
 		Completion: doneAt.Sub(0),
-		Verified:   verified,
+		Verified:   len(res.Verdicts) - len(res.Infected()),
 	}
 }
 

@@ -13,10 +13,22 @@ import (
 // redrawn with any plotting tool: each writer emits one header row and
 // one record per data point.
 
+// writeCSV emits header and then record(i) for each of n data points.
+// A csv.Writer keeps its first write error, so the one check after
+// Flush covers every row.
+func writeCSV(w io.Writer, header []string, n int, record func(i int) []string) error {
+	cw := csv.NewWriter(w)
+	_ = cw.Write(header)
+	for i := 0; i < n; i++ {
+		_ = cw.Write(record(i))
+	}
+	cw.Flush()
+	return cw.Error()
+}
+
 // Fig2CSV writes the Figure 2 timing series (seconds per algorithm per
 // size).
 func Fig2CSV(w io.Writer, points []Fig2Point) error {
-	cw := csv.NewWriter(w)
 	header := []string{"bytes"}
 	for _, h := range suite.HashIDs() {
 		header = append(header, string(h))
@@ -24,10 +36,8 @@ func Fig2CSV(w io.Writer, points []Fig2Point) error {
 	for _, s := range suite.SignerIDs() {
 		header = append(header, "SHA-256+"+string(s))
 	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	for _, pt := range points {
+	return writeCSV(w, header, len(points), func(i int) []string {
+		pt := points[i]
 		rec := []string{strconv.Itoa(pt.Size)}
 		for _, h := range suite.HashIDs() {
 			rec = append(rec, fmt.Sprintf("%.9f", pt.HashTimes[h].Seconds()))
@@ -35,71 +45,47 @@ func Fig2CSV(w io.Writer, points []Fig2Point) error {
 		for _, s := range suite.SignerIDs() {
 			rec = append(rec, fmt.Sprintf("%.9f", pt.SigTimes[s].Seconds()))
 		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+		return rec
+	})
 }
 
 // E6CSV writes the SMARM escape-probability sweep.
 func E6CSV(w io.Writer, rows []E6Row) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"blocks", "rounds", "trials", "simulated", "analytic"}); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if err := cw.Write([]string{
+	return writeCSV(w, []string{"blocks", "rounds", "trials", "simulated", "analytic"}, len(rows), func(i int) []string {
+		r := rows[i]
+		return []string{
 			strconv.Itoa(r.Blocks), strconv.Itoa(r.Rounds), strconv.Itoa(r.Trials),
 			fmt.Sprintf("%.6f", r.MCRate), fmt.Sprintf("%.6f", r.Analytic),
-		}); err != nil {
-			return err
 		}
-	}
-	cw.Flush()
-	return cw.Error()
+	})
 }
 
 // E7CSV writes the Figure 5 QoA sweep.
 func E7CSV(w io.Writer, rows []E7Row) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"tm_seconds", "dwell_seconds", "trials", "simulated", "analytic"}); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if err := cw.Write([]string{
+	return writeCSV(w, []string{"tm_seconds", "dwell_seconds", "trials", "simulated", "analytic"}, len(rows), func(i int) []string {
+		r := rows[i]
+		return []string{
 			fmt.Sprintf("%.3f", r.TM.Seconds()), fmt.Sprintf("%.3f", r.Dwell.Seconds()),
 			strconv.Itoa(r.Trials),
 			fmt.Sprintf("%.6f", r.MCRate), fmt.Sprintf("%.6f", r.Analytic),
-		}); err != nil {
-			return err
 		}
-	}
-	cw.Flush()
-	return cw.Error()
+	})
 }
 
 // E5CSV writes the fire-alarm latency sweep.
 func E5CSV(w io.Writer, rows []E5Row) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"mechanism", "bytes", "mp_seconds", "alarm_latency_seconds", "deadline_met", "source"}); err != nil {
-		return err
-	}
-	for _, r := range rows {
+	header := []string{"mechanism", "bytes", "mp_seconds", "alarm_latency_seconds", "deadline_met", "source"}
+	return writeCSV(w, header, len(rows), func(i int) []string {
+		r := rows[i]
 		src := "simulated"
 		if r.Analytic {
 			src = "analytic"
 		}
-		if err := cw.Write([]string{
+		return []string{
 			string(r.Mechanism), strconv.Itoa(r.MemBytes),
 			fmt.Sprintf("%.6f", r.MeasureTime.Seconds()),
 			fmt.Sprintf("%.6f", r.AlarmLatency.Seconds()),
 			strconv.FormatBool(r.DeadlineMet), src,
-		}); err != nil {
-			return err
 		}
-	}
-	cw.Flush()
-	return cw.Error()
+	})
 }

@@ -7,7 +7,6 @@ import (
 	"saferatt/internal/core"
 	"saferatt/internal/costmodel"
 	"saferatt/internal/parallel"
-	"saferatt/internal/safety"
 	"saferatt/internal/sim"
 	"saferatt/internal/suite"
 )
@@ -63,28 +62,10 @@ func a5Simulate(p *costmodel.Profile) sim.Duration {
 	opts := core.Preset(core.SMART, suite.SHA256)
 	w := NewWorld(WorldConfig{EngineConfig: EngineConfig{Seed: 55},
 		MemSize: 1 << 20, BlockSize: 16 << 10, ROMBlocks: 1, Opts: opts, Profile: p})
-	fa := safety.NewFireAlarm(w.Dev, safety.Config{
-		Priority:     appPrio,
-		SensorPeriod: 100 * sim.Millisecond,
-		Deadline:     100 * sim.Millisecond,
-		DataBlock:    -1,
-	})
-	fa.Start()
-	task := w.Dev.NewTask("mp", mpPrio)
-	s, err := core.NewSession(w.Dev, task, opts, []byte("a5"), 1)
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
-	start := sim.Time(290 * sim.Millisecond) // 10 ms before the 300 ms pass
-	w.K.At(start, func() { s.Start(func([]*core.Report, error) {}) })
-	fa.StartFire(start.Add(2 * sim.Millisecond))
-	w.K.RunUntil(start.Add(60 * sim.Second))
-	fa.Stop()
-	w.K.Run()
-	if len(fa.Alarms) == 0 {
-		panic("experiments: a5: no alarm")
-	}
-	return fa.Alarms[0].Latency()
+	// The measurement starts 10 ms before the 300 ms sensor pass.
+	alarm, _ := fireCollision(w, opts, mpPrio, "a5", 100*sim.Millisecond, 100*sim.Millisecond,
+		sim.Time(290*sim.Millisecond), 2*sim.Millisecond)
+	return alarm.Latency()
 }
 
 // RenderA5 prints the device-class table.

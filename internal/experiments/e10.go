@@ -85,11 +85,8 @@ func e10Point(cfg E10Config, floodPeriod sim.Duration, seedScheme bool) E10Row {
 
 	if seedScheme {
 		row.Scheme = "SeED"
-		p, err := prover.NewSeED("prv", w.Dev, w.Tr, opts, []byte("dos-seed"),
-			10*sim.Second, 5*sim.Second, mpPrio)
-		if err != nil {
-			panic("experiments: " + err.Error())
-		}
+		p := must(prover.NewSeED("prv", w.Dev, w.Tr, opts, []byte("dos-seed"),
+			10*sim.Second, 5*sim.Second, mpPrio))
 		p.Start()
 		// The flood: bogus challenges. SeED has no challenge handler —
 		// traffic is simply not delivered to any attestation path.
@@ -104,10 +101,7 @@ func e10Point(cfg E10Config, floodPeriod sim.Duration, seedScheme bool) E10Row {
 		row.CPUAttestPct = attestShare(w, p.Task().Stats().Busy)
 	} else {
 		row.Scheme = "on-demand"
-		p, err := prover.NewProver("prv", w.Dev, w.Tr, opts, mpPrio)
-		if err != nil {
-			panic("experiments: " + err.Error())
-		}
+		p := must(prover.NewProver("prv", w.Dev, w.Tr, opts, mpPrio))
 		flood := w.K.NewTicker(floodPeriod, func(sim.Time) {
 			// The attacker forges challenge traffic; the prover cannot
 			// authenticate requests (SMART-style RA has no

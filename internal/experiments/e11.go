@@ -25,7 +25,7 @@ type E11Row struct {
 	// (device-private) blocks after infection.
 	DirtyBlocks int
 	// ResidentKiB is the fleet image footprint: golden + dirty blocks
-	// (vs Devices × image for full copies).
+	// (Devices × image if every device held a full copy).
 	ResidentKiB int
 	// TagsComputed / Reports show batched-verification amortization:
 	// expected tags computed vs reports judged.
@@ -50,9 +50,6 @@ type E11Config struct {
 	// parallel.Default()). Fleets are measured one at a time so that
 	// WallNS is not polluted by sibling fleets.
 	Shards int
-	// FullCopy measures the naive baseline (private flat images,
-	// per-report verification) instead of the COW+batched engine.
-	FullCopy bool
 }
 
 func (c *E11Config) setDefaults() {
@@ -89,7 +86,7 @@ func E11SwarmScale(cfg E11Config) []E11Row {
 }
 
 func e11Point(cfg E11Config, devices int, infect bool) E11Row {
-	s, err := swarm.NewSharded(swarm.ShardedConfig{
+	s := must(swarm.NewSharded(swarm.ShardedConfig{
 		EngineConfig: swarm.EngineConfig{
 			Seed:        cfg.Seed + uint64(devices),
 			Parallelism: cfg.Shards,
@@ -97,14 +94,7 @@ func e11Point(cfg E11Config, devices int, infect bool) E11Row {
 		Devices:   devices,
 		MemSize:   cfg.MemSize,
 		BlockSize: cfg.BlockSize,
-		FullCopy:  cfg.FullCopy,
-	})
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
-	// The naive baseline pairs full-copy images with per-report
-	// verification; the optimized engine pairs COW with batching.
-	s.Collector.Batched = !cfg.FullCopy
+	}))
 	row := E11Row{Devices: devices}
 	if infect {
 		// Every ceil(1/rate)-th device: deterministic victim set.
@@ -122,10 +112,7 @@ func e11Point(cfg E11Config, devices int, infect bool) E11Row {
 	detected := map[string]bool{}
 	start := time.Now()
 	for r := 0; r < cfg.Rounds; r++ {
-		res, err := s.Round([]byte(fmt.Sprintf("e11-%d-%d", devices, r)))
-		if err != nil {
-			panic("experiments: " + err.Error())
-		}
+		res := must(s.Round([]byte(fmt.Sprintf("e11-%d-%d", devices, r))))
 		row.Missing = len(res.Missing)
 		for _, name := range res.Infected() {
 			detected[name] = true

@@ -17,8 +17,9 @@ import (
 // collecting verifier. Each row reports the detection-latency
 // distribution against the Fig. 5 closed form (≈ T_M/2 + T_C/2 from
 // infection end) and the scheduler throughput that pays for it —
-// events/sec and ns/event on the host, the quantity the timing-wheel
-// backend moves (bench/baseline.json keeps the heap/wheel comparison).
+// events/sec and ns/event on the host. The kernel keeps one event
+// queue and chooses its shape itself (internal/sim); bench/ tracks its
+// cost as sim.schedule_ns_per_event.
 type E12Config struct {
 	// Devices is the fleet size; default 10_000.
 	Devices int
@@ -195,6 +196,6 @@ func RenderE12(rows []E12Row) string {
 			r.Events, r.EventsPerSec/1e6, r.NsPerEvent)
 	}
 	b.WriteString("detection latency is measured from infection end to the collection that exposes it (Fig. 5: ≈ T_M/2 + T_C/2)\n")
-	b.WriteString("Mev/s and ns/event are host scheduler throughput; compare backends via -sched heap|wheel and bench/baseline.json\n")
+	b.WriteString("Mev/s and ns/event are host scheduler throughput: one event queue, chosen by the kernel; bench/ tracks it as sim.schedule_ns_per_event\n")
 	return b.String()
 }

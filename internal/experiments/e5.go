@@ -95,55 +95,51 @@ func e5Simulate(cfg E5Config, id core.MechanismID, size int) E5Row {
 	opts := core.Preset(id, suite.SHA256)
 	w := NewWorld(WorldConfig{EngineConfig: EngineConfig{Seed: 5},
 		MemSize: size, BlockSize: cfg.BlockSize, ROMBlocks: 1, Opts: opts})
-	fa := safety.NewFireAlarm(w.Dev, safety.Config{
-		Priority:     appPrio,
-		SensorPeriod: cfg.SensorPeriod,
-		Deadline:     cfg.Deadline,
-		DataBlock:    -1,
-	})
-	fa.Start()
-
 	mpPriority := mpPrio
 	if id == core.HYDRA {
 		mpPriority = 1000
 	}
-	task := w.Dev.NewTask("mp", mpPriority)
-	s, err := core.NewSession(w.Dev, task, opts, []byte("fire"), 1)
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
-	var rep *core.Report
 	// Start the measurement 100 ms before the 3 s sensor pass so the
 	// pass lands inside the measurement whenever MP > 100 ms — the
-	// paper's collision, staged deterministically.
-	measureStart := sim.Time(2900 * sim.Millisecond)
-	w.K.At(measureStart, func() {
-		s.Start(func(rr []*core.Report, err error) {
-			if err != nil {
-				panic("experiments: " + err.Error())
-			}
-			rep = rr[0]
-		})
-	})
-	// Fire breaks out 10 ms into the measurement ("an actual fire
-	// breaks out soon after MP starts").
-	fa.StartFire(measureStart.Add(10 * sim.Millisecond))
-
-	w.K.RunUntil(measureStart.Add(60 * sim.Second))
-	fa.Stop()
-	s.Release()
-	w.K.Run()
-
-	if len(fa.Alarms) == 0 {
-		panic(fmt.Sprintf("experiments: e5: no alarm for %s at %d bytes", id, size))
-	}
+	// paper's collision, staged deterministically — and the fire 10 ms
+	// into it ("an actual fire breaks out soon after MP starts").
+	alarm, rep := fireCollision(w, opts, mpPriority, "fire", cfg.SensorPeriod, cfg.Deadline,
+		sim.Time(2900*sim.Millisecond), 10*sim.Millisecond)
 	return E5Row{
 		Mechanism:    id,
 		MemBytes:     size,
 		MeasureTime:  rep.Duration(),
-		AlarmLatency: fa.Alarms[0].Latency(),
-		DeadlineMet:  fa.Alarms[0].Latency() <= cfg.Deadline,
+		AlarmLatency: alarm.Latency(),
+		DeadlineMet:  alarm.Latency() <= cfg.Deadline,
 	}
+}
+
+// fireCollision stages the §2.5 collision on w: a fire-alarm task
+// sensing every period, one measurement session starting at start, and
+// a fire breaking out fireAfter into it. It runs a minute of virtual
+// time past start and returns the first alarm and the session's first
+// report.
+func fireCollision(w *World, opts core.Options, mpPriority int, nonce string,
+	period, deadline sim.Duration, start sim.Time, fireAfter sim.Duration) (safety.Alarm, *core.Report) {
+	fa := safety.NewFireAlarm(w.Dev, safety.Config{
+		Priority:     appPrio,
+		SensorPeriod: period,
+		Deadline:     deadline,
+		DataBlock:    -1,
+	})
+	fa.Start()
+	var rep *core.Report
+	s, begin := w.newSession(opts, []byte(nonce), mpPriority, core.Hooks{}, func(rr []*core.Report) { rep = rr[0] })
+	w.K.At(start, begin)
+	fa.StartFire(start.Add(fireAfter))
+	w.K.RunUntil(start.Add(60 * sim.Second))
+	fa.Stop()
+	s.Release()
+	w.K.Run()
+	if len(fa.Alarms) == 0 {
+		panic(fmt.Sprintf("experiments: no alarm under %s on %d bytes", opts.Mechanism, w.Mem.Size()))
+	}
+	return fa.Alarms[0], rep
 }
 
 // e5Analytic extends the table to sizes where real hashing would be

@@ -6,7 +6,6 @@ import (
 
 	"saferatt/internal/core"
 	"saferatt/internal/malware"
-	"saferatt/internal/parallel"
 	"saferatt/internal/qoa"
 	"saferatt/internal/suite"
 )
@@ -66,23 +65,14 @@ func E6SMARM(cfg E6Config) []E6Row {
 func e6Point(cfg E6Config, blocks, rounds int) E6Row {
 	opts := core.Preset(core.SMARM, suite.SHA256)
 	opts.Rounds = rounds
-	// Each trial is a private World whose seed depends only on (Seed, i),
-	// so trials shard across workers with bit-identical results.
-	escaped := parallel.Sum(cfg.Parallelism, cfg.Trials, func(i int) int {
-		seed := cfg.Seed + uint64(i)*104729 + uint64(blocks*rounds)
-		w := NewWorld(WorldConfig{EngineConfig: EngineConfig{Seed: seed, NoTrace: true},
-			MemSize: blocks * cfg.BlockSize, BlockSize: cfg.BlockSize, ROMBlocks: 1, Opts: opts})
-		mw := malware.NewSelfRelocating(w.Dev, malwarePrio, seed^0xabcdef)
-		mustInfect(w, mw.Infect, int(seed>>3)%(blocks-1)+1)
-		nonce := []byte{byte(i), byte(i >> 8), byte(blocks), byte(rounds)}
-		reports := w.RunSessionToEnd(opts, nonce, mpPrio, mw.Hooks())
-		for _, rep := range reports {
-			if !w.VerifyLocally(rep, true) {
-				return 0
-			}
-		}
-		return 1
-	})
+	escaped := escapes(cfg.Parallelism, cfg.Trials, blocks, cfg.BlockSize, opts, mpPrio,
+		func(i int) uint64 { return cfg.Seed + uint64(i)*104729 + uint64(blocks*rounds) },
+		func(i int) []byte { return []byte{byte(i), byte(i >> 8), byte(blocks), byte(rounds)} },
+		func(w *World, seed uint64) core.Hooks {
+			mw := malware.NewSelfRelocating(w.Dev, malwarePrio, seed^0xabcdef)
+			mustInfect(mw.Infect, int(seed>>3)%(blocks-1)+1)
+			return mw.Hooks()
+		})
 	// The malware roves over the writable blocks only (ROM is not a
 	// hideout), so the effective n for the closed form is blocks-ROM.
 	analytic := qoa.SMARMEscape(blocks-1, rounds)

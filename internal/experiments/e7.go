@@ -78,10 +78,7 @@ func e7Point(cfg E7Config, dwell sim.Duration) E7Row {
 		opts := core.Preset(core.SMART, suite.SHA256) // atomic core, as in ERASMUS
 		w := NewWorld(WorldConfig{EngineConfig: EngineConfig{Seed: uint64(i) + cfg.Seed, NoTrace: true},
 			MemSize: blocks * blockSize, BlockSize: blockSize, ROMBlocks: 1, Opts: opts})
-		e, err := prover.NewErasmus("prv", w.Dev, nil, opts, cfg.TM, mpPrio)
-		if err != nil {
-			panic("experiments: " + err.Error())
-		}
+		e := must(prover.NewErasmus("prv", w.Dev, nil, opts, cfg.TM, mpPrio))
 		e.HistoryCap = 1024
 		e.Start()
 

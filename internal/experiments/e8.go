@@ -85,10 +85,7 @@ func e8Loss(cfg E8Config, loss float64) E8LossRow {
 	w := NewWorld(WorldConfig{EngineConfig: EngineConfig{Seed: cfg.Seed + uint64(loss*1000)},
 		MemSize: 4096, BlockSize: 256, ROMBlocks: 1, Opts: opts, Loss: loss})
 	seed := []byte("e8-shared-seed")
-	p, err := prover.NewSeED("prv", w.Dev, w.Tr, opts, seed, cfg.Period, cfg.Period/2, mpPrio)
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
+	p := must(prover.NewSeED("prv", w.Dev, w.Tr, opts, seed, cfg.Period, cfg.Period/2, mpPrio))
 	mon := w.Ver.MonitorSeED("prv", seed, cfg.Period, cfg.Period/2, 0, 2*cfg.Period)
 	p.Start()
 	// Keep the prover alive through the watchdog settle window so the
@@ -121,10 +118,7 @@ func e8Replay(cfg E8Config) (injected, accepted int) {
 	w := NewWorld(WorldConfig{EngineConfig: EngineConfig{Seed: cfg.Seed + 5},
 		MemSize: 4096, BlockSize: 256, ROMBlocks: 1, Opts: opts, Adv: adv})
 	seed := []byte("e8-shared-seed")
-	p, err := prover.NewSeED("prv", w.Dev, w.Tr, opts, seed, cfg.Period, cfg.Period/2, mpPrio)
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
+	p := must(prover.NewSeED("prv", w.Dev, w.Tr, opts, seed, cfg.Period, cfg.Period/2, mpPrio))
 	mon := w.Ver.MonitorSeED("prv", seed, cfg.Period, cfg.Period/2, 0, 2*cfg.Period)
 	p.Start()
 	w.K.RunUntil(sim.Time(cfg.Horizon / 2))
@@ -152,10 +146,7 @@ func e8Schedule(cfg E8Config) (secretEscapes, leakedEscapes int) {
 			EngineConfig: EngineConfig{Seed: cfg.Seed + uint64(trial)*31 + boolU64(leaked), NoTrace: true},
 			MemSize:      4096, BlockSize: 256, ROMBlocks: 1, Opts: opts})
 		seed := []byte{byte(trial), 0x88}
-		p, err := prover.NewSeED("prv", w.Dev, w.Tr, opts, seed, cfg.Period, cfg.Period/2, mpPrio)
-		if err != nil {
-			panic("experiments: " + err.Error())
-		}
+		p := must(prover.NewSeED("prv", w.Dev, w.Tr, opts, seed, cfg.Period, cfg.Period/2, mpPrio))
 		var reports []*core.Report
 		w.Tr.Bind("verifier", func(m transport.Msg) {
 			if m.Kind == transport.KindSeedReport {

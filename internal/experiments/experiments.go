@@ -26,6 +26,7 @@ import (
 	"saferatt/internal/device"
 	"saferatt/internal/engine"
 	"saferatt/internal/mem"
+	"saferatt/internal/parallel"
 	"saferatt/internal/sim"
 	"saferatt/internal/suite"
 	"saferatt/internal/trace"
@@ -72,8 +73,16 @@ type WorldConfig struct {
 	LogWrites bool
 }
 
-// NewWorld builds a World. It panics on wiring errors: experiment
-// configurations are code, not user input.
+// must unwraps a constructor's result. Experiment configurations are
+// code, not user input, so a wiring error panics.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic("experiments: " + err.Error())
+	}
+	return v
+}
+
+// NewWorld builds a World. It panics on wiring errors.
 func NewWorld(cfg WorldConfig) *World {
 	if cfg.MemSize == 0 {
 		cfg.MemSize = 4096
@@ -129,22 +138,54 @@ func (w *World) VerifyLocally(rep *core.Report, shuffled bool) bool {
 	return ok
 }
 
+// newSession creates the measurement task "mp" and one session on it.
+// start begins the session — call it now or hand it to K.At — and done
+// (may be nil) receives the reports when the last round completes; a
+// failed session panics. The caller runs the kernel and decides when to
+// Release.
+func (w *World) newSession(opts core.Options, nonce []byte, prio int, hooks core.Hooks, done func([]*core.Report)) (s *core.Session, start func()) {
+	s = must(core.NewSession(w.Dev, w.Dev.NewTask("mp", prio), opts, nonce, 1))
+	s.Hooks = hooks
+	return s, func() {
+		s.Start(func(reports []*core.Report, err error) {
+			if err != nil {
+				panic("experiments: session: " + err.Error())
+			}
+			if done != nil {
+				done(reports)
+			}
+		})
+	}
+}
+
 // RunSessionToEnd executes one measurement session synchronously in
 // virtual time and returns its reports.
 func (w *World) RunSessionToEnd(opts core.Options, nonce []byte, prio int, hooks core.Hooks) []*core.Report {
-	task := w.Dev.NewTask("mp", prio)
-	s, err := core.NewSession(w.Dev, task, opts, nonce, 1)
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
-	s.Hooks = hooks
 	var out []*core.Report
-	s.Start(func(reports []*core.Report, err error) {
-		if err != nil {
-			panic("experiments: session: " + err.Error())
-		}
-		out = reports
-	})
+	_, start := w.newSession(opts, nonce, prio, hooks, func(reports []*core.Report) { out = reports })
+	start()
 	w.K.Run()
 	return out
+}
+
+// escapes is the Monte Carlo escape trial every adversary experiment
+// shares: a private world of blocks × blockSize bytes per trial, the
+// adversary plant installs, one attestation session, every round
+// verified locally. It counts the trials whose rounds all verified
+// clean — the adversary escaped. A trial's world depends only on
+// seed(i), so trials shard across workers with bit-identical results.
+func escapes(workers, trials, blocks, blockSize int, opts core.Options, mpPriority int,
+	seed func(i int) uint64, nonce func(i int) []byte, plant func(w *World, seed uint64) core.Hooks) int {
+	return parallel.Sum(workers, trials, func(i int) int {
+		s := seed(i)
+		w := NewWorld(WorldConfig{EngineConfig: EngineConfig{Seed: s, NoTrace: true},
+			MemSize: blocks * blockSize, BlockSize: blockSize, ROMBlocks: 1, Opts: opts})
+		hooks := plant(w, s)
+		for _, rep := range w.RunSessionToEnd(opts, nonce(i), mpPriority, hooks) {
+			if !w.VerifyLocally(rep, opts.Shuffled) {
+				return 0
+			}
+		}
+		return 1
+	})
 }

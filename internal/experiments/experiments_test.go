@@ -69,13 +69,8 @@ func TestFig2SeriesShape(t *testing.T) {
 	if sig := at4MB.SigTimes[suite.ECDSA256]; sig > 2*hash {
 		t.Fatalf("ECDSA-P256 at 4MiB: %v vs hash %v — signature should be insignificant", sig, hash)
 	}
-	// Crossovers near ~1 MB (within 10KB..10MB as in the costmodel
-	// tests), and rendered output sane.
-	for s, x := range Fig2Crossovers(p) {
-		if x < 10<<10 || x > 10<<20 {
-			t.Errorf("%s crossover %d", s, x)
-		}
-	}
+	// Rendered output sane (the crossover sizes themselves are pinned
+	// in the costmodel tests).
 	out := RenderFig2(pts, p)
 	if !strings.Contains(out, "crossover") || !strings.Contains(out, "SHA-256") {
 		t.Fatal("render incomplete")

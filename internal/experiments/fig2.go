@@ -56,20 +56,6 @@ func Fig2Series(p *costmodel.Profile, sizes []int) []Fig2Point {
 	return out
 }
 
-// Fig2Crossovers returns, per signer, the input size beyond which
-// SHA-256 hashing costs more than signing — the figure's crossover
-// points (≈1 MB for most schemes).
-func Fig2Crossovers(p *costmodel.Profile) map[suite.SignerID]int {
-	if p == nil {
-		p = costmodel.ODROIDXU4()
-	}
-	out := map[suite.SignerID]int{}
-	for _, s := range suite.SignerIDs() {
-		out[s] = p.CrossoverBytes(suite.SHA256, s)
-	}
-	return out
-}
-
 // RenderFig2 formats the series as the figure's data table.
 func RenderFig2(points []Fig2Point, p *costmodel.Profile) string {
 	if p == nil {

@@ -76,20 +76,9 @@ func fig4One(id core.MechanismID) Fig4Row {
 	probeAt("B", start.Add(span/4), blocks-2)
 	probeAt("C", start.Add(3*span/4), 2)
 
-	task := w.Dev.NewTask("mp", mpPrio)
-	s, err := core.NewSession(w.Dev, task, opts, []byte("fig4"), 1)
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
 	var rep *core.Report
-	w.K.At(start, func() {
-		s.Start(func(rr []*core.Report, err error) {
-			if err != nil {
-				panic("experiments: " + err.Error())
-			}
-			rep = rr[0]
-		})
-	})
+	s, begin := w.newSession(opts, []byte("fig4"), mpPrio, core.Hooks{}, func(rr []*core.Report) { rep = rr[0] })
+	w.K.At(start, begin)
 	w.K.Run()
 
 	// t_r: one measurement-span after t_e, then release extended locks

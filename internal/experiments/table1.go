@@ -91,7 +91,6 @@ var extraHW = map[core.MechanismID]string{
 	core.IncLockExt: "dynamically configurable MPU/MMU",
 	core.SMARM:      "none (optionally secure memory)",
 	core.Erasmus:    "secure clock",
-	core.SeED:       "secure clock + timeout circuit",
 }
 
 const (
@@ -100,82 +99,87 @@ const (
 	malwarePrio = 50 // compromised software outranks MP, not the app
 )
 
+// table1Spec is one row of the matrix as data: the options measured
+// and what the row states rather than measures.
+type table1Spec struct {
+	id         core.MechanismID
+	opts       core.Options
+	mpPriority int
+	unattended bool
+	// transientByGeometry states TransientEscape as 0: a dwell longer
+	// than T_M always meets a scheduled measurement (E7 sweeps this).
+	transientByGeometry bool
+}
+
 // Table1 measures the feature matrix. Rows cover every on-demand
 // mechanism plus an ERASMUS row whose measurement core is atomic (as in
-// the ERASMUS paper) and whose transient-detection value comes from the
-// scheduled-measurement geometry (dwell > T_M ⇒ certain detection; see
-// E7 for the full sweep).
+// the ERASMUS paper: the SMART preset, so roving and start-time
+// transient malware are caught) and whose transient-detection value
+// comes from the scheduled-measurement geometry.
 func Table1(cfg Table1Config) []Table1Row {
 	cfg.setDefaults()
 
-	// The SMART baseline is shared by every row's Overhead column, so it
-	// runs before the fan-out; each mechanism row is then an independent
-	// bundle of simulations and shards across workers in table order.
-	baseline := measureDuration(cfg, core.Preset(core.SMART, suite.SHA256))
-	mechs := core.Mechanisms()
-	rows := parallel.Map(cfg.Parallelism, len(mechs), func(mi int) Table1Row {
-		id := mechs[mi]
-		opts := core.Preset(id, suite.SHA256)
+	var specs []table1Spec
+	for _, id := range core.Mechanisms() {
+		sp := table1Spec{id: id, opts: core.Preset(id, suite.SHA256), mpPriority: mpPrio}
 		if id == core.SMARM {
-			opts.Rounds = cfg.SMARMRounds
+			sp.opts.Rounds = cfg.SMARMRounds
 		}
-		mpPriority := mpPrio
 		if id == core.HYDRA {
-			mpPriority = 1000 // HYDRA: MP outranks everything
+			sp.mpPriority = 1000 // HYDRA: MP outranks everything
 		}
+		specs = append(specs, sp)
+	}
+	specs = append(specs, table1Spec{id: core.Erasmus, opts: core.Preset(core.SMART, suite.SHA256),
+		mpPriority: mpPrio, unattended: true, transientByGeometry: true})
+
+	// The SMART baseline is shared by every row's Overhead column, so it
+	// runs before the fan-out; each row is then an independent bundle of
+	// simulations and shards across workers in table order.
+	baseline := measureDuration(cfg, core.Preset(core.SMART, suite.SHA256))
+	return parallel.Map(cfg.Parallelism, len(specs), func(i int) Table1Row {
+		sp := specs[i]
 		row := Table1Row{
-			Mechanism:  id,
-			Unattended: false,
-			ExtraHW:    extraHW[id],
+			Mechanism:  sp.id,
+			Unattended: sp.unattended,
+			ExtraHW:    extraHW[sp.id],
 			Trials:     cfg.Trials,
 		}
-		row.SelfRelocEscape = escapeRate(cfg, opts, mpPriority, func(w *World, seed uint64) core.Hooks {
+		row.SelfRelocEscape = escapeRate(cfg, sp, func(w *World, seed uint64) core.Hooks {
 			mw := malware.NewSelfRelocating(w.Dev, malwarePrio, seed)
-			mustInfect(w, mw.Infect, int(seed)%(cfg.Blocks-1)+1)
+			mustInfect(mw.Infect, int(seed)%(cfg.Blocks-1)+1)
 			return mw.Hooks()
 		})
-		row.TransientEscape = escapeRate(cfg, opts, mpPriority, func(w *World, seed uint64) core.Hooks {
-			mw := malware.NewTransient(w.Dev, malwarePrio)
-			mw.EraseOnMeasureStart = true
-			mustInfect(w, mw.Infect, int(seed)%(cfg.Blocks-1)+1)
-			return mw.Hooks()
-		})
-		row.Availability = availability(cfg, opts, mpPriority)
-		row.ConsistentAtTS, row.ConsistentAtTE = consistency(cfg, opts, mpPriority)
-		row.PreemptLatency = preemptLatency(cfg, opts, mpPriority)
-		row.Overhead = float64(measureDuration(cfg, opts)) / float64(baseline)
+		if !sp.transientByGeometry {
+			row.TransientEscape = escapeRate(cfg, sp, func(w *World, seed uint64) core.Hooks {
+				mw := malware.NewTransient(w.Dev, malwarePrio)
+				mw.EraseOnMeasureStart = true
+				mustInfect(mw.Infect, int(seed)%(cfg.Blocks-1)+1)
+				return mw.Hooks()
+			})
+		}
+		row.Availability = availability(cfg, sp.opts, sp.mpPriority)
+		row.ConsistentAtTS, row.ConsistentAtTE = consistency(cfg, sp.opts, sp.mpPriority)
+		row.PreemptLatency = preemptLatency(cfg, sp.opts, sp.mpPriority)
+		row.Overhead = float64(measureDuration(cfg, sp.opts)) / float64(baseline)
 		return row
 	})
-
-	rows = append(rows, erasmusRow(cfg, baseline))
-	return rows
 }
 
-func mustInfect(w *World, infect func(int) error, block int) {
+func mustInfect(infect func(int) error, block int) {
 	if err := infect(block); err != nil {
 		panic("experiments: infect: " + err.Error())
 	}
 }
 
 // escapeRate runs Monte Carlo trials of one adversary against one
-// mechanism; returns the fraction of trials where every round verified
-// clean (the adversary escaped).
-func escapeRate(cfg Table1Config, opts core.Options, mpPriority int, plant func(*World, uint64) core.Hooks) float64 {
-	escapes := parallel.Sum(cfg.Parallelism, cfg.Trials, func(i int) int {
-		seed := cfg.Seed + uint64(i)*7919
-		w := NewWorld(WorldConfig{EngineConfig: EngineConfig{Seed: seed, NoTrace: true},
-			MemSize: cfg.Blocks * cfg.BlockSize, BlockSize: cfg.BlockSize, ROMBlocks: 1, Opts: opts})
-		hooks := plant(w, seed)
-		nonce := []byte{byte(i), byte(i >> 8), 0x42}
-		reports := w.RunSessionToEnd(opts, nonce, mpPriority, hooks)
-		for _, rep := range reports {
-			if !w.VerifyLocally(rep, opts.Shuffled) {
-				return 0
-			}
-		}
-		return 1
-	})
-	return float64(escapes) / float64(cfg.Trials)
+// row's mechanism; returns the fraction of trials the adversary
+// escaped.
+func escapeRate(cfg Table1Config, sp table1Spec, plant func(*World, uint64) core.Hooks) float64 {
+	n := escapes(cfg.Parallelism, cfg.Trials, cfg.Blocks, cfg.BlockSize, sp.opts, sp.mpPriority,
+		func(i int) uint64 { return cfg.Seed + uint64(i)*7919 },
+		func(i int) []byte { return []byte{byte(i), byte(i >> 8), 0x42} }, plant)
+	return float64(n) / float64(cfg.Trials)
 }
 
 // availability probes timely writability during one measurement: a
@@ -217,15 +221,11 @@ func availability(cfg Table1Config, opts core.Options, mpPriority int) float64 {
 		})
 	}
 
-	task := w.Dev.NewTask("mp", mpPriority)
-	s, err := core.NewSession(w.Dev, task, opts, []byte("avail"), 1)
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
-	s.Start(func([]*core.Report, error) {
+	s, start := w.newSession(opts, []byte("avail"), mpPriority, core.Hooks{}, func([]*core.Report) {
 		measuring = false
 		ticker.Stop()
 	})
+	start()
 	w.K.Run()
 	s.Release()
 
@@ -268,20 +268,13 @@ func consistency(cfg Table1Config, opts core.Options, mpPriority int) (atTS, atT
 
 	singleRound := opts
 	singleRound.Rounds = 1
-	task := w.Dev.NewTask("mp", mpPriority)
-	s, err := core.NewSession(w.Dev, task, singleRound, []byte("consis"), 1)
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
 	var reports []*core.Report
-	s.Start(func(rr []*core.Report, err error) {
-		if err != nil {
-			panic("experiments: session: " + err.Error())
-		}
+	s, start := w.newSession(singleRound, []byte("consis"), mpPriority, core.Hooks{}, func(rr []*core.Report) {
 		reports = rr
 		done = true
 		ticker.Stop()
 	})
+	start()
 	w.K.Run()
 	s.Release()
 
@@ -297,21 +290,16 @@ func preemptLatency(cfg Table1Config, opts core.Options, mpPriority int) sim.Dur
 		MemSize: cfg.Blocks * cfg.BlockSize, BlockSize: cfg.BlockSize, ROMBlocks: 1, Opts: opts})
 	app := w.Dev.NewTask("app", appPrio)
 
-	task := w.Dev.NewTask("mp", mpPriority)
 	singleRound := opts
 	singleRound.Rounds = 1
-	s, err := core.NewSession(w.Dev, task, singleRound, []byte("lat"), 1)
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
 	fired := false
-	s.Hooks = core.Hooks{OnBlock: func(p core.Progress) {
+	s, start := w.newSession(singleRound, []byte("lat"), mpPriority, core.Hooks{OnBlock: func(p core.Progress) {
 		if !fired && p.Count >= p.Total/3 {
 			fired = true
 			app.Submit(sim.Microsecond, nil)
 		}
-	}}
-	s.Start(func([]*core.Report, error) {})
+	}}, nil)
+	start()
 	w.K.Run()
 	s.Release()
 	return app.Stats().MaxWait
@@ -324,33 +312,6 @@ func measureDuration(cfg Table1Config, opts core.Options) sim.Duration {
 		MemSize: cfg.Blocks * cfg.BlockSize, BlockSize: cfg.BlockSize, ROMBlocks: 1, Opts: opts})
 	reports := w.RunSessionToEnd(opts, []byte("dur"), mpPrio, core.Hooks{})
 	return reports[len(reports)-1].TE.Sub(reports[0].TS)
-}
-
-// erasmusRow builds the self-measurement row: the measurement core is
-// atomic (SMART-like), so roving and start-time transient malware are
-// caught; scheduled-measurement geometry additionally catches dwell
-// windows longer than T_M (E7 sweeps this).
-func erasmusRow(cfg Table1Config, baseline sim.Duration) Table1Row {
-	inner := core.Preset(core.SMART, suite.SHA256)
-	row := Table1Row{
-		Mechanism:  core.Erasmus,
-		Unattended: true,
-		ExtraHW:    extraHW[core.Erasmus],
-		Trials:     cfg.Trials,
-	}
-	row.SelfRelocEscape = escapeRate(cfg, inner, mpPrio, func(w *World, seed uint64) core.Hooks {
-		mw := malware.NewSelfRelocating(w.Dev, malwarePrio, seed)
-		mustInfect(w, mw.Infect, int(seed)%(cfg.Blocks-1)+1)
-		return mw.Hooks()
-	})
-	// Transient malware with dwell > T_M is always caught by some
-	// scheduled measurement: measured in E7; here the geometric value.
-	row.TransientEscape = 0
-	row.Availability = availability(cfg, inner, mpPrio)
-	row.ConsistentAtTS, row.ConsistentAtTE = consistency(cfg, inner, mpPrio)
-	row.PreemptLatency = preemptLatency(cfg, inner, mpPrio)
-	row.Overhead = float64(measureDuration(cfg, inner)) / float64(baseline)
-	return row
 }
 
 // RenderTable1 prints the measured matrix.

@@ -101,9 +101,6 @@ func NewMem(m *mem.Memory, hash suite.HashID) *MemCache {
 	return c
 }
 
-// Hash returns the digest hash the cache computes.
-func (c *MemCache) Hash() suite.HashID { return c.hash }
-
 // Digest returns the digest of block b's current content, serving from
 // cache when the block's generation is unchanged since the digest was
 // computed. The returned slice aliases cache-internal storage: it is
@@ -134,15 +131,6 @@ func (c *MemCache) Digest(b int) []byte {
 	c.stamp[b] = want
 	c.stats.Misses++
 	return d
-}
-
-// Invalidate drops every cached digest. Generation keying makes this
-// unnecessary for correctness; it exists for tests and for callers that
-// want to release no memory but force recomputation.
-func (c *MemCache) Invalidate() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	clear(c.stamp)
 }
 
 // Stats returns a snapshot of hit/miss counters.

@@ -120,17 +120,6 @@ func TestDeniedWriteKeepsValidCache(t *testing.T) {
 	}
 }
 
-func TestInvalidateForcesRecompute(t *testing.T) {
-	m := newMemory(t)
-	c := NewMem(m, suite.SHA256)
-	c.Digest(1)
-	c.Invalidate()
-	c.Digest(1)
-	if s := c.Stats(); s.Misses != 2 || s.Hits != 0 {
-		t.Fatalf("stats after Invalidate = %+v", s)
-	}
-}
-
 func TestImageCacheLazyAndStable(t *testing.T) {
 	m := newMemory(t)
 	ref := m.Snapshot()

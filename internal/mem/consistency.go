@@ -19,9 +19,6 @@ func NewCoverage(n int) *Coverage {
 	return c
 }
 
-// Covered reports whether block i was covered.
-func (c *Coverage) Covered(i int) bool { return c.CoveredAt[i] >= 0 }
-
 // ConsistentAt reports whether a measurement with the given per-block
 // coverage is temporally consistent with the memory state at instant t,
 // judging from the write log (paper §3.1 / Fig. 4 semantics).
@@ -47,15 +44,4 @@ func ConsistentAt(log []Write, c *Coverage, t sim.Time) bool {
 		}
 	}
 	return true
-}
-
-// ConsistencyWindow computes the maximal set of probe instants from
-// candidates at which the measurement is consistent. It is a
-// convenience for regenerating the paper's Figure 4 rows.
-func ConsistencyWindow(log []Write, c *Coverage, candidates []sim.Time) []bool {
-	out := make([]bool, len(candidates))
-	for i, t := range candidates {
-		out[i] = ConsistentAt(log, c, t)
-	}
-	return out
 }

@@ -39,7 +39,7 @@ func TestPropertyConsistencyAtCoverInstant(t *testing.T) {
 		// Probe each covered block's own instant with all OTHER blocks
 		// uncovered: must be consistent.
 		for b := 0; b < n; b++ {
-			if !c.Covered(b) {
+			if c.CoveredAt[b] < 0 {
 				continue
 			}
 			solo := NewCoverage(n)
@@ -78,29 +78,6 @@ func TestPropertyLogMonotonicity(t *testing.T) {
 					return false // regained consistency by adding writes
 				}
 				prev = cur
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: ConsistencyWindow agrees with pointwise ConsistentAt.
-func TestPropertyWindowAgreesPointwise(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := rand.New(rand.NewPCG(seed, 0xC2))
-		n := 2 + rng.IntN(16)
-		c, log := randomScenario(rng, n)
-		var probes []sim.Time
-		for i := 0; i < 10; i++ {
-			probes = append(probes, sim.Time(rng.Int64N(1200)))
-		}
-		window := ConsistencyWindow(log, c, probes)
-		for i, p := range probes {
-			if window[i] != ConsistentAt(log, c, p) {
-				return false
 			}
 		}
 		return true

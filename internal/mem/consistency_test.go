@@ -75,11 +75,8 @@ func TestUncoveredBlocksIgnored(t *testing.T) {
 	if !ConsistentAt(log, c, 200) {
 		t.Fatal("write to uncovered block must not break consistency")
 	}
-	if c.Covered(3) {
-		t.Fatal("Covered(3) should be false")
-	}
-	if !c.Covered(0) {
-		t.Fatal("Covered(0) should be true")
+	if c.CoveredAt[3] >= 0 {
+		t.Fatal("block 3 should read as uncovered")
 	}
 }
 
@@ -100,11 +97,9 @@ func TestConsistencyWindow(t *testing.T) {
 	// Probes: 90 -> interval (90,110) contains 105: inconsistent.
 	//         107 -> (107,110) does not contain 105: consistent.
 	//         120 -> (110,120): consistent.
-	got := ConsistencyWindow(log, c, []sim.Time{90, 107, 120})
-	want := []bool{false, true, true}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("window = %v, want %v", got, want)
+	for probe, want := range map[sim.Time]bool{90: false, 107: true, 120: true} {
+		if got := ConsistentAt(log, c, probe); got != want {
+			t.Fatalf("consistent at %v = %v, want %v", probe, got, want)
 		}
 	}
 }

@@ -44,20 +44,6 @@ func NewGolden(data []byte, blockSize, romBlocks int) *Golden {
 	}
 }
 
-// GoldenFromMemory seals a snapshot of m's current content as a golden
-// image with the same geometry. Typical fleet construction: build one
-// flat Memory, provision it (FillRandom, service install), seal it, and
-// hand the Golden to NewShared once per device.
-func GoldenFromMemory(m *Memory) *Golden {
-	g := &Golden{
-		data:      m.Snapshot(),
-		blockSize: m.blockSize,
-		nblocks:   m.nblocks,
-		romBlocks: m.romBlocks,
-	}
-	return g
-}
-
 // RandomGolden builds a golden image with deterministic pseudorandom
 // non-ROM content — the fleet-provisioning analogue of
 // (*Memory).FillRandom, drawing in the same order so a shared image
@@ -81,9 +67,6 @@ func (g *Golden) BlockSize() int { return g.blockSize }
 
 // NumBlocks returns the number of blocks.
 func (g *Golden) NumBlocks() int { return g.nblocks }
-
-// ROMBlocks returns the number of leading read-only ROM blocks.
-func (g *Golden) ROMBlocks() int { return g.romBlocks }
 
 // Block returns a read-only view of golden block i. Callers must not
 // mutate the returned slice.

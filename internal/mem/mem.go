@@ -7,8 +7,8 @@
 // holds the attestation code and key and is never writable by software,
 // mirroring SMART's hard-wired access-control rules.
 //
-// Every successful write is timestamped (and optionally logged), which
-// is what lets the verifier side reason about temporal consistency: a
+// Successful writes can be logged with their timestamps, which is what
+// lets the verifier side reason about temporal consistency: a
 // measurement is consistent with memory at instant t iff no block was
 // written between the instant it was covered and t (paper §3.1, Fig. 4).
 package mem
@@ -66,10 +66,10 @@ type Write struct {
 // Golden image and materializes a private copy of a block only when the
 // block is first written — copy-on-write, so a fleet of devices
 // provisioned from one image costs O(dirty blocks) private bytes per
-// device instead of O(image). Lock, timestamp, fault and generation
-// semantics are identical in both modes.
+// device instead of O(image). Lock, write-log and generation semantics
+// are identical in both modes.
 //
-// The per-block bookkeeping arrays (priv, locked, lastWrite, gen) are
+// The per-block bookkeeping arrays (priv, locked, gen) are
 // allocated lazily on first use: a never-written, never-locked device —
 // the common case in a large healthy fleet — carries only this struct.
 // Nil arrays read as all-zero.
@@ -81,16 +81,13 @@ type Memory struct {
 	size      int
 	blockSize int
 	nblocks   int
-	locked    []bool     // lazy
-	lastWrite []sim.Time // lazy
-	gen       []uint64   // per-block content generation (see Generation); lazy
-	romBlocks int        // blocks [0, romBlocks) are ROM
+	locked    []bool   // lazy
+	gen       []uint64 // per-block content generation (see Generation); lazy
+	romBlocks int      // blocks [0, romBlocks) are ROM
 	log       []Write
 	logOn     bool
 	logLimit  int
 	logHead   int // ring start when logLimit > 0 and the log is full
-	dropped   int
-	faults    int
 	clock     func() sim.Time
 	guard     func(firstBlock, lastBlock int) error
 }
@@ -100,13 +97,6 @@ func (m *Memory) ensureLocked() []bool {
 		m.locked = make([]bool, m.nblocks)
 	}
 	return m.locked
-}
-
-func (m *Memory) ensureLastWrite() []sim.Time {
-	if m.lastWrite == nil {
-		m.lastWrite = make([]sim.Time, m.nblocks)
-	}
-	return m.lastWrite
 }
 
 func (m *Memory) ensureGen() []uint64 {
@@ -126,16 +116,16 @@ type Config struct {
 	// ROMBlocks is the number of leading blocks reserved as ROM
 	// (attestation code + key). May be zero.
 	ROMBlocks int
-	// Clock supplies timestamps for writes. If nil, all writes are
-	// stamped at time 0.
+	// Clock supplies timestamps for logged writes. If nil, all writes
+	// are stamped at time 0.
 	Clock func() sim.Time
 	// LogWrites enables the write log used for consistency analysis.
 	// Leave it off for Monte Carlo sweeps: an unbounded log grows for
 	// the lifetime of the Memory and costs an append per write.
 	LogWrites bool
 	// LogLimit bounds the write log to the most recent N entries when
-	// positive (older entries are dropped and counted — see
-	// DroppedWrites). 0 keeps the historical unbounded behavior.
+	// positive (older entries are dropped). 0 keeps the historical
+	// unbounded behavior.
 	// Ignored unless LogWrites is set.
 	LogLimit int
 }
@@ -230,8 +220,7 @@ func (m *Memory) Read(off int, dst []byte) error {
 
 // Write copies p into memory at off. It fails with *ROMError or
 // *LockError if any touched block is ROM or locked; a failed write
-// modifies nothing (writes are checked before any byte is stored) and
-// increments the fault counter.
+// modifies nothing (writes are checked before any byte is stored).
 func (m *Memory) Write(off int, p []byte) error {
 	if off < 0 || off+len(p) > m.size {
 		return &BoundsError{Off: off, Len: len(p), Size: m.size}
@@ -242,36 +231,31 @@ func (m *Memory) Write(off int, p []byte) error {
 	first, last := m.BlockOf(off), m.BlockOf(off+len(p)-1)
 	if m.guard != nil {
 		if err := m.guard(first, last); err != nil {
-			m.faults++
 			return err
 		}
 	}
 	for b := first; b <= last; b++ {
 		if b < m.romBlocks {
-			m.faults++
 			return &ROMError{Off: off}
 		}
 		if m.locked != nil && m.locked[b] {
-			m.faults++
 			return &LockError{Block: b, Off: off}
 		}
 	}
 	m.store(off, p)
-	now := m.clock()
-	lw, gen := m.ensureLastWrite(), m.ensureGen()
+	gen := m.ensureGen()
 	for b := first; b <= last; b++ {
-		lw[b] = now
 		gen[b]++
 	}
 	if m.logOn {
-		m.logAppend(Write{At: now, Block: first, Off: off, Len: len(p)})
+		m.logAppend(Write{At: m.clock(), Block: first, Off: off, Len: len(p)})
 	}
 	return nil
 }
 
 // logAppend records one write, honoring the retention limit: once the
 // log holds logLimit entries it becomes a ring and the oldest entry is
-// dropped (and counted) per new write.
+// dropped per new write.
 func (m *Memory) logAppend(w Write) {
 	if m.logLimit <= 0 || len(m.log) < m.logLimit {
 		m.log = append(m.log, w)
@@ -279,7 +263,6 @@ func (m *Memory) logAppend(w Write) {
 	}
 	m.log[m.logHead] = w
 	m.logHead = (m.logHead + 1) % m.logLimit
-	m.dropped++
 }
 
 // store writes p at off, bypassing locks and bookkeeping (callers have
@@ -359,12 +342,6 @@ func (m *Memory) UnlockAll() {
 	}
 }
 
-// Locked reports whether block i is locked (ROM blocks report true).
-func (m *Memory) Locked(i int) bool {
-	m.checkBlock(i)
-	return i < m.romBlocks || (m.locked != nil && m.locked[i])
-}
-
 // LockedCount returns the number of blocks currently write-protected,
 // including ROM.
 func (m *Memory) LockedCount() int {
@@ -380,35 +357,9 @@ func (m *Memory) LockedCount() int {
 	return n
 }
 
-// Writable reports whether block i accepts writes right now.
-func (m *Memory) Writable(i int) bool { return !m.Locked(i) }
-
-// LastWrite returns the timestamp of the most recent successful write
-// touching block i (zero if never written).
-func (m *Memory) LastWrite(i int) sim.Time {
-	m.checkBlock(i)
-	if m.lastWrite == nil {
-		return 0
-	}
-	return m.lastWrite[i]
-}
-
-// Faults returns the number of writes denied by locks or ROM protection.
-// This is the paper's "writable memory availability" cost made concrete:
-// every fault is a legitimate (or malicious) write the device could not
-// perform.
-func (m *Memory) Faults() int { return m.faults }
-
-// ResetFaults zeroes the fault counter and returns the previous value.
-func (m *Memory) ResetFaults() int {
-	f := m.faults
-	m.faults = 0
-	return f
-}
-
 // WriteLog returns the log of successful writes in chronological order
 // (nil unless LogWrites was set). With a LogLimit in effect only the
-// most recent entries are retained; DroppedWrites counts the rest.
+// most recent entries are retained.
 func (m *Memory) WriteLog() []Write {
 	if m.logHead == 0 {
 		return m.log
@@ -417,10 +368,6 @@ func (m *Memory) WriteLog() []Write {
 	out = append(out, m.log[m.logHead:]...)
 	return append(out, m.log[:m.logHead]...)
 }
-
-// DroppedWrites returns the number of write-log entries discarded to
-// honor the configured LogLimit.
-func (m *Memory) DroppedWrites() int { return m.dropped }
 
 // Generation returns the content generation of block i: the number of
 // mutations (successful writes, restores, random fills) that have
@@ -528,8 +475,8 @@ func (m *Memory) FillRandom(rng *rand.Rand) {
 // SetGuard installs an access-control hook consulted on every write
 // (before ROM and lock checks). A nil guard removes the hook. The
 // device layer uses this to model OS-enforced process isolation
-// (TyTAN/HYDRA designs); a guard rejection counts as a fault and the
-// returned error surfaces to the writer.
+// (TyTAN/HYDRA designs); a guard rejection's error surfaces to the
+// writer.
 func (m *Memory) SetGuard(g func(firstBlock, lastBlock int) error) { m.guard = g }
 
 // Raw returns the raw flat backing store; used by attestation ROM code
@@ -545,7 +492,7 @@ func (m *Memory) Raw() []byte {
 }
 
 // flatten converts a copy-on-write Memory to a flat one with identical
-// content, locks, timestamps and generations.
+// content, locks and generations.
 func (m *Memory) flatten() {
 	flat := make([]byte, m.size)
 	for b := 0; b < m.nblocks; b++ {
@@ -575,38 +522,6 @@ func (m *Memory) SharedGolden() *Golden { return m.golden }
 func (m *Memory) BlockClean(i int) bool {
 	m.checkBlock(i)
 	return m.golden != nil && (m.priv == nil || m.priv[i] == nil)
-}
-
-// ApplyGolden installs newG's content as an in-place OTA update:
-// every block whose current content differs from newG is written
-// through WriteBlock (honoring locks, stamping writes, bumping
-// generations, exactly like any other mutation — digest caches
-// invalidate normally). Blocks already matching newG are untouched,
-// so a device whose image was clean pays only for the blocks the
-// update actually changed. Returns the number of blocks written; a
-// locked differing block aborts with an error (a device cannot flash
-// what its lock policy forbids). The device's golden pointer is NOT
-// rewired: after a full apply the content equals newG bit for bit,
-// which is what attestation measures.
-func (m *Memory) ApplyGolden(newG *Golden) (int, error) {
-	if newG == nil {
-		return 0, fmt.Errorf("mem: ApplyGolden with nil Golden")
-	}
-	if newG.blockSize != m.blockSize || newG.nblocks != m.nblocks {
-		return 0, fmt.Errorf("mem: ApplyGolden geometry mismatch: image %dx%d vs memory %dx%d",
-			newG.nblocks, newG.blockSize, m.nblocks, m.blockSize)
-	}
-	changed := 0
-	for i := 0; i < m.nblocks; i++ {
-		if bytes.Equal(m.blockRead(i), newG.Block(i)) {
-			continue
-		}
-		if err := m.WriteBlock(i, newG.Block(i)); err != nil {
-			return changed, fmt.Errorf("mem: ApplyGolden block %d: %w", i, err)
-		}
-		changed++
-	}
-	return changed, nil
 }
 
 func (m *Memory) checkBlock(i int) {

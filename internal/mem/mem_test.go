@@ -64,9 +64,6 @@ func TestWriteROMDenied(t *testing.T) {
 	if !errors.As(err, &re) {
 		t.Fatalf("err = %v, want *ROMError", err)
 	}
-	if m.Faults() != 1 {
-		t.Fatalf("Faults() = %d, want 1", m.Faults())
-	}
 }
 
 func TestWriteLockedDenied(t *testing.T) {
@@ -137,14 +134,11 @@ func TestLockAllUnlockAll(t *testing.T) {
 	if got := m.LockedCount(); got != 2 {
 		t.Fatalf("LockedCount after UnlockAll = %d, want 2 (ROM)", got)
 	}
-	if !m.Locked(0) || !m.Locked(1) {
-		t.Fatal("ROM blocks must always report locked")
+	if m.Poke(0, 1) == nil || m.Poke(64, 1) == nil {
+		t.Fatal("ROM blocks must always refuse writes")
 	}
-	if m.Locked(2) {
-		t.Fatal("block 2 should be unlocked")
-	}
-	if !m.Writable(2) || m.Writable(0) {
-		t.Fatal("Writable inconsistent with Locked")
+	if err := m.Poke(2*64, 1); err != nil {
+		t.Fatalf("block 2 should be writable: %v", err)
 	}
 }
 
@@ -156,18 +150,17 @@ func TestReadsNeverBlocked(t *testing.T) {
 	}
 }
 
+// A successful write is stamped with the clock's reading, block by
+// block, in the write log.
 func TestLastWriteTimestamps(t *testing.T) {
 	now := sim.Time(0)
-	m := New(Config{Size: 256, BlockSize: 64, Clock: func() sim.Time { return now }})
+	m := New(Config{Size: 256, BlockSize: 64, LogWrites: true, Clock: func() sim.Time { return now }})
 	now = 100
 	if err := m.Write(70, []byte{1}); err != nil {
 		t.Fatal(err)
 	}
-	if m.LastWrite(1) != 100 {
-		t.Fatalf("LastWrite(1) = %v, want 100", m.LastWrite(1))
-	}
-	if m.LastWrite(0) != 0 {
-		t.Fatalf("LastWrite(0) = %v, want 0", m.LastWrite(0))
+	if log := m.WriteLog(); len(log) != 1 || log[0].At != 100 || log[0].Block != 1 {
+		t.Fatalf("write log = %+v, want one write to block 1 at t=100", log)
 	}
 }
 
@@ -248,21 +241,8 @@ func TestCheckBlockPanics(t *testing.T) {
 	m.Block(16)
 }
 
-func TestResetFaults(t *testing.T) {
-	m := newTestMem(t)
-	m.Lock(4)
-	_ = m.Write(4*64, []byte{1})
-	_ = m.Write(4*64, []byte{1})
-	if got := m.ResetFaults(); got != 2 {
-		t.Fatalf("ResetFaults returned %d, want 2", got)
-	}
-	if m.Faults() != 0 {
-		t.Fatal("faults not reset")
-	}
-}
-
-// Property: a write either fully succeeds (all bytes land, timestamps
-// advance) or fully fails (no byte changes). Never partial.
+// Property: a write either fully succeeds (all bytes land) or fully
+// fails (no byte changes). Never partial.
 func TestPropertyWriteAtomicity(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := rand.New(rand.NewPCG(seed, 1))
@@ -302,8 +282,8 @@ func TestPropertyWriteAtomicity(t *testing.T) {
 	}
 }
 
-// Property: LockedCount equals the number of blocks for which Locked
-// reports true, for random lock/unlock sequences.
+// Property: LockedCount equals the number of blocks that refuse a
+// write, for random lock/unlock sequences.
 func TestPropertyLockedCount(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := rand.New(rand.NewPCG(seed, 2))
@@ -318,7 +298,7 @@ func TestPropertyLockedCount(t *testing.T) {
 		}
 		n := 0
 		for i := 0; i < m.NumBlocks(); i++ {
-			if m.Locked(i) {
+			if m.Poke(i*64, 1) != nil {
 				n++
 			}
 		}

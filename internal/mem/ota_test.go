@@ -34,42 +34,3 @@ func TestGoldenDiffBlocks(t *testing.T) {
 		t.Fatalf("geometry-mismatch diff covers %d blocks", len(d))
 	}
 }
-
-func TestMemoryApplyGolden(t *testing.T) {
-	g1, g2, want := otaGoldens(t)
-	m := NewShared(g1, SharedConfig{})
-	changed, err := m.ApplyGolden(g2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if changed != len(want) {
-		t.Fatalf("changed %d blocks, want %d", changed, len(want))
-	}
-	if !bytes.Equal(m.Snapshot(), g2.Bytes()) {
-		t.Fatal("memory does not match the new image after ApplyGolden")
-	}
-	// Idempotent: a second apply flashes nothing.
-	if changed, err = m.ApplyGolden(g2); err != nil || changed != 0 {
-		t.Fatalf("re-apply: changed=%d err=%v", changed, err)
-	}
-	// Geometry mismatches are errors before any write.
-	if _, err := m.ApplyGolden(NewGolden(make([]byte, 4096), 512, 1)); err == nil {
-		t.Fatal("geometry mismatch accepted")
-	}
-	if _, err := m.ApplyGolden(nil); err == nil {
-		t.Fatal("nil image accepted")
-	}
-}
-
-func TestApplyGoldenHonorsLocks(t *testing.T) {
-	g1, g2, want := otaGoldens(t)
-	m := NewShared(g1, SharedConfig{})
-	m.Lock(want[0])
-	changed, err := m.ApplyGolden(g2)
-	if err == nil {
-		t.Fatal("flash into a locked block succeeded")
-	}
-	if changed != 0 {
-		t.Fatalf("flashed %d blocks before the lock fault", changed)
-	}
-}

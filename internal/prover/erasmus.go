@@ -73,9 +73,6 @@ func NewErasmus(name string, dev *device.Device, tr transport.Transport, opts co
 	return e, nil
 }
 
-// Task exposes the measurement task.
-func (e *ErasmusProver) Task() *device.Task { return e.task }
-
 // Start begins the self-measurement schedule.
 func (e *ErasmusProver) Start() {
 	e.ticker = e.Dev.Kernel.NewTicker(e.TM, func(sim.Time) { e.tick() })
@@ -143,9 +140,6 @@ func (e *ErasmusProver) store(reports []*core.Report) {
 func (e *ErasmusProver) History() []*core.Report {
 	return append([]*core.Report(nil), e.history...)
 }
-
-// Counter returns the number of measurements started.
-func (e *ErasmusProver) Counter() uint64 { return e.counter }
 
 func (e *ErasmusProver) onMsg(m transport.Msg) {
 	switch m.Kind {

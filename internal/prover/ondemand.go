@@ -89,7 +89,3 @@ func (p *Prover) handleChallenge(from string, nonce []byte) {
 		_ = p.Tr.Send(transport.Msg{From: p.Name, To: from, Kind: transport.KindReport, Reports: reports})
 	})
 }
-
-// Session returns the most recent measurement session (nil before the
-// first challenge).
-func (p *Prover) Session() *core.Session { return p.session }

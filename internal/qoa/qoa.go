@@ -14,7 +14,6 @@ package qoa
 
 import (
 	"math"
-	"math/rand/v2"
 
 	"saferatt/internal/sim"
 )
@@ -36,23 +35,6 @@ func SMARMEscape(n, k int) float64 {
 		return 1
 	}
 	return math.Pow(SMARMEscapeSingle(n), float64(k))
-}
-
-// SMARMRoundsFor returns the minimum number of independent measurements
-// needed to push the escape probability below target.
-func SMARMRoundsFor(n int, target float64) int {
-	if target <= 0 {
-		panic("qoa: target must be positive")
-	}
-	single := SMARMEscapeSingle(n)
-	if single == 0 {
-		return 1
-	}
-	k := int(math.Ceil(math.Log(target) / math.Log(single)))
-	if k < 1 {
-		k = 1
-	}
-	return k
 }
 
 // TransientDetectProb returns the probability that a transient
@@ -79,93 +61,6 @@ func TransientDetectProb(d, tm sim.Duration) float64 {
 // collection, with uniform phases (Fig. 5 geometry): ≈ tm/2 + tc/2.
 func MeanDetectionLatency(tm, tc sim.Duration) sim.Duration {
 	return tm/2 + tc/2
-}
-
-// WorstDetectionLatency returns the worst-case verifier-side detection
-// latency: a full measurement period plus a full collection period.
-func WorstDetectionLatency(tm, tc sim.Duration) sim.Duration {
-	return tm + tc
-}
-
-// WindowOfOpportunity returns the longest dwell an adversary can choose
-// while retaining a nonzero escape probability: anything shorter than
-// one measurement period (§3.3: "frequency of (self-)measurements
-// determines the window of opportunity for transient malware").
-func WindowOfOpportunity(tm sim.Duration) sim.Duration { return tm }
-
-// SimulateTransientDetection Monte-Carlo-estimates the transient
-// detection probability: infections of dwell d placed at a uniform
-// phase against measurements at instants k*tm. It exists to cross-check
-// TransientDetectProb and the full device-level simulation against each
-// other.
-func SimulateTransientDetection(rng *rand.Rand, trials int, d, tm sim.Duration) float64 {
-	if trials <= 0 {
-		return 0
-	}
-	detected := 0
-	for i := 0; i < trials; i++ {
-		phase := sim.Duration(rng.Int64N(int64(tm)))
-		// Infection occupies [phase, phase+d); measurement at tm
-		// (i.e. offset tm - phase after infection start) catches it
-		// iff tm - phase < d ... equivalently phase + d > tm.
-		if phase+d > tm {
-			detected++
-		}
-	}
-	return float64(detected) / float64(trials)
-}
-
-// IncrementalHashWork returns the expected number of host-side
-// block-hashing operations for k successive measurement rounds of an
-// n-block memory when per-block digests are cached (the incremental
-// engine of internal/inccache), with dirty blocks written between
-// consecutive rounds. The streaming engine hashes n*k blocks; the
-// incremental engine hashes all n once (a cold cache) and then only the
-// dirty blocks again in each later round:
-//
-//	n + (k-1)*dirty
-//
-// This is host-CPU work, not simulated device time: the simulation
-// charges full block-hashing durations on both paths, so virtual-time
-// results are path-invariant.
-func IncrementalHashWork(n, k, dirty int) int {
-	if n <= 0 || k <= 0 {
-		return 0
-	}
-	if dirty < 0 {
-		dirty = 0
-	}
-	if dirty > n {
-		dirty = n
-	}
-	return n + (k-1)*dirty
-}
-
-// StreamingHashWork returns the block-hashing operations the streaming
-// engine performs over the same k rounds: every round hashes every
-// block, n*k.
-func StreamingHashWork(n, k int) int {
-	if n <= 0 || k <= 0 {
-		return 0
-	}
-	return n * k
-}
-
-// IncrementalSpeedup returns the asymptotic host-CPU speedup of the
-// incremental engine over streaming for a dirty fraction f per round:
-// lim k→∞ of StreamingHashWork / IncrementalHashWork = 1/f (unbounded
-// for a read-only image).
-func IncrementalSpeedup(n int, dirty int) float64 {
-	if n <= 0 {
-		return 1
-	}
-	if dirty <= 0 {
-		return math.Inf(1)
-	}
-	if dirty > n {
-		dirty = n
-	}
-	return float64(n) / float64(dirty)
 }
 
 // BinomialCI returns the half-width of a ~95% normal-approximation

@@ -2,7 +2,6 @@ package qoa
 
 import (
 	"math"
-	"math/rand/v2"
 	"testing"
 
 	"saferatt/internal/sim"
@@ -61,27 +60,6 @@ func TestSMARMEscapeMultiRound(t *testing.T) {
 	}
 }
 
-func TestSMARMRoundsFor(t *testing.T) {
-	for _, n := range []int{8, 32, 1024} {
-		k := SMARMRoundsFor(n, 1e-6)
-		if SMARMEscape(n, k) >= 1e-6 {
-			t.Errorf("n=%d: k=%d does not reach target", n, k)
-		}
-		if k > 1 && SMARMEscape(n, k-1) < 1e-6 {
-			t.Errorf("n=%d: k=%d not minimal", n, k)
-		}
-	}
-	if SMARMRoundsFor(1, 1e-6) != 1 {
-		t.Error("degenerate n=1 should need 1 round")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for non-positive target")
-		}
-	}()
-	SMARMRoundsFor(8, 0)
-}
-
 func TestTransientDetectProb(t *testing.T) {
 	tm := sim.Duration(10 * sim.Second)
 	cases := []struct {
@@ -113,30 +91,6 @@ func TestDetectionLatencies(t *testing.T) {
 	if MeanDetectionLatency(tm, tc) != 35*sim.Second {
 		t.Error("mean latency")
 	}
-	if WorstDetectionLatency(tm, tc) != 70*sim.Second {
-		t.Error("worst latency")
-	}
-	if WindowOfOpportunity(tm) != tm {
-		t.Error("window of opportunity")
-	}
-}
-
-// Monte Carlo must agree with the closed form within a 95% CI.
-func TestSimulationMatchesClosedForm(t *testing.T) {
-	rng := rand.New(rand.NewPCG(11, 13))
-	tm := sim.Duration(10 * sim.Second)
-	const trials = 20000
-	for _, d := range []sim.Duration{sim.Second, 3 * sim.Second, 7 * sim.Second, 12 * sim.Second} {
-		want := TransientDetectProb(d, tm)
-		got := SimulateTransientDetection(rng, trials, d, tm)
-		tol := BinomialCI(want, trials) + 1e-9
-		if math.Abs(got-want) > tol {
-			t.Errorf("d=%v: MC %v vs analytic %v (tol %v)", d, got, want, tol)
-		}
-	}
-	if SimulateTransientDetection(rng, 0, sim.Second, tm) != 0 {
-		t.Error("zero trials")
-	}
 }
 
 func TestBinomialCI(t *testing.T) {
@@ -145,62 +99,5 @@ func TestBinomialCI(t *testing.T) {
 	}
 	if got := BinomialCI(0.5, 10000); math.Abs(got-0.0098) > 0.0002 {
 		t.Errorf("CI half-width %v, want ~0.0098", got)
-	}
-}
-
-func TestIncrementalHashWork(t *testing.T) {
-	cases := []struct {
-		n, k, dirty, want int
-	}{
-		{16, 1, 4, 16},  // first round is always a cold cache
-		{16, 3, 0, 16},  // read-only image: later rounds are free
-		{16, 3, 4, 24},  // 16 + 2*4
-		{16, 3, 99, 48}, // dirty clamps to n: degenerates to streaming
-		{16, 3, -1, 16}, // negative dirty clamps to 0
-		{0, 3, 1, 0},
-		{16, 0, 1, 0},
-	}
-	for _, c := range cases {
-		if got := IncrementalHashWork(c.n, c.k, c.dirty); got != c.want {
-			t.Errorf("IncrementalHashWork(%d,%d,%d) = %d, want %d", c.n, c.k, c.dirty, got, c.want)
-		}
-	}
-	if got := StreamingHashWork(16, 3); got != 48 {
-		t.Errorf("StreamingHashWork(16,3) = %d, want 48", got)
-	}
-	if got := StreamingHashWork(0, 3); got != 0 {
-		t.Errorf("StreamingHashWork(0,3) = %d", got)
-	}
-	// Fully dirty memory gains nothing; incremental never does MORE
-	// block hashes than streaming.
-	for _, dirty := range []int{0, 1, 8, 16} {
-		inc := IncrementalHashWork(16, 5, dirty)
-		if st := StreamingHashWork(16, 5); inc > st {
-			t.Errorf("dirty=%d: incremental %d > streaming %d", dirty, inc, st)
-		}
-	}
-}
-
-func TestIncrementalSpeedup(t *testing.T) {
-	if got := IncrementalSpeedup(16, 4); got != 4 {
-		t.Errorf("speedup(16,4) = %v, want 4", got)
-	}
-	if got := IncrementalSpeedup(16, 16); got != 1 {
-		t.Errorf("speedup(16,16) = %v, want 1", got)
-	}
-	if got := IncrementalSpeedup(16, 99); got != 1 {
-		t.Errorf("speedup with dirty>n = %v, want 1 (clamped)", got)
-	}
-	if !math.IsInf(IncrementalSpeedup(16, 0), 1) {
-		t.Error("read-only image speedup should be +Inf")
-	}
-	if got := IncrementalSpeedup(0, 0); got != 1 {
-		t.Errorf("degenerate speedup = %v, want 1", got)
-	}
-	// The speedup is the k->inf limit of the work ratio.
-	n, dirty := 64, 8
-	ratio := float64(StreamingHashWork(n, 1000)) / float64(IncrementalHashWork(n, 1000, dirty))
-	if math.Abs(ratio-IncrementalSpeedup(n, dirty)) > 0.1 {
-		t.Errorf("limit ratio %v far from speedup %v", ratio, IncrementalSpeedup(n, dirty))
 	}
 }

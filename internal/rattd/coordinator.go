@@ -43,29 +43,22 @@ func (l EpochLease) Valid() bool { return l.Lo < l.Hi }
 // shards call Lease once per exhausted window, never per report.
 type Coordinator struct {
 	mu     sync.Mutex
-	shards int
 	window uint64
 	next   uint64 // next unleased counter
 	epoch  uint64 // next lease sequence number
 }
 
-// NewCoordinator creates a coordinator for n shards handing out
-// leases of the given window size (0 means DefaultLeaseWindow).
-func NewCoordinator(n int, window uint64) *Coordinator {
-	if n < 1 {
-		n = 1
-	}
+// NewCoordinator creates a coordinator handing out leases of the given
+// window size (0 means DefaultLeaseWindow).
+func NewCoordinator(window uint64) *Coordinator {
 	if window == 0 {
 		window = DefaultLeaseWindow
 	}
 	// Counter 0 is never leased: the pre-shard daemon started its
 	// counter sequence at 1, and keeping that origin makes a 1-shard
 	// tier byte-identical to a plain Server.
-	return &Coordinator{shards: n, window: window, next: 1}
+	return &Coordinator{window: window, next: 1}
 }
-
-// Shards returns the tier width the coordinator was built for.
-func (c *Coordinator) Shards() int { return c.shards }
 
 // Lease grants shard the next unleased window. Safe for concurrent
 // use by all shards.

@@ -41,7 +41,7 @@ func TestE2ELoopbackFleet(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.SMARTOK != provers || res.CollectOK != provers || res.Failures() != 0 {
+		if res.SMARTOK != provers || res.CollectOK != provers || res.SMARTFail+res.CollectFail != 0 {
 			t.Fatalf("fleet failures: %+v (daemon counts %+v)", res, srv.Counts())
 		}
 		t.Logf("fleet %d provers: SMART p50=%v p99=%v max=%v", provers, res.P50, res.P99, res.Max)

@@ -71,9 +71,6 @@ type FleetResult struct {
 	Net transport.NetStats
 }
 
-// Failures returns the total failed phases across the fleet.
-func (r *FleetResult) Failures() int { return r.SMARTFail + r.CollectFail }
-
 // RunFleet runs cfg.Provers concurrent provers against a daemon over
 // one shared client socket: each completes a SMART challenge/response
 // round and then ships an ERASMUS collection, and the result reports

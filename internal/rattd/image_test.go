@@ -56,6 +56,9 @@ func collect(t testing.TB, s *Server, p *Prover, image string, from, to uint64) 
 	s.IngestImage(p.Name, transport.KindCollection, image, reports)
 }
 
+// TestMultiImageVerification: two device classes verify through one
+// registry, each against its own golden image, and an imageless bundle
+// is served by the default image.
 func TestMultiImageVerification(t *testing.T) {
 	s, sensor, gateway := multiImageServer(t, 1)
 	ps := imageProver(t, "sns-0", sensor, "sensor")
@@ -83,6 +86,9 @@ func TestMultiImageVerification(t *testing.T) {
 	}
 }
 
+// TestImageBindingMismatch: a prover bound to one image cannot claim
+// another; the whole bundle rejects, counted once a report, and the
+// binding and its window survive.
 func TestImageBindingMismatch(t *testing.T) {
 	s, _, gateway := multiImageServer(t, 1)
 	p := imageProver(t, "gtw-0", gateway, "gateway")

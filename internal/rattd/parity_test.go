@@ -142,8 +142,8 @@ func (h *stacks) collect(reports ...*core.Report) (string, string) {
 func (h *stacks) seed(r *core.Report) (string, string) {
 	h.sim.HandleSeedReports(h.prv.Name, []*core.Report{r})
 	h.srv.Ingest(h.prv.Name, transport.KindSeedReport, []core.Report{*r})
-	res, _ := h.sim.LastResult()
-	return res.Reason, h.logs[len(h.logs)-1]
+	rs := h.sim.Results()
+	return rs[len(rs)-1].Reason, h.logs[len(h.logs)-1]
 }
 
 func (h *stacks) measure(ctr uint64) *core.Report {

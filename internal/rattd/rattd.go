@@ -339,14 +339,6 @@ func (s *Server) Images() *verifier.ImageSet { return s.images }
 // unknown to this server's registry and were remapped to the default.
 func (s *Server) ImageFallbacks() uint64 { return s.imageFallbacks.Load() }
 
-// Lease returns the server's current challenge-counter lease (zero
-// until the first hello pulls one).
-func (s *Server) Lease() EpochLease {
-	s.leaseMu.Lock()
-	defer s.leaseMu.Unlock()
-	return s.lease
-}
-
 // Enrolled counts the distinct provers the server holds freshness
 // state for — the "enrollment" that checkpoint/restore preserves, so
 // a restarted shard keeps rejecting replays and accepting fresh

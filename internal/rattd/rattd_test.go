@@ -101,6 +101,10 @@ func (b *proverBox) send(t *testing.T, m transport.Msg) {
 	}
 }
 
+// runDaemonSuite is the daemon's protocol suite, run once over the
+// simulated link and once over a loopback socket (TestDaemonOverSim,
+// TestDaemonOverNet; raced in CI with the e2e fleet): a SMART exchange,
+// an ERASMUS collection and its replay, a SeED push, and the rejects.
 func runDaemonSuite(t *testing.T, mk func(t *testing.T) *daemonWorld) {
 	newTestProver := func(t *testing.T, name string) *Prover {
 		p, err := NewProver(name, DefaultKey, GoldenImage(7, testMem, testBlock), testBlock)

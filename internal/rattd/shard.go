@@ -50,7 +50,7 @@ func ServeTier(trs []transport.Transport, cfg TierConfig) (*Tier, error) {
 		return nil, fmt.Errorf("rattd: tier needs at least one transport")
 	}
 	t := &Tier{
-		coord:  NewCoordinator(n, cfg.Window),
+		coord:  NewCoordinator(cfg.Window),
 		cfg:    cfg,
 		shards: make([]*Server, n),
 		trs:    append([]transport.Transport(nil), trs...),
@@ -91,9 +91,6 @@ func (t *Tier) servers() []*Server {
 	defer t.mu.Unlock()
 	return append([]*Server(nil), t.shards...)
 }
-
-// Coordinator returns the tier's lease coordinator.
-func (t *Tier) Coordinator() *Coordinator { return t.coord }
 
 // Counts sums verification outcomes across shards.
 func (t *Tier) Counts() Counts {
@@ -147,18 +144,6 @@ func (t *Tier) Balance() float64 {
 		return math.Inf(1)
 	}
 	return float64(max) / float64(min)
-}
-
-// Checkpoints snapshots every shard's fleet state, indexed by shard.
-func (t *Tier) Checkpoints() []*Checkpoint {
-	shards := t.servers()
-	out := make([]*Checkpoint, len(shards))
-	for i, s := range shards {
-		if s != nil {
-			out[i] = s.Checkpoint()
-		}
-	}
-	return out
 }
 
 // Restore installs per-shard checkpoints (nil entries are skipped)

@@ -96,7 +96,7 @@ func BenchmarkShard_TierThroughput(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if res.Failures() != 0 {
-		b.Fatalf("%d failures across %d provers", res.Failures(), b.N)
+	if n := res.SMARTFail + res.CollectFail; n != 0 {
+		b.Fatalf("%d failures across %d provers", n, b.N)
 	}
 }

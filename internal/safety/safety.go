@@ -45,7 +45,6 @@ type FireAlarm struct {
 	Checks      int
 	Alarms      []Alarm
 	WriteFaults int
-	writeOKs    int
 }
 
 // Alarm records one detected fire.
@@ -129,13 +128,9 @@ func (f *FireAlarm) check() {
 		buf := make([]byte, 8)
 		buf[0] = f.reading
 		err := f.dev.Mem.Write(f.DataBlock*f.dev.Mem.BlockSize(), buf)
-		if err != nil {
-			if _, locked := err.(*mem.LockError); locked {
-				f.WriteFaults++
-				f.dev.Trace.Add(now, trace.KindWriteFault, f.task.Name(), "sensor log write denied")
-			}
-		} else {
-			f.writeOKs++
+		if _, locked := err.(*mem.LockError); locked {
+			f.WriteFaults++
+			f.dev.Trace.Add(now, trace.KindWriteFault, f.task.Name(), "sensor log write denied")
 		}
 	}
 
@@ -168,14 +163,4 @@ func (f *FireAlarm) WorstLatency() sim.Duration {
 		}
 	}
 	return worst
-}
-
-// WriteAvailability returns the fraction of attempted sensor-log writes
-// that succeeded (1.0 when no writes were attempted).
-func (f *FireAlarm) WriteAvailability() float64 {
-	total := f.writeOKs + f.WriteFaults
-	if total == 0 {
-		return 1
-	}
-	return float64(f.writeOKs) / float64(total)
 }

@@ -305,10 +305,7 @@ func (m *Manager) onMessage(msg channel.Message) {
 // verifyErasure recomputes the expected post-erasure memory image and
 // checks the proof MAC.
 func (m *Manager) verifyErasure(req *EraseRequest, proof *EraseProof) bool {
-	expected := make([]byte, m.MemSize)
-	copy(expected, m.ROMImage)
-	eraseStream(m.Key, req.Seed, expected[len(m.ROMImage):])
-
+	expected := m.expectedAfterErasure(req)
 	mac, err := suite.NewMAC(suite.SHA256, m.Key)
 	if err != nil {
 		return false
@@ -322,9 +319,9 @@ func (m *Manager) verifyErasure(req *EraseRequest, proof *EraseProof) bool {
 	return bytes.Equal(mac.Sum(nil), proof.Tag)
 }
 
-// ExpectedMemoryAfterErasure returns the image the device must hold
-// after a successful PoSE round (for re-provisioning golden images).
-func (m *Manager) ExpectedMemoryAfterErasure(req *EraseRequest) []byte {
+// expectedAfterErasure returns the image the device must hold after a
+// successful PoSE round.
+func (m *Manager) expectedAfterErasure(req *EraseRequest) []byte {
 	expected := make([]byte, m.MemSize)
 	copy(expected, m.ROMImage)
 	eraseStream(m.Key, req.Seed, expected[len(m.ROMImage):])

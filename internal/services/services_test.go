@@ -77,8 +77,8 @@ func TestSecureUpdateRoundTrip(t *testing.T) {
 	}
 	v.Challenge("prv-att")
 	w.k.Run()
-	if res, ok := v.LastResult(); !ok || !res.OK {
-		t.Fatalf("post-update attestation failed: %+v", res)
+	if rs := v.Results(); len(rs) != 1 || !rs[0].OK {
+		t.Fatalf("post-update attestation failed: %+v", rs)
 	}
 }
 
@@ -162,7 +162,7 @@ func TestProofOfSecureErasure(t *testing.T) {
 	}
 	// Memory now equals the expected post-erasure image: the malware
 	// payload is gone.
-	if !bytes.Equal(w.m.Snapshot(), w.mgr.ExpectedMemoryAfterErasure(req)) {
+	if !bytes.Equal(w.m.Snapshot(), w.mgr.expectedAfterErasure(req)) {
 		t.Fatal("memory does not match the expected erasure image")
 	}
 	if bytes.Contains(w.m.Snapshot(), bytes.Repeat([]byte{0xEB}, 16)) {

@@ -45,10 +45,6 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 // Seconds returns the duration as a floating-point number of seconds.
 func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
 
-// Milliseconds returns the duration as a floating-point number of
-// milliseconds.
-func (d Duration) Milliseconds() float64 { return float64(d) / float64(Millisecond) }
-
 func (t Time) String() string { return fmt.Sprintf("t=%.6fs", float64(t)/float64(Second)) }
 
 func (d Duration) String() string { return fmt.Sprintf("%.6fs", d.Seconds()) }
@@ -68,9 +64,6 @@ type Event struct {
 	next, prev *Event
 	kernel     *Kernel
 }
-
-// At reports the virtual time the event is (or was) scheduled for.
-func (e *Event) At() Time { return e.at }
 
 // Cancel removes the event from the kernel's queue. Cancelling an event
 // that already fired or was already cancelled is a no-op. The stored
@@ -256,9 +249,6 @@ func (k *Kernel) RunUntil(t Time) {
 		k.now = t
 	}
 }
-
-// RunFor is RunUntil(Now()+d).
-func (k *Kernel) RunFor(d Duration) { k.RunUntil(k.now.Add(d)) }
 
 // Timer is a reusable scheduled callback with at most one pending
 // activation: Arm pushes the same Event object back onto the queue, so

@@ -110,7 +110,7 @@ func TestBackendsEquivalentRandom(t *testing.T) {
 				case 1:
 					events[o.id].Cancel() // nil-safe: only scheduled ids are drawn
 				case 2:
-					k.RunFor(o.delay)
+					k.RunUntil(k.Now().Add(o.delay))
 				case 3:
 					id, n := o.id, o.n
 					var tm *Timer

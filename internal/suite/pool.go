@@ -115,11 +115,8 @@ var (
 	signTaggers = sync.Pool{New: func() any { return new(signTagger) }}
 )
 
-// AcquireTagger is NewTagger backed by the hash-state pool: the
-// returned Tagger wraps a pooled (or freshly built) state. Callers that
-// produce many measurements — the engine's per-round taggers, bulk
-// verification — should pair it with ReleaseTagger; NewTagger remains
-// for one-shot uses.
+// AcquireTagger returns a Tagger for one measurement, wrapping a pooled
+// (or freshly built) hash state. Pair it with ReleaseTagger.
 func (s Scheme) AcquireTagger() (Tagger, error) {
 	if s.Signer != nil {
 		h, err := AcquireHash(s.Hash)

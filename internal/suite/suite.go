@@ -25,8 +25,8 @@ import (
 type HashID string
 
 // The hash functions of the paper's Figure 2, plus the encryption-based
-// MAC option of §2.4 (AES-CMAC has no unkeyed hash mode: it appears in
-// MACIDs but not HashIDs).
+// MAC option of §2.4 (AES-CMAC has no unkeyed hash mode, so HashIDs
+// does not list it).
 const (
 	SHA256  HashID = "SHA-256"
 	SHA512  HashID = "SHA-512"
@@ -41,12 +41,6 @@ func HashIDs() []HashID {
 	ids := []HashID{SHA256, SHA512, BLAKE2b, BLAKE2s}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
-}
-
-// MACIDs returns all identifiers usable in MAC mode: the hash set plus
-// AES-CMAC.
-func MACIDs() []HashID {
-	return append(HashIDs(), AESCMAC)
 }
 
 // NewHash returns a fresh unkeyed hash for id.
@@ -153,38 +147,6 @@ func (s Scheme) Name() string {
 	default:
 		return "HMAC-" + string(s.Hash)
 	}
-}
-
-// NewTagger returns a Tagger for one measurement.
-func (s Scheme) NewTagger() (Tagger, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	if s.Signer != nil {
-		h, err := NewHash(s.Hash)
-		if err != nil {
-			return nil, err
-		}
-		return &signTagger{h: h, signer: s.Signer}, nil
-	}
-	m, err := NewMAC(s.Hash, s.Key)
-	if err != nil {
-		return nil, err
-	}
-	return &macTagger{h: m}, nil
-}
-
-// VerifyTag checks tag over the given content reader. For MAC mode it
-// recomputes the MAC with the shared key; for signature mode it hashes
-// and verifies with the signer's public key. The hash state comes from
-// the pool (see pool.go); callers that can emit the expected stream
-// directly should prefer VerifyStream, which also skips the content
-// buffer.
-func (s Scheme) VerifyTag(content io.Reader, tag []byte) (bool, error) {
-	return s.VerifyStream(func(w io.Writer) error {
-		_, err := io.Copy(w, content)
-		return err
-	}, tag)
 }
 
 type macTagger struct{ h hash.Hash }

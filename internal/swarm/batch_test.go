@@ -53,11 +53,14 @@ func TestCollectorBatchedMatchesUnbatched(t *testing.T) {
 	f, _ := newGoldenFleet(t, 9, channel.Config{Latency: sim.Millisecond, Adv: adv})
 	batched := NewCollector(suite.SHA256)
 	naive := NewCollector(suite.SHA256)
-	naive.Batched = false
 	for _, node := range f.nodes {
 		batched.Register(node)
 		naive.Register(node)
 	}
+	// The oracle arm: with no Batch to consult, judgeNode verifies every
+	// report on its own against the node's image — the path region- and
+	// data-carrying reports still take.
+	clear(naive.batches)
 	if err := f.nodes[3].Dev.Mem.Poke(5*256+1, 0x99); err != nil {
 		t.Fatal(err)
 	}
@@ -97,6 +100,9 @@ func TestCollectorBatchedMatchesUnbatched(t *testing.T) {
 	}
 	if s.Computed >= s.Reports {
 		t.Fatalf("no amortization: computed %d of %d reports", s.Computed, s.Reports)
+	}
+	if s := naive.BatchStats(); s.Reports != 0 {
+		t.Fatalf("oracle collector batched %d reports", s.Reports)
 	}
 }
 

@@ -44,7 +44,7 @@ func (r *SwarmResult) Healthy() bool {
 }
 
 // Infected returns the names of nodes whose reports failed
-// verification.
+// verification, sorted like Missing.
 func (r *SwarmResult) Infected() []string {
 	var out []string
 	for name, v := range r.Verdicts {
@@ -52,6 +52,7 @@ func (r *SwarmResult) Infected() []string {
 			out = append(out, name)
 		}
 	}
+	sort.Strings(out)
 	return out
 }
 
@@ -59,20 +60,15 @@ func (r *SwarmResult) Infected() []string {
 // each node's golden image and shared key and judges aggregates.
 type Collector struct {
 	hash suite.HashID
-	// Batched enables whole-round amortized verification: reports
-	// sharing a (key, nonce, round, order, path) group are checked
-	// against one precomputed expected tag (verifier.Batch). Defaults to
-	// true; experiments flip it off to measure the naive per-report
-	// baseline. Region- or data-carrying reports always take the
-	// per-report path regardless.
-	Batched bool
-	keys    map[string][]byte
+	keys map[string][]byte
 	// images holds each node's golden image: a handle on the shared
 	// golden for clean copy-on-write devices, a collector-private
 	// snapshot (reused on re-registration) otherwise.
 	images  map[string]verifier.Image
 	shuffle bool
-	// batches maps node name -> batch verifier; nodes on the same
+	// batches maps node name -> batch verifier: reports sharing a (key,
+	// nonce, round, order, path) group are checked against one
+	// precomputed expected tag (verifier.Batch). Nodes on the same
 	// shared golden image are interned onto one Batch (byGolden), so a
 	// fleet's expected tag is computed once per round, not per node.
 	batches  map[string]*verifier.Batch
@@ -84,7 +80,6 @@ type Collector struct {
 func NewCollector(hash suite.HashID) *Collector {
 	return &Collector{
 		hash:     hash,
-		Batched:  true,
 		keys:     map[string][]byte{},
 		images:   map[string]verifier.Image{},
 		batches:  map[string]*verifier.Batch{},
@@ -192,7 +187,7 @@ func (c *Collector) judgeNode(name string, reports []*core.Report, nonce []byte)
 		// path.
 		var ok bool
 		var err error
-		if b := c.batches[name]; b != nil && c.Batched && rep.RegionCount == 0 && rep.Data == nil {
+		if b := c.batches[name]; b != nil && rep.RegionCount == 0 && rep.Data == nil {
 			ok, err = b.Verify(key, rep, c.shuffle)
 		} else {
 			ok, err = c.images[name].VerifyTag(scheme, key, core.Options{Shuffled: c.shuffle}, rep)

@@ -45,8 +45,10 @@ func TestCollectorHealthySwarm(t *testing.T) {
 func TestCollectorPinpointsInfection(t *testing.T) {
 	f, c := newJudgedFleet(t, 7, channel.Config{})
 	root, _ := BuildTree(f.nodes, 2)
-	if err := f.nodes[4].Dev.Mem.Poke(5*256+1, 0x99); err != nil {
-		t.Fatal(err)
+	for _, i := range []int{4, 1} {
+		if err := f.nodes[i].Dev.Mem.Poke(5*256+1, 0x99); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var agg *Aggregate
 	root.OnComplete = func(a *Aggregate) { agg = a }
@@ -54,16 +56,20 @@ func TestCollectorPinpointsInfection(t *testing.T) {
 	root.Attest(nonce)
 	f.k.Run()
 
-	res := c.Judge(agg, nonce, f.k.Now())
-	if res.Healthy() {
-		t.Fatal("infected swarm judged healthy")
-	}
-	infected := res.Infected()
-	if len(infected) != 1 || infected[0] != "node04" {
-		t.Fatalf("infected = %v, want [node04]", infected)
-	}
-	if res.Verdicts["node04"].Reason != "tag mismatch" {
-		t.Fatalf("reason: %q", res.Verdicts["node04"].Reason)
+	// Judged twenty times: Verdicts is a map, and Infected must not
+	// hand its iteration order to rattsim's output.
+	for run := 0; run < 20; run++ {
+		res := c.Judge(agg, nonce, f.k.Now())
+		if res.Healthy() {
+			t.Fatal("infected swarm judged healthy")
+		}
+		infected := res.Infected()
+		if len(infected) != 2 || infected[0] != "node01" || infected[1] != "node04" {
+			t.Fatalf("run %d: infected = %v, want [node01 node04]", run, infected)
+		}
+		if res.Verdicts["node04"].Reason != "tag mismatch" {
+			t.Fatalf("reason: %q", res.Verdicts["node04"].Reason)
+		}
 	}
 }
 

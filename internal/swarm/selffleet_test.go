@@ -24,6 +24,8 @@ func smallFleet(mode SelfMode) SelfFleetConfig {
 	}
 }
 
+// TestSelfFleetDetection: a reduced E12 fleet, ERASMUS and SeED, with
+// every infection dwelling longer than T_M — each must be detected.
 func TestSelfFleetDetection(t *testing.T) {
 	for _, mode := range []SelfMode{SelfErasmus, SelfSeED} {
 		res, err := RunSelfFleet(smallFleet(mode))
@@ -69,6 +71,8 @@ func TestSelfFleetDetection(t *testing.T) {
 	}
 }
 
+// TestSelfFleetCleanFleet: with nothing infected the fleet verifies
+// reports and raises no detection.
 func TestSelfFleetCleanFleet(t *testing.T) {
 	cfg := smallFleet(SelfErasmus)
 	cfg.InfectRate = 0

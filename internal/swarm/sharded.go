@@ -27,18 +27,15 @@ import (
 // order cannot change any report bit, which is what pins Round output
 // bit-identical across Shards ∈ {1, 4, 16} and the serial path.
 //
-// Devices are copy-on-write views of one golden image (FullCopy flips
-// the naive private-image baseline for benchmarks), so fleet memory is
-// O(golden + total dirty blocks) instead of O(devices × image).
+// Devices are copy-on-write views of one golden image, so fleet memory
+// is O(golden + total dirty blocks) instead of O(devices × image).
 type Sharded struct {
-	// Collector judges each round; Batched amortization is on by
-	// default (see Collector.Batched).
+	// Collector judges each round.
 	Collector *Collector
 
-	cfg    ShardedConfig
-	golden *mem.Golden
-	devs   []*shardDev
-	agg    *Aggregate // reused across rounds
+	cfg  ShardedConfig
+	devs []*shardDev
+	agg  *Aggregate // reused across rounds
 }
 
 // EngineConfig is the shared engine-knob block (Seed, Parallelism,
@@ -63,10 +60,6 @@ type ShardedConfig struct {
 	Opts core.Options
 	// Profile is the device cost model; defaults to ODROIDXU4.
 	Profile *costmodel.Profile
-	// FullCopy disables copy-on-write sharing: every device carries a
-	// private flat copy of the golden image. This is the pre-sharding
-	// baseline, kept for benchmarks and regression comparison.
-	FullCopy bool
 	// MaxStepsPerRound bounds each device kernel's event count per
 	// round (watchdog against runaway reschedule loops). Default 1<<22.
 	MaxStepsPerRound uint64
@@ -114,20 +107,12 @@ func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 		rand.New(rand.NewPCG(cfg.Seed, 0x901de)))
 	s := &Sharded{
 		cfg:       cfg,
-		golden:    golden,
 		Collector: NewCollector(cfg.Opts.Hash),
 		agg:       &Aggregate{Reports: map[string][]*core.Report{}},
 	}
 	for i := 0; i < cfg.Devices; i++ {
 		k := sim.NewKernel()
-		var m *mem.Memory
-		if cfg.FullCopy {
-			m = mem.New(mem.Config{Size: cfg.MemSize, BlockSize: cfg.BlockSize,
-				ROMBlocks: cfg.ROMBlocks, Clock: k.Now})
-			m.Restore(golden.Bytes())
-		} else {
-			m = mem.NewShared(golden, mem.SharedConfig{Clock: k.Now})
-		}
+		m := mem.NewShared(golden, mem.SharedConfig{Clock: k.Now})
 		d := &shardDev{
 			name:   fmt.Sprintf("d%05d", i),
 			kernel: k,
@@ -140,12 +125,6 @@ func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 	}
 	return s, nil
 }
-
-// Golden returns the fleet's shared golden image.
-func (s *Sharded) Golden() *mem.Golden { return s.golden }
-
-// Devices returns the fleet size.
-func (s *Sharded) Devices() int { return len(s.devs) }
 
 // Mem returns device i's memory (for infecting or inspecting it).
 func (s *Sharded) Mem(i int) *mem.Memory { return s.devs[i].mem }
@@ -161,11 +140,8 @@ func (s *Sharded) DirtyBlocks() int {
 }
 
 // ResidentBytes estimates fleet image memory: the golden image plus
-// per-device private blocks (or full images in FullCopy mode).
+// per-device private blocks.
 func (s *Sharded) ResidentBytes() int {
-	if s.cfg.FullCopy {
-		return len(s.devs) * s.cfg.MemSize
-	}
 	return s.cfg.MemSize + s.DirtyBlocks()*s.cfg.BlockSize
 }
 
@@ -213,7 +189,3 @@ func (s *Sharded) Round(nonce []byte) (*SwarmResult, error) {
 	}
 	return s.Collector.Judge(s.agg, nonce, now), nil
 }
-
-// Aggregate returns the last round's report bundle (valid until the
-// next Round call).
-func (s *Sharded) Aggregate() *Aggregate { return s.agg }

@@ -5,21 +5,39 @@ import (
 	"testing"
 
 	"saferatt/internal/core"
+	"saferatt/internal/device"
+	"saferatt/internal/mem"
 	"saferatt/internal/parallel"
 	"saferatt/internal/suite"
 )
 
-func newShardedFleet(t testing.TB, devices, shards int, fullCopy bool) *Sharded {
+func newShardedFleet(t testing.TB, devices, shards int) *Sharded {
 	t.Helper()
 	s, err := NewSharded(ShardedConfig{
 		EngineConfig: EngineConfig{Seed: 1234, Parallelism: shards},
 		Devices:      devices,
 		MemSize:      16 << 10,
 		BlockSize:    256,
-		FullCopy:     fullCopy,
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	return s
+}
+
+// fullCopy rebuilds s as the fleet the copy-on-write engine replaced —
+// the oracle arm of TestShardedCOWMatchesFullCopy: every device owns a
+// private flat copy of the golden image, and the collector snapshots
+// each one instead of sharing the golden.
+func fullCopy(s *Sharded) *Sharded {
+	for _, d := range s.devs {
+		flat := mem.New(mem.Config{Size: s.cfg.MemSize, BlockSize: s.cfg.BlockSize,
+			ROMBlocks: s.cfg.ROMBlocks, Clock: d.kernel.Now})
+		flat.Restore(d.mem.SharedGolden().Bytes())
+		d.mem = flat
+		d.dev = device.New(device.Config{Kernel: d.kernel, Mem: flat, Profile: s.cfg.Profile})
+		d.task = d.dev.NewTask("MP:"+d.name, 5)
+		s.Collector.RegisterDevice(d.name, d.dev, s.cfg.Opts)
 	}
 	return s
 }
@@ -66,7 +84,7 @@ func runRounds(t testing.TB, s *Sharded, nonces ...string) []*SwarmResult {
 }
 
 func TestShardedHealthyFleet(t *testing.T) {
-	s := newShardedFleet(t, 32, 4, false)
+	s := newShardedFleet(t, 32, 4)
 	res, err := s.Round([]byte("r1"))
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +109,7 @@ func TestShardedHealthyFleet(t *testing.T) {
 }
 
 func TestShardedDetectsInfection(t *testing.T) {
-	s := newShardedFleet(t, 32, 4, false)
+	s := newShardedFleet(t, 32, 4)
 	infectSome(t, s, []int{5, 17})
 	res, err := s.Round([]byte("r1"))
 	if err != nil {
@@ -124,7 +142,7 @@ func TestShardedDeterministicAcrossShardCounts(t *testing.T) {
 	victims := []int{3, 11, 40}
 	var want []*SwarmResult
 	for _, shards := range []int{1, 4, 16} {
-		s := newShardedFleet(t, 48, shards, false)
+		s := newShardedFleet(t, 48, shards)
 		infectSome(t, s, victims)
 		got := runRounds(t, s, "round-a", "round-b", "round-c")
 		if want == nil {
@@ -147,8 +165,11 @@ func TestShardedDeterministicAcrossShardCounts(t *testing.T) {
 // pure memory optimization: verdicts match the naive full-copy fleet.
 func TestShardedCOWMatchesFullCopy(t *testing.T) {
 	victims := []int{9}
-	cow := newShardedFleet(t, 24, 4, false)
-	naive := newShardedFleet(t, 24, 4, true)
+	cow := newShardedFleet(t, 24, 4)
+	naive := fullCopy(newShardedFleet(t, 24, 4))
+	if naive.DirtyBlocks() != 0 || naive.Mem(0).SharedGolden() != nil {
+		t.Fatal("oracle fleet still shares the golden image")
+	}
 	infectSome(t, cow, victims)
 	infectSome(t, naive, victims)
 	rc := runRounds(t, cow, "x", "y")
@@ -165,7 +186,7 @@ func TestShardedRace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping 1000-device fleet in -short mode")
 	}
-	s := newShardedFleet(t, 1000, 16, false)
+	s := newShardedFleet(t, 1000, 16)
 	infectSome(t, s, []int{1, 500, 999})
 	res, err := s.Round([]byte("race-round"))
 	if err != nil {

@@ -3,6 +3,7 @@ package swarm
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand/v2"
 	"testing"
 
@@ -58,9 +59,10 @@ func (f *fleet) verifyAggregate(t testing.TB, agg *Aggregate, nonce []byte) map[
 		for _, rep := range reports {
 			scheme := suite.Scheme{Hash: suite.SHA256, Key: node.Dev.AttestationKey}
 			order := core.DeriveOrder(node.Dev.AttestationKey, rep.Nonce, rep.Round, node.Dev.Mem.NumBlocks(), false)
-			var buf bytes.Buffer
-			core.ExpectedStreamForReport(&buf, suite.SHA256, rep, ref, 256, order)
-			good, err := scheme.VerifyTag(&buf, rep.Tag)
+			good, err := scheme.VerifyStream(func(w io.Writer) error {
+				core.ExpectedStreamForReport(w, suite.SHA256, rep, ref, 256, order)
+				return nil
+			}, rep.Tag)
 			if err != nil {
 				t.Fatal(err)
 			}

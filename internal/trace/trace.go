@@ -91,14 +91,6 @@ func (l *Log) Addf(at sim.Time, kind Kind, actor, format string, args ...any) {
 	l.Add(at, kind, actor, fmt.Sprintf(format, args...))
 }
 
-// Events returns the recorded events in emission order.
-func (l *Log) Events() []Event {
-	if l == nil {
-		return nil
-	}
-	return l.events
-}
-
 // Len returns the number of recorded events (0 for a nil log).
 func (l *Log) Len() int {
 	if l == nil {
@@ -134,20 +126,6 @@ func (l *Log) First(kind Kind) (Event, bool) {
 	for _, e := range l.events {
 		if e.Kind == kind {
 			return e, true
-		}
-	}
-	return Event{}, false
-}
-
-// Last returns the last event of the given kind, or a zero Event and
-// false.
-func (l *Log) Last(kind Kind) (Event, bool) {
-	if l == nil {
-		return Event{}, false
-	}
-	for i := len(l.events) - 1; i >= 0; i-- {
-		if l.events[i].Kind == kind {
-			return l.events[i], true
 		}
 	}
 	return Event{}, false

@@ -11,7 +11,7 @@ func TestAddAndEvents(t *testing.T) {
 	var l Log
 	l.Add(0, KindMeasureStart, "mp", "t_s")
 	l.Addf(sim.Time(sim.Second), KindMeasureEnd, "mp", "round %d", 3)
-	evs := l.Events()
+	evs := l.Filter(KindMeasureStart, KindMeasureEnd)
 	if len(evs) != 2 || l.Len() != 2 {
 		t.Fatalf("events %v", evs)
 	}
@@ -27,7 +27,7 @@ func TestAddCatBuildsDetailOnlyWhenKept(t *testing.T) {
 	var l Log
 	name := strings.Repeat("p", 8) // not a constant: the concatenation must allocate
 	l.AddCat(0, KindRequestSent, "vrf", "to ", name)
-	if got := l.Events()[0].Detail; got != "to pppppppp" {
+	if got := l.Filter(KindRequestSent)[0].Detail; got != "to pppppppp" {
 		t.Fatalf("AddCat detail %q", got)
 	}
 	var none *Log
@@ -40,7 +40,7 @@ func TestNilLogIsSafe(t *testing.T) {
 	var l *Log
 	l.Add(0, KindWrite, "x", "y") // must not panic
 	l.Addf(0, KindWrite, "x", "%d", 1)
-	if l.Events() != nil || l.Len() != 0 {
+	if l.Len() != 0 {
 		t.Fatal("nil log should be empty")
 	}
 	if l.Filter(KindWrite) != nil {
@@ -48,9 +48,6 @@ func TestNilLogIsSafe(t *testing.T) {
 	}
 	if _, ok := l.First(KindWrite); ok {
 		t.Fatal("nil First")
-	}
-	if _, ok := l.Last(KindWrite); ok {
-		t.Fatal("nil Last")
 	}
 	if l.Render() != "" {
 		t.Fatal("nil Render")
@@ -70,10 +67,6 @@ func TestFilterFirstLast(t *testing.T) {
 	if !ok || first.Detail != "a" {
 		t.Fatalf("first %v", first)
 	}
-	last, ok := l.Last(KindBlockMeasured)
-	if !ok || last.Detail != "c" {
-		t.Fatalf("last %v", last)
-	}
 	if _, ok := l.First(KindMalwareErase); ok {
 		t.Fatal("found nonexistent kind")
 	}
@@ -89,7 +82,7 @@ func TestRenderFormat(t *testing.T) {
 	if !strings.HasSuffix(out, "\n") {
 		t.Fatal("render should end with newline")
 	}
-	if s := l.Events()[0].String(); !strings.Contains(s, "t_s") {
+	if s := l.Filter(KindMeasureStart)[0].String(); !strings.Contains(s, "t_s") {
 		t.Fatalf("event string %q", s)
 	}
 }

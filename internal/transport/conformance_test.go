@@ -261,14 +261,14 @@ func runConformance(t *testing.T, mk func(t *testing.T) *harness) {
 
 	t.Run("FrameBindFidelity", func(t *testing.T) {
 		// The zero-copy receive form must observe the same fields as a
-		// Msg handler, and Frame.Copy must survive buffer reuse.
+		// Msg handler, and Frame.Msg must survive buffer reuse.
 		h := mk(t)
 		defer h.close()
 		var mu sync.Mutex
-		var frames []*Frame
+		var frames []Msg
 		if err := h.server.BindFrames("vrf", func(f *Frame) {
 			mu.Lock()
-			frames = append(frames, f.Copy())
+			frames = append(frames, f.Msg())
 			mu.Unlock()
 		}); err != nil {
 			t.Fatal(err)
@@ -289,7 +289,7 @@ func runConformance(t *testing.T, mk func(t *testing.T) *harness) {
 		if len(f.Reports) != 1 {
 			t.Fatalf("frame reports: %d", len(f.Reports))
 		}
-		assertReportEqual(t, &f.Reports[0], want)
+		assertReportEqual(t, f.Reports[0], want)
 	})
 
 	t.Run("UnbindDropsDelivery", func(t *testing.T) {

@@ -83,33 +83,6 @@ func (f *Frame) Msg() Msg {
 	return m
 }
 
-// Copy returns a detached Frame that owns all of its memory — the
-// escape hatch for handlers that must retain a view frame past their
-// return. Sub-frames of a batch are detached recursively.
-func (f *Frame) Copy() *Frame {
-	out := &Frame{
-		Ack: f.Ack, Batch: f.Batch,
-		ReqID: f.ReqID, Kind: f.Kind, From: f.From, To: f.To,
-		Image: f.Image, OK: f.OK, Reason: f.Reason,
-	}
-	if len(f.Nonce) > 0 {
-		out.Nonce = append([]byte(nil), f.Nonce...)
-	}
-	if len(f.Reports) > 0 {
-		out.Reports = make([]core.Report, len(f.Reports))
-		for i := range f.Reports {
-			out.Reports[i] = *copyReport(&f.Reports[i])
-		}
-	}
-	if len(f.Sub) > 0 {
-		out.Sub = make([]Frame, len(f.Sub))
-		for i := range f.Sub {
-			out.Sub[i] = *f.Sub[i].Copy()
-		}
-	}
-	return out
-}
-
 // FrameOfMsg wraps an owning Msg in Frame form — how Sim and Local
 // serve BindFrames. The result owns its memory (it shares it with
 // m, which owns it), so the usual view lifetime caveats do not apply.

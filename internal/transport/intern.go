@@ -61,16 +61,3 @@ func (t *internTable) get(b []byte) string {
 	t.m[s] = s
 	return s
 }
-
-// size returns the current distinct-entry count.
-func (t *internTable) size() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.m)
-}
-
-// Intern exposes the frame decoder's interning table: it returns the
-// canonical shared copy of b as a string. Useful for callers that key
-// long-lived maps by peer name and want lookups against decoded frames
-// to hit the same string backing.
-func Intern(b []byte) string { return interned.get(b) }

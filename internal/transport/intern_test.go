@@ -19,7 +19,7 @@ func TestInternTableBounded(t *testing.T) {
 			t.Fatalf("get(%q) = %q", name, got)
 		}
 	}
-	if n := tbl.size(); n != 64 {
+	if n := len(tbl.m); n != 64 {
 		t.Fatalf("table grew to %d entries under churn (cap 64)", n)
 	}
 	// Resident names keep resolving to the one canonical backing.
@@ -32,7 +32,7 @@ func TestInternTableBounded(t *testing.T) {
 	if got := tbl.get([]byte("flood-peer-09999")); got != "flood-peer-09999" {
 		t.Fatalf("past-cap name mangled: %q", got)
 	}
-	if n := tbl.size(); n != 64 {
+	if n := len(tbl.m); n != 64 {
 		t.Fatalf("lookups grew the table to %d", n)
 	}
 }
@@ -57,7 +57,7 @@ func TestInternTableConcurrentChurn(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if n := tbl.size(); n > 32 {
+	if n := len(tbl.m); n > 32 {
 		t.Fatalf("table grew to %d entries under concurrent churn (cap 32)", n)
 	}
 }

@@ -1,7 +1,7 @@
 // Package transport is the one messaging surface between provers and
 // verifiers: every RA endpoint of both stacks — the device-side provers
-// (internal/prover), the simulated verifier.Verifier, rattd.Server,
-// swarm.Pull, the load generators — speaks Msg over a Transport, so the
+// (internal/prover), the simulated verifier.Verifier, rattd.Server, the
+// load generators — speaks Msg over a Transport, so the
 // same protocol code runs over the deterministic simulated link (Sim,
 // on a channel.Link), in process (Local) and over real sockets (Net,
 // UDP with retries and replay-safe request IDs). The paper's protocols

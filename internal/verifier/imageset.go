@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -103,15 +104,6 @@ func NewImageSet(cfg ImageSetConfig) *ImageSet {
 	return s
 }
 
-// Hash returns the measurement hash the registry verifies under.
-func (s *ImageSet) Hash() suite.HashID { return s.hash }
-
-// Grace returns the configured grace window in epochs.
-func (s *ImageSet) Grace() uint64 { return s.grace }
-
-// Epoch returns the registry's current rotation epoch.
-func (s *ImageSet) Epoch() uint64 { return s.epoch.Load() }
-
 // newEntry builds one live entry (and its per-image Batch).
 func (s *ImageSet) newEntry(id ImageID, img Image) *imageEntry {
 	b := NewBatch(s.hash, img)
@@ -135,12 +127,25 @@ func (t *imageTable) clone() *imageTable {
 	return next
 }
 
+// maxImageName bounds a registered name: the wire's image field and the
+// checkpoint's image record carry "name@vN" behind a one-byte length,
+// and the longest version suffix is "@v4294967295".
+const maxImageName = 255 - len("@v4294967295")
+
 // Add registers a new image name at version 1 and returns its exact
 // id. The first image added becomes the default. Adding a name that
-// already exists is an error — publish new content with Rotate.
+// already exists is an error — publish new content with Rotate. So is a
+// name no wire id could resolve to: one containing '@' (ParseImageID
+// splits on the last one, so "cam@v2" reads as version 2 of "cam") or
+// longer than the one-byte length fields can carry with a version.
 func (s *ImageSet) Add(name string, img Image) (ImageID, error) {
-	if name == "" {
+	switch {
+	case name == "":
 		return ImageID{}, fmt.Errorf("verifier: image name must be non-empty")
+	case strings.Contains(name, "@"):
+		return ImageID{}, fmt.Errorf("verifier: image name %q contains '@', which separates a name from its version", name)
+	case len(name) > maxImageName:
+		return ImageID{}, fmt.Errorf("verifier: image name of %d bytes exceeds the %d the wire and the checkpoint can carry", len(name), maxImageName)
 	}
 	if img.IsZero() {
 		return ImageID{}, fmt.Errorf("verifier: image %q is zero", name)
@@ -206,22 +211,6 @@ func (s *ImageSet) Rotate(name string, img Image) (ImageID, error) {
 	return id, nil
 }
 
-// SetDefault names the image v1 peers and imageless reports verify
-// against.
-func (s *ImageSet) SetDefault(name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t := s.tab.Load()
-	e, ok := t.cur[name]
-	if !ok {
-		return fmt.Errorf("verifier: %w: %q", ErrUnknownImage, name)
-	}
-	next := t.clone()
-	next.def = e
-	s.tab.Store(next)
-	return nil
-}
-
 // AdvanceEpoch moves the rotation epoch forward one step, prunes
 // pinned versions whose grace window has lapsed, and returns the new
 // epoch. Reports naming a pruned version keep rejecting with
@@ -260,15 +249,6 @@ func (s *ImageSet) Default() ImageID {
 	return ImageID{}
 }
 
-// Current returns the current id of a name.
-func (s *ImageSet) Current(name string) (ImageID, bool) {
-	e, ok := s.tab.Load().cur[name]
-	if !ok {
-		return ImageID{}, false
-	}
-	return e.id, true
-}
-
 // Has reports whether name is registered.
 func (s *ImageSet) Has(name string) bool {
 	_, ok := s.tab.Load().cur[name]
@@ -284,18 +264,6 @@ func (s *ImageSet) Names() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Lookup resolves an id to its image handle: the default for the zero
-// id, the current version for Version 0, the exact pinned version
-// otherwise (even when past grace — Lookup answers "what is this
-// image", Verify enforces the grace policy).
-func (s *ImageSet) Lookup(id ImageID) (Image, bool) {
-	_, e := s.resolve(s.tab.Load(), id)
-	if e == nil {
-		return Image{}, false
-	}
-	return e.img, true
 }
 
 // resolve maps an id to its live entry, nil when unknown, returning

@@ -3,6 +3,7 @@ package verifier
 import (
 	"errors"
 	"math/rand/v2"
+	"strings"
 	"testing"
 
 	"saferatt/internal/core"
@@ -73,6 +74,38 @@ func TestParseImageID(t *testing.T) {
 	for _, bad := range []string{"sensor@", "sensor@v", "sensor@vx", "sensor@v0", "sensor@v-1", "sensor@v007", "sensor@v+7"} {
 		if _, err := ParseImageID(bad); err == nil {
 			t.Fatalf("ParseImageID(%q): want error", bad)
+		}
+	}
+}
+
+// TestImageSetAddRefusesUnresolvableNames: the registry takes only
+// names a wire id can name back and a checkpoint can hold.
+func TestImageSetAddRefusesUnresolvableNames(t *testing.T) {
+	img := testImage(3, 1024, 256)
+	for _, c := range []struct {
+		name string
+		ok   bool
+	}{
+		{"cam", true},
+		{strings.Repeat("n", 243), true},
+		{"", false},
+		{"cam@v2", false}, // ParseImageID reads it as version 2 of "cam"
+		{"a@b", false},
+		{strings.Repeat("n", 244), false}, // "@v4294967295" would not fit a u8 length
+		{strings.Repeat("n", 300), false},
+	} {
+		s := NewImageSet(ImageSetConfig{})
+		id, err := s.Add(c.name, img)
+		if (err == nil) != c.ok {
+			t.Fatalf("Add(%d-byte name %.12q): err = %v, want ok=%v", len(c.name), c.name, err, c.ok)
+		}
+		if !c.ok {
+			continue
+		}
+		// An accepted name survives the wire spelling at any version.
+		id.Version = 1<<32 - 1
+		if got, err := ParseImageID(id.String()); err != nil || got != id || len(id.String()) > 255 {
+			t.Fatalf("%d-byte name does not round-trip: %v %v", len(c.name), got, err)
 		}
 	}
 }
@@ -248,47 +281,5 @@ func TestImageSetRotateSeedsDigestCache(t *testing.T) {
 	st := nc.Stats()
 	if want := uint64(g1.NumBlocks() - 1); st.Seeded != want {
 		t.Fatalf("seeded %d digests, want %d (all but the changed block)", st.Seeded, want)
-	}
-}
-
-func TestImageSetSetDefault(t *testing.T) {
-	s := NewImageSet(ImageSetConfig{})
-	if _, err := s.Add("a", testImage(10, 1024, 256)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Add("b", testImage(11, 1024, 256)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetDefault("b"); err != nil {
-		t.Fatal(err)
-	}
-	if def := s.Default(); def.Name != "b" {
-		t.Fatalf("default = %v", def)
-	}
-	if err := s.SetDefault("ghost"); !errors.Is(err, ErrUnknownImage) {
-		t.Fatalf("SetDefault ghost: %v", err)
-	}
-	names := s.Names()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("names = %v", names)
-	}
-}
-
-func TestImageSetLookup(t *testing.T) {
-	s := NewImageSet(ImageSetConfig{})
-	img := testImage(12, 2048, 256)
-	if _, err := s.Add("x", img); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := s.Lookup(ImageID{Name: "x"})
-	if !ok || got.NumBlocks() != img.NumBlocks() {
-		t.Fatalf("lookup current: ok=%v", ok)
-	}
-	if _, ok := s.Lookup(ImageID{Name: "y"}); ok {
-		t.Fatal("lookup of unknown name succeeded")
-	}
-	// Default lookup through the zero id.
-	if _, ok := s.Lookup(ImageID{}); !ok {
-		t.Fatal("default lookup failed")
 	}
 }

@@ -24,10 +24,11 @@ func TestVerifierPathMirroring(t *testing.T) {
 		}
 		w.v.Challenge("prv")
 		w.k.Run()
-		res, ok := w.v.LastResult()
-		if !ok || !res.OK {
-			t.Fatalf("%v: clean device rejected: %+v", path, res)
+		rs := w.v.Results()
+		if len(rs) != 1 || !rs[0].OK {
+			t.Fatalf("%v: clean device rejected: %+v", path, rs)
 		}
+		res := rs[0]
 		if want := path == core.PathIncremental; res.Report.Incremental != want {
 			t.Fatalf("%v: Report.Incremental = %v", path, res.Report.Incremental)
 		}
@@ -36,8 +37,8 @@ func TestVerifierPathMirroring(t *testing.T) {
 		// must survive across rounds and still accept.
 		w.v.Challenge("prv")
 		w.k.Run()
-		if res, ok := w.v.LastResult(); !ok || !res.OK {
-			t.Fatalf("%v: second round rejected: %+v", path, res)
+		if rs := w.v.Results(); len(rs) != 2 || !rs[1].OK {
+			t.Fatalf("%v: second round rejected: %+v", path, rs)
 		}
 
 		// Tampering after the caches are warm is still caught.
@@ -46,7 +47,7 @@ func TestVerifierPathMirroring(t *testing.T) {
 		}
 		w.v.Challenge("prv")
 		w.k.Run()
-		if res, _ := w.v.LastResult(); res.OK {
+		if rs := w.v.Results(); len(rs) != 3 || rs[2].OK {
 			t.Fatalf("%v: tampered memory accepted after warm rounds", path)
 		}
 	}
@@ -68,8 +69,8 @@ func TestVerifierIncrementalDataPolicies(t *testing.T) {
 	}
 	w.v.Challenge("prv")
 	w.k.Run()
-	if res, ok := w.v.LastResult(); !ok || !res.OK {
-		t.Fatalf("incremental zeroed-region attestation rejected: %+v", res)
+	if rs := w.v.Results(); len(rs) != 1 || !rs[0].OK {
+		t.Fatalf("incremental zeroed-region attestation rejected: %+v", rs)
 	}
 
 	opts2 := core.Preset(core.NoLock, suite.SHA256)
@@ -81,14 +82,14 @@ func TestVerifierIncrementalDataPolicies(t *testing.T) {
 	}
 	w2.v.Challenge("prv")
 	w2.k.Run()
-	res, ok := w2.v.LastResult()
-	if !ok || !res.OK {
-		t.Fatalf("incremental reported-region attestation rejected: %+v", res)
+	rs := w2.v.Results()
+	if len(rs) != 1 || !rs[0].OK {
+		t.Fatalf("incremental reported-region attestation rejected: %+v", rs)
 	}
 
 	// A report whose data copy was stripped must fail verification, not
 	// be silently accepted against the (stale) golden digest.
-	rep := *res.Report
+	rep := *rs[0].Report
 	rep.Data = nil
 	if ok, _ := w2.v.CheckTag(&rep); ok {
 		t.Fatal("report with missing data copy accepted")

@@ -108,7 +108,7 @@ func TestVerifierImageMovesForward(t *testing.T) {
 	}
 	w.v.Image = ImageOf(w.m.Snapshot(), w.m.BlockSize())
 	if !attest() {
-		res, _ := w.v.LastResult()
-		t.Fatalf("updated memory rejected against the new reference: %s", res.Reason)
+		rs := w.v.Results()
+		t.Fatalf("updated memory rejected against the new reference: %s", rs[len(rs)-1].Reason)
 	}
 }

@@ -139,11 +139,6 @@ func (v *Verifier) Challenge(prover string) []byte {
 	return nonce
 }
 
-// Release asks a prover to drop extended locks (defines t_r).
-func (v *Verifier) Release(prover string) {
-	v.send(prover, transport.KindRelease, nil)
-}
-
 // Collect requests an ERASMUS prover's stored measurement history.
 func (v *Verifier) Collect(prover string) {
 	v.send(prover, transport.KindCollect, nil)
@@ -226,15 +221,3 @@ func (v *Verifier) Results() []Result { return v.results }
 
 // Counts returns aggregate outcome counters.
 func (v *Verifier) Counts() Counts { return v.counts }
-
-// LastResult returns the most recent result, or ok=false.
-func (v *Verifier) LastResult() (Result, bool) {
-	if len(v.results) == 0 {
-		return Result{}, false
-	}
-	return v.results[len(v.results)-1], true
-}
-
-// Detected reports whether any verification so far rejected a report —
-// the experiment-level "malware detected" signal.
-func (v *Verifier) Detected() bool { return v.counts.Rejected > 0 }

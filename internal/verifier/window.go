@@ -80,20 +80,6 @@ func (w *DedupWindow) Add(c uint64) bool {
 	return true
 }
 
-// Count returns how many counters the window currently tracks as seen
-// inside its exact range (the watermark's implicit tail is not
-// counted) — the analogue of len(seen-counter set), used by
-// diagnostics and tests.
-func (w *DedupWindow) Count() int {
-	n := 0
-	for _, word := range w.Bits {
-		for ; word != 0; word &= word - 1 {
-			n++
-		}
-	}
-	return n
-}
-
 // Counters returns the exactly-tracked seen counters in ascending
 // order (diagnostics; the implicit below-window tail is not
 // materialized).

@@ -23,7 +23,7 @@ import (
 // timeline (challenge -> deferral -> t_s -> t_e -> report -> verify).
 func BenchmarkFig1_OnDemandTimeline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.Fig1Timeline(experiments.Fig1Config{})
+		r := experiments.Fig1Timeline()
 		if r.TE <= r.TS {
 			b.Fatal("bad timeline")
 		}

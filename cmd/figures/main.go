@@ -119,7 +119,7 @@ func main() {
 	}
 
 	run("Figure 1: on-demand RA timeline", *fig == 1, func() {
-		fmt.Print(experiments.Fig1Timeline(experiments.Fig1Config{}).Timeline)
+		fmt.Print(experiments.Fig1Timeline().Timeline)
 	})
 	run("Figure 2: hash & signature timings", *fig == 2, func() {
 		p := costmodel.ODROIDXU4()

@@ -40,7 +40,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -122,7 +121,7 @@ func main() {
 		}
 	}
 
-	addrs, err := shardAddrs(*addr, *shards)
+	addrs, err := rattd.TierAddrs(*addr, *shards)
 	if err != nil {
 		log.Fatalf("rattd: %v", err)
 	}
@@ -291,31 +290,6 @@ done:
 	}
 	printStats()
 	fmt.Println("rattd: bye")
-}
-
-// shardAddrs derives each shard's listen address: the base port plus
-// the shard index (port 0 lets the kernel pick every port).
-func shardAddrs(base string, shards int) ([]string, error) {
-	if shards == 1 {
-		return []string{base}, nil
-	}
-	host, portStr, err := net.SplitHostPort(base)
-	if err != nil {
-		return nil, fmt.Errorf("-addr %q: %v", base, err)
-	}
-	port, err := strconv.Atoi(portStr)
-	if err != nil {
-		return nil, fmt.Errorf("-addr %q: %v", base, err)
-	}
-	addrs := make([]string, shards)
-	for i := range addrs {
-		p := 0
-		if port != 0 {
-			p = port + i
-		}
-		addrs[i] = net.JoinHostPort(host, strconv.Itoa(p))
-	}
-	return addrs, nil
 }
 
 func checkpointPath(base string, shard int) string {

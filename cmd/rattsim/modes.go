@@ -3,8 +3,6 @@ package main
 import (
 	"fmt"
 	"math/rand/v2"
-	"net"
-	"strconv"
 
 	"saferatt/internal/channel"
 	"saferatt/internal/core"
@@ -191,7 +189,7 @@ func runRattping(o rattpingOpts) {
 	}
 	target := o.addr
 	if o.shards > 1 {
-		addrs, err := tierAddrs(o.addr, o.shards)
+		addrs, err := rattd.TierAddrs(o.addr, o.shards)
 		if err != nil {
 			fatal(err)
 		}
@@ -215,23 +213,6 @@ func runRattping(o rattpingOpts) {
 	fmt.Printf("datagrams:  sent=%d resent=%d received=%d dups=%d expired=%d batches=%d coalesced=%d\n",
 		res.Net.Sent, res.Net.Resent, res.Net.Received, res.Net.Dups, res.Net.Expired,
 		res.Net.BatchesSent, res.Net.Coalesced)
-}
-
-// tierAddrs mirrors cmd/rattd's shard address layout: base port + i.
-func tierAddrs(base string, shards int) ([]string, error) {
-	host, portStr, err := net.SplitHostPort(base)
-	if err != nil {
-		return nil, fmt.Errorf("-addr %q: %v", base, err)
-	}
-	port, err := strconv.Atoi(portStr)
-	if err != nil {
-		return nil, fmt.Errorf("-addr %q: %v", base, err)
-	}
-	addrs := make([]string, shards)
-	for i := range addrs {
-		addrs[i] = net.JoinHostPort(host, strconv.Itoa(port+i))
-	}
-	return addrs, nil
 }
 
 // runTyTAN drives a per-process attestation round with colluding

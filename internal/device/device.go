@@ -67,24 +67,25 @@ type Config struct {
 	Mem     *mem.Memory
 	Profile *costmodel.Profile
 	Trace   *trace.Log // may be nil
-	Key     []byte
 }
+
+// DefaultKey is the fleet-shared attestation key every device ships
+// with; real deployments provision their own. Every Device's
+// AttestationKey and rattd.DefaultKey alias this one slice: replace a
+// key by assignment, never write through it.
+var DefaultKey = []byte("saferatt-default-attestation-key")
 
 // New builds a Device. Kernel, Mem and Profile are required.
 func New(cfg Config) *Device {
 	if cfg.Kernel == nil || cfg.Mem == nil || cfg.Profile == nil {
 		panic("device: Kernel, Mem and Profile are required")
 	}
-	key := cfg.Key
-	if key == nil {
-		key = []byte("saferatt-default-attestation-key")
-	}
 	d := &Device{
 		Kernel:         cfg.Kernel,
 		Mem:            cfg.Mem,
 		Profile:        cfg.Profile,
 		Trace:          cfg.Trace,
-		AttestationKey: key,
+		AttestationKey: DefaultKey,
 	}
 	d.stepTimer = cfg.Kernel.NewTimer(d.stepDone)
 	d.kickTimer = cfg.Kernel.NewTimer(d.kicked)

@@ -37,15 +37,8 @@ type E11Row struct {
 type E11Config struct {
 	// DeviceCounts is the fleet-size sweep; default {100, 1000, 10000}.
 	DeviceCounts []int
-	// InfectRate is the fraction of devices infected in the unhealthy
-	// arm; default 0.01 (1%).
-	InfectRate float64
 	// Rounds per fleet (wall time is averaged); default 3.
 	Rounds int
-	// MemSize / BlockSize set the device image; defaults 16 KiB / 256.
-	MemSize   int
-	BlockSize int
-	Seed      uint64
 	// Shards is the worker count inside each fleet round (0 =
 	// parallel.Default()). Fleets are measured one at a time so that
 	// WallNS is not polluted by sibling fleets.
@@ -56,17 +49,8 @@ func (c *E11Config) setDefaults() {
 	if c.DeviceCounts == nil {
 		c.DeviceCounts = []int{100, 1000, 10000}
 	}
-	if c.InfectRate == 0 {
-		c.InfectRate = 0.01
-	}
 	if c.Rounds == 0 {
 		c.Rounds = 3
-	}
-	if c.MemSize == 0 {
-		c.MemSize = 16 << 10
-	}
-	if c.BlockSize == 0 {
-		c.BlockSize = 256
 	}
 }
 
@@ -86,24 +70,18 @@ func E11SwarmScale(cfg E11Config) []E11Row {
 }
 
 func e11Point(cfg E11Config, devices int, infect bool) E11Row {
+	const blockSize = 256
 	s := must(swarm.NewSharded(swarm.ShardedConfig{
-		EngineConfig: swarm.EngineConfig{
-			Seed:        cfg.Seed + uint64(devices),
-			Parallelism: cfg.Shards,
-		},
-		Devices:   devices,
-		MemSize:   cfg.MemSize,
-		BlockSize: cfg.BlockSize,
+		EngineConfig: swarm.EngineConfig{Seed: uint64(devices), Parallelism: cfg.Shards},
+		Devices:      devices,
+		MemSize:      16 << 10,
+		BlockSize:    blockSize,
 	}))
 	row := E11Row{Devices: devices}
 	if infect {
-		// Every ceil(1/rate)-th device: deterministic victim set.
-		stride := int(1 / cfg.InfectRate)
-		if stride < 1 {
-			stride = 1
-		}
-		for i := 0; i < devices; i += stride {
-			if err := s.Mem(i).Poke(3*cfg.BlockSize+1, 0x66); err != nil {
+		// Every 100th device (1%): a deterministic victim set.
+		for i := 0; i < devices; i += 100 {
+			if err := s.Mem(i).Poke(3*blockSize+1, 0x66); err != nil {
 				panic("experiments: " + err.Error())
 			}
 			row.Infected++

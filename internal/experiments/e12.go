@@ -31,18 +31,14 @@ type E12Config struct {
 	TCs []sim.Duration
 	// Modes selects the schedulers; default both ERASMUS and SeED.
 	Modes []swarm.SelfMode
-	// Dwell is the transient-infection dwell; default 5 min.
-	Dwell sim.Duration
-	// InfectRate is the infected fraction of the fleet; default 0.05.
-	InfectRate float64
-	// MemSize / BlockSize set the device image; defaults 2 KiB / 512.
-	MemSize   int
-	BlockSize int
-	Seed      uint64
+	Seed  uint64
 	// Shards is the worker count (0 = parallel.Default()); results are
 	// identical for any value.
 	Shards int
 }
+
+// e12Dwell is how long each transient infection stays.
+const e12Dwell = 5 * sim.Minute
 
 func (c *E12Config) setDefaults() {
 	if c.Devices == 0 {
@@ -59,18 +55,6 @@ func (c *E12Config) setDefaults() {
 	}
 	if c.Modes == nil {
 		c.Modes = []swarm.SelfMode{swarm.SelfErasmus, swarm.SelfSeED}
-	}
-	if c.Dwell == 0 {
-		c.Dwell = 5 * sim.Minute
-	}
-	if c.InfectRate == 0 {
-		c.InfectRate = 0.05
-	}
-	if c.MemSize == 0 {
-		c.MemSize = 2 << 10
-	}
-	if c.BlockSize == 0 {
-		c.BlockSize = 512
 	}
 }
 
@@ -131,10 +115,8 @@ func e12Point(cfg E12Config, mode swarm.SelfMode, tm, tc sim.Duration) E12Row {
 		TM:         tm,
 		TC:         tc,
 		Horizon:    cfg.Horizon,
-		InfectRate: cfg.InfectRate,
-		Dwell:      cfg.Dwell,
-		MemSize:    cfg.MemSize,
-		BlockSize:  cfg.BlockSize,
+		InfectRate: 0.05,
+		Dwell:      e12Dwell,
 	})
 	if err != nil {
 		panic("experiments: e12: " + err.Error())
@@ -146,7 +128,7 @@ func e12Point(cfg E12Config, mode swarm.SelfMode, tm, tc sim.Duration) E12Row {
 		Infections:       res.Infections,
 		Detected:         res.Detected,
 		Missed:           res.Missed,
-		PredictedDetect:  qoa.TransientDetectProb(cfg.Dwell, tm),
+		PredictedDetect:  qoa.TransientDetectProb(e12Dwell, tm),
 		PredictedLatency: qoa.MeanDetectionLatency(tm, tc),
 		Measurements:     res.Measurements,
 		Reports:          res.Reports,

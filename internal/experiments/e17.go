@@ -27,9 +27,6 @@ import (
 type E17Config struct {
 	// Provers is the fleet size; default 100_000.
 	Provers int
-	// Classes is the number of device classes (distinct golden
-	// images); default 4. Prover i belongs to class i mod Classes.
-	Classes int
 	// Workers is the ingest concurrency; default GOMAXPROCS.
 	Workers int
 	// GhostEvery sends one unknown-image report per n-th index from a
@@ -85,21 +82,16 @@ type E17Result struct {
 	CheckpointBytes, ImageRecords int
 }
 
-// e17ClassName gives the first classes evocative names; past four they
-// are numbered.
-func e17ClassName(c int) string {
-	if names := []string{"sensor", "actuator", "gateway", "camera"}; c < len(names) {
-		return names[c]
-	}
-	return fmt.Sprintf("class%d", c)
-}
+// e17Classes names the device classes, one golden image each; prover i
+// belongs to class i mod len(e17Classes).
+var e17Classes = [...]string{"sensor", "actuator", "gateway", "camera"}
 
 // E17HeterogeneousFleet runs the experiment: the script below, with the
 // rotation, the epoch advance and the single-image control arm as the
 // steps only E17 takes.
 func E17HeterogeneousFleet(cfg E17Config) (*E17Result, error) {
 	provers, workers := cmp.Or(cfg.Provers, 100_000), cmp.Or(cfg.Workers, runtime.GOMAXPROCS(0))
-	classes := cmp.Or(cfg.Classes, 4)
+	const classes = len(e17Classes)
 	const h = fleetHistory
 
 	// Registry: one golden per class, golden-backed so rotation takes
@@ -110,7 +102,7 @@ func E17HeterogeneousFleet(cfg E17Config) (*E17Result, error) {
 	goldens := make([]*mem.Golden, classes)
 	for c := range goldens {
 		goldens[c] = mem.NewGolden(fleetImage(c), fleetBlock, 1)
-		if _, err := set.Add(e17ClassName(c), verifier.ImageOfGolden(goldens[c])); err != nil {
+		if _, err := set.Add(e17Classes[c], verifier.ImageOfGolden(goldens[c])); err != nil {
 			return nil, err
 		}
 	}
@@ -126,8 +118,8 @@ func E17HeterogeneousFleet(cfg E17Config) (*E17Result, error) {
 	defer ctl.Close()
 
 	// The OTA: one block of the rotated class's image changes.
-	rot := 1 % classes
-	rotName, v1bytes := e17ClassName(rot), goldens[rot].Bytes()
+	const rot = 1
+	rotName, v1bytes := e17Classes[rot], goldens[rot].Bytes()
 	v2bytes := append([]byte(nil), v1bytes...)
 	for j := 2 * fleetBlock; j < 3*fleetBlock; j++ {
 		v2bytes[j] ^= 0xA5
@@ -148,7 +140,7 @@ func E17HeterogeneousFleet(cfg E17Config) (*E17Result, error) {
 	others := func(i int) bool { return class(i) != rot }
 	// Under which image id: its class's name, or one pinned version of
 	// the rotated class.
-	byClass := func(i int) string { return e17ClassName(class(i)) }
+	byClass := func(i int) string { return e17Classes[class(i)] }
 	oldID, newID := rotName+"@v1", ""
 	oldPinned := func(int) string { return oldID }
 	newPinned := func(int) string { return newID }

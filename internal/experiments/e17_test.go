@@ -11,7 +11,6 @@ import "testing"
 func TestE17Small(t *testing.T) {
 	res, err := E17HeterogeneousFleet(E17Config{
 		Provers:     2000,
-		Classes:     4,
 		GhostEvery:  100,
 		ReplayEvery: 50,
 		Workers:     4, // force concurrent ingest even on 1-CPU CI

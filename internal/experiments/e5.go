@@ -27,6 +27,13 @@ type E5Row struct {
 	Analytic bool
 }
 
+// The paper's example: the alarm senses once a second and must sound
+// within one; memory is measured in 64 KiB blocks.
+const (
+	e5Period, e5Deadline = sim.Second, sim.Second
+	e5BlockSize          = 64 << 10
+)
+
 // E5Config parameterizes the scenario.
 type E5Config struct {
 	// Sizes to simulate fully (real hashing). Default: 1, 4, 16, 64 MiB.
@@ -35,9 +42,6 @@ type E5Config struct {
 	// MiB, 1 GB (the paper's example: ≈7 s).
 	AnalyticSizes []int
 	Mechanisms    []core.MechanismID
-	SensorPeriod  sim.Duration // default 1 s (the paper's example)
-	Deadline      sim.Duration // default 1 s
-	BlockSize     int          // default 64 KiB
 	// Parallelism is the sweep worker count (0 = parallel.Default()).
 	Parallelism int
 }
@@ -51,15 +55,6 @@ func (c *E5Config) setDefaults() {
 	}
 	if c.Mechanisms == nil {
 		c.Mechanisms = []core.MechanismID{core.SMART, core.HYDRA, core.NoLock, core.DecLock, core.IncLock, core.SMARM}
-	}
-	if c.SensorPeriod == 0 {
-		c.SensorPeriod = sim.Second
-	}
-	if c.Deadline == 0 {
-		c.Deadline = sim.Second
-	}
-	if c.BlockSize == 0 {
-		c.BlockSize = 64 << 10
 	}
 }
 
@@ -85,16 +80,16 @@ func E5FireAlarm(cfg E5Config) []E5Row {
 	return parallel.Map(cfg.Parallelism, len(pts), func(i int) E5Row {
 		p := pts[i]
 		if p.analytic {
-			return e5Analytic(cfg, p.id, p.size)
+			return e5Analytic(p.id, p.size)
 		}
-		return e5Simulate(cfg, p.id, p.size)
+		return e5Simulate(p.id, p.size)
 	})
 }
 
-func e5Simulate(cfg E5Config, id core.MechanismID, size int) E5Row {
+func e5Simulate(id core.MechanismID, size int) E5Row {
 	opts := core.Preset(id, suite.SHA256)
 	w := NewWorld(WorldConfig{EngineConfig: EngineConfig{Seed: 5},
-		MemSize: size, BlockSize: cfg.BlockSize, ROMBlocks: 1, Opts: opts})
+		MemSize: size, BlockSize: e5BlockSize, ROMBlocks: 1, Opts: opts})
 	mpPriority := mpPrio
 	if id == core.HYDRA {
 		mpPriority = 1000
@@ -103,14 +98,14 @@ func e5Simulate(cfg E5Config, id core.MechanismID, size int) E5Row {
 	// pass lands inside the measurement whenever MP > 100 ms — the
 	// paper's collision, staged deterministically — and the fire 10 ms
 	// into it ("an actual fire breaks out soon after MP starts").
-	alarm, rep := fireCollision(w, opts, mpPriority, "fire", cfg.SensorPeriod, cfg.Deadline,
+	alarm, rep := fireCollision(w, opts, mpPriority, "fire", e5Period, e5Deadline,
 		sim.Time(2900*sim.Millisecond), 10*sim.Millisecond)
 	return E5Row{
 		Mechanism:    id,
 		MemBytes:     size,
 		MeasureTime:  rep.Duration(),
 		AlarmLatency: alarm.Latency(),
-		DeadlineMet:  alarm.Latency() <= cfg.Deadline,
+		DeadlineMet:  alarm.Latency() <= e5Deadline,
 	}
 }
 
@@ -146,7 +141,7 @@ func fireCollision(w *World, opts core.Options, mpPriority int, nonce string,
 // wasteful: under an atomic mechanism the worst-case alarm latency is
 // the remaining measurement plus one sensor pass; under a
 // block-interruptible one it is ~one sensor period regardless of size.
-func e5Analytic(cfg E5Config, id core.MechanismID, size int) E5Row {
+func e5Analytic(id core.MechanismID, size int) E5Row {
 	p := costmodel.ODROIDXU4()
 	mp := p.MACTime(suite.SHA256, size)
 	atomic := id == core.SMART || id == core.HYDRA
@@ -162,14 +157,14 @@ func e5Analytic(cfg E5Config, id core.MechanismID, size int) E5Row {
 		}
 	} else {
 		// The pass preempts MP at the next block boundary.
-		latency = gap + p.StreamTime(suite.SHA256, cfg.BlockSize) + p.CtxSwitch
+		latency = gap + p.StreamTime(suite.SHA256, e5BlockSize) + p.CtxSwitch
 	}
 	return E5Row{
 		Mechanism:    id,
 		MemBytes:     size,
 		MeasureTime:  mp,
 		AlarmLatency: latency,
-		DeadlineMet:  latency <= cfg.Deadline,
+		DeadlineMet:  latency <= e5Deadline,
 		Analytic:     true,
 	}
 }

@@ -27,7 +27,6 @@ type E6Config struct {
 	BlockCounts []int // default {16, 32, 64}
 	Rounds      []int // default {1, 2, 3, 5, 8, 13}
 	Trials      int   // default 200
-	BlockSize   int   // default 64
 	Seed        uint64
 	// Parallelism is the trial worker count (0 = parallel.Default()).
 	// Results are identical for every value; see internal/parallel.
@@ -43,9 +42,6 @@ func (c *E6Config) setDefaults() {
 	}
 	if c.Trials == 0 {
 		c.Trials = 200
-	}
-	if c.BlockSize == 0 {
-		c.BlockSize = 64
 	}
 }
 
@@ -65,7 +61,7 @@ func E6SMARM(cfg E6Config) []E6Row {
 func e6Point(cfg E6Config, blocks, rounds int) E6Row {
 	opts := core.Preset(core.SMARM, suite.SHA256)
 	opts.Rounds = rounds
-	escaped := escapes(cfg.Parallelism, cfg.Trials, blocks, cfg.BlockSize, opts, mpPrio,
+	escaped := escapes(cfg.Parallelism, cfg.Trials, blocks, 64, opts, mpPrio,
 		func(i int) uint64 { return cfg.Seed + uint64(i)*104729 + uint64(blocks*rounds) },
 		func(i int) []byte { return []byte{byte(i), byte(i >> 8), byte(blocks), byte(rounds)} },
 		func(w *World, seed uint64) core.Hooks {

@@ -41,11 +41,13 @@ type E8LossRow struct {
 	Accepted  int
 }
 
+// e8Period is the SeED base period.
+const e8Period = 5 * sim.Second
+
 // E8Config parameterizes the run.
 type E8Config struct {
 	LossRates      []float64    // default 0, 0.05, 0.1, 0.2
 	Horizon        sim.Duration // schedule observation window, default 120s
-	Period         sim.Duration // SeED base period, default 5s
 	ScheduleTrials int          // default 40
 	Seed           uint64
 	// Parallelism is the trial worker count (0 = parallel.Default()).
@@ -58,9 +60,6 @@ func (c *E8Config) setDefaults() {
 	}
 	if c.Horizon == 0 {
 		c.Horizon = 120 * sim.Second
-	}
-	if c.Period == 0 {
-		c.Period = 5 * sim.Second
 	}
 	if c.ScheduleTrials == 0 {
 		c.ScheduleTrials = 40
@@ -85,13 +84,13 @@ func e8Loss(cfg E8Config, loss float64) E8LossRow {
 	w := NewWorld(WorldConfig{EngineConfig: EngineConfig{Seed: cfg.Seed + uint64(loss*1000)},
 		MemSize: 4096, BlockSize: 256, ROMBlocks: 1, Opts: opts, Loss: loss})
 	seed := []byte("e8-shared-seed")
-	p := must(prover.NewSeED("prv", w.Dev, w.Tr, opts, seed, cfg.Period, cfg.Period/2, mpPrio))
-	mon := w.Ver.MonitorSeED("prv", seed, cfg.Period, cfg.Period/2, 0, 2*cfg.Period)
+	p := must(prover.NewSeED("prv", w.Dev, w.Tr, opts, seed, e8Period, e8Period/2, mpPrio))
+	mon := w.Ver.MonitorSeED("prv", seed, e8Period, e8Period/2, 0, 2*e8Period)
 	p.Start()
 	// Keep the prover alive through the watchdog settle window so the
 	// only "missing" alarms are genuine channel drops, not shutdown
 	// artifacts.
-	w.K.RunUntil(sim.Time(cfg.Horizon + 4*cfg.Period))
+	w.K.RunUntil(sim.Time(cfg.Horizon + 4*e8Period))
 	mon.Stop()
 	p.Stop()
 
@@ -118,8 +117,8 @@ func e8Replay(cfg E8Config) (injected, accepted int) {
 	w := NewWorld(WorldConfig{EngineConfig: EngineConfig{Seed: cfg.Seed + 5},
 		MemSize: 4096, BlockSize: 256, ROMBlocks: 1, Opts: opts, Adv: adv})
 	seed := []byte("e8-shared-seed")
-	p := must(prover.NewSeED("prv", w.Dev, w.Tr, opts, seed, cfg.Period, cfg.Period/2, mpPrio))
-	mon := w.Ver.MonitorSeED("prv", seed, cfg.Period, cfg.Period/2, 0, 2*cfg.Period)
+	p := must(prover.NewSeED("prv", w.Dev, w.Tr, opts, seed, e8Period, e8Period/2, mpPrio))
+	mon := w.Ver.MonitorSeED("prv", seed, e8Period, e8Period/2, 0, 2*e8Period)
 	p.Start()
 	w.K.RunUntil(sim.Time(cfg.Horizon / 2))
 	p.Stop()
@@ -146,7 +145,7 @@ func e8Schedule(cfg E8Config) (secretEscapes, leakedEscapes int) {
 			EngineConfig: EngineConfig{Seed: cfg.Seed + uint64(trial)*31 + boolU64(leaked), NoTrace: true},
 			MemSize:      4096, BlockSize: 256, ROMBlocks: 1, Opts: opts})
 		seed := []byte{byte(trial), 0x88}
-		p := must(prover.NewSeED("prv", w.Dev, w.Tr, opts, seed, cfg.Period, cfg.Period/2, mpPrio))
+		p := must(prover.NewSeED("prv", w.Dev, w.Tr, opts, seed, e8Period, e8Period/2, mpPrio))
 		var reports []*core.Report
 		w.Tr.Bind("verifier", func(m transport.Msg) {
 			if m.Kind == transport.KindSeedReport {
@@ -169,17 +168,17 @@ func e8Schedule(cfg E8Config) (secretEscapes, leakedEscapes int) {
 		// Initial infection with a dwell of 60% of the period,
 		// repeating each period (persistent-but-hiding malware).
 		if !leaked {
-			dwell := cfg.Period * 6 / 10
+			dwell := e8Period * 6 / 10
 			for k := 0; k < 8; k++ {
-				t0 := sim.Time(cfg.Period * sim.Duration(k))
-				mw.ScheduleDwell(block, t0.Add(sim.Duration(trial%5)*cfg.Period/5), t0.Add(sim.Duration(trial%5)*cfg.Period/5+dwell))
+				t0 := sim.Time(e8Period * sim.Duration(k))
+				mw.ScheduleDwell(block, t0.Add(sim.Duration(trial%5)*e8Period/5), t0.Add(sim.Duration(trial%5)*e8Period/5+dwell))
 			}
 		} else {
 			mw.Task().Submit(sim.Microsecond, func() { _ = mw.Infect(block) })
 		}
 
 		p.Start()
-		w.K.RunUntil(sim.Time(8 * cfg.Period))
+		w.K.RunUntil(sim.Time(8 * e8Period))
 		p.Stop()
 		w.K.Run()
 

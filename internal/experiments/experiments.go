@@ -63,7 +63,6 @@ type WorldConfig struct {
 	ROMBlocks int // default 1
 	Opts      core.Options
 	Latency   sim.Duration
-	Jitter    sim.Duration
 	Loss      float64
 	Adv       channel.Adversary
 	Profile   *costmodel.Profile // default ODROIDXU4
@@ -105,7 +104,7 @@ func NewWorld(cfg WorldConfig) *World {
 	}
 	dev := device.New(device.Config{Kernel: k, Mem: m, Profile: cfg.Profile, Trace: log})
 	link := channel.New(channel.Config{
-		Kernel: k, Latency: cfg.Latency, Jitter: cfg.Jitter, Loss: cfg.Loss,
+		Kernel: k, Latency: cfg.Latency, Loss: cfg.Loss,
 		Adv: cfg.Adv, Trace: log, Seed: cfg.Seed + 1,
 	})
 	tr := transport.NewSim(link)

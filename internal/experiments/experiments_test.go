@@ -15,7 +15,7 @@ import (
 // --- E1 -------------------------------------------------------------
 
 func TestFig1TimelineOrdering(t *testing.T) {
-	r := Fig1Timeline(Fig1Config{})
+	r := Fig1Timeline()
 	seq := []sim.Time{r.RequestSent, r.RequestReceived, r.TS, r.TE, r.ReportSent, r.ReportReceived, r.Verified}
 	for i := 1; i < len(seq); i++ {
 		if seq[i] < seq[i-1] {

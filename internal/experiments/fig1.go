@@ -26,37 +26,15 @@ type Fig1Result struct {
 	Timeline        string // rendered event log
 }
 
-// Fig1Config parameterizes the timeline run.
-type Fig1Config struct {
-	MemSize   int          // default 1 MiB
-	BlockSize int          // default 4 KiB
-	Latency   sim.Duration // default 20 ms
-	// Deferral models "termination of the previously running task":
-	// the device is busy with higher-priority work for this long when
-	// the request arrives. Default 50 ms.
-	Deferral sim.Duration
-}
-
 // Fig1Timeline runs one on-demand SMART attestation and extracts the
 // Figure 1 instants.
-func Fig1Timeline(cfg Fig1Config) Fig1Result {
-	if cfg.MemSize == 0 {
-		cfg.MemSize = 1 << 20
-	}
-	if cfg.BlockSize == 0 {
-		cfg.BlockSize = 4096
-	}
-	if cfg.Latency == 0 {
-		cfg.Latency = 20 * sim.Millisecond
-	}
-	if cfg.Deferral == 0 {
-		cfg.Deferral = 50 * sim.Millisecond
-	}
-
+func Fig1Timeline() Fig1Result {
+	// deferral is "termination of the previously running task": how
+	// long higher-priority work keeps the device after the request arrives.
+	const latency, deferral = 20 * sim.Millisecond, 50 * sim.Millisecond
 	opts := core.Preset(core.SMART, suite.SHA256)
 	w := NewWorld(WorldConfig{EngineConfig: EngineConfig{Seed: 1},
-		MemSize: cfg.MemSize, BlockSize: cfg.BlockSize,
-		Opts: opts, Latency: cfg.Latency})
+		MemSize: 1 << 20, BlockSize: 4096, Opts: opts, Latency: latency})
 
 	if _, err := prover.NewProver("prv", w.Dev, w.Tr, opts, 5); err != nil {
 		panic("experiments: " + err.Error())
@@ -64,7 +42,7 @@ func Fig1Timeline(cfg Fig1Config) Fig1Result {
 	// The busy previous task: occupies the CPU at request arrival so
 	// MP is deferred (the figure's gap between arrival and t_s).
 	busy := w.Dev.NewTask("previous-task", 50)
-	w.K.At(0, func() { busy.Submit(cfg.Latency+cfg.Deferral, nil) })
+	w.K.At(0, func() { busy.Submit(latency+deferral, nil) })
 
 	w.Ver.Challenge("prv")
 	w.K.Run()

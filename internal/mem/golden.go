@@ -109,9 +109,6 @@ type SharedConfig struct {
 	// Clock supplies timestamps for writes. If nil, all writes are
 	// stamped at time 0.
 	Clock func() sim.Time
-	// LogWrites / LogLimit mirror Config (see there).
-	LogWrites bool
-	LogLimit  int
 }
 
 // NewShared builds a copy-on-write Memory over g: reads serve golden
@@ -130,17 +127,12 @@ func NewShared(g *Golden, cfg SharedConfig) *Memory {
 	if clock == nil {
 		clock = func() sim.Time { return 0 }
 	}
-	if cfg.LogLimit < 0 {
-		panic("mem: negative LogLimit")
-	}
 	return &Memory{
 		golden:    g,
 		size:      len(g.data),
 		blockSize: g.blockSize,
 		nblocks:   g.nblocks,
 		romBlocks: g.romBlocks,
-		logOn:     cfg.LogWrites,
-		logLimit:  cfg.LogLimit,
 		clock:     clock,
 	}
 }

@@ -1,7 +1,9 @@
 package rattd
 
 import (
+	"fmt"
 	"math"
+	"net"
 	"strconv"
 	"sync"
 )
@@ -128,6 +130,35 @@ func tierShardName(i, n int) string {
 		return "rattd"
 	}
 	return ShardName(i)
+}
+
+// TierAddrs lays an n-shard tier out from its base address: shard i
+// listens on the base port plus i. A 1-shard tier keeps base untouched,
+// and port 0 stays 0 for every shard (the kernel picks each port).
+func TierAddrs(base string, n int) ([]string, error) {
+	if n == 1 {
+		return []string{base}, nil
+	}
+	host, portStr, err := net.SplitHostPort(base)
+	if err != nil {
+		return nil, fmt.Errorf("rattd: tier address %q: %v", base, err)
+	}
+	port, err := strconv.ParseUint(portStr, 10, 16)
+	if err != nil {
+		return nil, fmt.Errorf("rattd: tier address %q: %v", base, err)
+	}
+	if n < 1 || int(port)+n-1 > 65535 {
+		return nil, fmt.Errorf("rattd: tier address %q: %d shards do not fit below port 65536", base, n)
+	}
+	addrs := make([]string, n)
+	for i := range addrs {
+		p := int(port)
+		if p != 0 {
+			p += i
+		}
+		addrs[i] = net.JoinHostPort(host, strconv.Itoa(p))
+	}
+	return addrs, nil
 }
 
 // fnv64a is FNV-1a over the name bytes — allocation-free (no []byte

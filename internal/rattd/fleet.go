@@ -18,12 +18,10 @@ type FleetConfig struct {
 	// Addrs are the shard addresses of a rattd tier, indexed by shard.
 	// When len(Addrs) > 1 each prover routes to the shard ShardFor
 	// picks for its name — the same pure hash the tier uses — over the
-	// one shared client socket, and Addr/Daemon are ignored (shard i
-	// answers as ShardName(i)). Empty or one-element Addrs degrades to
-	// the single-daemon form.
+	// one shared client socket, and Addr is ignored (shard i answers as
+	// ShardName(i)). Empty or one-element Addrs degrades to the
+	// single-daemon form.
 	Addrs []string
-	// Daemon is the daemon's endpoint name; defaults to "rattd".
-	Daemon string
 	// Provers is the fleet size.
 	Provers int
 	// Concurrency caps how many provers run their protocol at once;
@@ -31,28 +29,23 @@ type FleetConfig struct {
 	// 100k-prover fleets need a bound so the retry machinery is not
 	// fighting 100k goroutines' worth of in-flight datagrams.
 	Concurrency int
-	// Key/Image/BlockSize/Shuffled mirror the daemon's configuration.
-	Key       []byte
+	// Image/BlockSize mirror the daemon's default image.
 	Image     []byte
 	BlockSize int
-	Shuffled  bool
-	// ImageName, when non-empty, is the golden-image id every prover
-	// announces on the wire (see Prover.ImageName); the Image bytes
-	// must match what the daemon registered under that name.
-	ImageName string
 	// History is how many ERASMUS self-measurements each prover bundles
 	// into its collection; defaults to 3, negative skips the collection
 	// phase.
 	History int
-	// Timeout bounds each protocol wait (challenge, verdict); defaults
-	// to 15 s. On expiry the prover re-initiates once before failing.
-	Timeout time.Duration
 	// Net configures the client transport (drop injection, retry
 	// pacing). Addr inside it is ignored; the fleet shares one socket.
 	Net transport.NetConfig
 	// Logf, if set, receives per-prover failures.
 	Logf func(format string, args ...any)
 }
+
+// fleetTimeout bounds each protocol wait (challenge, verdict). On
+// expiry the prover re-initiates once before failing.
+const fleetTimeout = 15 * time.Second
 
 // FleetResult summarizes one rattping run.
 type FleetResult struct {
@@ -83,17 +76,8 @@ type FleetResult struct {
 // claims come from bench/, whose open-loop generator is a separate
 // process.
 func RunFleet(cfg FleetConfig) (*FleetResult, error) {
-	if cfg.Daemon == "" {
-		cfg.Daemon = "rattd"
-	}
-	if cfg.Key == nil {
-		cfg.Key = DefaultKey
-	}
 	if cfg.History == 0 {
 		cfg.History = 3
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 15 * time.Second
 	}
 	if cfg.Provers <= 0 {
 		return nil, fmt.Errorf("rattd: fleet of %d provers", cfg.Provers)
@@ -129,16 +113,13 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	var wg sync.WaitGroup
 	for i := 0; i < cfg.Provers; i++ {
 		name := fmt.Sprintf("prv%05d", i)
-		prv, err := NewProver(name, cfg.Key, cfg.Image, cfg.BlockSize)
+		prv, err := NewProver(name, DefaultKey, cfg.Image, cfg.BlockSize)
 		if err != nil {
 			return nil, err
 		}
-		prv.Shuffled = cfg.Shuffled
-		prv.ImageName = cfg.ImageName
-		daemon := cfg.Daemon
+		shard := prv.ShardOf(shards)
+		daemon := tierShardName(shard, shards)
 		if shards > 1 {
-			shard := prv.ShardOf(shards)
-			daemon = ShardName(shard)
 			res.ShardProvers[shard]++
 		}
 		wg.Add(1)
@@ -205,7 +186,7 @@ func runProver(tr *transport.Net, cfg FleetConfig, prv *Prover, daemon string) (
 		}
 	}
 	await := func(kind transport.Kind) (transport.Msg, bool) {
-		timer := time.NewTimer(cfg.Timeout)
+		timer := time.NewTimer(fleetTimeout)
 		defer timer.Stop()
 		for {
 			select {

@@ -46,14 +46,13 @@ import (
 	"sync/atomic"
 
 	"saferatt/internal/core"
-	"saferatt/internal/suite"
+	"saferatt/internal/device"
 	"saferatt/internal/transport"
 	"saferatt/internal/verifier"
 )
 
-// DefaultKey is the fleet-shared attestation key devices ship with
-// (mirrors the device default; real deployments provision their own).
-var DefaultKey = []byte("saferatt-default-attestation-key")
+// DefaultKey is the fleet-shared attestation key devices ship with.
+var DefaultKey = device.DefaultKey
 
 // labelChallenge keys the daemon's SMART challenge nonce stream (the
 // other derivations and every accept rule live in the verification
@@ -97,8 +96,6 @@ type Config struct {
 	Images *verifier.ImageSet
 	// Shuffled selects permuted traversal orders (SMARM-style).
 	Shuffled bool
-	// Hash is the measurement hash; defaults to suite.SHA256.
-	Hash suite.HashID
 	// KeepEpochs sizes the batch verifier's multi-epoch expected-tag
 	// cache and the ERASMUS nonce memo beside it. ERASMUS
 	// self-measurements carry counter-derived nonces, so bundles from a
@@ -251,9 +248,6 @@ func Serve(tr transport.Transport, cfg Config) (*Server, error) {
 	if cfg.Key == nil {
 		cfg.Key = DefaultKey
 	}
-	if cfg.Hash == "" {
-		cfg.Hash = suite.SHA256
-	}
 	if cfg.KeepEpochs == 0 {
 		cfg.KeepEpochs = 64
 	}
@@ -273,7 +267,7 @@ func Serve(tr transport.Transport, cfg Config) (*Server, error) {
 		// Single-image fleet: the Ref becomes a one-entry registry, so
 		// the verify path is uniform and a later Rotate works on any
 		// server.
-		images = verifier.NewImageSet(verifier.ImageSetConfig{Hash: cfg.Hash, KeepEpochs: cfg.KeepEpochs})
+		images = verifier.NewImageSet(verifier.ImageSetConfig{KeepEpochs: cfg.KeepEpochs})
 		if _, err := images.Add(DefaultImageName, verifier.ImageOf(cfg.Ref, cfg.BlockSize)); err != nil {
 			return nil, err
 		}

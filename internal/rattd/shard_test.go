@@ -61,6 +61,31 @@ func TestShardForProperties(t *testing.T) {
 	}
 }
 
+// TestTierAddrs pins the one address layout daemon and clients share.
+func TestTierAddrs(t *testing.T) {
+	for _, c := range []struct {
+		base string
+		n    int
+		want []string // nil: refused
+	}{
+		{"127.0.0.1:9779", 1, []string{"127.0.0.1:9779"}},
+		{"not an address", 1, []string{"not an address"}}, // one shard: untouched, the listener judges it
+		{"127.0.0.1:9779", 3, []string{"127.0.0.1:9779", "127.0.0.1:9780", "127.0.0.1:9781"}},
+		{"host:0", 3, []string{"host:0", "host:0", "host:0"}}, // the kernel picks every port
+		{"[::1]:9000", 2, []string{"[::1]:9000", "[::1]:9001"}},
+		{":65528", 8, []string{":65528", ":65529", ":65530", ":65531", ":65532", ":65533", ":65534", ":65535"}},
+		{":65530", 8, nil}, // would reach port 65537
+		{"127.0.0.1", 2, nil},
+		{"127.0.0.1:http", 2, nil},
+		{"127.0.0.1:9779", 0, nil},
+	} {
+		got, err := TierAddrs(c.base, c.n)
+		if (err != nil) != (c.want == nil) || !reflect.DeepEqual(got, c.want) {
+			t.Errorf("TierAddrs(%q, %d) = %v, %v; want %v", c.base, c.n, got, err, c.want)
+		}
+	}
+}
+
 // TestCoordinatorLeasesDisjoint hammers Lease from many goroutines
 // and checks every granted window is disjoint with a unique epoch.
 func TestCoordinatorLeasesDisjoint(t *testing.T) {

@@ -1,7 +1,6 @@
 package swarm
 
 import (
-	"bytes"
 	"sort"
 
 	"saferatt/internal/core"
@@ -16,8 +15,8 @@ import (
 type NodeVerdict struct {
 	Node string
 	OK   bool
-	// Reason explains a rejection ("tag mismatch", "no reports",
-	// "wrong nonce").
+	// Reason explains a rejection: a verifier.Reason's text, or the
+	// collector's own "duplicate reports in aggregate".
 	Reason string
 }
 
@@ -168,18 +167,30 @@ func (c *Collector) BatchStats() verifier.BatchStats {
 	return out
 }
 
+// judgeNode runs the verification core's on-demand rules (§2.2) over
+// one node's reports. A nil nonce means "do not check nonces" — not the
+// unsolicited bundle Challenge.Open takes a nil challenge for.
 func (c *Collector) judgeNode(name string, reports []*core.Report, nonce []byte) NodeVerdict {
-	v := NodeVerdict{Node: name}
-	if len(reports) == 0 {
-		v.Reason = "no reports"
-		return v
+	reason, err := c.check(name, reports, verifier.Challenge(nonce))
+	return NodeVerdict{Node: name, OK: reason == verifier.ReasonOK, Reason: reason.Text(err)}
+}
+
+func (c *Collector) check(name string, reports []*core.Report, ch verifier.Challenge) (verifier.Reason, error) {
+	switch {
+	case ch != nil:
+		if reason := ch.Open(len(reports)); reason != verifier.ReasonOK {
+			return reason, nil
+		}
+	case len(reports) == 0:
+		return verifier.ReasonEmptyBundle, nil
 	}
 	key := c.keys[name]
 	scheme := suite.Scheme{Hash: c.hash, Key: key}
 	for _, rep := range reports {
-		if nonce != nil && !bytes.Equal(rep.Nonce, nonce) {
-			v.Reason = "wrong nonce"
-			return v
+		if ch != nil {
+			if reason := ch.Check(rep); reason != verifier.ReasonOK {
+				return reason, nil
+			}
 		}
 		// Batched fast path: amortize the expected tag across all
 		// reports in this round's (key, round, order) group. Region- or
@@ -192,15 +203,9 @@ func (c *Collector) judgeNode(name string, reports []*core.Report, nonce []byte)
 		} else {
 			ok, err = c.images[name].VerifyTag(scheme, key, core.Options{Shuffled: c.shuffle}, rep)
 		}
-		if err != nil {
-			v.Reason = "verification error: " + err.Error()
-			return v
-		}
-		if !ok {
-			v.Reason = "tag mismatch"
-			return v
+		if reason := verifier.TagReason(ok, err); reason != verifier.ReasonOK {
+			return reason, err
 		}
 	}
-	v.OK = true
-	return v
+	return verifier.ReasonOK, nil
 }

@@ -7,6 +7,7 @@ import (
 	"saferatt/internal/core"
 	"saferatt/internal/sim"
 	"saferatt/internal/suite"
+	"saferatt/internal/verifier"
 )
 
 // newJudgedFleet builds a fleet with a Collector registered BEFORE any
@@ -67,7 +68,7 @@ func TestCollectorPinpointsInfection(t *testing.T) {
 		if len(infected) != 2 || infected[0] != "node01" || infected[1] != "node04" {
 			t.Fatalf("run %d: infected = %v, want [node01 node04]", run, infected)
 		}
-		if res.Verdicts["node04"].Reason != "tag mismatch" {
+		if res.Verdicts["node04"].Reason != verifier.ReasonTagMismatch.String() {
 			t.Fatalf("reason: %q", res.Verdicts["node04"].Reason)
 		}
 	}
@@ -113,7 +114,7 @@ func TestCollectorRejectsWrongNonce(t *testing.T) {
 		t.Fatal("wrong-nonce aggregate judged healthy")
 	}
 	for _, v := range res.Verdicts {
-		if v.OK || v.Reason != "wrong nonce" {
+		if v.OK || v.Reason != verifier.ReasonNonceMismatch.String() {
 			t.Fatalf("verdict: %+v", v)
 		}
 	}
@@ -184,7 +185,7 @@ func TestCollectorEmptyAggregate(t *testing.T) {
 		"node00": {}, "node01": nil,
 	}}, nil, 0)
 	for _, v := range res.Verdicts {
-		if v.OK || v.Reason != "no reports" {
+		if v.OK || v.Reason != verifier.ReasonEmptyBundle.String() {
 			t.Fatalf("verdict: %+v", v)
 		}
 	}

@@ -11,7 +11,6 @@ import (
 	"saferatt/internal/mem"
 	"saferatt/internal/parallel"
 	"saferatt/internal/sim"
-	"saferatt/internal/suite"
 	"saferatt/internal/verifier"
 )
 
@@ -40,14 +39,12 @@ type SelfFleetConfig struct {
 	// Devices is the fleet size (required, > 0).
 	Devices int
 	// Mode selects the self-measurement scheduler (§3.3): SelfErasmus
-	// measures every TM; SelfSeED at pseudorandom times Base+PRF mod
-	// Jitter with a per-device secret schedule.
+	// measures every TM; SelfSeED at pseudorandom gaps TM + PRF mod TM/2
+	// on a per-device secret schedule.
 	Mode SelfMode
 	// TM is the measurement period (ERASMUS) or schedule base (SeED).
 	// Default 5 min.
 	TM sim.Duration
-	// Jitter is the SeED schedule jitter; default TM/2.
-	Jitter sim.Duration
 	// TC is the verifier's collection period. Default 30 min. (TM, TC)
 	// is the Quality-of-Attestation operating point.
 	TC sim.Duration
@@ -59,20 +56,17 @@ type SelfFleetConfig struct {
 	// Dwell is how long each infection persists before erasing itself.
 	// Default TM/2 (detectable with probability ≈ Dwell/TM).
 	Dwell sim.Duration
-	// MemSize / BlockSize / ROMBlocks set the image geometry. Defaults:
-	// 2 KiB / 512 / 1 — small images keep the sweep's host cost in the
-	// scheduler, which is what E12 measures.
-	MemSize   int
-	BlockSize int
-	ROMBlocks int
-	// Opts configures each measurement; default Preset(NoLock, SHA256).
-	Opts core.Options
-	// Profile is the device cost model; defaults to ODROIDXU4.
-	Profile *costmodel.Profile
-	// MaxSteps bounds each shard kernel's event count (watchdog against
-	// runaway reschedule loops). Default 1<<36.
-	MaxSteps uint64
 }
+
+const (
+	// The image is 2 KiB in 512-byte blocks, the first one ROM: a small
+	// image keeps a sweep's host cost in the scheduler, which is what
+	// E12 measures.
+	selfMemSize, selfBlockSize = 2 << 10, 512
+	// selfMaxSteps bounds each shard kernel's event count: the watchdog
+	// against runaway reschedule loops.
+	selfMaxSteps = 1 << 36
+)
 
 // SelfMode names a self-measurement scheduler.
 type SelfMode uint8
@@ -83,7 +77,7 @@ const (
 	SelfErasmus SelfMode = iota
 	// SelfSeED measures at pseudorandom instants derived from a
 	// per-device secret seed, like prover.SeEDProver: each gap is
-	// TM + (PRF mod Jitter), and the next trigger is armed when the
+	// TM + (PRF mod TM/2), and the next trigger is armed when the
 	// previous measurement completes.
 	SelfSeED
 )
@@ -161,6 +155,7 @@ type selfDev struct {
 // counter, so one computation serves every device in the shard.
 type selfShard struct {
 	cfg    *SelfFleetConfig
+	prof   *costmodel.Profile // every device's cost model
 	kernel *sim.Kernel
 	devs   []*selfDev
 	key    []byte // the fleet's attestation key
@@ -181,9 +176,6 @@ func RunSelfFleet(cfg SelfFleetConfig) (*SelfFleetResult, error) {
 	if cfg.TM <= 0 {
 		cfg.TM = 5 * sim.Minute
 	}
-	if cfg.Jitter <= 0 {
-		cfg.Jitter = cfg.TM / 2
-	}
 	if cfg.TC <= 0 {
 		cfg.TC = 30 * sim.Minute
 	}
@@ -193,30 +185,9 @@ func RunSelfFleet(cfg SelfFleetConfig) (*SelfFleetResult, error) {
 	if cfg.Dwell <= 0 {
 		cfg.Dwell = cfg.TM / 2
 	}
-	if cfg.MemSize == 0 {
-		cfg.MemSize = 2 << 10
-	}
-	if cfg.BlockSize == 0 {
-		cfg.BlockSize = 512
-	}
-	if cfg.ROMBlocks == 0 {
-		cfg.ROMBlocks = 1
-	}
-	if cfg.Opts.Hash == "" {
-		cfg.Opts = core.Preset(core.NoLock, suite.SHA256)
-	}
-	if err := cfg.Opts.Validate(); err != nil {
-		return nil, fmt.Errorf("swarm: self fleet opts: %w", err)
-	}
-	if cfg.Profile == nil {
-		cfg.Profile = costmodel.ODROIDXU4()
-	}
-	if cfg.MaxSteps == 0 {
-		cfg.MaxSteps = 1 << 36
-	}
 
-	golden := mem.RandomGolden(cfg.MemSize, cfg.BlockSize, cfg.ROMBlocks,
-		rand.New(rand.NewPCG(cfg.Seed, 0xe12)))
+	golden := mem.RandomGolden(selfMemSize, selfBlockSize, 1, rand.New(rand.NewPCG(cfg.Seed, 0xe12)))
+	prof := costmodel.ODROIDXU4()
 	workers := parallel.Resolve(cfg.Parallelism)
 	if workers > cfg.Devices {
 		workers = cfg.Devices
@@ -225,9 +196,10 @@ func RunSelfFleet(cfg SelfFleetConfig) (*SelfFleetResult, error) {
 	parallel.For(workers, workers, func(s int) {
 		sh := &selfShard{
 			cfg:    &cfg,
+			prof:   prof,
 			kernel: sim.NewKernel(),
 			golden: golden,
-			batch:  verifier.NewBatch(cfg.Opts.Hash, verifier.ImageOfGolden(golden)),
+			batch:  verifier.NewBatch(fleetOpts.Hash, verifier.ImageOfGolden(golden)),
 		}
 		// Phases spread one counter's measurements over a TM and a visit
 		// reads back a TC of them, so the counters being verified at any
@@ -291,7 +263,7 @@ func (sh *selfShard) newDevice(i int) *selfDev {
 	k := sh.kernel
 	m := mem.NewShared(sh.golden, mem.SharedConfig{Clock: k.Now})
 	d := &selfDev{index: i, mem: m}
-	d.dev = device.New(device.Config{Kernel: k, Mem: m, Profile: cfg.Profile})
+	d.dev = device.New(device.Config{Kernel: k, Mem: m, Profile: sh.prof})
 	d.task = d.dev.NewTask(fmt.Sprintf("MP:d%05d", i), 5)
 
 	ui := uint64(i)
@@ -301,8 +273,8 @@ func (sh *selfShard) newDevice(i int) *selfDev {
 		// trigger is armed when the previous measurement completes.
 		d.seed = core.PRF(binaryKey(cfg.Seed), "e12-seed", ui)
 		t := k.NewTimer(func() { sh.measure(d) })
-		t.Arm(core.ScheduleDelay(d.seed, 1, cfg.TM, cfg.Jitter))
-		d.armNext = func() { t.Arm(core.ScheduleDelay(d.seed, d.counter+1, cfg.TM, cfg.Jitter)) }
+		t.Arm(core.ScheduleDelay(d.seed, 1, cfg.TM, cfg.TM/2))
+		d.armNext = func() { t.Arm(core.ScheduleDelay(d.seed, d.counter+1, cfg.TM, cfg.TM/2)) }
 	default:
 		// ERASMUS: fixed period, uniform phase so the fleet's
 		// measurements spread over the period instead of thundering.
@@ -339,8 +311,8 @@ func (sh *selfShard) newDevice(i int) *selfDev {
 		frac := float64(prf64(cfg.Seed, "e12-infect-at", ui, 1)>>11) / (1 << 53)
 		start := sim.Time(0).Add(lo + sim.Duration(frac*float64(hi-lo)))
 		nb := sh.golden.NumBlocks()
-		blk := cfg.ROMBlocks + int(prf64(cfg.Seed, "e12-infect-block", ui, 2)%uint64(nb-cfg.ROMBlocks))
-		off := blk * cfg.BlockSize
+		blk := 1 + int(prf64(cfg.Seed, "e12-infect-block", ui, 2)%uint64(nb-1)) // block 0 is ROM
+		off := blk * selfBlockSize
 		orig := sh.golden.Bytes()[off]
 		d.inf = &selfInfection{start: start, end: start.Add(cfg.Dwell)}
 		k.At(start, func() {
@@ -378,7 +350,7 @@ func (sh *selfShard) measure(d *selfDev) {
 	} else {
 		nonce = core.AppendErasmusNonce(nil, d.dev.AttestationKey, d.counter)
 	}
-	s, err := core.NewSession(d.dev, d.task, sh.cfg.Opts, nonce, d.counter)
+	s, err := core.NewSession(d.dev, d.task, fleetOpts, nonce, d.counter)
 	if err != nil {
 		if d.err == nil {
 			d.err = err
@@ -416,7 +388,7 @@ func (sh *selfShard) collect(d *selfDev) {
 	}
 	for _, rep := range d.pending {
 		sh.reports++
-		ok, err := verify(sh.key, rep, sh.cfg.Opts.Shuffled)
+		ok, err := verify(sh.key, rep, fleetOpts.Shuffled)
 		if err != nil && d.err == nil {
 			d.err = err
 		}
@@ -447,10 +419,10 @@ func (sh *selfShard) run() {
 			return
 		}
 		k.Step()
-		if k.Steps() > sh.cfg.MaxSteps {
+		if k.Steps() > selfMaxSteps {
 			for _, d := range sh.devs {
 				if d.err == nil {
-					d.err = fmt.Errorf("shard exceeded %d kernel steps before the horizon", sh.cfg.MaxSteps)
+					d.err = fmt.Errorf("shard exceeded %d kernel steps before the horizon", uint64(selfMaxSteps))
 				}
 			}
 			return

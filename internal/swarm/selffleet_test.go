@@ -19,8 +19,6 @@ func smallFleet(mode SelfMode) SelfFleetConfig {
 		Horizon:      2 * sim.Hour,
 		Dwell:        5 * sim.Minute, // > TM: every infection overlaps a measurement
 		InfectRate:   0.25,
-		MemSize:      2 << 10,
-		BlockSize:    512,
 	}
 }
 

@@ -50,20 +50,22 @@ type ShardedConfig struct {
 	EngineConfig
 	// Devices is the fleet size (required, > 0).
 	Devices int
-	// MemSize / BlockSize / ROMBlocks set the image geometry. Defaults:
-	// 64 KiB / 256 / 1.
+	// MemSize / BlockSize set the image geometry (the first block is
+	// ROM). Defaults: 64 KiB / 256.
 	MemSize   int
 	BlockSize int
-	ROMBlocks int
 	// Opts configures the measurement mechanism on every device.
 	// Zero value defaults to Preset(NoLock, SHA256).
 	Opts core.Options
-	// Profile is the device cost model; defaults to ODROIDXU4.
-	Profile *costmodel.Profile
-	// MaxStepsPerRound bounds each device kernel's event count per
-	// round (watchdog against runaway reschedule loops). Default 1<<22.
-	MaxStepsPerRound uint64
 }
+
+// fleetOpts is the default measurement mechanism of a Sharded fleet's
+// devices, and the mechanism of every self-measuring fleet.
+var fleetOpts = core.Preset(core.NoLock, suite.SHA256)
+
+// shardedMaxSteps bounds each device kernel's event count per round:
+// the watchdog against runaway reschedule loops.
+const shardedMaxSteps = 1 << 22
 
 type shardDev struct {
 	name    string
@@ -88,28 +90,19 @@ func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 	if cfg.BlockSize == 0 {
 		cfg.BlockSize = 256
 	}
-	if cfg.ROMBlocks == 0 {
-		cfg.ROMBlocks = 1
-	}
 	if cfg.Opts.Hash == "" {
-		cfg.Opts = core.Preset(core.NoLock, suite.SHA256)
+		cfg.Opts = fleetOpts
 	}
 	if err := cfg.Opts.Validate(); err != nil {
 		return nil, fmt.Errorf("swarm: sharded opts: %w", err)
 	}
-	if cfg.Profile == nil {
-		cfg.Profile = costmodel.ODROIDXU4()
-	}
-	if cfg.MaxStepsPerRound == 0 {
-		cfg.MaxStepsPerRound = 1 << 22
-	}
-	golden := mem.RandomGolden(cfg.MemSize, cfg.BlockSize, cfg.ROMBlocks,
-		rand.New(rand.NewPCG(cfg.Seed, 0x901de)))
+	golden := mem.RandomGolden(cfg.MemSize, cfg.BlockSize, 1, rand.New(rand.NewPCG(cfg.Seed, 0x901de)))
 	s := &Sharded{
 		cfg:       cfg,
 		Collector: NewCollector(cfg.Opts.Hash),
 		agg:       &Aggregate{Reports: map[string][]*core.Report{}},
 	}
+	prof := costmodel.ODROIDXU4()
 	for i := 0; i < cfg.Devices; i++ {
 		k := sim.NewKernel()
 		m := mem.NewShared(golden, mem.SharedConfig{Clock: k.Now})
@@ -118,7 +111,7 @@ func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 			kernel: k,
 			mem:    m,
 		}
-		d.dev = device.New(device.Config{Kernel: k, Mem: m, Profile: cfg.Profile})
+		d.dev = device.New(device.Config{Kernel: k, Mem: m, Profile: prof})
 		d.task = d.dev.NewTask("MP:"+d.name, 5)
 		s.devs = append(s.devs, d)
 		s.Collector.RegisterDevice(d.name, d.dev, cfg.Opts)
@@ -153,7 +146,6 @@ func (s *Sharded) ResidentBytes() int {
 // Round call.
 func (s *Sharded) Round(nonce []byte) (*SwarmResult, error) {
 	workers := parallel.Resolve(s.cfg.Parallelism)
-	maxSteps := s.cfg.MaxStepsPerRound
 	parallel.For(workers, len(s.devs), func(i int) {
 		d := s.devs[i]
 		d.reports, d.err = nil, nil
@@ -166,8 +158,8 @@ func (s *Sharded) Round(nonce []byte) (*SwarmResult, error) {
 		sess.Start(func(reports []*core.Report, err error) {
 			d.reports, d.err = reports, err
 		})
-		if !d.kernel.RunLimited(maxSteps) {
-			d.err = fmt.Errorf("swarm: device %s exceeded %d kernel steps in one round", d.name, maxSteps)
+		if !d.kernel.RunLimited(shardedMaxSteps) {
+			d.err = fmt.Errorf("swarm: device %s exceeded %d kernel steps in one round", d.name, shardedMaxSteps)
 		}
 	})
 	clear(s.agg.Reports)

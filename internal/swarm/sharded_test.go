@@ -9,6 +9,7 @@ import (
 	"saferatt/internal/mem"
 	"saferatt/internal/parallel"
 	"saferatt/internal/suite"
+	"saferatt/internal/verifier"
 )
 
 func newShardedFleet(t testing.TB, devices, shards int) *Sharded {
@@ -32,10 +33,10 @@ func newShardedFleet(t testing.TB, devices, shards int) *Sharded {
 func fullCopy(s *Sharded) *Sharded {
 	for _, d := range s.devs {
 		flat := mem.New(mem.Config{Size: s.cfg.MemSize, BlockSize: s.cfg.BlockSize,
-			ROMBlocks: s.cfg.ROMBlocks, Clock: d.kernel.Now})
+			ROMBlocks: 1, Clock: d.kernel.Now})
 		flat.Restore(d.mem.SharedGolden().Bytes())
 		d.mem = flat
-		d.dev = device.New(device.Config{Kernel: d.kernel, Mem: flat, Profile: s.cfg.Profile})
+		d.dev = device.New(device.Config{Kernel: d.kernel, Mem: flat, Profile: d.dev.Profile})
 		d.task = d.dev.NewTask("MP:"+d.name, 5)
 		s.Collector.RegisterDevice(d.name, d.dev, s.cfg.Opts)
 	}
@@ -126,7 +127,7 @@ func TestShardedDetectsInfection(t *testing.T) {
 	if !seen["d00005"] || !seen["d00017"] {
 		t.Fatalf("infected = %v, want d00005 and d00017", infected)
 	}
-	if res.Verdicts["d00005"].Reason != "tag mismatch" {
+	if res.Verdicts["d00005"].Reason != verifier.ReasonTagMismatch.String() {
 		t.Fatalf("reason %q", res.Verdicts["d00005"].Reason)
 	}
 	if s.DirtyBlocks() != 2 {

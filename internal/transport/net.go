@@ -56,46 +56,43 @@ type NetConfig struct {
 	// the injected loss deterministic.
 	DropRate float64
 	DropSeed uint64
-	// Logf, if set, receives transport diagnostics.
-	Logf func(format string, args ...any)
 }
 
-func (c *NetConfig) withDefaults() NetConfig {
-	out := *c
-	if out.Addr == "" {
-		out.Addr = "127.0.0.1:0"
+func (c NetConfig) withDefaults() NetConfig {
+	if c.Addr == "" {
+		c.Addr = "127.0.0.1:0"
 	}
-	if out.RetryBase <= 0 {
-		out.RetryBase = 25 * time.Millisecond
+	if c.RetryBase <= 0 {
+		c.RetryBase = 25 * time.Millisecond
 	}
-	if out.RetryCap <= 0 {
-		out.RetryCap = 400 * time.Millisecond
+	if c.RetryCap <= 0 {
+		c.RetryCap = 400 * time.Millisecond
 	}
-	if out.RequestTimeout <= 0 {
-		out.RequestTimeout = defaultRequestTimeout
+	if c.RequestTimeout <= 0 {
+		c.RequestTimeout = defaultRequestTimeout
 	}
-	if out.RecvLoops <= 0 {
-		out.RecvLoops = 2
+	if c.RecvLoops <= 0 {
+		c.RecvLoops = 2
 	}
-	if out.RecvQueues <= 0 {
-		out.RecvQueues = 4
+	if c.RecvQueues <= 0 {
+		c.RecvQueues = 4
 	}
-	if out.QueueCap <= 0 {
-		out.QueueCap = 1024
+	if c.QueueCap <= 0 {
+		c.QueueCap = 1024
 	}
-	if out.BatchBytes <= 0 {
-		out.BatchBytes = 1400
+	if c.BatchBytes <= 0 {
+		c.BatchBytes = 1400
 	}
-	if out.BatchBytes < batchOverhead+perSubOverhead+16 {
-		out.BatchBytes = batchOverhead + perSubOverhead + 16
+	if c.BatchBytes < batchOverhead+perSubOverhead+16 {
+		c.BatchBytes = batchOverhead + perSubOverhead + 16
 	}
-	if out.MaxBatch <= 0 {
-		out.MaxBatch = 256
+	if c.MaxBatch <= 0 {
+		c.MaxBatch = 256
 	}
-	if out.MaxBatch > maxBatchSubs {
-		out.MaxBatch = maxBatchSubs
+	if c.MaxBatch > maxBatchSubs {
+		c.MaxBatch = maxBatchSubs
 	}
-	return out
+	return c
 }
 
 // NetStats counts datagram-level outcomes.
@@ -583,9 +580,6 @@ func (n *Net) runWheel() {
 				delete(sh.m, id)
 				sh.mu.Unlock()
 				n.stats.expired.Add(1)
-				if n.cfg.Logf != nil {
-					n.cfg.Logf("transport: request %d to %s expired", id, e.st.ap)
-				}
 				continue
 			}
 			frame, ap := e.frame, e.st.ap
@@ -652,9 +646,6 @@ func (n *Net) recvLoop() {
 				// Close() shuts the socket before closing n.closed;
 				// don't spin on the resulting read errors.
 				return
-			}
-			if n.cfg.Logf != nil {
-				n.cfg.Logf("transport: read: %v", err)
 			}
 			continue
 		}

@@ -49,7 +49,6 @@ var (
 // (inccache.SharedImageDerived), so only the blocks the update
 // actually changed are ever re-hashed.
 type ImageSet struct {
-	hash       suite.HashID
 	grace      uint64
 	keepEpochs int
 
@@ -80,9 +79,6 @@ type imageEntry struct {
 
 // ImageSetConfig assembles an ImageSet.
 type ImageSetConfig struct {
-	// Hash is the measurement hash shared by every image's verifier;
-	// defaults to suite.SHA256.
-	Hash suite.HashID
 	// Grace is how many epochs a rotated-out version keeps verifying;
 	// 0 means 1 (a retired version survives exactly one AdvanceEpoch).
 	Grace uint64
@@ -93,20 +89,17 @@ type ImageSetConfig struct {
 
 // NewImageSet returns an empty registry.
 func NewImageSet(cfg ImageSetConfig) *ImageSet {
-	if cfg.Hash == "" {
-		cfg.Hash = suite.SHA256
-	}
 	if cfg.Grace == 0 {
 		cfg.Grace = 1
 	}
-	s := &ImageSet{hash: cfg.Hash, grace: cfg.Grace, keepEpochs: cfg.KeepEpochs}
+	s := &ImageSet{grace: cfg.Grace, keepEpochs: cfg.KeepEpochs}
 	s.tab.Store(&imageTable{byID: map[ImageID]*imageEntry{}, cur: map[string]*imageEntry{}})
 	return s
 }
 
 // newEntry builds one live entry (and its per-image Batch).
 func (s *ImageSet) newEntry(id ImageID, img Image) *imageEntry {
-	b := NewBatch(s.hash, img)
+	b := NewBatch(suite.SHA256, img)
 	b.KeepEpochs = s.keepEpochs
 	return &imageEntry{id: id, img: img, batch: b}
 }
@@ -186,7 +179,7 @@ func (s *ImageSet) Rotate(name string, img Image) (ImageID, error) {
 		return ImageID{}, fmt.Errorf("verifier: %w: %q", ErrUnknownImage, name)
 	}
 	if old.img.golden != nil && img.golden != nil {
-		inccache.SharedImageDerived(old.img.golden, img.golden, inccache.DigestHash(s.hash))
+		inccache.SharedImageDerived(old.img.golden, img.golden, inccache.DigestHash(suite.SHA256))
 	}
 	id := ImageID{Name: name, Version: old.id.Version + 1}
 	e := s.newEntry(id, img)

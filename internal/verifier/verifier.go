@@ -35,9 +35,11 @@ type Counts struct {
 	Missing  int // expected-but-absent reports (SeED watchdog)
 }
 
+// endpoint is the name a Verifier binds and sends under.
+const endpoint = "verifier"
+
 // Verifier is Vrf.
 type Verifier struct {
-	Name   string
 	Kernel *sim.Kernel
 	// tr carries the verifier's protocol messages both ways.
 	tr transport.Transport
@@ -71,7 +73,6 @@ type Verifier struct {
 
 // Config assembles a Verifier.
 type Config struct {
-	Name      string // defaults to "verifier"
 	Kernel    *sim.Kernel
 	Transport transport.Transport
 	Scheme    suite.Scheme
@@ -92,18 +93,14 @@ func New(cfg Config) (*Verifier, error) {
 	if cfg.Image.IsZero() {
 		return nil, fmt.Errorf("verifier: empty reference image")
 	}
-	name := cfg.Name
-	if name == "" {
-		name = "verifier"
-	}
 	v := &Verifier{
-		Name: name, Kernel: cfg.Kernel, tr: cfg.Transport,
+		Kernel: cfg.Kernel, tr: cfg.Transport,
 		Scheme: cfg.Scheme, PermKey: cfg.PermKey, Image: cfg.Image,
 		Opts: cfg.Opts, Trace: cfg.Trace,
 		pending: map[string]Challenge{},
 		fresh:   map[string]*Freshness{},
 	}
-	if err := cfg.Transport.Bind(name, v.onMsg); err != nil {
+	if err := cfg.Transport.Bind(endpoint, v.onMsg); err != nil {
 		return nil, fmt.Errorf("verifier: %w", err)
 	}
 	return v, nil
@@ -123,7 +120,7 @@ func (v *Verifier) onMsg(m transport.Msg) {
 // send has datagram semantics: a request that cannot leave is a lost
 // request, which shows as the missing response.
 func (v *Verifier) send(to string, kind transport.Kind, nonce []byte) {
-	_ = v.tr.Send(transport.Msg{From: v.Name, To: to, Kind: kind, Nonce: nonce})
+	_ = v.tr.Send(transport.Msg{From: endpoint, To: to, Kind: kind, Nonce: nonce})
 }
 
 // Challenge sends a fresh-nonce attestation request to a prover
@@ -134,7 +131,7 @@ func (v *Verifier) Challenge(prover string) []byte {
 	// reproducible while remaining unpredictable to the prover.
 	nonce := ChallengeNonce(v.PermKey, labelChallenge, v.nonceCtr)
 	v.pending[prover] = nonce
-	v.Trace.AddCat(v.Kernel.Now(), trace.KindRequestSent, v.Name, "to ", prover)
+	v.Trace.AddCat(v.Kernel.Now(), trace.KindRequestSent, endpoint, "to ", prover)
 	v.send(prover, transport.KindChallenge, nonce)
 	return nonce
 }
@@ -149,7 +146,7 @@ var labelChallenge = []byte("challenge")
 // HandleReports validates a challenge response: every round's report
 // must carry the outstanding nonce and a correct tag.
 func (v *Verifier) HandleReports(prover string, reports []*core.Report) {
-	v.Trace.AddCat(v.Kernel.Now(), trace.KindReportReceived, v.Name, "from ", prover)
+	v.Trace.AddCat(v.Kernel.Now(), trace.KindReportReceived, endpoint, "from ", prover)
 	c := v.pending[prover]
 	delete(v.pending, prover)
 	if why := c.Open(len(reports)); why != ReasonOK {
@@ -167,7 +164,7 @@ func (v *Verifier) HandleReports(prover string, reports []*core.Report) {
 			return
 		}
 	}
-	v.Trace.AddCat(v.Kernel.Now(), trace.KindReportVerified, v.Name, "from ", prover)
+	v.Trace.AddCat(v.Kernel.Now(), trace.KindReportVerified, endpoint, "from ", prover)
 }
 
 // result stamps a verdict with the decision time and, for a verdict

@@ -6,16 +6,8 @@ package saferatt
 // this facade, or sits on the allow-list below for one of three reasons.
 
 import (
-	"fmt"
 	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
 	"go/types"
-	"io/fs"
-	"os"
-	"path/filepath"
-	"runtime/debug"
 	"sort"
 	"strings"
 	"testing"
@@ -54,55 +46,11 @@ var reachAllowed = [...]struct{ name, reason, why string }{
 
 var _ [60 - len(reachAllowed)]struct{} // the allow-list holds at most 60 entries
 
-type importerFunc func(path string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
-
-// unreachable type-checks the non-test files of every package under the
-// repository root (bench/ included), plus extra's. It returns, as
-// pkg.Func, pkg.Type or pkg.Type.Method, the internal/ declarations no
-// program or allowed name reaches (sorted) and the stale allowed names.
-func unreachable(t *testing.T, std types.Importer, fset *token.FileSet, extra map[string][]string) (dead, stale []string) {
-	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
-	pkgs, files := map[string]*types.Package{}, map[string][]*ast.File{}
-	// A saferatt/... import path is a directory under the root; anything
-	// else is the standard library, type-checked from source.
-	var load importerFunc
-	load = func(path string) (*types.Package, error) {
-		if path != "saferatt" && !strings.HasPrefix(path, "saferatt/") {
-			return std.Import(path)
-		}
-		if pkg := pkgs[path]; pkg != nil {
-			return pkg, nil
-		}
-		names, _ := filepath.Glob("." + strings.TrimPrefix(path, "saferatt") + "/*.go")
-		for _, name := range append(names, extra[path]...) {
-			if strings.HasSuffix(name, "_test.go") {
-				continue
-			}
-			f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
-			if err != nil {
-				return nil, err
-			}
-			files[path] = append(files[path], f)
-		}
-		pkg, err := (&types.Config{Importer: load}).Check(path, fset, files[path], info)
-		pkgs[path] = pkg
-		return pkg, err
-	}
-	if err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		if n := d.Name(); path != "." && (n[0] == '.' || n == "testdata") {
-			return filepath.SkipDir
-		}
-		_, err = load(filepath.ToSlash(filepath.Join("saferatt", path))) // no Go files: an empty package
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-
+// unreachable returns, as pkg.Func, pkg.Type or pkg.Type.Method, the
+// internal/ declarations of tr (tree_test.go) no program or allowed name
+// reaches (sorted) and the stale allowed names.
+func unreachable(t *testing.T, tr *tree) (dead, stale []string) {
+	info := tr.info
 	ifaceNames := map[string]bool{}
 	addIface := func(typ types.Type) {
 		if it, ok := typ.Underlying().(*types.Interface); ok {
@@ -130,7 +78,7 @@ func unreachable(t *testing.T, std types.Importer, fset *token.FileSet, extra ma
 	byName := map[string]types.Object{}       // internal/ functions, types and methods
 	var roots []types.Object
 	trim := strings.NewReplacer("saferatt/internal/", "", "(", "", "*", "", ")", "")
-	for path, files := range files {
+	for path, files := range tr.files {
 		// declare files the objects one declaration defines and draws an
 		// edge from each to every object its source mentions.
 		declare := func(node ast.Node, idents ...*ast.Ident) {
@@ -224,12 +172,7 @@ func unreachable(t *testing.T, std types.Importer, fset *token.FileSet, extra ma
 }
 
 func TestReachable(t *testing.T) {
-	if bi, _ := debug.ReadBuildInfo(); testing.Short() || bi != nil && strings.Contains(fmt.Sprint(bi.Settings), "{-race true}") {
-		t.Skip("type-checks the standard library from source: seconds, and many more under -race for the same answer")
-	}
-	fset := token.NewFileSet()
-	std := importer.ForCompiler(fset, "source", nil)
-	dead, stale := unreachable(t, std, fset, nil)
+	dead, stale := unreachable(t, loadTree(t, nil))
 	for _, name := range dead {
 		t.Errorf("%s: no program reaches it (delete it, or allow-list it with a reason)", name)
 	}
@@ -238,11 +181,7 @@ func TestReachable(t *testing.T) {
 	}
 
 	t.Run("NotVacuous", func(t *testing.T) {
-		injected := filepath.Join(t.TempDir(), "injected.go")
-		if err := os.WriteFile(injected, []byte("package qoa\nfunc reachInjected() {}\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		dead, _ := unreachable(t, std, fset, map[string][]string{"saferatt/internal/qoa": {injected}})
+		dead, _ := unreachable(t, loadTree(t, map[string]string{"saferatt/internal/qoa": "package qoa\nfunc reachInjected() {}\n"}))
 		if len(dead) != 1 || dead[0] != "qoa.reachInjected" {
 			t.Fatalf("an unreferenced function added to internal/qoa: reported %v", dead)
 		}

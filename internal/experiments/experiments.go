@@ -44,8 +44,11 @@ type World struct {
 	Link *channel.Link
 	Tr   *transport.Sim
 	Ver  *verifier.Verifier
-	Ref  []byte
-	Log  *trace.Log // nil when built with NoTrace
+	// Ref is the golden image the world was provisioned from. It aliases
+	// the golden's read-only bytes, shared with Mem's clean blocks and
+	// the verifier: copy it before changing anything.
+	Ref []byte
+	Log *trace.Log // nil when built with NoTrace
 }
 
 // EngineConfig is the shared engine-knob block (Seed, Parallelism,
@@ -81,7 +84,18 @@ func must[T any](v T, err error) T {
 	return v
 }
 
+// odroid is the profile of every world that names none. Worlds only
+// read it, so one serves them all — concurrent trials included.
+var odroid = costmodel.ODROIDXU4()
+
 // NewWorld builds a World. It panics on wiring errors.
+//
+// A world is provisioned as a fleet device is: its image is a golden
+// (drawn in FillRandom's order, so the bytes are the same as a filled
+// flat memory's), the device's memory is copy-on-write over it, and the
+// verifier checks against the same golden — so device and verifier
+// share one digest per golden block, and a block malware restores is
+// served that digest again instead of being re-hashed (DESIGN §6).
 func NewWorld(cfg WorldConfig) *World {
 	if cfg.MemSize == 0 {
 		cfg.MemSize = 4096
@@ -90,14 +104,11 @@ func NewWorld(cfg WorldConfig) *World {
 		cfg.BlockSize = 256
 	}
 	if cfg.Profile == nil {
-		cfg.Profile = costmodel.ODROIDXU4()
+		cfg.Profile = odroid
 	}
 	k := sim.NewKernel()
-	m := mem.New(mem.Config{
-		Size: cfg.MemSize, BlockSize: cfg.BlockSize, ROMBlocks: cfg.ROMBlocks,
-		Clock: k.Now, LogWrites: cfg.LogWrites,
-	})
-	m.FillRandom(rand.New(rand.NewPCG(cfg.Seed, 0xfade)))
+	golden := mem.RandomGolden(cfg.MemSize, cfg.BlockSize, cfg.ROMBlocks, rand.New(rand.NewPCG(cfg.Seed, 0xfade)))
+	m := mem.NewShared(golden, mem.SharedConfig{Clock: k.Now, LogWrites: cfg.LogWrites})
 	var log *trace.Log
 	if !cfg.NoTrace {
 		log = &trace.Log{}
@@ -108,19 +119,18 @@ func NewWorld(cfg WorldConfig) *World {
 		Adv: cfg.Adv, Trace: log, Seed: cfg.Seed + 1,
 	})
 	tr := transport.NewSim(link)
-	ref := m.Snapshot()
 	v, err := verifier.New(verifier.Config{
 		Kernel: k, Transport: tr,
 		Scheme:  suite.Scheme{Hash: cfg.Opts.Hash, Key: dev.AttestationKey},
 		PermKey: dev.AttestationKey,
-		Image:   verifier.ImageOf(ref, cfg.BlockSize),
+		Image:   verifier.ImageOfGolden(golden),
 		Opts:    cfg.Opts,
 		Trace:   log,
 	})
 	if err != nil {
 		panic("experiments: " + err.Error())
 	}
-	return &World{K: k, Mem: m, Dev: dev, Link: link, Tr: tr, Ver: v, Ref: ref, Log: log}
+	return &World{K: k, Mem: m, Dev: dev, Link: link, Tr: tr, Ver: v, Ref: golden.Bytes(), Log: log}
 }
 
 // VerifyLocally recomputes the expected tag for a report against the

@@ -20,6 +20,10 @@
 // mem.Memory (Write, WriteBlock, Poke, Restore, FillRandom) bumps the
 // per-block generation this cache keys on. A mutation path that forgot
 // to would let a stale digest mask malware — see the regression tests.
+// A block of a copy-on-write memory whose content is golden — never
+// written, or written back to exactly its golden bytes — takes its
+// digest from the golden's cache, which the golden itself owns
+// (SharedImage, DESIGN §6).
 //
 // Caches are safe for concurrent use: the parallel trial engine may
 // share a verifier-side golden cache across workers.
@@ -61,7 +65,7 @@ func DigestSize(id suite.HashID) int {
 type Stats struct {
 	Hits   uint64 // digests served from this cache
 	Misses uint64 // digests (re)computed
-	Shared uint64 // digests served from a fleet-shared golden cache
+	Shared uint64 // digests of golden content, served from the golden's cache
 	Seeded uint64 // digests inherited from a predecessor image (rotation)
 }
 
@@ -72,7 +76,7 @@ type Stats struct {
 type MemCache struct {
 	mu     sync.Mutex
 	mem    *mem.Memory
-	golden *ImageCache // fleet-shared digests for clean COW blocks; nil for flat memories
+	golden *ImageCache // the golden's digests, for COW memories; nil for flat ones
 	hash   suite.HashID
 	size   int
 	// stamp/dig are allocated on the first digest that cannot be served
@@ -85,10 +89,9 @@ type MemCache struct {
 
 // NewMem builds an empty cache over m using the given digest hash (pass
 // the scheme hash through DigestHash first). For a copy-on-write memory
-// (mem.NewShared), digests of clean blocks are served from the
-// process-wide golden cache (SharedImage), so a fleet of devices on one
-// image hashes each golden block once total rather than once per
-// device.
+// (mem.NewShared), digests of golden content are served from the
+// golden's own cache (SharedImage), so a fleet of devices on one image
+// hashes each golden block once total rather than once per device.
 func NewMem(m *mem.Memory, hash suite.HashID) *MemCache {
 	c := &MemCache{
 		mem:  m,
@@ -110,8 +113,8 @@ func (c *MemCache) Digest(b int) []byte {
 	defer c.mu.Unlock()
 	// A clean COW block is bit-identical to the golden block (writes
 	// materialize; restores that recover golden content dematerialize),
-	// so the fleet-shared golden digest is the digest of the live
-	// content — no generation check needed.
+	// so the golden's digest is the digest of the live content — no
+	// generation check needed.
 	if c.golden != nil && c.mem.BlockClean(b) {
 		c.stats.Shared++
 		return c.golden.Digest(b)
@@ -127,8 +130,18 @@ func (c *MemCache) Digest(b int) []byte {
 		c.stats.Hits++
 		return d
 	}
-	sumInto(c.hash, c.mem.Block(b), d)
+	content := c.mem.Block(b)
 	c.stamp[b] = want
+	// The golden rule: a written block whose content is golden again —
+	// malware putting back what it displaced — has the golden digest.
+	// One full-block comparison decides it, so it is exact: any other
+	// content, one byte off included, is hashed below.
+	if c.golden != nil && bytes.Equal(content, c.golden.block(b)) {
+		copy(d, c.golden.Digest(b))
+		c.stats.Shared++
+		return d
+	}
+	sumInto(c.hash, content, d)
 	c.stats.Misses++
 	return d
 }
@@ -192,11 +205,14 @@ func (c *ImageCache) Digest(b int) []byte {
 		c.stats.Hits++
 		return d
 	}
-	sumInto(c.hash, c.ref[b*c.blockSize:(b+1)*c.blockSize], d)
+	sumInto(c.hash, c.block(b), d)
 	c.done[b] = true
 	c.stats.Misses++
 	return d
 }
+
+// block returns golden block b's content (immutable: no lock needed).
+func (c *ImageCache) block(b int) []byte { return c.ref[b*c.blockSize : (b+1)*c.blockSize] }
 
 // DigestOK is Digest with the (func(int) ([]byte, error)) signature the
 // expected-stream helpers take; the error is always nil.
@@ -223,51 +239,41 @@ func DigestOf(hash suite.HashID, content, dst []byte) []byte {
 	return dst
 }
 
-type sharedKey struct {
-	golden *mem.Golden
-	hash   suite.HashID
+// digestCaches returns the digest caches g carries (mem.Golden.Attached),
+// one *ImageCache per digest hash. The golden holds them and nothing
+// process-wide does, so they are collected with it.
+func digestCaches(g *mem.Golden) *sync.Map {
+	return g.Attached(func() any { return new(sync.Map) }).(*sync.Map)
 }
 
-var sharedImages sync.Map // sharedKey -> *ImageCache
-
-// SharedImage returns the process-wide digest cache for a golden image
-// and hash, creating it on first use. Every copy-on-write device on the
-// same golden, and every verifier checking reports against it, shares
-// one cache — a 10k-device swarm round hashes each golden block about
-// once host-wide instead of once per device. Safe because Golden is
-// immutable and ImageCache is concurrency-safe. Entries live as long as
-// the process; the golden pointer keys the identity, so distinct trials
-// building distinct goldens do not collide.
+// SharedImage returns the golden's digest cache for hash, creating it on
+// first use. Every copy-on-write device on the same golden, and every
+// verifier checking reports against it, shares one cache — a 10k-device
+// swarm round hashes each golden block about once host-wide instead of
+// once per device. Safe because Golden is immutable and ImageCache is
+// concurrency-safe. The cache belongs to the golden: it lives exactly as
+// long as the golden does.
 func SharedImage(g *mem.Golden, hash suite.HashID) *ImageCache {
-	k := sharedKey{golden: g, hash: hash}
-	if c, ok := sharedImages.Load(k); ok {
-		return c.(*ImageCache)
-	}
-	c := NewImage(g.Bytes(), g.BlockSize(), hash)
-	actual, _ := sharedImages.LoadOrStore(k, c)
-	return actual.(*ImageCache)
+	return SharedImageDerived(nil, g, hash)
 }
 
-// SharedImageDerived returns the process-wide digest cache for newG,
-// seeding it from oldG's shared cache: every block whose content is
-// bit-identical across the two images inherits its already-computed
-// digest, so a golden rotation (OTA update) re-hashes only the blocks
-// the update actually changed. Blocks never digested under oldG stay
-// lazy as usual. When the geometries differ, or oldG has no shared
-// cache yet, this degrades to SharedImage(newG, hash).
+// SharedImageDerived returns newG's digest cache for hash, seeding it
+// on creation from oldG's: every block whose content is bit-identical
+// across the two images inherits its already-computed digest, so a
+// golden rotation (OTA update) re-hashes only the blocks the update
+// actually changed. Blocks never digested under oldG stay lazy as
+// usual. When oldG is nil, the geometries differ, or oldG has no cache
+// for hash yet, this is SharedImage(newG, hash).
 func SharedImageDerived(oldG, newG *mem.Golden, hash suite.HashID) *ImageCache {
-	k := sharedKey{golden: newG, hash: hash}
-	if c, ok := sharedImages.Load(k); ok {
+	caches := digestCaches(newG)
+	if c, ok := caches.Load(hash); ok {
 		return c.(*ImageCache)
 	}
 	c := NewImage(newG.Bytes(), newG.BlockSize(), hash)
 	if oldG != nil && oldG.BlockSize() == newG.BlockSize() {
-		if prev, ok := sharedImages.Load(sharedKey{golden: oldG, hash: hash}); ok {
+		if prev, ok := digestCaches(oldG).Load(hash); ok {
 			oc := prev.(*ImageCache)
-			n := oc.NumBlocks()
-			if m := newG.NumBlocks(); m < n {
-				n = m
-			}
+			n := min(oc.NumBlocks(), newG.NumBlocks())
 			oc.mu.Lock()
 			for b := 0; b < n; b++ {
 				if oc.done[b] && bytes.Equal(oldG.Block(b), newG.Block(b)) {
@@ -279,7 +285,7 @@ func SharedImageDerived(oldG, newG *mem.Golden, hash suite.HashID) *ImageCache {
 			oc.mu.Unlock()
 		}
 	}
-	actual, _ := sharedImages.LoadOrStore(k, c)
+	actual, _ := caches.LoadOrStore(hash, c)
 	return actual.(*ImageCache)
 }
 

@@ -2,6 +2,7 @@ package inccache
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -85,6 +86,86 @@ func TestMemCacheDirtyBlockNotServedFromGolden(t *testing.T) {
 	}
 	if d.DirtyBlocks() != 0 {
 		t.Fatal("restore did not dematerialize")
+	}
+}
+
+// TestMemCacheGoldenRuleIsExact pins the golden rule: a written block is
+// served the golden digest only when its content is golden again, byte
+// for byte. Anything else is hashed, and every digest is the digest of
+// the live content.
+func TestMemCacheGoldenRuleIsExact(t *testing.T) {
+	const b = 3
+	payload := func(*mem.Golden) []byte { return bytes.Repeat([]byte{0xEB}, 64) }
+	golden := func(g *mem.Golden) []byte { return g.Block(b) }
+	lastByteOff := func(g *mem.Golden) []byte {
+		p := append([]byte(nil), g.Block(b)...)
+		p[len(p)-1] ^= 1
+		return p
+	}
+	const shared, miss = "shared", "miss"
+	type step struct {
+		write  func(*mem.Golden) []byte // written to block b; nil restores the whole golden image
+		served string                   // how the next Digest(b) is served
+		dirty  int                      // materialized blocks afterwards
+	}
+	for _, tc := range []struct {
+		name  string
+		flat  bool
+		steps []step
+	}{
+		{"a payload, then golden again", false, []step{{payload, miss, 1}, {golden, shared, 1}}},
+		{"golden but for the last byte", false, []step{{lastByteOff, miss, 1}}},
+		{"a payload over a restored block", false, []step{{payload, miss, 1}, {golden, shared, 1}, {payload, miss, 1}}},
+		{"Memory.Restore dematerializes", false, []step{{payload, miss, 1}, {nil, shared, 0}, {payload, miss, 1}}},
+		{"a flat memory has no golden", true, []step{{payload, miss, 0}, {golden, miss, 0}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := newGolden(t)
+			m := mem.NewShared(g, mem.SharedConfig{})
+			if tc.flat {
+				m = mem.New(mem.Config{Size: g.Size(), BlockSize: g.BlockSize(), ROMBlocks: 1})
+				m.Restore(g.Bytes())
+			}
+			c := NewMem(m, suite.SHA256)
+			for i, s := range tc.steps {
+				if s.write == nil {
+					m.Restore(g.Bytes())
+				} else if err := m.WriteBlock(b, s.write(g)); err != nil {
+					t.Fatal(err)
+				}
+				before := c.Stats()
+				if got, want := c.Digest(b), sha(m.Block(b)); !bytes.Equal(got, want) {
+					t.Fatalf("step %d: digest is not the live content's", i)
+				}
+				after := c.Stats()
+				served := fmt.Sprintf("%+v", after)
+				switch {
+				case after.Shared == before.Shared+1 && after.Misses == before.Misses:
+					served = shared
+				case after.Misses == before.Misses+1 && after.Shared == before.Shared:
+					served = miss
+				}
+				if served != s.served {
+					t.Fatalf("step %d: served %s, want %s", i, served, s.served)
+				}
+				if d := m.DirtyBlocks(); d != s.dirty {
+					t.Fatalf("step %d: %d materialized blocks, want %d", i, d, s.dirty)
+				}
+				// Unchanged, the block is served without hashing next
+				// time: a clean one from the golden, a written one — the
+				// golden rule's included — from its own stamped digest.
+				c.Digest(b)
+				want := after
+				if s.dirty == 0 && !tc.flat {
+					want.Shared++
+				} else {
+					want.Hits++
+				}
+				if again := c.Stats(); again != want {
+					t.Fatalf("step %d: unchanged block served as %+v, want %+v", i, again, want)
+				}
+			}
+		})
 	}
 }
 

@@ -4,8 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand/v2"
-
-	"saferatt/internal/sim"
+	"sync"
 )
 
 // Golden is an immutable, shareable memory image: the common software
@@ -20,6 +19,19 @@ type Golden struct {
 	blockSize int
 	nblocks   int
 	romBlocks int
+
+	attachOnce sync.Once
+	attached   any // see Attached
+}
+
+// Attached returns the value a layer above mem keeps on g, building it
+// with mk on the first call. inccache keeps its digest caches here:
+// state derived from an immutable image belongs to the image and is
+// collected with it, where a process-wide table keyed by the golden
+// would keep every golden it ever saw. mem never reads the value.
+func (g *Golden) Attached(mk func() any) any {
+	g.attachOnce.Do(func() { g.attached = mk() })
+	return g.attached
 }
 
 // NewGolden builds a golden image from data (copied). It panics on a
@@ -103,13 +115,10 @@ func (g *Golden) DiffBlocks(old *Golden) []int {
 	return diff
 }
 
-// SharedConfig parameterizes a copy-on-write Memory; geometry comes
-// from the Golden.
-type SharedConfig struct {
-	// Clock supplies timestamps for writes. If nil, all writes are
-	// stamped at time 0.
-	Clock func() sim.Time
-}
+// SharedConfig parameterizes a copy-on-write Memory: a Config whose
+// layout comes from the Golden, so Size, BlockSize and ROMBlocks stay
+// zero. Clock, LogWrites and LogLimit mean what they mean for New.
+type SharedConfig = Config
 
 // NewShared builds a copy-on-write Memory over g: reads serve golden
 // content until a block is first written, at which point (and only
@@ -123,16 +132,10 @@ func NewShared(g *Golden, cfg SharedConfig) *Memory {
 	if g == nil {
 		panic("mem: NewShared with nil Golden")
 	}
-	clock := cfg.Clock
-	if clock == nil {
-		clock = func() sim.Time { return 0 }
+	if cfg.Size != 0 || cfg.BlockSize != 0 || cfg.ROMBlocks != 0 {
+		panic("mem: NewShared takes its layout from the Golden; leave Size, BlockSize and ROMBlocks zero")
 	}
-	return &Memory{
-		golden:    g,
-		size:      len(g.data),
-		blockSize: g.blockSize,
-		nblocks:   g.nblocks,
-		romBlocks: g.romBlocks,
-		clock:     clock,
-	}
+	m := newMemory(cfg, len(g.data), g.blockSize, g.romBlocks)
+	m.golden = g
+	return m
 }

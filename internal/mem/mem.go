@@ -139,10 +139,18 @@ func New(cfg Config) *Memory {
 	if cfg.Size <= 0 || cfg.Size%cfg.BlockSize != 0 {
 		panic(fmt.Sprintf("mem: Size %d must be a positive multiple of BlockSize %d", cfg.Size, cfg.BlockSize))
 	}
-	n := cfg.Size / cfg.BlockSize
-	if cfg.ROMBlocks < 0 || cfg.ROMBlocks > n {
+	if cfg.ROMBlocks < 0 || cfg.ROMBlocks > cfg.Size/cfg.BlockSize {
 		panic("mem: ROMBlocks out of range")
 	}
+	m := newMemory(cfg, cfg.Size, cfg.BlockSize, cfg.ROMBlocks)
+	m.data = make([]byte, cfg.Size)
+	return m
+}
+
+// newMemory is what New and NewShared share: the layout they each
+// validated, and the write log's settings, which do not depend on the
+// backing.
+func newMemory(cfg Config, size, blockSize, romBlocks int) *Memory {
 	clock := cfg.Clock
 	if clock == nil {
 		clock = func() sim.Time { return 0 }
@@ -151,11 +159,10 @@ func New(cfg Config) *Memory {
 		panic("mem: negative LogLimit")
 	}
 	return &Memory{
-		data:      make([]byte, cfg.Size),
-		size:      cfg.Size,
-		blockSize: cfg.BlockSize,
-		nblocks:   n,
-		romBlocks: cfg.ROMBlocks,
+		size:      size,
+		blockSize: blockSize,
+		nblocks:   size / blockSize,
+		romBlocks: romBlocks,
 		logOn:     cfg.LogWrites,
 		logLimit:  cfg.LogLimit,
 		clock:     clock,

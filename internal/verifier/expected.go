@@ -13,8 +13,8 @@ import (
 
 // digestSlot lazily holds an Image's per-block digest cache — the
 // golden image is immutable, so its digests are computed once per image,
-// not once per report. A golden-backed image resolves to the
-// process-wide inccache.SharedImage, so verifier and devices share one.
+// not once per report. A golden-backed image resolves to the golden's
+// own inccache.SharedImage, so verifier and devices share one.
 type digestSlot struct {
 	p  atomic.Pointer[inccache.ImageCache]
 	mu sync.Mutex

@@ -10,8 +10,8 @@ import (
 
 // Image is the verifier's handle on one golden reference image: the
 // raw bytes plus measurement geometry, optionally backed by a
-// mem.Golden so the incremental path can share the process-wide
-// per-block digest cache with the devices provisioned from it. It is
+// mem.Golden so the incremental path can share the golden's per-block
+// digest cache with the devices provisioned from it. It is
 // a small value type — copy freely; copies share one digest cache —
 // and the single image surface every verifier plugs into: the sim
 // Verifier, the batch verifier, the ImageSet registry, the swarm
@@ -35,8 +35,8 @@ func ImageOf(ref []byte, blockSize int) Image {
 }
 
 // ImageOfGolden wraps a shared mem.Golden, wiring the incremental
-// path to the process-wide golden digest cache — verifier and devices
-// then share one set of per-block digests.
+// path to the golden's digest cache — verifier and devices then share
+// one set of per-block digests.
 func ImageOfGolden(g *mem.Golden) Image {
 	if g == nil {
 		panic("verifier: ImageOfGolden with nil Golden")

@@ -37,6 +37,9 @@ type Frame struct {
 	Kind  Kind
 	From  string // interned
 	To    string // interned
+	// fromID is From's interned ID (0 when the interner refused it, and
+	// on every frame not decoded from the wire): what dedup keys on.
+	fromID uint32
 	// Image is the sender's golden image id ("name" or "name@vN"),
 	// interned; empty when the frame carries none.
 	Image string
@@ -60,6 +63,7 @@ func (f *Frame) reset() {
 	f.Ack, f.Batch = false, false
 	f.ReqID, f.Kind = 0, KindInvalid
 	f.From, f.To, f.Image = "", "", ""
+	f.fromID = 0
 	f.Nonce = nil
 	f.OK, f.Reason = false, ""
 	f.Reports = f.Reports[:0]
@@ -181,14 +185,14 @@ func decodeBody(d *decoder, f *Frame) error {
 	}
 	f.Kind = kind
 	f.OK = flags&flagOK != 0
-	f.From = interned.get(d.bytes16())
-	f.To = interned.get(d.bytes16())
+	f.From, f.fromID = interned.get(d.bytes16())
+	f.To, _ = interned.get(d.bytes16())
 	if flags&flagImage != 0 {
 		img := d.bytes8()
 		if d.err == nil && len(img) == 0 {
 			return fmt.Errorf("transport: image flag set with empty image id")
 		}
-		f.Image = interned.get(img)
+		f.Image, _ = interned.get(img)
 	}
 	switch kind {
 	case KindChallenge:
@@ -219,8 +223,9 @@ func decodeBody(d *decoder, f *Frame) error {
 // reportInto decodes one report in view form: Nonce, Tag and Data
 // values alias the decoder's buffer.
 func reportInto(d *decoder, r *core.Report) {
-	r.Mechanism = core.MechanismID(interned.get(d.bytes8()))
-	r.Scheme = interned.get(d.bytes8())
+	mech, _ := interned.get(d.bytes8())
+	r.Mechanism = core.MechanismID(mech)
+	r.Scheme, _ = interned.get(d.bytes8())
 	r.Nonce = d.bytes16()
 	r.Round = int(int32(d.u32()))
 	r.Counter = d.u64()

@@ -17,10 +17,21 @@ import "sync"
 // strings are returned as plain (uninterned) copies, so a flood of
 // fabricated names costs the flooder per-frame allocations, not us
 // unbounded memory.
+//
+// Each interned string also gets a dense ID, 1 for the first string
+// interned, 2 for the next and so on; a string is never interned under
+// a second ID, because nothing is ever removed. The receive dedup keys
+// on that ID instead of the string (see dedup).
 type internTable struct {
 	mu  sync.RWMutex
-	m   map[string]string
+	m   map[string]internEntry
 	cap int // soft bound on distinct entries; <=0 means internCap
+}
+
+// internEntry is the canonical string and its ID.
+type internEntry struct {
+	s  string
+	id uint32
 }
 
 // internCap is the soft bound on distinct interned strings. Generous
@@ -29,35 +40,36 @@ type internTable struct {
 // cannot grow the table without limit.
 const internCap = 1 << 21
 
-var interned = internTable{m: make(map[string]string, 256)}
+var interned = internTable{m: make(map[string]internEntry, 256)}
 
-// get returns the canonical string for b, interning it on first sight.
-// Whether interned or past-cap, the returned string is always a copy
-// — it never aliases b, so callers may hand in views into a receive
-// buffer that is about to be reused.
-func (t *internTable) get(b []byte) string {
+// get returns the canonical string for b and its ID, interning it on
+// first sight. Whether interned or past-cap, the returned string is
+// always a copy — it never aliases b, so callers may hand in views into
+// a receive buffer that is about to be reused. The ID is 0 for the
+// empty string and for a string refused past the cap.
+func (t *internTable) get(b []byte) (string, uint32) {
 	if len(b) == 0 {
-		return ""
+		return "", 0
 	}
 	t.mu.RLock()
-	s, ok := t.m[string(b)] // no-alloc map probe
+	e, ok := t.m[string(b)] // no-alloc map probe
 	t.mu.RUnlock()
 	if ok {
-		return s
+		return e.s, e.id
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if s, ok := t.m[string(b)]; ok {
-		return s
+	if e, ok := t.m[string(b)]; ok {
+		return e.s, e.id
 	}
 	max := t.cap
 	if max <= 0 {
 		max = internCap
 	}
 	if len(t.m) >= max {
-		return string(b)
+		return string(b), 0
 	}
-	s = string(b)
-	t.m[s] = s
-	return s
+	e = internEntry{s: string(b), id: uint32(len(t.m) + 1)}
+	t.m[e.s] = e
+	return e.s, e.id
 }

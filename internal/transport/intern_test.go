@@ -11,26 +11,35 @@ import (
 // leave the table at the cap, still serving correct strings for both
 // resident and past-cap names.
 func TestInternTableBounded(t *testing.T) {
-	tbl := internTable{m: make(map[string]string), cap: 64}
+	tbl := internTable{m: make(map[string]internEntry), cap: 64}
 	const churn = 10000
 	for i := 0; i < churn; i++ {
 		name := fmt.Sprintf("flood-peer-%05d", i)
-		if got := tbl.get([]byte(name)); got != name {
+		if got, _ := tbl.get([]byte(name)); got != name {
 			t.Fatalf("get(%q) = %q", name, got)
 		}
 	}
 	if n := len(tbl.m); n != 64 {
 		t.Fatalf("table grew to %d entries under churn (cap 64)", n)
 	}
-	// Resident names keep resolving to the one canonical backing.
-	first := tbl.get([]byte("flood-peer-00000"))
-	again := tbl.get([]byte("flood-peer-00000"))
+	// Resident names keep resolving to the one canonical backing, and
+	// to the ID given in order of interning, from 1.
+	first, _ := tbl.get([]byte("flood-peer-00000"))
+	again, _ := tbl.get([]byte("flood-peer-00000"))
 	if first != again {
 		t.Fatal("resident name changed value")
 	}
-	// Past-cap names still round-trip correctly, just uninterned.
-	if got := tbl.get([]byte("flood-peer-09999")); got != "flood-peer-09999" {
+	for i := 0; i < 64; i++ {
+		if _, id := tbl.get([]byte(fmt.Sprintf("flood-peer-%05d", i))); id != uint32(i+1) {
+			t.Fatalf("resident name %d has ID %d, want %d", i, id, i+1)
+		}
+	}
+	// Past-cap names still round-trip correctly, just uninterned, and
+	// without an ID.
+	if got, id := tbl.get([]byte("flood-peer-09999")); got != "flood-peer-09999" {
 		t.Fatalf("past-cap name mangled: %q", got)
+	} else if id != 0 {
+		t.Fatalf("past-cap name got ID %d, want 0", id)
 	}
 	if n := len(tbl.m); n != 64 {
 		t.Fatalf("lookups grew the table to %d", n)
@@ -41,7 +50,7 @@ func TestInternTableBounded(t *testing.T) {
 // distinct and shared names against a tiny cap; the bound must hold
 // and every returned string must be correct.
 func TestInternTableConcurrentChurn(t *testing.T) {
-	tbl := internTable{m: make(map[string]string), cap: 32}
+	tbl := internTable{m: make(map[string]internEntry), cap: 32}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -49,7 +58,7 @@ func TestInternTableConcurrentChurn(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
 				name := fmt.Sprintf("peer-%d-%d", g, i%100)
-				if got := tbl.get([]byte(name)); got != name {
+				if got, _ := tbl.get([]byte(name)); got != name {
 					t.Errorf("get(%q) = %q", name, got)
 					return
 				}
@@ -68,11 +77,11 @@ func TestInternTableConcurrentChurn(t *testing.T) {
 // bytes with the caller's buffer, because that buffer is a pooled
 // receive buffer about to be overwritten.
 func TestInternNeverAliasesInput(t *testing.T) {
-	tbl := internTable{m: make(map[string]string), cap: 2}
+	tbl := internTable{m: make(map[string]internEntry), cap: 2}
 	check := func(path string, buf []byte) {
 		t.Helper()
 		want := string(append([]byte(nil), buf...))
-		got := tbl.get(buf)
+		got, _ := tbl.get(buf)
 		if got != want {
 			t.Fatalf("%s: get = %q, want %q", path, got, want)
 		}

@@ -756,11 +756,12 @@ func (n *Net) sendAck(scratch []byte, reqID uint64, to netip.AddrPort) []byte {
 }
 
 // deliver routes one decoded data frame (standalone or batch sub) to
-// its handler: learn the sender's address, find the handler, suppress
+// its handler: find the handler, learn the sender's address, suppress
 // duplicates, dispatch. The handler comes first so that a frame for an
-// endpoint nobody bound costs no dedup state.
+// endpoint nobody bound costs no route and no dedup state; the route is
+// learned before dedup, so a retransmission from a new address still
+// updates it.
 func (n *Net) deliver(f *Frame, from netip.AddrPort, now int64) {
-	n.learnPeer(f.From, from)
 	n.hmu.RLock()
 	h := n.handlers[f.To]
 	n.hmu.RUnlock()
@@ -768,10 +769,11 @@ func (n *Net) deliver(f *Frame, from netip.AddrPort, now int64) {
 		n.stats.noHandler.Add(1)
 		return
 	}
+	n.learnPeer(f.From, from)
 	if f.ReqID != 0 {
 		ds := &n.dedups[strShard(f.From)]
 		ds.mu.Lock()
-		dup := ds.dd.seen(f.From, f.ReqID, now)
+		dup := ds.dd.seen(f.From, f.fromID, f.ReqID, now)
 		ds.mu.Unlock()
 		if dup {
 			n.stats.dups.Add(1)

@@ -47,7 +47,7 @@ func (s *Sim) Bind(name string, h Handler) error {
 		if !ok {
 			return
 		}
-		if m.ReqID != 0 && s.dd.seen(m.From, m.ReqID, int64(s.link.Kernel.Now())) {
+		if m.ReqID != 0 && s.dd.seen(m.From, 0, m.ReqID, int64(s.link.Kernel.Now())) {
 			return
 		}
 		h(m)

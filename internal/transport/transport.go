@@ -147,55 +147,145 @@ type Transport interface {
 // dedup suppresses re-deliveries of (from, ReqID) pairs: the receive
 // half of idempotent requests. A pair has to be remembered exactly as
 // long as its sender may still retransmit it — the sender's request
-// timeout — and a count of recent IDs is the wrong measure of that: a
-// fast sender overruns any count before its first retry is due, and a
-// count kept per name is paid for every name that ever spoke. So time
-// is cut into horizon-long generations and the pairs of the current
-// and the previous one are kept: a pair is remembered for between one
-// and two horizons, and state is bounded by the messages received in
-// two horizons, however many names sent them. The emptied generation's
-// map is reused, so traffic below its earlier peak allocates nothing.
+// timeout, the horizon H — and a count of recent IDs is the wrong
+// measure of that: a fast sender overruns any count before its first
+// retry is due, and a count kept per name is paid for every name that
+// ever spoke. So time is cut into generations of H/2 (rounded up) and
+// the pairs of the current generation and the two before it are kept:
+// a pair is remembered for more than H and at most 1.5 H, and state is
+// bounded by the messages received in 1.5 H, however many names sent
+// them.
 type dedup struct {
-	horizon  int64 // generation length, in the caller's clock units
-	gen      int64 // latest generation (now / horizon) any call has reached
-	cur, old map[dedupKey]struct{}
+	genLen int64               // generation length, in the caller's clock units
+	gen    int64               // latest generation (now / genLen) any call has reached
+	gens   [dedupGens]dedupGen // generation g is gens[g % dedupGens]
 }
 
-type dedupKey struct {
+// dedupGens is how many generations dedup keeps: the current one and
+// the two before it.
+const dedupGens = 3
+
+// dedupGen is one generation's pairs. A pair from an interned name is
+// keyed by the name's ID, and since a request ID almost never arrives
+// under two names (each Net starts its IDs at a random 64-bit offset),
+// it is kept as id → name in byID: a 16-byte slot with no pointer, so
+// the collector never scans it, where an {id, name} key with an empty
+// value would take 24. An ID that arrives under a second name in the
+// same generation keeps its whole pair in clash. A name the interner
+// refused, and every Sim message (its From was never decoded), keeps
+// the exact (string, id) key in strs. Never a hash of the name: a
+// collision would drop, and ack, a fresh message.
+type dedupGen struct {
+	byID  pairMap[uint64, uint32]
+	clash pairMap[idKey, struct{}]
+	strs  pairMap[strKey, struct{}]
+}
+
+type idKey struct {
+	id   uint64
+	name uint32 // the interner's ID for the name
+}
+
+type strKey struct {
 	from string
 	id   uint64
+}
+
+// hasID reports whether g holds the pair k.
+func (g *dedupGen) hasID(k idKey) bool {
+	name, ok := g.byID.m[k.id]
+	if !ok {
+		return false
+	}
+	if name == k.name {
+		return true
+	}
+	_, ok = g.clash.m[k]
+	return ok
+}
+
+func (g *dedupGen) retire() {
+	g.byID.retire()
+	g.clash.retire()
+	g.strs.retire()
+}
+
+// pairMap is one map of a generation. It is made by its first insert
+// and reused through clear, so a generation inside the capacity an
+// earlier one grew allocates nothing. Go maps never shrink, so a map
+// whose generation retires having held under a quarter of the most any
+// generation held in it is dropped instead: a flood's capacity is given
+// back once the flood has passed.
+type pairMap[K comparable, V any] struct {
+	m    map[K]V
+	peak int // most pairs a retired generation held in m
+}
+
+func (p *pairMap[K, V]) put(k K, v V) {
+	if p.m == nil {
+		p.m = make(map[K]V)
+	}
+	p.m[k] = v
+}
+
+func (p *pairMap[K, V]) retire() {
+	n := len(p.m)
+	if n < p.peak/4 {
+		p.m, p.peak = nil, 0
+		return
+	}
+	p.peak = max(p.peak, n)
+	clear(p.m)
 }
 
 // defaultRequestTimeout is NetConfig.RequestTimeout's default, and the
 // horizon of Sim, whose senders have no timeout of their own.
 const defaultRequestTimeout = 5 * time.Second
 
+// newDedup allocates nothing: a transport whose senders never set a
+// ReqID (every simulated world) never makes a map.
 func newDedup(horizon time.Duration) dedup {
-	return dedup{horizon: int64(horizon), cur: map[dedupKey]struct{}{}, old: map[dedupKey]struct{}{}}
+	return dedup{genLen: max(1, (int64(horizon)+1)/2)}
 }
 
 // seen records (from, id) at time now and reports whether the pair was
-// already present. Only a later generation turns the table: a now read
-// before an earlier call's (Net's workers read the clock outside the
-// lock) counts as the current one. id 0 is never tracked.
-func (d *dedup) seen(from string, id uint64, now int64) bool {
+// already present. fromID is from's interned ID, or 0 for a name the
+// interner does not hold. Only a later generation turns the table: a now
+// read before an earlier call's (Net's workers read the clock outside
+// the lock) counts as the current one. id 0 is never tracked.
+func (d *dedup) seen(from string, fromID uint32, id uint64, now int64) bool {
 	if id == 0 {
 		return false
 	}
-	if g := now / d.horizon; g > d.gen {
-		if g > d.gen+1 {
-			clear(d.cur) // idle for a whole generation: both are stale
+	if g := now / d.genLen; g > d.gen {
+		// Each generation entered retires the one dedupGens before it;
+		// an idle gap of dedupGens generations retires them all.
+		for r := d.gen + 1; r <= g && r <= d.gen+dedupGens; r++ {
+			d.gens[r%dedupGens].retire()
 		}
-		d.gen, d.cur, d.old = g, d.old, d.cur
-		clear(d.cur)
+		d.gen = g
 	}
-	k := dedupKey{from, id}
-	if _, dup := d.cur[k]; dup {
-		return true
+	cur := &d.gens[d.gen%dedupGens]
+	if fromID == 0 {
+		k := strKey{from, id}
+		for i := range d.gens {
+			if _, dup := d.gens[i].strs.m[k]; dup {
+				return true
+			}
+		}
+		cur.strs.put(k, struct{}{})
+		return false
 	}
-	if _, dup := d.old[k]; dup {
-		return true
+	k := idKey{id, fromID}
+	for i := range d.gens {
+		if d.gens[i].hasID(k) {
+			return true
+		}
 	}
-	d.cur[k] = struct{}{}
+	if _, taken := cur.byID.m[id]; taken {
+		cur.clash.put(k, struct{}{})
+	} else {
+		cur.byID.put(id, fromID)
+	}
 	return false
 }

@@ -357,6 +357,38 @@ func TestNonAtomicYieldsBetweenBlocks(t *testing.T) {
 	}
 }
 
+// TestUntracedRoundAllocs pins that a measurement on a device with no
+// trace builds none of its trace lines: every escape trial and every
+// E12 fleet device measures untraced. Building the t_s and t_e lines
+// only for the nil trace to drop them boxes their arguments: two
+// allocations a round past this bound.
+func TestUntracedRoundAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the gate runs in the non-race suite")
+	}
+	k := sim.NewKernel()
+	m := mem.New(mem.Config{Size: 4096, BlockSize: 256, ROMBlocks: 1, Clock: k.Now})
+	d := device.New(device.Config{Kernel: k, Mem: m, Profile: costmodel.ODROIDXU4()})
+	task := d.NewTask("mp", 5)
+	nonce := []byte("nonce-1")
+	round := func() {
+		ms, err := NewMeasurement(d, task, Preset(SMART, suite.SHA256), nonce, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms.Start(func(*Report, error) {})
+		k.Run()
+	}
+	round() // pooled taggers and scratch exist
+	a := testing.AllocsPerRun(50, round)
+	t.Logf("%.1f allocs a round", a)
+	if a > untracedRoundAllocs {
+		t.Fatalf("an untraced round allocates %.1f objects, want <= %d", a, untracedRoundAllocs)
+	}
+}
+
+const untracedRoundAllocs = 10
+
 func TestSessionMultiRound(t *testing.T) {
 	r := newRig(t, 4096, 256)
 	opts := Preset(SMARM, suite.SHA256)

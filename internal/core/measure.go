@@ -183,7 +183,9 @@ func (m *Measurement) begin() {
 	}
 	m.cov = mem.NewCoverage(memory.NumBlocks())
 	writeMeasurementHeader(m.tagger, m.nonce, m.round)
-	m.dev.Trace.Addf(m.ts, trace.KindMeasureStart, m.task.Name(), "%s round %d (t_s)", m.opts.Mechanism, m.round)
+	if m.dev.Trace != nil { // guarded: the variadic boxing allocates
+		m.dev.Trace.Addf(m.ts, trace.KindMeasureStart, m.task.Name(), "%s round %d (t_s)", m.opts.Mechanism, m.round)
+	}
 
 	if m.Hooks.OnStart != nil {
 		m.Hooks.OnStart(m.progress())
@@ -292,7 +294,9 @@ func (m *Measurement) finish() {
 	if m.opts.Atomic {
 		m.dev.EnableInterrupts()
 	}
-	m.dev.Trace.Addf(te, trace.KindMeasureEnd, m.task.Name(), "%s round %d (t_e)", m.opts.Mechanism, m.round)
+	if m.dev.Trace != nil {
+		m.dev.Trace.Addf(te, trace.KindMeasureEnd, m.task.Name(), "%s round %d (t_e)", m.opts.Mechanism, m.round)
+	}
 
 	m.report = &Report{
 		Mechanism:   m.opts.Mechanism,

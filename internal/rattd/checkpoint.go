@@ -104,21 +104,8 @@ const (
 type cpScratch struct {
 	buf  []byte
 	keys []string
-	recs []cpEntry
+	recs []proverRec // one stripe's records, copied out under its lock
 }
-
-// cpEntry is one prover's record copied out of a stripe under its
-// lock — fixed size, so the copy is a few machine words.
-type cpEntry struct {
-	name string
-	rec  proverRec
-}
-
-type cpEntries []cpEntry
-
-func (e cpEntries) Len() int           { return len(e) }
-func (e cpEntries) Less(i, j int) bool { return e[i].name < e[j].name }
-func (e cpEntries) Swap(i, j int)      { e[i], e[j] = e[j], e[i] }
 
 var cpScratchPool = sync.Pool{New: func() any { return new(cpScratch) }}
 
@@ -177,47 +164,50 @@ func (s *Server) WriteCheckpoint(w io.Writer, o SnapshotOptions) (SnapshotStats,
 	for _, st := range s.stripes {
 		recs := sc.recs[:0]
 		st.mu.Lock()
+		t := st.provers
 		// Size the copy buffer exactly before appending: growing a
 		// multi-megabyte slice through append's growth curve would
 		// churn several times the final size in garbage per snapshot.
-		need := len(st.provers)
+		need := int(t.n)
 		if o.Delta {
-			need = len(st.dirty)
+			need = len(t.dirty)
 		}
 		if cap(recs) < need {
-			recs = make([]cpEntry, 0, need)
+			recs = make([]proverRec, 0, need)
 		}
 		if o.Delta {
-			for _, name := range st.dirty {
-				if rec := st.provers[name]; rec != nil {
-					recs = append(recs, cpEntry{name: name, rec: *rec})
-				}
+			for _, i := range t.dirty {
+				recs = append(recs, *t.at(i))
 			}
 		} else {
-			for name, rec := range st.provers {
-				recs = append(recs, cpEntry{name: name, rec: *rec})
+			for i := range t.n {
+				recs = append(recs, *t.at(i))
 			}
 		}
+		// The image table is append-only: the names these records index
+		// stay where they are once the lock drops.
+		images := t.images
 		// Swap the dirty set: commits after this point stamp the next
 		// generation and belong to the next delta.
-		s.dirtyProvers.Add(-int64(len(st.dirty)))
-		st.dirty = st.dirty[:0]
-		st.ckptGen++
+		s.dirtyProvers.Add(-int64(len(t.dirty)))
+		t.nextGen()
 		st.mu.Unlock()
 
-		sort.Sort(cpEntries(recs))
+		// Records sit in enrolment order; sorting by name keeps equal
+		// state writing equal bytes whatever order provers came in.
+		sort.Sort(recsByName(recs))
 		for i := range recs {
-			e := &recs[i]
-			if e.rec.hasWin {
-				buf = appendWindowRec(buf, e.name, &e.rec.fresh.Window)
+			r := &recs[i]
+			if r.has(recWin) {
+				buf = appendWindowRec(buf, r.name, &r.fresh.Window)
 				stats.Records++
 			}
-			if e.rec.hasSeed {
-				buf = appendSeedRec(buf, e.name, e.rec.fresh.SeedLast)
+			if r.has(recSeed) {
+				buf = appendSeedRec(buf, r.name, r.fresh.SeedLast)
 				stats.Records++
 			}
-			if e.rec.image != "" {
-				buf = appendImageRec(buf, e.name, e.rec.image)
+			if r.image != 0 {
+				buf = appendImageRec(buf, r.name, images[r.image])
 				stats.Records++
 			}
 			stats.Provers++
@@ -244,7 +234,7 @@ func (s *Server) WriteCheckpoint(w io.Writer, o SnapshotOptions) (SnapshotStats,
 }
 
 // Checkpoint snapshots the server's fleet state into a materialized
-// Checkpoint — the diagnostic / in-process path (Tier.Checkpoints,
+// Checkpoint — the diagnostic / in-process path (E17's binding count,
 // tests). Unlike WriteCheckpoint it does not consume the dirty
 // tracking, so it never perturbs the background checkpointer's delta
 // chain. Each stripe is locked in turn, so the snapshot is
@@ -258,18 +248,20 @@ func (s *Server) Checkpoint() *Checkpoint {
 	cp.Lease, cp.NonceCtr = s.leaseState()
 	for _, st := range s.stripes {
 		st.mu.Lock()
-		for name, rec := range st.provers {
-			if rec.hasWin {
-				cp.Erasmus[name] = rec.fresh.Window
+		t := st.provers
+		for i := range t.n {
+			r := t.at(i)
+			if r.has(recWin) {
+				cp.Erasmus[r.name] = r.fresh.Window
 			}
-			if rec.hasSeed {
-				cp.Seed[name] = rec.fresh.SeedLast
+			if r.has(recSeed) {
+				cp.Seed[r.name] = r.fresh.SeedLast
 			}
-			if rec.image != "" {
+			if r.image != 0 {
 				if cp.Images == nil {
 					cp.Images = map[string]string{}
 				}
-				cp.Images[name] = rec.image
+				cp.Images[r.name] = t.images[r.image]
 			}
 		}
 		st.mu.Unlock()
@@ -295,25 +287,25 @@ func (s *Server) Restore(cp *Checkpoint) {
 		st.mu.Lock()
 		st.pending = map[string]pendingChallenge{}
 		st.order = nil
-		st.provers = map[string]*proverRec{}
-		st.dirty = nil
-		st.ckptGen++ // stale dirtyGen stamps can never read dirty again
+		st.provers = newProverTable() // with it go the dirty set and its stamps
 		st.mu.Unlock()
 	}
 	s.dirtyProvers.Store(0)
 	s.enrolled.Store(0)
 	for p, w := range cp.Erasmus {
-		st := s.stripeFor(p)
+		st, h := s.stripeHash(p)
 		st.mu.Lock()
-		rec := st.rec(s, p)
-		rec.hasWin, rec.fresh.Window = true, w
+		rec, _ := st.rec(s, p, h)
+		rec.state |= recWin
+		rec.fresh.Window = w
 		st.mu.Unlock()
 	}
 	for p, last := range cp.Seed {
-		st := s.stripeFor(p)
+		st, h := s.stripeHash(p)
 		st.mu.Lock()
-		rec := st.rec(s, p)
-		rec.hasSeed, rec.fresh.SeedLast = true, last
+		rec, _ := st.rec(s, p, h)
+		rec.state |= recSeed
+		rec.fresh.SeedLast = last
 		st.mu.Unlock()
 	}
 	for p, img := range cp.Images {
@@ -330,10 +322,10 @@ func (s *Server) Restore(cp *Checkpoint) {
 		if img == "" {
 			continue
 		}
-		st := s.stripeFor(p)
+		st, h := s.stripeHash(p)
 		st.mu.Lock()
-		rec := st.rec(s, p)
-		rec.image = img
+		rec, _ := st.rec(s, p, h)
+		st.provers.bind(rec, img)
 		st.mu.Unlock()
 	}
 }

@@ -43,8 +43,8 @@ func dirtyFleetSample(s *Server, names []string, k int) {
 	for i := 0; i < len(names); i += step {
 		st := s.stripeFor(names[i])
 		st.mu.Lock()
-		if rec := st.provers[names[i]]; rec != nil {
-			st.markDirty(s, names[i], rec)
+		if rec, ri := st.provers.find(names[i], nameHash(names[i])); rec != nil {
+			st.markDirty(s, rec, ri)
 		}
 		st.mu.Unlock()
 	}

@@ -31,8 +31,8 @@
 // copy sound: freshness state only grows, so a racing bundle can only
 // turn a clean report into a replay, and the re-check finds exactly
 // that (see the comment above handleCollection). Outcome counters are
-// atomics, added to once a bundle. A stripe lock is held only for map
-// touches and window updates measured in nanoseconds, which is what
+// atomics, added to once a bundle. A stripe lock is held only for table
+// probes and window updates measured in nanoseconds, which is what
 // lets a shard's throughput scale with the cores the transport already
 // fans out to.
 package rattd
@@ -160,63 +160,34 @@ type Server struct {
 }
 
 // stripe owns the freshness state of the provers that hash to it.
-// Every map touch happens under mu; nothing slower than a map
-// operation ever does.
+// Every table touch happens under mu; nothing slower than a table
+// probe ever does.
 type stripe struct {
 	mu         sync.Mutex
 	pending    map[string]pendingChallenge // prover -> outstanding challenge
 	order      []pendingRef                // insertion order for oldest-first eviction
 	seq        uint64                      // challenge insertion sequence
 	pendingCap int
-	provers    map[string]*proverRec // prover -> durable freshness record
-
-	// Checkpoint dirty tracking. ckptGen is the current checkpoint
-	// generation (starts at 1 so a zero dirtyGen always reads clean);
-	// dirty lists the provers stamped with it, in first-touch order.
-	// A delta checkpoint swaps both under the stripe lock: it takes
-	// the dirty list, bumps the generation, and walks only those
-	// records — commits racing the swap land wholly in this delta or
-	// wholly in the next one, never in neither.
-	ckptGen uint64
-	dirty   []string
+	provers    *proverTable // durable freshness records and their dirty set; Restore swaps it whole
 }
 
-// proverRec is one prover's durable state — exactly what a checkpoint
-// persists: the core's freshness record (ERASMUS replay window, SeED
-// watermark), the image binding, and the dirty stamp the delta encoder
-// keys off. One record lives on one stripe, so per-prover checkpoint
-// consistency is a single-lock property.
-type proverRec struct {
-	fresh    verifier.Freshness // Window valid when hasWin, SeedLast when hasSeed
-	image    string             // bound image name; "" = the fleet default
-	hasWin   bool
-	hasSeed  bool
-	dirtyGen uint64 // stripe ckptGen this record was last dirtied under
-}
-
-// markDirty stamps a record into the current checkpoint generation.
-// Caller holds st.mu. The common case — a prover reporting again
-// between checkpoints — is a compare and nothing else; the first
-// touch per generation appends to a slice that keeps its backing
-// array across swaps, so the steady state allocates nothing.
-func (st *stripe) markDirty(s *Server, name string, rec *proverRec) {
-	if rec.dirtyGen != st.ckptGen {
-		rec.dirtyGen = st.ckptGen
-		st.dirty = append(st.dirty, name)
+// markDirty stamps record i (r) into the current checkpoint generation,
+// counting its first touch. Caller holds st.mu.
+func (st *stripe) markDirty(s *Server, r *proverRec, i uint32) {
+	if st.provers.markDirty(r, i) {
 		s.dirtyProvers.Add(1)
 	}
 }
 
-// rec returns the prover's freshness record, creating (and counting
-// as enrolled) on first contact. Caller holds st.mu.
-func (st *stripe) rec(s *Server, name string) *proverRec {
-	r := st.provers[name]
-	if r == nil {
-		r = &proverRec{}
-		st.provers[name] = r
+// rec returns the prover's freshness record and its index, creating
+// (and counting as enrolled) on first contact. h is nameHash(name).
+// Caller holds st.mu.
+func (st *stripe) rec(s *Server, name string, h uint64) (*proverRec, uint32) {
+	r, i, added := st.provers.getOrAdd(name, h)
+	if added {
 		s.enrolled.Add(1)
 	}
-	return r
+	return r, i
 }
 
 type pendingChallenge struct {
@@ -285,8 +256,7 @@ func Serve(tr transport.Transport, cfg Config) (*Server, error) {
 		s.stripes[i] = &stripe{
 			pending:    map[string]pendingChallenge{},
 			pendingCap: perStripeCap,
-			provers:    map[string]*proverRec{},
-			ckptGen:    1,
+			provers:    newProverTable(),
 		}
 	}
 	// The zero-copy receive form: over Net, report fields arrive as
@@ -356,11 +326,23 @@ func (s *Server) leaseState() (EpochLease, uint64) {
 	return s.lease, s.nonceCtr
 }
 
+// nameHash is the one hash a bundle pays for its prover's name. The
+// FNV hash is mixed through splitmix64 so provers that rendezvous onto
+// one shard still spread across its stripes: the low bits pick the
+// stripe, the high 32 the record's slot in the stripe's proverTable.
+func nameHash(name string) uint64 { return mix64(fnv64a(name)) }
+
 // stripeFor picks the lock stripe owning a prover's freshness state.
-// The name hash is mixed through splitmix64 so provers that rendezvous
-// onto one shard still spread across its stripes.
 func (s *Server) stripeFor(name string) *stripe {
-	return s.stripes[mix64(fnv64a(name))&s.mask]
+	st, _ := s.stripeHash(name)
+	return st
+}
+
+// stripeHash is stripeFor that also returns the name's hash, which
+// files the prover within the stripe.
+func (s *Server) stripeHash(name string) (*stripe, uint64) {
+	h := nameHash(name)
+	return s.stripes[h&s.mask], h
 }
 
 // leaseFn pulls the next epoch lease: the configured coordinator
@@ -457,20 +439,20 @@ func (s *Server) rejectBundle(from string, kind transport.Kind, n int, why verif
 // The default image's own name normalizes to "" so homogeneous fleets
 // store no binding at all. A nil rec is a prover not enrolled yet — the
 // SMART and SeED paths do not enroll here — and leaves the binding
-// unstored. Returns the effective name and false on a binding mismatch.
-// Caller holds st.mu.
-func (st *stripe) bindImage(s *Server, from string, rec *proverRec, name string) (string, bool) {
+// unstored; ri is rec's index. Returns the effective name and false on
+// a binding mismatch. Caller holds st.mu.
+func (st *stripe) bindImage(s *Server, rec *proverRec, ri uint32, name string) (string, bool) {
 	bound := ""
-	if rec != nil {
-		bound = rec.image
+	if rec != nil && rec.image != 0 {
+		bound = st.provers.images[rec.image]
 	}
 	switch {
 	case name == "":
 		return bound, true
 	case name == s.defName:
 		// An explicit claim of the default image is never stored (the
-		// default binding IS the empty string) but still conflicts with
-		// a binding to any other image.
+		// default binding IS image index 0, the empty name) but still
+		// conflicts with a binding to any other image.
 		if bound != "" {
 			return "", false
 		}
@@ -481,8 +463,8 @@ func (st *stripe) bindImage(s *Server, from string, rec *proverRec, name string)
 		return "", false
 	}
 	if rec != nil { // first named contact binds
-		rec.image = name
-		st.markDirty(s, from, rec)
+		st.provers.bind(rec, name)
+		st.markDirty(s, rec, ri)
 	}
 	return name, true
 }
@@ -543,9 +525,10 @@ func (st *stripe) takePending(name string) verifier.Challenge {
 // challenge is consumed here, so its nonce cannot recur and the tag is
 // verified without being cached.
 func (s *Server) handleReport(from string, id verifier.ImageID, reports []core.Report) {
-	st := s.stripeFor(from)
+	st, h := s.stripeHash(from)
 	st.mu.Lock()
-	name, bound := st.bindImage(s, from, st.provers[from], id.Name)
+	rec, ri := st.provers.find(from, h)
+	name, bound := st.bindImage(s, rec, ri, id.Name)
 	nonce := st.takePending(from)
 	st.mu.Unlock()
 	why := verifier.ReasonImageMismatch
@@ -624,7 +607,7 @@ func (s *Server) handleCollection(from string, id verifier.ImageID, reports []co
 // verdict it sent and leaves each report's own in sc.why, unless the
 // binding refused the bundle whole.
 func (s *Server) collect(sc *ingestScratch, from string, id verifier.ImageID, reports []core.Report) verifier.Reason {
-	st := s.stripeFor(from)
+	st, h := s.stripeHash(from)
 
 	// Snapshot: one probe for the record, enrolling on first contact,
 	// then the binding on it — a mismatch needs a stored binding, hence
@@ -632,20 +615,21 @@ func (s *Server) collect(sc *ingestScratch, from string, id verifier.ImageID, re
 	// rejects the whole bundle (every report counted) before any state
 	// moves. Then the prover gets its window, so a restarted shard's
 	// checkpoint covers provers whose every report was rejected too
-	// (enrolled, just never clean). The record pointer is stable (heap
-	// value behind the stripe map), so the commit visit reuses it.
+	// (enrolled, just never clean). The record pointer is stable (records
+	// never move within their table), so the commit visit reuses it.
 	st.mu.Lock()
-	rec := st.rec(s, from)
-	name, bound := st.bindImage(s, from, rec, id.Name)
+	rec, ri := st.rec(s, from, h)
+	tbl := st.provers
+	name, bound := st.bindImage(s, rec, ri, id.Name)
 	if !bound {
 		st.mu.Unlock()
 		sc.why = sc.why[:0]
 		s.rejectBundle(from, transport.KindCollection, len(reports), verifier.ReasonImageMismatch)
 		return verifier.ReasonImageMismatch
 	}
-	if !rec.hasWin {
-		rec.hasWin = true
-		st.markDirty(s, from, rec)
+	if !rec.has(recWin) {
+		rec.state |= recWin
+		st.markDirty(s, rec, ri)
 	}
 	fresh := rec.fresh
 	st.mu.Unlock()
@@ -699,8 +683,10 @@ func (s *Server) collect(sc *ingestScratch, from string, id verifier.ImageID, re
 				}
 			}
 		}
-		if cnt.accepted > 0 {
-			st.markDirty(s, from, rec)
+		// A Restore since the snapshot swapped the table out: the record
+		// is no longer the prover's, and its index names another's.
+		if cnt.accepted > 0 && st.provers == tbl {
+			st.markDirty(s, rec, ri)
 		}
 		st.mu.Unlock()
 	}
@@ -729,13 +715,13 @@ func (s *Server) collect(sc *ingestScratch, from string, id verifier.ImageID, re
 // prover and, once accepted, at or below the watermark for good, so the
 // tag is verified without being cached.
 func (s *Server) handleSeed(from string, id verifier.ImageID, reports []core.Report) {
-	st := s.stripeFor(from)
+	st, h := s.stripeHash(from)
 	// Snapshot. The binding pass must not create the record; a first
 	// named contact that never verifies clean still binds nothing.
 	var fresh verifier.Freshness
 	st.mu.Lock()
-	rec := st.provers[from]
-	name, bound := st.bindImage(s, from, rec, id.Name)
+	rec, ri := st.provers.find(from, h)
+	name, bound := st.bindImage(s, rec, ri, id.Name)
 	if rec != nil {
 		fresh = rec.fresh
 	}
@@ -776,7 +762,7 @@ func (s *Server) handleSeed(from string, id verifier.ImageID, reports []core.Rep
 	// Commit; the first report to get here enrolls the prover.
 	if cnt.accepted > 0 {
 		st.mu.Lock()
-		rec = st.rec(s, from)
+		rec, ri = st.rec(s, from, h)
 		for i, w := range why {
 			if w != verifier.ReasonOK {
 				continue
@@ -788,11 +774,11 @@ func (s *Server) handleSeed(from string, id verifier.ImageID, reports []core.Rep
 			}
 		}
 		if cnt.accepted > 0 {
-			if rec.image == "" && name != "" {
-				rec.image = name // enrollment-time binding
+			if rec.image == 0 && name != "" {
+				st.provers.bind(rec, name) // enrollment-time binding
 			}
-			rec.hasSeed = true
-			st.markDirty(s, from, rec)
+			rec.state |= recSeed
+			st.markDirty(s, rec, ri)
 		}
 		st.mu.Unlock()
 	}

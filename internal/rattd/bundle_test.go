@@ -230,7 +230,7 @@ func (g *bundleRig) ingest(what string, image string, reports []core.Report) {
 	}
 	st := g.srv.stripeFor(g.name)
 	st.mu.Lock()
-	got := st.provers.get(g.name).fresh
+	got := g.srv.get(g.name).fresh
 	st.mu.Unlock()
 	if want := *g.oracle.fresh[g.name]; got != want {
 		g.t.Fatalf("%s: freshness %+v, per-report loop %+v", at, got, want)

@@ -41,9 +41,9 @@ func dirtyFleetSample(s *Server, names []string, k int) {
 		step = 1
 	}
 	for i := 0; i < len(names); i += step {
-		st := s.stripeFor(names[i])
+		st, h := s.stripeHash(names[i])
 		st.mu.Lock()
-		if rec, ri := st.provers.find(names[i], nameHash(names[i])); rec != nil {
+		if rec, ri := st.provers.find(names[i], h); rec != nil {
 			st.markDirty(s, rec, ri)
 		}
 		st.mu.Unlock()

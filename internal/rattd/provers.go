@@ -1,10 +1,6 @@
 package rattd
 
-import (
-	"math/bits"
-
-	"saferatt/internal/verifier"
-)
+import "saferatt/internal/verifier"
 
 // proverRec is one prover's durable state — exactly what a checkpoint
 // persists: the core's freshness record (ERASMUS replay window, SeED
@@ -27,46 +23,29 @@ const (
 
 func (r *proverRec) has(flag uint32) bool { return r.state&flag != 0 }
 
-// Records are appended into chunks that are never reallocated, so a
-// record's address is stable for its table's life: a bundle takes its
-// record pointer in the snapshot visit and reuses it at commit, across
-// the unlocked judge step. A chunk holds chunkLen records (18 KiB),
-// except that a stripe's first chunkLen records sit in chunks doubling
-// from firstLen — 16, 16, 32, 64, 128 — so a stripe of a few provers
-// (a test's, a small tier shard's) costs about what it holds.
+// Records are appended into chunks of chunkLen records (18 KiB) that
+// are never reallocated, so a record's address is stable for its
+// table's life: a bundle takes its record pointer in the snapshot visit
+// and reuses it at commit, across the unlocked judge step.
 const (
 	chunkBits = 8
 	chunkLen  = 1 << chunkBits
-	firstBits = 4
-	firstLen  = 1 << firstBits
 )
-
-// locate maps record index i to its chunk and offset in it.
-func locate(i uint32) (chunk, off uint32) {
-	switch {
-	case i >= chunkLen:
-		return i>>chunkBits + chunkBits - firstBits, i & (chunkLen - 1)
-	case i < firstLen:
-		return 0, i
-	}
-	b := uint32(bits.Len32(i)) - 1 // i in [1<<b, 2<<b): the chunk of 1<<b records
-	return b - firstBits + 1, i - 1<<b
-}
 
 // proverTable is one stripe's prover records. Every method runs under
 // the stripe lock.
 //
 // A record is found through index, an open-addressing table of 8-byte
 // words: the high half of a word is the high 32 bits of the prover's
-// nameHash, the low half its record index + 1, and 0 is an empty slot.
-// A probe starts at the slot the hash's high bits name (its low bits
-// picked the stripe), steps linearly, and compares the hash half
+// hash (the server's seeded one, from stripeHash), the low half its
+// record index + 1, and 0 is an empty slot. A probe starts at the slot
+// the hash's high bits name, steps linearly, and compares the hash half
 // before the name; a name is found only by comparing the name itself.
-// Past ¾ load the index doubles by moving the words, so no name is
-// ever hashed twice.
+// Past ¾ load the index doubles by moving the words, so growing it
+// hashes no name again.
 type proverTable struct {
-	chunks [][]proverRec // records by index; see locate
-	n      uint32        // records held
+	chunks []*[chunkLen]proverRec // record i is chunks[i>>chunkBits][i&(chunkLen-1)]
+	n      uint32                 // records held
 	index  []uint64
 
 	// Checkpoint dirty tracking. gen is the current checkpoint
@@ -88,22 +67,20 @@ type proverTable struct {
 	imageOf map[string]uint32 // images inverted, made by the first named binding
 }
 
+// newProverTable returns an empty table. Its index starts at 16 words,
+// so a probe never meets an index with no slots.
 func newProverTable() *proverTable {
-	return &proverTable{gen: 1, images: []string{""}}
+	return &proverTable{gen: 1, images: []string{""}, index: make([]uint64, 16)}
 }
 
 // at returns record i.
 func (t *proverTable) at(i uint32) *proverRec {
-	c, off := locate(i)
-	return &t.chunks[c][off]
+	return &t.chunks[i>>chunkBits][i&(chunkLen-1)]
 }
 
-// find returns the record named name, filed under h = nameHash(name),
-// and its index; nil if the table holds none.
+// find returns the record named name, filed under its hash h, and its
+// index; nil if the table holds none.
 func (t *proverTable) find(name string, h uint64) (*proverRec, uint32) {
-	if len(t.index) == 0 {
-		return nil, 0
-	}
 	hi, mask := h>>32, uint64(len(t.index)-1)
 	for s := hi & mask; ; s = (s + 1) & mask {
 		w := t.index[s]
@@ -118,31 +95,27 @@ func (t *proverTable) find(name string, h uint64) (*proverRec, uint32) {
 	}
 }
 
-// getOrAdd returns name's record and index, appending a zero record
-// on first contact (added).
-func (t *proverTable) getOrAdd(name string, h uint64) (r *proverRec, i uint32, added bool) {
-	if r, i := t.find(name, h); r != nil {
-		return r, i, false
+// add appends a zero record for name, which the table must not hold,
+// and files it under its hash h.
+func (t *proverTable) add(name string, h uint64) (*proverRec, uint32) {
+	i := t.n
+	if i&(chunkLen-1) == 0 {
+		t.chunks = append(t.chunks, new([chunkLen]proverRec))
 	}
-	i = t.n
-	c, off := locate(i)
-	if off == 0 {
-		t.chunks = append(t.chunks, make([]proverRec, min(max(i, firstLen), chunkLen)))
-	}
-	r = &t.chunks[c][off]
+	r := t.at(i)
 	r.name = name
 	t.n++
 	if 4*uint64(t.n) > 3*uint64(len(t.index)) {
 		t.grow()
 	}
 	t.place(h>>32<<32 | uint64(i) + 1)
-	return r, i, true
+	return r, i
 }
 
 // grow doubles the index, moving every word to its slot in the new one.
 func (t *proverTable) grow() {
 	old := t.index
-	t.index = make([]uint64, max(2*len(old), 16))
+	t.index = make([]uint64, 2*len(old))
 	for _, w := range old {
 		if w != 0 {
 			t.place(w)

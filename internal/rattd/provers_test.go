@@ -3,14 +3,43 @@ package rattd
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"unsafe"
 )
 
-// get is find for a caller that holds only the name.
-func (t *proverTable) get(name string) *proverRec {
-	r, _ := t.find(name, nameHash(name))
+// get returns the server's record for name, nil if it holds none.
+// Caller holds the lock of name's stripe.
+func (s *Server) get(name string) *proverRec {
+	st, h := s.stripeHash(name)
+	r, _ := st.provers.find(name, h)
 	return r
+}
+
+// TestProverSlotHashIsSeeded pins which half of a prover's filing is
+// seeded. Its slot in the stripe's table comes from a hash seeded per
+// server: names arrive off the wire before anything about them
+// verifies, and a fixed hash would let a sender pick names that share
+// one probe run. Its stripe does not: a prover sits on the same stripe
+// of every server with as many stripes, so equal state writes equal
+// checkpoint bytes.
+func TestProverSlotHashIsSeeded(t *testing.T) {
+	a, b := localServer(t, Config{Stripes: 8}), localServer(t, Config{Stripes: 8})
+	same := 0
+	for i := range 16 {
+		name := fmt.Sprintf("prv%07d", i)
+		sa, ha := a.stripeHash(name)
+		sb, hb := b.stripeHash(name)
+		if slices.Index(a.stripes, sa) != slices.Index(b.stripes, sb) {
+			t.Fatalf("%q sits on different stripes of two 8-stripe servers", name)
+		}
+		if ha>>32 == hb>>32 {
+			same++
+		}
+	}
+	if same > 1 {
+		t.Fatalf("%d of 16 names share their slot hash on two servers: the hash is not seeded", same)
+	}
 }
 
 // TestProverRecSize pins what a prover's record costs its stripe: 72
@@ -36,10 +65,11 @@ func TestProverTableMatchesMap(t *testing.T) {
 	hashOf := func(k int) uint64 { return mix64(uint64(k/4))&^0xffffffff | uint64(k) }
 	nameOf := func(k int) string { return fmt.Sprintf("p%06d", k) }
 
+	const anchorHash = 0xa5a5a5a5_5a5a5a5a
 	tb := newProverTable()
-	anchor, ai, added := tb.getOrAdd("anchor", nameHash("anchor"))
-	if !added || ai != 0 {
-		t.Fatalf("first add: added %v at %d", added, ai)
+	anchor, ai := tb.add("anchor", anchorHash)
+	if ai != 0 {
+		t.Fatalf("first add at %d", ai)
 	}
 	anchor.fresh.Window.Add(7)
 	anchor.fresh.SeedLast = 42
@@ -68,9 +98,14 @@ func TestProverTableMatchesMap(t *testing.T) {
 				t.Fatalf("op %d: find(%q) = %v at %d, model %v at %d", op, name, r != nil, i, in, at)
 			}
 		} else {
-			r, i, added := tb.getOrAdd(name, h)
+			// Get-or-add, the way stripe.rec enrols a prover.
+			r, i := tb.find(name, h)
+			added := r == nil
+			if added {
+				r, i = tb.add(name, h)
+			}
 			if added == in || r.name != name || in && int(i) != at {
-				t.Fatalf("op %d: getOrAdd(%q) = added %v at %d, model %v at %d", op, name, added, i, in, at)
+				t.Fatalf("op %d: get-or-add(%q) = added %v at %d, model %v at %d", op, name, added, i, in, at)
 			}
 			if added {
 				if int(i) != len(model) {
@@ -93,7 +128,7 @@ func TestProverTableMatchesMap(t *testing.T) {
 			t.Fatalf("find(%q) under %q's hash returned %q", "x"+nameOf(k), nameOf(k), r.name)
 		}
 	}
-	if anchor.name != "anchor" || anchor.fresh != want || tb.get("anchor") != anchor {
+	if r, _ := tb.find("anchor", anchorHash); anchor.name != "anchor" || anchor.fresh != want || r != anchor {
 		t.Fatalf("the anchor record moved or changed: %q %+v", anchor.name, anchor.fresh)
 	}
 }
@@ -104,7 +139,7 @@ func TestProverTableMatchesMap(t *testing.T) {
 // clean, when generation 1 comes round again, and keeps its flags.
 func TestProverTableGenerationWrap(t *testing.T) {
 	tb := newProverTable()
-	r, i, _ := tb.getOrAdd("p", nameHash("p"))
+	r, i := tb.add("p", 1)
 	r.state |= recWin
 	if !tb.markDirty(r, i) || tb.markDirty(r, i) {
 		t.Fatal("first touch not listed once")

@@ -39,6 +39,7 @@ package rattd
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math"
 	"math/bits"
 	"runtime"
@@ -143,6 +144,7 @@ type Server struct {
 
 	stripes []*stripe
 	mask    uint64
+	seed    maphash.Seed // files provers within their stripe; see stripeHash
 
 	// The challenge-counter lease has its own small mutex: hellos
 	// touch it for a counter increment (and once per exhausted window
@@ -180,14 +182,14 @@ func (st *stripe) markDirty(s *Server, r *proverRec, i uint32) {
 }
 
 // rec returns the prover's freshness record and its index, creating
-// (and counting as enrolled) on first contact. h is nameHash(name).
-// Caller holds st.mu.
+// (and counting as enrolled) on first contact. h is name's hash from
+// stripeHash. Caller holds st.mu.
 func (st *stripe) rec(s *Server, name string, h uint64) (*proverRec, uint32) {
-	r, i, added := st.provers.getOrAdd(name, h)
-	if added {
-		s.enrolled.Add(1)
+	if r, i := st.provers.find(name, h); r != nil {
+		return r, i
 	}
-	return r, i
+	s.enrolled.Add(1)
+	return st.provers.add(name, h)
 }
 
 type pendingChallenge struct {
@@ -251,6 +253,7 @@ func Serve(tr transport.Transport, cfg Config) (*Server, error) {
 		nonces:  verifier.NewNonceMemo(cfg.Key, cfg.KeepEpochs),
 		stripes: make([]*stripe, nstripes),
 		mask:    uint64(nstripes - 1),
+		seed:    maphash.MakeSeed(),
 	}
 	for i := range s.stripes {
 		s.stripes[i] = &stripe{
@@ -326,23 +329,22 @@ func (s *Server) leaseState() (EpochLease, uint64) {
 	return s.lease, s.nonceCtr
 }
 
-// nameHash is the one hash a bundle pays for its prover's name. The
-// FNV hash is mixed through splitmix64 so provers that rendezvous onto
-// one shard still spread across its stripes: the low bits pick the
-// stripe, the high 32 the record's slot in the stripe's proverTable.
-func nameHash(name string) uint64 { return mix64(fnv64a(name)) }
-
 // stripeFor picks the lock stripe owning a prover's freshness state.
+// The name hash is mixed through splitmix64 so provers that rendezvous
+// onto one shard still spread across its stripes. It is unseeded, so a
+// prover sits on the same stripe of every server with as many stripes,
+// which keeps their checkpoints byte for byte comparable.
 func (s *Server) stripeFor(name string) *stripe {
-	st, _ := s.stripeHash(name)
-	return st
+	return s.stripes[mix64(fnv64a(name))&s.mask]
 }
 
-// stripeHash is stripeFor that also returns the name's hash, which
-// files the prover within the stripe.
+// stripeHash is stripeFor that also returns the hash that files the
+// prover within the stripe's proverTable. That hash is seeded per
+// server: names arrive off the wire before anything about them
+// verifies, and an unseeded hash would let a sender pick names that
+// pile into one probe run.
 func (s *Server) stripeHash(name string) (*stripe, uint64) {
-	h := nameHash(name)
-	return s.stripes[h&s.mask], h
+	return s.stripeFor(name), maphash.String(s.seed, name)
 }
 
 // leaseFn pulls the next epoch lease: the configured coordinator

@@ -114,16 +114,15 @@ func BenchmarkFig4_ConsistencyWindows(b *testing.B) {
 }
 
 // BenchmarkE5_FireAlarmLatency regenerates the §2.5 scenario at 1 MiB
-// (simulated) plus the 1 GB analytic anchor.
+// (simulated) plus the 256 MiB and 1 GB analytic anchors.
 func BenchmarkE5_FireAlarmLatency(b *testing.B) {
 	cfg := experiments.E5Config{
-		SimSizes:      []int{1 << 20},
-		AnalyticSizes: []int{1000 << 20},
-		Mechanisms:    []core.MechanismID{core.SMART, core.NoLock},
+		SimSizes:   []int{1 << 20},
+		Mechanisms: []core.MechanismID{core.SMART, core.NoLock},
 	}
 	for i := 0; i < b.N; i++ {
 		rows := experiments.E5FireAlarm(cfg)
-		if len(rows) != 4 {
+		if len(rows) != 6 {
 			b.Fatal("rows")
 		}
 	}
@@ -146,7 +145,6 @@ func BenchmarkE6_SMARMEscape(b *testing.B) {
 // (reduced trials).
 func BenchmarkFig5_QoA(b *testing.B) {
 	cfg := experiments.E7Config{
-		TM:     10 * sim.Second,
 		Dwells: []sim.Duration{2 * sim.Second, 8 * sim.Second},
 		Trials: 10,
 	}

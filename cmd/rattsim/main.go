@@ -7,12 +7,14 @@
 //	rattsim                                  # on-demand: clean SMART attestation
 //	rattsim -mech SMARM -rounds 13 -malware roving
 //	rattsim -mech Inc-Lock -malware transient -trace
+//	rattsim -malware persistent -malware-block 17 -trace  # infected device, Fig. 1 events
 //	rattsim -mode erasmus -horizon 60 -tm 10  # self-measurement + collection
 //	rattsim -mode seed -loss 0.1 -horizon 90  # non-interactive over lossy link
 //	rattsim -mode swarm -nodes 31 -infect 17  # collective attestation
 //	rattsim -mode swarm -devices 10000 -shards 8 -infect 42  # sharded fleet (COW images, batched verification)
 //	rattsim -mode tytan                       # per-process + colluding malware
 //	rattsim -mode tytan -no-isolation         # ... with the OS vulnerability
+//	rattsim -mode lifecycle                   # §1 services: detect, erase, update, re-attest
 //	rattsim -mode rattping -addr 127.0.0.1:9779 -provers 1000  # fleet vs a live rattd daemon
 //	rattsim -mode rattping -addr 127.0.0.1:9779 -shards 8 -provers 100000  # fleet vs a sharded rattd tier
 //
@@ -20,80 +22,124 @@
 // caps simultaneously active provers. The client socket runs one
 // receive worker per core (at least four) and the transport's default
 // batching; the receive and batching knobs are cmd/rattd's.
+//
+// A flag value the scenario cannot run with is an error: rattsim prints
+// it and exits with status 2.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
+	"os"
 	"runtime"
+	"slices"
 	"strings"
 
 	"saferatt"
 	"saferatt/internal/core"
+	"saferatt/internal/suite"
 	"saferatt/internal/transport"
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		fmt.Fprintln(os.Stderr, "rattsim:", err)
+		os.Exit(2)
+	}
+}
+
+// run parses args, checks them, and writes the chosen scenario's report
+// to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("rattsim", flag.ContinueOnError)
 	var (
-		mode    = flag.String("mode", "ondemand", "scenario: ondemand, erasmus, seed, swarm, tytan, rattping")
-		mech    = flag.String("mech", "SMART", "mechanism: "+mechList())
-		hash    = flag.String("hash", "SHA-256", "hash: SHA-256, SHA-512, BLAKE2b, BLAKE2s")
-		rounds  = flag.Int("rounds", 0, "SMARM rounds (0 = preset default)")
-		memSize = flag.Int("mem", 64<<10, "attested memory bytes")
-		block   = flag.Int("block", 1<<10, "block size bytes")
-		latency = flag.Int("latency", 5, "link latency (ms)")
-		malw    = flag.String("malware", "none", "adversary: none, persistent, roving, transient")
-		mblock  = flag.Int("malware-block", 7, "block the malware occupies")
-		seed    = flag.Uint64("seed", 1, "determinism seed")
-		showTr  = flag.Bool("trace", false, "print the full event trace")
-		horizon = flag.Int("horizon", 60, "erasmus/seed: observation window (s)")
-		tm      = flag.Int("tm", 10, "erasmus: self-measurement period (s)")
-		loss    = flag.Float64("loss", 0, "seed: channel loss rate")
-		nodes   = flag.Int("nodes", 15, "swarm: number of nodes")
-		infect  = flag.Int("infect", -1, "swarm: node index to infect (-1 none)")
-		devices = flag.Int("devices", 0, "swarm: fleet size for the sharded engine (0 = tree protocol with -nodes)")
-		shards  = flag.Int("shards", 0, "swarm: worker shards for -devices (0 = GOMAXPROCS; results identical) / rattping: width of the target rattd tier")
-		noIso   = flag.Bool("no-isolation", false, "tytan: disable process isolation (the OS vulnerability)")
-		addr    = flag.String("addr", "127.0.0.1:9779", "rattping: rattd daemon address (tier base address with -shards)")
-		provers = flag.Int("provers", 100, "rattping: fleet size")
-		history = flag.Int("history", 3, "rattping: self-measurements per collection (negative skips)")
-		conc    = flag.Int("concurrency", 0, "rattping: max simultaneously active provers (0 = all)")
+		mode    = fs.String("mode", "ondemand", "scenario: ondemand, erasmus, seed, swarm, tytan, lifecycle, rattping")
+		mech    = fs.String("mech", "SMART", "mechanism: "+mechList())
+		hash    = fs.String("hash", "SHA-256", "hash: SHA-256, SHA-512, BLAKE2b, BLAKE2s, AES-CMAC")
+		rounds  = fs.Int("rounds", 0, "SMARM rounds (0 = preset default)")
+		memSize = fs.Int("mem", 64<<10, "attested memory bytes")
+		block   = fs.Int("block", 1<<10, "block size bytes")
+		latency = fs.Int("latency", 5, "link latency (ms)")
+		malw    = fs.String("malware", "none", "adversary: none, persistent, roving, transient")
+		mblock  = fs.Int("malware-block", 7, "block the malware occupies")
+		seed    = fs.Uint64("seed", 1, "determinism seed")
+		showTr  = fs.Bool("trace", false, "print the full event trace")
+		horizon = fs.Int("horizon", 60, "erasmus/seed: observation window (s)")
+		tm      = fs.Int("tm", 10, "erasmus: self-measurement period (s)")
+		loss    = fs.Float64("loss", 0, "seed: channel loss rate")
+		nodes   = fs.Int("nodes", 15, "swarm: number of nodes")
+		infect  = fs.Int("infect", -1, "swarm: node index to infect (-1 none)")
+		devices = fs.Int("devices", 0, "swarm: fleet size for the sharded engine (0 = tree protocol with -nodes)")
+		shards  = fs.Int("shards", 0, "swarm: worker shards for -devices (0 = GOMAXPROCS; results identical) / rattping: width of the target rattd tier")
+		noIso   = fs.Bool("no-isolation", false, "tytan: disable process isolation (the OS vulnerability)")
+		addr    = fs.String("addr", "127.0.0.1:9779", "rattping: rattd daemon address (tier base address with -shards)")
+		provers = fs.Int("provers", 100, "rattping: fleet size")
+		history = fs.Int("history", 3, "rattping: self-measurements per collection (negative skips)")
+		conc    = fs.Int("concurrency", 0, "rattping: max simultaneously active provers (0 = all)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	// Every mechanism core.Preset takes: the on-demand ones and the two
+	// self-measurement schedulers.
+	mechs := append(core.Mechanisms(), core.Erasmus, core.SeED)
+	switch {
+	case !slices.Contains(mechs, core.MechanismID(*mech)):
+		return fmt.Errorf("unknown -mech %q (want %s)", *mech, mechList())
+	case !validHash(suite.HashID(*hash)):
+		return fmt.Errorf("unknown -hash %q (want SHA-256, SHA-512, BLAKE2b, BLAKE2s or AES-CMAC)", *hash)
+	case *block <= 0 || *memSize < 2**block || *memSize%*block != 0:
+		return fmt.Errorf("-mem %d must be a multiple of -block %d, and at least two blocks", *memSize, *block)
+	case *latency < 0:
+		return fmt.Errorf("-latency %d is negative", *latency)
+	case *loss < 0 || *loss > 1:
+		return fmt.Errorf("-loss %v is outside [0, 1]", *loss)
+	case *tm <= 0 || *horizon <= 0:
+		return fmt.Errorf("-tm %d and -horizon %d must be positive", *tm, *horizon)
+	case *nodes < 1 || *devices < 0 || *shards < 0:
+		return fmt.Errorf("-nodes %d must be at least 1, -devices %d and -shards %d not negative", *nodes, *devices, *shards)
+	}
 
 	switch *mode {
 	case "ondemand":
 		// handled below
 	case "erasmus":
-		runErasmus(*memSize, *block, *seed, *horizon, *tm)
-		return
+		return runErasmus(stdout, *memSize, *block, *seed, *horizon, *tm)
 	case "seed":
-		runSeed(*memSize, *block, *seed, *horizon, *loss)
-		return
+		return runSeed(stdout, *memSize, *block, *seed, *horizon, *loss)
 	case "swarm":
+		n := *nodes
 		if *devices > 0 {
-			runSwarmSharded(*devices, *shards, *seed, *infect)
-			return
+			n = *devices
 		}
-		runSwarm(*nodes, *seed, *infect)
-		return
+		if *infect < -1 || *infect >= n {
+			return fmt.Errorf("-infect %d names no node of %d", *infect, n)
+		}
+		if *devices > 0 {
+			return runSwarmSharded(stdout, *devices, *shards, *seed, *infect)
+		}
+		return runSwarm(stdout, *nodes, *seed, *infect)
 	case "tytan":
-		runTyTAN(*seed, !*noIso)
-		return
+		return runTyTAN(stdout, *seed, !*noIso)
+	case "lifecycle":
+		return runLifecycle(stdout)
 	case "rattping":
 		// Match the daemon side: one dispatch worker per core, with a
 		// small-host floor, so client receive capacity keeps pace with a
 		// striped tier's reply rate.
 		recvQueues := max(runtime.GOMAXPROCS(0), 4)
-		runRattping(rattpingOpts{
+		return runRattping(stdout, rattpingOpts{
 			addr: *addr, shards: *shards, provers: *provers, seed: *seed,
 			memSize: *memSize, block: *block, history: *history,
 			concurrency: *conc, net: transport.NetConfig{DropRate: *loss, RecvQueues: recvQueues},
 		})
-		return
 	default:
-		log.Fatalf("unknown mode %q", *mode)
+		return fmt.Errorf("unknown mode %q", *mode)
 	}
 
 	s := saferatt.NewScenario(saferatt.ScenarioConfig{
@@ -106,45 +152,53 @@ func main() {
 		Seed:      *seed,
 	})
 
+	if *malw != "none" && (*mblock < 0 || *mblock >= *memSize / *block) {
+		return fmt.Errorf("-malware-block %d names no block of %d", *mblock, *memSize / *block)
+	}
+	var err error
 	switch *malw {
 	case "none":
 	case "persistent":
-		if err := s.InfectPersistent(*mblock); err != nil {
-			log.Fatalf("infect: %v", err)
-		}
+		err = s.InfectPersistent(*mblock)
 	case "roving":
-		if _, err := s.NewSelfRelocating(*mblock, *seed); err != nil {
-			log.Fatalf("infect: %v", err)
-		}
+		_, err = s.NewSelfRelocating(*mblock, *seed)
 	case "transient":
-		if _, err := s.NewTransient(*mblock); err != nil {
-			log.Fatalf("infect: %v", err)
-		}
+		_, err = s.NewTransient(*mblock)
 	default:
-		log.Fatalf("unknown malware kind %q", *malw)
+		return fmt.Errorf("unknown malware kind %q", *malw)
+	}
+	if err != nil {
+		return fmt.Errorf("infect: %w", err)
 	}
 
 	res := s.AttestOnce()
-	fmt.Printf("mechanism:   %s (%s)\n", *mech, *hash)
-	fmt.Printf("memory:      %d bytes in %d-byte blocks\n", *memSize, *block)
-	fmt.Printf("adversary:   %s\n", *malw)
-	fmt.Printf("verdict:     ok=%v", res.OK)
+	fmt.Fprintf(stdout, "mechanism:   %s (%s)\n", *mech, *hash)
+	fmt.Fprintf(stdout, "memory:      %d bytes in %d-byte blocks\n", *memSize, *block)
+	fmt.Fprintf(stdout, "adversary:   %s\n", *malw)
+	fmt.Fprintf(stdout, "verdict:     ok=%v", res.OK)
 	if !res.OK {
-		fmt.Printf("  (%s)", res.Reason)
+		fmt.Fprintf(stdout, "  (%s)", res.Reason)
 	}
-	fmt.Println()
-	fmt.Printf("measurement: %v   round-trip: %v\n", res.Duration, res.RoundTrip)
+	fmt.Fprintln(stdout)
+	fmt.Fprintf(stdout, "measurement: %v   round-trip: %v\n", res.Duration, res.RoundTrip)
 	if *malw != "none" {
 		if res.OK {
-			fmt.Println("result:      the adversary ESCAPED this mechanism")
+			fmt.Fprintln(stdout, "result:      the adversary ESCAPED this mechanism")
 		} else {
-			fmt.Println("result:      the adversary was DETECTED")
+			fmt.Fprintln(stdout, "result:      the adversary was DETECTED")
 		}
 	}
 	if *showTr {
-		fmt.Println("\nevent trace:")
-		fmt.Print(s.Trace.Render())
+		fmt.Fprintln(stdout, "\nevent trace:")
+		fmt.Fprint(stdout, s.Trace.Render())
 	}
+	return nil
+}
+
+// validHash reports whether id names a MAC the suite can build.
+func validHash(id suite.HashID) bool {
+	_, err := suite.NewMAC(id, make([]byte, 16))
+	return err == nil
 }
 
 func mechList() string {

@@ -1,7 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand/v2"
 
 	"saferatt/internal/channel"
@@ -13,6 +16,7 @@ import (
 	"saferatt/internal/mem"
 	"saferatt/internal/prover"
 	"saferatt/internal/rattd"
+	"saferatt/internal/services"
 	"saferatt/internal/sim"
 	"saferatt/internal/suite"
 	"saferatt/internal/swarm"
@@ -22,7 +26,7 @@ import (
 
 // runErasmus drives a self-measurement scenario: TM-periodic
 // measurements, a transient infection at a random phase, one collection.
-func runErasmus(memSize, block int, seed uint64, horizonSec, tmSec int) {
+func runErasmus(out io.Writer, memSize, block int, seed uint64, horizonSec, tmSec int) error {
 	opts := core.Preset(core.SMART, suite.SHA256)
 	w := experiments.NewWorld(experiments.WorldConfig{
 		EngineConfig: experiments.EngineConfig{Seed: seed},
@@ -32,7 +36,7 @@ func runErasmus(memSize, block int, seed uint64, horizonSec, tmSec int) {
 	tm := sim.Duration(tmSec) * sim.Second
 	e, err := prover.NewErasmus("prv", w.Dev, w.Tr, opts, tm, 5)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	e.Start()
 
@@ -41,7 +45,7 @@ func runErasmus(memSize, block int, seed uint64, horizonSec, tmSec int) {
 	t0 := sim.Time(tm).Add(sim.Duration(rng.Int64N(int64(tm))))
 	dwell := tm + tm/2
 	mw.ScheduleDwell(1+rng.IntN(memSize/block-1), t0, t0.Add(dwell))
-	fmt.Printf("ERASMUS: T_M=%v, transient infection at %v for %v\n", tm, t0, dwell)
+	fmt.Fprintf(out, "ERASMUS: T_M=%v, transient infection at %v for %v\n", tm, t0, dwell)
 
 	horizon := sim.Duration(horizonSec) * sim.Second
 	w.K.At(sim.Time(horizon-sim.Second), func() { w.Ver.Collect("prv") })
@@ -50,15 +54,16 @@ func runErasmus(memSize, block int, seed uint64, horizonSec, tmSec int) {
 	w.K.Run()
 
 	c := w.Ver.Counts()
-	fmt.Printf("collected history: %d accepted, %d rejected -> detected=%v\n",
+	fmt.Fprintf(out, "collected history: %d accepted, %d rejected -> detected=%v\n",
 		c.Accepted, c.Rejected, c.Rejected > 0)
 	q := verifier.QoAOf(e.History(), w.K.Now())
-	fmt.Printf("QoA: mean T_M %v, worst gap %v, staleness %v over %d measurements\n",
+	fmt.Fprintf(out, "QoA: mean T_M %v, worst gap %v, staleness %v over %d measurements\n",
 		q.MeanTM, q.WorstGap, q.Staleness, q.Measurements)
+	return nil
 }
 
 // runSeed drives a non-interactive scenario over a lossy link.
-func runSeed(memSize, block int, seed uint64, horizonSec int, loss float64) {
+func runSeed(out io.Writer, memSize, block int, seed uint64, horizonSec int, loss float64) error {
 	opts := core.Preset(core.NoLock, suite.SHA256)
 	w := experiments.NewWorld(experiments.WorldConfig{
 		EngineConfig: experiments.EngineConfig{Seed: seed},
@@ -68,7 +73,7 @@ func runSeed(memSize, block int, seed uint64, horizonSec int, loss float64) {
 	shared := core.PRF([]byte{byte(seed)}, "demo-seed", seed)[:16]
 	p, err := prover.NewSeED("prv", w.Dev, w.Tr, opts, shared, 5*sim.Second, 2500*sim.Millisecond, 5)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	mon := w.Ver.MonitorSeED("prv", shared, 5*sim.Second, 2500*sim.Millisecond, 0, 10*sim.Second)
 	p.Start()
@@ -78,12 +83,13 @@ func runSeed(memSize, block int, seed uint64, horizonSec int, loss float64) {
 	w.K.Run()
 
 	c := w.Ver.Counts()
-	fmt.Printf("SeED over %ds at %.0f%% loss: %d triggers, %d accepted, %d missing, %d replays\n",
+	fmt.Fprintf(out, "SeED over %ds at %.0f%% loss: %d triggers, %d accepted, %d missing, %d replays\n",
 		horizonSec, loss*100, p.Counter(), c.Accepted, c.Missing, c.Replays)
+	return nil
 }
 
 // runSwarm drives a collective attestation round.
-func runSwarm(n int, seed uint64, infect int) {
+func runSwarm(out io.Writer, n int, seed uint64, infect int) error {
 	k := sim.NewKernel()
 	link := channel.New(channel.Config{Kernel: k, Latency: 2 * sim.Millisecond, Seed: seed})
 	opts := core.Preset(core.NoLock, suite.SHA256)
@@ -97,7 +103,7 @@ func runSwarm(n int, seed uint64, infect int) {
 		dev := device.New(device.Config{Kernel: k, Mem: m, Profile: costmodel.ODROIDXU4()})
 		node, err := swarm.NewNode(name, dev, link, opts, 5)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		nodes = append(nodes, node)
 		index[name] = node
@@ -105,13 +111,13 @@ func runSwarm(n int, seed uint64, infect int) {
 	}
 	root, err := swarm.BuildTree(nodes, 2)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	if infect >= 0 && infect < n {
+	if infect >= 0 {
 		if err := nodes[infect].Dev.Mem.Poke(5*1024+1, 0xBD); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("infecting %s\n", nodes[infect].Name)
+		fmt.Fprintf(out, "infecting %s\n", nodes[infect].Name)
 	}
 	var agg *swarm.Aggregate
 	root.OnComplete = func(a *swarm.Aggregate) { agg = a }
@@ -120,40 +126,42 @@ func runSwarm(n int, seed uint64, infect int) {
 	k.Run()
 
 	res := collector.Judge(agg, nonce, k.Now())
-	fmt.Printf("swarm of %d: completed at %v with %d messages (depth %d)\n",
+	fmt.Fprintf(out, "swarm of %d: completed at %v with %d messages (depth %d)\n",
 		n, k.Now(), link.Stats().Sent, swarm.Depth(root, index))
-	fmt.Printf("healthy=%v infected=%v missing=%v\n", res.Healthy(), res.Infected(), res.Missing)
+	fmt.Fprintf(out, "healthy=%v infected=%v missing=%v\n", res.Healthy(), res.Infected(), res.Missing)
+	return nil
 }
 
 // runSwarmSharded drives a fleet-scale collection round on the sharded
 // engine: copy-on-write device images, worker-sharded measurement, and
 // batched verification at the collector.
-func runSwarmSharded(devices, shards int, seed uint64, infect int) {
+func runSwarmSharded(out io.Writer, devices, shards int, seed uint64, infect int) error {
 	s, err := swarm.NewSharded(swarm.ShardedConfig{
 		EngineConfig: swarm.EngineConfig{Seed: seed, Parallelism: shards},
 		Devices:      devices,
 	})
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	if infect >= 0 && infect < devices {
+	if infect >= 0 {
 		if err := s.Mem(infect).Poke(5*256+1, 0xBD); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("infecting d%05d\n", infect)
+		fmt.Fprintf(out, "infecting d%05d\n", infect)
 	}
 	nonce := []byte(fmt.Sprintf("round-%d", seed))
 	res, err := s.Round(nonce)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	bs := s.Collector.BatchStats()
-	fmt.Printf("sharded fleet of %d: completed at %v\n", devices, res.At)
-	fmt.Printf("resident image bytes: %d (golden + %d dirty blocks)\n",
+	fmt.Fprintf(out, "sharded fleet of %d: completed at %v\n", devices, res.At)
+	fmt.Fprintf(out, "resident image bytes: %d (golden + %d dirty blocks)\n",
 		s.ResidentBytes(), s.DirtyBlocks())
-	fmt.Printf("verification: %d expected tags computed for %d reports\n",
+	fmt.Fprintf(out, "verification: %d expected tags computed for %d reports\n",
 		bs.Computed, bs.Reports)
-	fmt.Printf("healthy=%v infected=%v missing=%v\n", res.Healthy(), res.Infected(), res.Missing)
+	fmt.Fprintf(out, "healthy=%v infected=%v missing=%v\n", res.Healthy(), res.Infected(), res.Missing)
+	return nil
 }
 
 // rattpingOpts carries the rattping mode's flag surface.
@@ -176,7 +184,7 @@ type rattpingOpts struct {
 // the daemon's; with -shards the tier is assumed to sit on
 // consecutive ports starting at the base address, exactly as
 // `rattd -shards` lays it out, and provers route by rendezvous hash.
-func runRattping(o rattpingOpts) {
+func runRattping(out io.Writer, o rattpingOpts) error {
 	cfg := rattd.FleetConfig{
 		Addr:        o.addr,
 		Provers:     o.provers,
@@ -185,39 +193,40 @@ func runRattping(o rattpingOpts) {
 		BlockSize:   o.block,
 		History:     o.history,
 		Net:         o.net,
-		Logf:        func(format string, args ...any) { fmt.Printf("  "+format+"\n", args...) },
+		Logf:        func(format string, args ...any) { fmt.Fprintf(out, "  "+format+"\n", args...) },
 	}
 	target := o.addr
 	if o.shards > 1 {
 		addrs, err := rattd.TierAddrs(o.addr, o.shards)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		cfg.Addrs = addrs
 		target = fmt.Sprintf("%s (+%d shard ports)", o.addr, o.shards-1)
 	}
-	fmt.Printf("rattping: %d provers -> %s (image seed=%d, %d bytes in %d-byte blocks)\n",
+	fmt.Fprintf(out, "rattping: %d provers -> %s (image seed=%d, %d bytes in %d-byte blocks)\n",
 		o.provers, target, o.seed, o.memSize, o.block)
 	res, err := rattd.RunFleet(cfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("SMART:      %d ok, %d failed\n", res.SMARTOK, res.SMARTFail)
+	fmt.Fprintf(out, "SMART:      %d ok, %d failed\n", res.SMARTOK, res.SMARTFail)
 	if o.history > 0 {
-		fmt.Printf("collection: %d ok, %d failed\n", res.CollectOK, res.CollectFail)
+		fmt.Fprintf(out, "collection: %d ok, %d failed\n", res.CollectOK, res.CollectFail)
 	}
 	if res.ShardProvers != nil {
-		fmt.Printf("routing:    provers per shard %v\n", res.ShardProvers)
+		fmt.Fprintf(out, "routing:    provers per shard %v\n", res.ShardProvers)
 	}
-	fmt.Printf("round trip: p50=%v p99=%v max=%v\n", res.P50, res.P99, res.Max)
-	fmt.Printf("datagrams:  sent=%d resent=%d received=%d dups=%d expired=%d batches=%d coalesced=%d\n",
+	fmt.Fprintf(out, "round trip: p50=%v p99=%v max=%v\n", res.P50, res.P99, res.Max)
+	fmt.Fprintf(out, "datagrams:  sent=%d resent=%d received=%d dups=%d expired=%d batches=%d coalesced=%d\n",
 		res.Net.Sent, res.Net.Resent, res.Net.Received, res.Net.Dups, res.Net.Expired,
 		res.Net.BatchesSent, res.Net.Coalesced)
+	return nil
 }
 
 // runTyTAN drives a per-process attestation round with colluding
 // malware, with and without process isolation.
-func runTyTAN(seed uint64, isolation bool) {
+func runTyTAN(out io.Writer, seed uint64, isolation bool) error {
 	k := sim.NewKernel()
 	m := mem.New(mem.Config{Size: 16 << 10, BlockSize: 1024, ROMBlocks: 1, Clock: k.Now})
 	m.FillRandom(rand.New(rand.NewPCG(seed, 3)))
@@ -231,11 +240,11 @@ func runTyTAN(seed uint64, isolation bool) {
 	procs := []*core.Process{procA, procB}
 	ty, err := core.NewTyTAN(dev, 10, procs)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	col, err := malware.NewColluding(dev, procs)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if isolation {
 		dev.EnableProcessIsolation(map[*device.Task]device.Region{
@@ -246,28 +255,108 @@ func runTyTAN(seed uint64, isolation bool) {
 	ty.HooksFor = col.HooksFor
 
 	var reports map[string]*core.Report
-	ty.MeasureAll([]byte("tytan-round"), func(r map[string]*core.Report, err error) {
-		if err != nil {
-			fatal(err)
-		}
-		reports = r
-	})
+	ty.MeasureAll([]byte("tytan-round"), func(r map[string]*core.Report, e error) { reports, err = r, e })
 	k.Run()
+	if err != nil {
+		return err
+	}
 
-	fmt.Printf("TyTAN per-process attestation, isolation=%v, colluding malware in both processes\n", isolation)
+	fmt.Fprintf(out, "TyTAN per-process attestation, isolation=%v, colluding malware in both processes\n", isolation)
 	img := verifier.ImageOf(golden, 1024)
 	scheme := suite.Scheme{Hash: suite.SHA256, Key: dev.AttestationKey}
 	allClean := true
-	for name, rep := range reports {
-		ok, _ := img.VerifyTag(scheme, dev.AttestationKey, core.Options{}, rep)
-		fmt.Printf("  %s: verified=%v\n", name, ok)
+	for _, p := range procs {
+		ok, _ := img.VerifyTag(scheme, dev.AttestationKey, core.Options{}, reports[p.Name])
+		fmt.Fprintf(out, "  %s: verified=%v\n", p.Name, ok)
 		allClean = allClean && ok
 	}
-	fmt.Printf("attack outcome: escaped=%v (cross-writes %d, blocked %d, persisted=%v)\n",
+	fmt.Fprintf(out, "attack outcome: escaped=%v (cross-writes %d, blocked %d, persisted=%v)\n",
 		allClean, col.CrossWrites, col.BlockedWrites, col.Persisted())
+	return nil
 }
 
-func fatal(err error) {
-	fmt.Println("rattsim:", err)
-	panic(err)
+// runLifecycle walks one device through the security services the
+// paper's introduction says RA enables (§1): an infected device is
+// caught by attestation, disinfected by a proof of secure erasure,
+// re-provisioned with an authenticated software update, and finally
+// attested clean against the new golden image.
+func runLifecycle(out io.Writer) error {
+	k := sim.NewKernel()
+	m := mem.New(mem.Config{Size: 16 << 10, BlockSize: 1024, ROMBlocks: 1, Clock: k.Now})
+	m.FillRandom(rand.New(rand.NewPCG(99, 99)))
+	dev := device.New(device.Config{Kernel: k, Mem: m, Profile: costmodel.ODROIDXU4()})
+	// One link carries both planes: attestation endpoints speak typed
+	// protocol messages through tr, the update/erase services drive the
+	// link directly.
+	link := channel.New(channel.Config{Kernel: k, Latency: 2 * sim.Millisecond})
+	tr := transport.NewSim(link)
+
+	opts := core.Preset(core.SMART, suite.SHA256)
+	golden := m.Snapshot()
+	v, err := verifier.New(verifier.Config{
+		Kernel: k, Transport: tr,
+		Scheme:  suite.Scheme{Hash: suite.SHA256, Key: dev.AttestationKey},
+		PermKey: dev.AttestationKey,
+		Image:   verifier.ImageOf(golden, 1024), Opts: opts,
+	})
+	if err != nil {
+		return err
+	}
+	if _, err := prover.NewProver("prv", dev, tr, opts, 10); err != nil {
+		return err
+	}
+	services.NewAgent("prv-svc", dev, link, 5)
+	rom := append([]byte(nil), golden[:1024]...)
+	mgr := services.NewManager("mgr", link, dev.AttestationKey, rom, 1024, 16<<10)
+
+	attest := func(label string) {
+		before := v.Counts()
+		v.Challenge("prv")
+		k.Run()
+		fmt.Fprintf(out, "%-34s verdict=%v\n", label, v.Counts().Accepted > before.Accepted)
+	}
+
+	// 1. Device starts clean.
+	attest("1. initial attestation:")
+
+	// 2. Malware lands.
+	if err := malware.NewTransient(dev, 50).Infect(9); err != nil {
+		return err
+	}
+	attest("2. after infection:")
+
+	// 3. Disinfect with a proof of secure erasure (wipes everything
+	//    writable — malware included).
+	var eraseOK bool
+	mgr.RequestErasure("prv-svc", func(ok bool, p *services.EraseProof) {
+		eraseOK = ok
+		fmt.Fprintf(out, "%-34s proof-ok=%v wiped=%d bytes in %v\n",
+			"3. proof of secure erasure:", ok, p.Bytes, p.TE.Sub(p.TS))
+	})
+	k.Run()
+	if !eraseOK {
+		return errors.New("lifecycle: erasure proof rejected")
+	}
+
+	// 4. Re-provision: push the original content back block by block
+	//    as authenticated updates, then install new firmware in block 5.
+	for b := 1; b < 16; b++ {
+		mgr.PushUpdate("prv-svc", b, golden[b*1024:(b+1)*1024], nil)
+	}
+	newFirmware := bytes.Repeat([]byte{0xF1}, 1024)
+	var ack *services.UpdateAck
+	mgr.PushUpdate("prv-svc", 5, newFirmware, func(a *services.UpdateAck) { ack = a })
+	k.Run()
+	fmt.Fprintf(out, "%-34s installed=%v\n", "4. authenticated updates:", ack != nil && ack.OK)
+
+	// 5. The verifier moves its golden image forward and the device
+	//    attests clean against the NEW reference.
+	newGolden := append([]byte(nil), golden...)
+	copy(newGolden[5*1024:6*1024], newFirmware)
+	v.Image = verifier.ImageOf(newGolden, 1024)
+	attest("5. attestation vs new golden:")
+
+	fmt.Fprintln(out, "\nRA as a foundation: detection -> provable erasure -> authenticated")
+	fmt.Fprintln(out, "update -> fresh root of trust, exactly the service stack of §1.")
+	return nil
 }

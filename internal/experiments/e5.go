@@ -34,14 +34,15 @@ const (
 	e5BlockSize          = 64 << 10
 )
 
+// e5AnalyticSizes extend the table via the cost model: 256 MiB and 1 GB
+// (the paper's example: ≈7 s).
+var e5AnalyticSizes = []int{256 << 20, 1000 << 20}
+
 // E5Config parameterizes the scenario.
 type E5Config struct {
 	// Sizes to simulate fully (real hashing). Default: 1, 4, 16, 64 MiB.
-	SimSizes []int
-	// AnalyticSizes extend the table via the cost model. Default: 256
-	// MiB, 1 GB (the paper's example: ≈7 s).
-	AnalyticSizes []int
-	Mechanisms    []core.MechanismID
+	SimSizes   []int
+	Mechanisms []core.MechanismID
 	// Parallelism is the sweep worker count (0 = parallel.Default()).
 	Parallelism int
 }
@@ -49,9 +50,6 @@ type E5Config struct {
 func (c *E5Config) setDefaults() {
 	if c.SimSizes == nil {
 		c.SimSizes = []int{1 << 20, 4 << 20, 16 << 20, 64 << 20}
-	}
-	if c.AnalyticSizes == nil {
-		c.AnalyticSizes = []int{256 << 20, 1000 << 20}
 	}
 	if c.Mechanisms == nil {
 		c.Mechanisms = []core.MechanismID{core.SMART, core.HYDRA, core.NoLock, core.DecLock, core.IncLock, core.SMARM}
@@ -73,7 +71,7 @@ func E5FireAlarm(cfg E5Config) []E5Row {
 		for _, size := range cfg.SimSizes {
 			pts = append(pts, point{id, size, false})
 		}
-		for _, size := range cfg.AnalyticSizes {
+		for _, size := range e5AnalyticSizes {
 			pts = append(pts, point{id, size, true})
 		}
 	}

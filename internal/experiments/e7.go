@@ -27,9 +27,11 @@ type E7Row struct {
 	CI       float64
 }
 
+// e7TM is the self-measurement period the sweep holds fixed.
+const e7TM = 10 * sim.Second
+
 // E7Config parameterizes the sweep.
 type E7Config struct {
-	TM     sim.Duration   // default 10s
 	Dwells []sim.Duration // default 1..12s
 	Trials int            // default 100
 	Seed   uint64
@@ -38,9 +40,6 @@ type E7Config struct {
 }
 
 func (c *E7Config) setDefaults() {
-	if c.TM == 0 {
-		c.TM = 10 * sim.Second
-	}
 	if c.Dwells == nil {
 		for _, s := range []int{1, 2, 4, 6, 8, 10, 12} {
 			c.Dwells = append(c.Dwells, sim.Duration(s)*sim.Second)
@@ -78,18 +77,18 @@ func e7Point(cfg E7Config, dwell sim.Duration) E7Row {
 		opts := core.Preset(core.SMART, suite.SHA256) // atomic core, as in ERASMUS
 		w := NewWorld(WorldConfig{EngineConfig: EngineConfig{Seed: uint64(i) + cfg.Seed, NoTrace: true},
 			MemSize: blocks * blockSize, BlockSize: blockSize, ROMBlocks: 1, Opts: opts})
-		e := must(prover.NewErasmus("prv", w.Dev, nil, opts, cfg.TM, mpPrio))
+		e := must(prover.NewErasmus("prv", w.Dev, nil, opts, e7TM, mpPrio))
 		e.HistoryCap = 1024
 		e.Start()
 
 		// Random-phase dwell window inside the second measurement
 		// period (so at least one measurement precedes and follows).
 		mw := malware.NewTransient(w.Dev, malwarePrio)
-		phase := sim.Duration(rng.Int64N(int64(cfg.TM)))
-		t0 := sim.Time(cfg.TM).Add(phase)
+		phase := sim.Duration(rng.Int64N(int64(e7TM)))
+		t0 := sim.Time(e7TM).Add(phase)
 		mw.ScheduleDwell(1+i%(blocks-1), t0, t0.Add(dwell))
 
-		horizon := sim.Time(3*cfg.TM) + sim.Time(dwell)
+		horizon := sim.Time(3*e7TM) + sim.Time(dwell)
 		w.K.RunUntil(horizon)
 		e.Stop()
 		w.K.Run()
@@ -101,9 +100,9 @@ func e7Point(cfg E7Config, dwell sim.Duration) E7Row {
 		}
 		return 0
 	})
-	analytic := qoa.TransientDetectProb(dwell, cfg.TM)
+	analytic := qoa.TransientDetectProb(dwell, e7TM)
 	return E7Row{
-		TM: cfg.TM, Dwell: dwell, Trials: cfg.Trials, Detected: detected,
+		TM: e7TM, Dwell: dwell, Trials: cfg.Trials, Detected: detected,
 		MCRate:   float64(detected) / float64(cfg.Trials),
 		Analytic: analytic,
 		CI:       qoa.BinomialCI(analytic, cfg.Trials),

@@ -234,8 +234,7 @@ func TestE7MatchesGeometry(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Monte Carlo")
 	}
-	tm := 10 * sim.Second
-	rows := E7QoA(E7Config{TM: tm, Dwells: []sim.Duration{2 * sim.Second, 5 * sim.Second, 12 * sim.Second}, Trials: 60, Seed: 3})
+	rows := E7QoA(E7Config{Dwells: []sim.Duration{2 * sim.Second, 5 * sim.Second, 12 * sim.Second}, Trials: 60, Seed: 3})
 	for _, r := range rows {
 		tol := 3*qoa.BinomialCI(r.Analytic, r.Trials)/1.96 + 0.05
 		if math.Abs(r.MCRate-r.Analytic) > tol {
@@ -245,7 +244,7 @@ func TestE7MatchesGeometry(t *testing.T) {
 	// Dwell > T_M must always be detected.
 	last := rows[len(rows)-1]
 	if last.MCRate < 0.99 {
-		t.Errorf("dwell %v > T_M %v: detection %.3f, want 1.0", last.Dwell, tm, last.MCRate)
+		t.Errorf("dwell %v > T_M %v: detection %.3f, want 1.0", last.Dwell, e7TM, last.MCRate)
 	}
 	if out := RenderE7(rows); !strings.Contains(out, "T_M") {
 		t.Fatal("render incomplete")

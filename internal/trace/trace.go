@@ -99,24 +99,6 @@ func (l *Log) Len() int {
 	return len(l.events)
 }
 
-// Filter returns the events of the given kinds, in order.
-func (l *Log) Filter(kinds ...Kind) []Event {
-	if l == nil {
-		return nil
-	}
-	set := map[Kind]bool{}
-	for _, k := range kinds {
-		set[k] = true
-	}
-	var out []Event
-	for _, e := range l.events {
-		if set[e.Kind] {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // First returns the first event of the given kind, or a zero Event and
 // false.
 func (l *Log) First(kind Kind) (Event, bool) {

@@ -30,7 +30,10 @@ var optionsAllowed = [...]struct{ name, reason, why string }{
 	{"experiments.E8Config.Parallelism", scaleSeam, "as E5Config.Parallelism"},
 	{"experiments.E9Config.Parallelism", scaleSeam, "as E5Config.Parallelism"},
 	{"experiments.E10Config.Parallelism", scaleSeam, "as E5Config.Parallelism"},
+	{"experiments.E5Config.SimSizes", scaleSeam, "one or two simulated sizes up to 16 MiB instead of four up to 64 MiB (TestE5FireAlarmShape, the determinism suite)"},
+	{"experiments.E5Config.Mechanisms", scaleSeam, "SMART and No-Lock instead of six mechanisms (TestE5FireAlarmShape)"},
 	{"experiments.E7Config.Dwells", scaleSeam, "one to three dwell points instead of the figure's twelve"},
+	{"experiments.E7Config.Seed", scaleSeam, "TestE7MatchesGeometry and the determinism suite run reduced grids at the seeds their checks were read at"},
 	{"experiments.E8Config.LossRates", scaleSeam, "two loss rates instead of four"},
 	{"experiments.E8Config.Horizon", scaleSeam, "40–60 s of schedule instead of 120 s"},
 	{"experiments.E8Config.Seed", scaleSeam, "a reduced grid is pinned at the seed its thresholds were read at"},

@@ -2,8 +2,8 @@ package saferatt
 
 // The reachability rule (DESIGN §14): every package-level function,
 // named type and method declared in non-test internal/ code is reachable
-// from a main package (cmd/, examples/, bench/) or an exported name of
-// this facade, or sits on the allow-list below for one of three reasons.
+// from a main package (cmd/, bench/) or an exported name of this facade,
+// or sits on the allow-list below for one of three reasons.
 
 import (
 	"go/ast"

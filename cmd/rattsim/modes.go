@@ -98,8 +98,8 @@ func runSwarm(out io.Writer, n int, seed uint64, infect int) error {
 	index := map[string]*swarm.Node{}
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("node%03d", i)
-		m := mem.New(mem.Config{Size: 16 << 10, BlockSize: 1024, ROMBlocks: 1, Clock: k.Now})
-		m.FillRandom(rand.New(rand.NewPCG(seed+uint64(i), 7)))
+		g := mem.RandomGolden(16<<10, 1024, 1, rand.New(rand.NewPCG(seed+uint64(i), 7)))
+		m := mem.NewShared(g, mem.SharedConfig{Clock: k.Now})
 		dev := device.New(device.Config{Kernel: k, Mem: m, Profile: costmodel.ODROIDXU4()})
 		node, err := swarm.NewNode(name, dev, link, opts, 5)
 		if err != nil {
@@ -228,10 +228,10 @@ func runRattping(out io.Writer, o rattpingOpts) error {
 // malware, with and without process isolation.
 func runTyTAN(out io.Writer, seed uint64, isolation bool) error {
 	k := sim.NewKernel()
-	m := mem.New(mem.Config{Size: 16 << 10, BlockSize: 1024, ROMBlocks: 1, Clock: k.Now})
-	m.FillRandom(rand.New(rand.NewPCG(seed, 3)))
+	g := mem.RandomGolden(16<<10, 1024, 1, rand.New(rand.NewPCG(seed, 3)))
+	m := mem.NewShared(g, mem.SharedConfig{Clock: k.Now})
 	dev := device.New(device.Config{Kernel: k, Mem: m, Profile: costmodel.ODROIDXU4()})
-	golden := m.Snapshot()
+	golden := g.Bytes()
 
 	procA := &core.Process{Name: "procA", Task: dev.NewTask("procA", 50),
 		Region: device.Region{Start: 1, Count: 7}}
@@ -282,8 +282,8 @@ func runTyTAN(out io.Writer, seed uint64, isolation bool) error {
 // attested clean against the new golden image.
 func runLifecycle(out io.Writer) error {
 	k := sim.NewKernel()
-	m := mem.New(mem.Config{Size: 16 << 10, BlockSize: 1024, ROMBlocks: 1, Clock: k.Now})
-	m.FillRandom(rand.New(rand.NewPCG(99, 99)))
+	g := mem.RandomGolden(16<<10, 1024, 1, rand.New(rand.NewPCG(99, 99)))
+	m := mem.NewShared(g, mem.SharedConfig{Clock: k.Now})
 	dev := device.New(device.Config{Kernel: k, Mem: m, Profile: costmodel.ODROIDXU4()})
 	// One link carries both planes: attestation endpoints speak typed
 	// protocol messages through tr, the update/erase services drive the
@@ -292,7 +292,7 @@ func runLifecycle(out io.Writer) error {
 	tr := transport.NewSim(link)
 
 	opts := core.Preset(core.SMART, suite.SHA256)
-	golden := m.Snapshot()
+	golden := g.Bytes()
 	v, err := verifier.New(verifier.Config{
 		Kernel: k, Transport: tr,
 		Scheme:  suite.Scheme{Hash: suite.SHA256, Key: dev.AttestationKey},

@@ -8,44 +8,25 @@ import (
 	"saferatt/internal/suite"
 )
 
-func TestPathModeResolution(t *testing.T) {
-	defer SetStreamingDefault(false)
-	cases := []struct {
-		path      PathMode
-		streaming bool // package default
-		want      bool // Incremental()
-	}{
-		{PathDefault, false, true},
-		{PathDefault, true, false},
-		{PathIncremental, true, true},
-		{PathStreaming, false, false},
-	}
-	for _, c := range cases {
-		SetStreamingDefault(c.streaming)
-		o := Options{Hash: suite.SHA256, Path: c.path}
-		if got := o.Incremental(); got != c.want {
-			t.Errorf("Path=%v streamingDefault=%v: Incremental()=%v, want %v",
-				c.path, c.streaming, got, c.want)
-		}
-	}
-	if PathIncremental.String() != "incremental" || PathStreaming.String() != "streaming" {
-		t.Error("PathMode.String")
-	}
+// usePath puts the package on the streaming or the incremental
+// measurement path until the test ends.
+func usePath(t *testing.T, streaming bool) {
+	SetStreamingDefault(streaming)
+	t.Cleanup(func() { SetStreamingDefault(false) })
 }
 
 // Both paths must accept a clean device and mark the report with the
 // path that produced it, so verifiers can mirror it.
 func TestBothPathsVerifyCleanDevice(t *testing.T) {
-	for _, path := range []PathMode{PathStreaming, PathIncremental} {
+	for _, streaming := range []bool{true, false} {
+		usePath(t, streaming)
 		r := newRig(t, 4096, 256)
-		opts := Preset(SMART, suite.SHA256)
-		opts.Path = path
-		rep := r.run(t, opts, 10)
-		if want := path == PathIncremental; rep.Incremental != want {
-			t.Fatalf("%v: Report.Incremental = %v", path, rep.Incremental)
+		rep := r.run(t, Preset(SMART, suite.SHA256), 10)
+		if rep.Incremental != !streaming {
+			t.Fatalf("streaming=%v: Report.Incremental = %v", streaming, rep.Incremental)
 		}
 		if !bytes.Equal(rep.Tag, r.expectedTag(t, rep, false)) {
-			t.Fatalf("%v: clean device tag mismatch", path)
+			t.Fatalf("streaming=%v: clean device tag mismatch", streaming)
 		}
 	}
 }
@@ -55,9 +36,9 @@ func TestBothPathsVerifyCleanDevice(t *testing.T) {
 // report must NOT verify — if any mutation path failed to invalidate,
 // the cached clean digest would mask the infection.
 func TestIncrementalStaleCacheDetectsLateInfection(t *testing.T) {
+	usePath(t, false)
 	r := newRig(t, 4096, 256)
 	opts := Preset(SMART, suite.SHA256)
-	opts.Path = PathIncremental
 
 	rep1 := r.run(t, opts, 10)
 	if !bytes.Equal(rep1.Tag, r.expectedTag(t, rep1, false)) {
@@ -85,14 +66,13 @@ func TestIncrementalStaleCacheDetectsLateInfection(t *testing.T) {
 // different tag constructions (bytes vs digests under the outer MAC), so
 // their tags must differ — equivalence is of verdicts, not bits.
 func TestPathsProduceDistinctTagConstructions(t *testing.T) {
-	mkRep := func(path PathMode) *Report {
+	mkRep := func(streaming bool) *Report {
+		usePath(t, streaming)
 		r := newRig(t, 2048, 256)
-		opts := Preset(SMART, suite.SHA256)
-		opts.Path = path
-		return r.run(t, opts, 10)
+		return r.run(t, Preset(SMART, suite.SHA256), 10)
 	}
-	st := mkRep(PathStreaming)
-	inc := mkRep(PathIncremental)
+	st := mkRep(true)
+	inc := mkRep(false)
 	if bytes.Equal(st.Tag, inc.Tag) {
 		t.Fatal("streaming and incremental tags collide; domains not separated")
 	}
@@ -107,10 +87,9 @@ func TestPathsProduceDistinctTagConstructions(t *testing.T) {
 // AES-CMAC has no unkeyed mode; the incremental path digests blocks with
 // SHA-256 and must still round-trip.
 func TestIncrementalAESCMACVerifies(t *testing.T) {
+	usePath(t, false)
 	r := newRig(t, 2048, 256)
-	opts := Preset(SMART, suite.AESCMAC)
-	opts.Path = PathIncremental
-	rep := r.run(t, opts, 10)
+	rep := r.run(t, Preset(SMART, suite.AESCMAC), 10)
 	order := DeriveOrder(r.dev.AttestationKey, rep.Nonce, rep.Round, r.m.NumBlocks(), false)
 	scheme := suite.Scheme{Hash: suite.AESCMAC, Key: r.dev.AttestationKey}
 	ok, err := scheme.VerifyStream(func(w io.Writer) error {

@@ -82,47 +82,18 @@ func (p LockPolicy) String() string {
 	}
 }
 
-// PathMode selects the measurement data path: the streaming path feeds
-// every attested byte through the keyed tag, the incremental path folds
-// cached per-block digests into it (see internal/inccache). Both
-// produce identical simulated durations and detection outcomes; the
-// incremental path is a host-CPU optimization.
-type PathMode int
-
-// Path modes.
-const (
-	// PathDefault follows the package default (incremental unless
-	// SetStreamingDefault(true) was called).
-	PathDefault PathMode = iota
-	// PathIncremental forces dirty-block digest caching.
-	PathIncremental
-	// PathStreaming forces the full byte-streaming path.
-	PathStreaming
-)
-
-func (p PathMode) String() string {
-	switch p {
-	case PathDefault:
-		return "default"
-	case PathIncremental:
-		return "incremental"
-	case PathStreaming:
-		return "streaming"
-	default:
-		return fmt.Sprintf("PathMode(%d)", int(p))
-	}
-}
-
 // streamingDefault flips the package default from incremental to
 // streaming. Atomic because parallel trial workers read it while a
 // test flips it between runs.
 var streamingDefault atomic.Bool
 
-// SetStreamingDefault selects the package-wide default measurement
-// path: on = streaming, off (the default) = incremental. Only the
-// path-equivalence suites call it, to run whole experiments on both
-// paths; no program does, and code that wants the streaming path for
-// one measurement sets Options.Path.
+// SetStreamingDefault selects the package-wide measurement data path:
+// on = streaming, which feeds every attested byte through the keyed
+// tag; off (the default) = incremental, which folds cached per-block
+// digests into it (see internal/inccache). Both produce identical
+// simulated durations and detection outcomes; the incremental path is a
+// host-CPU optimization. Only tests call it, to run measurements and
+// whole experiments on both paths; no program does.
 func SetStreamingDefault(on bool) { streamingDefault.Store(on) }
 
 // Options configure one measurement.
@@ -157,22 +128,11 @@ type Options struct {
 	// are plain interruptible traversals: lock policies and extended
 	// release do not apply.
 	Region device.Region
-	// Path selects the measurement data path (streaming vs incremental
-	// digest caching). The zero value follows the package default.
-	Path PathMode
 }
 
-// Incremental resolves the effective data path for these options.
-func (o Options) Incremental() bool {
-	switch o.Path {
-	case PathIncremental:
-		return true
-	case PathStreaming:
-		return false
-	default:
-		return !streamingDefault.Load()
-	}
-}
+// Incremental reports whether measurements take the incremental data
+// path (see SetStreamingDefault).
+func (o Options) Incremental() bool { return !streamingDefault.Load() }
 
 // Validate reports whether the options are coherent.
 func (o Options) Validate() error {

@@ -235,8 +235,8 @@ func swarmPoint(n int, seed uint64, mode swarm.NodeMode) A4Row {
 	collector := swarm.NewCollector(suite.SHA256)
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("n%03d", i)
-		m := mem.New(mem.Config{Size: 16 << 10, BlockSize: 1024, ROMBlocks: 1, Clock: k.Now})
-		m.FillRandom(rand.New(rand.NewPCG(seed+uint64(i), 4)))
+		g := mem.RandomGolden(16<<10, 1024, 1, rand.New(rand.NewPCG(seed+uint64(i), 4)))
+		m := mem.NewShared(g, mem.SharedConfig{Clock: k.Now})
 		dev := device.New(device.Config{Kernel: k, Mem: m, Profile: costmodel.ODROIDXU4()})
 		node := must(swarm.NewNode(name, dev, link, opts, mpPrio))
 		node.Mode = mode

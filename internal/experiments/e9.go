@@ -81,12 +81,12 @@ func e9Point(cfg E9Config, overheadPct int, jitter sim.Duration) E9Row {
 
 	run := func(trial int, adversarial bool) softratt.Verdict {
 		k := sim.NewKernel()
-		m := mem.New(mem.Config{Size: 8192, BlockSize: 512, Clock: k.Now})
-		m.FillRandom(rand.New(rand.NewPCG(cfg.Seed+uint64(trial), 0xE9)))
+		g := mem.RandomGolden(8192, 512, 0, rand.New(rand.NewPCG(cfg.Seed+uint64(trial), 0xE9)))
+		m := mem.NewShared(g, mem.SharedConfig{Clock: k.Now})
 		dev := device.New(device.Config{Kernel: k, Mem: m, Profile: costmodel.ODROIDXU4()})
 		link := channel.New(channel.Config{Kernel: k, Latency: latency, Jitter: jitter,
 			Seed: cfg.Seed + uint64(trial)*3 + boolU64(adversarial)})
-		ref := m.Snapshot()
+		ref := g.Bytes()
 		// Budget: mean RTT (2 legs) plus 2x jitter headroom.
 		budget := 2*latency + 2*jitter
 		v := softratt.NewVerifier("vrf", k, link, ref, e9PerAccess, budget)

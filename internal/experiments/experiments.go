@@ -63,7 +63,7 @@ type WorldConfig struct {
 	EngineConfig
 	MemSize   int // default 4096
 	BlockSize int // default 256
-	ROMBlocks int // default 1
+	ROMBlocks int // leading ROM blocks; 0 means no ROM
 	Opts      core.Options
 	Latency   sim.Duration
 	Loss      float64
@@ -90,9 +90,8 @@ var odroid = costmodel.ODROIDXU4()
 
 // NewWorld builds a World. It panics on wiring errors.
 //
-// A world is provisioned as a fleet device is: its image is a golden
-// (drawn in FillRandom's order, so the bytes are the same as a filled
-// flat memory's), the device's memory is copy-on-write over it, and the
+// A world is provisioned as a fleet device is: its image is a random
+// golden, the device's memory is copy-on-write over it, and the
 // verifier checks against the same golden — so device and verifier
 // share one digest per golden block, and a block malware restores is
 // served that digest again instead of being re-hashed (DESIGN §6).

@@ -20,10 +20,9 @@
 // mem.Memory (Write, WriteBlock, Poke, Restore, FillRandom) bumps the
 // per-block generation this cache keys on. A mutation path that forgot
 // to would let a stale digest mask malware — see the regression tests.
-// A block of a copy-on-write memory whose content is golden — never
-// written, or written back to exactly its golden bytes — takes its
-// digest from the golden's cache, which the golden itself owns
-// (SharedImage, DESIGN §6).
+// A block whose content is golden — never written, or written back to
+// exactly its golden bytes — takes its digest from the golden's cache,
+// which the golden itself owns (SharedImage, DESIGN §6).
 //
 // Caches are safe for concurrent use: the parallel trial engine may
 // share a verifier-side golden cache across workers.
@@ -76,7 +75,7 @@ type Stats struct {
 type MemCache struct {
 	mu     sync.Mutex
 	mem    *mem.Memory
-	golden *ImageCache // the golden's digests, for COW memories; nil for flat ones
+	golden *ImageCache // the digests of the golden mem reads through
 	hash   suite.HashID
 	size   int
 	// stamp/dig are allocated on the first digest that cannot be served
@@ -88,20 +87,17 @@ type MemCache struct {
 }
 
 // NewMem builds an empty cache over m using the given digest hash (pass
-// the scheme hash through DigestHash first). For a copy-on-write memory
-// (mem.NewShared), digests of golden content are served from the
-// golden's own cache (SharedImage), so a fleet of devices on one image
-// hashes each golden block once total rather than once per device.
+// the scheme hash through DigestHash first). Digests of golden content
+// are served from the golden's own cache (SharedImage), so a fleet of
+// devices on one image hashes each golden block once total rather than
+// once per device.
 func NewMem(m *mem.Memory, hash suite.HashID) *MemCache {
-	c := &MemCache{
-		mem:  m,
-		hash: hash,
-		size: DigestSize(hash),
+	return &MemCache{
+		mem:    m,
+		golden: SharedImage(m.SharedGolden(), hash),
+		hash:   hash,
+		size:   DigestSize(hash),
 	}
-	if g := m.SharedGolden(); g != nil {
-		c.golden = SharedImage(g, hash)
-	}
-	return c
 }
 
 // Digest returns the digest of block b's current content, serving from
@@ -111,11 +107,11 @@ func NewMem(m *mem.Memory, hash suite.HashID) *MemCache {
 func (c *MemCache) Digest(b int) []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// A clean COW block is bit-identical to the golden block (writes
+	// A clean block is bit-identical to the golden block (writes
 	// materialize; restores that recover golden content dematerialize),
 	// so the golden's digest is the digest of the live content — no
 	// generation check needed.
-	if c.golden != nil && c.mem.BlockClean(b) {
+	if c.mem.BlockClean(b) {
 		c.stats.Shared++
 		return c.golden.Digest(b)
 	}
@@ -136,7 +132,7 @@ func (c *MemCache) Digest(b int) []byte {
 	// malware putting back what it displaced — has the golden digest.
 	// One full-block comparison decides it, so it is exact: any other
 	// content, one byte off included, is hashed below.
-	if c.golden != nil && bytes.Equal(content, c.golden.block(b)) {
+	if bytes.Equal(content, c.golden.block(b)) {
 		copy(d, c.golden.Digest(b))
 		c.stats.Shared++
 		return d

@@ -92,7 +92,8 @@ func TestMemCacheDirtyBlockNotServedFromGolden(t *testing.T) {
 // TestMemCacheGoldenRuleIsExact pins the golden rule: a written block is
 // served the golden digest only when its content is golden again, byte
 // for byte. Anything else is hashed, and every digest is the digest of
-// the live content.
+// the live content. The rule holds over New's all-zero golden too: a
+// block written back to zeros is golden again.
 func TestMemCacheGoldenRuleIsExact(t *testing.T) {
 	const b = 3
 	payload := func(*mem.Golden) []byte { return bytes.Repeat([]byte{0xEB}, 64) }
@@ -110,21 +111,21 @@ func TestMemCacheGoldenRuleIsExact(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name  string
-		flat  bool
+		zero  bool // mem.New: the memory reads through an all-zero golden
 		steps []step
 	}{
 		{"a payload, then golden again", false, []step{{payload, miss, 1}, {golden, shared, 1}}},
 		{"golden but for the last byte", false, []step{{lastByteOff, miss, 1}}},
 		{"a payload over a restored block", false, []step{{payload, miss, 1}, {golden, shared, 1}, {payload, miss, 1}}},
 		{"Memory.Restore dematerializes", false, []step{{payload, miss, 1}, {nil, shared, 0}, {payload, miss, 1}}},
-		{"a flat memory has no golden", true, []step{{payload, miss, 0}, {golden, miss, 0}}},
+		{"New: a payload, then zeros again", true, []step{{payload, miss, 1}, {golden, shared, 1}, {lastByteOff, miss, 1}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g := newGolden(t)
 			m := mem.NewShared(g, mem.SharedConfig{})
-			if tc.flat {
+			if tc.zero {
 				m = mem.New(mem.Config{Size: g.Size(), BlockSize: g.BlockSize(), ROMBlocks: 1})
-				m.Restore(g.Bytes())
+				g = m.SharedGolden()
 			}
 			c := NewMem(m, suite.SHA256)
 			for i, s := range tc.steps {
@@ -156,7 +157,7 @@ func TestMemCacheGoldenRuleIsExact(t *testing.T) {
 				// golden rule's included — from its own stamped digest.
 				c.Digest(b)
 				want := after
-				if s.dirty == 0 && !tc.flat {
+				if s.dirty == 0 {
 					want.Shared++
 				} else {
 					want.Hits++
@@ -166,17 +167,5 @@ func TestMemCacheGoldenRuleIsExact(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestMemCacheFlatMemoryUnaffected pins that flat memories keep the
-// generation-stamped path with no Shared serving.
-func TestMemCacheFlatMemoryUnaffected(t *testing.T) {
-	m := mem.New(mem.Config{Size: 512, BlockSize: 64})
-	c := NewMem(m, suite.SHA256)
-	c.Digest(0)
-	c.Digest(0)
-	if s := c.Stats(); s.Shared != 0 || s.Hits != 1 || s.Misses != 1 {
-		t.Fatalf("flat memory stats = %+v", s)
 	}
 }

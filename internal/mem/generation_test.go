@@ -90,25 +90,6 @@ func TestGenerationBumpsOnRestoreAndFillRandom(t *testing.T) {
 	}
 }
 
-func TestWriteLogBoundedRing(t *testing.T) {
-	m := New(Config{Size: 256, BlockSize: 64, LogWrites: true, LogLimit: 3})
-	for i := 0; i < 5; i++ {
-		if err := m.Poke(i%4*64, byte(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	log := m.WriteLog()
-	if len(log) != 3 {
-		t.Fatalf("log has %d entries, want 3", len(log))
-	}
-	// Oldest two dropped: blocks 2, 3, 0 remain, in chronological order.
-	for i, wantBlock := range []int{2, 3, 0} {
-		if log[i].Block != wantBlock {
-			t.Fatalf("log[%d].Block = %d, want %d (log %+v)", i, log[i].Block, wantBlock, log)
-		}
-	}
-}
-
 func TestWriteLogUnboundedByDefault(t *testing.T) {
 	m := New(Config{Size: 256, BlockSize: 64, LogWrites: true})
 	for i := 0; i < 100; i++ {
@@ -125,15 +106,6 @@ func TestWriteLogDisabledCostsNothing(t *testing.T) {
 	if m.WriteLog() != nil {
 		t.Fatal("log recorded with LogWrites off")
 	}
-}
-
-func TestNegativeLogLimitPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	New(Config{Size: 256, BlockSize: 64, LogWrites: true, LogLimit: -1})
 }
 
 // Restore is content-only re-provisioning: it must not disturb the

@@ -2,9 +2,12 @@ package mem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand/v2"
 	"sync"
+
+	"saferatt/internal/sim"
 )
 
 // Golden is an immutable, shareable memory image: the common software
@@ -38,22 +41,23 @@ func (g *Golden) Attached(mk func() any) any {
 // malformed geometry, like New: image layouts are experiment code, not
 // input.
 func NewGolden(data []byte, blockSize, romBlocks int) *Golden {
+	return newGolden(append([]byte(nil), data...), blockSize, romBlocks)
+}
+
+// newGolden validates the geometry and adopts data without a copy; the
+// caller must hold no other reference to it.
+func newGolden(data []byte, blockSize, romBlocks int) *Golden {
 	if blockSize <= 0 {
-		panic("mem: Golden BlockSize must be positive")
+		panic("mem: BlockSize must be positive")
 	}
 	if len(data) == 0 || len(data)%blockSize != 0 {
-		panic(fmt.Sprintf("mem: Golden image of %d bytes is not a positive multiple of block size %d", len(data), blockSize))
+		panic(fmt.Sprintf("mem: image of %d bytes is not a positive multiple of block size %d", len(data), blockSize))
 	}
 	n := len(data) / blockSize
 	if romBlocks < 0 || romBlocks > n {
-		panic("mem: Golden ROMBlocks out of range")
+		panic("mem: ROMBlocks out of range")
 	}
-	return &Golden{
-		data:      append([]byte(nil), data...),
-		blockSize: blockSize,
-		nblocks:   n,
-		romBlocks: romBlocks,
-	}
+	return &Golden{data: data, blockSize: blockSize, nblocks: n, romBlocks: romBlocks}
 }
 
 // RandomGolden builds a golden image with deterministic pseudorandom
@@ -61,13 +65,29 @@ func NewGolden(data []byte, blockSize, romBlocks int) *Golden {
 // (*Memory).FillRandom, drawing in the same order so a shared image
 // equals a per-device fill with the same seed.
 func RandomGolden(size, blockSize, romBlocks int, rng *rand.Rand) *Golden {
-	scratch := New(Config{Size: size, BlockSize: blockSize, ROMBlocks: romBlocks})
-	scratch.FillRandom(rng)
-	return &Golden{
-		data:      scratch.data, // scratch is discarded; safe to adopt
-		blockSize: blockSize,
-		nblocks:   scratch.nblocks,
-		romBlocks: romBlocks,
+	g := zeroGolden(size, blockSize, romBlocks)
+	fillRandom(g.data[romBlocks*blockSize:], rng)
+	return g
+}
+
+// zeroGolden builds an all-zero golden image of the given layout.
+func zeroGolden(size, blockSize, romBlocks int) *Golden {
+	if size < 0 {
+		panic(fmt.Sprintf("mem: image of %d bytes", size))
+	}
+	return newGolden(make([]byte, size), blockSize, romBlocks)
+}
+
+// fillRandom fills buf from rng: one Uint64 per 8 bytes, then one
+// Uint32 per tail byte. Per-byte generator calls used to dominate world
+// construction in Monte Carlo profiles.
+func fillRandom(buf []byte, rng *rand.Rand) {
+	i := 0
+	for ; i+8 <= len(buf); i += 8 {
+		binary.LittleEndian.PutUint64(buf[i:], rng.Uint64())
+	}
+	for ; i < len(buf); i++ {
+		buf[i] = byte(rng.Uint32())
 	}
 }
 
@@ -117,7 +137,7 @@ func (g *Golden) DiffBlocks(old *Golden) []int {
 
 // SharedConfig parameterizes a copy-on-write Memory: a Config whose
 // layout comes from the Golden, so Size, BlockSize and ROMBlocks stay
-// zero. Clock, LogWrites and LogLimit mean what they mean for New.
+// zero. Clock and LogWrites mean what they mean for New.
 type SharedConfig = Config
 
 // NewShared builds a copy-on-write Memory over g: reads serve golden
@@ -125,9 +145,8 @@ type SharedConfig = Config
 // then) the block gets a private copy. The bookkeeping arrays are lazy
 // too, so a clean device costs one struct — a 10k-device fleet
 // provisions in O(fleet) structs plus one shared image. Generation
-// counters start at zero and bump on every mutation, exactly as for a
-// flat Memory, so per-device digest caches keep their invalidation
-// contract.
+// counters start at zero and bump on every mutation, so per-device
+// digest caches keep their invalidation contract.
 func NewShared(g *Golden, cfg SharedConfig) *Memory {
 	if g == nil {
 		panic("mem: NewShared with nil Golden")
@@ -135,7 +154,9 @@ func NewShared(g *Golden, cfg SharedConfig) *Memory {
 	if cfg.Size != 0 || cfg.BlockSize != 0 || cfg.ROMBlocks != 0 {
 		panic("mem: NewShared takes its layout from the Golden; leave Size, BlockSize and ROMBlocks zero")
 	}
-	m := newMemory(cfg, len(g.data), g.blockSize, g.romBlocks)
-	m.golden = g
-	return m
+	clock := cfg.Clock
+	if clock == nil {
+		clock = func() sim.Time { return 0 }
+	}
+	return &Memory{golden: g, logOn: cfg.LogWrites, clock: clock}
 }

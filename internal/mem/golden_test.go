@@ -209,57 +209,30 @@ func TestSharedSnapshotMatchesFlat(t *testing.T) {
 	}
 }
 
-// TestFillRandomBackingIndependent pins that FillRandom produces the
-// same content for a given seed regardless of flat vs copy-on-write
-// backing — device provisioning must not depend on the storage layout.
+// TestFillRandomBackingIndependent pins that a per-device FillRandom and
+// a fleet's RandomGolden give the same bytes for a given seed — device
+// provisioning must not depend on which of the two built the image.
+// Block sizes that are not a multiple of 8 make the 8-byte draws
+// straddle blocks.
 func TestFillRandomBackingIndependent(t *testing.T) {
 	cases := []struct {
 		size, bs, rom int
 	}{
 		{1024, 64, 2},
-		{100, 20, 0}, // 8-byte words straddle 20-byte blocks; 4-byte tail
+		{100, 20, 0}, // 4-byte tail
+		{100, 20, 1}, // the fill starts at offset 20, not 8-aligned
 		{960, 64, 0},
 	}
 	for _, c := range cases {
-		flat := New(Config{Size: c.size, BlockSize: c.bs, ROMBlocks: c.rom})
-		flat.FillRandom(rand.New(rand.NewPCG(9, 1)))
-
-		g := RandomGolden(c.size, c.bs, c.rom, rand.New(rand.NewPCG(1, 2)))
-		cow := NewShared(g, SharedConfig{})
-		cow.FillRandom(rand.New(rand.NewPCG(9, 1)))
-
-		if !bytes.Equal(flat.Snapshot(), cow.Snapshot()) {
-			t.Fatalf("size %d bs %d: FillRandom content differs between flat and COW backing", c.size, c.bs)
+		m := New(Config{Size: c.size, BlockSize: c.bs, ROMBlocks: c.rom})
+		m.FillRandom(rand.New(rand.NewPCG(9, 1)))
+		g := RandomGolden(c.size, c.bs, c.rom, rand.New(rand.NewPCG(9, 1)))
+		if !bytes.Equal(m.Snapshot(), g.Bytes()) {
+			t.Fatalf("size %d bs %d rom %d: FillRandom content differs from RandomGolden", c.size, c.bs, c.rom)
 		}
-	}
-}
-
-func TestSharedRawFlattens(t *testing.T) {
-	g := newTestGolden(t)
-	m := NewShared(g, SharedConfig{})
-	if err := m.Write(130, []byte("mutation")); err != nil {
-		t.Fatal(err)
-	}
-	want := m.Snapshot()
-	raw := m.Raw()
-	if !bytes.Equal(raw, want) {
-		t.Fatal("Raw() content differs from snapshot")
-	}
-	// Raw grants direct mutable access (bypassing ROM/lock guards), so
-	// the memory must have detached from the shared golden image.
-	raw[0] ^= 0xFF
-	if g.Bytes()[0] == raw[0] {
-		t.Fatal("Raw() aliases the shared golden image")
-	}
-	if m.SharedGolden() != nil {
-		t.Fatal("memory still reports a shared golden after flattening")
-	}
-	got := make([]byte, 1)
-	if err := m.Read(0, got); err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != raw[0] {
-		t.Fatal("Raw() result not wired into subsequent reads")
+		if d, want := m.DirtyBlocks(), m.NumBlocks()-c.rom; d != want {
+			t.Fatalf("size %d bs %d rom %d: FillRandom materialized %d blocks, want %d", c.size, c.bs, c.rom, d, want)
+		}
 	}
 }
 

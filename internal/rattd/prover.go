@@ -15,9 +15,8 @@ import (
 // world's fill), so a networked prover and a daemon can agree on an
 // image by exchanging only (seed, size, block size).
 func GoldenImage(seed uint64, size, blockSize int) []byte {
-	m := mem.New(mem.Config{Size: size, BlockSize: blockSize, ROMBlocks: 1})
-	m.FillRandom(rand.New(rand.NewPCG(seed, 0xfade)))
-	return m.Snapshot()
+	// The golden is discarded, so its bytes are the caller's own.
+	return mem.RandomGolden(size, blockSize, 1, rand.New(rand.NewPCG(seed, 0xfade))).Bytes()
 }
 
 // Prover computes real measurement tags over a private image copy —

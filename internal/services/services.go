@@ -211,7 +211,9 @@ func (a *Agent) finishErase(from string, req *EraseRequest, ts sim.Time, wiped i
 		mac.Write([]byte("erase-proof"))
 		mac.Write(hdr[:])
 		mac.Write(req.Seed)
-		mac.Write(memory.Raw())
+		for b := 0; b < memory.NumBlocks(); b++ {
+			mac.Write(memory.Block(b))
+		}
 		a.Dev.EnableInterrupts()
 		a.Erasures++
 		a.Link.Send(a.Name, from, MsgEraseProof, &EraseProof{

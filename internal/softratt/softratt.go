@@ -134,9 +134,11 @@ func (p *Prover) onMessage(m channel.Message) {
 	var step func(i int)
 	step = func(i int) {
 		if i >= chunks {
-			image := p.Dev.Mem.Raw()
+			var image []byte
 			if p.Image != nil {
 				image = p.Image()
+			} else {
+				image = p.Dev.Mem.Snapshot()
 			}
 			sum := ComputeChecksum(image, ch.Seed, ch.Iterations)
 			p.Dev.EnableInterrupts()

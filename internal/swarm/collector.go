@@ -91,15 +91,16 @@ func NewCollector(hash suite.HashID) *Collector {
 func (c *Collector) Register(n *Node) { c.RegisterDevice(n.Name, n.Dev, n.Opts) }
 
 // RegisterDevice is Register for devices driven outside the tree
-// protocol (the sharded engine). A device whose memory is a clean
-// copy-on-write view of a shared golden (mem.NewShared) costs no image
-// copy: the collector references the golden bytes directly and shares
-// one batch verifier across all such devices.
+// protocol (the sharded engine). A device whose memory has no private
+// blocks costs no image copy: the collector references its golden's
+// bytes directly and shares one batch verifier across all devices on
+// that golden.
 func (c *Collector) RegisterDevice(name string, dev *device.Device, opts core.Options) {
 	m := dev.Mem
 	c.keys[name] = dev.AttestationKey
 	c.shuffle = opts.Shuffled
-	if g := m.SharedGolden(); g != nil && m.DirtyBlocks() == 0 {
+	if m.DirtyBlocks() == 0 {
+		g := m.SharedGolden()
 		b := c.byGolden[g]
 		if b == nil {
 			b = verifier.NewBatch(c.hash, verifier.ImageOfGolden(g))
@@ -109,7 +110,7 @@ func (c *Collector) RegisterDevice(name string, dev *device.Device, opts core.Op
 		c.batches[name] = b
 		return
 	}
-	// Divergent or flat image: private snapshot, reusing the previous
+	// Divergent image: private snapshot, reusing the previous
 	// registration's buffer when re-registering (never a buffer that
 	// aliases a shared golden).
 	var dst []byte

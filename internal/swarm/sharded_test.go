@@ -28,19 +28,18 @@ func newShardedFleet(t testing.TB, devices, shards int) *Sharded {
 
 // fullCopy rebuilds s as the fleet the copy-on-write engine replaced —
 // the oracle arm of TestShardedCOWMatchesFullCopy: every device owns a
-// private flat copy of the golden image, and the collector snapshots
-// each one instead of sharing the golden.
-func fullCopy(s *Sharded) *Sharded {
+// private copy of the golden image (a zeroed memory restored to it), and
+// the collector snapshots each one instead of sharing the golden.
+func fullCopy(s *Sharded) {
 	for _, d := range s.devs {
-		flat := mem.New(mem.Config{Size: s.cfg.MemSize, BlockSize: s.cfg.BlockSize,
+		own := mem.New(mem.Config{Size: s.cfg.MemSize, BlockSize: s.cfg.BlockSize,
 			ROMBlocks: 1, Clock: d.kernel.Now})
-		flat.Restore(d.mem.SharedGolden().Bytes())
-		d.mem = flat
-		d.dev = device.New(device.Config{Kernel: d.kernel, Mem: flat, Profile: d.dev.Profile})
+		own.Restore(d.mem.SharedGolden().Bytes())
+		d.mem = own
+		d.dev = device.New(device.Config{Kernel: d.kernel, Mem: own, Profile: d.dev.Profile})
 		d.task = d.dev.NewTask("MP:"+d.name, 5)
 		s.Collector.RegisterDevice(d.name, d.dev, s.cfg.Opts)
 	}
-	return s
 }
 
 // The embedded EngineConfig's Parallelism knob is the only worker
@@ -167,9 +166,20 @@ func TestShardedDeterministicAcrossShardCounts(t *testing.T) {
 func TestShardedCOWMatchesFullCopy(t *testing.T) {
 	victims := []int{9}
 	cow := newShardedFleet(t, 24, 4)
-	naive := fullCopy(newShardedFleet(t, 24, 4))
-	if naive.DirtyBlocks() != 0 || naive.Mem(0).SharedGolden() != nil {
-		t.Fatal("oracle fleet still shares the golden image")
+	naive := newShardedFleet(t, 24, 4)
+	fleet := naive.Mem(0).SharedGolden()
+	fullCopy(naive)
+	// No oracle device reads through the fleet's golden, and each holds
+	// every non-ROM block privately, so the collector registered it by
+	// snapshot rather than by the golden.
+	for i := range 24 {
+		m := naive.Mem(i)
+		if m.SharedGolden() == fleet {
+			t.Fatalf("oracle device %d reads through the fleet's golden", i)
+		}
+		if d, want := m.DirtyBlocks(), m.NumBlocks()-m.ROMBlocks(); d != want {
+			t.Fatalf("oracle device %d holds %d private blocks, want %d", i, d, want)
+		}
 	}
 	infectSome(t, cow, victims)
 	infectSome(t, naive, victims)

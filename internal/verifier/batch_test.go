@@ -102,10 +102,10 @@ func TestBatchDetectsInfectedDevice(t *testing.T) {
 // TestBatchMatchesVerifier pins that batched verification decides
 // exactly like the per-report CheckTag path, on both data paths.
 func TestBatchMatchesVerifier(t *testing.T) {
-	g, base := batchWorld(t)
-	for _, path := range []core.PathMode{core.PathIncremental, core.PathStreaming} {
-		opts := base
-		opts.Path = path
+	g, opts := batchWorld(t)
+	defer core.SetStreamingDefault(false)
+	for _, streaming := range []bool{false, true} {
+		core.SetStreamingDefault(streaming)
 		b := NewBatch(suite.SHA256, ImageOfGolden(g))
 		nonce := []byte("pin-nonce")
 
@@ -126,10 +126,10 @@ func TestBatchMatchesVerifier(t *testing.T) {
 				t.Fatal(err)
 			}
 			if gotOK != wantOK {
-				t.Fatalf("path %v device %d: batch=%v, per-report=%v", path, i, gotOK, wantOK)
+				t.Fatalf("streaming=%v device %d: batch=%v, per-report=%v", streaming, i, gotOK, wantOK)
 			}
 			if wantOK != (i == 0) {
-				t.Fatalf("path %v device %d: unexpected baseline verdict %v", path, i, wantOK)
+				t.Fatalf("streaming=%v device %d: unexpected baseline verdict %v", streaming, i, wantOK)
 			}
 		}
 	}

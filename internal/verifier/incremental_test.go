@@ -13,9 +13,10 @@ import (
 // (Report.Incremental), accepting clean devices and rejecting tampered
 // ones identically on both.
 func TestVerifierPathMirroring(t *testing.T) {
-	for _, path := range []core.PathMode{core.PathStreaming, core.PathIncremental} {
+	defer core.SetStreamingDefault(false)
+	for _, streaming := range []bool{true, false} {
+		core.SetStreamingDefault(streaming)
 		opts := core.Preset(core.SMART, suite.SHA256)
-		opts.Path = path
 
 		// Clean round accepted.
 		w := newWorld(t, opts, channel.Config{})
@@ -26,11 +27,11 @@ func TestVerifierPathMirroring(t *testing.T) {
 		w.k.Run()
 		rs := w.v.Results()
 		if len(rs) != 1 || !rs[0].OK {
-			t.Fatalf("%v: clean device rejected: %+v", path, rs)
+			t.Fatalf("streaming=%v: clean device rejected: %+v", streaming, rs)
 		}
 		res := rs[0]
-		if want := path == core.PathIncremental; res.Report.Incremental != want {
-			t.Fatalf("%v: Report.Incremental = %v", path, res.Report.Incremental)
+		if res.Report.Incremental != !streaming {
+			t.Fatalf("streaming=%v: Report.Incremental = %v", streaming, res.Report.Incremental)
 		}
 
 		// Repeat rounds on the same verifier: its golden digest cache
@@ -38,7 +39,7 @@ func TestVerifierPathMirroring(t *testing.T) {
 		w.v.Challenge("prv")
 		w.k.Run()
 		if rs := w.v.Results(); len(rs) != 2 || !rs[1].OK {
-			t.Fatalf("%v: second round rejected: %+v", path, rs)
+			t.Fatalf("streaming=%v: second round rejected: %+v", streaming, rs)
 		}
 
 		// Tampering after the caches are warm is still caught.
@@ -48,7 +49,7 @@ func TestVerifierPathMirroring(t *testing.T) {
 		w.v.Challenge("prv")
 		w.k.Run()
 		if rs := w.v.Results(); len(rs) != 3 || rs[2].OK {
-			t.Fatalf("%v: tampered memory accepted after warm rounds", path)
+			t.Fatalf("streaming=%v: tampered memory accepted after warm rounds", streaming)
 		}
 	}
 }
@@ -57,8 +58,8 @@ func TestVerifierPathMirroring(t *testing.T) {
 // via the cached zero digest, reported regions via per-report digests,
 // and a malformed reported copy is rejected.
 func TestVerifierIncrementalDataPolicies(t *testing.T) {
+	core.SetStreamingDefault(false)
 	opts := core.Preset(core.NoLock, suite.SHA256)
-	opts.Path = core.PathIncremental
 	opts.Data = core.DataRegion{Blocks: []int{9, 10}, Policy: core.DataZeroed}
 	w := newWorld(t, opts, channel.Config{})
 	if _, err := prover.NewProver("prv", w.dev, w.tr, opts, 10); err != nil {
@@ -74,7 +75,6 @@ func TestVerifierIncrementalDataPolicies(t *testing.T) {
 	}
 
 	opts2 := core.Preset(core.NoLock, suite.SHA256)
-	opts2.Path = core.PathIncremental
 	opts2.Data = core.DataRegion{Blocks: []int{9}, Policy: core.DataReported}
 	w2 := newWorld(t, opts2, channel.Config{})
 	if _, err := prover.NewProver("prv", w2.dev, w2.tr, opts2, 10); err != nil {

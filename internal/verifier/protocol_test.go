@@ -85,8 +85,8 @@ func TestReasonTexts(t *testing.T) {
 // updated memory verifies against the new reference (the per-verifier
 // cache used to stay keyed on the old bytes and reject it).
 func TestVerifierImageMovesForward(t *testing.T) {
+	core.SetStreamingDefault(false)
 	opts := core.Preset(core.SMART, suite.SHA256)
-	opts.Path = core.PathIncremental
 	w := newWorld(t, opts, channel.Config{})
 	if _, err := prover.NewProver("prv", w.dev, w.tr, opts, 10); err != nil {
 		t.Fatal(err)

@@ -35,6 +35,20 @@ func liveDedup(n *Net) int {
 	return total
 }
 
+// routeCount is the number of routes n holds: in the ID table and in
+// the string map of names without an ID.
+func routeCount(n *Net) int {
+	n.pmu.RLock()
+	defer n.pmu.RUnlock()
+	c := len(n.named)
+	for _, slot := range n.routes {
+		if slot != 0 {
+			c++
+		}
+	}
+	return c
+}
+
 // keyForms runs a dedup test once per key form: names with an interned
 // ID (each name is given its own, as the interner would), and names
 // without one (ID 0: refused by the interner, or sent over Sim).
@@ -409,10 +423,7 @@ func TestNetNoHandlerCostsNoDedupState(t *testing.T) {
 	if live := liveDedup(srv); live != 0 {
 		t.Fatalf("%d pairs remembered for an unbound endpoint", live)
 	}
-	srv.pmu.RLock()
-	routes := len(srv.peers)
-	srv.pmu.RUnlock()
-	if routes != 0 {
+	if routes := routeCount(srv); routes != 0 {
 		t.Fatalf("%d routes learned from frames for an unbound endpoint", routes)
 	}
 }
@@ -429,12 +440,15 @@ func settledHeap() uint64 {
 
 // TestNetBytesPerName pins what a Net keeps for a name it has heard
 // from once: 50 000 never-seen names send one identified frame each,
-// and the live heap may grow by at most 180 B a name (149 B measured).
-// What remains is the route learned for the name (peers), its interned
-// string and ID, and — for up to one and a half request timeouts — its
-// (name, ID) pair; the per-name ring of 512 IDs this replaced cost some
-// 5 KB. The first two are not bounded by anything yet (ROADMAP,
-// "Hostile-input and overload").
+// and the live heap may grow by at most 106 B a name (96 B measured;
+// 149 B when the interner and the routes were two string-keyed maps).
+// What remains is the name's interned string and ID
+// (TestInternBytesPerName), its route — a 4-byte slot in the Net's
+// table indexed by that ID — and, for up to one and a half request
+// timeouts, its (name, ID) pair; the per-name ring of 512 IDs this
+// replaced cost some 5 KB. The first two last as long as the process;
+// the interner's cap bounds both, except the routes of names it refused
+// (ROADMAP item 8).
 func TestNetBytesPerName(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap accounting is meaningless under the race detector")
@@ -463,8 +477,8 @@ func TestNetBytesPerName(t *testing.T) {
 	}
 	perName := float64(int64(settledHeap()-before)) / names
 	t.Logf("%.0f heap bytes per name after %d names", perName, names)
-	if perName > 180 {
-		t.Fatalf("%.0f heap bytes per name, want <= 180", perName)
+	if perName > 106 {
+		t.Fatalf("%.0f heap bytes per name, want <= 106", perName)
 	}
 	if s := srv.Stats(); s.Received != names+perDatagram || s.Dups != 0 {
 		t.Fatalf("not every name was delivered once: %+v", s)

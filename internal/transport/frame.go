@@ -12,8 +12,9 @@ import (
 // Msg owns every byte it holds, a Frame decoded by DecodeFrameInto
 // only *borrows*: Nonce, report nonces/tags and report data blocks
 // alias the receive buffer the frame was decoded from, and From/To/
-// mechanism/scheme strings come from the process-wide interning table
-// (stable, but shared). That is what makes the decode allocation-free.
+// mechanism/scheme/image strings come from the process-wide interning
+// tables (stable, but shared). That is what makes the decode
+// allocation-free.
 //
 // # Ownership contract
 //
@@ -38,7 +39,8 @@ type Frame struct {
 	From  string // interned
 	To    string // interned
 	// fromID is From's interned ID (0 when the interner refused it, and
-	// on every frame not decoded from the wire): what dedup keys on.
+	// on every frame not decoded from the wire): what dedup and Net's
+	// routes key on.
 	fromID uint32
 	// Image is the sender's golden image id ("name" or "name@vN"),
 	// interned; empty when the frame carries none.
@@ -192,7 +194,7 @@ func decodeBody(d *decoder, f *Frame) error {
 		if d.err == nil && len(img) == 0 {
 			return fmt.Errorf("transport: image flag set with empty image id")
 		}
-		f.Image, _ = interned.get(img)
+		f.Image, _ = tokens.get(img)
 	}
 	switch kind {
 	case KindChallenge:
@@ -223,9 +225,9 @@ func decodeBody(d *decoder, f *Frame) error {
 // reportInto decodes one report in view form: Nonce, Tag and Data
 // values alias the decoder's buffer.
 func reportInto(d *decoder, r *core.Report) {
-	mech, _ := interned.get(d.bytes8())
+	mech, _ := tokens.get(d.bytes8())
 	r.Mechanism = core.MechanismID(mech)
-	r.Scheme, _ = interned.get(d.bytes8())
+	r.Scheme, _ = tokens.get(d.bytes8())
 	r.Nonce = d.bytes16()
 	r.Round = int(int32(d.u32()))
 	r.Counter = d.u64()

@@ -140,7 +140,8 @@ type peerState struct {
 // ID) pair, so retries are idempotent end to end. Routes are learned
 // from inbound traffic (a daemon discovers each prover's address from
 // its first datagram) or pinned with AddRoute / the Dial default
-// route.
+// route. A route is kept under the name's interned ID (see internTable):
+// one 4-byte slot a name.
 //
 // Send path: messages queue per destination address and leave as soon
 // as their sender goes idle (see flusher), packed into batch frames
@@ -159,9 +160,15 @@ type Net struct {
 	cfg  NetConfig
 	conn *net.UDPConn
 
+	// A route names its destination by slot, the index into peers;
+	// peers[0] is nil, so slot 0 is no route. routes is indexed by the
+	// interner's name ID. named holds the routes of names the interner
+	// gave no ID: the empty name, and names it refused past its cap.
 	pmu    sync.RWMutex
-	peers  map[string]*peerState // endpoint name -> destination
-	byAddr map[netip.AddrPort]*peerState
+	routes []uint32
+	named  map[string]uint32
+	peers  []*peerState // every destination address, in order of first use
+	byAddr map[netip.AddrPort]uint32
 	def    *peerState
 
 	hmu      sync.RWMutex
@@ -234,8 +241,9 @@ func Listen(cfg NetConfig) (*Net, error) {
 	n := &Net{
 		cfg:      cfg,
 		conn:     conn,
-		peers:    map[string]*peerState{},
-		byAddr:   map[netip.AddrPort]*peerState{},
+		named:    map[string]uint32{},
+		peers:    []*peerState{nil},
+		byAddr:   map[netip.AddrPort]uint32{},
 		handlers: map[string]FrameHandler{},
 		wheel:    newRetryWheel(cfg.RetryBase, cfg.RetryCap),
 		wake:     make(chan struct{}, 1),
@@ -293,7 +301,7 @@ func Dial(addr string, cfg NetConfig) (*Net, error) {
 		return nil, fmt.Errorf("transport: resolve %q: %w", addr, err)
 	}
 	n.pmu.Lock()
-	n.def = n.peerForLocked(canonical(udp.AddrPort()))
+	n.def = n.peers[n.peerForLocked(canonical(udp.AddrPort()))]
 	n.pmu.Unlock()
 	return n, nil
 }
@@ -304,28 +312,56 @@ func canonical(ap netip.AddrPort) netip.AddrPort {
 	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
 }
 
-// peerForLocked returns (creating if needed) the peerState for ap.
-// Callers hold pmu.
-func (n *Net) peerForLocked(ap netip.AddrPort) *peerState {
-	st := n.byAddr[ap]
-	if st == nil {
-		st = &peerState{ap: ap}
-		n.byAddr[ap] = st
+// peerForLocked returns the slot of ap's peerState, creating it if
+// needed. Callers hold pmu for writing.
+func (n *Net) peerForLocked(ap netip.AddrPort) uint32 {
+	slot := n.byAddr[ap]
+	if slot == 0 {
+		slot = uint32(len(n.peers))
+		n.peers = append(n.peers, &peerState{ap: ap})
+		n.byAddr[ap] = slot
 	}
-	return st
+	return slot
+}
+
+// routeLocked returns the slot name routes to, 0 for none; id is name's
+// interned ID. Callers hold pmu.
+func (n *Net) routeLocked(name string, id uint32) uint32 {
+	if id == 0 {
+		return n.named[name]
+	}
+	if int(id) < len(n.routes) {
+		return n.routes[id]
+	}
+	return 0
+}
+
+// setRouteLocked routes name, whose interned ID is id, to slot. Callers
+// hold pmu for writing.
+func (n *Net) setRouteLocked(name string, id, slot uint32) {
+	if id == 0 {
+		n.named[name] = slot
+		return
+	}
+	if int(id) >= len(n.routes) {
+		n.routes = append(n.routes, make([]uint32, int(id)+1-len(n.routes))...)
+	}
+	n.routes[id] = slot
 }
 
 // Addr returns the bound socket address (useful with ":0").
 func (n *Net) Addr() net.Addr { return n.conn.LocalAddr() }
 
-// AddRoute pins a static name -> address route.
+// AddRoute pins a static name -> address route. It interns name, so
+// the route sits where traffic from name would learn it.
 func (n *Net) AddRoute(name, addr string) error {
 	udp, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
 		return fmt.Errorf("transport: resolve %q: %w", addr, err)
 	}
+	_, id := interned.get([]byte(name))
 	n.pmu.Lock()
-	n.peers[name] = n.peerForLocked(canonical(udp.AddrPort()))
+	n.setRouteLocked(name, id, n.peerForLocked(canonical(udp.AddrPort())))
 	n.pmu.Unlock()
 	return nil
 }
@@ -364,10 +400,12 @@ func (n *Net) Unbind(name string) {
 	n.hmu.Unlock()
 }
 
-// route resolves the destination peer for an endpoint name.
+// route resolves the destination peer for an endpoint name: a probe of
+// the interner that never inserts, then its route.
 func (n *Net) route(to string) (*peerState, error) {
+	id := interned.lookup(to)
 	n.pmu.RLock()
-	st := n.peers[to]
+	st := n.peers[n.routeLocked(to, id)]
 	if st == nil {
 		st = n.def
 	}
@@ -769,7 +807,7 @@ func (n *Net) deliver(f *Frame, from netip.AddrPort, now int64) {
 		n.stats.noHandler.Add(1)
 		return
 	}
-	n.learnPeer(f.From, from)
+	n.learnPeer(f.From, f.fromID, from)
 	if f.ReqID != 0 {
 		ds := &n.dedups[strShard(f.From)]
 		ds.mu.Lock()
@@ -784,18 +822,17 @@ func (n *Net) deliver(f *Frame, from netip.AddrPort, now int64) {
 	h(f)
 }
 
-// learnPeer records name -> address.
-func (n *Net) learnPeer(name string, from netip.AddrPort) {
+// learnPeer records name -> address; id is name's interned ID.
+func (n *Net) learnPeer(name string, id uint32, from netip.AddrPort) {
 	if name == "" {
 		return
 	}
 	n.pmu.RLock()
-	st := n.peers[name]
+	st := n.peers[n.routeLocked(name, id)]
 	n.pmu.RUnlock()
 	if st == nil || st.ap != from {
 		n.pmu.Lock()
-		st = n.peerForLocked(from)
-		n.peers[name] = st
+		n.setRouteLocked(name, id, n.peerForLocked(from))
 		n.pmu.Unlock()
 	}
 }
@@ -803,10 +840,7 @@ func (n *Net) learnPeer(name string, from netip.AddrPort) {
 // flushAll flushes every destination's coalescing queue.
 func (n *Net) flushAll() {
 	n.pmu.RLock()
-	sts := make([]*peerState, 0, len(n.byAddr))
-	for _, st := range n.byAddr {
-		sts = append(sts, st)
-	}
+	sts := slices.Clone(n.peers[1:])
 	n.pmu.RUnlock()
 	for _, st := range sts {
 		st.cmu.Lock()

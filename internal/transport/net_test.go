@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -146,6 +147,98 @@ func TestNetNoRoute(t *testing.T) {
 	defer n.Close()
 	if err := n.Send(Msg{From: "a", To: "nowhere", Kind: KindHello}); err == nil {
 		t.Fatal("send to unroutable name succeeded")
+	}
+}
+
+// TestNetRoutes pins where a Net keeps a route and that the latest
+// address wins: a name the interner holds routes through the table
+// indexed by its ID, a name it refused (the decoder gives it ID 0)
+// through the string map, a second address replaces the first in
+// either, a name with no route goes to Dial's default, and a route
+// pinned by AddRoute is re-learned from traffic that comes from
+// elsewhere.
+func TestNetRoutes(t *testing.T) {
+	def := netip.MustParseAddrPort("127.0.0.1:7001")
+	a := netip.MustParseAddrPort("127.0.0.1:7002")
+	b := netip.MustParseAddrPort("127.0.0.1:7003")
+	n, err := Dial(def.String(), NetConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	if err := n.Bind("vrf", func(Msg) {}); err != nil {
+		t.Fatal(err)
+	}
+	hear := func(name string, id uint32, from netip.AddrPort) {
+		n.deliver(&Frame{Kind: KindHello, From: name, fromID: id, To: "vrf"}, from, 0)
+	}
+	routesTo := func(name string, want netip.AddrPort) {
+		t.Helper()
+		st, err := n.route(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.ap != want {
+			t.Fatalf("%q routes to %v, want %v", name, st.ap, want)
+		}
+	}
+	inTable := func(name string) bool {
+		n.pmu.RLock()
+		defer n.pmu.RUnlock()
+		_, named := n.named[name]
+		id := interned.lookup(name)
+		return !named && id != 0 && n.routes[id] != 0
+	}
+	inMap := func(name string) bool {
+		n.pmu.RLock()
+		defer n.pmu.RUnlock()
+		_, named := n.named[name]
+		return named && interned.lookup(name) == 0
+	}
+
+	held, id := interned.get([]byte("route-held"))
+	hear(held, id, a)
+	routesTo(held, a)
+	if !inTable(held) {
+		t.Fatal("an interned name's route is not in the ID table")
+	}
+	hear(held, id, b)
+	routesTo(held, b)
+
+	hear("route-refused", 0, a)
+	routesTo("route-refused", a)
+	if !inMap("route-refused") {
+		t.Fatal("a refused name's route is not in the string map")
+	}
+	hear("route-refused", 0, b)
+	routesTo("route-refused", b)
+
+	routesTo("route-unheard", def)
+	if got := routeCount(n); got != 2 {
+		t.Fatalf("%d routes, want 2", got)
+	}
+
+	if err := n.AddRoute("route-pinned", a.String()); err != nil {
+		t.Fatal(err)
+	}
+	routesTo("route-pinned", a)
+	if !inTable("route-pinned") {
+		t.Fatal("AddRoute did not intern its name")
+	}
+	pinned, pid := interned.get([]byte("route-pinned"))
+	hear(pinned, pid, b)
+	routesTo(pinned, b)
+
+	// Off the wire: the decoder's ID is what learns the route.
+	raw := rawSender(t, n)
+	heard := n.Stats().Received
+	if _, err := raw.Write(AppendFrame(nil, &Msg{From: "route-wire", To: "vrf", Kind: KindHello, ReqID: 1})); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "the wire frame", func() bool { return n.Stats().Received == heard+1 })
+	routesTo("route-wire", raw.LocalAddr().(*net.UDPAddr).AddrPort())
+	if !inTable("route-wire") {
+		t.Fatal("a decoded name's route is not in the ID table")
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"io"
 	"sort"
 	"sync"
+
+	"saferatt/internal/verifier"
 )
 
 // Checkpoint is a shard's durable fleet state: the enrollment and
@@ -18,9 +20,10 @@ import (
 // Observe) keeps challenge nonces globally unique across the
 // restart.
 //
-// Deliberately absent: outstanding SMART challenges (the prover's
-// own timeout re-initiates the round, and an unanswerable challenge
-// is not a safety problem), the verifier.Batch expected-tag cache
+// Deliberately absent: the SMART challenge key and window (a restored
+// server draws a fresh key, the prover's own timeout re-initiates the
+// round, and an unanswerable challenge is not a safety problem), the
+// verifier.Batch expected-tag cache
 // (pure derived state, rebuilt on demand), and diagnostic Counts.
 type Checkpoint struct {
 	// Lease is the challenge-counter lease held at snapshot time, and
@@ -270,8 +273,9 @@ func (s *Server) Checkpoint() *Checkpoint {
 }
 
 // Restore installs a checkpoint into the server, replacing its fleet
-// state wholesale. Outstanding challenges are dropped (provers
-// re-initiate on their own timeout), and dirty tracking is reset —
+// state wholesale. It draws a fresh challenge key, so no challenge
+// issued before the restore is redeemed after it (provers re-initiate
+// on their own timeout), and dirty tracking is reset —
 // restored state is by definition what the disk already holds, so
 // the next delta starts empty. In a tier, the caller must also
 // Observe the checkpoint's lease on the coordinator so future leases
@@ -283,10 +287,9 @@ func (s *Server) Restore(cp *Checkpoint) {
 	s.lease = cp.Lease
 	s.nonceCtr = cp.NonceCtr
 	s.leaseMu.Unlock()
+	s.chal.Store(verifier.NewChallenger(nil, labelChallenge))
 	for _, st := range s.stripes {
 		st.mu.Lock()
-		st.pending = map[string]pendingChallenge{}
-		st.order = nil
 		st.provers = newProverTable() // with it go the dirty set and its stamps
 		st.mu.Unlock()
 	}

@@ -187,86 +187,6 @@ func TestStripesDoNotShareLocks(t *testing.T) {
 	}
 }
 
-// TestPendingCapEviction is the regression test for the unbounded
-// pending-challenge map: a fleet of provers that hello and never
-// report must not grow server state past PendingCap — the oldest
-// outstanding challenge is evicted (its prover re-initiates on
-// timeout), the newest still verifies.
-func TestPendingCapEviction(t *testing.T) {
-	const cap = 4
-	s := localServer(t, Config{Stripes: 1, PendingCap: cap})
-	image := GoldenImage(7, testMem, testBlock)
-
-	tr := s.tr.(*transport.Local)
-	nonces := map[string][]byte{}
-	var mu sync.Mutex
-	for i := 0; i < 3*cap; i++ {
-		name := fmt.Sprintf("ghost%04d", i)
-		n := name
-		if err := tr.Bind(n, func(m transport.Msg) {
-			if m.Kind == transport.KindChallenge {
-				mu.Lock()
-				nonces[n] = m.Nonce
-				mu.Unlock()
-			}
-		}); err != nil {
-			t.Fatal(err)
-		}
-		s.Ingest(name, transport.KindHello, nil)
-	}
-	st := s.stripes[0]
-	st.mu.Lock()
-	outstanding := len(st.pending)
-	st.mu.Unlock()
-	if outstanding > cap {
-		t.Fatalf("pending map holds %d entries, cap is %d", outstanding, cap)
-	}
-
-	// The newest challenge is still answerable; the oldest was evicted
-	// and its (valid!) response now reads as unsolicited.
-	respond := func(name string) bool {
-		p, err := NewProver(name, DefaultKey, image, testBlock)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mu.Lock()
-		nonce := nonces[name]
-		mu.Unlock()
-		rep, err := p.Respond(nonce)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var verdict transport.Msg
-		if err := tr.Bind(name, func(m transport.Msg) {
-			if m.Kind == transport.KindVerdict {
-				verdict = m
-			}
-		}); err != nil {
-			t.Fatal(err)
-		}
-		s.Ingest(name, transport.KindReport, []core.Report{*rep})
-		return verdict.OK
-	}
-	if !respond(fmt.Sprintf("ghost%04d", 3*cap-1)) {
-		t.Fatal("newest outstanding challenge rejected")
-	}
-	if respond("ghost0000") {
-		t.Fatal("evicted challenge still answerable — eviction is not oldest-first")
-	}
-
-	// A re-hello storm from one prover must not grow the eviction FIFO
-	// unboundedly either (stale refs are compacted).
-	for i := 0; i < 100*cap; i++ {
-		s.Ingest("storm", transport.KindHello, nil)
-	}
-	st.mu.Lock()
-	fifoLen := len(st.order)
-	st.mu.Unlock()
-	if fifoLen > 4*cap {
-		t.Fatalf("eviction FIFO grew to %d refs under a re-hello storm (cap %d)", fifoLen, cap)
-	}
-}
-
 // TestEnrolledCounter pins the O(1) enrollment counter against the
 // semantics the old double-scan had: a prover counts once, whether it
 // arrived via ERASMUS (counted on first contact, even all-rejected)

@@ -119,10 +119,34 @@ func (h *stacks) lastVerdict() string {
 func (h *stacks) smart(challenge bool, build func(nonce []byte) []*core.Report) (string, string) {
 	var simNonce, srvNonce []byte
 	if challenge {
-		simNonce = h.sim.Challenge(h.prv.Name)
-		h.srv.Ingest(h.prv.Name, transport.KindHello, nil)
-		srvNonce = h.inbox[len(h.inbox)-1].Nonce
+		simNonce, srvNonce = h.challenge(h.prv.Name)
 	}
+	return h.answer(simNonce, srvNonce, build)
+}
+
+// challenge has each stack challenge name and returns the two nonces.
+func (h *stacks) challenge(name string) (simNonce, srvNonce []byte) {
+	h.t.Helper()
+	if err := h.tr.Bind(name, func(m transport.Msg) { h.inbox = append(h.inbox, m) }); err != nil {
+		h.t.Fatal(err)
+	}
+	simNonce = h.sim.Challenge(name)
+	h.srv.Ingest(name, transport.KindHello, nil)
+	return simNonce, h.inbox[len(h.inbox)-1].Nonce
+}
+
+// slideOut issues as many challenges on each stack as its window holds,
+// to a name nobody answers to.
+func (h *stacks) slideOut() {
+	for i := 0; i < verifier.ChallengeBits; i++ {
+		h.sim.Challenge("prv-gone")
+		h.srv.Ingest("prv-gone", transport.KindHello, nil)
+	}
+}
+
+// answer has the prover respond to each stack, build getting the
+// stack's nonce.
+func (h *stacks) answer(simNonce, srvNonce []byte, build func(nonce []byte) []*core.Report) (string, string) {
 	from := len(h.sim.Results())
 	h.sim.HandleReports(h.prv.Name, build(simNonce))
 	h.srv.Ingest(h.prv.Name, transport.KindReport, values(build(srvNonce)))
@@ -206,7 +230,23 @@ func TestStacksAgreeOnReasons(t *testing.T) {
 			return h.smart(true, func([]byte) []*core.Report { return nil })
 		}},
 		{"smart/nonce mismatch", verifier.ReasonNonceMismatch, func(h *stacks) (string, string) {
+			return h.smart(true, func(n []byte) []*core.Report {
+				forged := append([]byte(nil), n...)
+				forged[len(forged)-1] ^= 1 // one MAC byte
+				return h.respond(forged)
+			})
+		}},
+		{"smart/unrelated nonce after a hello", verifier.ReasonUnsolicited, func(h *stacks) (string, string) {
 			return h.smart(true, func([]byte) []*core.Report { return h.respond([]byte("some-other-nonce")) })
+		}},
+		{"smart/nonce issued to another name", verifier.ReasonNonceMismatch, func(h *stacks) (string, string) {
+			simNonce, srvNonce := h.challenge("prv-other")
+			return h.answer(simNonce, srvNonce, h.respond)
+		}},
+		{"smart/answer after the window slid past", verifier.ReasonUnsolicited, func(h *stacks) (string, string) {
+			simNonce, srvNonce := h.challenge(h.prv.Name)
+			h.slideOut()
+			return h.answer(simNonce, srvNonce, h.respond)
 		}},
 		{"smart/tag mismatch", verifier.ReasonTagMismatch, func(h *stacks) (string, string) {
 			return h.smart(true, func(n []byte) []*core.Report { return []*core.Report{tampered(h.respond(n)[0])} })

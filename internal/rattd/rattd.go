@@ -17,8 +17,8 @@
 // Concurrency model (one shard's insides). The transport delivers
 // frames on RecvQueues dispatch workers at once, so the Server is
 // built to verify in parallel rather than serialize on a daemon-wide
-// mutex: per-prover freshness state (outstanding challenges, ERASMUS
-// dedup windows, SeED watermarks) is partitioned across lock stripes
+// mutex: per-prover freshness state (ERASMUS dedup windows, SeED
+// watermarks, image bindings) is partitioned across lock stripes
 // keyed by prover-name hash, so handlers for different provers never
 // contend. The unit of work is the bundle: a handler visits its
 // prover's stripe once to snapshot (bind the image, enrol, copy the
@@ -55,7 +55,7 @@ import (
 // DefaultKey is the fleet-shared attestation key devices ship with.
 var DefaultKey = device.DefaultKey
 
-// labelChallenge keys the daemon's SMART challenge nonce stream (the
+// labelChallenge labels the MAC of the daemon's SMART challenges (the
 // other derivations and every accept rule live in the verification
 // core, internal/verifier/protocol.go).
 var labelChallenge = []byte("rattd-challenge")
@@ -68,13 +68,6 @@ type DedupWindow = verifier.DedupWindow
 // DefaultImageName is the registry name a single-image Config's Ref is
 // registered under, and the image imageless reports are served against.
 const DefaultImageName = "default"
-
-// DefaultPendingCap bounds outstanding (unanswered) SMART challenges
-// held across the server. A prover that hellos and never reports used
-// to leak its nonce entry forever; past the cap the oldest entry is
-// evicted — its owner re-initiates on timeout, which is the SMART
-// recovery path anyway.
-const DefaultPendingCap = 1 << 16
 
 // Config assembles a Server.
 type Config struct {
@@ -107,10 +100,6 @@ type Config struct {
 	// Defaults to 4×GOMAXPROCS: enough that concurrent dispatch
 	// workers rarely collide, cheap enough to be irrelevant at 1.
 	Stripes int
-	// PendingCap bounds outstanding SMART challenges across the
-	// server (oldest evicted first); defaults to DefaultPendingCap.
-	// Negative means 1 (the minimum).
-	PendingCap int
 	// Lease, when set, supplies challenge nonce-counter epoch leases
 	// (normally from a tier Coordinator). It is called off the hot
 	// path — once per exhausted window, not per challenge — so a
@@ -145,6 +134,10 @@ type Server struct {
 	stripes []*stripe
 	mask    uint64
 	seed    maphash.Seed // files provers within their stripe; see stripeHash
+	// chal issues and redeems SMART challenges under a key drawn for
+	// this incarnation (never cfg.Key, which every prover holds);
+	// Restore swaps in a fresh one.
+	chal atomic.Pointer[verifier.Challenger]
 
 	// The challenge-counter lease has its own small mutex: hellos
 	// touch it for a counter increment (and once per exhausted window
@@ -165,12 +158,8 @@ type Server struct {
 // Every table touch happens under mu; nothing slower than a table
 // probe ever does.
 type stripe struct {
-	mu         sync.Mutex
-	pending    map[string]pendingChallenge // prover -> outstanding challenge
-	order      []pendingRef                // insertion order for oldest-first eviction
-	seq        uint64                      // challenge insertion sequence
-	pendingCap int
-	provers    *proverTable // durable freshness records and their dirty set; Restore swaps it whole
+	mu      sync.Mutex
+	provers *proverTable // durable freshness records and their dirty set; Restore swaps it whole
 }
 
 // markDirty stamps record i (r) into the current checkpoint generation,
@@ -190,20 +179,6 @@ func (st *stripe) rec(s *Server, name string, h uint64) (*proverRec, uint32) {
 	}
 	s.enrolled.Add(1)
 	return st.provers.add(name, h)
-}
-
-type pendingChallenge struct {
-	nonce verifier.Challenge
-	seq   uint64
-}
-
-// pendingRef is one entry of a stripe's eviction FIFO. A re-hello
-// supersedes the prover's entry (new seq), leaving the old ref stale;
-// stale refs are skipped at eviction and compacted away when they
-// outnumber live entries.
-type pendingRef struct {
-	name string
-	seq  uint64
 }
 
 // Serve binds a new Server to tr under cfg.Name and starts answering.
@@ -227,14 +202,7 @@ func Serve(tr transport.Transport, cfg Config) (*Server, error) {
 	if cfg.Stripes <= 0 {
 		cfg.Stripes = 4 * runtime.GOMAXPROCS(0)
 	}
-	if cfg.PendingCap == 0 {
-		cfg.PendingCap = DefaultPendingCap
-	}
 	nstripes := 1 << bits.Len(uint(cfg.Stripes-1)) // next power of two
-	perStripeCap := cfg.PendingCap / nstripes
-	if perStripeCap < 1 {
-		perStripeCap = 1
-	}
 	images := cfg.Images
 	if images == nil {
 		// Single-image fleet: the Ref becomes a one-entry registry, so
@@ -256,12 +224,9 @@ func Serve(tr transport.Transport, cfg Config) (*Server, error) {
 		seed:    maphash.MakeSeed(),
 	}
 	for i := range s.stripes {
-		s.stripes[i] = &stripe{
-			pending:    map[string]pendingChallenge{},
-			pendingCap: perStripeCap,
-			provers:    newProverTable(),
-		}
+		s.stripes[i] = &stripe{provers: newProverTable()}
 	}
+	s.chal.Store(verifier.NewChallenger(nil, labelChallenge))
 	// The zero-copy receive form: over Net, report fields arrive as
 	// views into the transport's receive buffer and are consumed before
 	// the handler returns (every retained value below — nonces,
@@ -473,70 +438,32 @@ func (st *stripe) bindImage(s *Server, rec *proverRec, ri uint32, name string) (
 
 // handleHello answers a prover's hello with a fresh challenge nonce
 // (step 1 of the §2.2 timeline, prover-initiated so it traverses
-// NATs). The counter comes out of the epoch lease, the nonce is
-// derived off-lock, and only the pending-table insert touches the
-// prover's stripe.
+// NATs). The counter comes out of the epoch lease and the nonce proves
+// itself, so the hello touches no stripe.
 func (s *Server) handleHello(from string) {
-	ctr := s.nextChallengeCtr()
-	nonce := verifier.ChallengeNonce(s.cfg.Key, labelChallenge, ctr)
-	st := s.stripeFor(from)
-	st.mu.Lock()
-	st.putPending(from, nonce)
-	st.mu.Unlock()
+	nonce := s.chal.Load().Issue(s.nextChallengeCtr(), from)
 	s.cnt.challenges.Add(1)
 	s.tr.Send(transport.Msg{From: s.cfg.Name, To: from, Kind: transport.KindChallenge, Nonce: nonce})
 }
 
-// putPending inserts an outstanding challenge, evicting oldest-first
-// past the stripe's share of PendingCap. Caller holds st.mu.
-func (st *stripe) putPending(name string, nonce []byte) {
-	st.seq++
-	st.pending[name] = pendingChallenge{nonce: nonce, seq: st.seq}
-	st.order = append(st.order, pendingRef{name: name, seq: st.seq})
-	for len(st.pending) > st.pendingCap {
-		ref := st.order[0]
-		st.order = st.order[1:]
-		if p, ok := st.pending[ref.name]; ok && p.seq == ref.seq {
-			delete(st.pending, ref.name)
-		}
-	}
-	// Re-hellos leave stale refs behind; compact when they dominate so
-	// the FIFO stays O(live entries) even under a re-hello storm.
-	if len(st.order) > 2*st.pendingCap && len(st.order) > 2*len(st.pending) {
-		live := st.order[:0]
-		for _, ref := range st.order {
-			if p, ok := st.pending[ref.name]; ok && p.seq == ref.seq {
-				live = append(live, ref)
-			}
-		}
-		st.order = live
-	}
-}
-
-// takePending consumes a prover's outstanding challenge (nil: none).
-// Caller holds st.mu.
-func (st *stripe) takePending(name string) verifier.Challenge {
-	p := st.pending[name]
-	delete(st.pending, name)
-	return p.nonce
-}
-
 // handleReport validates a challenge response and answers with a
-// verdict. One stripe visit checks the binding and consumes the pending
-// challenge; nonce comparison and tag verification run off-lock. The
-// challenge is consumed here, so its nonce cannot recur and the tag is
-// verified without being cached.
+// verdict. One stripe visit checks the binding; the challenge is
+// redeemed, and the tag verified, off-lock. A redeemed nonce cannot
+// recur, so the tag is verified without being cached.
 func (s *Server) handleReport(from string, id verifier.ImageID, reports []core.Report) {
 	st, h := s.stripeHash(from)
 	st.mu.Lock()
 	rec, ri := st.provers.find(from, h)
 	name, bound := st.bindImage(s, rec, ri, id.Name)
-	nonce := st.takePending(from)
 	st.mu.Unlock()
+	var nonce verifier.Challenge
+	if len(reports) > 0 {
+		nonce = reports[0].Nonce
+	}
 	why := verifier.ReasonImageMismatch
 	var err error
 	if bound {
-		why = nonce.Open(len(reports))
+		why = s.chal.Load().Open(from, len(reports), nonce)
 	}
 	tags := bundleTags{s: s, id: verifier.ImageID{Name: name, Version: id.Version}}
 	for i := 0; i < len(reports) && why == verifier.ReasonOK; i++ {

@@ -169,20 +169,14 @@ func (c *Collector) BatchStats() verifier.BatchStats {
 }
 
 // judgeNode runs the verification core's on-demand rules (§2.2) over
-// one node's reports. A nil nonce means "do not check nonces" — not the
-// unsolicited bundle Challenge.Open takes a nil challenge for.
+// one node's reports. A nil nonce means "do not check nonces".
 func (c *Collector) judgeNode(name string, reports []*core.Report, nonce []byte) NodeVerdict {
 	reason, err := c.check(name, reports, verifier.Challenge(nonce))
 	return NodeVerdict{Node: name, OK: reason == verifier.ReasonOK, Reason: reason.Text(err)}
 }
 
 func (c *Collector) check(name string, reports []*core.Report, ch verifier.Challenge) (verifier.Reason, error) {
-	switch {
-	case ch != nil:
-		if reason := ch.Open(len(reports)); reason != verifier.ReasonOK {
-			return reason, nil
-		}
-	case len(reports) == 0:
+	if len(reports) == 0 {
 		return verifier.ReasonEmptyBundle, nil
 	}
 	key := c.keys[name]

@@ -1,7 +1,13 @@
 package verifier
 
 import (
+	"crypto/hmac"
+	"crypto/rand"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
+	"hash"
+	"sync"
 
 	"saferatt/internal/core"
 	"saferatt/internal/suite"
@@ -109,12 +115,6 @@ func TagReason(ok bool, err error) Reason {
 // without a per-call string conversion.
 var labelSeedFor = []byte("rattd-seed:")
 
-// ChallengeNonce derives the SMART challenge nonce for a verifier's
-// challenge counter; each stack passes its own label.
-func ChallengeNonce(key, label []byte, ctr uint64) []byte {
-	return core.AppendPRF(make([]byte, 0, 32), key, label, ctr)[:16]
-}
-
 // AppendSeedFor appends a networked prover's SeED schedule seed; daemon
 // and prover each derive it from the shared key and the prover's name.
 func AppendSeedFor(dst, key, prover []byte) []byte {
@@ -125,21 +125,86 @@ func AppendSeedFor(dst, key, prover []byte) []byte {
 	return out
 }
 
-// Challenge is a prover's outstanding SMART nonce (§2.2); nil means none
-// is outstanding. The table holding it (and consuming it on the first
-// response, whatever the verdict) belongs to the stack.
-type Challenge []byte
+// ChallengeNonceLen is the length of a SMART challenge nonce:
+// ctr ‖ seq ‖ MAC(key, label ‖ ctr ‖ seq ‖ name)[:16].
+const ChallengeNonceLen = 32
 
-// Open judges a response bundle of n reports before any is looked at.
-func (c Challenge) Open(n int) Reason {
+// Challenger issues SMART challenges that prove themselves (the DTLS
+// stateless cookie, RFC 6347 §4.2.1), so no stack stores one: the MAC
+// binds the caller's counter ctr, which keeps nonces unique beyond this
+// Challenger, and the window's seq to the prover's name, under a key
+// only the verifier holds. Safe for concurrent use.
+type Challenger struct {
+	label []byte
+	macs  sync.Pool // *challengeMAC: a MAC state under the key, a staging buffer
+	win   ChallengeWindow
+}
+
+type challengeMAC struct {
+	h   hash.Hash
+	buf []byte
+}
+
+// NewChallenger returns a Challenger keyed by key, which must be the
+// verifier's alone: whoever holds it can mint challenges. A nil key is
+// drawn from crypto/rand.
+func NewChallenger(key, label []byte) *Challenger {
+	if key == nil {
+		key = make([]byte, sha256.Size)
+		if _, err := rand.Read(key); err != nil {
+			panic(err)
+		}
+	}
+	c := &Challenger{label: label}
+	c.macs.New = func() any { return &challengeMAC{h: hmac.New(sha256.New, key)} }
+	return c
+}
+
+// appendMAC appends the MAC of a nonce's head (ctr ‖ seq) and name to dst.
+func (c *Challenger) appendMAC(dst, head []byte, name string) []byte {
+	m := c.macs.Get().(*challengeMAC)
+	m.buf = append(append(m.buf[:0], head...), name...)
+	m.h.Write(c.label)
+	m.h.Write(m.buf)
+	m.buf = m.h.Sum(m.buf[:0])
+	m.h.Reset()
+	dst = append(dst, m.buf[:16]...)
+	c.macs.Put(m)
+	return dst
+}
+
+// Issue mints the challenge for name under counter ctr.
+func (c *Challenger) Issue(ctr uint64, name string) []byte {
+	nonce := binary.BigEndian.AppendUint64(make([]byte, 0, ChallengeNonceLen), ctr)
+	nonce = binary.BigEndian.AppendUint64(nonce, c.win.Issue())
+	return c.appendMAC(nonce, nonce, name)
+}
+
+// Open judges a response bundle of n reports from name, the first
+// carrying nonce, before any tag: an empty bundle, a nonce of the wrong
+// length, a MAC that does not bind it to name (ReasonNonceMismatch) and
+// a seq the window refuses are rejected in that order, and only a nonce
+// that passes all four is consumed. Every report of the bundle must
+// then carry it (Challenge.Check).
+func (c *Challenger) Open(name string, n int, nonce Challenge) Reason {
+	var want [ChallengeNonceLen]byte
 	switch {
-	case c == nil:
-		return ReasonUnsolicited
 	case n == 0:
 		return ReasonEmptyBundle
+	case len(nonce) != ChallengeNonceLen:
+		return ReasonUnsolicited
+	case !ctEqual(nonce, c.appendMAC(append(want[:0], nonce[:16]...), nonce[:16], name)):
+		return ReasonNonceMismatch
+	case !c.win.Redeem(binary.BigEndian.Uint64(nonce[8:])):
+		return ReasonUnsolicited
 	}
 	return ReasonOK
 }
+
+// Challenge is the nonce a SMART response bundle answers (§2.2):
+// Challenger.Open redeems it once, and every report of the bundle must
+// carry it.
+type Challenge []byte
 
 // Check judges one report of a response bundle that Open let in.
 func (c Challenge) Check(r *core.Report) Reason {

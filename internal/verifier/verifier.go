@@ -59,8 +59,9 @@ type Verifier struct {
 	// OnResult, if set, observes each result as it is recorded.
 	OnResult func(Result)
 
-	// The protocol state the shared rules (protocol.go) run over.
-	pending  map[string]Challenge
+	// The protocol state the shared rules (protocol.go) run over. chal
+	// is made on first use, so a world that never challenges pays nothing.
+	chal     *Challenger
 	fresh    map[string]*Freshness
 	seedMons map[string]*SeedMonitor
 	results  []Result
@@ -97,8 +98,7 @@ func New(cfg Config) (*Verifier, error) {
 		Kernel: cfg.Kernel, tr: cfg.Transport,
 		Scheme: cfg.Scheme, PermKey: cfg.PermKey, Image: cfg.Image,
 		Opts: cfg.Opts, Trace: cfg.Trace,
-		pending: map[string]Challenge{},
-		fresh:   map[string]*Freshness{},
+		fresh: map[string]*Freshness{},
 	}
 	if err := cfg.Transport.Bind(endpoint, v.onMsg); err != nil {
 		return nil, fmt.Errorf("verifier: %w", err)
@@ -127,10 +127,7 @@ func (v *Verifier) send(to string, kind transport.Kind, nonce []byte) {
 // (step 1 of the §2.2 timeline) and returns the nonce.
 func (v *Verifier) Challenge(prover string) []byte {
 	v.nonceCtr++
-	// A deterministic per-verifier nonce stream keeps experiments
-	// reproducible while remaining unpredictable to the prover.
-	nonce := ChallengeNonce(v.PermKey, labelChallenge, v.nonceCtr)
-	v.pending[prover] = nonce
+	nonce := v.challenger().Issue(v.nonceCtr, prover)
 	v.Trace.AddCat(v.Kernel.Now(), trace.KindRequestSent, endpoint, "to ", prover)
 	v.send(prover, transport.KindChallenge, nonce)
 	return nonce
@@ -143,13 +140,26 @@ func (v *Verifier) Collect(prover string) {
 
 var labelChallenge = []byte("challenge")
 
-// HandleReports validates a challenge response: every round's report
-// must carry the outstanding nonce and a correct tag.
+// challenger returns the verifier's Challenger, whose window issues
+// seq = nonceCtr. Its key is PRF(PermKey, "challenge", 0), so runs stay
+// reproducible while nonces stay unpredictable to the prover.
+func (v *Verifier) challenger() *Challenger {
+	if v.chal == nil {
+		v.chal = NewChallenger(core.AppendPRF(nil, v.PermKey, labelChallenge, 0), labelChallenge)
+	}
+	return v.chal
+}
+
+// HandleReports validates a challenge response: the first report's
+// nonce must be a challenge this verifier issued to prover and has not
+// redeemed yet, and every round's report must carry it and a correct tag.
 func (v *Verifier) HandleReports(prover string, reports []*core.Report) {
 	v.Trace.AddCat(v.Kernel.Now(), trace.KindReportReceived, endpoint, "from ", prover)
-	c := v.pending[prover]
-	delete(v.pending, prover)
-	if why := c.Open(len(reports)); why != ReasonOK {
+	var c Challenge
+	if len(reports) > 0 {
+		c = reports[0].Nonce
+	}
+	if why := v.challenger().Open(prover, len(reports), c); why != ReasonOK {
 		v.record(v.result(prover, nil, why, nil))
 		return
 	}

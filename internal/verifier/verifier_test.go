@@ -133,10 +133,13 @@ func TestNonceMismatchRejected(t *testing.T) {
 	opts := core.Preset(core.SMART, suite.SHA256)
 	w := newWorld(t, opts, channel.Config{})
 	w.v.Challenge("prv")
-	// Forge a "report" with the wrong nonce from a fake prover.
+	// Forge a "report" from a fake prover, answering the challenge with
+	// one byte of the nonce's MAC flipped.
 	w.tr.Bind("prv", func(m transport.Msg) {
 		if m.Kind == transport.KindChallenge {
-			rep := &core.Report{Nonce: []byte("stale"), Tag: []byte{1}, BlockSize: 256, NumBlocks: 16}
+			forged := append([]byte(nil), m.Nonce...)
+			forged[len(forged)-1] ^= 1
+			rep := &core.Report{Nonce: forged, Tag: []byte{1}, BlockSize: 256, NumBlocks: 16}
 			w.tr.Send(transport.Msg{From: "prv", To: "verifier", Kind: transport.KindReport, Reports: []*core.Report{rep}})
 		}
 	})

@@ -1,5 +1,7 @@
 package verifier
 
+import "sync"
+
 // Bounded ERASMUS replay protection, shared by both verifier stacks.
 // Remembering every accepted measurement counter per prover in a
 // map[uint64]bool is exact but O(reports) memory forever, which makes
@@ -99,4 +101,41 @@ func (w *DedupWindow) Counters() []uint64 {
 		}
 	}
 	return out
+}
+
+// ChallengeBits is W, how many of the latest SMART challenges a
+// ChallengeWindow keeps redeemable.
+const ChallengeBits = 1 << 16
+
+// ChallengeWindow issues challenge sequence numbers 1, 2, 3, … and
+// redeems each of the last ChallengeBits issued at most once: the IPsec
+// anti-replay ring (RFC 4303 §3.4.3), one bit a seq, in 8 KiB. Issuing a
+// seq clears its slot, so no timer or sweep reuses one. Safe for
+// concurrent use.
+type ChallengeWindow struct {
+	mu   sync.Mutex
+	top  uint64 // the last seq issued
+	bits [ChallengeBits / 64]uint64
+}
+
+// Issue returns the next sequence number.
+func (w *ChallengeWindow) Issue() uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.top++
+	w.bits[w.top%ChallengeBits/64] &^= 1 << (w.top % 64)
+	return w.top
+}
+
+// Redeem consumes seq: false if it was never issued, has slid out of
+// the window, or was redeemed already.
+func (w *ChallengeWindow) Redeem(seq uint64) bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	word, bit := &w.bits[seq%ChallengeBits/64], uint64(1)<<(seq%64)
+	if seq == 0 || seq > w.top || w.top-seq >= ChallengeBits || *word&bit != 0 {
+		return false
+	}
+	*word |= bit
+	return true
 }

@@ -57,7 +57,6 @@ var optionsAllowed = [...]struct{ name, reason, why string }{
 	{"experiments.E16Config.MinDeltaSpeedup", scaleSeam, "a 20-prover delta beats a 2,000-prover full by 3x, not 10x"},
 	{"swarm.ShardedConfig.Opts", faultSeam, "an invalid mechanism (three rounds, no shuffle), to see NewSharded refuse it"},
 	{"rattd.CheckpointerConfig.MaxDeltaFrac", faultSeam, "disarms size-triggered compaction so the delta-count paths run on tiny fleets"},
-	{"rattd.Config.PendingCap", faultSeam, "a four-entry challenge table, so a hello flood evicts"},
 	{"rattd.Config.Key", deployment, "the daemon's credential: a deployment provisions its own in place of the public DefaultKey"},
 	{"rattd.TierConfig.Window", faultSeam, "a three-counter lease, so shards exhaust and renew leases within a test"},
 	{"safety.Config.CheckDur", faultSeam, "a 5–10 µs sensor pass, so several land inside one lock window"},

@@ -208,3 +208,28 @@ func BenchmarkTransport_NetBatchThroughput(b *testing.B) {
 		time.Sleep(50 * time.Microsecond)
 	}
 }
+
+// BenchmarkTransport_LocalSendFleet measures one Local delivery among
+// 200 000 bound names — inproc_mixed's fleet — sent to in a seeded
+// shuffled order, so that the order the names were bound in cannot
+// help the probe. Each send names its peer with the string it was
+// bound under, as a daemon replying to an ingested name does.
+func BenchmarkTransport_LocalSendFleet(b *testing.B) {
+	names := fleetNames(200_000)
+	l := NewLocal()
+	n := 0
+	for _, name := range names {
+		l.Bind(name, func(Msg) { n++ })
+	}
+	order := shuffled(len(names), 1)
+	m := Msg{From: "vrf", Kind: KindVerdict, OK: true}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.To = names[order[i%len(order)]]
+		l.Send(m)
+	}
+	if n != b.N {
+		b.Fatalf("delivered %d/%d", n, b.N)
+	}
+}

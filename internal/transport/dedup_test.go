@@ -447,8 +447,8 @@ func settledHeap() uint64 {
 // table indexed by that ID — and, for up to one and a half request
 // timeouts, its (name, ID) pair; the per-name ring of 512 IDs this
 // replaced cost some 5 KB. The first two last as long as the process;
-// the interner's cap bounds both, except the routes of names it refused
-// (ROADMAP item 8).
+// the interner's cap bounds both, and namedCap the routes of names it
+// refused (TestNetRefusedNameRoutesBounded).
 func TestNetBytesPerName(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap accounting is meaningless under the race detector")

@@ -15,7 +15,7 @@ import (
 // leave the table at the cap, still serving correct strings for both
 // resident and past-cap names.
 func TestInternTableBounded(t *testing.T) {
-	tbl := newInternTable(64)
+	tbl := newInternTable[struct{}](64)
 	const churn = 10000
 	for i := 0; i < churn; i++ {
 		name := fmt.Sprintf("flood-peer-%05d", i)
@@ -61,7 +61,7 @@ func TestInternTableBounded(t *testing.T) {
 // distinct and shared names against a tiny cap; the bound must hold
 // and every returned string must be correct.
 func TestInternTableConcurrentChurn(t *testing.T) {
-	tbl := newInternTable(32)
+	tbl := newInternTable[struct{}](32)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -88,7 +88,7 @@ func TestInternTableConcurrentChurn(t *testing.T) {
 // bytes with the caller's buffer, because that buffer is a pooled
 // receive buffer about to be overwritten.
 func TestInternNeverAliasesInput(t *testing.T) {
-	tbl := newInternTable(2)
+	tbl := newInternTable[struct{}](2)
 	check := func(path string, buf []byte) {
 		t.Helper()
 		want := string(append([]byte(nil), buf...))
@@ -157,7 +157,7 @@ func TestInternBytesPerName(t *testing.T) {
 		in[i] = fmt.Appendf(nil, "name-%05d", i)
 	}
 	before := settledHeap()
-	tbl := newInternTable(internCap)
+	tbl := newInternTable[struct{}](internCap)
 	for _, b := range in {
 		tbl.get(b)
 	}
@@ -179,7 +179,7 @@ func TestTokensStayOutOfNameTable(t *testing.T) {
 	// A table of its own, so the junk crowds no later test's tokens out
 	// of the process's table.
 	saved := tokens
-	tokens = newInternTable(tokenCap)
+	tokens = newInternTable[struct{}](tokenCap)
 	defer func() { tokens = saved }()
 
 	m := &Msg{From: "tok-prv", To: "tok-vrf", Kind: KindCollection, Image: "tok-img@v3", ReqID: 1}

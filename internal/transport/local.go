@@ -1,8 +1,10 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
-	"sync"
+	"hash/maphash"
+	"math"
 )
 
 // Local is the in-process transport: delivery is a synchronous handler
@@ -19,18 +21,28 @@ import (
 // retransmitted, so Local keeps no request-ID memory and a caller that
 // sends one (From, ReqID) pair twice is delivered it twice.
 //
+// A name is keyed the way Net keys it: Bind files the caller's string
+// in an internTable of the Local's own, under a dense ID, with the
+// handler beside it in chunks that never move. A delivery is one hash,
+// one index probe — whose string compare is usually pointer-equal,
+// since senders name peers with the strings they bound — and one read
+// of the slot the compare already brought into cache. The table has no
+// cap, because only Bind adds to it, and it never shrinks: a name stays
+// filed, with an empty slot, after Unbind.
+//
 // The delivered Msg is the sender's value: a handler may retain it
 // only if the sender does not mutate the payload afterwards (the
 // usual pattern — build, send, drop — satisfies this).
 type Local struct {
-	mu       sync.RWMutex
-	handlers map[string]Handler
-	closed   bool
+	names  *internTable[Handler] // every name ever bound, each beside its handler
+	closed bool                  // guarded, as the table is, by names.mu
 }
+
+var errLocalClosed = errors.New("transport: local transport closed")
 
 // NewLocal builds an empty in-process transport.
 func NewLocal() *Local {
-	return &Local{handlers: map[string]Handler{}}
+	return &Local{names: newInternTable[Handler](math.MaxUint32)}
 }
 
 // Bind registers name's handler, replacing any previous one.
@@ -38,12 +50,17 @@ func (l *Local) Bind(name string, h Handler) error {
 	if h == nil {
 		return fmt.Errorf("transport: nil handler for %q", name)
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	hash := maphash.String(l.names.seed, name)
+	l.names.mu.Lock()
+	defer l.names.mu.Unlock()
 	if l.closed {
-		return fmt.Errorf("transport: local transport closed")
+		return errLocalClosed
 	}
-	l.handlers[name] = h
+	id := l.names.find(name, hash)
+	if id == 0 {
+		_, id = l.names.add(name, hash)
+	}
+	l.names.at(id).val = h
 	return nil
 }
 
@@ -58,21 +75,28 @@ func (l *Local) BindFrames(name string, h FrameHandler) error {
 
 // Unbind removes name's handler; later sends to it are dropped.
 func (l *Local) Unbind(name string) {
-	l.mu.Lock()
-	delete(l.handlers, name)
-	l.mu.Unlock()
+	hash := maphash.String(l.names.seed, name)
+	l.names.mu.Lock()
+	if id := l.names.find(name, hash); id != 0 {
+		l.names.at(id).val = nil
+	}
+	l.names.mu.Unlock()
 }
 
 // Send delivers m to m.To synchronously on the caller's goroutine.
 // Sends to unbound names are dropped silently (datagram semantics).
 func (l *Local) Send(m Msg) error {
-	l.mu.RLock()
-	h := l.handlers[m.To]
-	closed := l.closed
-	l.mu.RUnlock()
-	if closed {
-		return fmt.Errorf("transport: local transport closed")
+	hash := maphash.String(l.names.seed, m.To)
+	l.names.mu.RLock()
+	if l.closed {
+		l.names.mu.RUnlock()
+		return errLocalClosed
 	}
+	var h Handler
+	if id := l.names.find(m.To, hash); id != 0 {
+		h = l.names.at(id).val
+	}
+	l.names.mu.RUnlock()
 	if h != nil {
 		h(m)
 	}
@@ -92,9 +116,11 @@ func (l *Local) SendBatch(ms []Msg) error {
 
 // Close drops all handlers and fails later sends.
 func (l *Local) Close() error {
-	l.mu.Lock()
-	l.handlers = map[string]Handler{}
+	l.names.mu.Lock()
+	for id := uint32(1); id <= l.names.n; id++ {
+		l.names.at(id).val = nil
+	}
 	l.closed = true
-	l.mu.Unlock()
+	l.names.mu.Unlock()
 	return nil
 }

@@ -163,7 +163,8 @@ type Net struct {
 	// A route names its destination by slot, the index into peers;
 	// peers[0] is nil, so slot 0 is no route. routes is indexed by the
 	// interner's name ID. named holds the routes of names the interner
-	// gave no ID: the empty name, and names it refused past its cap.
+	// refused past its cap, which have no ID: AddRoute's pins, and at
+	// most namedCap more learned from traffic.
 	pmu    sync.RWMutex
 	routes []uint32
 	named  map[string]uint32
@@ -335,6 +336,12 @@ func (n *Net) routeLocked(name string, id uint32) uint32 {
 	}
 	return 0
 }
+
+// namedCap bounds the routes a Net learns for names the interner
+// refused. Such a name comes off the wire only once the interner holds
+// internCap names, so a full map means a flood of made-up names, and a
+// route for each would grow the map without limit.
+const namedCap = 4096
 
 // setRouteLocked routes name, whose interned ID is id, to slot. Callers
 // hold pmu for writing.
@@ -822,19 +829,26 @@ func (n *Net) deliver(f *Frame, from netip.AddrPort, now int64) {
 	h(f)
 }
 
-// learnPeer records name -> address; id is name's interned ID.
+// learnPeer records name -> address; id is name's interned ID. A name
+// without an ID gets a new route only while named holds fewer than
+// namedCap (named never shrinks, so once full a flood of such names
+// takes no write lock); one it holds already is re-learned as any other.
 func (n *Net) learnPeer(name string, id uint32, from netip.AddrPort) {
 	if name == "" {
 		return
 	}
 	n.pmu.RLock()
 	st := n.peers[n.routeLocked(name, id)]
+	refused := id == 0 && st == nil && len(n.named) >= namedCap
 	n.pmu.RUnlock()
-	if st == nil || st.ap != from {
-		n.pmu.Lock()
-		n.setRouteLocked(name, id, n.peerForLocked(from))
-		n.pmu.Unlock()
+	if refused || st != nil && st.ap == from {
+		return
 	}
+	n.pmu.Lock()
+	if id != 0 || st != nil || len(n.named) < namedCap {
+		n.setRouteLocked(name, id, n.peerForLocked(from))
+	}
+	n.pmu.Unlock()
 }
 
 // flushAll flushes every destination's coalescing queue.

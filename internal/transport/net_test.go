@@ -242,6 +242,70 @@ func TestNetRoutes(t *testing.T) {
 	}
 }
 
+// TestNetRefusedNameRoutesBounded pins the bound on routes for names the
+// interner refused: with a small name table swapped in and filled, 10 000
+// names past its cap, each heard once, leave namedCap routes. A refused
+// name that has a route still re-learns it from a new address, one past
+// the bound falls to Dial's default route, and AddRoute still pins a
+// refused name past the bound.
+func TestNetRefusedNameRoutesBounded(t *testing.T) {
+	saved := interned
+	interned = newInternTable[struct{}](16)
+	defer func() { interned = saved }()
+
+	def := netip.MustParseAddrPort("127.0.0.1:7001")
+	a := netip.MustParseAddrPort("127.0.0.1:7002")
+	b := netip.MustParseAddrPort("127.0.0.1:7003")
+	n, err := Dial(def.String(), NetConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	if err := n.Bind("vrf", func(Msg) {}); err != nil {
+		t.Fatal(err)
+	}
+	routesTo := func(name string, want netip.AddrPort) {
+		t.Helper()
+		st, err := n.route(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.ap != want {
+			t.Fatalf("%q routes to %v, want %v", name, st.ap, want)
+		}
+	}
+	for i := 0; i < 16; i++ {
+		interned.get(fmt.Appendf(nil, "held-%02d", i))
+	}
+	const flood = 10_000
+	for i := 0; i < flood; i++ {
+		name, id := interned.get(fmt.Appendf(nil, "refused-%05d", i))
+		if id != 0 {
+			t.Fatalf("%q got ID %d past the cap", name, id)
+		}
+		n.deliver(&Frame{Kind: KindHello, From: name, To: "vrf"}, a, 0)
+	}
+	n.pmu.RLock()
+	named := len(n.named)
+	n.pmu.RUnlock()
+	if named != namedCap {
+		t.Fatalf("%d refused names left %d routes, want %d", flood, named, namedCap)
+	}
+	if s := n.Stats(); s.Received != flood {
+		t.Fatalf("%d of %d frames from refused names delivered", s.Received, flood)
+	}
+
+	routesTo("refused-00000", a)
+	n.deliver(&Frame{Kind: KindHello, From: "refused-00000", To: "vrf"}, b, 0)
+	routesTo("refused-00000", b)
+	routesTo(fmt.Sprintf("refused-%05d", flood-1), def)
+
+	if err := n.AddRoute("refused-pinned", b.String()); err != nil {
+		t.Fatal(err)
+	}
+	routesTo("refused-pinned", b)
+}
+
 // TestNetConcurrentSenders exercises the socket, dedup shards and
 // pending map from many goroutines at once (meaningful under -race).
 func TestNetConcurrentSenders(t *testing.T) {

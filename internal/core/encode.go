@@ -18,12 +18,12 @@ import (
 // cannot be forged from a sequential one. Prover and verifier must
 // produce byte-identical streams; both sides use the helpers below.
 
-// writeMeasurementHeader emits the per-measurement prefix.
-func writeMeasurementHeader(w io.Writer, nonce []byte, round int) {
-	var hdr [8]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(nonce)))
-	binary.BigEndian.PutUint32(hdr[4:], uint32(round))
-	w.Write(hdr[:])
+// writeMeasurementHeader emits the per-measurement prefix, encoded in
+// the caller's buf for the reason putBlockHeader takes one.
+func writeMeasurementHeader(w io.Writer, buf *[8]byte, nonce []byte, round int) {
+	binary.BigEndian.PutUint32(buf[:4], uint32(len(nonce)))
+	binary.BigEndian.PutUint32(buf[4:], uint32(round))
+	w.Write(buf[:])
 	w.Write(nonce)
 }
 
@@ -102,7 +102,8 @@ func AppendOrderRegion(dst []int, permKey, nonce []byte, round, start, count int
 		// so the historical behavior is preserved byte for byte.
 		mac = hmac.New(sha256.New, permKey)
 	}
-	writeMeasurementHeader(mac, nonce, round)
+	var hdr [8]byte
+	writeMeasurementHeader(mac, &hdr, nonce, round)
 	var seed [sha256Size]byte
 	mac.Sum(seed[:0])
 	if err == nil {
@@ -143,8 +144,8 @@ func ExpectedStreamForReport(w io.Writer, hash suite.HashID, rep *Report, ref []
 // engine feeds its tagger. ref must be the full memory image; order
 // lists block indices in traversal order.
 func ExpectedStream(w io.Writer, ref []byte, blockSize int, nonce []byte, round int, order []int) {
-	writeMeasurementHeader(w, nonce, round)
 	var hdr [8]byte
+	writeMeasurementHeader(w, &hdr, nonce, round)
 	for pos, b := range order {
 		w.Write(putBlockHeader(&hdr, pos, b))
 		w.Write(ref[b*blockSize : (b+1)*blockSize])
@@ -159,8 +160,8 @@ func ExpectedStream(w io.Writer, ref []byte, blockSize int, nonce []byte, round 
 // data, per the §2.3 policy; a non-nil error aborts the stream and is
 // returned (mirroring the streaming path's missing-data errors).
 func ExpectedDigestStream(w io.Writer, digest func(b int) ([]byte, error), nonce []byte, round int, order []int) error {
-	writeMeasurementHeader(w, nonce, round)
 	var hdr [8]byte
+	writeMeasurementHeader(w, &hdr, nonce, round)
 	for pos, b := range order {
 		d, err := digest(b)
 		if err != nil {

@@ -32,26 +32,30 @@ type Measurement struct {
 	// Hooks observe the measurement (adversary models, experiments).
 	Hooks Hooks
 
-	tagger   suite.Tagger
-	scm      suite.Scheme
-	cache    *inccache.MemCache // non-nil on the incremental path
-	order    []int
-	pos      int
-	cov      *mem.Coverage
-	dataSet  map[int]bool
-	dataCopy map[int][]byte
-	ts       sim.Time
-	extHeld  bool
-	started  bool
-	done     func(*Report, error)
-	report   *Report
-	// stepFn/finishFn are the per-block and finalization callbacks,
-	// bound once per measurement instead of allocating a closure per
-	// submitted block step.
-	stepFn   func()
-	finishFn func()
-	// hdr is the block-header encode scratch; a function-local array
-	// would escape through the tagger's io.Writer and allocate per block.
+	// scm is built once from the options and device key; schemeErr,
+	// when set, fails every Start asynchronously.
+	scm       suite.Scheme
+	schemeErr error
+	tagger    suite.Tagger
+	cache     *inccache.MemCache // non-nil on the incremental path
+	order     []int
+	pos       int
+	cov       *mem.Coverage
+	dataSet   map[int]bool
+	dataCopy  map[int][]byte
+	ts        sim.Time
+	extHeld   bool
+	started   bool
+	done      func(*Report, error)
+	report    *Report
+	// beginFn/stepFn/finishFn are the setup, per-block and finalization
+	// callbacks, bound once when the measurement is built instead of
+	// allocating a method value per submitted step — and, since a
+	// Session reuses its one measurement, once per session.
+	beginFn, stepFn, finishFn func()
+	// hdr is the measurement- and block-header encode scratch; a
+	// function-local array would escape through the tagger's io.Writer
+	// and allocate per header.
 	hdr [8]byte
 }
 
@@ -60,23 +64,47 @@ type Measurement struct {
 // choice (HYDRA gives it the highest, TrustLite-style designs a lower
 // one).
 func NewMeasurement(dev *device.Device, task *device.Task, opts Options, nonce []byte, round int) (*Measurement, error) {
-	if err := opts.Validate(); err != nil {
+	m := new(Measurement)
+	if err := m.init(dev, task, opts); err != nil {
 		return nil, err
+	}
+	m.reset(append([]byte(nil), nonce...), round)
+	return m, nil
+}
+
+// init binds the measurement to its device, task and options: what
+// every round on them shares. Each round then starts from reset.
+func (m *Measurement) init(dev *device.Device, task *device.Task, opts Options) error {
+	if err := opts.Validate(); err != nil {
+		return err
 	}
 	if task == nil {
-		return nil, fmt.Errorf("core: nil task")
+		return fmt.Errorf("core: nil task")
 	}
 	if err := opts.Data.validate(dev.Mem.NumBlocks(), dev.Mem.ROMBlocks()); err != nil {
-		return nil, err
+		return err
 	}
 	if opts.Region.Count > 0 && opts.Region.End() > dev.Mem.NumBlocks() {
-		return nil, fmt.Errorf("core: region %+v exceeds memory (%d blocks)", opts.Region, dev.Mem.NumBlocks())
+		return fmt.Errorf("core: region %+v exceeds memory (%d blocks)", opts.Region, dev.Mem.NumBlocks())
 	}
-	return &Measurement{
-		dev: dev, task: task, opts: opts,
-		nonce: append([]byte(nil), nonce...), round: round,
-		dataSet: opts.Data.set(),
-	}, nil
+	m.dev, m.task, m.opts = dev, task, opts
+	m.dataSet = opts.Data.set()
+	m.scm, m.schemeErr = m.scheme()
+	if m.schemeErr == nil {
+		m.schemeErr = m.scm.Validate()
+	}
+	m.beginFn, m.stepFn, m.finishFn = m.begin, m.step, m.finish
+	return nil
+}
+
+// reset readies the measurement for one round under nonce, which the
+// round's report aliases: the caller must not modify it afterwards.
+// Nothing a previous round handed out — its report, coverage, tag or
+// data copies — is touched; the next round allocates its own.
+func (m *Measurement) reset(nonce []byte, round int) {
+	m.nonce, m.round = nonce, round
+	m.started, m.pos = false, 0
+	m.cache, m.dataCopy, m.report = nil, nil, nil
 }
 
 // Start begins the measurement; done fires exactly once, at t_e, with
@@ -88,19 +116,14 @@ func (m *Measurement) Start(done func(*Report, error)) {
 	m.started = true
 	m.done = done
 
-	scheme, err := m.scheme()
-	if err != nil {
-		m.finishErr(err)
+	if m.schemeErr != nil {
+		m.finishErr(m.schemeErr)
 		return
 	}
-	if err := scheme.Validate(); err != nil {
-		m.finishErr(err)
-		return
-	}
-	m.scm = scheme
 	// The tagger's hash state is pooled: a Monte Carlo sweep reuses a
 	// handful of states instead of allocating one per round.
-	m.tagger, err = scheme.AcquireTagger()
+	var err error
+	m.tagger, err = m.scm.AcquireTagger()
 	if err != nil {
 		m.finishErr(err)
 		return
@@ -112,8 +135,6 @@ func (m *Measurement) Start(done func(*Report, error)) {
 		// model still charges full block-hashing time.
 		m.cache = m.dev.DigestCache(inccache.DigestHash(m.opts.Hash))
 	}
-	m.stepFn = m.step
-	m.finishFn = m.finish
 
 	prof := m.dev.Profile
 	setup := prof.HashFixed[m.opts.Hash]
@@ -123,7 +144,7 @@ func (m *Measurement) Start(done func(*Report, error)) {
 	if m.opts.Data.Policy == DataZeroed {
 		setup += prof.CopyTime(len(m.opts.Data.Blocks) * m.dev.Mem.BlockSize())
 	}
-	m.task.Submit(setup, m.begin)
+	m.task.Submit(setup, m.beginFn)
 }
 
 // scheme builds the tagging scheme from the options and device key.
@@ -182,7 +203,7 @@ func (m *Measurement) begin() {
 		m.order = identityOrder(start, count)
 	}
 	m.cov = mem.NewCoverage(memory.NumBlocks())
-	writeMeasurementHeader(m.tagger, m.nonce, m.round)
+	writeMeasurementHeader(m.tagger, &m.hdr, m.nonce, m.round)
 	if m.dev.Trace != nil { // guarded: the variadic boxing allocates
 		m.dev.Trace.Addf(m.ts, trace.KindMeasureStart, m.task.Name(), "%s round %d (t_s)", m.opts.Mechanism, m.round)
 	}

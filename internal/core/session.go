@@ -1,71 +1,107 @@
 package core
 
 import (
+	"errors"
+
 	"saferatt/internal/device"
 )
 
 // Session runs the configured number of successive measurement rounds
 // (one for every mechanism except multi-round SMARM) and collects the
 // per-round reports.
+//
+// A session owns one Measurement, bound to its device, task and options
+// once; every round of every run resets it. A periodic prover keeps one
+// session per task and calls Rerun for each measurement, so a run
+// allocates only what it hands out: each round's report with its
+// coverage and tag, and the slice done receives.
 type Session struct {
-	dev     *device.Device
-	task    *device.Task
-	opts    Options
+	m       Measurement
+	rounds  int // m.opts.NumRounds(), which copies the options
 	nonce   []byte
 	counter uint64
 	// Hooks are installed on every round's measurement.
 	Hooks Hooks
 
 	reports []*Report
-	last    *Measurement
-	done    func([]*Report, error)
+	done    func([]*Report, error) // non-nil while a run is in flight
+	roundFn func(*Report, error)   // s.roundDone, bound once
 }
+
+// errExtHeld is what a Rerun reports while the previous run still
+// holds its extended locks.
+var errExtHeld = errors.New("core: session rerun while the previous run holds its -Ext locks (call Release first)")
 
 // NewSession prepares a session; counter is stamped into each report.
+// The session keeps its own copy of nonce.
 func NewSession(dev *device.Device, task *device.Task, opts Options, nonce []byte, counter uint64) (*Session, error) {
-	if err := opts.Validate(); err != nil {
+	s := &Session{nonce: append([]byte(nil), nonce...), counter: counter}
+	if err := s.m.init(dev, task, opts); err != nil {
 		return nil, err
 	}
-	return &Session{dev: dev, task: task, opts: opts, nonce: nonce, counter: counter}, nil
+	s.rounds = opts.NumRounds()
+	s.roundFn = s.roundDone
+	return s, nil
 }
 
-// Start runs all rounds; done fires once with every round's report (or
-// the first error).
+// Start runs all rounds under the nonce and counter NewSession was
+// given; done fires once with every round's report (or the first
+// error).
 func (s *Session) Start(done func([]*Report, error)) {
-	s.done = done
+	s.Rerun(s.nonce, s.counter, done)
+}
+
+// Rerun runs the session again under a new nonce and counter; done
+// fires as for Start. Every report aliases nonce, so the caller must
+// not modify it afterwards. Reports and slices an earlier run delivered
+// stay valid: a run never overwrites them.
+//
+// Rerun panics if the previous run has not finished. If that run ended
+// holding -Ext locks, done receives an error and the locks stay held
+// until Release.
+func (s *Session) Rerun(nonce []byte, counter uint64, done func([]*Report, error)) {
+	if s.done != nil {
+		panic("core: session rerun before its previous run finished")
+	}
+	if s.m.extHeld {
+		done(nil, errExtHeld)
+		return
+	}
+	s.nonce, s.counter, s.done = nonce, counter, done
+	s.reports = make([]*Report, 0, s.rounds)
 	s.runRound(0)
 }
 
 func (s *Session) runRound(r int) {
-	m, err := NewMeasurement(s.dev, s.task, s.opts, s.nonce, r)
+	s.m.reset(s.nonce, r)
+	s.m.Counter = s.counter
+	s.m.Hooks = s.Hooks
+	s.m.Start(s.roundFn)
+}
+
+func (s *Session) roundDone(rep *Report, err error) {
 	if err != nil {
-		s.done(nil, err)
+		s.finish(nil, err)
 		return
 	}
-	m.Counter = s.counter
-	m.Hooks = s.Hooks
-	s.last = m
-	m.Start(func(rep *Report, err error) {
-		if err != nil {
-			s.done(nil, err)
-			return
-		}
-		s.reports = append(s.reports, rep)
-		if r+1 < s.opts.NumRounds() {
-			s.runRound(r + 1)
-			return
-		}
-		s.done(s.reports, nil)
-	})
+	s.reports = append(s.reports, rep)
+	if r := len(s.reports); r < s.rounds {
+		s.runRound(r)
+		return
+	}
+	s.finish(s.reports, nil)
+}
+
+// finish ends the run before delivering it, so done may Rerun.
+func (s *Session) finish(reports []*Report, err error) {
+	done := s.done
+	s.done = nil
+	done(reports, err)
 }
 
 // Release forwards to the final round's measurement (t_r for the -Ext
 // mechanisms).
-func (s *Session) Release() {
-	if s.last != nil {
-		s.last.Release()
-	}
-}
+func (s *Session) Release() { s.m.Release() }
 
 // PRF computes HMAC-SHA256(key, label || counter): the pseudorandom
 // function used to self-derive nonces (ERASMUS), schedule times (SeED),

@@ -1,6 +1,8 @@
 package prover
 
 import (
+	"fmt"
+
 	"saferatt/internal/core"
 	"saferatt/internal/device"
 	"saferatt/internal/sim"
@@ -44,6 +46,12 @@ type ErasmusProver struct {
 	counter uint64
 	history []*core.Report
 	running bool
+	// sess is built on the first measurement and rerun for every one
+	// after it, with measuredFn as its callback; replyTo is the
+	// running measurement's hybrid challenger, if any.
+	sess       *core.Session
+	measuredFn func([]*core.Report, error)
+	replyTo    string
 	// Deferred counts ticks postponed for context-awareness; Skipped
 	// counts ticks dropped because the previous measurement still ran.
 	Deferred int
@@ -54,7 +62,7 @@ type ErasmusProver struct {
 // may be nil for purely local experiments). prio is the measurement
 // task priority.
 func NewErasmus(name string, dev *device.Device, tr transport.Transport, opts core.Options, tm sim.Duration, prio int) (*ErasmusProver, error) {
-	if err := opts.Validate(); err != nil {
+	if err := validateSelfOpts(opts); err != nil {
 		return nil, err
 	}
 	if tm <= 0 {
@@ -65,6 +73,7 @@ func NewErasmus(name string, dev *device.Device, tr transport.Transport, opts co
 		HistoryCap: 64, RetryDelay: tm / 10,
 	}
 	e.task = dev.NewTask("MP:"+name, prio)
+	e.measuredFn = e.measured
 	if tr != nil {
 		if err := tr.Bind(name, e.onMsg); err != nil {
 			return nil, err
@@ -105,24 +114,32 @@ func (e *ErasmusProver) tick() {
 
 // measure runs one measurement under the already-advanced counter and
 // stores its reports; a non-empty replyTo (a hybrid challenge) also
-// gets them as a KindReport.
+// gets them as a KindReport. The reports alias nonce.
 func (e *ErasmusProver) measure(nonce []byte, replyTo string) {
-	s, err := core.NewSession(e.Dev, e.task, e.Opts, nonce, e.counter)
-	if err != nil {
-		return
-	}
-	s.Hooks = e.Hooks
-	e.running = true
-	s.Start(func(reports []*core.Report, err error) {
-		e.running = false
+	if e.sess == nil {
+		s, err := core.NewSession(e.Dev, e.task, e.Opts, nil, 0)
 		if err != nil {
 			return
 		}
-		e.store(reports)
-		if replyTo != "" {
-			e.send(transport.Msg{From: e.Name, To: replyTo, Kind: transport.KindReport, Reports: reports})
-		}
-	})
+		e.sess = s
+	}
+	e.sess.Hooks = e.Hooks
+	e.running = true
+	e.replyTo = replyTo
+	e.sess.Rerun(nonce, e.counter, e.measuredFn)
+}
+
+// measured is the session's callback. Each run delivers a slice of its
+// own, so history and the transport may keep it.
+func (e *ErasmusProver) measured(reports []*core.Report, err error) {
+	e.running = false
+	if err != nil {
+		return
+	}
+	e.store(reports)
+	if e.replyTo != "" {
+		e.send(transport.Msg{From: e.Name, To: e.replyTo, Kind: transport.KindReport, Reports: reports})
+	}
 }
 
 func (e *ErasmusProver) store(reports []*core.Report) {
@@ -148,9 +165,22 @@ func (e *ErasmusProver) onMsg(m transport.Msg) {
 	case transport.KindChallenge:
 		if e.OnDemand && !e.running {
 			e.counter++
-			e.measure(m.Nonce, m.From)
+			e.measure(append([]byte(nil), m.Nonce...), m.From)
 		}
 	}
+}
+
+// validateSelfOpts validates a self-measuring prover's options. The
+// -Ext mechanisms hold their locks until a Release that a
+// self-measurement never gets, so the next measurement could not start.
+func validateSelfOpts(opts core.Options) error {
+	if err := opts.Validate(); err != nil {
+		return err
+	}
+	if opts.ExtRelease {
+		return fmt.Errorf("prover: %s holds its locks until a release a self-measurement never gets", opts.Mechanism)
+	}
+	return nil
 }
 
 // send has datagram semantics: a bundle that cannot leave is a lost

@@ -145,6 +145,13 @@ func TestErasmusAccessors(t *testing.T) {
 	if _, err := NewErasmus("x", r.dev, nil, core.Options{}, 0, 5); err == nil {
 		t.Fatal("invalid options accepted")
 	}
+	// Nothing releases a self-measurement's -Ext locks, so its session
+	// could never run twice.
+	for _, id := range []core.MechanismID{core.AllLockExt, core.IncLockExt} {
+		if _, err := NewErasmus("x", r.dev, nil, core.Preset(id, suite.SHA256), 0, 5); err == nil {
+			t.Fatalf("%s accepted for a self-measuring prover", id)
+		}
+	}
 }
 
 func TestSeEDAccessorsAndDefaults(t *testing.T) {
@@ -161,5 +168,8 @@ func TestSeEDAccessorsAndDefaults(t *testing.T) {
 	}
 	if _, err := NewSeED("x", r.dev, r.tr, core.Options{}, nil, 0, 0, 5); err == nil {
 		t.Fatal("invalid options accepted")
+	}
+	if _, err := NewSeED("x", r.dev, r.tr, core.Preset(core.AllLockExt, suite.SHA256), nil, 0, 0, 5); err == nil {
+		t.Fatal("All-Lock-Ext accepted for a self-measuring prover")
 	}
 }

@@ -193,3 +193,32 @@ func TestSeEDOnTriggerLeak(t *testing.T) {
 		t.Fatal("no triggers fired")
 	}
 }
+
+// TestSeEDSentSlicesOutliveLaterRuns keeps every report slice the SeED
+// prover hands its transport, as a queueing transport would, and checks
+// them only after later measurements ran on the same session: each
+// still holds its own run's report.
+func TestSeEDSentSlicesOutliveLaterRuns(t *testing.T) {
+	r := newRig(t, 2048, 256, 0)
+	p, err := NewSeED("prv", r.dev, r.tr, core.Preset(core.NoLock, suite.SHA256), []byte("s33d"), sim.Second, 500*sim.Millisecond, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sent [][]*core.Report
+	r.tr.Bind("verifier", func(m transport.Msg) { sent = append(sent, m.Reports) })
+	p.Start()
+	r.k.RunUntil(sim.Time(10 * sim.Second))
+	p.Stop()
+	r.k.Run()
+	if len(sent) < 5 {
+		t.Fatalf("only %d bundles sent", len(sent))
+	}
+	for i, rr := range sent {
+		if len(rr) != 1 || rr[0].Counter != uint64(i+1) {
+			t.Fatalf("bundle %d holds %d reports, first counter %d: a later run overwrote it", i, len(rr), rr[0].Counter)
+		}
+		if i > 0 && rr[0] == sent[i-1][0] {
+			t.Fatalf("bundles %d and %d share a report", i-1, i)
+		}
+	}
+}

@@ -9,7 +9,7 @@ import (
 
 // SeEDProver implements SeED-style non-interactive attestation (§3.3):
 // the prover initiates measurements at pseudorandom times derived from
-// a seed shared with the verifier (core.ScheduleDelay), triggered by a
+// a seed shared with the verifier (core.SeedKey), triggered by a
 // dedicated timeout circuit with exclusive clock access, and pushes
 // reports unidirectionally — it binds no receive handler, so traffic
 // addressed to it reaches no attestation path. Replay protection comes
@@ -42,13 +42,20 @@ type SeEDProver struct {
 	task    *device.Task
 	counter uint64
 	stopped bool
+	// key is Seed keyed once, at Start. sess is built on the first
+	// trigger and rerun for every one after it; fireFn and measuredFn
+	// are the trigger and session callbacks, bound once.
+	key        *core.SeedKey
+	sess       *core.Session
+	fireFn     func()
+	measuredFn func([]*core.Report, error)
 	// Sent counts reports pushed to the transport.
 	Sent int
 }
 
 // NewSeED builds a SeED prover that pushes its reports through tr.
 func NewSeED(name string, dev *device.Device, tr transport.Transport, opts core.Options, seed []byte, base, jitter sim.Duration, prio int) (*SeEDProver, error) {
-	if err := opts.Validate(); err != nil {
+	if err := validateSelfOpts(opts); err != nil {
 		return nil, err
 	}
 	if base <= 0 {
@@ -63,6 +70,7 @@ func NewSeED(name string, dev *device.Device, tr transport.Transport, opts core.
 		VerifierName: "verifier",
 	}
 	p.task = dev.NewTask("MP:"+name, prio)
+	p.fireFn, p.measuredFn = p.fire, p.measured
 	return p, nil
 }
 
@@ -71,6 +79,7 @@ func (p *SeEDProver) Task() *device.Task { return p.task }
 
 // Start arms the timeout circuit.
 func (p *SeEDProver) Start() {
+	p.key = core.NewSeedKey(p.Seed)
 	p.armNext()
 }
 
@@ -79,37 +88,43 @@ func (p *SeEDProver) Start() {
 func (p *SeEDProver) Stop() { p.stopped = true }
 
 func (p *SeEDProver) armNext() {
-	next := core.ScheduleDelay(p.Seed, p.counter+1, p.Base, p.Jitter)
+	next := p.key.ScheduleDelay(p.counter+1, p.Base, p.Jitter)
 	fireAt := p.Dev.Kernel.Now().Add(next)
 	if p.OnTrigger != nil {
 		p.OnTrigger(p.counter+1, fireAt)
 	}
-	p.Dev.Kernel.Schedule(next, func() {
-		if p.stopped {
-			return
-		}
+	p.Dev.Kernel.Schedule(next, p.fireFn)
+}
+
+func (p *SeEDProver) fire() {
+	if !p.stopped {
 		p.trigger()
-	})
+	}
 }
 
 func (p *SeEDProver) trigger() {
 	p.counter++
-	counter := p.counter
-	nonce := core.AppendSeedNonce(nil, p.Seed, counter)
-	s, err := core.NewSession(p.Dev, p.task, p.Opts, nonce, counter)
-	if err != nil {
-		return
-	}
-	s.Hooks = p.Hooks
-	s.Start(func(reports []*core.Report, err error) {
-		if err == nil {
-			p.Sent++
-			// Unidirectional by design: a report that cannot leave is
-			// what the verifier's schedule monitor exists to notice.
-			_ = p.Tr.Send(transport.Msg{From: p.Name, To: p.VerifierName, Kind: transport.KindSeedReport, Reports: reports})
+	if p.sess == nil {
+		s, err := core.NewSession(p.Dev, p.task, p.Opts, nil, 0)
+		if err != nil {
+			return
 		}
-		p.armNext()
-	})
+		p.sess = s
+	}
+	p.sess.Hooks = p.Hooks
+	p.sess.Rerun(p.key.AppendNonce(nil, p.counter), p.counter, p.measuredFn)
+}
+
+// measured is the session's callback. Each run delivers a slice of its
+// own, so the transport may keep it.
+func (p *SeEDProver) measured(reports []*core.Report, err error) {
+	if err == nil {
+		p.Sent++
+		// Unidirectional by design: a report that cannot leave is
+		// what the verifier's schedule monitor exists to notice.
+		_ = p.Tr.Send(transport.Msg{From: p.Name, To: p.VerifierName, Kind: transport.KindSeedReport, Reports: reports})
+	}
+	p.armNext()
 }
 
 // Counter returns the number of triggers fired so far.

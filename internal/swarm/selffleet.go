@@ -1,6 +1,7 @@
 package swarm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/rand/v2"
@@ -136,11 +137,18 @@ type selfInfection struct {
 }
 
 type selfDev struct {
-	index   int
-	dev     *device.Device
-	mem     *mem.Memory
-	task    *device.Task
-	seed    []byte // SeED per-device schedule secret
+	index int
+	dev   *device.Device
+	mem   *mem.Memory
+	task  *device.Task
+	// sess is the device's one measurement session, rerun for every
+	// measurement with done as its callback.
+	sess *core.Session
+	done func([]*core.Report, error)
+	// nonces serves the ERASMUS nonce: the shard's memo, or the
+	// device's own when its key is not the shard's.
+	nonces  *verifier.NonceMemo
+	seed    *core.SeedKey // SeED per-device schedule secret, keyed once
 	counter uint64
 	running bool
 	armNext func() // SeED: arm the next trigger after completion
@@ -152,7 +160,9 @@ type selfDev struct {
 // selfShard is one worker's slice of the fleet: a private kernel
 // multiplexing the shard's devices, plus the verifier's expected-tag
 // cache over the golden image — ERASMUS nonces are fleet-wide per
-// counter, so one computation serves every device in the shard.
+// counter, so one computation serves every device in the shard. The
+// provers' side shares them the same way: nonces derives each counter's
+// nonce once for the shard's devices.
 type selfShard struct {
 	cfg    *SelfFleetConfig
 	prof   *costmodel.Profile // every device's cost model
@@ -161,6 +171,7 @@ type selfShard struct {
 	key    []byte // the fleet's attestation key
 	golden *mem.Golden
 	batch  *verifier.Batch
+	nonces *verifier.NonceMemo // ERASMUS nonces under key
 
 	measurements, skipped     uint64
 	collections, reports, bad uint64
@@ -213,6 +224,13 @@ func RunSelfFleet(cfg SelfFleetConfig) (*SelfFleetResult, error) {
 			sh.devs = append(sh.devs, sh.newDevice(i))
 		}
 		sh.key = sh.devs[0].dev.AttestationKey
+		sh.nonces = verifier.NewNonceMemo(sh.key, sh.batch.KeepEpochs)
+		for _, d := range sh.devs {
+			d.nonces = sh.nonces
+			if !bytes.Equal(d.dev.AttestationKey, sh.key) {
+				d.nonces = verifier.NewNonceMemo(d.dev.AttestationKey, sh.batch.KeepEpochs)
+			}
+		}
 		sh.run()
 		shards[s] = sh
 	})
@@ -265,16 +283,23 @@ func (sh *selfShard) newDevice(i int) *selfDev {
 	d := &selfDev{index: i, mem: m}
 	d.dev = device.New(device.Config{Kernel: k, Mem: m, Profile: sh.prof})
 	d.task = d.dev.NewTask(fmt.Sprintf("MP:d%05d", i), 5)
+	sess, err := core.NewSession(d.dev, d.task, fleetOpts, nil, 0)
+	if err != nil {
+		d.err = err
+		return d
+	}
+	d.sess = sess
+	d.done = func(reports []*core.Report, err error) { sh.measured(d, reports, err) }
 
 	ui := uint64(i)
 	switch cfg.Mode {
 	case SelfSeED:
 		// Per-device schedule secret, as SeED prescribes; the next
 		// trigger is armed when the previous measurement completes.
-		d.seed = core.PRF(binaryKey(cfg.Seed), "e12-seed", ui)
+		d.seed = core.NewSeedKey(core.PRF(binaryKey(cfg.Seed), "e12-seed", ui))
 		t := k.NewTimer(func() { sh.measure(d) })
-		t.Arm(core.ScheduleDelay(d.seed, 1, cfg.TM, cfg.TM/2))
-		d.armNext = func() { t.Arm(core.ScheduleDelay(d.seed, d.counter+1, cfg.TM, cfg.TM/2)) }
+		t.Arm(d.seed.ScheduleDelay(1, cfg.TM, cfg.TM/2))
+		d.armNext = func() { t.Arm(d.seed.ScheduleDelay(d.counter+1, cfg.TM, cfg.TM/2)) }
 	default:
 		// ERASMUS: fixed period, uniform phase so the fleet's
 		// measurements spread over the period instead of thundering.
@@ -337,7 +362,7 @@ func binaryKey(seed uint64) []byte {
 	return key[:]
 }
 
-// measure starts one self-measurement session on d's device.
+// measure reruns d's session for its next counter.
 func (sh *selfShard) measure(d *selfDev) {
 	if d.running {
 		sh.skipped++
@@ -346,32 +371,33 @@ func (sh *selfShard) measure(d *selfDev) {
 	d.counter++
 	var nonce []byte
 	if sh.cfg.Mode == SelfSeED {
-		nonce = core.AppendSeedNonce(nil, d.seed, d.counter)
+		nonce = d.seed.AppendNonce(nil, d.counter)
 	} else {
-		nonce = core.AppendErasmusNonce(nil, d.dev.AttestationKey, d.counter)
+		// The first device to reach a counter derives its nonce; the
+		// rest of the shard reads the memo's copy, which every report
+		// under that counter aliases and nothing writes.
+		d.nonces.Admit(d.counter)
+		nonce, _ = d.nonces.Nonce(nil, d.counter)
 	}
-	s, err := core.NewSession(d.dev, d.task, fleetOpts, nonce, d.counter)
+	d.running = true
+	d.sess.Rerun(nonce, d.counter, d.done)
+}
+
+// measured is d's session callback: it files the run's reports for
+// the next collection.
+func (sh *selfShard) measured(d *selfDev, reports []*core.Report, err error) {
+	d.running = false
 	if err != nil {
 		if d.err == nil {
 			d.err = err
 		}
 		return
 	}
-	d.running = true
-	s.Start(func(reports []*core.Report, err error) {
-		d.running = false
-		if err != nil {
-			if d.err == nil {
-				d.err = err
-			}
-			return
-		}
-		sh.measurements++
-		d.pending = append(d.pending, reports...)
-		if sh.cfg.Mode == SelfSeED {
-			d.armNext()
-		}
-	})
+	sh.measurements++
+	d.pending = append(d.pending, reports...)
+	if sh.cfg.Mode == SelfSeED {
+		d.armNext()
+	}
 }
 
 // collect is one verifier visit: every pending report is checked

@@ -14,10 +14,14 @@ import (
 type SeedMonitor struct {
 	v      *Verifier
 	prover string
-	seed   []byte
+	key    *core.SeedKey
 	base   sim.Duration
 	jitter sim.Duration
-	start  sim.Time
+	// dueCtr's trigger falls at dueAt: the schedule walked so far, from
+	// counter 0 at the start time. expected never falls, so each step
+	// of the schedule is derived once, not once per watchdog.
+	dueCtr uint64
+	dueAt  sim.Time
 	// Grace is how long past the expected trigger time Vrf waits
 	// before declaring a report missing (covers MP duration + network).
 	Grace sim.Duration
@@ -37,8 +41,8 @@ func (m *SeedMonitor) Stop() { m.stopped = true }
 // the virtual time the prover's schedule was armed.
 func (v *Verifier) MonitorSeED(prover string, seed []byte, base, jitter sim.Duration, start sim.Time, grace sim.Duration) *SeedMonitor {
 	m := &SeedMonitor{
-		v: v, prover: prover, seed: append([]byte(nil), seed...),
-		base: base, jitter: jitter, start: start, Grace: grace,
+		v: v, prover: prover, key: core.NewSeedKey(seed),
+		base: base, jitter: jitter, dueAt: start, Grace: grace,
 		expected: 1, fresh: v.freshnessOf(prover),
 	}
 	if m.Grace <= 0 {
@@ -54,8 +58,11 @@ func (v *Verifier) MonitorSeED(prover string, seed []byte, base, jitter sim.Dura
 
 func (m *SeedMonitor) armWatchdog() {
 	ctr := m.expected
-	due := core.TriggerTime(m.seed, ctr, m.start, m.base, m.jitter).Add(m.Grace)
-	m.v.Kernel.At(due, func() {
+	for m.dueCtr < ctr {
+		m.dueCtr++
+		m.dueAt = m.dueAt.Add(m.key.ScheduleDelay(m.dueCtr, m.base, m.jitter))
+	}
+	m.v.Kernel.At(m.dueAt.Add(m.Grace), func() {
 		if m.stopped || m.fresh.SeedLast >= ctr {
 			return // arrived in time, or monitoring ended
 		}
@@ -75,13 +82,13 @@ func (m *SeedMonitor) armWatchdog() {
 // binding.
 func (v *Verifier) HandleSeedReports(prover string, reports []*core.Report) {
 	m := v.seedMons[prover]
-	var seed []byte
-	if m != nil {
-		seed = m.seed
-	}
 	f := v.freshnessOf(prover)
 	for _, r := range reports {
-		v.nonce = core.AppendSeedNonce(v.nonce[:0], seed, r.Counter)
+		if m != nil {
+			v.nonce = m.key.AppendNonce(v.nonce[:0], r.Counter)
+		} else {
+			v.nonce = core.AppendSeedNonce(v.nonce[:0], nil, r.Counter)
+		}
 		why := f.CheckSeed(r, v.nonce)
 		var err error
 		if why == ReasonOK {

@@ -336,6 +336,58 @@ func TestSeEDMonitorAcceptsAndWatchdogs(t *testing.T) {
 	}
 }
 
+// TestSeEDMonitorWatchdogAfterGap pins the watchdog's due time after a
+// gap: reports 2 and 3 are dropped and flagged when 4 arrives, so the
+// monitor's schedule jumps several counters at once, and the watchdog
+// for the first never-delivered counter, 6, must still fire at trigger
+// 6's scheduled instant plus the grace, not before.
+func TestSeEDMonitorWatchdogAfterGap(t *testing.T) {
+	opts := core.Preset(core.NoLock, suite.SHA256)
+	adv := channel.AdversaryFunc(func(cm channel.Message) channel.Verdict {
+		if m, ok := transport.MsgOf(cm); ok && m.Kind == transport.KindSeedReport {
+			if c := m.Reports[0].Counter; c == 2 || c == 3 || c >= 6 {
+				return channel.Drop
+			}
+		}
+		return channel.Deliver
+	})
+	w := newWorld(t, opts, channel.Config{Adv: adv})
+	seed := []byte("shared")
+	base, jitter, grace := sim.Second, 500*sim.Millisecond, 10*sim.Second
+	p, err := prover.NewSeED("prv", w.dev, w.tr, opts, seed, base, jitter, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon := w.v.MonitorSeED("prv", seed, base, jitter, 0, grace)
+	p.Start()
+	key := core.NewSeedKey(seed)
+	var due sim.Time
+	for c := uint64(1); c <= 6; c++ {
+		due = due.Add(key.ScheduleDelay(c, base, jitter))
+	}
+	due = due.Add(grace)
+	missing := func(ctr uint64) bool {
+		for _, c := range mon.MissingCounters {
+			if c == ctr {
+				return true
+			}
+		}
+		return false
+	}
+	w.k.RunUntil(due - 1)
+	if !missing(2) || !missing(3) {
+		t.Fatalf("gap not flagged: missing %v", mon.MissingCounters)
+	}
+	if missing(6) {
+		t.Fatalf("counter 6 flagged before %v (trigger 6 plus grace): missing %v", due, mon.MissingCounters)
+	}
+	w.k.RunUntil(due)
+	if !missing(6) {
+		t.Fatalf("counter 6 not flagged at %v: missing %v", due, mon.MissingCounters)
+	}
+	p.Stop()
+}
+
 func TestSeEDReplayRejected(t *testing.T) {
 	opts := core.Preset(core.NoLock, suite.SHA256)
 	// Adversary records every report and replays the first one later.

@@ -107,7 +107,7 @@ const (
 type cpScratch struct {
 	buf  []byte
 	keys []string
-	recs []proverRec // one stripe's records, copied out under its lock
+	recs []proverEntry // one stripe's records, copied out under its lock
 }
 
 var cpScratchPool = sync.Pool{New: func() any { return new(cpScratch) }}
@@ -171,20 +171,20 @@ func (s *Server) WriteCheckpoint(w io.Writer, o SnapshotOptions) (SnapshotStats,
 		// Size the copy buffer exactly before appending: growing a
 		// multi-megabyte slice through append's growth curve would
 		// churn several times the final size in garbage per snapshot.
-		need := int(t.n)
+		need := int(t.Len())
 		if o.Delta {
 			need = len(t.dirty)
 		}
 		if cap(recs) < need {
-			recs = make([]proverRec, 0, need)
+			recs = make([]proverEntry, 0, need)
 		}
 		if o.Delta {
-			for _, i := range t.dirty {
-				recs = append(recs, *t.at(i))
+			for _, id := range t.dirty {
+				recs = append(recs, *t.At(id))
 			}
 		} else {
-			for i := range t.n {
-				recs = append(recs, *t.at(i))
+			for id := uint32(1); id <= t.Len(); id++ {
+				recs = append(recs, *t.At(id))
 			}
 		}
 		// The image table is append-only: the names these records index
@@ -200,17 +200,17 @@ func (s *Server) WriteCheckpoint(w io.Writer, o SnapshotOptions) (SnapshotStats,
 		// state writing equal bytes whatever order provers came in.
 		sort.Sort(recsByName(recs))
 		for i := range recs {
-			r := &recs[i]
+			name, r := recs[i].Key, &recs[i].Val
 			if r.has(recWin) {
-				buf = appendWindowRec(buf, r.name, &r.fresh.Window)
+				buf = appendWindowRec(buf, name, &r.fresh.Window)
 				stats.Records++
 			}
 			if r.has(recSeed) {
-				buf = appendSeedRec(buf, r.name, r.fresh.SeedLast)
+				buf = appendSeedRec(buf, name, r.fresh.SeedLast)
 				stats.Records++
 			}
 			if r.image != 0 {
-				buf = appendImageRec(buf, r.name, images[r.image])
+				buf = appendImageRec(buf, name, images[r.image])
 				stats.Records++
 			}
 			stats.Provers++
@@ -252,19 +252,20 @@ func (s *Server) Checkpoint() *Checkpoint {
 	for _, st := range s.stripes {
 		st.mu.Lock()
 		t := st.provers
-		for i := range t.n {
-			r := t.at(i)
+		for id := uint32(1); id <= t.Len(); id++ {
+			e := t.At(id)
+			name, r := e.Key, &e.Val
 			if r.has(recWin) {
-				cp.Erasmus[r.name] = r.fresh.Window
+				cp.Erasmus[name] = r.fresh.Window
 			}
 			if r.has(recSeed) {
-				cp.Seed[r.name] = r.fresh.SeedLast
+				cp.Seed[name] = r.fresh.SeedLast
 			}
 			if r.image != 0 {
 				if cp.Images == nil {
 					cp.Images = map[string]string{}
 				}
-				cp.Images[r.name] = t.images[r.image]
+				cp.Images[name] = t.images[r.image]
 			}
 		}
 		st.mu.Unlock()

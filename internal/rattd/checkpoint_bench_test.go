@@ -43,7 +43,7 @@ func dirtyFleetSample(s *Server, names []string, k int) {
 	for i := 0; i < len(names); i += step {
 		st, h := s.stripeHash(names[i])
 		st.mu.Lock()
-		if rec, ri := st.provers.find(names[i], h); rec != nil {
+		if rec, ri := st.lookup(names[i], h); rec != nil {
 			st.markDirty(s, rec, ri)
 		}
 		st.mu.Unlock()

@@ -2,6 +2,7 @@ package rattd
 
 import (
 	"bytes"
+	"maps"
 	"reflect"
 	"testing"
 )
@@ -9,7 +10,8 @@ import (
 // FuzzCheckpointCodec throws arbitrary bytes at the strict decoder
 // and the chain reader. Invariants: no panic ever; successful strict
 // decodes re-encode to bytes that decode back to the identical
-// struct; and chain restore (which includes the lenient torn-tail
+// struct, and restore into a server whose own snapshot gives back what
+// it was restored from (see checkRestored); and chain restore (which includes the lenient torn-tail
 // path) never panics and never errors for any delta input.
 func FuzzCheckpointCodec(f *testing.F) {
 	full := &Checkpoint{
@@ -66,6 +68,7 @@ func FuzzCheckpointCodec(f *testing.F) {
 	// A truncated image record (name present, image id torn off).
 	f.Add(fullEnc[:len(fullEnc)-3])
 
+	srv, _, _ := multiImageServer(f, 0)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		cp, err := DecodeCheckpoint(b)
 		if err == nil {
@@ -81,6 +84,8 @@ func FuzzCheckpointCodec(f *testing.F) {
 			if !reflect.DeepEqual(cp, cp2) {
 				t.Fatalf("re-encode round trip mismatch:\n got %+v\nwant %+v", cp2, cp)
 			}
+			srv.Restore(cp)
+			checkRestored(t, srv, cp)
 		}
 		// Chain restore treats arbitrary delta bytes as a possibly-torn
 		// tail: it must neither panic nor error — worst case the delta
@@ -94,4 +99,39 @@ func FuzzCheckpointCodec(f *testing.F) {
 		// Arbitrary bytes as the base: error or success, never panic.
 		_, _, _ = DecodeChain(b, deltaEnc)
 	})
+}
+
+// checkRestored checks that s, just restored from cp, files every
+// prover cp names: its own snapshot holds cp's lease, windows and
+// watermarks, and every binding to an image s serves other than its
+// default (the rest are dropped, as Restore documents), and it counts
+// each prover enrolled once.
+func checkRestored(t *testing.T, s *Server, cp *Checkpoint) {
+	t.Helper()
+	want := map[string]string{}
+	for p, img := range cp.Images {
+		if img != "" && img != s.defName && s.images.Has(img) {
+			want[p] = img
+		}
+	}
+	got := s.Checkpoint()
+	if got.Lease != cp.Lease || got.NonceCtr != cp.NonceCtr {
+		t.Fatalf("restored lease %+v ctr %d, want %+v ctr %d", got.Lease, got.NonceCtr, cp.Lease, cp.NonceCtr)
+	}
+	if !maps.Equal(got.Erasmus, cp.Erasmus) || !maps.Equal(got.Seed, cp.Seed) || !maps.Equal(got.Images, want) {
+		t.Fatalf("restored state differs:\n got %+v\nwant %+v (images %v)", got, cp, want)
+	}
+	provers := map[string]bool{}
+	for p := range cp.Erasmus {
+		provers[p] = true
+	}
+	for p := range cp.Seed {
+		provers[p] = true
+	}
+	for p := range want {
+		provers[p] = true
+	}
+	if s.Enrolled() != len(provers) {
+		t.Fatalf("restore enrolled %d provers, want %d", s.Enrolled(), len(provers))
+	}
 }

@@ -24,7 +24,7 @@ func settledHeap() uint64 {
 // a server: 200 000 provers send one 4-deep collection each, so every one
 // holds a record, an index slot and a place in the (full) dirty set. The
 // record is 72 bytes in a chunk that never moves, the slot 8 bytes of an
-// index kept under ¾ load, the dirty entry a 4-byte record index: at most
+// index kept under ¾ load, the dirty entry a 4-byte record ID: at most
 // 107 B a prover. The heap record, string-keyed map slot and dirty name
 // this replaced cost 133.9 B.
 func TestServerBytesPerProver(t *testing.T) {

@@ -162,23 +162,33 @@ type stripe struct {
 	provers *proverTable // durable freshness records and their dirty set; Restore swaps it whole
 }
 
-// markDirty stamps record i (r) into the current checkpoint generation,
-// counting its first touch. Caller holds st.mu.
-func (st *stripe) markDirty(s *Server, r *proverRec, i uint32) {
-	if st.provers.markDirty(r, i) {
+// markDirty stamps record id (r) into the current checkpoint
+// generation, counting its first touch. Caller holds st.mu.
+func (st *stripe) markDirty(s *Server, r *proverRec, id uint32) {
+	if st.provers.markDirty(r, id) {
 		s.dirtyProvers.Add(1)
 	}
 }
 
-// rec returns the prover's freshness record and its index, creating
-// (and counting as enrolled) on first contact. h is name's hash from
-// stripeHash. Caller holds st.mu.
-func (st *stripe) rec(s *Server, name string, h uint64) (*proverRec, uint32) {
-	if r, i := st.provers.find(name, h); r != nil {
-		return r, i
+// lookup returns the prover's freshness record and its ID, nil and 0 if
+// the stripe holds none. h is name's hash from stripeHash. Caller holds
+// st.mu.
+func (st *stripe) lookup(name string, h uint64) (*proverRec, uint32) {
+	if id := st.provers.Find(name, h); id != 0 {
+		return &st.provers.At(id).Val, id
 	}
-	s.enrolled.Add(1)
-	return st.provers.add(name, h)
+	return nil, 0
+}
+
+// rec is lookup that creates the record (and counts the prover
+// enrolled) on first contact.
+func (st *stripe) rec(s *Server, name string, h uint64) (*proverRec, uint32) {
+	id := st.provers.Find(name, h)
+	if id == 0 {
+		s.enrolled.Add(1)
+		id = st.provers.Add(name, h)
+	}
+	return &st.provers.At(id).Val, id
 }
 
 // Serve binds a new Server to tr under cfg.Name and starts answering.
@@ -406,7 +416,7 @@ func (s *Server) rejectBundle(from string, kind transport.Kind, n int, why verif
 // The default image's own name normalizes to "" so homogeneous fleets
 // store no binding at all. A nil rec is a prover not enrolled yet — the
 // SMART and SeED paths do not enroll here — and leaves the binding
-// unstored; ri is rec's index. Returns the effective name and false on
+// unstored; ri is rec's ID. Returns the effective name and false on
 // a binding mismatch. Caller holds st.mu.
 func (st *stripe) bindImage(s *Server, rec *proverRec, ri uint32, name string) (string, bool) {
 	bound := ""
@@ -453,7 +463,7 @@ func (s *Server) handleHello(from string) {
 func (s *Server) handleReport(from string, id verifier.ImageID, reports []core.Report) {
 	st, h := s.stripeHash(from)
 	st.mu.Lock()
-	rec, ri := st.provers.find(from, h)
+	rec, ri := st.lookup(from, h)
 	name, bound := st.bindImage(s, rec, ri, id.Name)
 	st.mu.Unlock()
 	var nonce verifier.Challenge
@@ -613,7 +623,7 @@ func (s *Server) collect(sc *ingestScratch, from string, id verifier.ImageID, re
 			}
 		}
 		// A Restore since the snapshot swapped the table out: the record
-		// is no longer the prover's, and its index names another's.
+		// is no longer the prover's, and its ID names another's.
 		if cnt.accepted > 0 && st.provers == tbl {
 			st.markDirty(s, rec, ri)
 		}
@@ -649,7 +659,7 @@ func (s *Server) handleSeed(from string, id verifier.ImageID, reports []core.Rep
 	// named contact that never verifies clean still binds nothing.
 	var fresh verifier.Freshness
 	st.mu.Lock()
-	rec, ri := st.provers.find(from, h)
+	rec, ri := st.lookup(from, h)
 	name, bound := st.bindImage(s, rec, ri, id.Name)
 	if rec != nil {
 		fresh = rec.fresh

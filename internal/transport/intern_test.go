@@ -15,7 +15,7 @@ import (
 // leave the table at the cap, still serving correct strings for both
 // resident and past-cap names.
 func TestInternTableBounded(t *testing.T) {
-	tbl := newInternTable[struct{}](64)
+	tbl := newInternTable(64)
 	const churn = 10000
 	for i := 0; i < churn; i++ {
 		name := fmt.Sprintf("flood-peer-%05d", i)
@@ -23,7 +23,7 @@ func TestInternTableBounded(t *testing.T) {
 			t.Fatalf("get(%q) = %q", name, got)
 		}
 	}
-	if n := int(tbl.n); n != 64 {
+	if n := int(tbl.Len()); n != 64 {
 		t.Fatalf("table grew to %d entries under churn (cap 64)", n)
 	}
 	// Resident names keep resolving to the one canonical backing, and
@@ -52,7 +52,7 @@ func TestInternTableBounded(t *testing.T) {
 	if id := tbl.lookup("flood-peer-09998"); id != 0 {
 		t.Fatalf("lookup of a refused name = %d, want 0", id)
 	}
-	if n := int(tbl.n); n != 64 {
+	if n := int(tbl.Len()); n != 64 {
 		t.Fatalf("lookups grew the table to %d", n)
 	}
 }
@@ -61,7 +61,7 @@ func TestInternTableBounded(t *testing.T) {
 // distinct and shared names against a tiny cap; the bound must hold
 // and every returned string must be correct.
 func TestInternTableConcurrentChurn(t *testing.T) {
-	tbl := newInternTable[struct{}](32)
+	tbl := newInternTable(32)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -77,7 +77,7 @@ func TestInternTableConcurrentChurn(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if n := int(tbl.n); n > 32 {
+	if n := int(tbl.Len()); n > 32 {
 		t.Fatalf("table grew to %d entries under concurrent churn (cap 32)", n)
 	}
 }
@@ -88,7 +88,7 @@ func TestInternTableConcurrentChurn(t *testing.T) {
 // bytes with the caller's buffer, because that buffer is a pooled
 // receive buffer about to be overwritten.
 func TestInternNeverAliasesInput(t *testing.T) {
-	tbl := newInternTable[struct{}](2)
+	tbl := newInternTable(2)
 	check := func(path string, buf []byte) {
 		t.Helper()
 		want := string(append([]byte(nil), buf...))
@@ -157,7 +157,7 @@ func TestInternBytesPerName(t *testing.T) {
 		in[i] = fmt.Appendf(nil, "name-%05d", i)
 	}
 	before := settledHeap()
-	tbl := newInternTable[struct{}](internCap)
+	tbl := newInternTable(internCap)
 	for _, b := range in {
 		tbl.get(b)
 	}
@@ -179,7 +179,7 @@ func TestTokensStayOutOfNameTable(t *testing.T) {
 	// A table of its own, so the junk crowds no later test's tokens out
 	// of the process's table.
 	saved := tokens
-	tokens = newInternTable[struct{}](tokenCap)
+	tokens = newInternTable(tokenCap)
 	defer func() { tokens = saved }()
 
 	m := &Msg{From: "tok-prv", To: "tok-vrf", Kind: KindCollection, Image: "tok-img@v3", ReqID: 1}
@@ -196,7 +196,7 @@ func TestTokensStayOutOfNameTable(t *testing.T) {
 	interned.get([]byte(m.From))
 	interned.get([]byte(m.To))
 	interned.mu.RLock()
-	names := interned.n
+	names := interned.Len()
 	interned.mu.RUnlock()
 
 	var f Frame
@@ -204,13 +204,13 @@ func TestTokensStayOutOfNameTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	interned.mu.RLock()
-	after := interned.n
+	after := interned.Len()
 	interned.mu.RUnlock()
 	if after != names {
 		t.Fatalf("decoding grew the name table from %d to %d names", names, after)
 	}
-	if tokens.n != tokenCap {
-		t.Fatalf("token table holds %d strings, want its cap %d", tokens.n, tokenCap)
+	if tokens.Len() != tokenCap {
+		t.Fatalf("token table holds %d strings, want its cap %d", tokens.Len(), tokenCap)
 	}
 	back := f.Msg()
 	if got := AppendFrame(nil, &back); !bytes.Equal(got, buf) {

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/maphash"
-	"math"
+	"sync"
+
+	"saferatt/internal/strtab"
 )
 
 // Local is the in-process transport: delivery is a synchronous handler
@@ -22,27 +24,29 @@ import (
 // sends one (From, ReqID) pair twice is delivered it twice.
 //
 // A name is keyed the way Net keys it: Bind files the caller's string
-// in an internTable of the Local's own, under a dense ID, with the
-// handler beside it in chunks that never move. A delivery is one hash,
-// one index probe — whose string compare is usually pointer-equal,
-// since senders name peers with the strings they bound — and one read
-// of the slot the compare already brought into cache. The table has no
-// cap, because only Bind adds to it, and it never shrinks: a name stays
-// filed, with an empty slot, after Unbind.
+// in a strtab.Table of the Local's own, under a dense ID, with the
+// handler beside it. A delivery is one hash, one index probe — whose
+// string compare is usually pointer-equal, since senders name peers
+// with the strings they bound — and one read of the entry the compare
+// already brought into cache. The table has no cap, because only Bind
+// adds to it, and it never shrinks: a name stays filed, with no
+// handler, after Unbind.
 //
 // The delivered Msg is the sender's value: a handler may retain it
 // only if the sender does not mutate the payload afterwards (the
 // usual pattern — build, send, drop — satisfies this).
 type Local struct {
-	names  *internTable[Handler] // every name ever bound, each beside its handler
-	closed bool                  // guarded, as the table is, by names.mu
+	mu     sync.RWMutex
+	seed   maphash.Seed          // what names are hashed under
+	closed bool                  // guarded, as names is, by mu
+	names  strtab.Table[Handler] // every name ever bound, each beside its handler
 }
 
 var errLocalClosed = errors.New("transport: local transport closed")
 
 // NewLocal builds an empty in-process transport.
 func NewLocal() *Local {
-	return &Local{names: newInternTable[Handler](math.MaxUint32)}
+	return &Local{seed: maphash.MakeSeed()}
 }
 
 // Bind registers name's handler, replacing any previous one.
@@ -50,17 +54,17 @@ func (l *Local) Bind(name string, h Handler) error {
 	if h == nil {
 		return fmt.Errorf("transport: nil handler for %q", name)
 	}
-	hash := maphash.String(l.names.seed, name)
-	l.names.mu.Lock()
-	defer l.names.mu.Unlock()
+	hash := maphash.String(l.seed, name)
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.closed {
 		return errLocalClosed
 	}
-	id := l.names.find(name, hash)
+	id := l.names.Find(name, hash)
 	if id == 0 {
-		_, id = l.names.add(name, hash)
+		id = l.names.Add(name, hash)
 	}
-	l.names.at(id).val = h
+	l.names.At(id).Val = h
 	return nil
 }
 
@@ -75,28 +79,28 @@ func (l *Local) BindFrames(name string, h FrameHandler) error {
 
 // Unbind removes name's handler; later sends to it are dropped.
 func (l *Local) Unbind(name string) {
-	hash := maphash.String(l.names.seed, name)
-	l.names.mu.Lock()
-	if id := l.names.find(name, hash); id != 0 {
-		l.names.at(id).val = nil
+	hash := maphash.String(l.seed, name)
+	l.mu.Lock()
+	if id := l.names.Find(name, hash); id != 0 {
+		l.names.At(id).Val = nil
 	}
-	l.names.mu.Unlock()
+	l.mu.Unlock()
 }
 
 // Send delivers m to m.To synchronously on the caller's goroutine.
 // Sends to unbound names are dropped silently (datagram semantics).
 func (l *Local) Send(m Msg) error {
-	hash := maphash.String(l.names.seed, m.To)
-	l.names.mu.RLock()
+	hash := maphash.String(l.seed, m.To)
+	l.mu.RLock()
 	if l.closed {
-		l.names.mu.RUnlock()
+		l.mu.RUnlock()
 		return errLocalClosed
 	}
 	var h Handler
-	if id := l.names.find(m.To, hash); id != 0 {
-		h = l.names.at(id).val
+	if id := l.names.Find(m.To, hash); id != 0 {
+		h = l.names.At(id).Val
 	}
-	l.names.mu.RUnlock()
+	l.mu.RUnlock()
 	if h != nil {
 		h(m)
 	}
@@ -116,11 +120,11 @@ func (l *Local) SendBatch(ms []Msg) error {
 
 // Close drops all handlers and fails later sends.
 func (l *Local) Close() error {
-	l.names.mu.Lock()
-	for id := uint32(1); id <= l.names.n; id++ {
-		l.names.at(id).val = nil
+	l.mu.Lock()
+	for id := uint32(1); id <= l.names.Len(); id++ {
+		l.names.At(id).Val = nil
 	}
 	l.closed = true
-	l.names.mu.Unlock()
+	l.mu.Unlock()
 	return nil
 }

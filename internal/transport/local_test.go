@@ -122,14 +122,14 @@ func TestLocalBindUnbindRacesSend(t *testing.T) {
 	}
 	l.Unbind("never-bound")
 
-	size := l.names.n
+	size := l.names.Len()
 	for i := 0; i < 100; i++ {
 		if err := l.Send(Msg{From: "vrf", To: fmt.Sprintf("stranger-%d", i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if l.names.n != size {
-		t.Fatalf("sends to names never bound grew the table from %d to %d names", size, l.names.n)
+	if l.names.Len() != size {
+		t.Fatalf("sends to names never bound grew the table from %d to %d names", size, l.names.Len())
 	}
 
 	t.Run("race", func(t *testing.T) {
@@ -180,8 +180,8 @@ func TestLocalBindUnbindRacesSend(t *testing.T) {
 		if delivered.Load() == 0 {
 			t.Fatal("nothing was delivered")
 		}
-		if int(r.names.n) != len(names) {
-			t.Fatalf("%d names filed, want %d", r.names.n, len(names))
+		if int(r.names.Len()) != len(names) {
+			t.Fatalf("%d names filed, want %d", r.names.Len(), len(names))
 		}
 	})
 
@@ -198,9 +198,9 @@ func TestLocalBindUnbindRacesSend(t *testing.T) {
 	if first.len() != 1 || second.len() != 1 {
 		t.Fatal("a handler ran after Close")
 	}
-	for id := uint32(1); id <= l.names.n; id++ {
-		if l.names.at(id).val != nil {
-			t.Fatalf("Close left name %q's handler filed", l.names.at(id).s)
+	for id := uint32(1); id <= l.names.Len(); id++ {
+		if l.names.At(id).Val != nil {
+			t.Fatalf("Close left name %q's handler filed", l.names.At(id).Key)
 		}
 	}
 }

@@ -250,7 +250,7 @@ func TestNetRoutes(t *testing.T) {
 // refused name past the bound.
 func TestNetRefusedNameRoutesBounded(t *testing.T) {
 	saved := interned
-	interned = newInternTable[struct{}](16)
+	interned = newInternTable(16)
 	defer func() { interned = saved }()
 
 	def := netip.MustParseAddrPort("127.0.0.1:7001")

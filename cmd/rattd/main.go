@@ -44,7 +44,6 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
-	"runtime"
 	"strconv"
 	"strings"
 	"syscall"
@@ -72,34 +71,54 @@ func main() {
 		seed     = flag.Uint64("seed", 42, "golden image seed (provers must match)")
 		memSize  = flag.Int("mem", 64<<10, "attested memory bytes")
 		block    = flag.Int("block", 1<<10, "block size bytes")
-		shuffled = flag.Bool("shuffled", false, "expect permuted traversal orders (SMARM-style)")
-		epochs   = flag.Int("keep-epochs", 64, "nonce epochs of expected tags to cache")
 		grace    = flag.Uint64("grace-epochs", 1, "rotation epochs a rotated-out image version keeps verifying")
-		stripes  = flag.Int("stripes", 0, "lock stripes for per-prover state per shard (0 = 4×GOMAXPROCS)")
-		drop     = flag.Float64("drop", 0, "injected datagram loss rate (testing)")
 		verbose  = flag.Bool("v", false, "log every verification decision")
 		statsSec = flag.Int("stats", 30, "stats print interval in seconds (0 = only on exit)")
 
 		checkpoint   = flag.String("checkpoint", "", "persist shard state to <path>.<shard> (base + delta chain) in the background")
 		ckptInterval = flag.Duration("checkpoint-interval", 10*time.Second, "background checkpoint interval (0 = only on exit)")
-		ckptDeltas   = flag.Int("checkpoint-max-deltas", 16, "delta files per chain before compaction into a fresh base")
 		restore      = flag.Bool("restore", false, "restore shard state from -checkpoint files on startup")
 		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-
-		recvLoops  = flag.Int("recv-loops", 0, "socket receive goroutines per shard (0 = default)")
-		recvQueues = flag.Int("recv-queues", 0, "receive dispatch workers per shard (0 = GOMAXPROCS, min 4; each drives the striped verify path concurrently)")
-		queueCap   = flag.Int("queue-cap", 0, "per-shard receive queue capacity (0 = default)")
-		batchBytes = flag.Int("batch-bytes", 0, "batch datagram size budget (0 = default)")
-		maxBatch   = flag.Int("max-batch", 0, "messages per batch datagram cap (0 = default)")
 	)
 	var images imageFlags
 	flag.Var(&images, "image", "register a golden image as name=path (repeatable; first is the default; overrides -seed/-mem)")
 	flag.Parse()
-	if *shards < 1 {
-		log.Fatalf("rattd: -shards %d (need >= 1)", *shards)
+	switch {
+	case *shards < 1:
+		usage("-shards %d (need >= 1)", *shards)
+	case *restore && *checkpoint == "":
+		usage("-restore needs -checkpoint <path>")
+	case *block <= 0:
+		usage("-block %d (need > 0)", *block)
+	case len(images) == 0 && (*memSize <= 0 || *memSize%*block != 0):
+		usage("-mem %d is not a positive multiple of -block %d", *memSize, *block)
 	}
-	if *restore && *checkpoint == "" {
-		log.Fatal("rattd: -restore needs -checkpoint <path>")
+
+	cfg := rattd.Config{BlockSize: *block}
+	if len(images) > 0 {
+		set := verifier.NewImageSet(verifier.ImageSetConfig{Grace: *grace, KeepEpochs: rattd.KeepEpochs})
+		for _, spec := range images {
+			name, path, ok := strings.Cut(spec, "=")
+			if !ok || name == "" || path == "" {
+				usage("-image %q (want name=path)", spec)
+			}
+			ref, err := os.ReadFile(path)
+			if err != nil {
+				usage("-image %s: %v", name, err)
+			}
+			if len(ref) == 0 || len(ref)%*block != 0 {
+				usage("-image %s: %d bytes is not a positive multiple of block size %d", name, len(ref), *block)
+			}
+			if _, err := set.Add(name, verifier.ImageOf(ref, *block)); err != nil {
+				usage("-image %s: %v", name, err)
+			}
+		}
+		cfg.Images = set
+	} else {
+		cfg.Ref = rattd.GoldenImage(*seed, *memSize, *block)
+	}
+	if *verbose {
+		cfg.Logf = log.Printf
 	}
 
 	if *pprofAddr != "" {
@@ -111,16 +130,6 @@ func main() {
 		}()
 	}
 
-	if *recvQueues == 0 {
-		// Dispatch workers are what actually run the striped verify
-		// path, so default their count to the cores available; the
-		// floor keeps source-address sharding effective on small hosts.
-		*recvQueues = runtime.GOMAXPROCS(0)
-		if *recvQueues < 4 {
-			*recvQueues = 4
-		}
-	}
-
 	addrs, err := rattd.TierAddrs(*addr, *shards)
 	if err != nil {
 		log.Fatalf("rattd: %v", err)
@@ -128,11 +137,7 @@ func main() {
 	var nets []*transport.Net
 	var trs []transport.Transport
 	for _, a := range addrs {
-		tr, err := transport.Listen(transport.NetConfig{
-			Addr: a, DropRate: *drop,
-			RecvLoops: *recvLoops, RecvQueues: *recvQueues, QueueCap: *queueCap,
-			BatchBytes: *batchBytes, MaxBatch: *maxBatch,
-		})
+		tr, err := transport.Listen(transport.NetConfig{Addr: a})
 		if err != nil {
 			log.Fatalf("rattd: %v", err)
 		}
@@ -141,38 +146,6 @@ func main() {
 		trs = append(trs, tr)
 	}
 
-	cfg := rattd.Config{
-		BlockSize:  *block,
-		Shuffled:   *shuffled,
-		KeepEpochs: *epochs,
-		Stripes:    *stripes,
-	}
-	if len(images) > 0 {
-		set := verifier.NewImageSet(verifier.ImageSetConfig{Grace: *grace, KeepEpochs: *epochs})
-		for _, spec := range images {
-			name, path, ok := strings.Cut(spec, "=")
-			if !ok || name == "" || path == "" {
-				log.Fatalf("rattd: -image %q (want name=path)", spec)
-			}
-			ref, err := os.ReadFile(path)
-			if err != nil {
-				log.Fatalf("rattd: -image %s: %v", name, err)
-			}
-			if len(ref) == 0 || len(ref)%*block != 0 {
-				log.Fatalf("rattd: -image %s: %d bytes is not a positive multiple of block size %d",
-					name, len(ref), *block)
-			}
-			if _, err := set.Add(name, verifier.ImageOf(ref, *block)); err != nil {
-				log.Fatalf("rattd: -image %s: %v", name, err)
-			}
-		}
-		cfg.Images = set
-	} else {
-		cfg.Ref = rattd.GoldenImage(*seed, *memSize, *block)
-	}
-	if *verbose {
-		cfg.Logf = log.Printf
-	}
 	tier, err := rattd.ServeTier(trs, rattd.TierConfig{Base: cfg})
 	if err != nil {
 		log.Fatalf("rattd: %v", err)
@@ -203,7 +176,6 @@ func main() {
 			c := rattd.NewCheckpointer(tier.Shard(i), rattd.CheckpointerConfig{
 				Path:         checkpointPath(*checkpoint, i),
 				Interval:     *ckptInterval,
-				MaxDeltas:    *ckptDeltas,
 				PriorChainID: priorChains[i],
 				Logf:         log.Printf,
 			})
@@ -290,6 +262,13 @@ done:
 	}
 	printStats()
 	fmt.Println("rattd: bye")
+}
+
+// usage ends the daemon on a flag value it cannot serve with: one
+// "rattd: " line on stderr and status 2, before any socket is bound.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "rattd: "+format+"\n", args...)
+	os.Exit(2)
 }
 
 func checkpointPath(base string, shard int) string {

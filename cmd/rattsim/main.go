@@ -19,9 +19,9 @@
 //	rattsim -mode rattping -addr 127.0.0.1:9779 -shards 8 -provers 100000  # fleet vs a sharded rattd tier
 //
 // rattping tuning flags: -loss injects datagram drop and -concurrency
-// caps simultaneously active provers. The client socket runs one
-// receive worker per core (at least four) and the transport's default
-// batching; the receive and batching knobs are cmd/rattd's.
+// caps simultaneously active provers. The client socket runs the
+// transport's defaults, as cmd/rattd's does: one dispatch worker a core
+// (at least four) and its fixed batching.
 //
 // A flag value the scenario cannot run with is an error: rattsim prints
 // it and exits with status 2.
@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"slices"
 	"strings"
 
@@ -129,14 +128,10 @@ func run(args []string, stdout io.Writer) error {
 	case "lifecycle":
 		return runLifecycle(stdout)
 	case "rattping":
-		// Match the daemon side: one dispatch worker per core, with a
-		// small-host floor, so client receive capacity keeps pace with a
-		// striped tier's reply rate.
-		recvQueues := max(runtime.GOMAXPROCS(0), 4)
 		return runRattping(stdout, rattpingOpts{
 			addr: *addr, shards: *shards, provers: *provers, seed: *seed,
 			memSize: *memSize, block: *block, history: *history,
-			concurrency: *conc, net: transport.NetConfig{DropRate: *loss, RecvQueues: recvQueues},
+			concurrency: *conc, net: transport.NetConfig{DropRate: *loss},
 		})
 	default:
 		return fmt.Errorf("unknown mode %q", *mode)

@@ -96,9 +96,9 @@ func E17HeterogeneousFleet(cfg E17Config) (*E17Result, error) {
 
 	// Registry: one golden per class, golden-backed so rotation takes
 	// the derived digest-cache path; class 0 is the fleet default.
-	// KeepEpochs matches the daemon's single-image default: a smaller
-	// epoch cache would thrash on multi-counter histories.
-	set := verifier.NewImageSet(verifier.ImageSetConfig{Grace: e17Grace, KeepEpochs: 64})
+	// KeepEpochs is the daemon's: a smaller epoch cache would thrash on
+	// multi-counter histories.
+	set := verifier.NewImageSet(verifier.ImageSetConfig{Grace: e17Grace, KeepEpochs: rattd.KeepEpochs})
 	goldens := make([]*mem.Golden, classes)
 	for c := range goldens {
 		goldens[c] = mem.NewGolden(fleetImage(c), fleetBlock, 1)

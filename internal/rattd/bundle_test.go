@@ -129,9 +129,10 @@ func newBundleRig(t *testing.T, seed int64, keep int) *bundleRig {
 	g := &bundleRig{t: t, rng: rand.New(rand.NewSource(seed)), tr: transport.NewLocal(), honest: map[uint64]core.Report{}}
 	set, image := rotatedRegistry(t, keep)
 	var err error
-	if g.srv, err = Serve(g.tr, Config{Images: set, KeepEpochs: keep}); err != nil {
+	if g.srv, err = Serve(g.tr, Config{Images: set}); err != nil {
 		t.Fatal(err)
 	}
+	resizeMemo(g.srv, keep)
 	t.Cleanup(g.srv.Close)
 	oset, _ := rotatedRegistry(t, keep)
 	g.oracle = &perReportOracle{images: oset, nonces: verifier.NewNonceMemo(DefaultKey, keep), fresh: map[string]*verifier.Freshness{}}
@@ -324,7 +325,7 @@ func TestCollectionBundleMatchesPerReport(t *testing.T) {
 		keep int
 		warm uint64 // counters a third prover commits first
 	}{
-		{"memo cold", 64, 0},
+		{"memo cold", KeepEpochs, 0},
 		{"memo cold and tiny", 4, 0},
 		{"memo warm", 4096, 4000},
 	} {

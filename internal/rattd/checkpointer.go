@@ -52,6 +52,11 @@ type Checkpointer struct {
 	done    chan struct{}
 }
 
+// maxDeltas caps a chain's length: the tick that would write delta
+// maxDeltas+1 compacts into a fresh base instead. A longer chain makes
+// steady-state writes cheaper and restore slower (it replays in order).
+const maxDeltas = 16
+
 // CheckpointerConfig configures a Checkpointer.
 type CheckpointerConfig struct {
 	// Path is the base snapshot file; deltas live at Path.d1, Path.d2…
@@ -59,9 +64,6 @@ type CheckpointerConfig struct {
 	// Interval between background snapshots; <= 0 disables the
 	// background goroutine (Tick/Close still write on demand).
 	Interval time.Duration
-	// MaxDeltas caps the chain length before compaction into a fresh
-	// base. Default 16.
-	MaxDeltas int
 	// MaxDeltaFrac compacts once cumulative delta bytes exceed this
 	// fraction of the base size — past that point replay-at-restore
 	// costs more than a fresh base would. Default 0.5.
@@ -89,9 +91,6 @@ type CheckpointerStats struct {
 // NewCheckpointer returns a stopped checkpointer; call Start to run
 // it on its interval, or Tick to drive it manually.
 func NewCheckpointer(s *Server, cfg CheckpointerConfig) *Checkpointer {
-	if cfg.MaxDeltas <= 0 {
-		cfg.MaxDeltas = 16
-	}
 	if cfg.MaxDeltaFrac <= 0 {
 		cfg.MaxDeltaFrac = 0.5
 	}
@@ -178,7 +177,7 @@ func (c *Checkpointer) Tick() error {
 
 	full := c.forceFull
 	compact := false
-	if !full && (int(c.nextSeq) > c.cfg.MaxDeltas ||
+	if !full && (c.nextSeq > maxDeltas ||
 		float64(c.deltaBytes) > c.cfg.MaxDeltaFrac*float64(c.baseBytes)) {
 		full, compact = true, true
 	}

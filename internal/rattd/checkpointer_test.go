@@ -53,7 +53,7 @@ func TestCheckpointerChain(t *testing.T) {
 	const fleet = 20
 	fx := newCkptFixture(t, fleet)
 	path := filepath.Join(t.TempDir(), "cp")
-	ck := NewCheckpointer(fx.srv, CheckpointerConfig{Path: path, MaxDeltas: 3, MaxDeltaFrac: 100})
+	ck := NewCheckpointer(fx.srv, CheckpointerConfig{Path: path, MaxDeltaFrac: 100})
 
 	// First tick: a base holding the whole fleet.
 	if err := ck.Tick(); err != nil {
@@ -106,24 +106,18 @@ func TestCheckpointerChain(t *testing.T) {
 	}
 	assertChainMatchesLive(t, path, fx.srv, 1)
 
-	// Two more deltas, then the 4th dirty tick trips MaxDeltas=3 and
-	// compacts: a fresh base under a new chain ID, old deltas gone.
-	fx.ingest(t, 2, 2)
-	if err := ck.Tick(); err != nil {
-		t.Fatal(err)
+	// Deltas up to maxDeltas, then the next dirty tick compacts: a
+	// fresh base under a new chain ID, old deltas gone.
+	for i := 2; i <= maxDeltas+1; i++ {
+		fx.ingest(t, i, 2)
+		if err := ck.Tick(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	fx.ingest(t, 3, 2)
-	if err := ck.Tick(); err != nil {
-		t.Fatal(err)
-	}
-	fx.ingest(t, 4, 2)
-	if err := ck.Tick(); err != nil {
-		t.Fatal(err)
-	}
-	if st := ck.Stats(); st.Fulls != 2 || st.Compactions != 1 || st.Deltas != 3 {
+	if st := ck.Stats(); st.Fulls != 2 || st.Compactions != 1 || st.Deltas != maxDeltas {
 		t.Fatalf("after compaction: %+v", st)
 	}
-	for seq := 1; seq <= 3; seq++ {
+	for seq := 1; seq <= maxDeltas; seq++ {
 		if _, err := os.Stat(deltaPath(path, uint32(seq))); !os.IsNotExist(err) {
 			t.Fatalf("compaction left delta %d behind", seq)
 		}

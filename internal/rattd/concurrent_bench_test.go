@@ -95,7 +95,7 @@ func BenchmarkServer_RejectUnboundCounter(b *testing.B) {
 	names := make([]string, fleet)
 	for i := range names {
 		names[i] = fmt.Sprintf("prv%05d", i)
-		ctr := uint64(1 + i%s.cfg.KeepEpochs)
+		ctr := uint64(1 + i%KeepEpochs)
 		s.Ingest(names[i], transport.KindCollection, []core.Report{selfMeasure(b, tmpl, ctr)})
 	}
 	before := s.Counts()
@@ -112,8 +112,8 @@ func BenchmarkServer_RejectUnboundCounter(b *testing.B) {
 	if after.Accepted != before.Accepted || after.Rejected-before.Rejected != uint64(b.N) || after.Replays != before.Replays {
 		b.Fatalf("counts moved %+v -> %+v over %d unbound bundles", before, after, b.N)
 	}
-	if got := len(s.nonces.Counters()); got != s.cfg.KeepEpochs {
-		b.Fatalf("memo holds %d counters after the flood, want it still full at %d", got, s.cfg.KeepEpochs)
+	if got := len(s.nonces.Counters()); got != KeepEpochs {
+		b.Fatalf("memo holds %d counters after the flood, want it still full at %d", got, KeepEpochs)
 	}
 }
 

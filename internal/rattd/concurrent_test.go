@@ -238,8 +238,8 @@ func TestEnrolledCounter(t *testing.T) {
 }
 
 // TestNetConcurrentIngest drives mixed traffic for overlapping
-// provers at the server over real loopback sockets with 8 receive
-// queues — the transport's dispatch workers hit the striped handlers
+// provers at the server over real loopback sockets — the transport's
+// dispatch workers (at least four) hit the striped handlers
 // genuinely concurrently, which under -race is the end-to-end memory
 // check the direct-Ingest test cannot give. Counts conservation and
 // exactly-once acceptance are asserted after the network settles.
@@ -249,7 +249,7 @@ func TestNetConcurrentIngest(t *testing.T) {
 		provers  = 8 // per client; names overlap across clients
 		counters = 6
 	)
-	lis, err := transport.Listen(transport.NetConfig{RecvLoops: 4, RecvQueues: 8})
+	lis, err := transport.Listen(transport.NetConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,8 +13,9 @@ import (
 	"saferatt/internal/verifier"
 )
 
-// memoRig is a Server with a small KeepEpochs — so ten times the bound
-// is a few dozen bundles — whose provers' inboxes all land in last.
+// memoRig is a Server whose tag cache and nonce memo hold memoKeep
+// epochs, not KeepEpochs — so ten times the bound is a few dozen
+// bundles — and whose provers' inboxes all land in last.
 type memoRig struct {
 	t     *testing.T
 	s     *Server
@@ -25,14 +26,22 @@ type memoRig struct {
 
 const memoKeep = 4
 
+// resizeMemo gives s, before it has ingested anything, a nonce memo of
+// keep counters in place of its KeepEpochs one.
+func resizeMemo(s *Server, keep int) { s.nonces = verifier.NewNonceMemo(DefaultKey, keep) }
+
 func newMemoRig(t *testing.T) *memoRig {
 	t.Helper()
 	g := &memoRig{t: t, tr: transport.NewLocal(), image: GoldenImage(7, testMem, testBlock)}
-	var err error
-	g.s, err = Serve(g.tr, Config{Ref: g.image, BlockSize: testBlock, KeepEpochs: memoKeep, Stripes: 4})
-	if err != nil {
+	set := verifier.NewImageSet(verifier.ImageSetConfig{KeepEpochs: memoKeep})
+	if _, err := set.Add(DefaultImageName, verifier.ImageOf(g.image, testBlock)); err != nil {
 		t.Fatal(err)
 	}
+	var err error
+	if g.s, err = Serve(g.tr, Config{Images: set, Stripes: 4}); err != nil {
+		t.Fatal(err)
+	}
+	resizeMemo(g.s, memoKeep)
 	t.Cleanup(g.s.Close)
 	return g
 }
@@ -206,7 +215,8 @@ func TestConcurrentIngestAdvancingCounter(t *testing.T) {
 		counters = 12
 		hostile  = 25 // one garbage-nonce and one forged bundle per this many
 	)
-	s := localServer(t, Config{Stripes: 8, KeepEpochs: memoKeep})
+	s := localServer(t, Config{Stripes: 8})
+	resizeMemo(s, memoKeep)
 	image := GoldenImage(7, testMem, testBlock)
 	tmpl, err := NewProver("tmpl", DefaultKey, image, testBlock)
 	if err != nil {
@@ -289,7 +299,7 @@ func TestNonceMemoMissOverhead(t *testing.T) {
 		t.Skip("race instrumentation distorts timing; the gate runs in the non-race suite")
 	}
 	const (
-		keep   = 64 // rattd's default KeepEpochs
+		keep   = KeepEpochs
 		rounds = 25
 		perArm = 4096
 	)

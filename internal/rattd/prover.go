@@ -29,7 +29,6 @@ type Prover struct {
 	Key       []byte
 	Image     []byte
 	BlockSize int
-	Shuffled  bool
 	Hash      suite.HashID
 	// ImageName, when non-empty, is the golden-image id this prover
 	// announces on every wire message ("name" or "name@vN") so a
@@ -53,7 +52,7 @@ func NewProver(name string, key, image []byte, blockSize int) (*Prover, error) {
 func (p *Prover) tag(nonce []byte, round int) ([]byte, error) {
 	scheme := suite.Scheme{Hash: p.Hash, Key: p.Key}
 	n := len(p.Image) / p.BlockSize
-	p.order = core.AppendOrderRegion(p.order[:0], p.Key, nonce, round, 0, n, p.Shuffled)
+	p.order = core.AppendOrderRegion(p.order[:0], p.Key, nonce, round, 0, n, false)
 	t, err := scheme.AcquireTagger()
 	if err != nil {
 		return nil, err

@@ -69,6 +69,13 @@ type DedupWindow = verifier.DedupWindow
 // registered under, and the image imageless reports are served against.
 const DefaultImageName = "default"
 
+// KeepEpochs sizes the batch verifier's multi-epoch expected-tag cache
+// and the ERASMUS nonce memo beside it. ERASMUS self-measurements carry
+// counter-derived nonces, so bundles from a fleet interleave a handful
+// of epochs. A registry a caller builds for Config.Images sizes its
+// own tag caches (verifier.ImageSetConfig.KeepEpochs).
+const KeepEpochs = 64
+
 // Config assembles a Server.
 type Config struct {
 	// Name is the daemon's endpoint name; defaults to "rattd".
@@ -88,13 +95,6 @@ type Config struct {
 	// registry from Ref/BlockSize under DefaultImageName — the
 	// pre-registry behavior bit for bit.
 	Images *verifier.ImageSet
-	// Shuffled selects permuted traversal orders (SMARM-style).
-	Shuffled bool
-	// KeepEpochs sizes the batch verifier's multi-epoch expected-tag
-	// cache and the ERASMUS nonce memo beside it. ERASMUS
-	// self-measurements carry counter-derived nonces, so bundles from a
-	// fleet interleave a handful of epochs; defaults to 64.
-	KeepEpochs int
 	// Stripes is the number of lock stripes the per-prover freshness
 	// state is partitioned across (rounded up to a power of two).
 	// Defaults to 4×GOMAXPROCS: enough that concurrent dispatch
@@ -206,9 +206,6 @@ func Serve(tr transport.Transport, cfg Config) (*Server, error) {
 	if cfg.Key == nil {
 		cfg.Key = DefaultKey
 	}
-	if cfg.KeepEpochs == 0 {
-		cfg.KeepEpochs = 64
-	}
 	if cfg.Stripes <= 0 {
 		cfg.Stripes = 4 * runtime.GOMAXPROCS(0)
 	}
@@ -218,7 +215,7 @@ func Serve(tr transport.Transport, cfg Config) (*Server, error) {
 		// Single-image fleet: the Ref becomes a one-entry registry, so
 		// the verify path is uniform and a later Rotate works on any
 		// server.
-		images = verifier.NewImageSet(verifier.ImageSetConfig{KeepEpochs: cfg.KeepEpochs})
+		images = verifier.NewImageSet(verifier.ImageSetConfig{KeepEpochs: KeepEpochs})
 		if _, err := images.Add(DefaultImageName, verifier.ImageOf(cfg.Ref, cfg.BlockSize)); err != nil {
 			return nil, err
 		}
@@ -228,7 +225,7 @@ func Serve(tr transport.Transport, cfg Config) (*Server, error) {
 		tr:      tr,
 		images:  images,
 		defName: images.Default().Name,
-		nonces:  verifier.NewNonceMemo(cfg.Key, cfg.KeepEpochs),
+		nonces:  verifier.NewNonceMemo(cfg.Key, KeepEpochs),
 		stripes: make([]*stripe, nstripes),
 		mask:    uint64(nstripes - 1),
 		seed:    maphash.MakeSeed(),
@@ -768,9 +765,9 @@ func (t *bundleTags) verify(r *core.Report) (verifier.Reason, error) {
 	var ok bool
 	var err error
 	if t.shared {
-		ok, err = t.batch.Verify(t.s.cfg.Key, r, t.s.cfg.Shuffled)
+		ok, err = t.batch.Verify(t.s.cfg.Key, r, false)
 	} else {
-		ok, err = t.batch.VerifyOnce(t.s.cfg.Key, r, t.s.cfg.Shuffled)
+		ok, err = t.batch.VerifyOnce(t.s.cfg.Key, r, false)
 	}
 	return verifier.TagReason(ok, err), err
 }

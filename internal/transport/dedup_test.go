@@ -497,7 +497,7 @@ func TestNetRingHoldsDatagrams(t *testing.T) {
 		t.Skip("heap accounting is meaningless under the race detector")
 	}
 	const slots, extra = 64, 16
-	srv, err := Listen(NetConfig{RecvLoops: 1, RecvQueues: 1, QueueCap: slots})
+	srv, err := Listen(NetConfig{RecvLoops: 1, QueueCap: slots})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,10 +72,9 @@ func TestNetBurstLeavesTogether(t *testing.T) {
 		}
 	}
 	waitUntil(t, "the burst", func() bool { return got.Load() == burst })
-	budget := cli.cfg.BatchBytes
-	if max := uint64((queued+budget-1)/budget + 1); cli.Stats().Sent > max {
+	if max := uint64((queued+batchBytes-1)/batchBytes + 1); cli.Stats().Sent > max {
 		t.Fatalf("%d messages (%d queued bytes, budget %d) left in %d datagrams, want at most %d",
-			burst, queued, budget, cli.Stats().Sent, max)
+			burst, queued, batchBytes, cli.Stats().Sent, max)
 	}
 }
 
@@ -96,7 +95,7 @@ func TestNetOrderAcrossOversized(t *testing.T) {
 		order = append(order, m.ReqID)
 		mu.Unlock()
 	})
-	big := make([]byte, 2*cli.cfg.BatchBytes)
+	big := make([]byte, 2*batchBytes)
 	var want []uint64
 	for i := 1; i <= 40; i++ {
 		m := Msg{From: "prv", To: "vrf", Kind: KindChallenge, Nonce: big[:8], ReqID: uint64(i)}

@@ -8,6 +8,7 @@ import (
 	mrand "math/rand/v2"
 	"net"
 	"net/netip"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -31,26 +32,12 @@ type NetConfig struct {
 	// RecvLoops is the number of goroutines blocked in socket reads,
 	// each decoding into its own pooled buffer; default 2.
 	RecvLoops int
-	// RecvQueues is the number of ring-buffer shard queues between the
-	// receive loops and the dispatch workers (one worker per queue).
-	// Datagrams shard by source address, so one peer's traffic stays
-	// ordered. Default 4.
-	RecvQueues int
 	// QueueCap is the per-queue datagram capacity. A full queue drops
 	// its OLDEST entry (counted in Stats().QueueDrops) instead of
 	// blocking the socket or growing without bound — reliable senders
 	// retransmit, so backpressure costs latency, not delivery.
 	// Default 1024.
 	QueueCap int
-	// BatchBytes budgets per-peer send coalescing: sends to one
-	// destination queue and leave packed into batch datagrams of at
-	// most this many bytes. A queue is flushed as soon as its sender
-	// goes idle — there is no timer to wait out — or earlier, when the
-	// next message would overflow the budget. Default 1400 (one
-	// conservative MTU).
-	BatchBytes int
-	// MaxBatch caps messages per batch datagram; default 256.
-	MaxBatch int
 	// DropRate injects independent datagram loss on the send path
 	// (testing the retry machinery without tc/netem); DropSeed makes
 	// the injected loss deterministic.
@@ -74,26 +61,28 @@ func (c NetConfig) withDefaults() NetConfig {
 	if c.RecvLoops <= 0 {
 		c.RecvLoops = 2
 	}
-	if c.RecvQueues <= 0 {
-		c.RecvQueues = 4
-	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 1024
 	}
-	if c.BatchBytes <= 0 {
-		c.BatchBytes = 1400
-	}
-	if c.BatchBytes < batchOverhead+perSubOverhead+16 {
-		c.BatchBytes = batchOverhead + perSubOverhead + 16
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 256
-	}
-	if c.MaxBatch > maxBatchSubs {
-		c.MaxBatch = maxBatchSubs
-	}
 	return c
 }
+
+// What no NetConfig sets. Sends to one destination queue and leave
+// packed into batch datagrams of at most batchBytes bytes (one
+// conservative MTU) and maxBatch messages. A queue is flushed as soon
+// as its sender goes idle — there is no timer to wait out — or
+// earlier, when the next message would overflow either bound.
+const (
+	batchBytes = 1400
+	maxBatch   = 256
+)
+
+// recvQueues is the number of ring queues between the receive loops
+// and the dispatch workers, one worker a queue. Datagrams shard by
+// source address, so one peer's traffic stays ordered. The workers run
+// the handlers — a daemon's verify path — so there is one a core, and
+// at least four, so that sharding still spreads peers on a small host.
+func recvQueues() int { return max(runtime.GOMAXPROCS(0), 4) }
 
 // NetStats counts datagram-level outcomes.
 type NetStats struct {
@@ -149,7 +138,7 @@ type peerState struct {
 //
 // Receive path: RecvLoops goroutines read datagrams into pooled
 // buffers and decode them in place (zero-copy view frames), feeding
-// RecvQueues fixed-capacity ring queues sharded by source address;
+// recvQueues() fixed-capacity ring queues sharded by source address;
 // one worker per queue acks, dedups and dispatches. Handlers run on
 // those workers — a blocking handler stalls only its shard. Buffers
 // return to the pool when the worker finishes a frame, which is why
@@ -272,7 +261,7 @@ func Listen(cfg NetConfig) (*Net, error) {
 	} else {
 		n.reqID.Store(uint64(time.Now().UnixNano()) | 1)
 	}
-	n.queues = make([]*pktRing, cfg.RecvQueues)
+	n.queues = make([]*pktRing, recvQueues())
 	for i := range n.queues {
 		n.queues[i] = newPktRing(cfg.QueueCap)
 		n.wg.Add(1)
@@ -508,7 +497,7 @@ func (n *Net) enqueueLocked(st *peerState, m *Msg) {
 	mark := len(st.q)
 	st.q = appendSub(be32(st.q, 0), m)
 	binary.BigEndian.PutUint32(st.q[mark:], uint32(len(st.q)-mark-perSubOverhead))
-	if mark > 0 && batchOverhead+len(st.q) > n.cfg.BatchBytes {
+	if mark > 0 && batchOverhead+len(st.q) > batchBytes {
 		// Roll the append back, send what was queued, requeue m at
 		// the front (same backing array; append copies like memmove).
 		sub := st.q[mark:]
@@ -517,7 +506,7 @@ func (n *Net) enqueueLocked(st *peerState, m *Msg) {
 		st.q = append(st.q, sub...)
 	}
 	st.qn++
-	if st.qn >= n.cfg.MaxBatch || batchOverhead+len(st.q) > n.cfg.BatchBytes {
+	if st.qn >= maxBatch || batchOverhead+len(st.q) > batchBytes {
 		n.flushLocked(st)
 	}
 }
@@ -659,7 +648,7 @@ func (n *Net) transmit(frame []byte, ap netip.AddrPort, retry bool) {
 	n.conn.WriteToUDPAddrPort(frame, ap)
 }
 
-// recvBufSize is what a pooled recvBuf holds: BatchBytes defaults to 1,400,
+// recvBufSize is what a pooled recvBuf holds: a batch is at most batchBytes,
 // so a full ring costs its slots times this, not times the 64 KiB a UDP
 // read must be ready for. A larger frame grows its buffer; putBuf trims it.
 const recvBufSize = 2 << 10

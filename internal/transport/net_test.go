@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -549,19 +550,35 @@ func TestNetRefusesOtherWireVersions(t *testing.T) {
 	}
 }
 
+// TestNetDispatchWorkers pins the one rule for how many receive queues,
+// and so dispatch workers, a Net runs: one a core, and at least four.
+func TestNetDispatchWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4, 6} {
+		runtime.GOMAXPROCS(procs)
+		n, err := Listen(NetConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.Close()
+		if got, want := len(n.queues), max(procs, 4); got != want {
+			t.Errorf("GOMAXPROCS %d: %d receive queues, want %d", procs, got, want)
+		}
+	}
+}
+
 // TestNetQueueDropRecovery pins the backpressure contract: with a tiny
 // receive queue, floods evict datagrams (QueueDrops counts them) but
 // reliable retransmission still lands every request eventually.
 func TestNetQueueDropRecovery(t *testing.T) {
-	srv, err := Listen(NetConfig{QueueCap: 8, RecvQueues: 1,
+	srv, err := Listen(NetConfig{QueueCap: 8,
 		RetryBase: 2 * time.Millisecond, RetryCap: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 	cli, err := Dial(srv.Addr().String(), NetConfig{
-		RetryBase: 2 * time.Millisecond, RetryCap: 20 * time.Millisecond,
-		MaxBatch: 1}) // one datagram a message, so 300 of them overflow the queue
+		RetryBase: 2 * time.Millisecond, RetryCap: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -575,9 +592,12 @@ func TestNetQueueDropRecovery(t *testing.T) {
 		got[m.ReqID] = true
 		mu.Unlock()
 	})
+	// Two of these overflow a batch, so each leaves in a datagram of
+	// its own and 300 of them overflow the queue.
+	nonce := make([]byte, batchBytes/2)
 	const total = 300
 	for i := 1; i <= total; i++ {
-		if err := cli.Send(Msg{From: "prv", To: "vrf", Kind: KindHello, ReqID: uint64(i)}); err != nil {
+		if err := cli.Send(Msg{From: "prv", To: "vrf", Kind: KindChallenge, Nonce: nonce, ReqID: uint64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -596,5 +616,8 @@ func TestNetQueueDropRecovery(t *testing.T) {
 	mu.Unlock()
 	if n != total {
 		t.Fatalf("delivered %d/%d after queue-drop recovery (server %+v)", n, total, srv.Stats())
+	}
+	if s := srv.Stats(); s.QueueDrops == 0 {
+		t.Fatalf("the flood never overflowed the queue: %+v", s)
 	}
 }

@@ -18,7 +18,7 @@ import (
 func TestNetQueueDropExactAccounting(t *testing.T) {
 	const queueCap = 8
 	const sent = 40
-	srv, err := Listen(NetConfig{RecvLoops: 1, RecvQueues: 1, QueueCap: queueCap})
+	srv, err := Listen(NetConfig{RecvLoops: 1, QueueCap: queueCap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,8 @@ func TestNetQueueDropExactAccounting(t *testing.T) {
 		}
 	}
 
-	// With the single worker parked in the handler, the ring can hold
+	// One source address fills one ring. With its worker parked in the
+	// handler, the ring can hold
 	// at most queueCap frames plus the one in flight: at least
 	// sent-1-queueCap datagrams must be evicted-and-counted.
 	deadline := time.Now().Add(5 * time.Second)

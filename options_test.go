@@ -5,15 +5,22 @@ package saferatt
 // keyed composite literal, assignment, or address-of for a flag binding —
 // or is allow-listed below. Assigning to the enclosing function's own
 // parameter or receiver inside the declaring package is defaulting, not a
-// caller. Out of scope: core.Options (the paper's mechanism space, Table
-// 1's columns, not a setting of this code), the saferatt facade (roots, as
-// in reach_test.go), other types' fields, function parameters, CLI flags.
+// caller. Every flag cmd/rattd registers is passed by bench/ or CI, or is
+// a deployment setting listed below. Out of scope: core.Options (the
+// paper's mechanism space, Table 1's columns, not a setting of this code),
+// the saferatt facade (roots, as in reach_test.go), other types' fields,
+// function parameters, and the flags of rattsim and figures, which pick a
+// scenario in the paper's parameter space as core.Options does.
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"os"
+	"path/filepath"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -58,9 +65,12 @@ var optionsAllowed = [...]struct{ name, reason, why string }{
 	{"swarm.ShardedConfig.Opts", faultSeam, "an invalid mechanism (three rounds, no shuffle), to see NewSharded refuse it"},
 	{"rattd.CheckpointerConfig.MaxDeltaFrac", faultSeam, "disarms size-triggered compaction so the delta-count paths run on tiny fleets"},
 	{"rattd.Config.Key", deployment, "the daemon's credential: a deployment provisions its own in place of the public DefaultKey"},
+	{"rattd.Config.Stripes", scaleSeam, "two stripes, to restore a checkpoint into a server striped another way (TestEnrolledCounter, TestCheckpointerChain); other rattd tests pin 4 or 8 so they do not vary with the host"},
 	{"rattd.TierConfig.Window", faultSeam, "a three-counter lease, so shards exhaust and renew leases within a test"},
 	{"safety.Config.CheckDur", faultSeam, "a 5–10 µs sensor pass, so several land inside one lock window"},
 	{"transport.NetConfig.DropSeed", faultSeam, "makes injected datagram loss replayable"},
+	{"transport.NetConfig.QueueCap", faultSeam, "8- and 64-slot rings that overflow on purpose (TestNetQueueDropExactAccounting, TestNetQueueDropRecovery, TestNetRingHoldsDatagrams)"},
+	{"transport.NetConfig.RecvLoops", scaleSeam, "one socket reader, so datagrams reach the ring in socket order (TestNetOrderAcrossOversized, TestNetQueueDropExactAccounting, TestNetRingHoldsDatagrams)"},
 	{"transport.NetConfig.RetryBase", faultSeam, "millisecond retransmits under injected loss"},
 	{"transport.NetConfig.RetryCap", faultSeam, "as RetryBase"},
 	{"transport.NetConfig.RequestTimeout", faultSeam, "a request that expires, and a dedup horizon that passes, within a test"},
@@ -136,16 +146,109 @@ func unsetOptions(t *testing.T, tr *tree) (audited int, failed []string) {
 	return len(fields), failed
 }
 
+// A cmd/rattd flag that neither bench/ nor CI passes stays only as a
+// deployment setting: a value the site running the daemon supplies.
+var flagsDeployment = [...]struct{ name, why string }{
+	{"addr", "the address the tier listens on"},
+	{"shards", "the tier's width, which the host's cores decide"},
+	{"image", "the fleet's golden image files"},
+	{"grace-epochs", "the fleet's OTA rollout window, in rotation epochs"},
+	{"v", "the per-decision log sink"},
+	{"pprof", "the profile sink"},
+}
+
+// unpassedFlags returns how many flags cmd/rattd registers and, one
+// message each, the ones nothing passes (sorted) and the stale
+// deployment entries. A flag is passed when bench/ holds its "-name" as a
+// string literal, or a CI workflow line that runs rattd carries -name.
+func unpassedFlags(t *testing.T, tr *tree) (registered int, failed []string) {
+	passed := map[string]bool{}
+	for _, file := range tr.files["saferatt/bench"] {
+		ast.Inspect(file, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				s, _ := strconv.Unquote(lit.Value)
+				passed[s] = true
+			}
+			return true
+		})
+	}
+	workflows, _ := filepath.Glob(".github/workflows/*.yml")
+	for _, name := range workflows {
+		src, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(string(src), "\n") {
+			fields := strings.Fields(line)
+			if !slices.ContainsFunc(fields, func(f string) bool { return f == "rattd" || strings.HasSuffix(f, "/rattd") }) {
+				continue
+			}
+			for _, f := range fields {
+				passed[f] = true
+			}
+		}
+	}
+	deployment := map[string]bool{}
+	for _, d := range flagsDeployment {
+		deployment[d.name] = true
+	}
+	flags := map[string]bool{}
+	for _, file := range tr.files["saferatt/cmd/rattd"] {
+		ast.Inspect(file, func(n ast.Node) bool {
+			call, _ := n.(*ast.CallExpr)
+			if call == nil {
+				return true
+			}
+			if sel, _ := call.Fun.(*ast.SelectorExpr); sel == nil || !isFlagFunc(tr.info.Uses[sel.Sel]) {
+				return true
+			}
+			for _, arg := range call.Args { // the first string literal names the flag
+				if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					name, _ := strconv.Unquote(lit.Value)
+					flags[name] = true
+					if !passed["-"+name] && !deployment[name] {
+						failed = append(failed, "cmd/rattd -"+name+": neither bench/ nor CI passes it (make it a constant, or list it as a deployment setting with a reason)")
+					}
+					break
+				}
+			}
+			return true
+		})
+	}
+	for _, d := range flagsDeployment {
+		if !flags[d.name] {
+			failed = append(failed, "deployment entry -"+d.name+" names no cmd/rattd flag: remove the entry")
+		}
+	}
+	sort.Strings(failed)
+	return len(flags), failed
+}
+
+// isFlagFunc reports whether o is a function or method of package flag.
+func isFlagFunc(o types.Object) bool {
+	fn, _ := o.(*types.Func)
+	return fn != nil && fn.Pkg().Path() == "flag"
+}
+
 func TestOptions(t *testing.T) {
-	audited, failed := unsetOptions(t, loadTree(t, nil))
-	t.Logf("%d fields audited, %d of them allow-listed", audited, len(optionsAllowed))
-	for _, msg := range failed {
+	tr := loadTree(t, nil)
+	audited, failed := unsetOptions(t, tr)
+	flags, unpassed := unpassedFlags(t, tr)
+	t.Logf("%d fields audited, %d of them allow-listed; %d cmd/rattd flags, %d of them deployment settings",
+		audited, len(optionsAllowed), flags, len(flagsDeployment))
+	for _, msg := range append(failed, unpassed...) {
 		t.Error(msg)
 	}
 	t.Run("NotVacuous", func(t *testing.T) {
-		_, failed := unsetOptions(t, loadTree(t, map[string]string{"saferatt/internal/qoa": "package qoa\ntype XConfig struct{ Unset int }\n"}))
-		if len(failed) != 1 || !strings.HasPrefix(failed[0], "qoa.XConfig.Unset: ") {
-			t.Fatalf("an XConfig with an unset field added to internal/qoa: reported %v", failed)
+		tr := loadTree(t, map[string]string{
+			"saferatt/internal/qoa": "package qoa\ntype XConfig struct{ Unset int }\n",
+			"saferatt/cmd/rattd":    "package main\nimport \"flag\"\nvar _ = flag.Int(\"unpassed\", 0, \"\")\n",
+		})
+		if _, failed := unsetOptions(t, tr); len(failed) != 1 || !strings.HasPrefix(failed[0], "qoa.XConfig.Unset: ") {
+			t.Errorf("an XConfig with an unset field added to internal/qoa: reported %v", failed)
+		}
+		if _, failed := unpassedFlags(t, tr); len(failed) != 1 || !strings.HasPrefix(failed[0], "cmd/rattd -unpassed: ") {
+			t.Errorf("a flag nothing passes added to cmd/rattd: reported %v", failed)
 		}
 	})
 }

@@ -359,6 +359,117 @@ func TestServerVerifySteadyZeroAllocs(t *testing.T) {
 	}
 }
 
+// steadyFleet builds a server and n provers, each enrolled by one
+// first-contact bundle from first, so the measured ingest finds its
+// record, image binding and pools in place.
+func steadyFleet(t *testing.T, n int, first func(p *Prover) (transport.Kind, []core.Report)) (*Server, []*Prover) {
+	t.Helper()
+	s := localServer(t, Config{Stripes: 4})
+	image := GoldenImage(7, testMem, testBlock)
+	provers := make([]*Prover, n)
+	for i := range provers {
+		p, err := NewProver(fmt.Sprintf("prv%05d", i), DefaultKey, image, testBlock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		provers[i] = p
+		kind, bundle := first(p)
+		s.Ingest(p.Name, kind, bundle)
+	}
+	return s, provers
+}
+
+// TestServerSeedSteadyAllocs pins the steady SeED ingest path of an
+// enrolled prover at the two allocations of its uncached one-shot tag
+// (Image.ExpectedTag under Batch.VerifyOnce): seed derivation, nonce,
+// judging and commit add none.
+func TestServerSeedSteadyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the gate runs in the non-race suite")
+	}
+	const n = 400
+	seed := func(p *Prover, ctr uint64) []core.Report {
+		r, err := p.SeedReport(ctr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []core.Report{*r}
+	}
+	s, provers := steadyFleet(t, n, func(p *Prover) (transport.Kind, []core.Report) {
+		return transport.KindSeedReport, seed(p, 1)
+	})
+	bundles := make([][]core.Report, n)
+	for i, p := range provers {
+		bundles[i] = seed(p, 2)
+	}
+	s.Ingest(provers[0].Name, transport.KindSeedReport, bundles[0]) // warm the scratch pool
+
+	i := 1
+	avg := testing.AllocsPerRun(n-2, func() {
+		s.Ingest(provers[i].Name, transport.KindSeedReport, bundles[i])
+		i++
+	})
+	t.Logf("%.2f allocs/op", avg)
+	if avg > 2 {
+		t.Fatalf("steady SeED ingest allocates %.2f allocs/op, want <= 2", avg)
+	}
+	if c := s.Counts(); c.Accepted != 2*n {
+		t.Fatalf("accepted %d, want %d (a measured report was rejected)", c.Accepted, 2*n)
+	}
+}
+
+// TestServerSmartResponseAllocs pins a SMART response from an enrolled
+// prover at the two allocations of its one-shot tag, as on the SeED
+// path: redeeming the challenge, judging and the verdict add none.
+// Every challenge is issued before the measured loop.
+func TestServerSmartResponseAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the gate runs in the non-race suite")
+	}
+	const n = 400
+	s, provers := steadyFleet(t, n, func(p *Prover) (transport.Kind, []core.Report) {
+		return transport.KindCollection, []core.Report{selfMeasure(t, p, 1)}
+	})
+	tr := s.tr.(*transport.Local)
+	nonces := make([][]byte, n)
+	accepted := 0
+	for i, p := range provers {
+		if err := tr.Bind(p.Name, func(m transport.Msg) {
+			switch {
+			case m.Kind == transport.KindChallenge:
+				nonces[i] = append([]byte(nil), m.Nonce...)
+			case m.Kind == transport.KindVerdict && m.OK:
+				accepted++
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		s.Ingest(p.Name, transport.KindHello, nil)
+	}
+	bundles := make([][]core.Report, n)
+	for i, p := range provers {
+		r, err := p.Respond(nonces[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		bundles[i] = []core.Report{*r}
+	}
+	s.Ingest(provers[0].Name, transport.KindReport, bundles[0]) // warm the scratch pool
+
+	i := 1
+	avg := testing.AllocsPerRun(n-2, func() {
+		s.Ingest(provers[i].Name, transport.KindReport, bundles[i])
+		i++
+	})
+	t.Logf("%.2f allocs/op", avg)
+	if avg > 2 {
+		t.Fatalf("SMART response allocates %.2f allocs/op, want <= 2", avg)
+	}
+	if accepted != n {
+		t.Fatalf("%d responses accepted, want %d", accepted, n)
+	}
+}
+
 // TestSeedNamesLeaveNoPoolState pins "state bounded by the legitimate
 // fleet" for the SeED path: a well-formed bundle under a never-seen
 // name makes the daemon derive that name's seed and nonce before it can

@@ -281,6 +281,9 @@ func TestStacksAgreeOnReasons(t *testing.T) {
 			h.collect(tampered(h.measure(9)))
 			return h.collect(h.measure(9))
 		}},
+		{"erasmus/empty collection", verifier.ReasonEmptyCollection, func(h *stacks) (string, string) {
+			return h.collect()
+		}},
 		{"seed/clean", verifier.ReasonOK, func(h *stacks) (string, string) {
 			return h.seed(h.seedReport(1))
 		}},

@@ -9,32 +9,24 @@
 // runs over transport.Sim in deterministic tests and over
 // transport.Net on real UDP sockets (cmd/rattd). It keeps no clock:
 // the accept rules it applies (nonce binding, replay windows, monotonic
-// counters, the expected tag) are the clock-free verification core of
-// internal/verifier, shared with the simulated verifier.Verifier; what
-// this package adds is striping, leases, enrollment, image binding and
-// checkpointing.
+// counters, the expected tag) are the clock-free transition of
+// internal/verifier (verifier.Judge), shared with the simulated
+// verifier.Verifier; what this package adds is striping, leases,
+// enrollment, image binding and checkpointing.
 //
 // Concurrency model (one shard's insides). The transport delivers
-// frames on RecvQueues dispatch workers at once, so the Server is
-// built to verify in parallel rather than serialize on a daemon-wide
-// mutex: per-prover freshness state (ERASMUS dedup windows, SeED
-// watermarks, image bindings) is partitioned across lock stripes
-// keyed by prover-name hash, so handlers for different provers never
-// contend. The unit of work is the bundle: a handler visits its
-// prover's stripe once to snapshot (bind the image, enrol, copy the
-// prover's verifier.Freshness out), judges every report against that
-// copy under no lock — all crypto runs here: nonce derivation (memoised
-// per counter where the fleet shares it, pooled MAC state otherwise),
-// one image resolution, tag verification through the read-mostly
-// expected-tag cache — and visits the stripe a second time to commit
-// what came out clean. The commit re-checks, which is what makes the
-// copy sound: freshness state only grows, so a racing bundle can only
-// turn a clean report into a replay, and the re-check finds exactly
-// that (see the comment above handleCollection). Outcome counters are
-// atomics, added to once a bundle. A stripe lock is held only for table
-// probes and window updates measured in nanoseconds, which is what
-// lets a shard's throughput scale with the cores the transport already
-// fans out to.
+// frames on its dispatch workers at once (one a core, at least four:
+// recvQueues in transport/net.go), so per-prover freshness state
+// (ERASMUS dedup windows, SeED watermarks, image bindings) is
+// partitioned across lock stripes keyed by prover-name hash, and
+// handlers for different provers never contend. The unit of work is the
+// bundle: a handler snapshots its prover's record under the stripe lock,
+// runs verifier.Judge on the copy under no lock — every PRF, registry
+// lookup and tag computation happens there — and takes the lock again
+// to commit what came out clean (see the comment above
+// handleCollection). Outcome counters are atomics, added to once a
+// bundle. A stripe lock is held only for table probes and window
+// updates measured in nanoseconds.
 package rattd
 
 import (
@@ -472,12 +464,12 @@ func (s *Server) handleReport(from string, id verifier.ImageID, reports []core.R
 	if bound {
 		why = s.chal.Load().Open(from, len(reports), nonce)
 	}
-	tags := bundleTags{s: s, id: verifier.ImageID{Name: name, Version: id.Version}}
-	for i := 0; i < len(reports) && why == verifier.ReasonOK; i++ {
-		r := &reports[i]
-		if why = nonce.Check(r); why == verifier.ReasonOK {
-			why, err = tags.verify(r)
-		}
+	if why == verifier.ReasonOK {
+		tags := bundleTags{s: s, id: verifier.ImageID{Name: name, Version: id.Version}}
+		var buf [4]verifier.Reason // verdict scratch: one a measurement round
+		_, why, err = verifier.Judge(buf[:0], verifier.SMART, nil, reports,
+			func(uint64) []byte { return nonce }, verifier.CollectionPolicy{},
+			func(i int) (bool, error) { return tags.check(&reports[i]) })
 	}
 	s.count(why, 1)
 	s.verdict(from, "report", len(reports), why, err)
@@ -503,32 +495,16 @@ type ingestScratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(ingestScratch) }}
 
-// A collection or SeED bundle is judged as one unit, in three steps
-// that visit the prover's stripe twice:
-//
-//	snapshot  (locked)   bind the image, enrol, copy the 48-byte
-//	                     verifier.Freshness out
-//	judge     (no lock)  every report against the copy, with the core's
-//	                     rules in the core's order: check, tag, commit
-//	                     on the copy — so a duplicate or an out-of-order
-//	                     counter inside the bundle meets the state the
-//	                     reports before it left
-//	commit    (locked)   replay the commit on the real record for the
-//	                     reports that came out clean, mark dirty once
-//
-// Judging a copy is sound because the commit re-checks: Freshness only
-// ever grows (a window bit is never cleared while its counter is inside
-// the window, the SeED watermark never falls), so whatever a racing
-// bundle committed since the snapshot can only turn a clean report into
-// a replay, and CommitErasmus / CommitSeed on the real record catches
-// exactly that. Of two racing bundles exactly one wins each counter.
-// Every PRF, tag computation and registry lookup happens in the judge
-// step, outside the lock.
-
-// handleCollection validates an ERASMUS measurement history under the
-// core's §3.3 rules (Freshness.CheckErasmus / CommitErasmus). Each
-// offending report is rejected exactly once; the verdict covers the
-// whole bundle and carries its first failure in bundle order, whichever
+// handleCollection validates an ERASMUS measurement history. Like a
+// SeED bundle it visits its prover's stripe twice: a snapshot (locked)
+// binds the image, enrols and copies the 48-byte verifier.Freshness out,
+// verifier.Judge runs on the copy (no lock), and a commit (locked)
+// replays CommitErasmus on the real record for the reports that came
+// out clean. Judging a copy is sound because the commit re-checks and
+// Freshness only grows: whatever a racing bundle committed since the
+// snapshot can only turn a clean report into a replay, which the
+// replayed commit reports, so exactly one bundle wins each counter. The
+// verdict carries the bundle's first failure in bundle order, whichever
 // step found it. The nonce and the expected tag depend only on (key,
 // counter), which the fleet shares, so both come from read-mostly memos;
 // a counter enters the nonce memo only once a report carrying it has
@@ -570,54 +546,24 @@ func (s *Server) collect(sc *ingestScratch, from string, id verifier.ImageID, re
 	fresh := rec.fresh
 	st.mu.Unlock()
 
-	// Judge.
+	// Judge, under the daemon's zero CollectionPolicy (no cadence rule).
 	tags := bundleTags{s: s, id: verifier.ImageID{Name: name, Version: id.Version}, shared: true}
-	first, firstAt := verifier.ReasonOK, len(reports) // the bundle's first failure
-	var firstErr error
-	if len(reports) == 0 {
-		first = verifier.ReasonEmptyCollection
-	}
-	why := sc.why[:0]
-	var cnt bundleCounts
 	missed := false // some nonce was not in the memo
-	var prevCtr uint64
-	for i := range reports {
-		r := &reports[i]
-		want, memoised := s.nonces.Nonce(sc.nonce, r.Counter)
+	why, first, firstErr := verifier.Judge(sc.why[:0], verifier.ERASMUS, &fresh, reports, func(ctr uint64) []byte {
+		want, memoised := s.nonces.Nonce(sc.nonce, ctr)
 		if !memoised {
 			sc.nonce, missed = want, true // derived into the scratch: keep its backing array
 		}
-		w := fresh.CheckErasmus(r, want, i == 0, prevCtr)
-		var err error
-		if w == verifier.ReasonOK {
-			if w, err = tags.verify(r); w == verifier.ReasonOK {
-				w = fresh.CommitErasmus(r.Counter)
-			}
-		}
-		cnt.add(w, 1)
-		if w != verifier.ReasonOK && first == verifier.ReasonOK {
-			first, firstErr, firstAt = w, err, i
-		}
-		why = append(why, w)
-		prevCtr = r.Counter
-	}
+		return want
+	}, verifier.CollectionPolicy{}, func(i int) (bool, error) { return tags.check(&reports[i]) })
 	sc.why = why
+	cnt := countAll(why)
 
 	// Commit.
 	if cnt.accepted > 0 {
 		st.mu.Lock()
-		for i, w := range why {
-			if w != verifier.ReasonOK {
-				continue
-			}
-			if w = rec.fresh.CommitErasmus(reports[i].Counter); w != verifier.ReasonOK {
-				why[i] = w // a racing bundle took the counter
-				cnt.accepted--
-				cnt.add(w, 1)
-				if i < firstAt {
-					first, firstErr, firstAt = w, nil, i
-				}
-			}
+		if replay(why, reports, rec.fresh.CommitErasmus, &cnt) {
+			first, firstErr = verifier.ReasonReplay, nil
 		}
 		// A Restore since the snapshot swapped the table out: the record
 		// is no longer the prover's, and its ID names another's.
@@ -641,15 +587,14 @@ func (s *Server) collect(sc *ingestScratch, from string, id verifier.ImageID, re
 	return first
 }
 
-// handleSeed ingests unsolicited SeED reports under the core's rules
-// (Freshness.CheckSeed / CommitSeed): nonce bound to the prover's
-// derived seed and counter, counters strictly above a per-prover
-// watermark. SeED is non-interactive, so no verdict is sent back. The
-// bundle takes the same snapshot → judge → commit shape as a
-// collection; a prover not yet enrolled is judged against the zero
-// record and enrolled by its first report to commit. The nonce is per
-// prover and, once accepted, at or below the watermark for good, so the
-// tag is verified without being cached.
+// handleSeed ingests unsolicited SeED reports under the core's rules:
+// nonce bound to the prover's derived seed and counter, counters
+// strictly above a per-prover watermark. SeED is non-interactive, so no
+// verdict is sent back. The bundle takes the same snapshot → judge →
+// commit shape as a collection; a prover not yet enrolled is judged
+// against the zero record and enrolled by its first report to commit.
+// The nonce is per prover and, once accepted, at or below the watermark
+// for good, so the tag is verified without being cached.
 func (s *Server) handleSeed(from string, id verifier.ImageID, reports []core.Report) {
 	st, h := s.stripeHash(from)
 	// Snapshot. The binding pass must not create the record; a first
@@ -668,47 +613,21 @@ func (s *Server) handleSeed(from string, id verifier.ImageID, reports []core.Rep
 	}
 
 	// Judge.
-	var errs []error // per report, kept for the decision log only
-	if s.cfg.Logf != nil {
-		errs = make([]error, len(reports))
-	}
 	tags := bundleTags{s: s, id: verifier.ImageID{Name: name, Version: id.Version}}
 	sc := scratchPool.Get().(*ingestScratch)
 	sc.name = append(sc.name[:0], from...)
 	sc.seed = verifier.AppendSeedFor(sc.seed[:0], s.cfg.Key, sc.name)
-	why := sc.why[:0]
-	var cnt bundleCounts
-	for i := range reports {
-		r := &reports[i]
-		sc.nonce = core.AppendSeedNonce(sc.nonce[:0], sc.seed, r.Counter)
-		w := fresh.CheckSeed(r, sc.nonce)
-		if w == verifier.ReasonOK {
-			var err error
-			if w, err = tags.verify(r); w == verifier.ReasonOK {
-				w = fresh.CommitSeed(r.Counter)
-			}
-			if errs != nil {
-				errs[i] = err
-			}
-		}
-		cnt.add(w, 1)
-		why = append(why, w)
-	}
+	why, _, _ := verifier.Judge(sc.why[:0], verifier.SeED, &fresh, reports, func(ctr uint64) []byte {
+		sc.nonce = core.AppendSeedNonce(sc.nonce[:0], sc.seed, ctr)
+		return sc.nonce
+	}, verifier.CollectionPolicy{}, func(i int) (bool, error) { return tags.check(&reports[i]) })
+	cnt := countAll(why)
 
 	// Commit; the first report to get here enrolls the prover.
 	if cnt.accepted > 0 {
 		st.mu.Lock()
 		rec, ri = st.rec(s, from, h)
-		for i, w := range why {
-			if w != verifier.ReasonOK {
-				continue
-			}
-			if w = rec.fresh.CommitSeed(reports[i].Counter); w != verifier.ReasonOK {
-				why[i] = w
-				cnt.accepted--
-				cnt.add(w, 1)
-			}
-		}
+		replay(why, reports, rec.fresh.CommitSeed, &cnt)
 		if cnt.accepted > 0 {
 			if rec.image == 0 && name != "" {
 				st.provers.bind(rec, name) // enrollment-time binding
@@ -719,26 +638,48 @@ func (s *Server) handleSeed(from string, id verifier.ImageID, reports []core.Rep
 		st.mu.Unlock()
 	}
 	s.tally(cnt)
-	if errs != nil {
+	if s.cfg.Logf != nil {
 		for i, w := range why {
-			s.cfg.Logf("seed-report %s ctr=%d: ok=%v %s", from, reports[i].Counter, w == verifier.ReasonOK, w.Text(errs[i]))
+			var err error
+			if w == verifier.ReasonError { // Judge keeps one error; a malformed report fails twice alike
+				_, err = tags.check(&reports[i])
+			}
+			s.cfg.Logf("seed-report %s ctr=%d: ok=%v %s", from, reports[i].Counter, w == verifier.ReasonOK, w.Text(err))
 		}
 	}
 	sc.why = why
 	scratchPool.Put(sc)
 }
 
-// bundleTags checks the tags of one bundle's reports. The image id is
-// resolved once, by the first report that gets as far as its tag, so a
-// bundle is judged against one registry generation and a bundle that
-// is refused on freshness alone never probes the registry. shared
-// says the reports' nonces are shared across the fleet (the batch fast
-// path: cached expected tags); one-shot nonces are computed and not
-// cached. Runs under no lock: the registry table and every batch's
-// expected-tag cache are read-mostly concurrent. Image-policy failures
-// map to their distinct reasons — a stale-but-in-grace version verifies
-// against the pinned predecessor, a stale-past-grace version is
-// ReasonStaleImage, never a spurious pass.
+// replay is a bundle's commit step, under the stripe lock: it commits
+// on the real record the counter of each report the judge step found
+// clean. A counter a racing bundle took since the snapshot turns its
+// report into a replay; replay reports whether that replay is the
+// bundle's first failure in bundle order.
+func replay(why []verifier.Reason, reports []core.Report, commit func(ctr uint64) verifier.Reason, cnt *bundleCounts) (first bool) {
+	failed := false // a report before i failed
+	for i, w := range why {
+		if w == verifier.ReasonOK {
+			if w = commit(reports[i].Counter); w != verifier.ReasonOK {
+				why[i] = w
+				cnt.accepted--
+				cnt.add(w, 1)
+				first = first || !failed
+			}
+		}
+		failed = failed || w != verifier.ReasonOK
+	}
+	return first
+}
+
+// bundleTags is the tag checker of one bundle. The image id is resolved
+// once, by the first report that gets as far as its tag, so a bundle is
+// judged against one registry generation and one refused on freshness
+// alone never probes the registry. shared says the nonces are shared
+// across the fleet (the batch fast path: cached expected tags); one-shot
+// nonces are computed and not cached. Runs under no lock: the registry
+// and every batch's tag cache are read-mostly concurrent. A version
+// retired past its grace is ErrStaleImage, never a spurious pass.
 type bundleTags struct {
 	s      *Server
 	id     verifier.ImageID
@@ -749,27 +690,23 @@ type bundleTags struct {
 	err      error
 }
 
-func (t *bundleTags) verify(r *core.Report) (verifier.Reason, error) {
+func (t *bundleTags) check(r *core.Report) (bool, error) {
 	if r.RegionCount > 0 || r.Data != nil {
 		// Per-device regions and reported data blocks defeat the shared
 		// expected tag; the daemon serves uniform fleets.
-		return verifier.ReasonRegionUnserved, nil
+		return false, verifier.ErrRegionUnserved
 	}
 	if !t.resolved {
 		t.batch, t.err = t.s.images.BatchFor(t.id)
 		t.resolved = true
 	}
 	if t.err != nil {
-		return verifier.TagReason(false, t.err), t.err
+		return false, t.err
 	}
-	var ok bool
-	var err error
 	if t.shared {
-		ok, err = t.batch.Verify(t.s.cfg.Key, r, false)
-	} else {
-		ok, err = t.batch.VerifyOnce(t.s.cfg.Key, r, false)
+		return t.batch.Verify(t.s.cfg.Key, r, false)
 	}
-	return verifier.TagReason(ok, err), err
+	return t.batch.VerifyOnce(t.s.cfg.Key, r, false)
 }
 
 // bundleCounts is one bundle's share of Counts, summed on the handler's
@@ -787,6 +724,15 @@ func (c *bundleCounts) add(why verifier.Reason, n int) {
 	default:
 		c.rejected += uint64(n)
 	}
+}
+
+// countAll counts a bundle's verdicts, one a report.
+func countAll(why []verifier.Reason) bundleCounts {
+	var c bundleCounts
+	for _, w := range why {
+		c.add(w, 1)
+	}
+	return c
 }
 
 // count tallies n reports that all drew the verdict why.

@@ -1,6 +1,7 @@
 package rattd
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -8,6 +9,7 @@ import (
 	"saferatt/internal/core"
 	"saferatt/internal/sim"
 	"saferatt/internal/transport"
+	"saferatt/internal/verifier"
 )
 
 const (
@@ -264,3 +266,38 @@ func waitCounts(t *testing.T, w *daemonWorld, cond func(Counts) bool) {
 
 func TestDaemonOverSim(t *testing.T) { runDaemonSuite(t, simDaemonWorld) }
 func TestDaemonOverNet(t *testing.T) { runDaemonSuite(t, netDaemonWorld) }
+
+// TestReplayKeepsBundleOrder pins the commit step's half of a bundle's
+// verdict: a counter a racing bundle took turns its report into a
+// replay, and that replay is the bundle's first failure only when no
+// report before it failed in the judge step.
+func TestReplayKeepsBundleOrder(t *testing.T) {
+	ok, bad := verifier.ReasonOK, verifier.ReasonTagMismatch
+	reports := []core.Report{{Counter: 1}, {Counter: 2}, {Counter: 3}}
+	taken := func(ctr uint64) verifier.Reason { // counter 2 went to a racing bundle
+		if ctr == 2 {
+			return verifier.ReasonReplay
+		}
+		return ok
+	}
+	for _, tc := range []struct {
+		judged    []verifier.Reason
+		want      []verifier.Reason
+		lostFirst bool
+	}{
+		{[]verifier.Reason{ok, ok, ok}, []verifier.Reason{ok, verifier.ReasonReplay, ok}, true},
+		{[]verifier.Reason{ok, ok, bad}, []verifier.Reason{ok, verifier.ReasonReplay, bad}, true},
+		{[]verifier.Reason{bad, ok, ok}, []verifier.Reason{bad, verifier.ReasonReplay, ok}, false},
+		{[]verifier.Reason{ok, bad, ok}, []verifier.Reason{ok, bad, ok}, false},
+	} {
+		why := slices.Clone(tc.judged)
+		var cnt bundleCounts
+		for _, w := range why {
+			cnt.add(w, 1)
+		}
+		lostFirst := replay(why, reports, taken, &cnt)
+		if !slices.Equal(why, tc.want) || lostFirst != tc.lostFirst || cnt != countAll(tc.want) {
+			t.Errorf("judged %v: replayed to %v (first %v, counts %+v), want %v (first %v)", tc.judged, why, lostFirst, cnt, tc.want, tc.lostFirst)
+		}
+	}
+}

@@ -169,38 +169,24 @@ func (c *Collector) BatchStats() verifier.BatchStats {
 }
 
 // judgeNode runs the verification core's on-demand rules (§2.2) over
-// one node's reports. A nil nonce means "do not check nonces".
+// one node's reports: the round's nonce is the challenge every report
+// must carry.
 func (c *Collector) judgeNode(name string, reports []*core.Report, nonce []byte) NodeVerdict {
-	reason, err := c.check(name, reports, verifier.Challenge(nonce))
-	return NodeVerdict{Node: name, OK: reason == verifier.ReasonOK, Reason: reason.Text(err)}
-}
-
-func (c *Collector) check(name string, reports []*core.Report, ch verifier.Challenge) (verifier.Reason, error) {
-	if len(reports) == 0 {
-		return verifier.ReasonEmptyBundle, nil
-	}
 	key := c.keys[name]
-	scheme := suite.Scheme{Hash: c.hash, Key: key}
-	for _, rep := range reports {
-		if ch != nil {
-			if reason := ch.Check(rep); reason != verifier.ReasonOK {
-				return reason, nil
+	b, img := c.batches[name], c.images[name]
+	var why [4]verifier.Reason // verdict scratch: one a measurement round
+	_, first, err := verifier.Judge(why[:0], verifier.SMART, nil, reports,
+		func(uint64) []byte { return nonce }, verifier.CollectionPolicy{},
+		func(i int) (bool, error) {
+			// Batched fast path: amortize the expected tag across all
+			// reports in this round's (key, round, order) group. Region-
+			// or data-carrying reports vary per device and take the
+			// per-report path.
+			r := reports[i]
+			if b != nil && r.RegionCount == 0 && r.Data == nil {
+				return b.Verify(key, r, c.shuffle)
 			}
-		}
-		// Batched fast path: amortize the expected tag across all
-		// reports in this round's (key, round, order) group. Region- or
-		// data-carrying reports vary per device and take the per-report
-		// path.
-		var ok bool
-		var err error
-		if b := c.batches[name]; b != nil && rep.RegionCount == 0 && rep.Data == nil {
-			ok, err = b.Verify(key, rep, c.shuffle)
-		} else {
-			ok, err = c.images[name].VerifyTag(scheme, key, core.Options{Shuffled: c.shuffle}, rep)
-		}
-		if reason := verifier.TagReason(ok, err); reason != verifier.ReasonOK {
-			return reason, err
-		}
-	}
-	return verifier.ReasonOK, nil
+			return img.VerifyTag(suite.Scheme{Hash: c.hash, Key: key}, key, core.Options{Shuffled: c.shuffle}, r)
+		})
+	return NodeVerdict{Node: name, OK: first == verifier.ReasonOK, Reason: first.Text(err)}
 }

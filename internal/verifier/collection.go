@@ -26,41 +26,21 @@ func (v *Verifier) HandleCollection(prover string, reports []*core.Report) {
 	v.ValidateCollection(prover, reports, CollectionPolicy{})
 }
 
-// ValidateCollection checks a self-measurement history and records one
-// Result per report plus cadence violations. It returns true when the
-// whole history is acceptable. The accept rules are the shared
-// Freshness check and commit; the cadence policy, which needs the
-// reports' virtual timestamps, is this stack's own and runs between
-// them, before the tag is paid for.
+// ValidateCollection checks a self-measurement history under pol and
+// records one Result per report, or one for the collection when it is
+// empty. It returns true when the whole history is acceptable.
 func (v *Verifier) ValidateCollection(prover string, reports []*core.Report, pol CollectionPolicy) bool {
-	ok := true
-	f := v.freshnessOf(prover)
-	var prev *core.Report
-	for _, r := range reports {
-		v.nonce = core.AppendErasmusNonce(v.nonce[:0], v.PermKey, r.Counter)
-		var prevCtr uint64
-		if prev != nil {
-			prevCtr = prev.Counter
-		}
-		why := f.CheckErasmus(r, v.nonce, prev == nil, prevCtr)
-		if why == ReasonOK && prev != nil && !pol.allows(prev, r) {
-			why = ReasonCadence
-		}
-		var err error
-		if why == ReasonOK {
-			why, err = v.checkTag(r)
-		}
-		if why == ReasonOK {
-			why = f.CommitErasmus(r.Counter)
-		}
-		if why.IsReplay() {
-			v.counts.Replays++
-		}
-		v.record(v.result(prover, r, why, err))
-		ok = ok && why == ReasonOK
-		prev = r
+	why, first := v.judge(ERASMUS, v.freshnessOf(prover), reports, func(ctr uint64) []byte {
+		v.nonce = core.AppendErasmusNonce(v.nonce[:0], v.PermKey, ctr)
+		return v.nonce
+	}, pol)
+	if len(why) == 0 {
+		v.record(prover, nil, first)
 	}
-	return ok
+	for i, w := range why {
+		v.record(prover, reports[i], w)
+	}
+	return first == ReasonOK
 }
 
 // allows reports whether the gap between two consecutive measurements

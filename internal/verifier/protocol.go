@@ -15,17 +15,9 @@ import (
 
 // The verification core: the accept rules of the paper's protocols
 // (§2.2 on-demand, §3.3 ERASMUS and SeED), written once with no clock,
-// no transport and no lock. Both stacks run the same loop over a
-// bundle's reports — check, tag, commit — on a plain Freshness value:
-// the simulated Verifier on the one it owns, rattd.Server on a copy it
-// snapshots under a stripe lock, after which it replays the commits of
-// the reports that came out clean on the real record, under the lock
-// again. Judging the copy is sound because a commit re-checks and
-// Freshness only grows: whatever a racing bundle committed in between
-// can only turn a clean report into a replay, which is what the replayed
-// commit reports. Rules run cheapest first: nonce binding, replay,
-// monotonicity, then the tag. Nonces and tags are compared in constant
-// time (ctEqual).
+// no transport and no lock, and applied in one order by one transition,
+// Judge, which every verifier loop calls. Nonces and tags are compared
+// in constant time (ctEqual).
 
 // Reason is a verification verdict. Its String is the only place each
 // verdict's text is spelled.
@@ -95,6 +87,11 @@ func (r Reason) Text(err error) string {
 	return r.String()
 }
 
+// ErrRegionUnserved is a tag checker's refusal of a report whose
+// per-device regions or data blocks defeat the shared expected tag
+// (rattd serves uniform fleets).
+var ErrRegionUnserved = errors.New("verifier: region/data report not served")
+
 // TagReason maps a tag check's outcome (Image.VerifyTag, Batch.Verify,
 // ImageSet.Verify) to its verdict.
 func TagReason(ok bool, err error) Reason {
@@ -107,6 +104,8 @@ func TagReason(ok bool, err error) Reason {
 		return ReasonStaleImage
 	case errors.Is(err, ErrUnknownImage):
 		return ReasonUnknownImage
+	case errors.Is(err, ErrRegionUnserved):
+		return ReasonRegionUnserved
 	}
 	return ReasonError
 }
@@ -185,7 +184,7 @@ func (c *Challenger) Issue(ctr uint64, name string) []byte {
 // length, a MAC that does not bind it to name (ReasonNonceMismatch) and
 // a seq the window refuses are rejected in that order, and only a nonce
 // that passes all four is consumed. Every report of the bundle must
-// then carry it (Challenge.Check).
+// then carry it (Judge, SMART).
 func (c *Challenger) Open(name string, n int, nonce Challenge) Reason {
 	var want [ChallengeNonceLen]byte
 	switch {
@@ -202,17 +201,9 @@ func (c *Challenger) Open(name string, n int, nonce Challenge) Reason {
 }
 
 // Challenge is the nonce a SMART response bundle answers (§2.2):
-// Challenger.Open redeems it once, and every report of the bundle must
-// carry it.
+// Challenger.Open redeems it once, and Judge requires it of every
+// report of the bundle.
 type Challenge []byte
-
-// Check judges one report of a response bundle that Open let in.
-func (c Challenge) Check(r *core.Report) Reason {
-	if !ctEqual(r.Nonce, c) {
-		return ReasonNonceMismatch
-	}
-	return ReasonOK
-}
 
 // Freshness is one prover's durable replay state: the ERASMUS counters
 // already accepted and the SeED watermark. It is a plain value the
@@ -269,4 +260,104 @@ func (f *Freshness) CommitSeed(ctr uint64) Reason {
 	}
 	f.SeedLast = ctr
 	return ReasonOK
+}
+
+// Protocol names the accept rules Judge applies to a bundle.
+type Protocol uint8
+
+const (
+	SMART   Protocol = iota // a challenge response (§2.2)
+	ERASMUS                 // a self-measurement collection (§3.3)
+	SeED                    // prover-initiated reports (§3.3)
+)
+
+// Bundle is a bundle's reports the way a stack holds them: by value off
+// the wire (rattd) or by pointer (the simulator, the swarm collector).
+type Bundle interface{ []core.Report | []*core.Report }
+
+// Judge is the accept transition. It applies p's rules to one bundle in
+// the one order — nonce binding, replay, monotonicity, cadence (pol),
+// tag, commit on f — appends one Reason per judged report to why, and
+// returns why, the first failure (ReasonOK if none) and its error. An
+// empty bundle is refused whole (ReasonEmptyCollection for ERASMUS,
+// ReasonEmptyBundle otherwise). A SMART bundle is one exchange: judging
+// stops at its first failure, nothing is committed and f may be nil.
+//
+// nonce(ctr) is the nonce the report of counter ctr must carry (for
+// SMART the challenge); it need only last until the next call. tag(i)
+// checks reports[i] against the caller's golden image, a refusal being
+// an error TagReason maps. It takes an index, not the report, so that
+// Judge hands no report to a function escape analysis cannot see into,
+// and a bundle on the caller's stack stays there. Only the first
+// failure's error is kept: a caller showing the error behind a later
+// ReasonError asks tag again, and a malformed report fails alike twice.
+//
+// Judge reads no clock and takes no lock. It commits to f as it goes,
+// so a duplicate or out-of-order counter inside the bundle meets the
+// state the reports before it left; a caller judging a copy replays the
+// commits of the clean reports on the real state.
+func Judge[B Bundle](why []Reason, p Protocol, f *Freshness, reports B, nonce func(ctr uint64) []byte, pol CollectionPolicy, tag func(i int) (bool, error)) ([]Reason, Reason, error) {
+	if len(reports) == 0 {
+		if p == ERASMUS {
+			return why, ReasonEmptyCollection, nil
+		}
+		return why, ReasonEmptyBundle, nil
+	}
+	// One loop serves both forms; ptrs is nil for a by-value bundle.
+	var vals []core.Report
+	var ptrs []*core.Report
+	switch b := any(reports).(type) {
+	case []core.Report:
+		vals = b
+	case []*core.Report:
+		ptrs = b
+	}
+	first := ReasonOK
+	var firstErr error
+	var prev *core.Report // the report before r: ERASMUS's monotonicity and cadence
+	var prevCtr uint64
+	for i := range len(reports) {
+		var r *core.Report
+		if ptrs != nil {
+			r = ptrs[i]
+		} else {
+			r = &vals[i]
+		}
+		want := nonce(r.Counter)
+		var w Reason
+		switch p {
+		case SMART:
+			if !ctEqual(r.Nonce, want) {
+				w = ReasonNonceMismatch
+			}
+		case ERASMUS:
+			if w = f.CheckErasmus(r, want, i == 0, prevCtr); w == ReasonOK && i > 0 && !pol.allows(prev, r) {
+				w = ReasonCadence
+			}
+		case SeED:
+			w = f.CheckSeed(r, want)
+		}
+		var ok bool
+		var err error
+		if w == ReasonOK {
+			ok, err = tag(i)
+			w = TagReason(ok, err)
+		}
+		switch {
+		case w != ReasonOK:
+		case p == ERASMUS:
+			w = f.CommitErasmus(r.Counter)
+		case p == SeED:
+			w = f.CommitSeed(r.Counter)
+		}
+		why = append(why, w)
+		if w != ReasonOK && first == ReasonOK {
+			first, firstErr = w, err
+			if p == SMART {
+				break
+			}
+		}
+		prev, prevCtr = r, r.Counter
+	}
+	return why, first, firstErr
 }

@@ -1,12 +1,15 @@
 package verifier
 
 import (
+	"errors"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"saferatt/internal/channel"
 	"saferatt/internal/core"
 	"saferatt/internal/prover"
+	"saferatt/internal/sim"
 	"saferatt/internal/suite"
 )
 
@@ -112,3 +115,92 @@ func TestVerifierImageMovesForward(t *testing.T) {
 		t.Fatalf("updated memory rejected against the new reference: %s", rs[len(rs)-1].Reason)
 	}
 }
+
+// TestJudgeBundleShapes pins what Judge decides about a bundle as a
+// whole, on both bundle forms: an empty bundle's verdict, a SMART
+// bundle judged only up to its first failure (one exchange, nothing
+// committed), an ERASMUS or SeED bundle judged report by report with the
+// clean ones committed, the cadence rule ahead of the tag, and the first
+// failure's error.
+func TestJudgeBundleShapes(t *testing.T) {
+	nonce := []byte("the nonce every report carries")
+	errBad := errors.New("bad geometry")
+	bundle := func(ctrs ...uint64) []core.Report {
+		out := make([]core.Report, len(ctrs))
+		for i, c := range ctrs {
+			out[i] = core.Report{Counter: c, Nonce: nonce}
+		}
+		return out
+	}
+	cases := []struct {
+		name    string
+		p       Protocol
+		reports []core.Report
+		tag     []error // per report: nil is a clean tag, errMismatch a wrong one
+		want    []Reason
+		first   Reason
+		err     error
+		window  []uint64 // ERASMUS counters committed
+		seed    uint64   // SeED watermark after
+		pol     CollectionPolicy
+	}{
+		{"smart/empty", SMART, nil, nil, nil, ReasonEmptyBundle, nil, nil, 0, CollectionPolicy{}},
+		{"erasmus/empty", ERASMUS, nil, nil, nil, ReasonEmptyCollection, nil, nil, 0, CollectionPolicy{}},
+		{"seed/empty", SeED, nil, nil, nil, ReasonEmptyBundle, nil, nil, 0, CollectionPolicy{}},
+		{"smart/stops at the first failure", SMART, bundle(1, 2, 3), []error{nil, errMismatch, nil},
+			[]Reason{ReasonOK, ReasonTagMismatch}, ReasonTagMismatch, nil, nil, 0, CollectionPolicy{}},
+		{"erasmus/judges every report", ERASMUS, bundle(1, 2, 3), []error{nil, errMismatch, errBad},
+			[]Reason{ReasonOK, ReasonTagMismatch, ReasonError}, ReasonTagMismatch, nil, []uint64{1}, 0, CollectionPolicy{}},
+		{"erasmus/first error", ERASMUS, bundle(1, 2, 2), []error{errBad, nil, nil},
+			[]Reason{ReasonError, ReasonOK, ReasonReplay}, ReasonError, errBad, []uint64{2}, 0, CollectionPolicy{}},
+		{"seed/judges every report", SeED, bundle(2, 1, 3), []error{nil, nil, errMismatch},
+			[]Reason{ReasonOK, ReasonSeedReplay, ReasonTagMismatch}, ReasonSeedReplay, nil, nil, 2, CollectionPolicy{}},
+		{"erasmus/cadence before the tag", ERASMUS,
+			[]core.Report{{Counter: 1, Nonce: nonce}, {Counter: 2, Nonce: nonce, TS: sim.Time(5 * sim.Second)}},
+			[]error{nil, errMismatch}, []Reason{ReasonOK, ReasonCadence}, ReasonCadence, nil, []uint64{1}, 0,
+			CollectionPolicy{TM: sim.Second}},
+	}
+	for _, tc := range cases {
+		for _, byPtr := range []bool{false, true} {
+			var f Freshness
+			var tagged []int
+			tag := func(i int) (bool, error) {
+				tagged = append(tagged, i)
+				if tc.tag[i] == errMismatch {
+					return false, nil
+				}
+				return tc.tag[i] == nil, tc.tag[i]
+			}
+			var why []Reason
+			var first Reason
+			var err error
+			if byPtr {
+				ptrs := make([]*core.Report, len(tc.reports))
+				for i := range tc.reports {
+					ptrs[i] = &tc.reports[i]
+				}
+				why, first, err = Judge(nil, tc.p, &f, ptrs, func(uint64) []byte { return nonce }, tc.pol, tag)
+			} else {
+				why, first, err = Judge(nil, tc.p, &f, tc.reports, func(uint64) []byte { return nonce }, tc.pol, tag)
+			}
+			if !slices.Equal(why, tc.want) || first != tc.first || err != tc.err {
+				t.Errorf("%s (by pointer %v): %v, first %v, err %v; want %v, %v, %v", tc.name, byPtr, why, first, err, tc.want, tc.first, tc.err)
+			}
+			if tc.p == SMART && len(tagged) != len(tc.want) {
+				t.Errorf("%s: tags checked for reports %v, want only the judged %d", tc.name, tagged, len(tc.want))
+			}
+			for _, c := range tc.window {
+				if !f.Window.Seen(c) {
+					t.Errorf("%s: counter %d not committed", tc.name, c)
+				}
+			}
+			if f.SeedLast != tc.seed {
+				t.Errorf("%s: watermark %d, want %d", tc.name, f.SeedLast, tc.seed)
+			}
+		}
+	}
+}
+
+// errMismatch marks a report whose tag does not match in
+// TestJudgeBundleShapes' table.
+var errMismatch = errors.New("tag mismatch")

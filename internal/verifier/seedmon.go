@@ -68,7 +68,7 @@ func (m *SeedMonitor) armWatchdog() {
 		}
 		m.MissingCounters = append(m.MissingCounters, ctr)
 		m.v.counts.Missing++
-		m.v.record(m.v.result(m.prover, nil, ReasonSeedMissing, nil))
+		m.v.record(m.prover, nil, ReasonSeedMissing)
 		m.expected = ctr + 1
 		m.armWatchdog()
 	})
@@ -76,44 +76,36 @@ func (m *SeedMonitor) armWatchdog() {
 
 // HandleSeedReports processes an unsolicited SeED report bundle. It is
 // the transport-agnostic entry point behind the "seed-report" kind.
-// The accept rules are the shared Freshness check and commit; flagging
-// skipped counters and re-arming the watchdog is this stack's own. A
-// prover nobody monitors has no seed, so its reports fail the nonce
-// binding.
+// The accept rules are the core's transition; flagging skipped counters
+// and re-arming the watchdog, which need the virtual clock, are this
+// stack's own. A prover nobody monitors has no seed, so its reports fail
+// the nonce binding.
 func (v *Verifier) HandleSeedReports(prover string, reports []*core.Report) {
 	m := v.seedMons[prover]
-	f := v.freshnessOf(prover)
-	for _, r := range reports {
+	why, _ := v.judge(SeED, v.freshnessOf(prover), reports, func(ctr uint64) []byte {
 		if m != nil {
-			v.nonce = m.key.AppendNonce(v.nonce[:0], r.Counter)
+			v.nonce = m.key.AppendNonce(v.nonce[:0], ctr)
 		} else {
-			v.nonce = core.AppendSeedNonce(v.nonce[:0], nil, r.Counter)
+			v.nonce = core.AppendSeedNonce(v.nonce[:0], nil, ctr)
 		}
-		why := f.CheckSeed(r, v.nonce)
-		var err error
-		if why == ReasonOK {
-			why, err = v.checkTag(r)
-		}
-		if why == ReasonOK {
-			why = f.CommitSeed(r.Counter)
-		}
-		if why.IsReplay() {
-			v.counts.Replays++
-		}
-		if why == ReasonOK && m != nil {
+		return v.nonce
+	}, CollectionPolicy{})
+	for i, w := range why {
+		r := reports[i]
+		if w == ReasonOK && m != nil {
 			// Counters skipped between the last accepted report and
 			// this one were dropped in flight: flag them now instead of
 			// waiting for their watchdogs.
 			for ctr := m.expected; ctr < r.Counter; ctr++ {
 				m.MissingCounters = append(m.MissingCounters, ctr)
 				v.counts.Missing++
-				v.record(v.result(prover, nil, ReasonSeedGap, nil))
+				v.record(prover, nil, ReasonSeedGap)
 			}
 			if r.Counter >= m.expected {
 				m.expected = r.Counter + 1
 				m.armWatchdog()
 			}
 		}
-		v.record(v.result(prover, r, why, err))
+		v.record(prover, r, w)
 	}
 }

@@ -56,8 +56,6 @@ type Verifier struct {
 	Opts core.Options
 	// Trace is optional.
 	Trace *trace.Log
-	// OnResult, if set, observes each result as it is recorded.
-	OnResult func(Result)
 
 	// The protocol state the shared rules (protocol.go) run over. chal
 	// is made on first use, so a world that never challenges pays nothing.
@@ -67,9 +65,11 @@ type Verifier struct {
 	results  []Result
 	counts   Counts
 	nonceCtr uint64
-	// nonce is the self-derived-nonce scratch of the ERASMUS and SeED
-	// checks (a Verifier handles one report at a time).
+	// nonce and why are the scratch of Judge: the self-derived nonce of
+	// the ERASMUS and SeED rules and the bundle's verdicts (a Verifier
+	// handles one bundle at a time).
 	nonce []byte
+	why   []Reason
 }
 
 // Config assembles a Verifier.
@@ -160,32 +160,24 @@ func (v *Verifier) HandleReports(prover string, reports []*core.Report) {
 		c = reports[0].Nonce
 	}
 	if why := v.challenger().Open(prover, len(reports), c); why != ReasonOK {
-		v.record(v.result(prover, nil, why, nil))
+		v.record(prover, nil, why)
 		return
 	}
-	for _, r := range reports {
-		why := c.Check(r)
-		var err error
-		if why == ReasonOK {
-			why, err = v.checkTag(r)
-		}
-		v.record(v.result(prover, r, why, err))
-		if why != ReasonOK {
-			return
-		}
+	why, first := v.judge(SMART, nil, reports, func(uint64) []byte { return c }, CollectionPolicy{})
+	for i, w := range why {
+		v.record(prover, reports[i], w)
 	}
-	v.Trace.AddCat(v.Kernel.Now(), trace.KindReportVerified, endpoint, "from ", prover)
+	if first == ReasonOK {
+		v.Trace.AddCat(v.Kernel.Now(), trace.KindReportVerified, endpoint, "from ", prover)
+	}
 }
 
-// result stamps a verdict with the decision time and, for a verdict
-// about a report, the attested state's staleness.
-func (v *Verifier) result(prover string, r *core.Report, why Reason, err error) Result {
-	now := v.Kernel.Now()
-	res := Result{Prover: prover, At: now, OK: why == ReasonOK, Reason: why.Text(err), Report: r}
-	if r != nil {
-		res.Freshness = now.Sub(r.TS)
-	}
-	return res
+// judge runs the core's transition over one bundle against the
+// verifier's golden image, into its scratch.
+func (v *Verifier) judge(p Protocol, f *Freshness, reports []*core.Report, nonce func(uint64) []byte, pol CollectionPolicy) ([]Reason, Reason) {
+	why, first, _ := Judge(v.why[:0], p, f, reports, nonce, pol, func(i int) (bool, error) { return v.CheckTag(reports[i]) })
+	v.why = why
+	return why, first
 }
 
 // freshnessOf returns the prover's replay state, creating it on first
@@ -206,20 +198,29 @@ func (v *Verifier) CheckTag(r *core.Report) (bool, error) {
 	return v.Image.VerifyTag(v.Scheme, v.PermKey, v.Opts, r)
 }
 
-func (v *Verifier) checkTag(r *core.Report) (Reason, error) {
-	ok, err := v.CheckTag(r)
-	return TagReason(ok, err), err
-}
-
-func (v *Verifier) record(res Result) {
-	v.results = append(v.results, res)
-	if res.OK {
-		v.counts.Accepted++
-	} else {
-		v.counts.Rejected++
+// record stamps a verdict with the decision time and, for a verdict
+// about a report, the attested state's staleness, and counts it.
+func (v *Verifier) record(prover string, r *core.Report, why Reason) {
+	now := v.Kernel.Now()
+	res := Result{Prover: prover, At: now, OK: why == ReasonOK, Reason: why.String(), Report: r}
+	if r != nil {
+		res.Freshness = now.Sub(r.TS)
+		if why == ReasonError {
+			// Judge keeps a bundle's first error only; a malformed report
+			// fails the tag check the same way twice.
+			_, err := v.CheckTag(r)
+			res.Reason = why.Text(err)
+		}
 	}
-	if v.OnResult != nil {
-		v.OnResult(res)
+	v.results = append(v.results, res)
+	switch {
+	case why == ReasonOK:
+		v.counts.Accepted++
+	case why.IsReplay():
+		v.counts.Replays++
+		fallthrough
+	default:
+		v.counts.Rejected++
 	}
 }
 

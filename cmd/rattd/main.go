@@ -210,6 +210,7 @@ func main() {
 		log.Printf("rattd: challenges=%d accepted=%d rejected=%d replays=%d enrolled=%d balance=%.3f | net rx=%d dup=%d malformed=%d qdrop=%d batches rx=%d tx=%d coalesced=%d",
 			c.Challenges, c.Accepted, c.Rejected, c.Replays, enrolled(tier), tier.Balance(),
 			n.Received, n.Dups, n.Malformed, n.QueueDrops, n.BatchesRecv, n.BatchesSent, n.Coalesced)
+		log.Print(refusals(&c.Verdicts))
 		if len(ckpts) > 0 {
 			var cs rattd.CheckpointerStats
 			var lastBytes, lastDirty int64
@@ -262,6 +263,21 @@ done:
 	}
 	printStats()
 	fmt.Println("rattd: bye")
+}
+
+// refusals is the stats line that says why the daemon refused reports:
+// each rejecting verdict's nonzero count, spelled by verifier.Reason.
+func refusals(t *verifier.Tally) string {
+	if t.Rejected() == 0 {
+		return "rattd: refused none"
+	}
+	line := "rattd: refused"
+	for r, n := range t {
+		if r != int(verifier.ReasonOK) && n != 0 {
+			line += fmt.Sprintf(" %q=%d", verifier.Reason(r), n)
+		}
+	}
+	return line
 }
 
 // usage ends the daemon on a flag value it cannot serve with: one

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"saferatt/internal/verifier"
 )
 
 // TestMain runs main itself when TestFlagErrors re-executes the test
@@ -52,5 +54,31 @@ func TestFlagErrors(t *testing.T) {
 				t.Fatalf("stderr %q, want one line starting %q", got, "rattd: "+c.msg)
 			}
 		})
+	}
+}
+
+// TestRefusals pins the daemon's per-verdict line: each rejecting
+// verdict that moved, in Reason order and spelled by its String, and
+// no marker the benchmark harness parses as the stats or ckpt line.
+func TestRefusals(t *testing.T) {
+	var some verifier.Tally
+	some.Add(verifier.ReasonOK, 9)
+	some.Add(verifier.ReasonTagMismatch, 3)
+	some.Add(verifier.ReasonReplay, 2)
+	some.Add(verifier.ReasonMalformedImage, 1)
+	for _, c := range []struct {
+		t    verifier.Tally
+		want string
+	}{
+		{some, `rattd: refused "replayed measurement counter"=2 "tag mismatch (memory deviates from golden image)"=3 "malformed image id"=1`},
+		{verifier.Tally{}, "rattd: refused none"},
+	} {
+		got := refusals(&c.t)
+		if got != c.want {
+			t.Errorf("refusals = %s, want %s", got, c.want)
+		}
+		if strings.Contains(got, "rattd: challenges=") || strings.Contains(got, "rattd: ckpt ") {
+			t.Errorf("%s carries a stats-line marker", got)
+		}
 	}
 }

@@ -180,8 +180,8 @@ func (g *fleetRig) play(script []phase) error {
 
 // run offers one phase's bundles across the workers, then holds the
 // server to the phase's declaration: its counters, its enrolment and its
-// registry's refused probes moved by exactly what was sent, in the column
-// the declared verdict belongs to, and by nothing anywhere else.
+// registry's refused probes moved by exactly what was sent, in the
+// declared verdict's counter, and by nothing anywhere else.
 func (g *fleetRig) run(p phase) error {
 	if g.err != nil {
 		return g.err
@@ -237,9 +237,9 @@ func (g *fleetRig) run(p phase) error {
 	if kind == transport.KindReport {
 		outcomes = uint64(st.senders) // a SMART exchange is one outcome
 	}
+	want.Verdicts.Add(p.want, outcomes)
+	want.Counts = want.Summed()
 	switch p.want {
-	case verifier.ReasonOK:
-		want.Accepted += outcomes
 	case verifier.ReasonStaleImage:
 		want.Stale += uint64(st.senders)
 	case verifier.ReasonUnknownImage:
@@ -247,10 +247,6 @@ func (g *fleetRig) run(p phase) error {
 	}
 	if p.want != verifier.ReasonOK {
 		class = "refused: " + p.want.String()
-		want.Rejected += outcomes
-		if p.want.IsReplay() {
-			want.Replays += outcomes
-		}
 	}
 	if p.enrols {
 		want.Enrolled += st.senders

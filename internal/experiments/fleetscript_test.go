@@ -13,9 +13,11 @@ import (
 
 // TestFleetScriptCatchesWrongExpectation is the mutation check on the
 // runner's oracle: a script that is right plays to the end, and each
-// way of being wrong — a phase declaring the wrong verdict, one sender
-// offering a replay inside an all-accepted phase, a name enrolled that
-// the phase did not declare — stops the run at the phase that is wrong.
+// way of being wrong — a phase declaring the wrong verdict, even one
+// that sums into the same columns (a SeED replay for an ERASMUS one),
+// one sender offering a replay inside an all-accepted phase, a name
+// enrolled that the phase did not declare — stops the run at the phase
+// that is wrong.
 // The last mutation is the reason the check runs after every phase: two
 // errors that cancel in every end-of-run total (one prover's round-one
 // bundle sent under its neighbour's name, so it is first accepted, and
@@ -32,7 +34,10 @@ func TestFleetScriptCatchesWrongExpectation(t *testing.T) {
 		}
 	}
 	// What the script as declared adds up to; the clean run holds it.
-	totals := fleetObs{Counts: rattd.Counts{Accepted: 2*2*provers + provers/4, Rejected: provers, Replays: provers}, Enrolled: provers}
+	var verdicts verifier.Tally
+	verdicts.Add(verifier.ReasonOK, 2*2*provers+provers/4)
+	verdicts.Add(verifier.ReasonReplay, provers)
+	totals := fleetObs{Counts: rattd.Counts{Accepted: 2*2*provers + provers/4, Rejected: provers, Replays: provers, Verdicts: verdicts}, Enrolled: provers}
 	for _, tc := range []struct {
 		name   string
 		mutate func(g *fleetRig, s []phase)
@@ -41,6 +46,7 @@ func TestFleetScriptCatchesWrongExpectation(t *testing.T) {
 		{"as declared", func(*fleetRig, []phase) {}, ""},
 		{"wrong expected class", func(_ *fleetRig, s []phase) { s[3].want = verifier.ReasonOK }, "replay sample"},
 		{"wrong reject class", func(_ *fleetRig, s []phase) { s[3].want = verifier.ReasonStaleImage }, "replay sample"},
+		{"wrong replay reason", func(_ *fleetRig, s []phase) { s[3].want = verifier.ReasonSeedReplay }, "replay sample"},
 		{"one sender replays", func(g *fleetRig, s []phase) {
 			fresh, old := s[1].bundle, g.bundle(image, 1, 2)
 			s[1].bundle = func(i int) ([]core.Report, error) {

@@ -55,6 +55,7 @@ func (o *perReportOracle) collect(from string, id verifier.ImageID, reports []co
 				}
 			}
 		}
+		o.cnt.Verdicts.Add(w, 1)
 		switch {
 		case w == verifier.ReasonOK:
 			o.cnt.Accepted++

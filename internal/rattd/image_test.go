@@ -462,7 +462,10 @@ func TestServerVerifyMultiImageOverhead(t *testing.T) {
 		t.Skip("race instrumentation distorts timing; the gate runs in the non-race suite")
 	}
 	const fleet = 2048
-	const rounds = 48
+	// The median of 48 rounds let a few preempted rounds carry it past
+	// the budget in whole-suite runs (1.20–1.29x where lone runs read
+	// at most 1.19x); 160 rounds cost about 0.2 s more.
+	const rounds = 160
 	const warmup = 2
 
 	single := localServer(t, Config{Stripes: 8})

@@ -24,6 +24,28 @@ type stacks struct {
 	srv   *Server
 	inbox []transport.Msg // what the server sent the prover
 	logs  []string        // the reason of each decision the server logged
+
+	// What the last exchange moved in each stack's tally, and the
+	// reports it carried (a SMART response: one outcome).
+	simMoved, srvMoved verifier.Tally
+	outcomes           uint64
+}
+
+// exchange runs one exchange of n outcomes on both stacks and keeps
+// what it moved in each stack's tally.
+func (h *stacks) exchange(n int, run func()) {
+	sim0, srv0 := h.sim.Counts().Verdicts, h.srv.Counts().Verdicts
+	run()
+	h.simMoved, h.srvMoved = minus(h.sim.Counts().Verdicts, sim0), minus(h.srv.Counts().Verdicts, srv0)
+	h.outcomes = uint64(n)
+}
+
+// minus is the per-verdict difference of two tallies.
+func minus(a, b verifier.Tally) verifier.Tally {
+	for r := range a {
+		a[r] -= b[r]
+	}
+	return a
 }
 
 func newStacks(t *testing.T) *stacks {
@@ -148,15 +170,19 @@ func (h *stacks) slideOut() {
 // stack's nonce.
 func (h *stacks) answer(simNonce, srvNonce []byte, build func(nonce []byte) []*core.Report) (string, string) {
 	from := len(h.sim.Results())
-	h.sim.HandleReports(h.prv.Name, build(simNonce))
-	h.srv.Ingest(h.prv.Name, transport.KindReport, values(build(srvNonce)))
+	h.exchange(1, func() {
+		h.sim.HandleReports(h.prv.Name, build(simNonce))
+		h.srv.Ingest(h.prv.Name, transport.KindReport, values(build(srvNonce)))
+	})
 	return h.firstFailure(from), h.lastVerdict()
 }
 
 func (h *stacks) collect(reports ...*core.Report) (string, string) {
 	from := len(h.sim.Results())
-	h.sim.HandleCollection(h.prv.Name, reports)
-	h.srv.Ingest(h.prv.Name, transport.KindCollection, values(reports))
+	h.exchange(len(reports), func() {
+		h.sim.HandleCollection(h.prv.Name, reports)
+		h.srv.Ingest(h.prv.Name, transport.KindCollection, values(reports))
+	})
 	return h.firstFailure(from), h.lastVerdict()
 }
 
@@ -164,8 +190,10 @@ func (h *stacks) collect(reports ...*core.Report) (string, string) {
 // are read where each stack keeps them: the sim's last result (earlier
 // ones flag skipped counters) and the server's decision log.
 func (h *stacks) seed(r *core.Report) (string, string) {
-	h.sim.HandleSeedReports(h.prv.Name, []*core.Report{r})
-	h.srv.Ingest(h.prv.Name, transport.KindSeedReport, []core.Report{*r})
+	h.exchange(1, func() {
+		h.sim.HandleSeedReports(h.prv.Name, []*core.Report{r})
+		h.srv.Ingest(h.prv.Name, transport.KindSeedReport, []core.Report{*r})
+	})
 	rs := h.sim.Results()
 	return rs[len(rs)-1].Reason, h.logs[len(h.logs)-1]
 }
@@ -210,7 +238,13 @@ func tampered(r *core.Report) *core.Report {
 // with every counter of the table memoised — and must draw the same
 // Reason, the same verdict text and the same movement of the Server's
 // counters both times: the memo is a cache of the PRF, not a rule.
+// Each stack counts the row's last exchange alike, per Reason: one
+// outcome in the row's Reason, and every other report of it clean.
 func TestStacksAgreeOnReasons(t *testing.T) {
+	// The one row the stacks count differently (DESIGN §13, I1): a
+	// Server moves no outcome counter on an empty collection, which
+	// the sim Verifier records as one verdict.
+	const serverCountsNothing = "erasmus/empty collection"
 	cases := []struct {
 		name string
 		want verifier.Reason
@@ -319,9 +353,25 @@ func TestStacksAgreeOnReasons(t *testing.T) {
 					Accepted:   after.Accepted - before.Accepted,
 					Rejected:   after.Rejected - before.Rejected,
 					Replays:    after.Replays - before.Replays,
+					Verdicts:   minus(after.Verdicts, before.Verdicts),
+				}
+			}
+			countsAlike := func() {
+				var want verifier.Tally
+				want.Add(tc.want, 1)
+				want.Add(verifier.ReasonOK, max(h.outcomes, 1)-1)
+				if h.simMoved != want {
+					t.Errorf("Verifier tally moved by %v, want %v", h.simMoved, want)
+				}
+				if tc.name == serverCountsNothing {
+					want = verifier.Tally{}
+				}
+				if h.srvMoved != want {
+					t.Errorf("Server tally moved by %v, want %v", h.srvMoved, want)
 				}
 			}
 			simGot, srvGot, moved := pass()
+			countsAlike()
 			if simGot != tc.want.String() {
 				t.Errorf("Verifier: %q, want %q", simGot, tc.want)
 			}
@@ -331,6 +381,7 @@ func TestStacksAgreeOnReasons(t *testing.T) {
 			h.warm()
 			h.enter("prv-y")
 			simWarm, srvWarm, movedWarm := pass()
+			countsAlike()
 			if simWarm != simGot || srvWarm != srvGot {
 				t.Errorf("memo warm: Verifier %q, Server %q; cold: %q, %q", simWarm, srvWarm, simGot, srvGot)
 			}
@@ -354,19 +405,25 @@ func TestOneOutcomePerExchange(t *testing.T) {
 		kind  transport.Kind
 		image string
 		want  uint64
+		why   verifier.Reason
 	}{
-		{transport.KindReport, "", 1}, // judged by handleReport: unsolicited
-		{transport.KindReport, "x@v", 1},
-		{transport.KindCollection, "", 3},
-		{transport.KindCollection, "x@v", 3},
-		{transport.KindSeedReport, "", 3},
-		{transport.KindSeedReport, "x@v", 3},
+		{transport.KindReport, "", 1, verifier.ReasonNonceMismatch}, // judged by handleReport: no challenge of the server's
+		{transport.KindReport, "x@v", 1, verifier.ReasonMalformedImage},
+		{transport.KindCollection, "", 3, verifier.ReasonOK},
+		{transport.KindCollection, "x@v", 3, verifier.ReasonMalformedImage},
+		{transport.KindSeedReport, "", 3, verifier.ReasonSeedNonceUnbound},
+		{transport.KindSeedReport, "x@v", 3, verifier.ReasonMalformedImage},
 	} {
 		before := h.srv.Counts()
 		h.srv.IngestImage(h.prv.Name, tc.kind, tc.image, three)
 		after := h.srv.Counts()
 		if got := after.Accepted + after.Rejected - before.Accepted - before.Rejected; got != tc.want {
 			t.Errorf("%v under image id %q: %d outcomes counted for 3 reports, want %d", tc.kind, tc.image, got, tc.want)
+		}
+		var want verifier.Tally
+		want.Add(tc.why, tc.want)
+		if got := minus(after.Verdicts, before.Verdicts); got != want {
+			t.Errorf("%v under image id %q: tally moved by %v, want %d of %q", tc.kind, tc.image, got, tc.want, tc.why)
 		}
 	}
 }

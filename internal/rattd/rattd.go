@@ -24,9 +24,9 @@
 // runs verifier.Judge on the copy under no lock — every PRF, registry
 // lookup and tag computation happens there — and takes the lock again
 // to commit what came out clean (see the comment above
-// handleCollection). Outcome counters are atomics, added to once a
-// bundle. A stripe lock is held only for table probes and window
-// updates measured in nanoseconds.
+// handleCollection). Outcome counters are one atomic per verdict,
+// added to once a bundle per distinct verdict. A stripe lock is held
+// only for table probes and window updates measured in nanoseconds.
 package rattd
 
 import (
@@ -35,6 +35,7 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -103,15 +104,21 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// Counts aggregates the daemon's verification outcomes. The fields
-// are maintained as independent atomics; a snapshot taken while
-// handlers are running is exact per field but not a single
-// linearization point across fields.
+// Counts aggregates the daemon's verification outcomes. The counters
+// are independent atomics; a snapshot taken while handlers are running
+// is exact per counter but not a single linearization point across
+// counters.
 type Counts struct {
 	Challenges uint64 // hellos answered with a fresh nonce
-	Accepted   uint64 // reports that verified clean
-	Rejected   uint64 // reports rejected (tag, nonce, geometry, ...)
-	Replays    uint64 // reports rejected as replays specifically
+	// Outcomes per verdict, and its three sums (Summed fills them).
+	Verdicts                    verifier.Tally
+	Accepted, Rejected, Replays uint64
+}
+
+// Summed returns c with the sums of its Verdicts filled in.
+func (c Counts) Summed() Counts {
+	c.Accepted, c.Rejected, c.Replays = c.Verdicts.Accepted(), c.Verdicts.Rejected(), c.Verdicts.Replays()
+	return c
 }
 
 // Server is the verifier daemon. All handler paths are safe for
@@ -141,9 +148,8 @@ type Server struct {
 	enrolled       atomic.Int64
 	dirtyProvers   atomic.Int64  // provers dirtied since the last checkpoint swap
 	imageFallbacks atomic.Uint64 // restored bindings to unknown images, remapped to default
-	cnt            struct {
-		challenges, accepted, rejected, replays atomic.Uint64
-	}
+	challenges     atomic.Uint64
+	verdicts       [len(verifier.Tally{})]atomic.Uint64 // outcomes, one counter per verifier.Reason
 }
 
 // stripe owns the freshness state of the provers that hash to it.
@@ -249,12 +255,11 @@ func (s *Server) Stripes() int { return len(s.stripes) }
 
 // Counts returns a snapshot of outcome counters.
 func (s *Server) Counts() Counts {
-	return Counts{
-		Challenges: s.cnt.challenges.Load(),
-		Accepted:   s.cnt.accepted.Load(),
-		Rejected:   s.cnt.rejected.Load(),
-		Replays:    s.cnt.replays.Load(),
+	c := Counts{Challenges: s.challenges.Load()}
+	for r := range s.verdicts {
+		c.Verdicts.Add(verifier.Reason(r), s.verdicts[r].Load())
 	}
+	return c.Summed()
 }
 
 // BatchStats exposes the amortization counters summed across every
@@ -387,11 +392,11 @@ func (s *Server) IngestImage(from string, kind transport.Kind, image string, rep
 // carries, one per report otherwise (accepted + rejected == exchanges +
 // reports) — and answers the verdict the kind calls for.
 func (s *Server) rejectBundle(from string, kind transport.Kind, n int, why verifier.Reason) {
+	outcomes := uint64(n)
 	if kind == transport.KindReport {
-		s.count(why, 1)
-	} else {
-		s.count(why, n)
+		outcomes = 1
 	}
+	s.verdicts[why].Add(outcomes)
 	switch kind {
 	case transport.KindReport, transport.KindCollection:
 		s.verdict(from, "bundle", n, why, nil)
@@ -441,7 +446,7 @@ func (st *stripe) bindImage(s *Server, rec *proverRec, ri uint32, name string) (
 // itself, so the hello touches no stripe.
 func (s *Server) handleHello(from string) {
 	nonce := s.chal.Load().Issue(s.nextChallengeCtr(), from)
-	s.cnt.challenges.Add(1)
+	s.challenges.Add(1)
 	s.tr.Send(transport.Msg{From: s.cfg.Name, To: from, Kind: transport.KindChallenge, Nonce: nonce})
 }
 
@@ -471,7 +476,7 @@ func (s *Server) handleReport(from string, id verifier.ImageID, reports []core.R
 			func(uint64) []byte { return nonce }, verifier.CollectionPolicy{},
 			func(i int) (bool, error) { return tags.check(&reports[i]) })
 	}
-	s.count(why, 1)
+	s.verdicts[why].Add(1)
 	s.verdict(from, "report", len(reports), why, err)
 }
 
@@ -557,26 +562,27 @@ func (s *Server) collect(sc *ingestScratch, from string, id verifier.ImageID, re
 		return want
 	}, verifier.CollectionPolicy{}, func(i int) (bool, error) { return tags.check(&reports[i]) })
 	sc.why = why
-	cnt := countAll(why)
 
 	// Commit.
-	if cnt.accepted > 0 {
+	accepted := slices.Contains(why, verifier.ReasonOK)
+	if accepted {
 		st.mu.Lock()
-		if replay(why, reports, rec.fresh.CommitErasmus, &cnt) {
+		var lost bool // a replay became the bundle's first failure
+		if accepted, lost = replay(why, reports, rec.fresh.CommitErasmus); lost {
 			first, firstErr = verifier.ReasonReplay, nil
 		}
 		// A Restore since the snapshot swapped the table out: the record
 		// is no longer the prover's, and its ID names another's.
-		if cnt.accepted > 0 && st.provers == tbl {
+		if accepted && st.provers == tbl {
 			st.markDirty(s, rec, ri)
 		}
 		st.mu.Unlock()
 	}
-	s.tally(cnt)
+	s.countBundle(why)
 	// A bundle whose every nonce came from the memo has nothing to
 	// admit. Otherwise every committed counter is offered, in bundle
 	// order: Admit leaves one that is already there alone.
-	if missed && cnt.accepted > 0 {
+	if missed && accepted {
 		for i, w := range why {
 			if w == verifier.ReasonOK {
 				s.nonces.Admit(reports[i].Counter)
@@ -621,14 +627,12 @@ func (s *Server) handleSeed(from string, id verifier.ImageID, reports []core.Rep
 		sc.nonce = core.AppendSeedNonce(sc.nonce[:0], sc.seed, ctr)
 		return sc.nonce
 	}, verifier.CollectionPolicy{}, func(i int) (bool, error) { return tags.check(&reports[i]) })
-	cnt := countAll(why)
 
 	// Commit; the first report to get here enrolls the prover.
-	if cnt.accepted > 0 {
+	if slices.Contains(why, verifier.ReasonOK) {
 		st.mu.Lock()
 		rec, ri = st.rec(s, from, h)
-		replay(why, reports, rec.fresh.CommitSeed, &cnt)
-		if cnt.accepted > 0 {
+		if accepted, _ := replay(why, reports, rec.fresh.CommitSeed); accepted {
 			if rec.image == 0 && name != "" {
 				st.provers.bind(rec, name) // enrollment-time binding
 			}
@@ -637,7 +641,7 @@ func (s *Server) handleSeed(from string, id verifier.ImageID, reports []core.Rep
 		}
 		st.mu.Unlock()
 	}
-	s.tally(cnt)
+	s.countBundle(why)
 	if s.cfg.Logf != nil {
 		for i, w := range why {
 			var err error
@@ -654,22 +658,44 @@ func (s *Server) handleSeed(from string, id verifier.ImageID, reports []core.Rep
 // replay is a bundle's commit step, under the stripe lock: it commits
 // on the real record the counter of each report the judge step found
 // clean. A counter a racing bundle took since the snapshot turns its
-// report into a replay; replay reports whether that replay is the
+// report into a replay, rewritten in why; replay reports whether any
+// report still stands accepted, and whether such a replay is the
 // bundle's first failure in bundle order.
-func replay(why []verifier.Reason, reports []core.Report, commit func(ctr uint64) verifier.Reason, cnt *bundleCounts) (first bool) {
+func replay(why []verifier.Reason, reports []core.Report, commit func(ctr uint64) verifier.Reason) (accepted, first bool) {
 	failed := false // a report before i failed
 	for i, w := range why {
 		if w == verifier.ReasonOK {
 			if w = commit(reports[i].Counter); w != verifier.ReasonOK {
 				why[i] = w
-				cnt.accepted--
-				cnt.add(w, 1)
 				first = first || !failed
+			} else {
+				accepted = true
 			}
 		}
 		failed = failed || w != verifier.ReasonOK
 	}
-	return first
+	return accepted, first
+}
+
+var _ [64 - len(verifier.Tally{})]struct{} // countBundle's mask has a bit per verdict
+
+// countBundle adds a bundle's final verdicts to the counters: one
+// atomic add per distinct verdict, so an all-clean bundle costs one.
+func (s *Server) countBundle(why []verifier.Reason) {
+	var done uint64 // bit r: verdict r is counted
+	for i, w := range why {
+		if done&(1<<w) != 0 {
+			continue
+		}
+		done |= 1 << w
+		n := uint64(1)
+		for _, x := range why[i+1:] {
+			if x == w {
+				n++
+			}
+		}
+		s.verdicts[w].Add(n)
+	}
 }
 
 // bundleTags is the tag checker of one bundle. The image id is resolved
@@ -707,52 +733,6 @@ func (t *bundleTags) check(r *core.Report) (bool, error) {
 		return t.batch.Verify(t.s.cfg.Key, r, false)
 	}
 	return t.batch.VerifyOnce(t.s.cfg.Key, r, false)
-}
-
-// bundleCounts is one bundle's share of Counts, summed on the handler's
-// stack and added to the shared atomics once.
-type bundleCounts struct{ accepted, rejected, replays uint64 }
-
-// add counts n reports that drew the verdict why.
-func (c *bundleCounts) add(why verifier.Reason, n int) {
-	switch {
-	case why == verifier.ReasonOK:
-		c.accepted += uint64(n)
-	case why.IsReplay():
-		c.replays += uint64(n)
-		fallthrough
-	default:
-		c.rejected += uint64(n)
-	}
-}
-
-// countAll counts a bundle's verdicts, one a report.
-func countAll(why []verifier.Reason) bundleCounts {
-	var c bundleCounts
-	for _, w := range why {
-		c.add(w, 1)
-	}
-	return c
-}
-
-// count tallies n reports that all drew the verdict why.
-func (s *Server) count(why verifier.Reason, n int) {
-	var c bundleCounts
-	c.add(why, n)
-	s.tally(c)
-}
-
-// tally adds a bundle's outcomes to the server's counters.
-func (s *Server) tally(c bundleCounts) {
-	if c.accepted != 0 {
-		s.cnt.accepted.Add(c.accepted)
-	}
-	if c.rejected != 0 {
-		s.cnt.rejected.Add(c.rejected)
-	}
-	if c.replays != 0 {
-		s.cnt.replays.Add(c.replays)
-	}
 }
 
 // SeedFor derives a prover's SeED schedule seed from the shared key

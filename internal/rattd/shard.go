@@ -95,17 +95,13 @@ func (t *Tier) servers() []*Server {
 // Counts sums verification outcomes across shards.
 func (t *Tier) Counts() Counts {
 	var total Counts
-	for _, s := range t.servers() {
-		if s == nil {
-			continue
-		}
-		c := s.Counts()
+	for _, c := range t.PerShard() {
 		total.Challenges += c.Challenges
-		total.Accepted += c.Accepted
-		total.Rejected += c.Rejected
-		total.Replays += c.Replays
+		for r, n := range c.Verdicts {
+			total.Verdicts[r] += n
+		}
 	}
-	return total
+	return total.Summed()
 }
 
 // PerShard returns each shard's verification outcomes, indexed by
@@ -127,23 +123,18 @@ func (t *Tier) PerShard() []Counts {
 // close to it. A shard with zero reports while another has load
 // yields +Inf; an idle tier yields 1.
 func (t *Tier) Balance() float64 {
-	min, max := uint64(math.MaxUint64), uint64(0)
+	lo, hi := uint64(math.MaxUint64), uint64(0)
 	for _, c := range t.PerShard() {
 		n := c.Accepted + c.Rejected
-		if n < min {
-			min = n
-		}
-		if n > max {
-			max = n
-		}
+		lo, hi = min(lo, n), max(hi, n)
 	}
-	if max == 0 {
+	if hi == 0 {
 		return 1
 	}
-	if min == 0 {
+	if lo == 0 {
 		return math.Inf(1)
 	}
-	return float64(max) / float64(min)
+	return float64(hi) / float64(lo)
 }
 
 // Restore installs per-shard checkpoints (nil entries are skipped)

@@ -74,9 +74,29 @@ var reasonText = [...]string{
 
 func (r Reason) String() string { return reasonText[r] }
 
-// IsReplay reports whether the verdict is a replay rejection (what the
-// Replays counters of both stacks count).
+// IsReplay reports whether the verdict is a replay rejection (what
+// Tally.Replays sums).
 func (r Reason) IsReplay() bool { return r == ReasonReplay || r == ReasonSeedReplay }
+
+// Tally counts verdicts, one counter per Reason; both stacks count into
+// one. Its sums are the one place a verdict is sorted into accepted,
+// rejected and replays: every verdict but ReasonOK is a rejection, and
+// a replay is also one.
+type Tally [len(reasonText)]uint64
+
+func (t *Tally) Add(why Reason, n uint64) { t[why] += n }
+func (t *Tally) Accepted() uint64         { return t[ReasonOK] }
+func (t *Tally) Rejected() uint64         { return t.sum(func(r Reason) bool { return r != ReasonOK }) }
+func (t *Tally) Replays() uint64          { return t.sum(Reason.IsReplay) }
+
+func (t *Tally) sum(of func(Reason) bool) (n uint64) {
+	for r, c := range t {
+		if of(Reason(r)) {
+			n += c
+		}
+	}
+	return n
+}
 
 // Text renders the verdict for a Result or a wire verdict; err is the
 // failure behind a ReasonError and is ignored otherwise.

@@ -67,7 +67,6 @@ func (m *SeedMonitor) armWatchdog() {
 			return // arrived in time, or monitoring ended
 		}
 		m.MissingCounters = append(m.MissingCounters, ctr)
-		m.v.counts.Missing++
 		m.v.record(m.prover, nil, ReasonSeedMissing)
 		m.expected = ctr + 1
 		m.armWatchdog()
@@ -98,7 +97,6 @@ func (v *Verifier) HandleSeedReports(prover string, reports []*core.Report) {
 			// waiting for their watchdogs.
 			for ctr := m.expected; ctr < r.Counter; ctr++ {
 				m.MissingCounters = append(m.MissingCounters, ctr)
-				v.counts.Missing++
 				v.record(prover, nil, ReasonSeedGap)
 			}
 			if r.Counter >= m.expected {

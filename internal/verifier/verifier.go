@@ -27,12 +27,13 @@ type Result struct {
 	Freshness sim.Duration
 }
 
-// Counts aggregates verification outcomes.
+// Counts aggregates verification outcomes: the tally and its sums.
 type Counts struct {
 	Accepted int
 	Rejected int
 	Replays  int
-	Missing  int // expected-but-absent reports (SeED watchdog)
+	Missing  int // expected-but-absent reports (SeED watchdog and gaps)
+	Verdicts Tally
 }
 
 // endpoint is the name a Verifier binds and sends under.
@@ -63,7 +64,7 @@ type Verifier struct {
 	fresh    map[string]*Freshness
 	seedMons map[string]*SeedMonitor
 	results  []Result
-	counts   Counts
+	tally    Tally
 	nonceCtr uint64
 	// nonce and why are the scratch of Judge: the self-derived nonce of
 	// the ERASMUS and SeED rules and the bundle's verdicts (a Verifier
@@ -213,19 +214,16 @@ func (v *Verifier) record(prover string, r *core.Report, why Reason) {
 		}
 	}
 	v.results = append(v.results, res)
-	switch {
-	case why == ReasonOK:
-		v.counts.Accepted++
-	case why.IsReplay():
-		v.counts.Replays++
-		fallthrough
-	default:
-		v.counts.Rejected++
-	}
+	v.tally.Add(why, 1)
 }
 
 // Results returns all recorded verification results.
 func (v *Verifier) Results() []Result { return v.results }
 
-// Counts returns aggregate outcome counters.
-func (v *Verifier) Counts() Counts { return v.counts }
+// Counts returns aggregate outcome counters. A SeED report is missing
+// when its watchdog expires or a later report skips its counter.
+func (v *Verifier) Counts() Counts {
+	t := &v.tally
+	return Counts{Accepted: int(t.Accepted()), Rejected: int(t.Rejected()), Replays: int(t.Replays()),
+		Missing: int(t[ReasonSeedMissing] + t[ReasonSeedGap]), Verdicts: *t}
+}

@@ -7,15 +7,14 @@
 //
 // With -shards N it serves a horizontally sharded tier instead: N
 // shared-nothing verifier instances on consecutive ports (base port
-// +0..+N-1), coordinated only through epoch leases of the challenge
-// nonce-counter space. Clients route provers to shards with the same
-// rendezvous hash (rattd.ShardFor); `rattsim -mode rattping -shards N`
-// does this automatically.
+// +0..+N-1), each minting challenges under its own key. Clients route
+// provers to shards with the same rendezvous hash (rattd.ShardFor);
+// `rattsim -mode rattping -shards N` does this automatically.
 //
 //	rattd -addr 127.0.0.1:9779 -shards 8 -checkpoint /var/lib/rattd/state
 //
 // -checkpoint makes every shard persist its fleet state (enrollment,
-// freshness counters, epoch lease) to <path>.<shard> on exit and, in
+// freshness counters, image bindings) to <path>.<shard> on exit and, in
 // the background, every -checkpoint-interval (default 10s; it does not
 // follow -stats, so `-stats 0 -checkpoint-interval 1s` prints nothing
 // and persists every second); -restore loads those files on startup so
@@ -315,8 +314,8 @@ func loadCheckpoints(base string, shards int) ([]*rattd.Checkpoint, error) {
 		if chain.Dropped > 0 {
 			note += fmt.Sprintf(", %d stale deltas dropped", chain.Dropped)
 		}
-		log.Printf("rattd: shard %d restored from %s +%d deltas (%d erasmus / %d seed provers, lease [%d,%d)%s)",
-			i, path, chain.Applied, len(cp.Erasmus), len(cp.Seed), cp.Lease.Lo, cp.Lease.Hi, note)
+		log.Printf("rattd: shard %d restored from %s +%d deltas (%d erasmus / %d seed provers%s)",
+			i, path, chain.Applied, len(cp.Erasmus), len(cp.Seed), note)
 	}
 	return cps, nil
 }

@@ -134,6 +134,28 @@ func TestChallengeSlidesOutAfterWindow(t *testing.T) {
 	}
 }
 
+// TestRestoreRefusesEarlierChallenges: Restore draws a fresh challenge
+// key, so a challenge minted before it, answered or not, fails the MAC
+// after it, and one minted after it is accepted (I3 across
+// incarnations, DESIGN §13).
+func TestRestoreRefusesEarlierChallenges(t *testing.T) {
+	s := localServer(t, Config{Stripes: 8})
+	v := newSmartVictim(t, s, "victim")
+	answered, open := v.hello(), v.hello()
+	if why := v.answer(answered); why != "" {
+		t.Fatalf("the honest answer reads %q", why)
+	}
+	s.Restore(s.Checkpoint())
+	for _, nonce := range [][]byte{answered, open} {
+		if why := v.answer(nonce); why != verifier.ReasonNonceMismatch.String() {
+			t.Fatalf("a challenge minted before the restore reads %q after it, want %q", why, verifier.ReasonNonceMismatch)
+		}
+	}
+	if why := v.answer(v.hello()); why != "" {
+		t.Fatalf("a challenge minted after the restore reads %q", why)
+	}
+}
+
 // TestChallengeStateBounded pins what SMART costs the server in settled
 // heap: nothing per challenge, outstanding or answered. 60 k hellos
 // nobody answers, then 80 k completed exchanges over a 20 k fleet, must

@@ -12,22 +12,21 @@ import (
 
 // Checkpoint is a shard's durable fleet state: the enrollment and
 // freshness bookkeeping (which provers exist and which of their
-// counters have been consumed) plus the shard's challenge-counter
-// lease. Restoring it into a fresh Server resumes the shard exactly
-// where it died — enrolled provers keep verifying without
-// re-registering, previously-accepted reports still read as replays,
-// and the restored lease (re-announced to the coordinator via
-// Observe) keeps challenge nonces globally unique across the
-// restart.
+// counters have been consumed). Restoring it into a fresh Server
+// resumes the shard exactly where it died — enrolled provers keep
+// verifying without re-registering, and previously-accepted reports
+// still read as replays.
 //
 // Deliberately absent: the SMART challenge key and window (a restored
-// server draws a fresh key, the prover's own timeout re-initiates the
-// round, and an unanswerable challenge is not a safety problem), the
+// server draws a fresh key, so no challenge minted before the restore
+// redeems after it; the prover's own timeout re-initiates the round,
+// and an unanswerable challenge is not a safety problem), the
 // verifier.Batch expected-tag cache
 // (pure derived state, rebuilt on demand), and diagnostic Counts.
 type Checkpoint struct {
-	// Lease is the challenge-counter lease held at snapshot time, and
-	// NonceCtr the next unused counter within it.
+	// Lease and NonceCtr are reserved header fields: the codec carries
+	// them, a Server writes them as zero, and Restore and
+	// Server.Checkpoint ignore them (see the format comment below).
 	Lease    EpochLease
 	NonceCtr uint64
 	// Erasmus maps prover -> ERASMUS replay window (watermark +
@@ -53,6 +52,16 @@ type Checkpoint struct {
 	Seq     uint32
 }
 
+// EpochLease is the header's reserved lease group. It once held a
+// shard's lease of the challenge-counter space; challenge nonces are now
+// unique by their per-incarnation key, and the group is written as zero.
+type EpochLease struct {
+	Shard int
+	Epoch uint64
+	Lo    uint64
+	Hi    uint64
+}
+
 // Checkpoint wire format, versioned like the transport codec so
 // mixed-version restarts fail loudly instead of misparsing:
 //
@@ -75,6 +84,13 @@ type Checkpoint struct {
 // last fully-parsed record of a torn delta tail. Provers bound to the
 // default image write no image record. One version exists; any other
 // version byte is refused by name.
+//
+// The 36 bytes from lease.Shard through nonceCtr are reserved: they
+// held the challenge-counter lease, which nothing reads any more. A
+// Server writes them as zero; the codec still round-trips whatever a
+// Checkpoint value carries there, because the benchmark module builds
+// Checkpoints that name both fields. They go with the next version
+// bump, once nothing outside this package names them.
 //
 // Encoding is deterministic for a given encoder (sorted iteration;
 // windows kept in canonical form with out-of-range bits zero). The
@@ -126,10 +142,9 @@ type SnapshotOptions struct {
 
 // SnapshotStats reports what a WriteCheckpoint call emitted.
 type SnapshotStats struct {
-	Provers  int    // prover entries written
-	Records  int    // typed records written (window + watermark)
-	Bytes    int64  // encoded bytes handed to the writer
-	NonceCtr uint64 // challenge-counter cursor stamped in the header
+	Provers int   // prover entries written
+	Records int   // typed records written (window + watermark)
+	Bytes   int64 // encoded bytes handed to the writer
 }
 
 // WriteCheckpoint streams the server's fleet state to w —
@@ -158,9 +173,7 @@ func (s *Server) WriteCheckpoint(w io.Writer, o SnapshotOptions) (SnapshotStats,
 		cpScratchPool.Put(sc)
 	}()
 
-	lease, nonce := s.leaseState()
-	stats.NonceCtr = nonce
-	hdr := Checkpoint{Lease: lease, NonceCtr: nonce, Delta: o.Delta, ChainID: o.ChainID, Seq: o.Seq}
+	hdr := Checkpoint{Delta: o.Delta, ChainID: o.ChainID, Seq: o.Seq}
 	buf := hdr.appendHeader(sc.buf[:0])
 	cw := &countingWriter{w: w}
 
@@ -248,7 +261,6 @@ func (s *Server) Checkpoint() *Checkpoint {
 		Erasmus: make(map[string]DedupWindow),
 		Seed:    make(map[string]uint64),
 	}
-	cp.Lease, cp.NonceCtr = s.leaseState()
 	for _, st := range s.stripes {
 		st.mu.Lock()
 		t := st.provers
@@ -278,16 +290,10 @@ func (s *Server) Checkpoint() *Checkpoint {
 // issued before the restore is redeemed after it (provers re-initiate
 // on their own timeout), and dirty tracking is reset —
 // restored state is by definition what the disk already holds, so
-// the next delta starts empty. In a tier, the caller must also
-// Observe the checkpoint's lease on the coordinator so future leases
-// stay disjoint — Tier.Restore and Tier.Restart do this. Restore is
-// meant for a just-(re)started shard; it locks stripe by stripe, so
-// traffic racing the restore sees either old or new state per prover.
+// the next delta starts empty. Restore is meant for a just-(re)started
+// shard; it locks stripe by stripe, so traffic racing the restore sees
+// either old or new state per prover.
 func (s *Server) Restore(cp *Checkpoint) {
-	s.leaseMu.Lock()
-	s.lease = cp.Lease
-	s.nonceCtr = cp.NonceCtr
-	s.leaseMu.Unlock()
 	s.chal.Store(verifier.NewChallenger(nil, labelChallenge))
 	for _, st := range s.stripes {
 		st.mu.Lock()
@@ -581,8 +587,8 @@ type ChainStats struct {
 }
 
 // DecodeChain restores fleet state from a checkpoint chain: a base
-// snapshot plus delta files in sequence order. Deltas overlay the base per prover record; the lease and
-// counter cursor come from the newest applied file.
+// snapshot plus delta files in sequence order. Deltas overlay the base
+// per prover record.
 //
 // The chain degrades instead of failing: a delta with a stale chain
 // ID, the wrong sequence number, or a torn header is dropped along
@@ -645,8 +651,6 @@ func applyDelta(cp, d *Checkpoint) {
 		}
 		cp.Images[p] = img
 	}
-	cp.Lease = d.Lease
-	cp.NonceCtr = d.NonceCtr
 	cp.Seq = d.Seq
 }
 

@@ -43,8 +43,6 @@ type Checkpointer struct {
 	baseBytes  int64  // size of the current base
 	deltaBytes int64  // cumulative delta bytes since the base
 	forceFull  bool   // next write must be a base (startup, prior error)
-	lastNonce  uint64 // nonce cursor as of the last successful write
-	haveNonce  bool
 	stats      CheckpointerStats
 
 	started bool
@@ -167,10 +165,10 @@ func (c *Checkpointer) Tick() error {
 	defer c.mu.Unlock()
 
 	dirty := c.srv.DirtyCount()
-	_, nonce := c.srv.leaseState()
-	if !c.forceFull && dirty == 0 && c.haveNonce && nonce == c.lastNonce {
-		// Nothing moved since the last write: the chain on disk is
-		// already exact.
+	if !c.forceFull && dirty == 0 {
+		// No prover moved since the last write: the chain on disk is
+		// already exact. Challenges minted since leave nothing to
+		// persist.
 		c.stats.Skips++
 		return nil
 	}
@@ -208,8 +206,6 @@ func (c *Checkpointer) Tick() error {
 	c.stats.LastDirty = dirty
 	c.stats.LastBytes = stats.Bytes
 	c.stats.LastWrote = time.Since(start)
-	c.lastNonce = stats.NonceCtr
-	c.haveNonce = true
 	return nil
 }
 

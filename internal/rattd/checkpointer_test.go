@@ -200,7 +200,6 @@ func TestCheckpointerCrashWindows(t *testing.T) {
 	// new base plus the old chain's d1. The stale delta must be
 	// dropped by chain ID, not applied.
 	base2 := encodeCP(t, &Checkpoint{
-		Lease:   want.Lease,
 		Erasmus: want.Erasmus,
 		Seed:    want.Seed,
 		ChainID: 2,
@@ -300,11 +299,12 @@ func TestCheckpointerWriteErrorForcesFull(t *testing.T) {
 	}
 }
 
-// TestCheckpointerHeaderOnlyDelta checks that advancing the nonce
-// cursor alone (challenges minted, no report accepted) still
-// persists: the lease position matters for nonce uniqueness across a
-// restart even when no prover state changed.
-func TestCheckpointerHeaderOnlyDelta(t *testing.T) {
+// TestCheckpointerHelloOnlyTickSkips checks that minting challenges
+// alone (hellos answered, no report accepted) persists nothing: a
+// challenge is redeemable only under the key of the incarnation that
+// minted it, which no checkpoint holds, so a tick that saw only hellos
+// is a skip and writes no file.
+func TestCheckpointerHelloOnlyTickSkips(t *testing.T) {
 	fx := newCkptFixture(t, 2)
 	path := filepath.Join(t.TempDir(), "cp")
 	ck := NewCheckpointer(fx.srv, CheckpointerConfig{Path: path, MaxDeltaFrac: 100})
@@ -315,15 +315,10 @@ func TestCheckpointerHeaderOnlyDelta(t *testing.T) {
 	if err := ck.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	if st := ck.Stats(); st.Deltas != 1 || st.LastDirty != 0 {
-		t.Fatalf("nonce-only tick: %+v", st)
+	if st := ck.Stats(); st.Skips != 1 || st.Deltas != 0 || st.Fulls != 1 {
+		t.Fatalf("hello-only tick: %+v", st)
 	}
-	cp, chain, err := LoadChain(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, liveNonce := fx.srv.leaseState()
-	if chain.Applied != 1 || cp.NonceCtr != liveNonce {
-		t.Fatalf("nonce cursor not persisted: chain %+v, got %d want %d", chain, cp.NonceCtr, liveNonce)
+	if _, err := os.Stat(deltaPath(path, 1)); !os.IsNotExist(err) {
+		t.Fatalf("hello-only tick wrote a delta file (stat: %v)", err)
 	}
 }

@@ -241,10 +241,16 @@ func tampered(r *core.Report) *core.Report {
 // Each stack counts the row's last exchange alike, per Reason: one
 // outcome in the row's Reason, and every other report of it clean.
 func TestStacksAgreeOnReasons(t *testing.T) {
-	// The one row the stacks count differently (DESIGN §13, I1): a
+	// The two rows the stacks count differently (DESIGN §13, I1): a
 	// Server moves no outcome counter on an empty collection, which
-	// the sim Verifier records as one verdict.
-	const serverCountsNothing = "erasmus/empty collection"
+	// the sim Verifier records as one verdict; and a SMART response of
+	// k rounds is one outcome to a Server and k verdicts, one a round,
+	// to the sim Verifier.
+	const (
+		serverCountsNothing = "erasmus/empty collection"
+		simCountsRounds     = "smart/multi-round response"
+		rounds              = 2
+	)
 	cases := []struct {
 		name string
 		want verifier.Reason
@@ -281,6 +287,19 @@ func TestStacksAgreeOnReasons(t *testing.T) {
 			simNonce, srvNonce := h.challenge(h.prv.Name)
 			h.slideOut()
 			return h.answer(simNonce, srvNonce, h.respond)
+		}},
+		{simCountsRounds, verifier.ReasonOK, func(h *stacks) (string, string) {
+			return h.smart(true, func(n []byte) []*core.Report {
+				var rs []*core.Report
+				for round := 0; round < rounds; round++ {
+					r, err := h.prv.report(core.SMART, n, round, 0, 0)
+					if err != nil {
+						h.t.Fatal(err)
+					}
+					rs = append(rs, r)
+				}
+				return rs
+			})
 		}},
 		{"smart/tag mismatch", verifier.ReasonTagMismatch, func(h *stacks) (string, string) {
 			return h.smart(true, func(n []byte) []*core.Report { return []*core.Report{tampered(h.respond(n)[0])} })
@@ -360,8 +379,13 @@ func TestStacksAgreeOnReasons(t *testing.T) {
 				var want verifier.Tally
 				want.Add(tc.want, 1)
 				want.Add(verifier.ReasonOK, max(h.outcomes, 1)-1)
-				if h.simMoved != want {
-					t.Errorf("Verifier tally moved by %v, want %v", h.simMoved, want)
+				simWant := want
+				if tc.name == simCountsRounds {
+					simWant = verifier.Tally{}
+					simWant.Add(tc.want, rounds)
+				}
+				if h.simMoved != simWant {
+					t.Errorf("Verifier tally moved by %v, want %v", h.simMoved, simWant)
 				}
 				if tc.name == serverCountsNothing {
 					want = verifier.Tally{}

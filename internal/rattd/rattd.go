@@ -11,8 +11,8 @@
 // the accept rules it applies (nonce binding, replay windows, monotonic
 // counters, the expected tag) are the clock-free transition of
 // internal/verifier (verifier.Judge), shared with the simulated
-// verifier.Verifier; what this package adds is striping, leases,
-// enrollment, image binding and checkpointing.
+// verifier.Verifier; what this package adds is striping, enrollment,
+// image binding and checkpointing.
 //
 // Concurrency model (one shard's insides). The transport delivers
 // frames on its dispatch workers at once (one a core, at least four:
@@ -32,7 +32,6 @@ package rattd
 import (
 	"fmt"
 	"hash/maphash"
-	"math"
 	"math/bits"
 	"runtime"
 	"slices"
@@ -93,13 +92,6 @@ type Config struct {
 	// Defaults to 4×GOMAXPROCS: enough that concurrent dispatch
 	// workers rarely collide, cheap enough to be irrelevant at 1.
 	Stripes int
-	// Lease, when set, supplies challenge nonce-counter epoch leases
-	// (normally from a tier Coordinator). It is called off the hot
-	// path — once per exhausted window, not per challenge — so a
-	// sharded tier stays shared-nothing on every report. Nil means
-	// the server self-leases the whole counter space, which is the
-	// pre-shard single-daemon behavior bit for bit.
-	Lease func() EpochLease
 	// Logf, if set, receives per-decision diagnostics.
 	Logf func(format string, args ...any)
 }
@@ -134,16 +126,11 @@ type Server struct {
 	mask    uint64
 	seed    maphash.Seed // files provers within their stripe; see stripeHash
 	// chal issues and redeems SMART challenges under a key drawn for
-	// this incarnation (never cfg.Key, which every prover holds);
-	// Restore swaps in a fresh one.
+	// this incarnation (never cfg.Key, which every prover holds) and
+	// never persisted; Restore swaps in a fresh one. A challenge is
+	// therefore redeemable only at the server, and in the incarnation,
+	// that minted it.
 	chal atomic.Pointer[verifier.Challenger]
-
-	// The challenge-counter lease has its own small mutex: hellos
-	// touch it for a counter increment (and once per exhausted window
-	// for a coordinator round-trip); no report path ever takes it.
-	leaseMu  sync.Mutex
-	lease    EpochLease
-	nonceCtr uint64
 
 	enrolled       atomic.Int64
 	dirtyProvers   atomic.Int64  // provers dirtied since the last checkpoint swap
@@ -290,14 +277,6 @@ func (s *Server) Enrolled() int { return int(s.enrolled.Load()) }
 // load, never a stripe scan.
 func (s *Server) DirtyCount() int64 { return s.dirtyProvers.Load() }
 
-// leaseState snapshots the challenge-counter lease and its cursor
-// (checkpoint header fields).
-func (s *Server) leaseState() (EpochLease, uint64) {
-	s.leaseMu.Lock()
-	defer s.leaseMu.Unlock()
-	return s.lease, s.nonceCtr
-}
-
 // stripeFor picks the lock stripe owning a prover's freshness state.
 // The name hash is mixed through splitmix64 so provers that rendezvous
 // onto one shard still spread across its stripes. It is unseeded, so a
@@ -314,33 +293,6 @@ func (s *Server) stripeFor(name string) *stripe {
 // pile into one probe run.
 func (s *Server) stripeHash(name string) (*stripe, uint64) {
 	return s.stripeFor(name), maphash.String(s.seed, name)
-}
-
-// leaseFn pulls the next epoch lease: the configured coordinator
-// hook, or a self-lease over the whole counter space when the server
-// runs unsharded. Called with leaseMu held; the coordinator never
-// calls back into a shard, so the nesting cannot deadlock.
-func (s *Server) leaseFn() EpochLease {
-	if s.cfg.Lease != nil {
-		return s.cfg.Lease()
-	}
-	return EpochLease{Lo: 1, Hi: math.MaxUint64}
-}
-
-// nextChallengeCtr allocates one challenge counter out of the lease,
-// pulling a fresh lease when the window runs dry — in a sharded tier
-// the coordinator is touched once per DefaultLeaseWindow challenges,
-// never per request.
-func (s *Server) nextChallengeCtr() uint64 {
-	s.leaseMu.Lock()
-	if s.nonceCtr < s.lease.Lo || s.nonceCtr >= s.lease.Hi {
-		s.lease = s.leaseFn()
-		s.nonceCtr = s.lease.Lo
-	}
-	c := s.nonceCtr
-	s.nonceCtr++
-	s.leaseMu.Unlock()
-	return c
 }
 
 // onFrame is the receive path: report fields may be views into the
@@ -442,10 +394,9 @@ func (st *stripe) bindImage(s *Server, rec *proverRec, ri uint32, name string) (
 
 // handleHello answers a prover's hello with a fresh challenge nonce
 // (step 1 of the §2.2 timeline, prover-initiated so it traverses
-// NATs). The counter comes out of the epoch lease and the nonce proves
-// itself, so the hello touches no stripe.
+// NATs). The nonce proves itself, so the hello touches no stripe.
 func (s *Server) handleHello(from string) {
-	nonce := s.chal.Load().Issue(s.nextChallengeCtr(), from)
+	nonce := s.chal.Load().Issue(from)
 	s.challenges.Add(1)
 	s.tr.Send(transport.Msg{From: s.cfg.Name, To: from, Kind: transport.KindChallenge, Nonce: nonce})
 }

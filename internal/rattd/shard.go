@@ -10,19 +10,17 @@ import (
 
 // Tier is a horizontally sharded verifier: N independent Servers,
 // each bound to its own transport (its own UDP socket under
-// cmd/rattd), each owning its verifier.Batch, dedup windows, and
-// per-prover monotonic-counter tables outright. The only shared
-// object is the Coordinator, consulted once per exhausted challenge
-// window — the report hot path of one shard never takes a lock any
-// other shard can hold, so throughput scales with cores instead of
-// serializing on a daemon-wide mutex.
+// cmd/rattd), each owning its verifier.Batch, dedup windows,
+// per-prover monotonic-counter tables and challenge key outright. The
+// shards share nothing, so the report hot path of one shard never
+// takes a lock any other shard can hold, and a challenge minted by one
+// shard fails the MAC at every other.
 //
 // Provers are assigned to shards by ShardFor on the client side;
 // there is no routing hop, no shared table, and no cross-shard
 // traffic per report.
 type Tier struct {
-	coord *Coordinator
-	cfg   TierConfig
+	cfg TierConfig
 
 	mu     sync.Mutex // guards shards/trs across Restart; never on a report path
 	shards []*Server
@@ -31,14 +29,11 @@ type Tier struct {
 
 // TierConfig assembles a Tier.
 type TierConfig struct {
-	// Base is the per-shard server configuration. Name and Lease are
-	// overridden per shard (tierShardName(i, n) and the coordinator's
-	// lease hook respectively); everything else is shared verbatim —
-	// all shards serve the same golden image under the same key.
+	// Base is the per-shard server configuration. Name is overridden
+	// per shard (tierShardName(i, n)); everything else is shared
+	// verbatim — all shards serve the same golden image under the same
+	// key.
 	Base Config
-	// Window is the challenge-counter lease size; 0 means
-	// DefaultLeaseWindow.
-	Window uint64
 }
 
 // ServeTier starts one shard per transport and returns the running
@@ -50,7 +45,6 @@ func ServeTier(trs []transport.Transport, cfg TierConfig) (*Tier, error) {
 		return nil, fmt.Errorf("rattd: tier needs at least one transport")
 	}
 	t := &Tier{
-		coord:  NewCoordinator(cfg.Window),
 		cfg:    cfg,
 		shards: make([]*Server, n),
 		trs:    append([]transport.Transport(nil), trs...),
@@ -70,8 +64,6 @@ func ServeTier(trs []transport.Transport, cfg TierConfig) (*Tier, error) {
 func (t *Tier) serveShard(i int) (*Server, error) {
 	scfg := t.cfg.Base
 	scfg.Name = tierShardName(i, len(t.shards))
-	shard := i
-	scfg.Lease = func() EpochLease { return t.coord.Lease(shard) }
 	return Serve(t.trs[i], scfg)
 }
 
@@ -137,11 +129,8 @@ func (t *Tier) Balance() float64 {
 	return float64(hi) / float64(lo)
 }
 
-// Restore installs per-shard checkpoints (nil entries are skipped)
-// and re-announces their leases to the coordinator so freshly minted
-// leases stay disjoint from every counter window the previous
-// incarnation may have used. Call it on a just-started tier, before
-// traffic.
+// Restore installs per-shard checkpoints (nil entries are skipped).
+// Call it on a just-started tier, before traffic.
 func (t *Tier) Restore(cps []*Checkpoint) error {
 	if len(cps) != len(t.shards) {
 		return fmt.Errorf("rattd: %d checkpoints for a %d-shard tier", len(cps), len(t.shards))
@@ -151,7 +140,6 @@ func (t *Tier) Restore(cps []*Checkpoint) error {
 			continue
 		}
 		t.Shard(i).Restore(cp)
-		t.coord.Observe(cp.Lease)
 	}
 	return nil
 }
@@ -159,8 +147,7 @@ func (t *Tier) Restore(cps []*Checkpoint) error {
 // Restart replaces shard i with a fresh Server bound to tr — the
 // crash-recovery path: the old shard's socket died with it, the
 // operator rebinds the same address, and the checkpoint (nil for a
-// cold restart) carries the fleet state across. The restored lease
-// is re-observed so the coordinator never re-issues its window.
+// cold restart) carries the fleet state across.
 func (t *Tier) Restart(i int, tr transport.Transport, cp *Checkpoint) error {
 	if i < 0 || i >= len(t.shards) {
 		return fmt.Errorf("rattd: restart of shard %d in a %d-shard tier", i, len(t.shards))
@@ -177,7 +164,6 @@ func (t *Tier) Restart(i int, tr transport.Transport, cp *Checkpoint) error {
 	}
 	if cp != nil {
 		srv.Restore(cp)
-		t.coord.Observe(cp.Lease)
 	}
 	t.mu.Lock()
 	t.shards[i] = srv

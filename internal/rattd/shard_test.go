@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -16,6 +15,7 @@ import (
 	"saferatt/internal/core"
 	"saferatt/internal/sim"
 	"saferatt/internal/transport"
+	"saferatt/internal/verifier"
 )
 
 // TestShardForProperties pins the routing contract: deterministic,
@@ -86,61 +86,14 @@ func TestTierAddrs(t *testing.T) {
 	}
 }
 
-// TestCoordinatorLeasesDisjoint hammers Lease from many goroutines
-// and checks every granted window is disjoint with a unique epoch.
-func TestCoordinatorLeasesDisjoint(t *testing.T) {
-	c := NewCoordinator(64)
-	const perShard = 200
-	var mu sync.Mutex
-	var leases []EpochLease
-	var wg sync.WaitGroup
-	for s := 0; s < 8; s++ {
-		wg.Add(1)
-		go func(shard int) {
-			defer wg.Done()
-			for i := 0; i < perShard; i++ {
-				l := c.Lease(shard)
-				mu.Lock()
-				leases = append(leases, l)
-				mu.Unlock()
-			}
-		}(s)
-	}
-	wg.Wait()
-	sort.Slice(leases, func(a, b int) bool { return leases[a].Lo < leases[b].Lo })
-	epochs := map[uint64]bool{}
-	for i, l := range leases {
-		if !l.Valid() {
-			t.Fatalf("invalid lease %+v", l)
-		}
-		if epochs[l.Epoch] {
-			t.Fatalf("duplicate epoch %d", l.Epoch)
-		}
-		epochs[l.Epoch] = true
-		if i > 0 && l.Lo < leases[i-1].Hi {
-			t.Fatalf("overlapping leases: %+v then %+v", leases[i-1], l)
-		}
-	}
-	// A restored lease from a dead coordinator must fence future grants.
-	c2 := NewCoordinator(64)
-	c2.Observe(EpochLease{Shard: 1, Epoch: 41, Lo: 1 << 20, Hi: 1<<20 + 64})
-	if l := c2.Lease(0); l.Lo < 1<<20+64 {
-		t.Fatalf("lease %+v not fenced past observed window", l)
-	} else if l.Epoch != 42 {
-		t.Fatalf("epoch sequence did not resume past observed lease: %+v", l)
-	}
-}
-
-// TestTierChallengeNoncesUnique drives two shards on one Sim link
-// with a tiny lease window, forcing many lease rotations, and checks
-// that no challenge nonce is ever minted twice across the tier.
+// TestTierChallengeNoncesUnique drives two shards on one Sim link and
+// checks that no challenge nonce is ever minted twice across the tier.
 func TestTierChallengeNoncesUnique(t *testing.T) {
 	k := sim.NewKernel()
 	link := channel.New(channel.Config{Kernel: k, Latency: sim.Millisecond, Seed: 5})
 	tr := transport.NewSim(link)
 	tier, err := ServeTier([]transport.Transport{tr, tr}, TierConfig{
-		Base:   Config{Ref: GoldenImage(7, testMem, testBlock), BlockSize: testBlock},
-		Window: 3, // rotate every 3 challenges
+		Base: Config{Ref: GoldenImage(7, testMem, testBlock), BlockSize: testBlock},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -174,11 +127,6 @@ func TestTierChallengeNoncesUnique(t *testing.T) {
 	}
 	if recv != 2*hellosPerShard {
 		t.Fatalf("got %d challenges, want %d", recv, 2*hellosPerShard)
-	}
-	for s := 0; s < 2; s++ {
-		if l := tier.Shard(s).Checkpoint().Lease; !l.Valid() || l.Shard != s {
-			t.Fatalf("shard %d holds lease %+v", s, l)
-		}
 	}
 }
 
@@ -385,21 +333,19 @@ func TestShardRestartMidEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// One more SMART round advances the nonce cursor, then the crash:
-	// the delta capturing it is torn mid-write, a stale delta from a
-	// dead chain lingers, and a half-written base temp file survives.
-	// Restore must salvage the torn tail, drop the stale file, ignore
-	// the temp — and lose none of the pre-crash freshness state.
+	// A challenge left unanswered and one more SeED report, then the
+	// crash: the delta capturing the report is torn mid-write, a stale
+	// delta from a dead chain lingers, and a half-written base temp file
+	// survives. Restore must salvage the torn tail, drop the stale file,
+	// ignore the temp — and lose none of the pre-crash freshness state.
 	send(transport.Msg{Kind: transport.KindHello})
-	ch1b := await(transport.KindChallenge)
-	rep1b, err := prv.Respond(ch1b.Nonce)
+	chOpen := await(transport.KindChallenge)
+	sr, err = prv.SeedReport(6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	send(transport.Msg{Kind: transport.KindReport, Reports: []*core.Report{rep1b}})
-	if v := await(transport.KindVerdict); !v.OK {
-		t.Fatalf("pre-kill SMART #2 rejected: %s", v.Reason)
-	}
+	send(transport.Msg{Kind: transport.KindSeedReport, Reports: []*core.Report{sr}})
+	waitFor(t, func() bool { return tier.Shard(victim).Counts().Accepted == 6 })
 	if err := ckpt.Tick(); err != nil {
 		t.Fatal(err)
 	}
@@ -430,14 +376,10 @@ func TestShardRestartMidEpoch(t *testing.T) {
 	if chain.Applied != 2 || !chain.Truncated || chain.Dropped != 1 {
 		t.Fatalf("chain restore %+v, want 2 applied / truncated / 1 dropped", chain)
 	}
-	if !cp.Lease.Valid() || cp.NonceCtr <= cp.Lease.Lo {
-		t.Fatalf("checkpoint not mid-epoch: %+v", cp.Lease)
-	}
-	if w := cp.Erasmus[name]; len(w.Counters()) != 3 || cp.Seed[name] != 5 {
+	if w := cp.Erasmus[name]; len(w.Counters()) != 3 || cp.Seed[name] != 6 {
 		t.Fatalf("checkpoint missing enrollment: %+v", cp)
 	}
 	addr := lis[victim].Addr().String()
-	preLease := cp.Lease
 	lis[victim].Close()
 
 	// Restart on the same address from the serialized checkpoint.
@@ -469,7 +411,7 @@ func TestShardRestartMidEpoch(t *testing.T) {
 	for _, tc := range []struct {
 		ctr    uint64
 		wantOK bool
-	}{{5, false}, {6, true}} {
+	}{{6, false}, {7, true}} {
 		sr, err := prv.SeedReport(tc.ctr)
 		if err != nil {
 			t.Fatal(err)
@@ -488,8 +430,35 @@ func TestShardRestartMidEpoch(t *testing.T) {
 			t.Fatalf("SeED replay ctr %d not rejected after restore: %+v", tc.ctr, c)
 		}
 	}
-	// SMART still works, and the restored lease means the new
-	// challenge cannot collide with any pre-kill nonce.
+	// I3 by construction: no challenge redeems outside the shard and
+	// the incarnation that minted it, because its MAC key is drawn per
+	// incarnation and never persisted. The pre-kill response, the
+	// pre-kill challenge nobody answered, and a challenge shard 0 minted
+	// all fail the MAC here.
+	refused := func(what string, reports ...*core.Report) {
+		t.Helper()
+		send(transport.Msg{Kind: transport.KindReport, Reports: reports})
+		if v := await(transport.KindVerdict); v.OK || v.Reason != verifier.ReasonNonceMismatch.String() {
+			t.Fatalf("%s after restart: ok=%v %q, want %q", what, v.OK, v.Reason, verifier.ReasonNonceMismatch)
+		}
+	}
+	refused("pre-kill response replayed", rep)
+	repOpen, err := prv.Respond(chOpen.Nonce)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused("response to an unanswered pre-kill challenge", repOpen)
+	if err := cli.Send(transport.Msg{From: name, To: ShardName(0), Kind: transport.KindHello}); err != nil {
+		t.Fatal(err)
+	}
+	ch0 := await(transport.KindChallenge)
+	rep0, err := prv.Respond(ch0.Nonce)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused("response to shard 0's challenge", rep0)
+
+	// SMART still works, on a challenge of the new incarnation.
 	send(transport.Msg{Kind: transport.KindHello})
 	ch2 := await(transport.KindChallenge)
 	if bytes.Equal(ch1.Nonce, ch2.Nonce) {
@@ -502,11 +471,6 @@ func TestShardRestartMidEpoch(t *testing.T) {
 	send(transport.Msg{Kind: transport.KindReport, Reports: []*core.Report{rep2}})
 	if v := await(transport.KindVerdict); !v.OK {
 		t.Fatalf("post-restore SMART rejected: %s", v.Reason)
-	}
-	// The coordinator was fenced: no future lease may overlap the
-	// restored shard's window.
-	if l := tier.coord.Lease(0); l.Lo < preLease.Hi {
-		t.Fatalf("coordinator re-issued counters under restored lease: %+v vs %+v", l, preLease)
 	}
 }
 

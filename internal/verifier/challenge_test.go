@@ -50,7 +50,7 @@ func TestChallengeWindowSlides(t *testing.T) {
 // server draws one) refuses every nonce minted under the old one.
 func TestChallengerOpen(t *testing.T) {
 	c := NewChallenger([]byte("verifier-only key"), []byte("test"))
-	nonce := c.Issue(7, "prv")
+	nonce := c.Issue("prv")
 	if len(nonce) != ChallengeNonceLen {
 		t.Fatalf("nonce of %d bytes", len(nonce))
 	}
@@ -74,9 +74,12 @@ func TestChallengerOpen(t *testing.T) {
 		}
 	}
 
-	old := c.Issue(8, "prv")
+	old := c.Issue("prv") // seq 2
 	fresh := NewChallenger([]byte("a key drawn at restore"), []byte("test"))
-	fresh.Issue(8, "prv") // the same ctr, and the same seq, as old
+	fresh.Issue("prv")
+	if again := fresh.Issue("prv"); string(again[:16]) != string(old[:16]) {
+		t.Fatalf("a fresh key's second nonce has head %x, want old's %x", again[:16], old[:16])
+	}
 	if got := fresh.Open("prv", 1, old); got != ReasonNonceMismatch {
 		t.Fatalf("a fresh key redeemed a nonce minted before it: %q", got)
 	}
@@ -88,7 +91,7 @@ func TestChallengeRedeemRace(t *testing.T) {
 	const racers = 16
 	c := NewChallenger([]byte("verifier-only key"), []byte("test"))
 	for round := 0; round < 50; round++ {
-		nonce := c.Issue(uint64(round), "prv")
+		nonce := c.Issue("prv")
 		var wg sync.WaitGroup
 		wins := make(chan struct{}, racers)
 		for i := 0; i < racers; i++ {
@@ -116,8 +119,8 @@ func FuzzRedeemChallenge(f *testing.F) {
 	mint := func() (*Challenger, map[string]string) {
 		c := NewChallenger(key, label)
 		minted := map[string]string{}
-		for i, name := range names {
-			minted[string(c.Issue(uint64(i+1), name))] = name
+		for _, name := range names {
+			minted[string(c.Issue(name))] = name
 		}
 		return c, minted
 	}

@@ -145,14 +145,15 @@ func AppendSeedFor(dst, key, prover []byte) []byte {
 }
 
 // ChallengeNonceLen is the length of a SMART challenge nonce:
-// ctr ‖ seq ‖ MAC(key, label ‖ ctr ‖ seq ‖ name)[:16].
+// seq ‖ seq ‖ MAC(key, label ‖ seq ‖ seq ‖ name)[:16].
 const ChallengeNonceLen = 32
 
 // Challenger issues SMART challenges that prove themselves (the DTLS
 // stateless cookie, RFC 6347 §4.2.1), so no stack stores one: the MAC
-// binds the caller's counter ctr, which keeps nonces unique beyond this
-// Challenger, and the window's seq to the prover's name, under a key
-// only the verifier holds. Safe for concurrent use.
+// binds the window's seq to the prover's name under a key only the
+// verifier holds. A nonce is unique beyond this Challenger because its
+// key is: a nonce minted under another key fails the MAC. Safe for
+// concurrent use.
 type Challenger struct {
 	label []byte
 	macs  sync.Pool // *challengeMAC: a MAC state under the key, a staging buffer
@@ -179,7 +180,7 @@ func NewChallenger(key, label []byte) *Challenger {
 	return c
 }
 
-// appendMAC appends the MAC of a nonce's head (ctr ‖ seq) and name to dst.
+// appendMAC appends the MAC of a nonce's head (seq ‖ seq) and name to dst.
 func (c *Challenger) appendMAC(dst, head []byte, name string) []byte {
 	m := c.macs.Get().(*challengeMAC)
 	m.buf = append(append(m.buf[:0], head...), name...)
@@ -192,10 +193,15 @@ func (c *Challenger) appendMAC(dst, head []byte, name string) []byte {
 	return dst
 }
 
-// Issue mints the challenge for name under counter ctr.
-func (c *Challenger) Issue(ctr uint64, name string) []byte {
-	nonce := binary.BigEndian.AppendUint64(make([]byte, 0, ChallengeNonceLen), ctr)
-	nonce = binary.BigEndian.AppendUint64(nonce, c.win.Issue())
+// Issue mints the next challenge for name. The seq is written twice:
+// the leading word once held a counter leased across shards, and
+// keeping it keeps the nonce 32 bytes, so the sim stack's nonces — and
+// SMARM's traversal orders, which are derived from the nonce bytes —
+// stay what they were.
+func (c *Challenger) Issue(name string) []byte {
+	seq := c.win.Issue()
+	nonce := binary.BigEndian.AppendUint64(make([]byte, 0, ChallengeNonceLen), seq)
+	nonce = binary.BigEndian.AppendUint64(nonce, seq)
 	return c.appendMAC(nonce, nonce, name)
 }
 

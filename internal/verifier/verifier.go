@@ -65,7 +65,6 @@ type Verifier struct {
 	seedMons map[string]*SeedMonitor
 	results  []Result
 	tally    Tally
-	nonceCtr uint64
 	// nonce and why are the scratch of Judge: the self-derived nonce of
 	// the ERASMUS and SeED rules and the bundle's verdicts (a Verifier
 	// handles one bundle at a time).
@@ -127,8 +126,7 @@ func (v *Verifier) send(to string, kind transport.Kind, nonce []byte) {
 // Challenge sends a fresh-nonce attestation request to a prover
 // (step 1 of the §2.2 timeline) and returns the nonce.
 func (v *Verifier) Challenge(prover string) []byte {
-	v.nonceCtr++
-	nonce := v.challenger().Issue(v.nonceCtr, prover)
+	nonce := v.challenger().Issue(prover)
 	v.Trace.AddCat(v.Kernel.Now(), trace.KindRequestSent, endpoint, "to ", prover)
 	v.send(prover, transport.KindChallenge, nonce)
 	return nonce
@@ -141,9 +139,9 @@ func (v *Verifier) Collect(prover string) {
 
 var labelChallenge = []byte("challenge")
 
-// challenger returns the verifier's Challenger, whose window issues
-// seq = nonceCtr. Its key is PRF(PermKey, "challenge", 0), so runs stay
-// reproducible while nonces stay unpredictable to the prover.
+// challenger returns the verifier's Challenger. Its key is
+// PRF(PermKey, "challenge", 0), so runs stay reproducible while nonces
+// stay unpredictable to the prover.
 func (v *Verifier) challenger() *Challenger {
 	if v.chal == nil {
 		v.chal = NewChallenger(core.AppendPRF(nil, v.PermKey, labelChallenge, 0), labelChallenge)

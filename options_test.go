@@ -66,7 +66,6 @@ var optionsAllowed = [...]struct{ name, reason, why string }{
 	{"rattd.CheckpointerConfig.MaxDeltaFrac", faultSeam, "disarms size-triggered compaction so the delta-count paths run on tiny fleets"},
 	{"rattd.Config.Key", deployment, "the daemon's credential: a deployment provisions its own in place of the public DefaultKey"},
 	{"rattd.Config.Stripes", scaleSeam, "two stripes, to restore a checkpoint into a server striped another way (TestEnrolledCounter, TestCheckpointerChain); other rattd tests pin 4 or 8 so they do not vary with the host"},
-	{"rattd.TierConfig.Window", faultSeam, "a three-counter lease, so shards exhaust and renew leases within a test"},
 	{"safety.Config.CheckDur", faultSeam, "a 5–10 µs sensor pass, so several land inside one lock window"},
 	{"transport.NetConfig.DropSeed", faultSeam, "makes injected datagram loss replayable"},
 	{"transport.NetConfig.QueueCap", faultSeam, "8- and 64-slot rings that overflow on purpose (TestNetQueueDropExactAccounting, TestNetQueueDropRecovery, TestNetRingHoldsDatagrams)"},

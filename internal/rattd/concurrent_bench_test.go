@@ -13,11 +13,12 @@ import (
 
 // BenchmarkServer_VerifySteady prices the steady-state ERASMUS verify
 // path — fleet provers reporting the current counter, nonce and
-// expected tag already memoised: two stripe visits and one verdict a
-// bundle; one nonce-memo probe, one window probe, one tag-cache probe
-// and MAC compare, one window commit a report (plus one PRF and one tag
-// computation per counter, fleet-wide). The CI gate asserts 0 allocs/op
-// here.
+// expected tag already memoised: two stripe visits, one registry
+// resolution and one verdict a bundle; one counter-keyed nonce-memo
+// probe and nonce compare, one window probe, the memo entry's link to
+// the expected tag and the tag compare, one window commit a report
+// (plus one PRF, one tag computation and one epoch probe per counter,
+// fleet-wide). The CI gate asserts 0 allocs/op here.
 func BenchmarkServer_VerifySteady(b *testing.B) { benchVerifySteady(b, 1) }
 
 // BenchmarkServer_VerifySteadyDepth4 is the same path at the history

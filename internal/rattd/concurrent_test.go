@@ -10,6 +10,7 @@ import (
 
 	"saferatt/internal/core"
 	"saferatt/internal/transport"
+	"saferatt/internal/verifier"
 )
 
 // localServer builds a Server over the in-process transport — the
@@ -356,6 +357,80 @@ func TestServerVerifySteadyZeroAllocs(t *testing.T) {
 	}
 	if c := s.Counts(); c.Accepted != uint64(2*n) {
 		t.Fatalf("accepted %d, want %d (a measured report was rejected)", c.Accepted, 2*n)
+	}
+}
+
+// TestServerVerifySteadyDepth4ZeroAllocs is the same gate on the
+// history depth the benchmark's fleets send: four reports a bundle, so
+// the per-report verdicts, the memo probes and the tag-cache links of a
+// bundle judged as one unit allocate nothing either
+// (BenchmarkServer_VerifySteadyDepth4's path).
+func TestServerVerifySteadyDepth4ZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the gate runs in the non-race suite")
+	}
+	const n, depth = 512, 4
+	bundleAt := func(p *Prover, first uint64) []core.Report {
+		b := make([]core.Report, depth)
+		for i := range b {
+			b[i] = selfMeasure(t, p, first+uint64(i))
+		}
+		return b
+	}
+	s, provers := steadyFleet(t, n, func(p *Prover) (transport.Kind, []core.Report) {
+		return transport.KindCollection, bundleAt(p, 1)
+	})
+	bundles := make([][]core.Report, n)
+	for i, p := range provers {
+		bundles[i] = bundleAt(p, 1+depth)
+	}
+	// Warm the next counters' expected tags, memo entries and links, and
+	// the ingest scratch pool.
+	s.Ingest(provers[0].Name, transport.KindCollection, bundles[0])
+	s.Ingest(provers[1].Name, transport.KindCollection, bundles[1])
+
+	i := 2
+	avg := testing.AllocsPerRun(n-3, func() {
+		s.Ingest(provers[i].Name, transport.KindCollection, bundles[i])
+		i++
+	})
+	if avg != 0 {
+		t.Fatalf("4-deep steady-state verify path allocates %.2f allocs/op, want 0", avg)
+	}
+	if c := s.Counts(); c.Accepted != uint64(2*n*depth) || c.Rejected != 0 {
+		t.Fatalf("counts %+v, want %d accepted and none rejected", c, 2*n*depth)
+	}
+}
+
+// TestServerRejectUnboundCounterZeroAllocs gates the path a sender who
+// picks its own counters takes (BenchmarkServer_RejectUnboundCounter's):
+// an enrolled name, a counter nobody committed, a nonce that is not its
+// PRF — a memo miss, a derived nonce, a refusal and a verdict, and no
+// allocation.
+func TestServerRejectUnboundCounterZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the gate runs in the non-race suite")
+	}
+	const n = 512
+	s, provers := steadyFleet(t, n, func(p *Prover) (transport.Kind, []core.Report) {
+		return transport.KindCollection, []core.Report{selfMeasure(t, p, 1)}
+	})
+	bundle := []core.Report{selfMeasure(t, provers[0], 1)}
+	s.Ingest(provers[0].Name, transport.KindCollection, bundle) // warm the scratch pool
+	before := s.Counts()
+
+	i := 1
+	avg := testing.AllocsPerRun(n-2, func() {
+		bundle[0].Counter = mix64(uint64(i)) | 1<<32 // chosen by the sender, never committed
+		s.Ingest(provers[i].Name, transport.KindCollection, bundle)
+		i++
+	})
+	if avg != 0 {
+		t.Fatalf("unbound-counter reject allocates %.2f allocs/op, want 0", avg)
+	}
+	after := s.Counts()
+	if after.Accepted != before.Accepted || after.Verdicts[verifier.ReasonNonceUnbound]-before.Verdicts[verifier.ReasonNonceUnbound] != uint64(n-1) {
+		t.Fatalf("counts %+v -> %+v, want %d more nonce-unbound refusals and no accept", before, after, n-1)
 	}
 }
 

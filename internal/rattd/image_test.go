@@ -435,37 +435,32 @@ func interleavedRatio(from, to int, base, arm func(round int)) (ratio float64, b
 
 // TestServerVerifyMultiImageOverhead gates the heterogeneous-fleet
 // verify cost: what routing every bundle through the registry by wire
-// image id adds to a report — four expected tags a round against one,
-// a registry probe a bundle — must stay within the budget the gate was
-// set with, 0.15 of the single-image steady path as it then stood.
-// The two arms are measured round-by-round interleaved, so clock
-// drift and GC weather hit both equally — a cross-benchmark median
-// comparison would confound the ratio with run ordering.
+// image id adds — four expected tags a round against one, an image id
+// parsed, a binding checked and a registry probe a bundle — may make a
+// round of the fleet's bundles cost at most maxRoundRatio times the
+// same round on a single-image server.
 //
-// The budget is held in the nanoseconds it was set in, not as a ratio
-// to whatever the single arm costs today: judging a bundle as one unit
-// took a quarter off the single-image report and nothing off the named
-// arm's extra, so 1.15x of the new denominator would have been a
-// tighter gate on an unchanged cost (lone runs crossed it 4 times in 20
-// with the extra smaller than before; CHANGES.md, PR 19). The single arm
-// the budget refers to is singleArmAtGate times this run's, which keeps
-// the test free of a host's clock.
+// The bound is a ratio over a fixed amount of work: a round is one
+// bundle from each of the fleet's provers in both arms, and the two
+// arms run round by round interleaved, so clock drift, GC weather and
+// the host's speed hit both alike. It used to be an extra in
+// nanoseconds against a fixed share of the single arm as it stood when
+// the gate was set, and that budget shrank whenever the host ran fast
+// while the extra did not. The ratio does not move with the host: it
+// read 1.13–1.15 in eight lone runs on a 2-vCPU host whose single arm
+// ran at 206 ns a report in some and 444 ns in others, and 1.19–1.21
+// with the named-image lookup done twice. A change that makes the
+// single-image path cheaper and leaves the named route's cost where it
+// was raises the ratio; it restates the bound, saying so.
 func TestServerVerifyMultiImageOverhead(t *testing.T) {
-	// BenchmarkServer_VerifySteady before bundles were judged as one
-	// unit over the same benchmark since, -cpu 1, alternating runs
-	// (CHANGES.md, PR 19). A later change that speeds the single-image
-	// path up again without touching the named arm's extra restates
-	// this the same way.
-	const singleArmAtGate = 1.31
-
+	const maxRoundRatio = 1.17
 	if raceEnabled {
 		t.Skip("race instrumentation distorts timing; the gate runs in the non-race suite")
 	}
 	const fleet = 2048
 	// The median of 48 rounds let a few preempted rounds carry it past
-	// the budget in whole-suite runs (1.20–1.29x where lone runs read
-	// at most 1.19x); 160 rounds cost about 0.2 s more.
-	const rounds = 160
+	// the bound in whole-suite runs; 400 rounds take about a second.
+	const rounds = 400
 	const warmup = 2
 
 	single := localServer(t, Config{Stripes: 8})
@@ -553,9 +548,7 @@ func TestServerVerifyMultiImageOverhead(t *testing.T) {
 	ops := int64(fleet * rounds)
 	t.Logf("single %.0f ns/report, multi-image %.0f ns/report (median round %.3fx)",
 		float64(sNS)/float64(ops), float64(mNS)/float64(ops), ratio)
-	singleNS := float64(sNS) / float64(ops)
-	extra, budget := (ratio-1)*singleNS, 0.15*singleArmAtGate*singleNS
-	if extra > budget {
-		t.Fatalf("a named image adds %.0f ns/report (median round %.3fx of %.0f ns), budget %.0f", extra, ratio, singleNS, budget)
+	if ratio > maxRoundRatio {
+		t.Fatalf("a round of named-image bundles costs %.3fx the single-image round (median of %d), bound %.2fx", ratio, rounds, maxRoundRatio)
 	}
 }

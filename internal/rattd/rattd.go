@@ -421,11 +421,10 @@ func (s *Server) handleReport(from string, id verifier.ImageID, reports []core.R
 		why = s.chal.Load().Open(from, len(reports), nonce)
 	}
 	if why == verifier.ReasonOK {
-		tags := bundleTags{s: s, id: verifier.ImageID{Name: name, Version: id.Version}}
+		x := verifier.Expect{Nonce: nonce}
+		s.setTags(&x.Tags, name, id.Version, true)
 		var buf [4]verifier.Reason // verdict scratch: one a measurement round
-		_, why, err = verifier.Judge(buf[:0], verifier.SMART, nil, reports,
-			func(uint64) []byte { return nonce }, verifier.CollectionPolicy{},
-			func(i int) (bool, error) { return tags.check(&reports[i]) })
+		_, why, err = verifier.Judge(buf[:0], verifier.SMART, nil, reports, &x)
 	}
 	s.verdicts[why].Add(1)
 	s.verdict(from, "report", len(reports), why, err)
@@ -443,7 +442,8 @@ func (s *Server) verdict(from, what string, n int, why verifier.Reason, err erro
 // ingestScratch holds the reusable buffers of one bundle's ingest:
 // pooled so the steady-state verify path allocates nothing.
 type ingestScratch struct {
-	nonce []byte            // PRF output
+	x     verifier.Expect   // what the bundle is judged against
+	nonce []byte            // derived SeED nonces' bytes
 	seed  []byte            // derived SeED schedule seed
 	name  []byte            // prover name bytes (string→[]byte staging)
 	why   []verifier.Reason // the bundle's verdicts, one per report
@@ -503,16 +503,12 @@ func (s *Server) collect(sc *ingestScratch, from string, id verifier.ImageID, re
 	st.mu.Unlock()
 
 	// Judge, under the daemon's zero CollectionPolicy (no cadence rule).
-	tags := bundleTags{s: s, id: verifier.ImageID{Name: name, Version: id.Version}, shared: true}
-	missed := false // some nonce was not in the memo
-	why, first, firstErr := verifier.Judge(sc.why[:0], verifier.ERASMUS, &fresh, reports, func(ctr uint64) []byte {
-		want, memoised := s.nonces.Nonce(sc.nonce, ctr)
-		if !memoised {
-			sc.nonce, missed = want, true // derived into the scratch: keep its backing array
-		}
-		return want
-	}, verifier.CollectionPolicy{}, func(i int) (bool, error) { return tags.check(&reports[i]) })
+	x := &sc.x
+	s.setTags(&x.Tags, name, id.Version, false)
+	x.Memo = s.nonces
+	why, first, firstErr := verifier.Judge(sc.why[:0], verifier.ERASMUS, &fresh, reports, x)
 	sc.why = why
+	missed := x.Missed // some nonce was not in the memo
 
 	// Commit.
 	accepted := slices.Contains(why, verifier.ReasonOK)
@@ -570,14 +566,19 @@ func (s *Server) handleSeed(from string, id verifier.ImageID, reports []core.Rep
 	}
 
 	// Judge.
-	tags := bundleTags{s: s, id: verifier.ImageID{Name: name, Version: id.Version}}
 	sc := scratchPool.Get().(*ingestScratch)
 	sc.name = append(sc.name[:0], from...)
 	sc.seed = verifier.AppendSeedFor(sc.seed[:0], s.cfg.Key, sc.name)
-	why, _, _ := verifier.Judge(sc.why[:0], verifier.SeED, &fresh, reports, func(ctr uint64) []byte {
-		sc.nonce = core.AppendSeedNonce(sc.nonce[:0], sc.seed, ctr)
-		return sc.nonce
-	}, verifier.CollectionPolicy{}, func(i int) (bool, error) { return tags.check(&reports[i]) })
+	x := &sc.x
+	s.setTags(&x.Tags, name, id.Version, true)
+	x.Memo = nil
+	x.Nonces, sc.nonce = x.Nonces[:0], sc.nonce[:0]
+	for i := range reports {
+		at := len(sc.nonce)
+		sc.nonce = core.AppendSeedNonce(sc.nonce, sc.seed, reports[i].Counter)
+		x.Nonces = append(x.Nonces, sc.nonce[at:len(sc.nonce):len(sc.nonce)])
+	}
+	why, _, _ := verifier.Judge(sc.why[:0], verifier.SeED, &fresh, reports, x)
 
 	// Commit; the first report to get here enrolls the prover.
 	if slices.Contains(why, verifier.ReasonOK) {
@@ -597,7 +598,7 @@ func (s *Server) handleSeed(from string, id verifier.ImageID, reports []core.Rep
 		for i, w := range why {
 			var err error
 			if w == verifier.ReasonError { // Judge keeps one error; a malformed report fails twice alike
-				_, err = tags.check(&reports[i])
+				err = x.Tags.Err(&reports[i])
 			}
 			s.cfg.Logf("seed-report %s ctr=%d: ok=%v %s", from, reports[i].Counter, w == verifier.ReasonOK, w.Text(err))
 		}
@@ -649,41 +650,18 @@ func (s *Server) countBundle(why []verifier.Reason) {
 	}
 }
 
-// bundleTags is the tag checker of one bundle. The image id is resolved
-// once, by the first report that gets as far as its tag, so a bundle is
-// judged against one registry generation and one refused on freshness
-// alone never probes the registry. shared says the nonces are shared
-// across the fleet (the batch fast path: cached expected tags); one-shot
-// nonces are computed and not cached. Runs under no lock: the registry
-// and every batch's tag cache are read-mostly concurrent. A version
-// retired past its grace is ErrStaleImage, never a spurious pass.
-type bundleTags struct {
-	s      *Server
-	id     verifier.ImageID
-	shared bool
-
-	resolved bool
-	batch    *verifier.Batch
-	err      error
-}
-
-func (t *bundleTags) check(r *core.Report) (bool, error) {
-	if r.RegionCount > 0 || r.Data != nil {
-		// Per-device regions and reported data blocks defeat the shared
-		// expected tag; the daemon serves uniform fleets.
-		return false, verifier.ErrRegionUnserved
-	}
-	if !t.resolved {
-		t.batch, t.err = t.s.images.BatchFor(t.id)
-		t.resolved = true
-	}
-	if t.err != nil {
-		return false, t.err
-	}
-	if t.shared {
-		return t.batch.Verify(t.s.cfg.Key, r, false)
-	}
-	return t.batch.VerifyOnce(t.s.cfg.Key, r, false)
+// setTags makes t the tag source of one bundle under the image the
+// bundle resolved to (name at version), writing only the fields a
+// bundle sets: a Tags is 144 bytes, and copying a whole one into the
+// pooled scratch (a bulk write barrier) cost a steady bundle ~20 ns.
+// The daemon serves uniform fleets, so a report with per-device regions
+// or data blocks is refused (nil Each: ErrRegionUnserved). once says
+// the nonces cannot recur, so the tags are computed and not cached. The
+// registry and every batch's tag cache are read-mostly concurrent, so a
+// bundle is judged under no lock. A version retired past its grace is
+// ErrStaleImage, never a spurious pass.
+func (s *Server) setTags(t *verifier.Tags, name string, version uint32, once bool) {
+	t.Key, t.Images, t.ID, t.Once = s.cfg.Key, s.images, verifier.ImageID{Name: name, Version: version}, once
 }
 
 // SeedFor derives a prover's SeED schedule seed from the shared key

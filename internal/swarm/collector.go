@@ -72,6 +72,9 @@ type Collector struct {
 	// fleet's expected tag is computed once per round, not per node.
 	batches  map[string]*verifier.Batch
 	byGolden map[*mem.Golden]*verifier.Batch
+	// each is judgeNode's per-report reference, rebuilt a node; it lives
+	// here because what a verifier.Tags points at escapes.
+	each verifier.Reference
 }
 
 // NewCollector builds an empty collector for the given measurement
@@ -175,18 +178,11 @@ func (c *Collector) judgeNode(name string, reports []*core.Report, nonce []byte)
 	key := c.keys[name]
 	b, img := c.batches[name], c.images[name]
 	var why [4]verifier.Reason // verdict scratch: one a measurement round
-	_, first, err := verifier.Judge(why[:0], verifier.SMART, nil, reports,
-		func(uint64) []byte { return nonce }, verifier.CollectionPolicy{},
-		func(i int) (bool, error) {
-			// Batched fast path: amortize the expected tag across all
-			// reports in this round's (key, round, order) group. Region-
-			// or data-carrying reports vary per device and take the
-			// per-report path.
-			r := reports[i]
-			if b != nil && r.RegionCount == 0 && r.Data == nil {
-				return b.Verify(key, r, c.shuffle)
-			}
-			return img.VerifyTag(suite.Scheme{Hash: c.hash, Key: key}, key, core.Options{Shuffled: c.shuffle}, r)
-		})
+	// Batched fast path: amortize the expected tag across all reports in
+	// this round's (key, round, order) group. Region- or data-carrying
+	// reports vary per device and take the per-report path.
+	c.each = verifier.Reference{Image: img, Scheme: suite.Scheme{Hash: c.hash, Key: key}, Opts: core.Options{Shuffled: c.shuffle}}
+	_, first, err := verifier.Judge(why[:0], verifier.SMART, nil, reports, &verifier.Expect{Nonce: nonce,
+		Tags: verifier.Tags{Key: key, Shuffled: c.shuffle, Batch: b, Each: &c.each}})
 	return NodeVerdict{Node: name, OK: first == verifier.ReasonOK, Reason: first.Text(err)}
 }

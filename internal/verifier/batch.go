@@ -2,8 +2,10 @@ package verifier
 
 import (
 	"bytes"
-	"fmt"
-	"hash/maphash"
+	"crypto/rand"
+	"encoding/binary"
+	"errors"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -27,12 +29,19 @@ import (
 // Expected tags are cached per nonce epoch in a fifoTable: Verify is
 // safe for any number of concurrent callers, and the steady-state hit
 // path — the one a daemon's dispatch workers hammer — takes no lock
-// and performs no allocation. Inserts (one per new (epoch, group),
-// i.e. once per fleet-wide expected-tag computation) link one entry in
-// under a writer mutex, whatever the table holds; concurrent misses on
-// the same group may compute the tag redundantly, which is harmless
-// and rare. Eviction is insertion-ordered and bounded by KeepEpochs
-// (≤1 keeps the single-epoch behavior).
+// and performs no allocation. A caller judging a bundle goes through
+// Tags, which interns the key once a bundle and counts the bundle's
+// reports in one atomic add, so a hit costs one hash of sixteen nonce
+// bytes, one chain probe and one tag compare. A report whose nonce came
+// from a NonceMemo entry skips the probe too: the entry links to the
+// group its nonce resolved to here (see links), so the steady ERASMUS
+// report costs the memo probe and the two compares. Inserts (one per
+// new (epoch, group), i.e. once per fleet-wide expected-tag
+// computation) link one entry in under a writer mutex, whatever the
+// table holds; concurrent misses on the same group may compute the tag
+// redundantly, which is harmless and rare. Eviction is
+// insertion-ordered and bounded by KeepEpochs (≤1 keeps the
+// single-epoch behavior).
 //
 // A tag is worth a cache slot only if its nonce can recur. Verify
 // publishes, and is for nonces a fleet shares: ERASMUS collections
@@ -52,6 +61,7 @@ type Batch struct {
 
 	hash suite.HashID
 	img  Image
+	slot int // which of a memo entry's links is this batch's (ImageSet numbers them)
 
 	cache atomic.Pointer[fifoTable[batchEpoch]] // epoch→group→tag; nil until the first publish
 	key   atomic.Pointer[keyMemo]               // []byte→string memo of the fleet key
@@ -69,6 +79,7 @@ type batchEpoch struct {
 }
 
 type batchGroup struct {
+	b    *Batch // whose cache holds the group; what a link is checked against
 	k    groupKey
 	tag  []byte
 	next *batchGroup
@@ -76,7 +87,31 @@ type batchGroup struct {
 
 // epochSeed keys the hash of nonce epochs. Nonces arrive off the wire,
 // so the seed is per process and random.
-var epochSeed = maphash.MakeSeed()
+var epochSeed = func() (seed [2]uint64) {
+	var b [16]byte
+	if _, err := rand.Read(b[:]); err != nil {
+		panic(err)
+	}
+	return [2]uint64{binary.LittleEndian.Uint64(b[:8]), binary.LittleEndian.Uint64(b[8:])}
+}()
+
+// epochHash hashes a nonce epoch: its first and last eight bytes, each
+// xored with a word of the seed, folded through one 128-bit multiply.
+// Sixteen bytes are enough: the table holds at most KeepEpochs entries,
+// so a chain stays bounded whatever the hash, and the seed keeps a
+// sender who does not know it from choosing nonces that share a chain.
+func epochHash(nonce []byte) uint64 {
+	var lo, hi uint64
+	if n := len(nonce); n >= 8 {
+		lo, hi = binary.LittleEndian.Uint64(nonce), binary.LittleEndian.Uint64(nonce[n-8:])
+	} else {
+		for _, c := range nonce {
+			lo = lo<<8 | uint64(c)
+		}
+	}
+	hi, lo = bits.Mul64(lo^epochSeed[0], hi^epochSeed[1]^uint64(len(nonce)))
+	return hi ^ lo
+}
 
 // findEpoch returns the table's entry for a nonce epoch, nil when it
 // holds none.
@@ -91,24 +126,47 @@ func findEpoch(t *fifoTable[batchEpoch], h uint64, nonce []byte) *batchEpoch {
 	return nil
 }
 
-// tag returns the epoch's expected tag for group k.
-func (e *batchEpoch) tag(k groupKey) ([]byte, bool) {
+// group returns the epoch's group k, nil if it holds none.
+func (e *batchEpoch) group(k groupKey) *batchGroup {
 	for g := e.groups.Load(); g != nil; g = g.next {
 		if g.k == k {
-			return g.tag, true
+			return g
 		}
 	}
-	return nil, false
+	return nil
 }
 
-// lookup returns the expected tag cached for (nonce, k).
-func (b *Batch) lookup(nonce []byte, k groupKey) ([]byte, bool) {
+// lookup returns the group cached for (nonce, k), nil if none is.
+func (b *Batch) lookup(nonce []byte, k groupKey) *batchGroup {
 	if t := b.cache.Load(); t != nil {
-		if e := findEpoch(t, maphash.Bytes(epochSeed, nonce), nonce); e != nil {
-			return e.tag(k)
+		if e := findEpoch(t, epochHash(nonce), nonce); e != nil {
+			return e.group(k)
 		}
 	}
-	return nil, false
+	return nil
+}
+
+// links are a NonceMemo entry's pointers into Batch caches: for each
+// of a few batches, the group the entry's nonce resolved to there. They
+// are an index, not a second cache: what a link points at is the group
+// an epoch table holds (or held: an evicted group stays reachable from
+// the entry, and stays right, since a tag is a pure function of its
+// batch, nonce and group key). A batch uses the link its slot names, and
+// an ImageSet gives the batches it makes consecutive slots, so a fleet
+// of up to len(links) images that share counters keeps every image on
+// the fast path. A hit is checked against the batch and the group key,
+// so a link made under another batch, round or key is a miss that takes
+// the probe.
+type links [4]atomic.Pointer[batchGroup]
+
+// linkTo points link at g if it points nowhere yet. A link is never
+// moved: two batches sharing a slot would otherwise have the workers
+// rewrite it back and forth; the one it does not lead to takes the
+// probe.
+func linkTo(link *atomic.Pointer[batchGroup], g *batchGroup) {
+	if link != nil && link.Load() == nil {
+		link.CompareAndSwap(nil, g)
+	}
 }
 
 // keyMemo memoizes the []byte→string conversion of the attestation
@@ -149,34 +207,69 @@ func NewBatch(hash suite.HashID, img Image) *Batch {
 // first cost one MAC comparison, no hashing, no locks, and no
 // allocations. Safe for concurrent use.
 func (b *Batch) Verify(key []byte, r *core.Report, shuffled bool) (bool, error) {
-	return b.verify(key, r, shuffled, true)
+	return b.verifyOne(key, r, shuffled, true)
 }
 
 // VerifyOnce is Verify for a report whose nonce cannot recur: the same
 // checks against the same expected tag, computed every time and never
 // cached (see the type comment). Counted in Stats like any other miss.
 func (b *Batch) VerifyOnce(key []byte, r *core.Report, shuffled bool) (bool, error) {
-	return b.verify(key, r, shuffled, false)
+	return b.verifyOne(key, r, shuffled, false)
 }
 
-func (b *Batch) verify(key []byte, r *core.Report, shuffled, shared bool) (bool, error) {
+func (b *Batch) verifyOne(key []byte, r *core.Report, shuffled, shared bool) (bool, error) {
+	ok, err := b.verify(key, b.internKey(key), r, shuffled, shared, nil)
+	if err == nil {
+		b.reports.Add(1)
+	}
+	return ok, err
+}
+
+// internKey returns the memo's string for key, replacing the memo when
+// key is another.
+func (b *Batch) internKey(key []byte) string {
+	km := b.key.Load()
+	if km == nil || !bytes.Equal(key, km.b) {
+		km = &keyMemo{str: string(key), b: append([]byte(nil), key...)}
+		b.key.Store(km)
+	}
+	return km.str
+}
+
+// errNotBatchable refuses a report whose regions or data blocks make
+// its expected tag its own.
+var errNotBatchable = errors.New("verifier: region/data reports are not batchable")
+
+// verify checks r under key, whose interned string is kstr. ls, if not
+// nil, are the links of the memo entry whose nonce r carries: a group
+// this batch's link leads to is used without the probe, and the group
+// the probe finds or publish makes is linked from it. A link does not
+// look at the nonce, so handing one over for a report that carries
+// another would check it against the wrong tag; Judge hands one over
+// only once the nonce rule has matched r's nonce to the entry's. A nil
+// error means r was verified through the batch and is the caller's to
+// count in b.reports.
+func (b *Batch) verify(key []byte, kstr string, r *core.Report, shuffled, shared bool, ls *links) (bool, error) {
 	if err := b.img.checkGeometry(r); err != nil {
 		return false, err
 	}
 	if r.RegionCount > 0 || r.Data != nil {
-		return false, fmt.Errorf("verifier: region/data reports are not batchable")
+		return false, errNotBatchable
 	}
-	var k groupKey
+	k := groupKey{key: kstr, round: r.Round, shuffled: shuffled, incremental: r.Incremental}
+	var link *atomic.Pointer[batchGroup]
+	if ls != nil {
+		link = &ls[b.slot]
+	}
 	if shared {
-		km := b.key.Load()
-		if km == nil || !bytes.Equal(key, km.b) {
-			km = &keyMemo{str: string(key), b: append([]byte(nil), key...)}
-			b.key.Store(km)
+		if link != nil {
+			if g := link.Load(); g != nil && g.b == b && g.k == k {
+				return ctEqual(g.tag, r.Tag), nil
+			}
 		}
-		k = groupKey{key: km.str, round: r.Round, shuffled: shuffled, incremental: r.Incremental}
-		if exp, ok := b.lookup(r.Nonce, k); ok {
-			b.reports.Add(1)
-			return ctEqual(exp, r.Tag), nil
+		if g := b.lookup(r.Nonce, k); g != nil {
+			linkTo(link, g)
+			return ctEqual(g.tag, r.Tag), nil
 		}
 	}
 	exp, err := b.img.ExpectedTag(suite.Scheme{Hash: b.hash, Key: key}, key, core.Options{Shuffled: shuffled}, r)
@@ -185,17 +278,17 @@ func (b *Batch) verify(key []byte, r *core.Report, shuffled, shared bool) (bool,
 	}
 	b.computed.Add(1)
 	if shared {
-		b.publish(r.Nonce, k, exp)
+		linkTo(link, b.publish(r.Nonce, k, exp))
 	}
-	b.reports.Add(1)
 	return ctEqual(exp, r.Tag), nil
 }
 
-// publish inserts (epoch, group) → tag: a new group is pushed onto its
-// epoch's list, a new epoch is one table insert, which evicts past
-// KeepEpochs. Neither copies anything the table already holds. Runs
-// once per expected-tag computation — off every hit path.
-func (b *Batch) publish(nonce []byte, k groupKey, exp []byte) {
+// publish inserts (epoch, group) → tag and returns the group: a new
+// group is pushed onto its epoch's list, a new epoch is one table
+// insert, which evicts past KeepEpochs. Neither copies anything the
+// table already holds. Runs once per expected-tag computation — off
+// every hit path.
+func (b *Batch) publish(nonce []byte, k groupKey, exp []byte) *batchGroup {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	t := b.cache.Load()
@@ -203,17 +296,21 @@ func (b *Batch) publish(nonce []byte, k groupKey, exp []byte) {
 		t = newFifoTable[batchEpoch](b.KeepEpochs)
 		b.cache.Store(t)
 	}
-	h := maphash.Bytes(epochSeed, nonce)
+	h := epochHash(nonce)
 	if e := findEpoch(t, h, nonce); e != nil {
-		if _, dup := e.tag(k); !dup { // else a racing miss published it first
-			e.groups.Store(&batchGroup{k: k, tag: exp, next: e.groups.Load()})
+		g := e.group(k)
+		if g == nil { // else a racing miss published it first
+			g = &batchGroup{b: b, k: k, tag: exp, next: e.groups.Load()}
+			e.groups.Store(g)
 		}
-		return
+		return g
 	}
 	e := &fifoEntry[batchEpoch]{hash: h}
 	e.val.nonce = string(nonce)
-	e.val.groups.Store(&batchGroup{k: k, tag: exp})
+	g := &batchGroup{b: b, k: k, tag: exp}
+	e.val.groups.Store(g)
 	t.insert(e, b.KeepEpochs)
+	return g
 }
 
 // Stats returns a snapshot of amortization counters.

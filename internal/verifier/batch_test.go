@@ -1,7 +1,9 @@
 package verifier
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"math/rand/v2"
 	"runtime"
 	"testing"
@@ -327,6 +329,120 @@ func TestBatchPublishIsConstant(t *testing.T) {
 		t.Logf("%s: %.0f B/insert at a bound of 4, %.0f at 1024", name, small, large)
 		if large > 2*small || small > 2*large {
 			t.Errorf("%s allocates %.0f B/insert at a bound of 1024 against %.0f at 4: not constant", name, large, small)
+		}
+	}
+}
+
+// TestBatchHitAgreesWithComputedTag pins that a cached expected tag
+// never passes what the computed one would refuse, nor refuses what it
+// would pass. A clean report's tag is cached first, through the epoch
+// table and through a memo entry's link. Then each row sends a report
+// that differs from it in exactly one input the expected tag depends
+// on, once carrying the cached tag and once its own honest tag; the
+// cache hit (Verify), the link hit and the computed tag (VerifyOnce)
+// must give the same verdict.
+func TestBatchHitAgreesWithComputedTag(t *testing.T) {
+	key, other := []byte("fleet key"), []byte("another key")
+	v1, v2 := testImage(21, 4096, 256), testImage(22, 4096, 256)
+	clean := reportOver(t, key, v1.Bytes(), v1.BlockSize(), []byte("the epoch's nonce, 32 bytes long"))
+	type variant struct {
+		name     string
+		key      []byte
+		shuffled bool
+		id       ImageID // the version the report names, under "fw"
+		edit     func(r *core.Report)
+	}
+	rows := []variant{
+		{"the cached report itself", key, false, ImageID{}, func(*core.Report) {}},
+		{"key", other, false, ImageID{}, func(*core.Report) {}},
+		{"nonce", key, false, ImageID{}, func(r *core.Report) { r.Nonce = []byte("another nonce, also 32 bytes ...") }},
+		{"round", key, false, ImageID{}, func(r *core.Report) { r.Round = 1 }},
+		{"incremental", key, false, ImageID{}, func(r *core.Report) { r.Incremental = true }},
+		{"shuffled order", key, true, ImageID{}, func(*core.Report) {}},
+		{"image version in grace", key, false, ImageID{Name: "fw", Version: 1}, func(*core.Report) {}},
+		{"image version current", key, false, ImageID{Name: "fw", Version: 2}, func(*core.Report) {}},
+		{"image version past grace", key, false, ImageID{Name: "fw", Version: 1}, func(*core.Report) {}},
+	}
+	type verdict struct {
+		ok  bool
+		err string
+	}
+	for _, row := range rows {
+		for _, honest := range []bool{false, true} {
+			set := NewImageSet(ImageSetConfig{KeepEpochs: 4})
+			if _, err := set.Add("fw", v1); err != nil {
+				t.Fatal(err)
+			}
+			cached, _ := set.BatchFor(ImageID{Name: "fw"})
+			var ls links
+			if ok, err := cached.verify(key, cached.internKey(key), clean, false, true, &ls); !ok || err != nil {
+				t.Fatalf("clean report: %v, %v", ok, err)
+			}
+			if ok, err := cached.Verify(key, clean, false); !ok || err != nil {
+				t.Fatalf("clean report, cached: %v, %v", ok, err)
+			}
+			if ls[cached.slot].Load() == nil {
+				t.Fatal("the clean report left no link")
+			}
+			if row.id.Version != 0 {
+				if _, err := set.Rotate("fw", v2); err != nil {
+					t.Fatal(err)
+				}
+				for row.name == "image version past grace" && set.AdvanceEpoch() < 3 {
+				}
+			}
+			r := *clean
+			row.edit(&r)
+			b, resolveErr := set.BatchFor(ImageID{Name: "fw", Version: row.id.Version})
+			if honest && resolveErr == nil {
+				img := v1
+				if row.id.Version == 2 {
+					img = v2
+				}
+				tag, err := img.ExpectedTag(suite.Scheme{Hash: suite.SHA256, Key: row.key}, row.key, core.Options{Shuffled: row.shuffled}, &r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r.Tag = tag
+			}
+			judge := func(f func() (bool, error)) verdict {
+				if resolveErr != nil {
+					return verdict{err: resolveErr.Error()}
+				}
+				ok, err := f()
+				if err != nil {
+					return verdict{err: err.Error()}
+				}
+				return verdict{ok: ok}
+			}
+			// Every slot leads to the clean report's group, so a batch whose
+			// own slot differs meets a link made in another cache too.
+			var lsCopy links
+			for i := range lsCopy {
+				lsCopy[i].Store(ls[cached.slot].Load())
+			}
+			computed := judge(func() (bool, error) { return b.VerifyOnce(row.key, &r, row.shuffled) })
+			// A link is handed over only with the nonce its entry holds
+			// (Judge reaches the tag after the nonce rule matched it).
+			var lsArg *links
+			if bytes.Equal(r.Nonce, clean.Nonce) {
+				lsArg = &lsCopy
+			}
+			linked := judge(func() (bool, error) { return b.verify(row.key, b.internKey(row.key), &r, row.shuffled, true, lsArg) })
+			hit := judge(func() (bool, error) { return b.Verify(row.key, &r, row.shuffled) })
+			if linked != computed || hit != computed {
+				t.Errorf("%s (honest tag %v): computed %+v, link %+v, cache %+v", row.name, honest, computed, linked, hit)
+			}
+			wantOK := honest || row.name == "the cached report itself" || row.name == "image version in grace"
+			if row.name == "image version past grace" {
+				wantOK = false
+				if !errors.Is(resolveErr, ErrStaleImage) {
+					t.Errorf("%s: resolved with %v, want ErrStaleImage", row.name, resolveErr)
+				}
+			}
+			if computed.ok != wantOK {
+				t.Errorf("%s (honest tag %v): computed %+v, want ok %v", row.name, honest, computed, wantOK)
+			}
 		}
 	}
 }

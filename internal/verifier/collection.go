@@ -30,10 +30,10 @@ func (v *Verifier) HandleCollection(prover string, reports []*core.Report) {
 // records one Result per report, or one for the collection when it is
 // empty. It returns true when the whole history is acceptable.
 func (v *Verifier) ValidateCollection(prover string, reports []*core.Report, pol CollectionPolicy) bool {
-	why, first := v.judge(ERASMUS, v.freshnessOf(prover), reports, func(ctr uint64) []byte {
-		v.nonce = core.AppendErasmusNonce(v.nonce[:0], v.PermKey, ctr)
-		return v.nonce
-	}, pol)
+	why, first := v.judge(ERASMUS, v.freshnessOf(prover), reports, Expect{
+		Nonces: v.derive(reports, func(dst []byte, ctr uint64) []byte { return core.AppendErasmusNonce(dst, v.PermKey, ctr) }),
+		Policy: pol,
+	})
 	if len(why) == 0 {
 		v.record(prover, nil, first)
 	}

@@ -8,11 +8,19 @@ import "encoding/binary"
 // where, or whether, the contents differ — and is the one comparison
 // every nonce and tag check of the verification core goes through. It
 // accumulates the XOR of the operands eight bytes at a step (then a
-// byte tail), so a 16-byte nonce is two steps and a 32-byte tag four,
-// where the standard library's compare takes one step per byte.
+// byte tail), so a 16-byte nonce is two steps, where the standard
+// library's compare takes one step per byte. Thirty-two bytes, the size
+// of every nonce the verifiers derive or issue and of a SHA-256 tag,
+// take four loads a side with no loop and no bounds check.
 func ctEqual(a, b []byte) bool {
 	if len(a) != len(b) {
 		return false
+	}
+	if len(a) == 32 {
+		x, y := (*[32]byte)(a), (*[32]byte)(b)
+		le := binary.LittleEndian
+		return (le.Uint64(x[0:])^le.Uint64(y[0:]))|(le.Uint64(x[8:])^le.Uint64(y[8:]))|
+			(le.Uint64(x[16:])^le.Uint64(y[16:]))|(le.Uint64(x[24:])^le.Uint64(y[24:])) == 0
 	}
 	var diff uint64
 	for len(a) >= 8 {

@@ -52,9 +52,10 @@ type ImageSet struct {
 	grace      uint64
 	keepEpochs int
 
-	epoch atomic.Uint64
-	tab   atomic.Pointer[imageTable]
-	mu    sync.Mutex // serializes writers (Add/Rotate/SetDefault/AdvanceEpoch)
+	epoch   atomic.Uint64
+	tab     atomic.Pointer[imageTable]
+	mu      sync.Mutex // serializes writers (Add/Rotate/SetDefault/AdvanceEpoch)
+	batches int        // batches made, under mu: the next one's link slot
 
 	staleProbes   atomic.Uint64
 	unknownProbes atomic.Uint64
@@ -97,10 +98,13 @@ func NewImageSet(cfg ImageSetConfig) *ImageSet {
 	return s
 }
 
-// newEntry builds one live entry (and its per-image Batch).
+// newEntry builds one live entry (and its per-image Batch). Caller
+// holds s.mu.
 func (s *ImageSet) newEntry(id ImageID, img Image) *imageEntry {
 	b := NewBatch(suite.SHA256, img)
 	b.KeepEpochs = s.keepEpochs
+	b.slot = s.batches % len(links{})
+	s.batches++
 	return &imageEntry{id: id, img: img, batch: b}
 }
 

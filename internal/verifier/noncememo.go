@@ -35,6 +35,7 @@ type NonceMemo struct {
 type memoNonce struct {
 	ctr   uint64
 	nonce []byte
+	links links // the tag-cache groups nonce resolved to (Batch's links)
 }
 
 // hashCounter spreads consecutive counters over the table's chains
@@ -85,7 +86,8 @@ func (m *NonceMemo) Admit(ctr uint64) {
 		return
 	}
 	e := &fifoEntry[memoNonce]{hash: hashCounter(ctr)}
-	e.val = memoNonce{ctr: ctr, nonce: core.AppendErasmusNonce(nil, m.key, ctr)}
+	e.val.ctr = ctr
+	e.val.nonce = core.AppendErasmusNonce(nil, m.key, ctr)
 	m.tab.insert(e, m.keep)
 }
 

@@ -120,6 +120,14 @@ func TagReason(ok bool, err error) Reason {
 		return ReasonOK
 	case err == nil:
 		return ReasonTagMismatch
+	}
+	return tagRefusal(err)
+}
+
+// tagRefusal is TagReason for a refusal, kept out of it so the clean
+// and mismatched outcomes inline into Judge.
+func tagRefusal(err error) Reason {
+	switch {
 	case errors.Is(err, ErrStaleImage):
 		return ReasonStaleImage
 	case errors.Is(err, ErrUnknownImage):
@@ -301,34 +309,76 @@ const (
 // the wire (rattd) or by pointer (the simulator, the swarm collector).
 type Bundle interface{ []core.Report | []*core.Report }
 
+// Expect is what Judge checks one bundle against, handed over as data:
+// the nonce each report must carry, the tag source and the cadence
+// policy.
+type Expect struct {
+	// Nonce is the challenge every report of a SMART bundle carries.
+	Nonce []byte
+	// Nonces[i] is the nonce report i of an ERASMUS or SeED bundle must
+	// carry, derived from its counter.
+	Nonces [][]byte
+	// Memo, if set, gives an ERASMUS bundle's nonces in Nonces' place:
+	// the memo's entry for the report's counter, whose links also lead
+	// to the expected tag without an epoch probe (Batch), or on a miss
+	// the nonce derived under the memo's key, after which Missed reads
+	// true.
+	Memo   *NonceMemo
+	Missed bool
+	// Tags checks a tag, lazily: only a report that passed every cheap
+	// rule reaches it. Held by value, so an Expect on its caller's stack
+	// keeps its Tags there too.
+	Tags Tags
+	// Policy is ERASMUS's cadence rule; the zero policy has none.
+	Policy CollectionPolicy
+
+	derived []byte // the nonce of a Memo miss
+}
+
+// erasmusNonce returns the nonce ERASMUS report i, of counter ctr, must
+// carry, and the links of the memo entry it came from (nil if none).
+func (x *Expect) erasmusNonce(i int, ctr uint64) ([]byte, *links) {
+	if x.Memo == nil {
+		return x.Nonces[i], nil
+	}
+	if e := x.Memo.find(ctr); e != nil {
+		return e.nonce, &e.links
+	}
+	x.derived = core.AppendErasmusNonce(x.derived[:0], x.Memo.key, ctr)
+	x.Missed = true
+	return x.derived, nil
+}
+
 // Judge is the accept transition. It applies p's rules to one bundle in
-// the one order — nonce binding, replay, monotonicity, cadence (pol),
-// tag, commit on f — appends one Reason per judged report to why, and
-// returns why, the first failure (ReasonOK if none) and its error. An
-// empty bundle is refused whole (ReasonEmptyCollection for ERASMUS,
-// ReasonEmptyBundle otherwise). A SMART bundle is one exchange: judging
-// stops at its first failure, nothing is committed and f may be nil.
+// the one order — nonce binding, replay, monotonicity, cadence
+// (x.Policy), tag (x.Tags), commit on f — appends one Reason per judged
+// report to why, and returns why, the first failure (ReasonOK if none)
+// and its error. An empty bundle is refused whole
+// (ReasonEmptyCollection for ERASMUS, ReasonEmptyBundle otherwise). A
+// SMART bundle is one exchange: judging stops at its first failure,
+// nothing is committed and f may be nil.
 //
-// nonce(ctr) is the nonce the report of counter ctr must carry (for
-// SMART the challenge); it need only last until the next call. tag(i)
-// checks reports[i] against the caller's golden image, a refusal being
-// an error TagReason maps. It takes an index, not the report, so that
-// Judge hands no report to a function escape analysis cannot see into,
-// and a bundle on the caller's stack stays there. Only the first
-// failure's error is kept: a caller showing the error behind a later
-// ReasonError asks tag again, and a malformed report fails alike twice.
+// What the reports are judged against comes as data (Expect), not as
+// functions, so no step calls through a function value: a steady
+// collection report whose nonce and expected tag are memoised costs one
+// counter-keyed memo probe, the nonce compare, the window, the memo
+// entry's link to its expected tag, the tag compare and the window
+// commit. Only the first failure's error is kept: a caller showing the
+// error behind a later ReasonError asks Tags.Err.
 //
 // Judge reads no clock and takes no lock. It commits to f as it goes,
 // so a duplicate or out-of-order counter inside the bundle meets the
 // state the reports before it left; a caller judging a copy replays the
 // commits of the clean reports on the real state.
-func Judge[B Bundle](why []Reason, p Protocol, f *Freshness, reports B, nonce func(ctr uint64) []byte, pol CollectionPolicy, tag func(i int) (bool, error)) ([]Reason, Reason, error) {
+func Judge[B Bundle](why []Reason, p Protocol, f *Freshness, reports B, x *Expect) ([]Reason, Reason, error) {
 	if len(reports) == 0 {
 		if p == ERASMUS {
 			return why, ReasonEmptyCollection, nil
 		}
 		return why, ReasonEmptyBundle, nil
 	}
+	x.Tags.begin()
+	x.Missed = false
 	// One loop serves both forms; ptrs is nil for a by-value bundle.
 	var vals []core.Report
 	var ptrs []*core.Report
@@ -349,24 +399,26 @@ func Judge[B Bundle](why []Reason, p Protocol, f *Freshness, reports B, nonce fu
 		} else {
 			r = &vals[i]
 		}
-		want := nonce(r.Counter)
 		var w Reason
+		var ls *links
 		switch p {
 		case SMART:
-			if !ctEqual(r.Nonce, want) {
+			if !ctEqual(r.Nonce, x.Nonce) {
 				w = ReasonNonceMismatch
 			}
 		case ERASMUS:
-			if w = f.CheckErasmus(r, want, i == 0, prevCtr); w == ReasonOK && i > 0 && !pol.allows(prev, r) {
+			var want []byte
+			want, ls = x.erasmusNonce(i, r.Counter)
+			if w = f.CheckErasmus(r, want, i == 0, prevCtr); w == ReasonOK && i > 0 && !x.Policy.allows(prev, r) {
 				w = ReasonCadence
 			}
 		case SeED:
-			w = f.CheckSeed(r, want)
+			w = f.CheckSeed(r, x.Nonces[i])
 		}
 		var ok bool
 		var err error
 		if w == ReasonOK {
-			ok, err = tag(i)
+			ok, err = x.Tags.check(r, ls)
 			w = TagReason(ok, err)
 		}
 		switch {
@@ -385,5 +437,6 @@ func Judge[B Bundle](why []Reason, p Protocol, f *Freshness, reports B, nonce fu
 		}
 		prev, prevCtr = r, r.Counter
 	}
+	x.Tags.flush()
 	return why, first, firstErr
 }

@@ -1,7 +1,6 @@
 package verifier
 
 import (
-	"errors"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -121,55 +120,86 @@ func TestVerifierImageMovesForward(t *testing.T) {
 // bundle judged only up to its first failure (one exchange, nothing
 // committed), an ERASMUS or SeED bundle judged report by report with the
 // clean ones committed, the cadence rule ahead of the tag, and the first
-// failure's error.
+// failure's error. The tag source is a Batch, which counts every report
+// that reaches it: a report refused on its nonce, as a replay or out of
+// order must not, or a forged counter would buy a MAC computation.
 func TestJudgeBundleShapes(t *testing.T) {
+	key := []byte("judge-key")
+	img := testImage(5, 1024, 256)
 	nonce := []byte("the nonce every report carries")
-	errBad := errors.New("bad geometry")
+	clean := reportOver(t, key, img.Bytes(), img.BlockSize(), nonce)
+	const (
+		tagClean = iota
+		tagWrong // the tag of another memory
+		tagBad   // a geometry the image refuses: an error verdict
+		unbound  // clean, but carrying another nonce
+	)
+	mk := func(ctr uint64, kind int) core.Report {
+		r := *clean
+		r.Counter = ctr
+		switch kind {
+		case tagWrong:
+			r.Tag = append([]byte(nil), r.Tag...)
+			r.Tag[0] ^= 1
+		case tagBad:
+			r.BlockSize *= 2
+		case unbound:
+			r.Nonce = []byte("another nonce, which no rule binds")
+		}
+		return r
+	}
 	bundle := func(ctrs ...uint64) []core.Report {
 		out := make([]core.Report, len(ctrs))
 		for i, c := range ctrs {
-			out[i] = core.Report{Counter: c, Nonce: nonce}
+			out[i] = mk(c, tagClean)
 		}
 		return out
 	}
+	with := func(b []core.Report, i, kind int) []core.Report {
+		b[i] = mk(b[i].Counter, kind)
+		return b
+	}
+	late := bundle(1, 2)
+	late[1].TS = sim.Time(5 * sim.Second)
 	cases := []struct {
 		name    string
 		p       Protocol
 		reports []core.Report
-		tag     []error // per report: nil is a clean tag, errMismatch a wrong one
 		want    []Reason
 		first   Reason
-		err     error
+		err     bool     // the first failure carries an error
 		window  []uint64 // ERASMUS counters committed
 		seed    uint64   // SeED watermark after
 		pol     CollectionPolicy
+		tagged  uint64 // reports that reached the tag source
 	}{
-		{"smart/empty", SMART, nil, nil, nil, ReasonEmptyBundle, nil, nil, 0, CollectionPolicy{}},
-		{"erasmus/empty", ERASMUS, nil, nil, nil, ReasonEmptyCollection, nil, nil, 0, CollectionPolicy{}},
-		{"seed/empty", SeED, nil, nil, nil, ReasonEmptyBundle, nil, nil, 0, CollectionPolicy{}},
-		{"smart/stops at the first failure", SMART, bundle(1, 2, 3), []error{nil, errMismatch, nil},
-			[]Reason{ReasonOK, ReasonTagMismatch}, ReasonTagMismatch, nil, nil, 0, CollectionPolicy{}},
-		{"erasmus/judges every report", ERASMUS, bundle(1, 2, 3), []error{nil, errMismatch, errBad},
-			[]Reason{ReasonOK, ReasonTagMismatch, ReasonError}, ReasonTagMismatch, nil, []uint64{1}, 0, CollectionPolicy{}},
-		{"erasmus/first error", ERASMUS, bundle(1, 2, 2), []error{errBad, nil, nil},
-			[]Reason{ReasonError, ReasonOK, ReasonReplay}, ReasonError, errBad, []uint64{2}, 0, CollectionPolicy{}},
-		{"seed/judges every report", SeED, bundle(2, 1, 3), []error{nil, nil, errMismatch},
-			[]Reason{ReasonOK, ReasonSeedReplay, ReasonTagMismatch}, ReasonSeedReplay, nil, nil, 2, CollectionPolicy{}},
-		{"erasmus/cadence before the tag", ERASMUS,
-			[]core.Report{{Counter: 1, Nonce: nonce}, {Counter: 2, Nonce: nonce, TS: sim.Time(5 * sim.Second)}},
-			[]error{nil, errMismatch}, []Reason{ReasonOK, ReasonCadence}, ReasonCadence, nil, []uint64{1}, 0,
-			CollectionPolicy{TM: sim.Second}},
+		{"smart/empty", SMART, nil, nil, ReasonEmptyBundle, false, nil, 0, CollectionPolicy{}, 0},
+		{"erasmus/empty", ERASMUS, nil, nil, ReasonEmptyCollection, false, nil, 0, CollectionPolicy{}, 0},
+		{"seed/empty", SeED, nil, nil, ReasonEmptyBundle, false, nil, 0, CollectionPolicy{}, 0},
+		{"smart/stops at the first failure", SMART, with(bundle(1, 2, 3), 1, tagWrong),
+			[]Reason{ReasonOK, ReasonTagMismatch}, ReasonTagMismatch, false, nil, 0, CollectionPolicy{}, 2},
+		{"erasmus/judges every report", ERASMUS, with(with(bundle(1, 2, 3), 1, tagWrong), 2, tagBad),
+			[]Reason{ReasonOK, ReasonTagMismatch, ReasonError}, ReasonTagMismatch, false, []uint64{1}, 0, CollectionPolicy{}, 3},
+		{"erasmus/first error", ERASMUS, with(bundle(1, 2, 2), 0, tagBad),
+			[]Reason{ReasonError, ReasonOK, ReasonReplay}, ReasonError, true, []uint64{2}, 0, CollectionPolicy{}, 2},
+		{"seed/judges every report", SeED, with(bundle(2, 1, 3), 2, tagWrong),
+			[]Reason{ReasonOK, ReasonSeedReplay, ReasonTagMismatch}, ReasonSeedReplay, false, nil, 2, CollectionPolicy{}, 2},
+		{"erasmus/cadence before the tag", ERASMUS, with(late, 1, tagWrong),
+			[]Reason{ReasonOK, ReasonCadence}, ReasonCadence, false, []uint64{1}, 0, CollectionPolicy{TM: sim.Second}, 1},
+		{"erasmus/cheap refusals never reach the tag", ERASMUS, with(bundle(4, 4, 2, 6, 7), 3, unbound),
+			[]Reason{ReasonOK, ReasonReplay, ReasonNonMonotonic, ReasonNonceUnbound, ReasonOK}, ReasonReplay, false, []uint64{4, 7}, 0, CollectionPolicy{}, 2},
+		{"seed/cheap refusals never reach the tag", SeED, with(bundle(4, 4, 2, 6), 3, unbound),
+			[]Reason{ReasonOK, ReasonSeedReplay, ReasonSeedReplay, ReasonSeedNonceUnbound}, ReasonSeedReplay, false, nil, 4, CollectionPolicy{}, 1},
+		{"smart/unbound nonce never reaches the tag", SMART, with(bundle(1), 0, unbound),
+			[]Reason{ReasonNonceMismatch}, ReasonNonceMismatch, false, nil, 0, CollectionPolicy{}, 0},
 	}
 	for _, tc := range cases {
 		for _, byPtr := range []bool{false, true} {
 			var f Freshness
-			var tagged []int
-			tag := func(i int) (bool, error) {
-				tagged = append(tagged, i)
-				if tc.tag[i] == errMismatch {
-					return false, nil
-				}
-				return tc.tag[i] == nil, tc.tag[i]
+			b := NewBatch(suite.SHA256, img)
+			x := Expect{Nonce: nonce, Tags: Tags{Key: key, Batch: b}, Policy: tc.pol}
+			for range tc.reports {
+				x.Nonces = append(x.Nonces, nonce)
 			}
 			var why []Reason
 			var first Reason
@@ -179,15 +209,23 @@ func TestJudgeBundleShapes(t *testing.T) {
 				for i := range tc.reports {
 					ptrs[i] = &tc.reports[i]
 				}
-				why, first, err = Judge(nil, tc.p, &f, ptrs, func(uint64) []byte { return nonce }, tc.pol, tag)
+				why, first, err = Judge(nil, tc.p, &f, ptrs, &x)
 			} else {
-				why, first, err = Judge(nil, tc.p, &f, tc.reports, func(uint64) []byte { return nonce }, tc.pol, tag)
+				why, first, err = Judge(nil, tc.p, &f, tc.reports, &x)
 			}
-			if !slices.Equal(why, tc.want) || first != tc.first || err != tc.err {
-				t.Errorf("%s (by pointer %v): %v, first %v, err %v; want %v, %v, %v", tc.name, byPtr, why, first, err, tc.want, tc.first, tc.err)
+			if !slices.Equal(why, tc.want) || first != tc.first || (err != nil) != tc.err {
+				t.Errorf("%s (by pointer %v): %v, first %v, err %v; want %v, %v, error %v", tc.name, byPtr, why, first, err, tc.want, tc.first, tc.err)
 			}
-			if tc.p == SMART && len(tagged) != len(tc.want) {
-				t.Errorf("%s: tags checked for reports %v, want only the judged %d", tc.name, tagged, len(tc.want))
+			// Every report that reached the tag source and was not refused
+			// on its geometry is counted (BatchStats.Reports).
+			bad := uint64(0)
+			for i, w := range why {
+				if w == ReasonError && tc.reports[i].BlockSize != clean.BlockSize {
+					bad++
+				}
+			}
+			if got := b.Stats().Reports + bad; got != tc.tagged {
+				t.Errorf("%s (by pointer %v): %d reports reached the tag source, want %d", tc.name, byPtr, got, tc.tagged)
 			}
 			for _, c := range tc.window {
 				if !f.Window.Seen(c) {
@@ -200,7 +238,3 @@ func TestJudgeBundleShapes(t *testing.T) {
 		}
 	}
 }
-
-// errMismatch marks a report whose tag does not match in
-// TestJudgeBundleShapes' table.
-var errMismatch = errors.New("tag mismatch")

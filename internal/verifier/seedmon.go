@@ -81,14 +81,12 @@ func (m *SeedMonitor) armWatchdog() {
 // the nonce binding.
 func (v *Verifier) HandleSeedReports(prover string, reports []*core.Report) {
 	m := v.seedMons[prover]
-	why, _ := v.judge(SeED, v.freshnessOf(prover), reports, func(ctr uint64) []byte {
+	why, _ := v.judge(SeED, v.freshnessOf(prover), reports, Expect{Nonces: v.derive(reports, func(dst []byte, ctr uint64) []byte {
 		if m != nil {
-			v.nonce = m.key.AppendNonce(v.nonce[:0], ctr)
-		} else {
-			v.nonce = core.AppendSeedNonce(v.nonce[:0], nil, ctr)
+			return m.key.AppendNonce(dst, ctr)
 		}
-		return v.nonce
-	}, CollectionPolicy{})
+		return core.AppendSeedNonce(dst, nil, ctr)
+	})})
 	for i, w := range why {
 		r := reports[i]
 		if w == ReasonOK && m != nil {

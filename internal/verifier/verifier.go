@@ -65,11 +65,15 @@ type Verifier struct {
 	seedMons map[string]*SeedMonitor
 	results  []Result
 	tally    Tally
-	// nonce and why are the scratch of Judge: the self-derived nonce of
-	// the ERASMUS and SeED rules and the bundle's verdicts (a Verifier
-	// handles one bundle at a time).
-	nonce []byte
-	why   []Reason
+	// nonce, nonces, each and why are the scratch of Judge: the
+	// self-derived nonces of the ERASMUS and SeED rules, their bytes, the
+	// reference tags are checked against, and the bundle's verdicts (a
+	// Verifier handles one bundle at a time). each lives here because
+	// what a Tags points at escapes.
+	nonce  []byte
+	nonces [][]byte
+	each   Reference
+	why    []Reason
 }
 
 // Config assembles a Verifier.
@@ -162,7 +166,7 @@ func (v *Verifier) HandleReports(prover string, reports []*core.Report) {
 		v.record(prover, nil, why)
 		return
 	}
-	why, first := v.judge(SMART, nil, reports, func(uint64) []byte { return c }, CollectionPolicy{})
+	why, first := v.judge(SMART, nil, reports, Expect{Nonce: c})
 	for i, w := range why {
 		v.record(prover, reports[i], w)
 	}
@@ -172,11 +176,27 @@ func (v *Verifier) HandleReports(prover string, reports []*core.Report) {
 }
 
 // judge runs the core's transition over one bundle against the
-// verifier's golden image, into its scratch.
-func (v *Verifier) judge(p Protocol, f *Freshness, reports []*core.Report, nonce func(uint64) []byte, pol CollectionPolicy) ([]Reason, Reason) {
-	why, first, _ := Judge(v.why[:0], p, f, reports, nonce, pol, func(i int) (bool, error) { return v.CheckTag(reports[i]) })
+// verifier's golden image (every report on Tags' per-report path, as
+// CheckTag), into its scratch.
+func (v *Verifier) judge(p Protocol, f *Freshness, reports []*core.Report, x Expect) ([]Reason, Reason) {
+	v.each = Reference{Image: v.Image, Scheme: v.Scheme, Opts: v.Opts}
+	x.Tags = Tags{Key: v.PermKey, Each: &v.each}
+	why, first, _ := Judge(v.why[:0], p, f, reports, &x)
 	v.why = why
 	return why, first
+}
+
+// derive returns the nonce each report must carry, derived from its
+// counter by nonce into the verifier's scratch.
+func (v *Verifier) derive(reports []*core.Report, nonce func(dst []byte, ctr uint64) []byte) [][]byte {
+	wants, buf := v.nonces[:0], v.nonce[:0]
+	for _, r := range reports {
+		at := len(buf)
+		buf = nonce(buf, r.Counter)
+		wants = append(wants, buf[at:len(buf):len(buf)])
+	}
+	v.nonces, v.nonce = wants, buf
+	return wants
 }
 
 // freshnessOf returns the prover's replay state, creating it on first

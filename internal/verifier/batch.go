@@ -2,10 +2,8 @@ package verifier
 
 import (
 	"bytes"
-	"crypto/rand"
-	"encoding/binary"
 	"errors"
-	"math/bits"
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 
@@ -31,8 +29,8 @@ import (
 // path — the one a daemon's dispatch workers hammer — takes no lock
 // and performs no allocation. A caller judging a bundle goes through
 // Tags, which interns the key once a bundle and counts the bundle's
-// reports in one atomic add, so a hit costs one hash of sixteen nonce
-// bytes, one chain probe and one tag compare. A report whose nonce came
+// reports in one atomic add, so a hit costs one hash of the nonce, one
+// chain probe and one tag compare. A report whose nonce came
 // from a NonceMemo entry skips the probe too: the entry links to the
 // group its nonce resolved to here (see links), so the steady ERASMUS
 // report costs the memo probe and the two compares. Inserts (one per
@@ -61,7 +59,8 @@ type Batch struct {
 
 	hash suite.HashID
 	img  Image
-	slot int // which of a memo entry's links is this batch's (ImageSet numbers them)
+	id   uint64 // what a link is checked against (batchIDs)
+	slot int    // which of a memo entry's links is this batch's (ImageSet picks it)
 
 	cache atomic.Pointer[fifoTable[batchEpoch]] // epoch→group→tag; nil until the first publish
 	key   atomic.Pointer[keyMemo]               // []byte→string memo of the fleet key
@@ -79,39 +78,23 @@ type batchEpoch struct {
 }
 
 type batchGroup struct {
-	b    *Batch // whose cache holds the group; what a link is checked against
-	k    groupKey
-	tag  []byte
-	next *batchGroup
+	// batch is the id of the Batch whose cache holds the group: a link
+	// is checked against it. An id and not a pointer, so a memo entry
+	// linking here pins the group's tag and key, not the batch's image
+	// and table — a version retired past its grace is collected while
+	// the memo still holds its links.
+	batch uint64
+	k     groupKey
+	tag   []byte
+	next  *batchGroup
 }
+
+// batchIDs numbers the batches NewBatch makes; 0 is no batch's.
+var batchIDs atomic.Uint64
 
 // epochSeed keys the hash of nonce epochs. Nonces arrive off the wire,
 // so the seed is per process and random.
-var epochSeed = func() (seed [2]uint64) {
-	var b [16]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		panic(err)
-	}
-	return [2]uint64{binary.LittleEndian.Uint64(b[:8]), binary.LittleEndian.Uint64(b[8:])}
-}()
-
-// epochHash hashes a nonce epoch: its first and last eight bytes, each
-// xored with a word of the seed, folded through one 128-bit multiply.
-// Sixteen bytes are enough: the table holds at most KeepEpochs entries,
-// so a chain stays bounded whatever the hash, and the seed keeps a
-// sender who does not know it from choosing nonces that share a chain.
-func epochHash(nonce []byte) uint64 {
-	var lo, hi uint64
-	if n := len(nonce); n >= 8 {
-		lo, hi = binary.LittleEndian.Uint64(nonce), binary.LittleEndian.Uint64(nonce[n-8:])
-	} else {
-		for _, c := range nonce {
-			lo = lo<<8 | uint64(c)
-		}
-	}
-	hi, lo = bits.Mul64(lo^epochSeed[0], hi^epochSeed[1]^uint64(len(nonce)))
-	return hi ^ lo
-}
+var epochSeed = maphash.MakeSeed()
 
 // findEpoch returns the table's entry for a nonce epoch, nil when it
 // holds none.
@@ -139,7 +122,7 @@ func (e *batchEpoch) group(k groupKey) *batchGroup {
 // lookup returns the group cached for (nonce, k), nil if none is.
 func (b *Batch) lookup(nonce []byte, k groupKey) *batchGroup {
 	if t := b.cache.Load(); t != nil {
-		if e := findEpoch(t, epochHash(nonce), nonce); e != nil {
+		if e := findEpoch(t, maphash.Bytes(epochSeed, nonce), nonce); e != nil {
 			return e.group(k)
 		}
 	}
@@ -151,12 +134,21 @@ func (b *Batch) lookup(nonce []byte, k groupKey) *batchGroup {
 // are an index, not a second cache: what a link points at is the group
 // an epoch table holds (or held: an evicted group stays reachable from
 // the entry, and stays right, since a tag is a pure function of its
-// batch, nonce and group key). A batch uses the link its slot names, and
-// an ImageSet gives the batches it makes consecutive slots, so a fleet
-// of up to len(links) images that share counters keeps every image on
-// the fast path. A hit is checked against the batch and the group key,
-// so a link made under another batch, round or key is a miss that takes
-// the probe.
+// batch, nonce and group key). A batch uses the link its slot names. An
+// ImageSet gives each name it adds the next slot, round robin, and a
+// rotated name's new version the slot of the version it retires, so up
+// to len(links) names that share counters keep every name on the fast
+// path whatever was rotated. Past that, names share slots, and so do a
+// retired version in its grace and its successor: a link leads to the
+// batch that resolved the counter first, and the others take the probe.
+// A hit is checked against the batch id and the group key, so a link
+// made under another batch, round or key is a miss that takes the probe.
+//
+// Four is sized to the four images of rattd's multi-image overhead gate
+// (TestServerVerifyMultiImageOverhead), not to a measured workload: the
+// bench's named-image layer serves two images and inproc_mixed one.
+// Every entry carries the 32 bytes, also in memos whose reports never
+// reach a Batch.
 type links [4]atomic.Pointer[batchGroup]
 
 // linkTo points link at g if it points nowhere yet. A link is never
@@ -198,7 +190,7 @@ func NewBatch(hash suite.HashID, img Image) *Batch {
 	if img.IsZero() {
 		panic("verifier: NewBatch over a zero Image")
 	}
-	return &Batch{hash: hash, img: img}
+	return &Batch{hash: hash, img: img, id: batchIDs.Add(1)}
 }
 
 // Verify checks one report against the golden image under the given
@@ -263,7 +255,7 @@ func (b *Batch) verify(key []byte, kstr string, r *core.Report, shuffled, shared
 	}
 	if shared {
 		if link != nil {
-			if g := link.Load(); g != nil && g.b == b && g.k == k {
+			if g := link.Load(); g != nil && g.batch == b.id && g.k == k {
 				return ctEqual(g.tag, r.Tag), nil
 			}
 		}
@@ -296,18 +288,18 @@ func (b *Batch) publish(nonce []byte, k groupKey, exp []byte) *batchGroup {
 		t = newFifoTable[batchEpoch](b.KeepEpochs)
 		b.cache.Store(t)
 	}
-	h := epochHash(nonce)
+	h := maphash.Bytes(epochSeed, nonce)
 	if e := findEpoch(t, h, nonce); e != nil {
 		g := e.group(k)
 		if g == nil { // else a racing miss published it first
-			g = &batchGroup{b: b, k: k, tag: exp, next: e.groups.Load()}
+			g = &batchGroup{batch: b.id, k: k, tag: exp, next: e.groups.Load()}
 			e.groups.Store(g)
 		}
 		return g
 	}
 	e := &fifoEntry[batchEpoch]{hash: h}
 	e.val.nonce = string(nonce)
-	g := &batchGroup{b: b, k: k, tag: exp}
+	g := &batchGroup{batch: b.id, k: k, tag: exp}
 	e.val.groups.Store(g)
 	t.insert(e, b.KeepEpochs)
 	return g

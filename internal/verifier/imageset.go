@@ -52,10 +52,10 @@ type ImageSet struct {
 	grace      uint64
 	keepEpochs int
 
-	epoch   atomic.Uint64
-	tab     atomic.Pointer[imageTable]
-	mu      sync.Mutex // serializes writers (Add/Rotate/SetDefault/AdvanceEpoch)
-	batches int        // batches made, under mu: the next one's link slot
+	epoch atomic.Uint64
+	tab   atomic.Pointer[imageTable]
+	mu    sync.Mutex // serializes writers (Add/Rotate/SetDefault/AdvanceEpoch)
+	names int        // names added, under mu: the next one's link slot
 
 	staleProbes   atomic.Uint64
 	unknownProbes atomic.Uint64
@@ -98,13 +98,12 @@ func NewImageSet(cfg ImageSetConfig) *ImageSet {
 	return s
 }
 
-// newEntry builds one live entry (and its per-image Batch). Caller
-// holds s.mu.
-func (s *ImageSet) newEntry(id ImageID, img Image) *imageEntry {
+// newEntry builds one live entry (and its per-image Batch, which uses
+// a memo entry's link slot). Caller holds s.mu.
+func (s *ImageSet) newEntry(id ImageID, img Image, slot int) *imageEntry {
 	b := NewBatch(suite.SHA256, img)
 	b.KeepEpochs = s.keepEpochs
-	b.slot = s.batches % len(links{})
-	s.batches++
+	b.slot = slot
 	return &imageEntry{id: id, img: img, batch: b}
 }
 
@@ -154,7 +153,8 @@ func (s *ImageSet) Add(name string, img Image) (ImageID, error) {
 		return ImageID{}, fmt.Errorf("verifier: image %q already registered", name)
 	}
 	id := ImageID{Name: name, Version: 1}
-	e := s.newEntry(id, img)
+	e := s.newEntry(id, img, s.names%len(links{}))
+	s.names++
 	next := t.clone()
 	next.byID[id] = e
 	next.cur[name] = e
@@ -186,7 +186,7 @@ func (s *ImageSet) Rotate(name string, img Image) (ImageID, error) {
 		inccache.SharedImageDerived(old.img.golden, img.golden, inccache.DigestHash(suite.SHA256))
 	}
 	id := ImageID{Name: name, Version: old.id.Version + 1}
-	e := s.newEntry(id, img)
+	e := s.newEntry(id, img, old.batch.slot) // a rotation uses up no slot
 	next := t.clone()
 	// Pin the outgoing version: same entry, now carrying its
 	// retirement epoch. The entry structs are shared immutably between

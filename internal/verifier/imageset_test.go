@@ -283,3 +283,29 @@ func TestImageSetRotateSeedsDigestCache(t *testing.T) {
 		t.Fatalf("seeded %d digests, want %d (all but the changed block)", st.Seeded, want)
 	}
 }
+
+// TestImageSetRotationKeepsLinkSlot pins that a rotation hands the new
+// version its predecessor's memo link slot: rotating one name however
+// often never makes it share a slot with another name (Batch's links).
+func TestImageSetRotationKeepsLinkSlot(t *testing.T) {
+	s := NewImageSet(ImageSetConfig{})
+	for _, name := range []string{"a", "b"} {
+		if _, err := s.Add(name, testImage(1, 1024, 256)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, _ := s.BatchFor(ImageID{Name: "a"})
+	b, _ := s.BatchFor(ImageID{Name: "b"})
+	if a.slot == b.slot {
+		t.Fatalf("two names share link slot %d", a.slot)
+	}
+	for v := 2; v <= 2*len(links{}); v++ {
+		if _, err := s.Rotate("a", testImage(uint64(v), 1024, 256)); err != nil {
+			t.Fatal(err)
+		}
+		cur, _ := s.BatchFor(ImageID{Name: "a"})
+		if cur.slot != a.slot {
+			t.Fatalf("version %d of a took slot %d, its first version %d", v, cur.slot, a.slot)
+		}
+	}
+}

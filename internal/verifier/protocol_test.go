@@ -120,9 +120,10 @@ func TestVerifierImageMovesForward(t *testing.T) {
 // bundle judged only up to its first failure (one exchange, nothing
 // committed), an ERASMUS or SeED bundle judged report by report with the
 // clean ones committed, the cadence rule ahead of the tag, and the first
-// failure's error. The tag source is a Batch, which counts every report
-// that reaches it: a report refused on its nonce, as a replay or out of
-// order must not, or a forged counter would buy a MAC computation.
+// failure's own error, not a later report's. The tag source is a Batch,
+// which counts every report that reaches it: a report refused on its
+// nonce, as a replay or out of order must not, or a forged counter would
+// buy a MAC computation.
 func TestJudgeBundleShapes(t *testing.T) {
 	key := []byte("judge-key")
 	img := testImage(5, 1024, 256)
@@ -133,6 +134,7 @@ func TestJudgeBundleShapes(t *testing.T) {
 		tagWrong // the tag of another memory
 		tagBad   // a geometry the image refuses: an error verdict
 		unbound  // clean, but carrying another nonce
+		region   // a region report, which a batch-only Tags refuses
 	)
 	mk := func(ctr uint64, kind int) core.Report {
 		r := *clean
@@ -145,8 +147,17 @@ func TestJudgeBundleShapes(t *testing.T) {
 			r.BlockSize *= 2
 		case unbound:
 			r.Nonce = []byte("another nonce, which no rule binds")
+		case region:
+			r.RegionCount = 1
 		}
 		return r
+	}
+	// The error the tag source itself refuses a tagBad report with: Judge
+	// must hand back this one, not merely some error.
+	bad := mk(1, tagBad)
+	_, errGeometry := NewBatch(suite.SHA256, img).VerifyOnce(key, &bad, false)
+	if errGeometry == nil {
+		t.Fatal("the image accepted a report of another geometry")
 	}
 	bundle := func(ctrs ...uint64) []core.Report {
 		out := make([]core.Report, len(ctrs))
@@ -167,31 +178,31 @@ func TestJudgeBundleShapes(t *testing.T) {
 		reports []core.Report
 		want    []Reason
 		first   Reason
-		err     bool     // the first failure carries an error
+		err     error    // the first failure's error
 		window  []uint64 // ERASMUS counters committed
 		seed    uint64   // SeED watermark after
 		pol     CollectionPolicy
 		tagged  uint64 // reports that reached the tag source
 	}{
-		{"smart/empty", SMART, nil, nil, ReasonEmptyBundle, false, nil, 0, CollectionPolicy{}, 0},
-		{"erasmus/empty", ERASMUS, nil, nil, ReasonEmptyCollection, false, nil, 0, CollectionPolicy{}, 0},
-		{"seed/empty", SeED, nil, nil, ReasonEmptyBundle, false, nil, 0, CollectionPolicy{}, 0},
+		{"smart/empty", SMART, nil, nil, ReasonEmptyBundle, nil, nil, 0, CollectionPolicy{}, 0},
+		{"erasmus/empty", ERASMUS, nil, nil, ReasonEmptyCollection, nil, nil, 0, CollectionPolicy{}, 0},
+		{"seed/empty", SeED, nil, nil, ReasonEmptyBundle, nil, nil, 0, CollectionPolicy{}, 0},
 		{"smart/stops at the first failure", SMART, with(bundle(1, 2, 3), 1, tagWrong),
-			[]Reason{ReasonOK, ReasonTagMismatch}, ReasonTagMismatch, false, nil, 0, CollectionPolicy{}, 2},
+			[]Reason{ReasonOK, ReasonTagMismatch}, ReasonTagMismatch, nil, nil, 0, CollectionPolicy{}, 2},
 		{"erasmus/judges every report", ERASMUS, with(with(bundle(1, 2, 3), 1, tagWrong), 2, tagBad),
-			[]Reason{ReasonOK, ReasonTagMismatch, ReasonError}, ReasonTagMismatch, false, []uint64{1}, 0, CollectionPolicy{}, 3},
-		{"erasmus/first error", ERASMUS, with(bundle(1, 2, 2), 0, tagBad),
-			[]Reason{ReasonError, ReasonOK, ReasonReplay}, ReasonError, true, []uint64{2}, 0, CollectionPolicy{}, 2},
+			[]Reason{ReasonOK, ReasonTagMismatch, ReasonError}, ReasonTagMismatch, nil, []uint64{1}, 0, CollectionPolicy{}, 3},
+		{"erasmus/first error", ERASMUS, with(with(bundle(1, 2, 2, 3), 0, tagBad), 3, region),
+			[]Reason{ReasonError, ReasonOK, ReasonReplay, ReasonRegionUnserved}, ReasonError, errGeometry, []uint64{2}, 0, CollectionPolicy{}, 3},
 		{"seed/judges every report", SeED, with(bundle(2, 1, 3), 2, tagWrong),
-			[]Reason{ReasonOK, ReasonSeedReplay, ReasonTagMismatch}, ReasonSeedReplay, false, nil, 2, CollectionPolicy{}, 2},
+			[]Reason{ReasonOK, ReasonSeedReplay, ReasonTagMismatch}, ReasonSeedReplay, nil, nil, 2, CollectionPolicy{}, 2},
 		{"erasmus/cadence before the tag", ERASMUS, with(late, 1, tagWrong),
-			[]Reason{ReasonOK, ReasonCadence}, ReasonCadence, false, []uint64{1}, 0, CollectionPolicy{TM: sim.Second}, 1},
+			[]Reason{ReasonOK, ReasonCadence}, ReasonCadence, nil, []uint64{1}, 0, CollectionPolicy{TM: sim.Second}, 1},
 		{"erasmus/cheap refusals never reach the tag", ERASMUS, with(bundle(4, 4, 2, 6, 7), 3, unbound),
-			[]Reason{ReasonOK, ReasonReplay, ReasonNonMonotonic, ReasonNonceUnbound, ReasonOK}, ReasonReplay, false, []uint64{4, 7}, 0, CollectionPolicy{}, 2},
+			[]Reason{ReasonOK, ReasonReplay, ReasonNonMonotonic, ReasonNonceUnbound, ReasonOK}, ReasonReplay, nil, []uint64{4, 7}, 0, CollectionPolicy{}, 2},
 		{"seed/cheap refusals never reach the tag", SeED, with(bundle(4, 4, 2, 6), 3, unbound),
-			[]Reason{ReasonOK, ReasonSeedReplay, ReasonSeedReplay, ReasonSeedNonceUnbound}, ReasonSeedReplay, false, nil, 4, CollectionPolicy{}, 1},
+			[]Reason{ReasonOK, ReasonSeedReplay, ReasonSeedReplay, ReasonSeedNonceUnbound}, ReasonSeedReplay, nil, nil, 4, CollectionPolicy{}, 1},
 		{"smart/unbound nonce never reaches the tag", SMART, with(bundle(1), 0, unbound),
-			[]Reason{ReasonNonceMismatch}, ReasonNonceMismatch, false, nil, 0, CollectionPolicy{}, 0},
+			[]Reason{ReasonNonceMismatch}, ReasonNonceMismatch, nil, nil, 0, CollectionPolicy{}, 0},
 	}
 	for _, tc := range cases {
 		for _, byPtr := range []bool{false, true} {
@@ -213,18 +224,18 @@ func TestJudgeBundleShapes(t *testing.T) {
 			} else {
 				why, first, err = Judge(nil, tc.p, &f, tc.reports, &x)
 			}
-			if !slices.Equal(why, tc.want) || first != tc.first || (err != nil) != tc.err {
-				t.Errorf("%s (by pointer %v): %v, first %v, err %v; want %v, %v, error %v", tc.name, byPtr, why, first, err, tc.want, tc.first, tc.err)
+			if !slices.Equal(why, tc.want) || first != tc.first || errText(err) != errText(tc.err) {
+				t.Errorf("%s (by pointer %v): %v, first %v, err %v; want %v, %v, %v", tc.name, byPtr, why, first, err, tc.want, tc.first, tc.err)
 			}
 			// Every report that reached the tag source and was not refused
-			// on its geometry is counted (BatchStats.Reports).
-			bad := uint64(0)
+			// on its geometry or region is counted (BatchStats.Reports).
+			refused := uint64(0)
 			for i, w := range why {
-				if w == ReasonError && tc.reports[i].BlockSize != clean.BlockSize {
-					bad++
+				if w == ReasonRegionUnserved || w == ReasonError && tc.reports[i].BlockSize != clean.BlockSize {
+					refused++
 				}
 			}
-			if got := b.Stats().Reports + bad; got != tc.tagged {
+			if got := b.Stats().Reports + refused; got != tc.tagged {
 				t.Errorf("%s (by pointer %v): %d reports reached the tag source, want %d", tc.name, byPtr, got, tc.tagged)
 			}
 			for _, c := range tc.window {
@@ -237,4 +248,13 @@ func TestJudgeBundleShapes(t *testing.T) {
 			}
 		}
 	}
+}
+
+// errText is err's text, "" for nil: a tag source's refusals are made
+// per call, so the test compares what they say.
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
 }

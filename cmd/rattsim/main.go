@@ -16,10 +16,11 @@
 //	rattsim -mode tytan -no-isolation         # ... with the OS vulnerability
 //	rattsim -mode lifecycle                   # §1 services: detect, erase, update, re-attest
 //	rattsim -mode rattping -addr 127.0.0.1:9779 -provers 1000  # fleet vs a live rattd daemon
-//	rattsim -mode rattping -addr 127.0.0.1:9779 -shards 8 -provers 100000  # fleet vs a sharded rattd tier
 //
 // rattping tuning flags: -loss injects datagram drop and -concurrency
-// caps simultaneously active provers. The client socket runs the
+// caps simultaneously active provers. A rattping drives one daemon, so
+// several daemons take one rattping each; -shards is swarm-only and an
+// error with rattping. The client socket runs the
 // transport's defaults, as cmd/rattd's does: one dispatch worker a core
 // (at least four) and its fixed batching.
 //
@@ -74,9 +75,9 @@ func run(args []string, stdout io.Writer) error {
 		nodes   = fs.Int("nodes", 15, "swarm: number of nodes")
 		infect  = fs.Int("infect", -1, "swarm: node index to infect (-1 none)")
 		devices = fs.Int("devices", 0, "swarm: fleet size for the sharded engine (0 = tree protocol with -nodes)")
-		shards  = fs.Int("shards", 0, "swarm: worker shards for -devices (0 = GOMAXPROCS; results identical) / rattping: width of the target rattd tier")
+		shards  = fs.Int("shards", 0, "swarm: worker shards for -devices (0 = GOMAXPROCS; results identical)")
 		noIso   = fs.Bool("no-isolation", false, "tytan: disable process isolation (the OS vulnerability)")
-		addr    = fs.String("addr", "127.0.0.1:9779", "rattping: rattd daemon address (tier base address with -shards)")
+		addr    = fs.String("addr", "127.0.0.1:9779", "rattping: rattd daemon address")
 		provers = fs.Int("provers", 100, "rattping: fleet size")
 		history = fs.Int("history", 3, "rattping: self-measurements per collection (negative skips)")
 		conc    = fs.Int("concurrency", 0, "rattping: max simultaneously active provers (0 = all)")
@@ -128,8 +129,11 @@ func run(args []string, stdout io.Writer) error {
 	case "lifecycle":
 		return runLifecycle(stdout)
 	case "rattping":
+		if *shards != 0 {
+			return fmt.Errorf("-shards %d: rattping drives one daemon; run one rattping per daemon", *shards)
+		}
 		return runRattping(stdout, rattpingOpts{
-			addr: *addr, shards: *shards, provers: *provers, seed: *seed,
+			addr: *addr, provers: *provers, seed: *seed,
 			memSize: *memSize, block: *block, history: *history,
 			concurrency: *conc, net: transport.NetConfig{DropRate: *loss},
 		})

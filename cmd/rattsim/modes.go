@@ -167,7 +167,6 @@ func runSwarmSharded(out io.Writer, devices, shards int, seed uint64, infect int
 // rattpingOpts carries the rattping mode's flag surface.
 type rattpingOpts struct {
 	addr        string
-	shards      int // width of the target rattd tier (0/1 = single daemon)
 	provers     int
 	seed        uint64
 	memSize     int
@@ -178,12 +177,10 @@ type rattpingOpts struct {
 }
 
 // runRattping drives a fleet of real-socket provers against a live
-// rattd daemon or sharded tier: each completes a SMART
-// challenge/response round and ships an ERASMUS collection, over UDP
-// with retries. The image parameters (seed, mem, block) must match
-// the daemon's; with -shards the tier is assumed to sit on
-// consecutive ports starting at the base address, exactly as
-// `rattd -shards` lays it out, and provers route by rendezvous hash.
+// rattd daemon: each completes a SMART challenge/response round and
+// ships an ERASMUS collection, over UDP with retries. The image
+// parameters (seed, mem, block) must match the daemon's. Several
+// daemons take one run each.
 func runRattping(out io.Writer, o rattpingOpts) error {
 	cfg := rattd.FleetConfig{
 		Addr:        o.addr,
@@ -195,17 +192,8 @@ func runRattping(out io.Writer, o rattpingOpts) error {
 		Net:         o.net,
 		Logf:        func(format string, args ...any) { fmt.Fprintf(out, "  "+format+"\n", args...) },
 	}
-	target := o.addr
-	if o.shards > 1 {
-		addrs, err := rattd.TierAddrs(o.addr, o.shards)
-		if err != nil {
-			return err
-		}
-		cfg.Addrs = addrs
-		target = fmt.Sprintf("%s (+%d shard ports)", o.addr, o.shards-1)
-	}
 	fmt.Fprintf(out, "rattping: %d provers -> %s (image seed=%d, %d bytes in %d-byte blocks)\n",
-		o.provers, target, o.seed, o.memSize, o.block)
+		o.provers, o.addr, o.seed, o.memSize, o.block)
 	res, err := rattd.RunFleet(cfg)
 	if err != nil {
 		return err
@@ -213,9 +201,6 @@ func runRattping(out io.Writer, o rattpingOpts) error {
 	fmt.Fprintf(out, "SMART:      %d ok, %d failed\n", res.SMARTOK, res.SMARTFail)
 	if o.history > 0 {
 		fmt.Fprintf(out, "collection: %d ok, %d failed\n", res.CollectOK, res.CollectFail)
-	}
-	if res.ShardProvers != nil {
-		fmt.Fprintf(out, "routing:    provers per shard %v\n", res.ShardProvers)
 	}
 	fmt.Fprintf(out, "round trip: p50=%v p99=%v max=%v\n", res.P50, res.P99, res.Max)
 	fmt.Fprintf(out, "datagrams:  sent=%d resent=%d received=%d dups=%d expired=%d batches=%d coalesced=%d\n",

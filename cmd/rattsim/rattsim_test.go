@@ -81,6 +81,7 @@ func TestFlagErrors(t *testing.T) {
 		{"-mode swarm -nodes 0", "-nodes 0 must be at least 1"},
 		{"-mode swarm -infect 99", "-infect 99 names no node of 15"},
 		{"-malware persistent -malware-block 999", "-malware-block 999 names no block of 64"},
+		{"-mode rattping -shards 2", "-shards 2: rattping drives one daemon; run one rattping per daemon"},
 	} {
 		t.Run(c.args, func(t *testing.T) {
 			cmd := exec.Command(os.Args[0], strings.Fields(c.args)...)

@@ -10,10 +10,10 @@ import (
 	"saferatt/internal/verifier"
 )
 
-// Checkpoint is a shard's durable fleet state: the enrollment and
+// Checkpoint is a Server's durable fleet state: the enrollment and
 // freshness bookkeeping (which provers exist and which of their
 // counters have been consumed). Restoring it into a fresh Server
-// resumes the shard exactly where it died — enrolled provers keep
+// resumes the daemon exactly where it died — enrolled provers keep
 // verifying without re-registering, and previously-accepted reports
 // still read as replays.
 //
@@ -291,7 +291,7 @@ func (s *Server) Checkpoint() *Checkpoint {
 // on their own timeout), and dirty tracking is reset —
 // restored state is by definition what the disk already holds, so
 // the next delta starts empty. Restore is meant for a just-(re)started
-// shard; it locks stripe by stripe, so traffic racing the restore sees
+// server; it locks stripe by stripe, so traffic racing the restore sees
 // either old or new state per prover.
 func (s *Server) Restore(cp *Checkpoint) {
 	s.chal.Store(verifier.NewChallenger(nil, labelChallenge))

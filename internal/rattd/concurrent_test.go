@@ -287,7 +287,7 @@ func TestNetConcurrentIngest(t *testing.T) {
 						return
 					}
 					if err := cli.Send(transport.Msg{
-						From: name, To: s.Name(), Kind: transport.KindCollection,
+						From: name, To: endpoint, Kind: transport.KindCollection,
 						ReqID: uint64(cl*1_000_000+i*1_000) + c, Reports: []*core.Report{r},
 					}); err != nil {
 						t.Error(err)

@@ -11,17 +11,10 @@ import (
 )
 
 // FleetConfig drives RunFleet: a fleet of real-socket provers
-// attesting against a rattd daemon ("rattping") or a sharded tier.
+// attesting against a rattd daemon ("rattping").
 type FleetConfig struct {
-	// Addr is the daemon's UDP address (single-shard form).
+	// Addr is the daemon's UDP address.
 	Addr string
-	// Addrs are the shard addresses of a rattd tier, indexed by shard.
-	// When len(Addrs) > 1 each prover routes to the shard ShardFor
-	// picks for its name — the same pure hash the tier uses — over the
-	// one shared client socket, and Addr is ignored (shard i answers as
-	// ShardName(i)). Empty or one-element Addrs degrades to the
-	// single-daemon form.
-	Addrs []string
 	// Provers is the fleet size.
 	Provers int
 	// Concurrency caps how many provers run their protocol at once;
@@ -57,9 +50,6 @@ type FleetResult struct {
 	// P50/P99/Max are round-trip latencies for the SMART phase
 	// (hello sent -> verdict received).
 	P50, P99, Max time.Duration
-	// ShardProvers counts the provers routed to each shard (client-side
-	// view of the tier's balance); nil for single-daemon runs.
-	ShardProvers []int
 	// Net is the client transport's datagram counters.
 	Net transport.NetStats
 }
@@ -82,31 +72,17 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	if cfg.Provers <= 0 {
 		return nil, fmt.Errorf("rattd: fleet of %d provers", cfg.Provers)
 	}
-	addrs := cfg.Addrs
-	if len(addrs) == 0 {
-		addrs = []string{cfg.Addr}
-	}
-	shards := len(addrs)
 	netCfg := cfg.Net
 	netCfg.Addr = "" // client side always takes an ephemeral port
-	tr, err := transport.Dial(addrs[0], netCfg)
+	// The dialled address is the route of every name without one of its
+	// own, so the daemon's endpoint needs no static route.
+	tr, err := transport.Dial(cfg.Addr, netCfg)
 	if err != nil {
 		return nil, err
 	}
 	defer tr.Close()
-	// Pin a static route per shard daemon so the first datagram to
-	// each already has an address (the transport would also learn the
-	// mapping passively from replies, but provers talk first).
-	for i, addr := range addrs {
-		if err := tr.AddRoute(tierShardName(i, shards), addr); err != nil {
-			return nil, err
-		}
-	}
 
 	res := &FleetResult{Provers: cfg.Provers}
-	if shards > 1 {
-		res.ShardProvers = make([]int, shards)
-	}
 	sem := make(chan struct{}, fleetConcurrency(cfg))
 	var mu sync.Mutex
 	var rtts []time.Duration
@@ -117,16 +93,11 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		shard := prv.ShardOf(shards)
-		daemon := tierShardName(shard, shards)
-		if shards > 1 {
-			res.ShardProvers[shard]++
-		}
 		wg.Add(1)
 		sem <- struct{}{}
 		go func() {
 			defer func() { <-sem; wg.Done() }()
-			smartOK, rtt, collectOK := runProver(tr, cfg, prv, daemon)
+			smartOK, rtt, collectOK := runProver(tr, cfg, prv)
 			mu.Lock()
 			defer mu.Unlock()
 			if smartOK {
@@ -164,11 +135,10 @@ func fleetConcurrency(cfg FleetConfig) int {
 	return cfg.Provers
 }
 
-// runProver executes one prover's protocol against the named daemon
-// (its assigned shard in a tier): SMART round then ERASMUS
-// collection. Returns SMART success + its round trip, and collection
-// success.
-func runProver(tr *transport.Net, cfg FleetConfig, prv *Prover, daemon string) (bool, time.Duration, bool) {
+// runProver executes one prover's protocol against the daemon: SMART
+// round then ERASMUS collection. Returns SMART success + its round
+// trip, and collection success.
+func runProver(tr *transport.Net, cfg FleetConfig, prv *Prover) (bool, time.Duration, bool) {
 	inbox := make(chan transport.Msg, 8)
 	if err := tr.Bind(prv.Name, func(m transport.Msg) {
 		select {
@@ -207,7 +177,7 @@ func runProver(tr *transport.Net, cfg FleetConfig, prv *Prover, daemon string) (
 	start := time.Now()
 	var smartOK bool
 	for attempt := 0; attempt < 2 && !smartOK; attempt++ {
-		if err := tr.Send(transport.Msg{From: prv.Name, To: daemon, Kind: transport.KindHello,
+		if err := tr.Send(transport.Msg{From: prv.Name, To: endpoint, Kind: transport.KindHello,
 			Image: prv.ImageName}); err != nil {
 			logf("hello: %v", err)
 			break
@@ -222,7 +192,7 @@ func runProver(tr *transport.Net, cfg FleetConfig, prv *Prover, daemon string) (
 			logf("measure: %v", err)
 			break
 		}
-		if err := tr.Send(transport.Msg{From: prv.Name, To: daemon, Kind: transport.KindReport,
+		if err := tr.Send(transport.Msg{From: prv.Name, To: endpoint, Kind: transport.KindReport,
 			Image: prv.ImageName, Reports: []*core.Report{rep}}); err != nil {
 			logf("report: %v", err)
 			break
@@ -260,7 +230,7 @@ func runProver(tr *transport.Net, cfg FleetConfig, prv *Prover, daemon string) (
 			}
 			history = append(history, r)
 		}
-		if err := tr.Send(transport.Msg{From: prv.Name, To: daemon, Kind: transport.KindCollection,
+		if err := tr.Send(transport.Msg{From: prv.Name, To: endpoint, Kind: transport.KindCollection,
 			Image: prv.ImageName, Reports: history}); err != nil {
 			logf("collection: %v", err)
 			break

@@ -290,10 +290,11 @@ func TestConcurrentIngestAdvancingCounter(t *testing.T) {
 }
 
 // TestNonceMemoMissOverhead enforces "a flood of chosen counters costs
-// what it costs today": a lookup that misses a full memo and falls
-// through to the PRF, followed by the freshness check, must stay within
-// 1.10x of deriving the nonce directly (arms interleaved round by
-// round, as in TestServerVerifyMultiImageOverhead).
+// what it costs today" on the path the daemon runs: verifier.Judge on a
+// one-report ERASMUS bundle whose counter misses a full memo
+// (Expect.Memo, which derives the nonce on the miss) must stay within
+// 1.10x of Judge handed the nonce derived directly (Expect.Nonces), arms
+// interleaved round by round, as in TestServerVerifyMultiImageOverhead.
 func TestNonceMemoMissOverhead(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation distorts timing; the gate runs in the non-race suite")
@@ -308,40 +309,49 @@ func TestNonceMemoMissOverhead(t *testing.T) {
 		memo.Admit(c)
 	}
 	var fresh verifier.Freshness
-	r := core.Report{Nonce: make([]byte, 32)} // right length, the PRF of no counter
-	var scratch []byte
-	var unbound int
+	// Right length, the PRF of no counter: every report is refused at
+	// the nonce, before the tag source (which neither arm has).
+	bundle := []core.Report{{Nonce: make([]byte, 32)}}
+	viaMemo := verifier.Expect{Memo: memo}
+	direct := verifier.Expect{Nonces: [][]byte{nil}}
+	var why []verifier.Reason
+	var unbound, missed int
+	judge := func(x *verifier.Expect) {
+		var first verifier.Reason
+		why, first, _ = verifier.Judge(why[:0], verifier.ERASMUS, &fresh, bundle, x)
+		if first == verifier.ReasonNonceUnbound {
+			unbound++
+		}
+	}
 	// Round n walks counters nobody admitted: n<<33 onwards.
-	viaMemo := func(round int) {
+	memoArm := func(round int) {
 		for i := uint64(0); i < perArm; i++ {
-			r.Counter = uint64(round)<<33 + i
-			want, hit := memo.Nonce(scratch, r.Counter)
-			if !hit {
-				scratch = want
-			}
-			if fresh.CheckErasmus(&r, want, true, 0) == verifier.ReasonNonceUnbound {
-				unbound++
+			bundle[0].Counter = uint64(round)<<33 + i
+			judge(&viaMemo)
+			if viaMemo.Missed {
+				missed++
 			}
 		}
 	}
-	direct := func(round int) {
+	directArm := func(round int) {
 		for i := uint64(0); i < perArm; i++ {
-			r.Counter = uint64(round)<<33 + i
-			scratch = core.AppendErasmusNonce(scratch[:0], DefaultKey, r.Counter)
-			if fresh.CheckErasmus(&r, scratch, true, 0) == verifier.ReasonNonceUnbound {
-				unbound++
-			}
+			bundle[0].Counter = uint64(round)<<33 + i
+			direct.Nonces[0] = core.AppendErasmusNonce(direct.Nonces[0][:0], DefaultKey, bundle[0].Counter)
+			judge(&direct)
 		}
 	}
-	direct(1) // warm the MAC pool and the scratch
-	viaMemo(1)
-	unbound = 0
-	ratio, directNS, memoNS := interleavedRatio(2, 2+rounds, direct, viaMemo)
+	directArm(1) // warm the MAC pool and the scratch
+	memoArm(1)
+	unbound, missed = 0, 0
+	ratio, directNS, memoNS := interleavedRatio(2, 2+rounds, directArm, memoArm)
 	if unbound != 2*rounds*perArm {
-		t.Fatalf("%d of %d checks drew ReasonNonceUnbound", unbound, 2*rounds*perArm)
+		t.Fatalf("%d of %d bundles drew ReasonNonceUnbound", unbound, 2*rounds*perArm)
+	}
+	if missed != rounds*perArm {
+		t.Fatalf("%d of %d memo-arm bundles missed the memo", missed, rounds*perArm)
 	}
 	ops := float64(rounds * perArm)
-	t.Logf("memo miss %.0f ns/report, direct PRF %.0f ns/report (median round %.3fx)",
+	t.Logf("memo miss %.0f ns/bundle, direct PRF %.0f ns/bundle (median round %.3fx)",
 		float64(memoNS)/ops, float64(directNS)/ops, ratio)
 	if ratio > 1.10 {
 		t.Fatalf("a memo miss is %.3fx the direct derivation, budget 1.10x", ratio)

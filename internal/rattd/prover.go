@@ -94,8 +94,3 @@ func (p *Prover) SeedReport(ctr uint64) (*core.Report, error) {
 	nonce := core.AppendSeedNonce(nil, SeedFor(p.Key, p.Name), ctr)
 	return p.report(core.NoLock, nonce, 0, ctr, sim.Time(ctr)*sim.Time(sim.Second))
 }
-
-// ShardOf returns the prover's home shard in an n-shard tier — the
-// client side of the tier's routing contract (rendezvous hash over
-// the prover name; see ShardFor).
-func (p *Prover) ShardOf(n int) int { return ShardFor(p.Name, n) }

@@ -14,7 +14,7 @@
 // verifier.Verifier; what this package adds is striping, enrollment,
 // image binding and checkpointing.
 //
-// Concurrency model (one shard's insides). The transport delivers
+// Concurrency model (one Server's insides). The transport delivers
 // frames on its dispatch workers at once (one a core, at least four:
 // recvQueues in transport/net.go), so per-prover freshness state
 // (ERASMUS dedup windows, SeED watermarks, image bindings) is
@@ -68,10 +68,13 @@ const DefaultImageName = "default"
 // own tag caches (verifier.ImageSetConfig.KeepEpochs).
 const KeepEpochs = 64
 
+// endpoint is the name every Server answers as on its transport: a
+// fleet reaches one daemon a socket, so two Servers sit on two
+// transports.
+const endpoint = "rattd"
+
 // Config assembles a Server.
 type Config struct {
-	// Name is the daemon's endpoint name; defaults to "rattd".
-	Name string
 	// Key is the shared MAC-mode attestation key; defaults to
 	// DefaultKey.
 	Key []byte
@@ -176,7 +179,7 @@ func (st *stripe) rec(s *Server, name string, h uint64) (*proverRec, uint32) {
 	return &st.provers.At(id).Val, id
 }
 
-// Serve binds a new Server to tr under cfg.Name and starts answering.
+// Serve binds a new Server to tr as "rattd" and starts answering.
 func Serve(tr transport.Transport, cfg Config) (*Server, error) {
 	if cfg.Images == nil && (len(cfg.Ref) == 0 || cfg.BlockSize <= 0 || len(cfg.Ref)%cfg.BlockSize != 0) {
 		return nil, fmt.Errorf("rattd: golden image of %d bytes is not a positive multiple of block size %d",
@@ -184,9 +187,6 @@ func Serve(tr transport.Transport, cfg Config) (*Server, error) {
 	}
 	if cfg.Images != nil && cfg.Images.Default().Name == "" {
 		return nil, fmt.Errorf("rattd: image registry holds no default image")
-	}
-	if cfg.Name == "" {
-		cfg.Name = "rattd"
 	}
 	if cfg.Key == nil {
 		cfg.Key = DefaultKey
@@ -224,18 +224,15 @@ func Serve(tr transport.Transport, cfg Config) (*Server, error) {
 	// the handler returns (every retained value below — nonces,
 	// counters, prover names — is owned or interned), so ingesting a
 	// collection costs no per-report copies.
-	if err := tr.BindFrames(cfg.Name, s.onFrame); err != nil {
+	if err := tr.BindFrames(endpoint, s.onFrame); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// Name returns the daemon's endpoint name.
-func (s *Server) Name() string { return s.cfg.Name }
-
 // Close unbinds the daemon from its transport. The transport itself is
 // the caller's to close (it may host other endpoints).
-func (s *Server) Close() { s.tr.Unbind(s.cfg.Name) }
+func (s *Server) Close() { s.tr.Unbind(endpoint) }
 
 // Stripes returns the server's stripe count (diagnostics).
 func (s *Server) Stripes() int { return len(s.stripes) }
@@ -264,7 +261,7 @@ func (s *Server) ImageFallbacks() uint64 { return s.imageFallbacks.Load() }
 
 // Enrolled counts the distinct provers the server holds freshness
 // state for — the "enrollment" that checkpoint/restore preserves, so
-// a restarted shard keeps rejecting replays and accepting fresh
+// a restarted daemon keeps rejecting replays and accepting fresh
 // counters without the fleet re-registering. Maintained as a counter
 // at insert time (it is read per stats tick; scanning every stripe's
 // tables there would serialize against the ingest path).
@@ -278,8 +275,8 @@ func (s *Server) Enrolled() int { return int(s.enrolled.Load()) }
 func (s *Server) DirtyCount() int64 { return s.dirtyProvers.Load() }
 
 // stripeFor picks the lock stripe owning a prover's freshness state.
-// The name hash is mixed through splitmix64 so provers that rendezvous
-// onto one shard still spread across its stripes. It is unseeded, so a
+// The FNV-1a name hash is finished with splitmix64, so the low bits
+// the mask keeps are well mixed. It is unseeded, so a
 // prover sits on the same stripe of every server with as many stripes,
 // which keeps their checkpoints byte for byte comparable.
 func (s *Server) stripeFor(name string) *stripe {
@@ -398,7 +395,7 @@ func (st *stripe) bindImage(s *Server, rec *proverRec, ri uint32, name string) (
 func (s *Server) handleHello(from string) {
 	nonce := s.chal.Load().Issue(from)
 	s.challenges.Add(1)
-	s.tr.Send(transport.Msg{From: s.cfg.Name, To: from, Kind: transport.KindChallenge, Nonce: nonce})
+	s.tr.Send(transport.Msg{From: endpoint, To: from, Kind: transport.KindChallenge, Nonce: nonce})
 }
 
 // handleReport validates a challenge response and answers with a
@@ -436,7 +433,7 @@ func (s *Server) verdict(from, what string, n int, why verifier.Reason, err erro
 	if s.cfg.Logf != nil { // guarded: the variadic boxing allocates
 		s.cfg.Logf("%s %s (%d reports): ok=%v %s", what, from, n, ok, reason)
 	}
-	s.tr.Send(transport.Msg{From: s.cfg.Name, To: from, Kind: transport.KindVerdict, OK: ok, Reason: reason})
+	s.tr.Send(transport.Msg{From: endpoint, To: from, Kind: transport.KindVerdict, OK: ok, Reason: reason})
 }
 
 // ingestScratch holds the reusable buffers of one bundle's ingest:
@@ -481,7 +478,7 @@ func (s *Server) collect(sc *ingestScratch, from string, id verifier.ImageID, re
 	// then the binding on it — a mismatch needs a stored binding, hence
 	// a record that already existed, so a mismatched image claim still
 	// rejects the whole bundle (every report counted) before any state
-	// moves. Then the prover gets its window, so a restarted shard's
+	// moves. Then the prover gets its window, so a restarted daemon's
 	// checkpoint covers provers whose every report was rejected too
 	// (enrolled, just never clean). The record pointer is stable (records
 	// never move within their table), so the commit visit reuses it.

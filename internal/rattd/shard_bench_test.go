@@ -61,32 +61,26 @@ func BenchmarkShard_CheckpointRoundTrip(b *testing.B) {
 	}
 }
 
-// BenchmarkShard_TierThroughput runs b.N provers (SMART round + a
-// 1-deep collection each) through a 4-shard tier over real loopback
+// BenchmarkServer_FleetThroughput runs b.N provers (SMART round + a
+// 1-deep collection each) through one Server over real loopback
 // sockets; ns/op is the full per-prover protocol cost including
-// routing, transport, and verification.
-func BenchmarkShard_TierThroughput(b *testing.B) {
+// transport and verification.
+func BenchmarkServer_FleetThroughput(b *testing.B) {
 	image := GoldenImage(7, testMem, testBlock)
-	var trs []transport.Transport
-	var addrs []string
-	for i := 0; i < 4; i++ {
-		l, err := transport.Listen(transport.NetConfig{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer l.Close()
-		trs = append(trs, l)
-		addrs = append(addrs, l.Addr().String())
-	}
-	tier, err := ServeTier(trs, TierConfig{Base: Config{Ref: image, BlockSize: testBlock}})
+	lis, err := transport.Listen(transport.NetConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer tier.Close()
+	defer lis.Close()
+	srv, err := Serve(lis, Config{Ref: image, BlockSize: testBlock})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
 	res, err := RunFleet(FleetConfig{
-		Addrs:       addrs,
+		Addr:        lis.Addr().String(),
 		Provers:     b.N,
 		Concurrency: 256,
 		Image:       image,

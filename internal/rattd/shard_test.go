@@ -3,11 +3,9 @@ package rattd
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
-	"sync"
 	"testing"
 	"time"
 
@@ -18,8 +16,8 @@ import (
 	"saferatt/internal/verifier"
 )
 
-// TestShardForProperties pins the routing contract: deterministic,
-// in-range, balanced, and minimally disruptive when the tier grows.
+// TestShardForProperties pins the hash's contract: deterministic,
+// in-range, balanced, and minimally disruptive when n grows.
 func TestShardForProperties(t *testing.T) {
 	const n = 8
 	const fleet = 40000
@@ -57,76 +55,50 @@ func TestShardForProperties(t *testing.T) {
 		t.Fatalf("growing %d->%d shards moved %d/%d provers (limit %d)", n, n+1, moved, fleet, lim)
 	}
 	if ShardFor("anything", 1) != 0 || ShardFor("anything", 0) != 0 {
-		t.Fatal("degenerate tier widths must map to shard 0")
+		t.Fatal("degenerate widths must map to shard 0")
 	}
 }
 
-// TestTierAddrs pins the one address layout daemon and clients share.
-func TestTierAddrs(t *testing.T) {
-	for _, c := range []struct {
-		base string
-		n    int
-		want []string // nil: refused
-	}{
-		{"127.0.0.1:9779", 1, []string{"127.0.0.1:9779"}},
-		{"not an address", 1, []string{"not an address"}}, // one shard: untouched, the listener judges it
-		{"127.0.0.1:9779", 3, []string{"127.0.0.1:9779", "127.0.0.1:9780", "127.0.0.1:9781"}},
-		{"host:0", 3, []string{"host:0", "host:0", "host:0"}}, // the kernel picks every port
-		{"[::1]:9000", 2, []string{"[::1]:9000", "[::1]:9001"}},
-		{":65528", 8, []string{":65528", ":65529", ":65530", ":65531", ":65532", ":65533", ":65534", ":65535"}},
-		{":65530", 8, nil}, // would reach port 65537
-		{"127.0.0.1", 2, nil},
-		{"127.0.0.1:http", 2, nil},
-		{"127.0.0.1:9779", 0, nil},
-	} {
-		got, err := TierAddrs(c.base, c.n)
-		if (err != nil) != (c.want == nil) || !reflect.DeepEqual(got, c.want) {
-			t.Errorf("TierAddrs(%q, %d) = %v, %v; want %v", c.base, c.n, got, err, c.want)
-		}
-	}
-}
-
-// TestTierChallengeNoncesUnique drives two shards on one Sim link and
-// checks that no challenge nonce is ever minted twice across the tier.
-func TestTierChallengeNoncesUnique(t *testing.T) {
+// TestServerChallengeNoncesUnique drives two Servers, each on its own
+// Sim link, and checks that no challenge nonce is ever minted twice
+// across them: each draws its challenge key for itself.
+func TestServerChallengeNoncesUnique(t *testing.T) {
 	k := sim.NewKernel()
-	link := channel.New(channel.Config{Kernel: k, Latency: sim.Millisecond, Seed: 5})
-	tr := transport.NewSim(link)
-	tier, err := ServeTier([]transport.Transport{tr, tr}, TierConfig{
-		Base: Config{Ref: GoldenImage(7, testMem, testBlock), BlockSize: testBlock},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tier.Close()
-
-	nonces := map[string]string{} // nonce -> shard that minted it
-	var mu sync.Mutex
+	nonces := map[string]int{} // nonce -> the server that minted it
 	recv := 0
-	if err := tr.Bind("prv-n", func(m transport.Msg) {
-		if m.Kind == transport.KindChallenge {
-			mu.Lock()
-			if prev, dup := nonces[string(m.Nonce)]; dup {
-				t.Errorf("challenge nonce reused (first minted by %s, again by %s)", prev, m.From)
-			}
-			nonces[string(m.Nonce)] = m.From
-			recv++
-			mu.Unlock()
+	var trs [2]*transport.Sim
+	for i := range trs {
+		link := channel.New(channel.Config{Kernel: k, Latency: sim.Millisecond, Seed: 5 + uint64(i)})
+		trs[i] = transport.NewSim(link)
+		srv, err := Serve(trs[i], Config{Ref: GoldenImage(7, testMem, testBlock), BlockSize: testBlock})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}); err != nil {
-		t.Fatal(err)
+		defer srv.Close()
+		if err := trs[i].Bind("prv-n", func(m transport.Msg) {
+			if m.Kind != transport.KindChallenge {
+				return
+			}
+			if prev, dup := nonces[string(m.Nonce)]; dup {
+				t.Errorf("challenge nonce reused (first minted by server %d, again by server %d)", prev, i)
+			}
+			nonces[string(m.Nonce)] = i
+			recv++
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	const hellosPerShard = 50
-	for i := 0; i < hellosPerShard; i++ {
-		for s := 0; s < 2; s++ {
-			if err := tr.Send(transport.Msg{From: "prv-n", To: ShardName(s), Kind: transport.KindHello}); err != nil {
+	const hellosPerServer = 50
+	for n := 0; n < hellosPerServer; n++ {
+		for _, tr := range trs {
+			if err := tr.Send(transport.Msg{From: "prv-n", To: endpoint, Kind: transport.KindHello}); err != nil {
 				t.Fatal(err)
 			}
 			k.Run()
 		}
 	}
-	if recv != 2*hellosPerShard {
-		t.Fatalf("got %d challenges, want %d", recv, 2*hellosPerShard)
+	if recv != 2*hellosPerServer {
+		t.Fatalf("got %d challenges, want %d", recv, 2*hellosPerServer)
 	}
 }
 
@@ -215,58 +187,57 @@ func encodeCP(t testing.TB, cp *Checkpoint) []byte {
 	return buf.Bytes()
 }
 
-// TestShardRestartMidEpoch is the crash-recovery acceptance test:
-// populate a 2-shard Net tier, checkpoint one shard mid-epoch, kill
-// its socket, restart it from the checkpoint on the same address, and
-// verify enrolled provers keep verifying without re-enrollment while
-// previously-seen reports still read as replays.
-func TestShardRestartMidEpoch(t *testing.T) {
+// TestServerRestartMidEpoch is the crash-recovery acceptance test:
+// populate a Server on a real socket, checkpoint it mid-epoch, kill it
+// (Close, then its socket), bring a fresh one up on the same address
+// from the checkpoint — what `rattd -restore` does — and verify
+// enrolled provers keep verifying without re-enrollment while
+// previously-seen reports still read as replays, and that no challenge
+// of the dead incarnation or of another live Server redeems there.
+func TestServerRestartMidEpoch(t *testing.T) {
 	image := GoldenImage(7, testMem, testBlock)
-	var lis [2]*transport.Net
-	var trs []transport.Transport
-	for i := range lis {
-		l, err := transport.Listen(transport.NetConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer l.Close()
-		lis[i] = l
-		trs = append(trs, l)
-	}
-	tier, err := ServeTier(trs, TierConfig{Base: Config{Ref: image, BlockSize: testBlock}})
+	cfg := Config{Ref: image, BlockSize: testBlock}
+	lis, err := transport.Listen(transport.NetConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tier.Close()
-
-	cli, err := transport.Dial(lis[0].Addr().String(), transport.NetConfig{})
+	defer lis.Close()
+	srv, err := Serve(lis, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cli.Close()
-	for i := range lis {
-		if err := cli.AddRoute(ShardName(i), lis[i].Addr().String()); err != nil {
-			t.Fatal(err)
-		}
+	// A second live Server on its own socket: both answer as "rattd", so
+	// the prover reaches it through a client transport of its own.
+	otherLis, err := transport.Listen(transport.NetConfig{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer otherLis.Close()
+	other, err := Serve(otherLis, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
 
-	// A prover homed on shard 1 — the shard we will kill.
-	const victim = 1
-	name := ""
-	for i := 0; name == ""; i++ {
-		n := fmt.Sprintf("prv%05d", i)
-		if ShardFor(n, 2) == victim {
-			name = n
-		}
-	}
+	const name = "prv00001"
 	prv, err := NewProver(name, DefaultKey, image, testBlock)
 	if err != nil {
 		t.Fatal(err)
 	}
 	inbox := make(chan transport.Msg, 32)
-	if err := cli.Bind(name, func(m transport.Msg) { inbox <- m }); err != nil {
-		t.Fatal(err)
+	dial := func(addr string) *transport.Net {
+		t.Helper()
+		cli, err := transport.Dial(addr, transport.NetConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cli.Close() })
+		if err := cli.Bind(name, func(m transport.Msg) { inbox <- m }); err != nil {
+			t.Fatal(err)
+		}
+		return cli
 	}
+	cli, otherCli := dial(lis.Addr().String()), dial(otherLis.Addr().String())
 	await := func(kind transport.Kind) transport.Msg {
 		t.Helper()
 		for {
@@ -278,7 +249,7 @@ func TestShardRestartMidEpoch(t *testing.T) {
 	}
 	send := func(m transport.Msg) {
 		t.Helper()
-		m.From, m.To = name, ShardName(victim)
+		m.From, m.To = name, endpoint
 		if err := cli.Send(m); err != nil {
 			t.Fatal(err)
 		}
@@ -312,14 +283,14 @@ func TestShardRestartMidEpoch(t *testing.T) {
 	if v := collect(1, 3); !v.OK {
 		t.Fatalf("pre-kill collection rejected: %s", v.Reason)
 	}
-	waitFor(t, func() bool { return tier.Shard(victim).Counts().Accepted == 4 })
+	waitFor(t, func() bool { return srv.Counts().Accepted == 4 })
 
 	// Persist through the on-disk chain the daemon actually writes:
 	// base now, a delta after the SeED report lands.
 	cpPath := filepath.Join(t.TempDir(), "cp")
 	// MaxDeltaFrac is disarmed: with a 1-prover fleet any delta
 	// exceeds half the base, and this test wants the chain kept.
-	ckpt := NewCheckpointer(tier.Shard(victim), CheckpointerConfig{Path: cpPath, MaxDeltaFrac: 100})
+	ckpt := NewCheckpointer(srv, CheckpointerConfig{Path: cpPath, MaxDeltaFrac: 100})
 	if err := ckpt.Tick(); err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +299,7 @@ func TestShardRestartMidEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	send(transport.Msg{Kind: transport.KindSeedReport, Reports: []*core.Report{sr}})
-	waitFor(t, func() bool { return tier.Shard(victim).Counts().Accepted == 5 })
+	waitFor(t, func() bool { return srv.Counts().Accepted == 5 })
 	if err := ckpt.Tick(); err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +316,7 @@ func TestShardRestartMidEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	send(transport.Msg{Kind: transport.KindSeedReport, Reports: []*core.Report{sr}})
-	waitFor(t, func() bool { return tier.Shard(victim).Counts().Accepted == 6 })
+	waitFor(t, func() bool { return srv.Counts().Accepted == 6 })
 	if err := ckpt.Tick(); err != nil {
 		t.Fatal(err)
 	}
@@ -379,8 +350,9 @@ func TestShardRestartMidEpoch(t *testing.T) {
 	if w := cp.Erasmus[name]; len(w.Counters()) != 3 || cp.Seed[name] != 6 {
 		t.Fatalf("checkpoint missing enrollment: %+v", cp)
 	}
-	addr := lis[victim].Addr().String()
-	lis[victim].Close()
+	addr := lis.Addr().String()
+	srv.Close()
+	lis.Close()
 
 	// Restart on the same address from the serialized checkpoint.
 	relis, err := transport.Listen(transport.NetConfig{Addr: addr})
@@ -388,11 +360,13 @@ func TestShardRestartMidEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer relis.Close()
-	if err := tier.Restart(victim, relis, cp); err != nil {
+	if srv, err = Serve(relis, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if got := tier.Shard(victim).Enrolled(); got != 1 {
-		t.Fatalf("restored shard enrolled %d provers, want 1", got)
+	defer srv.Close()
+	srv.Restore(cp)
+	if got := srv.Enrolled(); got != 1 {
+		t.Fatalf("restored server enrolled %d provers, want 1", got)
 	}
 
 	// Replayed collection: previously-accepted counters must still be
@@ -400,7 +374,7 @@ func TestShardRestartMidEpoch(t *testing.T) {
 	if v := collect(1, 3); v.OK {
 		t.Fatal("replayed collection accepted after restore")
 	}
-	if c := tier.Shard(victim).Counts(); c.Replays == 0 {
+	if c := srv.Counts(); c.Replays == 0 {
 		t.Fatalf("replays not counted after restore: %+v", c)
 	}
 	// Fresh counters keep verifying with no re-enrollment handshake.
@@ -416,13 +390,13 @@ func TestShardRestartMidEpoch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		before := tier.Shard(victim).Counts()
+		before := srv.Counts()
 		send(transport.Msg{Kind: transport.KindSeedReport, Reports: []*core.Report{sr}})
 		waitFor(t, func() bool {
-			c := tier.Shard(victim).Counts()
+			c := srv.Counts()
 			return c.Accepted+c.Rejected > before.Accepted+before.Rejected
 		})
-		c := tier.Shard(victim).Counts()
+		c := srv.Counts()
 		if tc.wantOK && c.Accepted != before.Accepted+1 {
 			t.Fatalf("SeED ctr %d not accepted after restore: %+v", tc.ctr, c)
 		}
@@ -430,11 +404,11 @@ func TestShardRestartMidEpoch(t *testing.T) {
 			t.Fatalf("SeED replay ctr %d not rejected after restore: %+v", tc.ctr, c)
 		}
 	}
-	// I3 by construction: no challenge redeems outside the shard and
+	// I3 by construction: no challenge redeems outside the server and
 	// the incarnation that minted it, because its MAC key is drawn per
-	// incarnation and never persisted. The pre-kill response, the
-	// pre-kill challenge nobody answered, and a challenge shard 0 minted
-	// all fail the MAC here.
+	// incarnation and never persisted. A challenge the other live Server
+	// minted, the pre-kill response and the pre-kill challenge nobody
+	// answered all fail the MAC here.
 	refused := func(what string, reports ...*core.Report) {
 		t.Helper()
 		send(transport.Msg{Kind: transport.KindReport, Reports: reports})
@@ -442,21 +416,21 @@ func TestShardRestartMidEpoch(t *testing.T) {
 			t.Fatalf("%s after restart: ok=%v %q, want %q", what, v.OK, v.Reason, verifier.ReasonNonceMismatch)
 		}
 	}
+	if err := otherCli.Send(transport.Msg{From: name, To: endpoint, Kind: transport.KindHello}); err != nil {
+		t.Fatal(err)
+	}
+	chOther := await(transport.KindChallenge)
+	repOther, err := prv.Respond(chOther.Nonce)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused("response to the other server's challenge", repOther)
 	refused("pre-kill response replayed", rep)
 	repOpen, err := prv.Respond(chOpen.Nonce)
 	if err != nil {
 		t.Fatal(err)
 	}
 	refused("response to an unanswered pre-kill challenge", repOpen)
-	if err := cli.Send(transport.Msg{From: name, To: ShardName(0), Kind: transport.KindHello}); err != nil {
-		t.Fatal(err)
-	}
-	ch0 := await(transport.KindChallenge)
-	rep0, err := prv.Respond(ch0.Nonce)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refused("response to shard 0's challenge", rep0)
 
 	// SMART still works, on a challenge of the new incarnation.
 	send(transport.Msg{Kind: transport.KindHello})
@@ -472,70 +446,6 @@ func TestShardRestartMidEpoch(t *testing.T) {
 	if v := await(transport.KindVerdict); !v.OK {
 		t.Fatalf("post-restore SMART rejected: %s", v.Reason)
 	}
-}
-
-// TestShardTier10k is the CI smoke gate: 10k provers (1k under
-// -short) through a 4-shard Net tier with zero verification failures
-// and per-shard balance within 1.5x.
-func TestShardTier10k(t *testing.T) {
-	provers := 10000
-	if testing.Short() {
-		provers = 1000
-	}
-	image := GoldenImage(7, testMem, testBlock)
-	const shards = 4
-	var trs []transport.Transport
-	var addrs []string
-	for i := 0; i < shards; i++ {
-		l, err := transport.Listen(transport.NetConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer l.Close()
-		trs = append(trs, l)
-		addrs = append(addrs, l.Addr().String())
-	}
-	tier, err := ServeTier(trs, TierConfig{Base: Config{Ref: image, BlockSize: testBlock}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tier.Close()
-
-	res, err := RunFleet(FleetConfig{
-		Addrs:       addrs,
-		Provers:     provers,
-		Concurrency: 512,
-		Image:       image,
-		BlockSize:   testBlock,
-		History:     2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SMARTFail+res.CollectFail != 0 {
-		t.Fatalf("verification failures (smart %d, collect %d) across %d provers",
-			res.SMARTFail, res.CollectFail, provers)
-	}
-	if res.SMARTOK != provers || res.CollectOK != provers {
-		t.Fatalf("incomplete fleet: %+v", res)
-	}
-	counts := tier.Counts()
-	if want := uint64(provers * 3); counts.Accepted < want {
-		t.Fatalf("tier accepted %d reports, want >= %d", counts.Accepted, want)
-	}
-	if bal := tier.Balance(); math.IsInf(bal, 1) || bal > 1.5 {
-		t.Fatalf("per-shard balance %.3f > 1.5 (per-shard %+v)", bal, tier.PerShard())
-	}
-	// Client-side routing must agree with what the shards saw: every
-	// shard's challenge count matches the provers routed to it.
-	per := tier.PerShard()
-	for i, n := range res.ShardProvers {
-		if per[i].Challenges < uint64(n) {
-			t.Fatalf("shard %d answered %d challenges for %d routed provers", i, per[i].Challenges, n)
-		}
-	}
-	t.Logf("%d provers / %d shards: balance %.3f, per-shard %v, p50 %v p99 %v",
-		provers, shards, tier.Balance(), res.ShardProvers, res.P50, res.P99)
 }
 
 // waitFor spins until cond holds (Net delivery is asynchronous).

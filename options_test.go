@@ -148,8 +148,7 @@ func unsetOptions(t *testing.T, tr *tree) (audited int, failed []string) {
 // A cmd/rattd flag that neither bench/ nor CI passes stays only as a
 // deployment setting: a value the site running the daemon supplies.
 var flagsDeployment = [...]struct{ name, why string }{
-	{"addr", "the address the tier listens on"},
-	{"shards", "the tier's width, which the host's cores decide"},
+	{"addr", "the address the daemon listens on"},
 	{"image", "the fleet's golden image files"},
 	{"grace-epochs", "the fleet's OTA rollout window, in rotation epochs"},
 	{"v", "the per-decision log sink"},

@@ -31,7 +31,6 @@ var reachAllowed = [...]struct{ name, reason, why string }{
 	{"rattd.Checkpoint.EncodeTo", reference, "encoder of a materialized Checkpoint: fuzz and round-trip tests re-encode what the decoder returned"},
 	{"transport.DecodeFrame", reference, "owning decode (DecodeFrameInto + Frame.Msg): the form the codec round-trip and fuzz tests compare in"},
 	{"mem.Memory.Restore", faultSeam, "out-of-band rewrite that bypasses locks: the stale-digest regressions need a mutation that is not a Write"},
-	{"rattd.Tier.Restart", faultSeam, "kills and rebinds one shard mid-epoch (TestShardRestartMidEpoch)"},
 	{"device.Device.InterruptsDisabled", testState, "whether an atomic section is open while a service or measurement runs"},
 	{"device.Task.Suspended", testState, "TyTAN suspends the measured process: tests look mid-measurement"},
 	{"inccache.ImageCache.Stats", testState, "hit/miss/seeded counters: a cache's effect is invisible in its results"},

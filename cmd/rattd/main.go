@@ -135,14 +135,12 @@ func main() {
 	if err != nil {
 		log.Fatalf("rattd: %v", err)
 	}
-	var priorChain uint64
 	if *restore {
 		cp, err := loadCheckpoint(*checkpoint)
 		if err != nil {
 			log.Fatalf("rattd: %v", err)
 		}
 		if cp != nil {
-			priorChain = cp.ChainID
 			srv.Restore(cp)
 		}
 	}
@@ -153,10 +151,9 @@ func main() {
 	var ckpt *rattd.Checkpointer
 	if *checkpoint != "" {
 		ckpt = rattd.NewCheckpointer(srv, rattd.CheckpointerConfig{
-			Path:         *checkpoint,
-			Interval:     *ckptInterval,
-			PriorChainID: priorChain,
-			Logf:         log.Printf,
+			Path:     *checkpoint,
+			Interval: *ckptInterval,
+			Logf:     log.Printf,
 		})
 		ckpt.Start()
 	}

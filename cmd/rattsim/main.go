@@ -25,7 +25,9 @@
 // (at least four) and its fixed batching.
 //
 // A flag value the scenario cannot run with is an error: rattsim prints
-// it and exits with status 2.
+// it and exits with status 2. A rattping run in which any SMART exchange
+// or collection failed prints one line naming the failed counts and
+// exits with status 1.
 package main
 
 import (
@@ -49,9 +51,19 @@ func main() {
 			return
 		}
 		fmt.Fprintln(os.Stderr, "rattsim:", err)
+		if errors.As(err, new(failedError)) {
+			os.Exit(1)
+		}
 		os.Exit(2)
 	}
 }
+
+// failedError is a run that went through but whose exchanges failed:
+// rattsim exits with status 1, where a flag value it cannot run with is
+// status 2.
+type failedError string
+
+func (e failedError) Error() string { return string(e) }
 
 // run parses args, checks them, and writes the chosen scenario's report
 // to stdout.

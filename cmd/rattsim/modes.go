@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand/v2"
+	"sync"
 
 	"saferatt/internal/channel"
 	"saferatt/internal/core"
@@ -180,8 +181,10 @@ type rattpingOpts struct {
 // rattd daemon: each completes a SMART challenge/response round and
 // ships an ERASMUS collection, over UDP with retries. The image
 // parameters (seed, mem, block) must match the daemon's. Several
-// daemons take one run each.
+// daemons take one run each. A run in which any exchange failed returns
+// a failedError.
 func runRattping(out io.Writer, o rattpingOpts) error {
+	var logMu sync.Mutex // RunFleet logs from every prover's goroutine
 	cfg := rattd.FleetConfig{
 		Addr:        o.addr,
 		Provers:     o.provers,
@@ -190,7 +193,11 @@ func runRattping(out io.Writer, o rattpingOpts) error {
 		BlockSize:   o.block,
 		History:     o.history,
 		Net:         o.net,
-		Logf:        func(format string, args ...any) { fmt.Fprintf(out, "  "+format+"\n", args...) },
+		Logf: func(format string, args ...any) {
+			logMu.Lock()
+			defer logMu.Unlock()
+			fmt.Fprintf(out, "  "+format+"\n", args...)
+		},
 	}
 	fmt.Fprintf(out, "rattping: %d provers -> %s (image seed=%d, %d bytes in %d-byte blocks)\n",
 		o.provers, o.addr, o.seed, o.memSize, o.block)
@@ -206,6 +213,9 @@ func runRattping(out io.Writer, o rattpingOpts) error {
 	fmt.Fprintf(out, "datagrams:  sent=%d resent=%d received=%d dups=%d expired=%d batches=%d coalesced=%d\n",
 		res.Net.Sent, res.Net.Resent, res.Net.Received, res.Net.Dups, res.Net.Expired,
 		res.Net.BatchesSent, res.Net.Coalesced)
+	if res.SMARTFail > 0 || res.CollectFail > 0 {
+		return failedError(fmt.Sprintf("rattping: %d SMART exchanges and %d collections failed", res.SMARTFail, res.CollectFail))
+	}
 	return nil
 }
 

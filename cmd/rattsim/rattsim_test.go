@@ -11,6 +11,9 @@ import (
 	"runtime/debug"
 	"strings"
 	"testing"
+
+	"saferatt/internal/rattd"
+	"saferatt/internal/transport"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/ from this build's output")
@@ -98,5 +101,33 @@ func TestFlagErrors(t *testing.T) {
 				t.Fatalf("stderr %q, want one line starting %q", got, "rattsim: "+c.msg)
 			}
 		})
+	}
+}
+
+// TestRattpingFailureIsAnError: a rattping run in which exchanges
+// failed ends in a failedError (status 1), naming the failed counts,
+// and a clean run in nil. The daemon here serves the image of seed 42;
+// a fleet of seed 1 has every exchange refused by verdict, at once.
+func TestRattpingFailureIsAnError(t *testing.T) {
+	tr, err := transport.Listen(transport.NetConfig{Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	srv, err := rattd.Serve(tr, rattd.Config{Ref: rattd.GoldenImage(42, 64<<10, 1<<10), BlockSize: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	addr := tr.Addr().String()
+
+	var out bytes.Buffer
+	err = run(strings.Fields("-mode rattping -provers 3 -seed 1 -addr "+addr), &out)
+	if !errors.As(err, new(failedError)) || err.Error() != "rattping: 3 SMART exchanges and 3 collections failed" {
+		t.Fatalf("mismatched image: err %v, want the failed counts as a failedError; output:\n%s", err, &out)
+	}
+	out.Reset()
+	if err := run(strings.Fields("-mode rattping -provers 3 -seed 42 -addr "+addr), &out); err != nil {
+		t.Fatalf("matching image: %v; output:\n%s", err, &out)
 	}
 }

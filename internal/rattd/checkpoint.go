@@ -44,10 +44,10 @@ type Checkpoint struct {
 	// only the records dirtied since the previous snapshot in the
 	// chain, not the whole fleet.
 	Delta bool
-	// ChainID identifies the chain this file belongs to (bumped on
-	// every compaction); Seq is the file's position in it — 0 for the
-	// base, 1.. for the deltas. A delta applies only to the base with
-	// the same ChainID, at exactly the next Seq.
+	// ChainID identifies the chain this file belongs to (drawn at
+	// random for every base); Seq is the file's position in it — 0 for
+	// the base, 1.. for the deltas. A delta applies only to the base
+	// with the same ChainID, at exactly the next Seq.
 	ChainID uint64
 	Seq     uint32
 }
@@ -203,10 +203,12 @@ func (s *Server) WriteCheckpoint(w io.Writer, o SnapshotOptions) (SnapshotStats,
 		// The image table is append-only: the names these records index
 		// stay where they are once the lock drops.
 		images := t.images
-		// Swap the dirty set: commits after this point stamp the next
-		// generation and belong to the next delta.
-		s.dirtyProvers.Add(-int64(len(t.dirty)))
-		t.nextGen()
+		// Take the dirty set: commits after this point mark the next
+		// delta.
+		for _, id := range t.dirty {
+			t.At(id).Val.state &^= recDirty
+		}
+		t.dirty = t.dirty[:0]
 		st.mu.Unlock()
 
 		// Records sit in enrolment order; sorting by name keeps equal
@@ -297,15 +299,13 @@ func (s *Server) Restore(cp *Checkpoint) {
 	s.chal.Store(verifier.NewChallenger(nil, labelChallenge))
 	for _, st := range s.stripes {
 		st.mu.Lock()
-		st.provers = newProverTable() // with it go the dirty set and its stamps
+		st.provers = newProverTable() // with it goes the dirty set
 		st.mu.Unlock()
 	}
-	s.dirtyProvers.Store(0)
-	s.enrolled.Store(0)
 	for p, w := range cp.Erasmus {
 		st, h := s.stripeHash(p)
 		st.mu.Lock()
-		rec, _ := st.rec(s, p, h)
+		rec, _ := st.rec(p, h)
 		rec.state |= recWin
 		rec.fresh.Window = w
 		st.mu.Unlock()
@@ -313,7 +313,7 @@ func (s *Server) Restore(cp *Checkpoint) {
 	for p, last := range cp.Seed {
 		st, h := s.stripeHash(p)
 		st.mu.Lock()
-		rec, _ := st.rec(s, p, h)
+		rec, _ := st.rec(p, h)
 		rec.state |= recSeed
 		rec.fresh.SeedLast = last
 		st.mu.Unlock()
@@ -334,7 +334,7 @@ func (s *Server) Restore(cp *Checkpoint) {
 		}
 		st, h := s.stripeHash(p)
 		st.mu.Lock()
-		rec, _ := st.rec(s, p, h)
+		rec, _ := st.rec(p, h)
 		st.provers.bind(rec, img)
 		st.mu.Unlock()
 	}

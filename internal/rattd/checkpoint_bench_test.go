@@ -44,7 +44,7 @@ func dirtyFleetSample(s *Server, names []string, k int) {
 		st, h := s.stripeHash(names[i])
 		st.mu.Lock()
 		if rec, ri := st.lookup(names[i], h); rec != nil {
-			st.markDirty(s, rec, ri)
+			st.provers.markDirty(rec, ri)
 		}
 		st.mu.Unlock()
 	}

@@ -2,6 +2,7 @@ package rattd
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -30,15 +31,17 @@ import (
 // that restore salvages up to the last complete record
 // (DecodeChain), losing at most the final interval's freshness
 // updates — the same exposure an interval-based checkpointer has
-// anyway. Compaction (a fresh base) bumps the chain ID before old
-// deltas are deleted, so a crash between the base rename and the
-// delete leaves stale deltas that restore rejects by chain ID.
+// anyway. Every base draws a fresh random chain ID, and its deltas
+// carry it: a delta left by an earlier base — a compaction that
+// crashed before its cleanup, or an earlier incarnation of the daemon
+// cold-started on the same path — names another chain, and restore
+// rejects it.
 type Checkpointer struct {
 	srv *Server
 	cfg CheckpointerConfig
 
 	mu         sync.Mutex
-	chainID    uint64 // chain the current base starts; 0 = no base yet
+	chainID    uint64 // the current base's chain ID, drawn when it was written
 	nextSeq    uint32 // seq of the next delta file
 	baseBytes  int64  // size of the current base
 	deltaBytes int64  // cumulative delta bytes since the base
@@ -66,9 +69,6 @@ type CheckpointerConfig struct {
 	// fraction of the base size — past that point replay-at-restore
 	// costs more than a fresh base would. Default 0.5.
 	MaxDeltaFrac float64
-	// PriorChainID seeds chain numbering after a restore so the new
-	// chain is distinguishable from the restored one. 0 for cold start.
-	PriorChainID uint64
 	// Logf, if set, receives one line per write error.
 	Logf func(format string, args ...any)
 }
@@ -95,7 +95,6 @@ func NewCheckpointer(s *Server, cfg CheckpointerConfig) *Checkpointer {
 	return &Checkpointer{
 		srv:       s,
 		cfg:       cfg,
-		chainID:   0,
 		forceFull: true,
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
@@ -210,12 +209,9 @@ func (c *Checkpointer) Tick() error {
 }
 
 // writeFull writes a fresh base under a new chain ID via temp +
-// fsync + rename, then retires the previous chain's delta files.
+// fsync + rename, then retires the delta files on the path.
 func (c *Checkpointer) writeFull() (SnapshotStats, error) {
-	next := c.chainID + 1
-	if c.cfg.PriorChainID >= next {
-		next = c.cfg.PriorChainID + 1
-	}
+	next := rand.Uint64() | 1 // nonzero; 63 random bits tell it from every earlier base's
 	tmp := c.cfg.Path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -237,16 +233,16 @@ func (c *Checkpointer) writeFull() (SnapshotStats, error) {
 	}
 	syncDir(c.cfg.Path)
 
-	// The new base supersedes every prior delta; a crash before this
-	// cleanup only leaves files the chain-ID check ignores.
-	oldTop := c.nextSeq
+	// The new base supersedes every delta on the path, whichever base
+	// or incarnation wrote it. LoadChain reads up to the first missing
+	// file, so the cleanup stops there too; a crash before it ends, or
+	// a file past a gap, only leaves deltas the chain-ID check refuses.
 	c.chainID = next
 	c.nextSeq = 1
 	c.baseBytes = stats.Bytes
 	c.deltaBytes = 0
 	c.forceFull = false
-	for seq := uint32(1); seq <= oldTop; seq++ {
-		os.Remove(deltaPath(c.cfg.Path, seq))
+	for seq := uint32(1); os.Remove(deltaPath(c.cfg.Path, seq)) == nil; seq++ {
 	}
 	syncDir(c.cfg.Path)
 	return stats, nil

@@ -66,6 +66,7 @@ func TestCheckpointerChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	firstChain := cp.ChainID
 	if chain.Applied != 0 || len(cp.Erasmus) != fleet {
 		t.Fatalf("base restore: chain %+v, %d provers", chain, len(cp.Erasmus))
 	}
@@ -101,7 +102,7 @@ func TestCheckpointerChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dcp.Delta || dcp.ChainID != 1 || dcp.Seq != 1 || len(dcp.Erasmus) != 2 {
+	if !dcp.Delta || dcp.ChainID != firstChain || dcp.Seq != 1 || len(dcp.Erasmus) != 2 {
 		t.Fatalf("delta file holds %d provers (%+v), want the 2 dirtied", len(dcp.Erasmus), dcp)
 	}
 	assertChainMatchesLive(t, path, fx.srv, 1)
@@ -126,8 +127,8 @@ func TestCheckpointerChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cp2.ChainID != 2 {
-		t.Fatalf("compacted base chain id %d, want 2", cp2.ChainID)
+	if cp2.ChainID == firstChain {
+		t.Fatalf("compacted base kept chain id %d", cp2.ChainID)
 	}
 	assertChainMatchesLive(t, path, fx.srv, 0)
 
@@ -246,6 +247,69 @@ func TestCheckpointerCrashWindows(t *testing.T) {
 	}
 	if w := cp.Erasmus[proverName(2)]; w.Seen(9) {
 		t.Fatal("delta beyond the gap was applied")
+	}
+}
+
+// TestCheckpointerColdStartOnUsedPath pins I2 across an ordinary
+// restart without -restore: a daemon cold-started on a checkpoint path
+// an earlier incarnation used writes a base that no delta of the
+// earlier chain applies to. Incarnation A leaves a base and three
+// deltas with prover 0 at counter 4; B accepts counters 2–10 and ticks
+// once. B's base removes A's deltas, and A's deltas put back — as a
+// crash between B's rename and that cleanup would leave them — are
+// refused by chain ID: a server restored from the path refuses counter
+// 7 as the replay it is.
+func TestCheckpointerColdStartOnUsedPath(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cp")
+	a := newCkptFixture(t, 1)
+	ckA := NewCheckpointer(a.srv, CheckpointerConfig{Path: path, MaxDeltaFrac: 100})
+	for ctr := uint64(1); ctr <= 4; ctr++ {
+		if ctr > 1 {
+			a.ingest(t, 0, ctr)
+		}
+		if err := ckA.Tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var deltasA [][]byte
+	for seq := uint32(1); seq <= 3; seq++ {
+		db, err := os.ReadFile(deltaPath(path, seq))
+		if err != nil {
+			t.Fatalf("incarnation A's delta %d: %v", seq, err)
+		}
+		deltasA = append(deltasA, db)
+	}
+
+	b := &ckptFixture{srv: localServer(t, Config{Stripes: 4}), prvs: a.prvs}
+	for ctr := uint64(2); ctr <= 10; ctr++ {
+		b.ingest(t, 0, ctr)
+	}
+	ckB := NewCheckpointer(b.srv, CheckpointerConfig{Path: path, MaxDeltaFrac: 100})
+	if err := ckB.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(deltaPath(path, 1)); !os.IsNotExist(err) {
+		t.Fatalf("B's base left A's deltas behind (stat d1: %v)", err)
+	}
+	for i, db := range deltasA {
+		if err := os.WriteFile(deltaPath(path, uint32(i+1)), db, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	cp, chain, err := LoadChain(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if chain.Applied != 0 || chain.Dropped != 3 {
+		t.Fatalf("restore laid A's deltas over B's base: %+v", chain)
+	}
+	s := localServer(t, Config{Stripes: 2})
+	s.Restore(cp)
+	r := selfMeasure(t, a.prvs[0], 7)
+	s.Ingest(a.prvs[0].Name, transport.KindCollection, []core.Report{r})
+	if c := s.Counts(); c.Replays != 1 || c.Accepted != 0 {
+		t.Fatalf("counter 7, accepted by B, after restore: %+v", c)
 	}
 }
 

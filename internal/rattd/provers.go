@@ -7,21 +7,21 @@ import (
 
 // proverRec is one prover's durable state — with its name, exactly
 // what a checkpoint persists: the core's freshness record (ERASMUS
-// replay window, SeED watermark), the image binding, and the dirty
-// stamp the delta encoder keys off. One record lives on one stripe, so
+// replay window, SeED watermark), the image binding, and the dirty bit
+// the delta encoder keys off. One record lives on one stripe, so
 // per-prover checkpoint consistency is a single-lock property. 56
 // bytes, held by value beside the prover's name in its stripe's
 // proverTable: 72 bytes a record.
 type proverRec struct {
 	fresh verifier.Freshness // Window valid under recWin, SeedLast under recSeed
 	image uint32             // bound image: index into proverTable.images, 0 = the fleet default
-	state uint32             // recWin | recSeed | the generation last dirtied under
+	state uint32             // recWin | recSeed | recDirty
 }
 
 const (
-	recWin  = 1 << 31   // fresh.Window is held
-	recSeed = 1 << 30   // fresh.SeedLast is held
-	genMask = 1<<30 - 1 // proverRec.state's dirty generation
+	recWin   = 1 << 31 // fresh.Window is held
+	recSeed  = 1 << 30 // fresh.SeedLast is held
+	recDirty = 1 << 29 // changed since the last checkpoint: listed in proverTable.dirty
 )
 
 func (r *proverRec) has(flag uint32) bool { return r.state&flag != 0 }
@@ -37,15 +37,12 @@ type proverEntry = strtab.Entry[proverRec]
 type proverTable struct {
 	strtab.Table[proverRec]
 
-	// Checkpoint dirty tracking. gen is the current checkpoint
-	// generation (it starts at 1, so a record's zero stamp reads clean);
-	// dirty lists the IDs of the records stamped with it, in first-touch
-	// order. A delta checkpoint takes the list and opens the next
-	// generation (nextGen) in one lock hold — commits racing the swap
-	// land wholly in this delta or wholly in the next one, never in
-	// neither.
+	// dirty lists, in first-touch order, the IDs of the records whose
+	// recDirty bit is set: the provers a delta checkpoint must write. A
+	// checkpoint copies those records, clears their bits and empties
+	// the list in one lock hold (WriteCheckpoint) — commits racing it land
+	// wholly in this delta or wholly in the next one, never in neither.
 	dirty []uint32
-	gen   uint32
 
 	// images holds the image names the table's provers bound, append
 	// only, so an index taken under the lock names the same image after
@@ -59,36 +56,20 @@ type proverTable struct {
 
 // newProverTable returns an empty table.
 func newProverTable() *proverTable {
-	return &proverTable{gen: 1, images: []string{""}}
+	return &proverTable{images: []string{""}}
 }
 
-// markDirty stamps record id (r) into the current checkpoint generation
-// and reports whether this was its first touch in it. The common case —
-// a prover reporting again between checkpoints — is a compare and
-// nothing else; the first touch appends to a list that keeps its
-// backing array across swaps, so the steady state allocates nothing.
-func (t *proverTable) markDirty(r *proverRec, id uint32) bool {
-	if r.state&genMask == t.gen {
-		return false
+// markDirty marks record id (r) for the next checkpoint. The common
+// case — a prover reporting again between checkpoints — is a bit test
+// and nothing else; the first touch appends to a list that keeps its
+// backing array across checkpoints, so the steady state allocates
+// nothing.
+func (t *proverTable) markDirty(r *proverRec, id uint32) {
+	if r.has(recDirty) {
+		return
 	}
-	r.state = r.state&^genMask | t.gen
+	r.state |= recDirty
 	t.dirty = append(t.dirty, id)
-	return true
-}
-
-// nextGen empties the dirty list and opens the next checkpoint
-// generation. Generations take 30 bits; rather than wrap onto stamps
-// records still carry, the last one restamps every record clean and
-// starts over.
-func (t *proverTable) nextGen() {
-	t.dirty = t.dirty[:0]
-	if t.gen == genMask {
-		for id := uint32(1); id <= t.Len(); id++ {
-			t.At(id).Val.state &^= genMask
-		}
-		t.gen = 0
-	}
-	t.gen++
 }
 
 // bind binds r to the image named name (never ""): every record bound to

@@ -43,35 +43,9 @@ func TestProverSlotHashIsSeeded(t *testing.T) {
 
 // TestProverRecSize pins what a prover's record costs its stripe: 72
 // bytes — the name, the 48-byte verifier.Freshness, the image index,
-// and the flags beside the dirty generation.
+// and its state bits.
 func TestProverRecSize(t *testing.T) {
 	if got := unsafe.Sizeof(proverEntry{}); got > 72 {
 		t.Fatalf("a prover's entry is %d bytes, want <= 72", got)
-	}
-}
-
-// TestProverTableGenerationWrap pins that the 30-bit dirty generation
-// restamps rather than wraps: a record stamped in generation 1 and left
-// untouched while every other generation goes by reads dirty, not
-// clean, when generation 1 comes round again, and keeps its flags.
-func TestProverTableGenerationWrap(t *testing.T) {
-	tb := newProverTable()
-	i := tb.Add("p", 1)
-	r := &tb.At(i).Val
-	r.state |= recWin
-	if !tb.markDirty(r, i) || tb.markDirty(r, i) {
-		t.Fatal("first touch not listed once")
-	}
-	tb.nextGen()
-	tb.gen = genMask // as if 2^30 - 3 more checkpoints went by without p
-	tb.nextGen()
-	if tb.gen != 1 || len(tb.dirty) != 0 {
-		t.Fatalf("after the last generation: gen %d, %d dirty", tb.gen, len(tb.dirty))
-	}
-	if !tb.markDirty(r, i) {
-		t.Fatal("a record stamped in generation 1 reads clean when generation 1 comes round again")
-	}
-	if !r.has(recWin) || r.has(recSeed) {
-		t.Fatalf("restamping changed the flags: state %#x", r.state)
 	}
 }

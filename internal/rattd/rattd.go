@@ -135,8 +135,6 @@ type Server struct {
 	// that minted it.
 	chal atomic.Pointer[verifier.Challenger]
 
-	enrolled       atomic.Int64
-	dirtyProvers   atomic.Int64  // provers dirtied since the last checkpoint swap
 	imageFallbacks atomic.Uint64 // restored bindings to unknown images, remapped to default
 	challenges     atomic.Uint64
 	verdicts       [len(verifier.Tally{})]atomic.Uint64 // outcomes, one counter per verifier.Reason
@@ -150,14 +148,6 @@ type stripe struct {
 	provers *proverTable // durable freshness records and their dirty set; Restore swaps it whole
 }
 
-// markDirty stamps record id (r) into the current checkpoint
-// generation, counting its first touch. Caller holds st.mu.
-func (st *stripe) markDirty(s *Server, r *proverRec, id uint32) {
-	if st.provers.markDirty(r, id) {
-		s.dirtyProvers.Add(1)
-	}
-}
-
 // lookup returns the prover's freshness record and its ID, nil and 0 if
 // the stripe holds none. h is name's hash from stripeHash. Caller holds
 // st.mu.
@@ -168,12 +158,11 @@ func (st *stripe) lookup(name string, h uint64) (*proverRec, uint32) {
 	return nil, 0
 }
 
-// rec is lookup that creates the record (and counts the prover
-// enrolled) on first contact.
-func (st *stripe) rec(s *Server, name string, h uint64) (*proverRec, uint32) {
+// rec is lookup that creates the record (enrolling the prover) on
+// first contact.
+func (st *stripe) rec(name string, h uint64) (*proverRec, uint32) {
 	id := st.provers.Find(name, h)
 	if id == 0 {
-		s.enrolled.Add(1)
 		id = st.provers.Add(name, h)
 	}
 	return &st.provers.At(id).Val, id
@@ -262,17 +251,28 @@ func (s *Server) ImageFallbacks() uint64 { return s.imageFallbacks.Load() }
 // Enrolled counts the distinct provers the server holds freshness
 // state for — the "enrollment" that checkpoint/restore preserves, so
 // a restarted daemon keeps rejecting replays and accepting fresh
-// counters without the fleet re-registering. Maintained as a counter
-// at insert time (it is read per stats tick; scanning every stripe's
-// tables there would serialize against the ingest path).
-func (s *Server) Enrolled() int { return int(s.enrolled.Load()) }
+// counters without the fleet re-registering.
+func (s *Server) Enrolled() int { return s.sumTables(func(t *proverTable) int { return int(t.Len()) }) }
 
 // DirtyCount is the number of provers whose freshness state changed
-// since the last checkpoint swap — what the next delta checkpoint
-// would have to write. Maintained as an atomic at dirty-stamp time,
-// so the background checkpointer's skip-when-clean probe costs one
-// load, never a stripe scan.
-func (s *Server) DirtyCount() int64 { return s.dirtyProvers.Load() }
+// since the last checkpoint — what the next delta checkpoint would
+// have to write.
+func (s *Server) DirtyCount() int64 {
+	return int64(s.sumTables(func(t *proverTable) int { return len(t.dirty) }))
+}
+
+// sumTables sums f over the stripes' tables, one stripe lock at a time.
+// Its callers (stats lines, the checkpointer's tick) are never on the
+// ingest path.
+func (s *Server) sumTables(f func(*proverTable) int) int {
+	n := 0
+	for _, st := range s.stripes {
+		st.mu.Lock()
+		n += f(st.provers)
+		st.mu.Unlock()
+	}
+	return n
+}
 
 // stripeFor picks the lock stripe owning a prover's freshness state.
 // The FNV-1a name hash is finished with splitmix64, so the low bits
@@ -384,7 +384,7 @@ func (st *stripe) bindImage(s *Server, rec *proverRec, ri uint32, name string) (
 	}
 	if rec != nil { // first named contact binds
 		st.provers.bind(rec, name)
-		st.markDirty(s, rec, ri)
+		st.provers.markDirty(rec, ri)
 	}
 	return name, true
 }
@@ -483,7 +483,7 @@ func (s *Server) collect(sc *ingestScratch, from string, id verifier.ImageID, re
 	// (enrolled, just never clean). The record pointer is stable (records
 	// never move within their table), so the commit visit reuses it.
 	st.mu.Lock()
-	rec, ri := st.rec(s, from, h)
+	rec, ri := st.rec(from, h)
 	tbl := st.provers
 	name, bound := st.bindImage(s, rec, ri, id.Name)
 	if !bound {
@@ -494,7 +494,7 @@ func (s *Server) collect(sc *ingestScratch, from string, id verifier.ImageID, re
 	}
 	if !rec.has(recWin) {
 		rec.state |= recWin
-		st.markDirty(s, rec, ri)
+		st.provers.markDirty(rec, ri)
 	}
 	fresh := rec.fresh
 	st.mu.Unlock()
@@ -518,7 +518,7 @@ func (s *Server) collect(sc *ingestScratch, from string, id verifier.ImageID, re
 		// A Restore since the snapshot swapped the table out: the record
 		// is no longer the prover's, and its ID names another's.
 		if accepted && st.provers == tbl {
-			st.markDirty(s, rec, ri)
+			st.provers.markDirty(rec, ri)
 		}
 		st.mu.Unlock()
 	}
@@ -580,13 +580,13 @@ func (s *Server) handleSeed(from string, id verifier.ImageID, reports []core.Rep
 	// Commit; the first report to get here enrolls the prover.
 	if slices.Contains(why, verifier.ReasonOK) {
 		st.mu.Lock()
-		rec, ri = st.rec(s, from, h)
+		rec, ri = st.rec(from, h)
 		if accepted, _ := replay(why, reports, rec.fresh.CommitSeed); accepted {
 			if rec.image == 0 && name != "" {
 				st.provers.bind(rec, name) // enrollment-time binding
 			}
 			rec.state |= recSeed
-			st.markDirty(s, rec, ri)
+			st.provers.markDirty(rec, ri)
 		}
 		st.mu.Unlock()
 	}

@@ -12,8 +12,10 @@
 // `-stats 0 -checkpoint-interval 1s` prints nothing and persists every
 // second); -restore loads that chain on startup so a restarted daemon
 // keeps verifying enrolled provers without re-enrollment and still
-// rejects replays. -pprof exposes net/http/pprof for live profiling of
-// the hot paths.
+// rejects replays. Without -restore, a -checkpoint path that already
+// holds a chain is refused: the cold start's first checkpoint would
+// replace it, and the counters it holds would be accepted again.
+// -pprof exposes net/http/pprof for live profiling of the hot paths.
 //
 // Scaling out is N daemons, each on its own -addr with its own
 // -checkpoint path and its own fleet: every daemon mints challenges
@@ -29,8 +31,7 @@
 //
 //	rattd -addr 127.0.0.1:9779 -image sensor=sensor.img -image gateway=gateway.img
 //
-// Reports name their image on the wire ("name" or "name@vN"); rotated
-// image versions keep verifying for -grace-epochs rotation epochs.
+// Reports name their image on the wire ("name" or "name@vN").
 package main
 
 import (
@@ -66,7 +67,6 @@ func main() {
 		seed     = flag.Uint64("seed", 42, "golden image seed (provers must match)")
 		memSize  = flag.Int("mem", 64<<10, "attested memory bytes")
 		block    = flag.Int("block", 1<<10, "block size bytes")
-		grace    = flag.Uint64("grace-epochs", 1, "rotation epochs a rotated-out image version keeps verifying")
 		verbose  = flag.Bool("v", false, "log every verification decision")
 		statsSec = flag.Int("stats", 30, "stats print interval in seconds (0 = only on exit)")
 
@@ -78,9 +78,12 @@ func main() {
 	var images imageFlags
 	flag.Var(&images, "image", "register a golden image as name=path (repeatable; first is the default; overrides -seed/-mem)")
 	flag.Parse()
+	_, ckptErr := os.Stat(*checkpoint)
 	switch {
 	case *restore && *checkpoint == "":
 		usage("-restore needs -checkpoint <path>")
+	case !*restore && ckptErr == nil:
+		usage("-checkpoint %s holds a checkpoint chain; pass -restore to resume it, or move it away to start over", *checkpoint)
 	case *block <= 0:
 		usage("-block %d (need > 0)", *block)
 	case len(images) == 0 && (*memSize <= 0 || *memSize%*block != 0):
@@ -89,7 +92,7 @@ func main() {
 
 	cfg := rattd.Config{BlockSize: *block}
 	if len(images) > 0 {
-		set := verifier.NewImageSet(verifier.ImageSetConfig{Grace: *grace, KeepEpochs: rattd.KeepEpochs})
+		set := verifier.NewImageSet(verifier.ImageSetConfig{KeepEpochs: rattd.KeepEpochs})
 		for _, spec := range images {
 			name, path, ok := strings.Cut(spec, "=")
 			if !ok || name == "" || path == "" {

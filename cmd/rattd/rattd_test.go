@@ -38,25 +38,61 @@ func TestFlagErrors(t *testing.T) {
 		{"-image n=f -block 0", "-block 0 (need > 0)"},
 		{"-restore", "-restore needs -checkpoint <path>"},
 	} {
-		t.Run(c.args, func(t *testing.T) {
-			// A value that slips through starts a daemon: the deadline
-			// ends it, and the test fails on its status.
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			cmd := exec.CommandContext(ctx, os.Args[0], append(strings.Fields(c.args), "-addr", "127.0.0.1:0")...)
-			cmd.Env = append(os.Environ(), "RATTD_AS_MAIN=1")
-			var stderr bytes.Buffer
-			cmd.Stderr = &stderr
-			err := cmd.Run()
-			var exit *exec.ExitError
-			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-				t.Fatalf("exit: %v, want status 2; stderr:\n%s", err, &stderr)
-			}
-			// One line and nothing else: no panic, no stack trace.
-			if got := stderr.String(); !strings.HasPrefix(got, "rattd: "+c.msg) || strings.Count(got, "\n") != 1 {
-				t.Fatalf("stderr %q, want one line starting %q", got, "rattd: "+c.msg)
-			}
+		t.Run(c.args, func(t *testing.T) { usageExit(t, c.msg, strings.Fields(c.args)...) })
+	}
+}
+
+// usageExit runs rattd with args and fails t unless it exits with status
+// 2 and one stderr line starting "rattd: " and msg.
+func usageExit(t *testing.T, msg string, args ...string) {
+	t.Helper()
+	// A value that slips through starts a daemon: the deadline ends it,
+	// and the test fails on its status.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], append(args, "-addr", "127.0.0.1:0")...)
+	cmd.Env = append(os.Environ(), "RATTD_AS_MAIN=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("exit: %v, want status 2; stderr:\n%s", err, &stderr)
+	}
+	// One line and nothing else: no panic, no stack trace.
+	if got := stderr.String(); !strings.HasPrefix(got, "rattd: "+msg) || strings.Count(got, "\n") != 1 {
+		t.Fatalf("stderr %q, want one line starting %q", got, "rattd: "+msg)
+	}
+}
+
+// TestColdStartOnUsedCheckpointRefused: a daemon started without
+// -restore on a -checkpoint path an earlier daemon wrote exits through
+// usage and leaves the chain as it was; its first checkpoint would
+// otherwise have replaced the chain, and the counters it held would be
+// accepted again.
+func TestColdStartOnUsedCheckpointRefused(t *testing.T) {
+	ck := filepath.Join(t.TempDir(), "ck")
+	image := rattd.GoldenImage(42, 64<<10, 1<<10)
+	res, _ := runDaemon(t, func(addr string) *rattd.FleetResult {
+		t.Helper()
+		res, err := rattd.RunFleet(rattd.FleetConfig{
+			Addr: addr, Provers: 2, History: 2, Image: image, BlockSize: 1 << 10,
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}, "-checkpoint", ck)
+	if res.CollectOK != 2 {
+		t.Fatalf("first run: %+v", res)
+	}
+	chain, err := os.ReadFile(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	usageExit(t, "-checkpoint "+ck+" holds a checkpoint chain; pass -restore to resume it, or move it away to start over", "-checkpoint", ck)
+	if after, err := os.ReadFile(ck); err != nil || !bytes.Equal(after, chain) {
+		t.Fatalf("the refused start changed the chain at %s (err %v)", ck, err)
 	}
 }
 

@@ -17,8 +17,6 @@ type Message struct {
 	From, To string
 	Kind     string // protocol-level message type, e.g. "challenge", "report"
 	Payload  any
-	SentAt   sim.Time
-	Seq      uint64
 }
 
 // Verdict is an adversary's decision about a message.
@@ -43,26 +41,13 @@ type AdversaryFunc func(m Message) Verdict
 // Inspect implements Adversary.
 func (f AdversaryFunc) Inspect(m Message) Verdict { return f(m) }
 
-// KindStats counts outcomes for one protocol message kind.
-type KindStats struct {
-	Sent       int
-	Delivered  int
-	LostRandom int
-	LostAdv    int
-	NoRoute    int
-}
-
-// Stats counts link-level outcomes, in aggregate and per message kind.
+// Stats counts link-level outcomes.
 type Stats struct {
 	Sent       int
 	Delivered  int
 	LostRandom int // dropped by the loss model
 	LostAdv    int // dropped by the adversary
 	NoRoute    int // destination not registered
-	// Kinds breaks every counter down by Message.Kind ("challenge",
-	// "report", ...), so a lossy run shows *which* protocol step paid
-	// for the loss.
-	Kinds map[string]KindStats
 }
 
 // Link is a lossy, delaying broadcast medium with named endpoints.
@@ -76,9 +61,7 @@ type Link struct {
 
 	rng      *rand.Rand
 	handlers map[string]func(Message)
-	seq      uint64
 	stats    Stats
-	byKind   map[string]*KindStats
 }
 
 // Config assembles a Link.
@@ -112,7 +95,6 @@ func New(cfg Config) *Link {
 		Trace:    cfg.Trace,
 		rng:      rand.New(rand.NewPCG(cfg.Seed, 0x6c696e6b)),
 		handlers: map[string]func(Message){},
-		byKind:   map[string]*KindStats{},
 	}
 }
 
@@ -132,36 +114,21 @@ func (l *Link) Disconnect(name string) {
 	delete(l.handlers, name)
 }
 
-// kindStats returns the mutable per-kind counter row for kind.
-func (l *Link) kindStats(kind string) *KindStats {
-	ks := l.byKind[kind]
-	if ks == nil {
-		ks = &KindStats{}
-		l.byKind[kind] = ks
-	}
-	return ks
-}
-
 // Send queues a message for delivery after the link latency (+jitter).
 // Loss and adversarial drops are decided at send time; delivery order
 // between distinct messages may interleave under jitter, as on a real
 // datagram network.
 func (l *Link) Send(from, to, kind string, payload any) {
-	m := Message{From: from, To: to, Kind: kind, Payload: payload, SentAt: l.Kernel.Now(), Seq: l.seq}
-	l.seq++
+	m := Message{From: from, To: to, Kind: kind, Payload: payload}
 	l.stats.Sent++
-	ks := l.kindStats(kind)
-	ks.Sent++
 
 	if l.Adv != nil && l.Adv.Inspect(m) == Drop {
 		l.stats.LostAdv++
-		ks.LostAdv++
 		l.Trace.Addf(l.Kernel.Now(), trace.KindInterrupt, "adversary", "dropped %s %s->%s", kind, from, to)
 		return
 	}
 	if l.Loss > 0 && l.rng.Float64() < l.Loss {
 		l.stats.LostRandom++
-		ks.LostRandom++
 		return
 	}
 
@@ -173,24 +140,12 @@ func (l *Link) Send(from, to, kind string, payload any) {
 		h, ok := l.handlers[m.To]
 		if !ok {
 			l.stats.NoRoute++
-			l.kindStats(m.Kind).NoRoute++
 			return
 		}
 		l.stats.Delivered++
-		l.kindStats(m.Kind).Delivered++
 		h(m)
 	})
 }
 
-// Stats returns a copy of the link counters, including the per-kind
-// breakdown.
-func (l *Link) Stats() Stats {
-	s := l.stats
-	if len(l.byKind) > 0 {
-		s.Kinds = make(map[string]KindStats, len(l.byKind))
-		for k, ks := range l.byKind {
-			s.Kinds[k] = *ks
-		}
-	}
-	return s
-}
+// Stats returns a copy of the link counters.
+func (l *Link) Stats() Stats { return l.stats }

@@ -24,7 +24,6 @@ import (
 	"saferatt/internal/core"
 	"saferatt/internal/costmodel"
 	"saferatt/internal/device"
-	"saferatt/internal/engine"
 	"saferatt/internal/mem"
 	"saferatt/internal/parallel"
 	"saferatt/internal/sim"
@@ -51,14 +50,19 @@ type World struct {
 	Log *trace.Log // nil when built with NoTrace
 }
 
-// EngineConfig is the shared engine-knob block (Seed, Parallelism,
-// NoTrace) embedded in WorldConfig; see engine.Config.
-type EngineConfig = engine.Config
+// EngineConfig holds a World's run-wide knobs: the seed that picks the
+// run, and whether it keeps an event log.
+type EngineConfig struct {
+	// Seed derives every pseudorandom stream of the run: golden image
+	// content, link jitter/loss draws, per-device PRF schedules.
+	Seed uint64
+	// NoTrace drops the event log (World.Log is nil). Monte Carlo hot
+	// loops set it: formatting trace details otherwise dominates the
+	// allocation profile.
+	NoTrace bool
+}
 
-// WorldConfig parameterizes NewWorld. The cross-cutting knobs (Seed,
-// NoTrace) live in the embedded EngineConfig; Parallelism is ignored
-// here — a World is a single-prover universe
-// with no internal fan-out.
+// WorldConfig parameterizes NewWorld.
 type WorldConfig struct {
 	EngineConfig
 	MemSize   int // default 4096

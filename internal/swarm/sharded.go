@@ -7,7 +7,6 @@ import (
 	"saferatt/internal/core"
 	"saferatt/internal/costmodel"
 	"saferatt/internal/device"
-	"saferatt/internal/engine"
 	"saferatt/internal/mem"
 	"saferatt/internal/parallel"
 	"saferatt/internal/sim"
@@ -38,14 +37,19 @@ type Sharded struct {
 	agg  *Aggregate // reused across rounds
 }
 
-// EngineConfig is the shared engine-knob block (Seed, Parallelism,
-// NoTrace) embedded in ShardedConfig and SelfFleetConfig; see
-// engine.Config.
-type EngineConfig = engine.Config
+// EngineConfig holds a fleet's run-wide knobs: the seed that picks the
+// run, and the host worker fan-out.
+type EngineConfig struct {
+	// Seed derives the golden image and every per-device PRF stream.
+	Seed uint64
+	// Parallelism caps the host worker fan-out (0 = parallel.Default(),
+	// 1 = serial). It never changes a fleet's output, only wall-clock
+	// time.
+	Parallelism int
+}
 
 // ShardedConfig sizes a sharded fleet. Seed and Parallelism (worker
-// fan-out for Round) live in the embedded EngineConfig; Parallelism
-// never changes Round output, only wall-clock time.
+// fan-out for Round) live in the embedded EngineConfig.
 type ShardedConfig struct {
 	EngineConfig
 	// Devices is the fleet size (required, > 0).

@@ -170,45 +170,6 @@ func BenchmarkTransport_NetThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkTransport_NetBatchThroughput measures the same sustained
-// one-way reliable flow submitted through SendBatch in chunks — the
-// swarm collector's fan-out shape.
-func BenchmarkTransport_NetBatchThroughput(b *testing.B) {
-	srv, err := Listen(NetConfig{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	cli, err := Dial(srv.Addr().String(), NetConfig{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cli.Close()
-	var n atomic.Int64
-	srv.Bind("vrf", func(Msg) { n.Add(1) })
-	// Prime: teach the client the server's wire version.
-	if err := cli.Send(Msg{From: "prv", To: "vrf", Kind: KindHello}); err != nil {
-		b.Fatal(err)
-	}
-	cli.Drain(5 * time.Second)
-	b.ReportAllocs()
-	b.ResetTimer()
-	const chunk = 64
-	ms := make([]Msg, 0, chunk)
-	for i := 0; i < b.N; i += len(ms) {
-		ms = ms[:0]
-		for j := i; j < b.N && len(ms) < chunk; j++ {
-			ms = append(ms, Msg{From: "prv", To: "vrf", Kind: KindHello})
-		}
-		if err := cli.SendBatch(ms); err != nil {
-			b.Fatal(err)
-		}
-	}
-	for n.Load() < int64(b.N)+1 {
-		time.Sleep(50 * time.Microsecond)
-	}
-}
-
 // BenchmarkTransport_LocalSendFleet measures one Local delivery among
 // 200 000 bound names — inproc_mixed's fleet — sent to in a seeded
 // shuffled order, so that the order the names were bound in cannot

@@ -30,6 +30,33 @@ func netPair(t testing.TB, srvCfg, cliCfg NetConfig) (srv, cli *Net) {
 	return srv, cli
 }
 
+// sendFlushed sends ms the way Send encodes them, then flushes every
+// destination they touched on the caller's goroutine instead of
+// leaving it to the flusher: the burst leaves at once, in as few
+// datagrams as the batch bounds allow.
+func sendFlushed(n *Net, ms ...Msg) error {
+	var touched []*peerState
+	var err error
+	for _, m := range ms {
+		var st *peerState
+		if st, err = n.prepare(&m); err != nil {
+			break
+		}
+		st.cmu.Lock()
+		n.enqueueLocked(st, &m)
+		st.cmu.Unlock()
+		if !slices.Contains(touched, st) {
+			touched = append(touched, st)
+		}
+	}
+	for _, st := range touched {
+		st.cmu.Lock()
+		n.flushLocked(st)
+		st.cmu.Unlock()
+	}
+	return err
+}
+
 func waitUntil(t testing.TB, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -132,7 +159,7 @@ func pingPong(t testing.TB, pairs, trips int) []time.Duration {
 
 // echoPair returns a socket pair whose server answers every frame to
 // "srv" with Send, through its flusher like any reply, and every frame
-// to "direct" with SendBatch, which flushes on the dispatch worker and
+// to "direct" with sendFlushed, which flushes on the dispatch worker and
 // never waits for the flusher.
 func echoPair(t testing.TB) (srv, cli *Net) {
 	srv, cli = netPair(t, NetConfig{}, NetConfig{})
@@ -142,7 +169,7 @@ func echoPair(t testing.TB) (srv, cli *Net) {
 		t.Fatal(err)
 	}
 	if err := srv.BindFrames("direct", func(f *Frame) {
-		srv.SendBatch([]Msg{{From: "direct", To: f.From, Kind: KindVerdict, OK: true}})
+		sendFlushed(srv, Msg{From: "direct", To: f.From, Kind: KindVerdict, OK: true})
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +179,7 @@ func echoPair(t testing.TB) (srv, cli *Net) {
 // roundTrips runs pairs concurrent loops of trips round trips each from
 // cli to the server endpoint to, under client names starting with
 // prefix, and returns every round-trip time, sorted. direct sends with
-// SendBatch (to "direct", so neither hop passes a flusher); otherwise
+// sendFlushed (to "direct", so neither hop passes a flusher); otherwise
 // requests go out with Send.
 func roundTrips(t testing.TB, cli *Net, to, prefix string, pairs, trips int, direct bool) []time.Duration {
 	rtts := make([]time.Duration, pairs*trips)
@@ -171,7 +198,7 @@ func roundTrips(t testing.TB, cli *Net, to, prefix string, pairs, trips int, dir
 				m := Msg{From: name, To: to, Kind: KindHello}
 				var err error
 				if direct {
-					err = cli.SendBatch([]Msg{m})
+					err = sendFlushed(cli, m)
 				} else {
 					err = cli.Send(m)
 				}
@@ -198,7 +225,7 @@ func roundTrips(t testing.TB, cli *Net, to, prefix string, pairs, trips int, dir
 // pair — the case the old lone-round-trip escape hatch never covered —
 // wait out no coalescing timer: their median round trip stays within
 // maxLoadedRatio of a lone round trip on the same pair that never
-// passes a flusher (SendBatch both ways). Both are measured in the same
+// passes a flusher (sendFlushed both ways). Both are measured in the same
 // process after an untimed warm-up of each, so the bound holds at any
 // instrumentation: the race detector slows both alike, and a cold first
 // round no longer counts. A 1 ms wait in the flusher puts every loaded
@@ -253,7 +280,7 @@ func TestNetDrainCloseDeliverQueued(t *testing.T) {
 }
 
 // TestNetCloseRacesSenders closes a transport under concurrent Send
-// and SendBatch callers (meaningful under -race): senders, the
+// and sendFlushed callers (meaningful under -race): senders, the
 // flusher and Close's own flush share the per-peer queues and the
 // dirty list. Nothing is delivered twice, and Close returns.
 func TestNetCloseRacesSenders(t *testing.T) {
@@ -286,10 +313,9 @@ func TestNetCloseRacesSenders(t *testing.T) {
 				}
 				var err error
 				if batch {
-					err = cli.SendBatch([]Msg{
-						{From: from, To: "vrf", Kind: KindHello, ReqID: next.Add(1)},
-						{From: from, To: "vrf", Kind: KindHello, ReqID: next.Add(1)},
-					})
+					err = sendFlushed(cli,
+						Msg{From: from, To: "vrf", Kind: KindHello, ReqID: next.Add(1)},
+						Msg{From: from, To: "vrf", Kind: KindHello, ReqID: next.Add(1)})
 				} else {
 					err = cli.Send(Msg{From: from, To: "vrf", Kind: KindHello, ReqID: next.Add(1)})
 				}

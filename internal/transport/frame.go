@@ -22,9 +22,9 @@ import (
 // for frames delivered through Net.BindFrames, that means until the
 // handler returns; for DecodeFrameInto callers, until buf's next
 // write. A consumer that needs anything beyond that point must detach
-// first — Copy gives an owning Frame, Msg an owning Msg. Interned
-// strings (From, To, report Mechanism/Scheme) are immutable and safe
-// to retain as-is; only []byte fields are borrowed.
+// first: Msg gives an owning Msg. Interned strings (From, To, report
+// Mechanism/Scheme) are immutable and safe to retain as-is; only
+// []byte fields are borrowed.
 type Frame struct {
 	// Ack marks an acknowledgment frame: only ReqID is meaningful.
 	Ack bool
@@ -89,10 +89,10 @@ func (f *Frame) Msg() Msg {
 	return m
 }
 
-// FrameOfMsg wraps an owning Msg in Frame form — how Sim and Local
+// frameOfMsg wraps an owning Msg in Frame form — how Sim and Local
 // serve BindFrames. The result owns its memory (it shares it with
 // m, which owns it), so the usual view lifetime caveats do not apply.
-func FrameOfMsg(m *Msg) Frame {
+func frameOfMsg(m *Msg) Frame {
 	f := Frame{
 		ReqID: m.ReqID, Kind: m.Kind,
 		From: m.From, To: m.To, Image: m.Image, Nonce: m.Nonce,
@@ -112,7 +112,7 @@ func FrameOfMsg(m *Msg) Frame {
 // framed adapts a frame handler to a transport that delivers Msgs.
 func framed(h FrameHandler) Handler {
 	return func(m Msg) {
-		f := FrameOfMsg(&m)
+		f := frameOfMsg(&m)
 		h(&f)
 	}
 }

@@ -107,17 +107,6 @@ func (l *Local) Send(m Msg) error {
 	return nil
 }
 
-// SendBatch delivers each message in turn (no coalescing to do in
-// process).
-func (l *Local) SendBatch(ms []Msg) error {
-	for _, m := range ms {
-		if err := l.Send(m); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Close drops all handlers and fails later sends.
 func (l *Local) Close() error {
 	l.mu.Lock()

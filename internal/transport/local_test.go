@@ -95,8 +95,8 @@ func TestLocalSendZeroAllocs(t *testing.T) {
 // TestLocalBindUnbindRacesSend pins Local's table semantics: a re-Bind
 // replaces the handler, Unbind drops later sends, a send to a name
 // never bound files nothing, and Bind and Send fail after Close. Its
-// last row races Bind, Unbind, Send and SendBatch over shared names,
-// for the race detector.
+// last row races Bind, Unbind and Send over shared names, for the race
+// detector.
 func TestLocalBindUnbindRacesSend(t *testing.T) {
 	l := NewLocal()
 	var first, second mailbox
@@ -157,19 +157,8 @@ func TestLocalBindUnbindRacesSend(t *testing.T) {
 			}(g)
 			go func(g int) {
 				defer wg.Done()
-				batch := make([]Msg, 8)
 				for i := 0; i < 2000; i++ {
-					if i%2 == 0 {
-						if err := r.Send(Msg{From: "vrf", To: names[(g*7+i)%len(names)]}); err != nil {
-							t.Error(err)
-							return
-						}
-						continue
-					}
-					for j := range batch {
-						batch[j] = Msg{From: "vrf", To: names[(i+j)%len(names)]}
-					}
-					if err := r.SendBatch(batch); err != nil {
+					if err := r.Send(Msg{From: "vrf", To: names[(g*7+i)%len(names)]}); err != nil {
 						t.Error(err)
 						return
 					}

@@ -374,8 +374,7 @@ func (n *Net) Bind(name string, h Handler) error {
 
 // BindFrames implements Transport: the handler receives view frames
 // whose byte fields alias a pooled receive buffer; they are valid only
-// until the handler returns (detach with Frame.Copy or Frame.Msg to
-// retain).
+// until the handler returns (detach with Frame.Msg to retain).
 func (n *Net) BindFrames(name string, h FrameHandler) error {
 	if h == nil {
 		return fmt.Errorf("transport: nil frame handler for %q", name)
@@ -456,36 +455,6 @@ func (n *Net) prepare(m *Msg) (*peerState, error) {
 		m.ReqID = n.reqID.Add(1)
 	}
 	return n.route(m.To)
-}
-
-// SendBatch implements Transport: the caller has the whole burst in
-// hand, so it queues every message into its destination's coalescing
-// buffer (flushing on the size budget) and flushes the touched
-// destinations itself at the end — the burst leaves in as few
-// datagrams as the budget allows without waiting for the flusher.
-func (n *Net) SendBatch(ms []Msg) error {
-	var few [4]*peerState
-	touched := few[:0]
-	var err error
-	for i := range ms {
-		m := ms[i]
-		var st *peerState
-		if st, err = n.prepare(&m); err != nil {
-			break
-		}
-		st.cmu.Lock()
-		n.enqueueLocked(st, &m)
-		st.cmu.Unlock()
-		if !slices.Contains(touched, st) {
-			touched = append(touched, st)
-		}
-	}
-	for _, st := range touched {
-		st.cmu.Lock()
-		n.flushLocked(st)
-		st.cmu.Unlock()
-	}
-	return err
 }
 
 // enqueueLocked encodes m straight onto st's queue. One queue carries

@@ -380,8 +380,7 @@ func TestNetBatchCoalescing(t *testing.T) {
 		mu.Unlock()
 	})
 
-	// Teach the client the server speaks v2 (the priming send's ack
-	// carries the version), then submit a burst through SendBatch.
+	// One send on its own, then a burst through sendFlushed.
 	if err := cli.Send(Msg{From: "prv", To: "vrf", Kind: KindHello, ReqID: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +390,7 @@ func TestNetBatchCoalescing(t *testing.T) {
 	for i := range ms {
 		ms[i] = Msg{From: "prv", To: "vrf", Kind: KindHello, ReqID: uint64(2 + i)}
 	}
-	if err := cli.SendBatch(ms); err != nil {
+	if err := sendFlushed(cli, ms...); err != nil {
 		t.Fatal(err)
 	}
 	cli.Drain(5 * time.Second)
@@ -465,7 +464,7 @@ func TestNetCoalescingUnderLoss(t *testing.T) {
 	for i := range ms {
 		ms[i] = Msg{From: "prv", To: "vrf", Kind: KindHello, ReqID: uint64(2 + i)}
 	}
-	if err := cli.SendBatch(ms); err != nil {
+	if err := sendFlushed(cli, ms...); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(15 * time.Second)
@@ -535,7 +534,7 @@ func TestNetRefusesOtherWireVersions(t *testing.T) {
 	for i := range ms {
 		ms[i] = Msg{From: "prv", To: "vrf", Kind: KindHello, ReqID: uint64(1 + i)}
 	}
-	if err := cli.SendBatch(ms); err != nil {
+	if err := sendFlushed(cli, ms...); err != nil {
 		t.Fatal(err)
 	}
 	cli.Drain(5 * time.Second)

@@ -9,7 +9,7 @@ import (
 // Sim is the Transport over a simulated channel.Link. Every Send is
 // exactly one link.Send, with the kind's name as the link-level kind
 // and the Msg itself as the payload, so latency, jitter, loss-model RNG
-// draws, adversary inspection, per-kind Stats and trace output depend
+// draws, adversary inspection, link Stats and trace output depend
 // only on the order of sends.
 //
 // Sim inherits the kernel's single-goroutine discipline: Bind/Send
@@ -62,18 +62,6 @@ func (s *Sim) BindFrames(name string, h FrameHandler) error {
 		return fmt.Errorf("transport: nil frame handler for %q", name)
 	}
 	return s.Bind(name, framed(h))
-}
-
-// SendBatch implements Transport as a Send loop: per-message sends keep
-// the loss-model RNG draw sequence that of the same messages sent
-// singly.
-func (s *Sim) SendBatch(ms []Msg) error {
-	for i := range ms {
-		if err := s.Send(ms[i]); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Unbind implements Transport.

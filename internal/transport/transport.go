@@ -60,7 +60,7 @@ var kindNames = [kindMax]string{
 }
 
 // String names the kind. Sim hands the name to its link, so it is also
-// the key of channel.Stats.Kinds and what trace lines print.
+// what trace lines print.
 func (k Kind) String() string {
 	if k == KindInvalid || k >= kindMax {
 		return fmt.Sprintf("kind(%d)", uint8(k))
@@ -104,7 +104,7 @@ type Handler func(m Msg)
 // FrameHandler is the zero-copy receive form: it is handed the decoded
 // view Frame itself, whose byte fields may alias a transport-owned
 // receive buffer. The views are valid only until the handler returns;
-// retain with Frame.Copy or Frame.Msg. Interned strings (Frame.From,
+// retain with Frame.Msg. Interned strings (Frame.From,
 // Frame.To, Report.Dev) are plain strings and always safe to keep.
 type FrameHandler func(f *Frame)
 
@@ -122,7 +122,7 @@ type Transport interface {
 	Bind(name string, h Handler) error
 	// BindFrames is Bind for a handler that takes the view form. Only
 	// Net has receive buffers to alias; Sim and Local wrap each Msg
-	// with FrameOfMsg.
+	// in an owning Frame.
 	BindFrames(name string, h FrameHandler) error
 	// Unbind removes an endpoint's handler, whichever form it was bound
 	// in; later deliveries to the name are dropped (and the handler
@@ -133,12 +133,6 @@ type Transport interface {
 	// unless a nonzero ReqID lets the transport retry, and distinct
 	// messages may be reordered.
 	Send(m Msg) error
-	// SendBatch has Send's semantics per message (IDs assigned,
-	// reliable retry, per-message routing), for a caller that has a
-	// whole burst in hand: Net packs messages bound for one destination
-	// into shared datagrams; Sim and Local, with no datagram cost to
-	// amortize, send each in turn.
-	SendBatch(ms []Msg) error
 	// Close releases the transport. Net drains in-flight retried sends
 	// first (graceful drain); Sim is a no-op.
 	Close() error

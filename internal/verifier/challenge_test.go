@@ -1,6 +1,9 @@
 package verifier
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -42,6 +45,119 @@ func TestChallengeWindowSlides(t *testing.T) {
 	}
 	if !w.Redeem(2) {
 		t.Fatal("the oldest seq inside the window is not redeemable")
+	}
+}
+
+// challengeModel is ChallengeWindow's specification: a plain set of
+// redeemed seqs. Seq s redeems iff 0 < s ≤ top, top − s < ChallengeBits,
+// and s was not redeemed before.
+type challengeModel struct {
+	top      uint64 // the last seq issued
+	redeemed []uint64
+}
+
+func (m *challengeModel) issue() uint64 {
+	m.top++
+	return m.top
+}
+
+func (m *challengeModel) redeem(s uint64) bool {
+	if s == 0 || s > m.top || m.top-s >= ChallengeBits || slices.Contains(m.redeemed, s) {
+		return false
+	}
+	m.redeemed = append(m.redeemed, s)
+	return true
+}
+
+// challengeOp is one step of a model-check sequence: an Issue, or a
+// Redeem of seq.
+type challengeOp struct {
+	issue bool
+	seq   uint64
+}
+
+func (op challengeOp) String() string {
+	if op.issue {
+		return "Issue"
+	}
+	return fmt.Sprintf("Redeem(%d)", op.seq)
+}
+
+// TestChallengeWindowMatchesModel runs ChallengeWindow against
+// challengeModel on every sequence of up to five operations, each an
+// Issue or a Redeem of one of 0, top−W−1, top−W, top−W+1, top−1, top,
+// top+1 and MaxUint64 (wrapping), from a fresh window and from one
+// W+2 issues in, whose oldest seqs have slid out. At the end of each
+// sequence the two agree on the last operation's result, then on
+// Redeem, one after another, of every alphabet value and of every
+// redeemed seq and its neighbours. Shorter sequences run first, so the
+// divergence reported is a shortest one.
+func TestChallengeWindowMatchesModel(t *testing.T) {
+	const modelDepth = 5
+	alphabet := func(top uint64) [8]uint64 {
+		const w = ChallengeBits
+		return [8]uint64{0, top - w - 1, top - w, top - w + 1, top - 1, top, top + 1, math.MaxUint64}
+	}
+	// wins[k] is the window after k operations. A copy takes top and the
+	// bits; each window keeps its own mutex.
+	var wins [modelDepth + 1]ChallengeWindow
+	load := func(k int, from *ChallengeWindow) *ChallengeWindow {
+		wins[k].top, wins[k].bits = from.top, from.bits
+		return &wins[k]
+	}
+	sequences := 0
+	var walk func(m challengeModel, path []challengeOp, depth int)
+	walk = func(m challengeModel, path []challengeOp, depth int) {
+		k := len(path)
+		ops := [9]challengeOp{{issue: true}}
+		for i, s := range alphabet(m.top) {
+			ops[i+1] = challengeOp{seq: s}
+		}
+		for _, op := range ops {
+			w2, m2 := load(k+1, &wins[k]), challengeModel{top: m.top, redeemed: slices.Clip(m.redeemed)}
+			p := append(path, op)
+			var same bool
+			if op.issue {
+				same = w2.Issue() == m2.issue()
+			} else {
+				same = w2.Redeem(op.seq) == m2.redeem(op.seq)
+			}
+			if len(p) < depth {
+				walk(m2, p, depth)
+				continue
+			}
+			sequences++
+			if !same {
+				t.Fatalf("after %v: the last disagrees with the model", p)
+			}
+			// The probes go on from the leaf's own state: the next
+			// sibling reloads it.
+			check := func(s uint64) {
+				if got, want := w2.Redeem(s), m2.redeem(s); got != want {
+					t.Fatalf("after %v and the probes before it: Redeem(%d) = %v, model says %v", p, s, got, want)
+				}
+			}
+			for _, s := range alphabet(m2.top) {
+				check(s)
+			}
+			for _, s := range m2.redeemed {
+				check(s - 1)
+				check(s)
+				check(s + 1)
+			}
+		}
+	}
+	for _, issued := range []uint64{0, ChallengeBits + 2} {
+		wins[0] = ChallengeWindow{}
+		for range issued {
+			wins[0].Issue()
+		}
+		for depth := 1; depth <= modelDepth; depth++ {
+			walk(challengeModel{top: issued}, nil, depth)
+		}
+	}
+	if sequences != 2*66429 {
+		t.Fatalf("walked %d sequences, want every one of length 1 to %d from both starts", sequences, modelDepth)
 	}
 }
 

@@ -150,7 +150,6 @@ func unsetOptions(t *testing.T, tr *tree) (audited int, failed []string) {
 var flagsDeployment = [...]struct{ name, why string }{
 	{"addr", "the address the daemon listens on"},
 	{"image", "the fleet's golden image files"},
-	{"grace-epochs", "the fleet's OTA rollout window, in rotation epochs"},
 	{"v", "the per-decision log sink"},
 	{"pprof", "the profile sink"},
 }

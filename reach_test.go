@@ -3,11 +3,17 @@ package saferatt
 // The reachability rule (DESIGN §14): every package-level function,
 // named type and method declared in non-test internal/ code is reachable
 // from a main package (cmd/, bench/) or an exported name of this facade,
-// or sits on the allow-list below for one of three reasons.
+// or sits on the allow-list below for one of three reasons. A reached
+// type's method is reached when a reached function calls a method of
+// that name through an interface, or when it has the name of a method
+// of a standard interface the type may be handed to (error, fmt.Stringer,
+// io.*, ...): a method an interface of this tree declares but nothing
+// calls keeps no implementation alive.
 
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -50,12 +56,11 @@ var _ [60 - len(reachAllowed)]struct{} // the allow-list holds at most 60 entrie
 // reaches (sorted) and the stale allowed names.
 func unreachable(t *testing.T, tr *tree) (dead, stale []string) {
 	info := tr.info
-	ifaceNames := map[string]bool{}
+	called := map[string]bool{} // method names a reached type's methods are reached by
 	addIface := func(typ types.Type) {
-		if it, ok := typ.Underlying().(*types.Interface); ok {
-			for i := 0; i < it.NumMethods(); i++ {
-				ifaceNames[it.Method(i).Name()] = true
-			}
+		it := typ.Underlying().(*types.Interface)
+		for i := 0; i < it.NumMethods(); i++ {
+			called[it.Method(i).Name()] = true
 		}
 	}
 	addIface(types.Universe.Lookup("error").Type())
@@ -67,7 +72,7 @@ func unreachable(t *testing.T, tr *tree) (dead, stale []string) {
 			t.Fatal(err)
 		}
 		for _, n := range pkg.Scope().Names() {
-			if tn, ok := pkg.Scope().Lookup(n).(*types.TypeName); ok && (name == "*" || name == n) {
+			if tn, ok := pkg.Scope().Lookup(n).(*types.TypeName); ok && (name == "*" || name == n) && types.IsInterface(tn.Type()) {
 				addIface(tn.Type())
 			}
 		}
@@ -97,15 +102,12 @@ func unreachable(t *testing.T, tr *tree) (dead, stale []string) {
 					byName[o.Pkg().Name()+"."+o.Name()] = o
 				}
 				ast.Inspect(node, func(n ast.Node) bool {
-					switch n := n.(type) {
-					case *ast.Ident:
-						if f, ok := info.Uses[n].(*types.Func); ok {
+					if id, ok := n.(*ast.Ident); ok {
+						if f, ok := info.Uses[id].(*types.Func); ok {
 							uses[o] = append(uses[o], f.Origin()) // a generic receiver's method
-						} else if u := info.Uses[n]; u != nil {
+						} else if u := info.Uses[id]; u != nil {
 							uses[o] = append(uses[o], u)
 						}
-					case *ast.InterfaceType:
-						addIface(info.TypeOf(n))
 					}
 					return true
 				})
@@ -129,7 +131,16 @@ func unreachable(t *testing.T, tr *tree) (dead, stale []string) {
 	}
 
 	seen := map[types.Object]bool{}
+	var reached []*types.Named // every named type walked so far
 	walk := func(work ...types.Object) {
+		// methodsNamed adds to work each method of named whose name is called.
+		methodsNamed := func(named *types.Named) {
+			for i := 0; i < named.NumMethods(); i++ {
+				if m := named.Method(i); called[m.Name()] {
+					work = append(work, m)
+				}
+			}
+		}
 		for len(work) > 0 {
 			o := work[len(work)-1]
 			work = work[:len(work)-1]
@@ -138,12 +149,15 @@ func unreachable(t *testing.T, tr *tree) (dead, stale []string) {
 			}
 			seen[o] = true
 			work = append(work, uses[o]...)
-			// A reached type's method is reached when an interface names it.
 			if named, ok := o.Type().(*types.Named); ok && o == named.Obj() {
-				for i := 0; i < named.NumMethods(); i++ {
-					if m := named.Method(i); ifaceNames[m.Name()] {
-						work = append(work, m)
-					}
+				reached = append(reached, named)
+				methodsNamed(named)
+			} else if fn, ok := o.(*types.Func); ok && isIfaceMethod(fn) && !called[fn.Name()] {
+				// A first call through an interface: every reached type's
+				// method of that name is reached.
+				called[fn.Name()] = true
+				for _, named := range reached {
+					methodsNamed(named)
 				}
 			}
 		}
@@ -170,6 +184,12 @@ func unreachable(t *testing.T, tr *tree) (dead, stale []string) {
 	return dead, stale
 }
 
+// isIfaceMethod reports whether fn is a method an interface declares.
+func isIfaceMethod(fn *types.Func) bool {
+	recv := fn.Type().(*types.Signature).Recv()
+	return recv != nil && types.IsInterface(recv.Type())
+}
+
 func TestReachable(t *testing.T) {
 	dead, stale := unreachable(t, loadTree(t, nil))
 	for _, name := range dead {
@@ -183,6 +203,12 @@ func TestReachable(t *testing.T) {
 		dead, _ := unreachable(t, loadTree(t, map[string]string{"saferatt/internal/qoa": "package qoa\nfunc reachInjected() {}\n"}))
 		if len(dead) != 1 || dead[0] != "qoa.reachInjected" {
 			t.Fatalf("an unreferenced function added to internal/qoa: reported %v", dead)
+		}
+		// An interface nothing calls through keeps no method alive: Net
+		// is reached, but its method is not.
+		dead, _ = unreachable(t, loadTree(t, map[string]string{"saferatt/internal/transport": "package transport\ntype reachIface interface{ reachInjected() }\nfunc (n *Net) reachInjected() {}\n"}))
+		if want := []string{"transport.Net.reachInjected", "transport.reachIface"}; !slices.Equal(dead, want) {
+			t.Fatalf("a method of Net implementing an interface added to internal/transport: reported %v, want %v", dead, want)
 		}
 	})
 }

@@ -40,7 +40,6 @@ import (
 	"saferatt/internal/core"
 	"saferatt/internal/costmodel"
 	"saferatt/internal/device"
-	"saferatt/internal/engine"
 	"saferatt/internal/experiments"
 	"saferatt/internal/malware"
 	"saferatt/internal/mem"
@@ -281,9 +280,6 @@ type (
 	DaemonConfig = rattd.Config
 	// Daemon is a running verifier daemon.
 	Daemon = rattd.Server
-	// EngineConfig is the engine-knob block (Seed, Parallelism,
-	// NoTrace) embedded in the experiment and fleet configs.
-	EngineConfig = engine.Config
 )
 
 // Listen opens a UDP transport serving cfg.Addr (":0" for ephemeral).

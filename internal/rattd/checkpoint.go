@@ -224,8 +224,8 @@ func (s *Server) WriteCheckpoint(w io.Writer, o SnapshotOptions) (SnapshotStats,
 				buf = appendSeedRec(buf, name, r.fresh.SeedLast)
 				stats.Records++
 			}
-			if r.image != 0 {
-				buf = appendImageRec(buf, name, images[r.image])
+			if r.image() != 0 {
+				buf = appendImageRec(buf, name, images[r.image()])
 				stats.Records++
 			}
 			stats.Provers++
@@ -275,11 +275,11 @@ func (s *Server) Checkpoint() *Checkpoint {
 			if r.has(recSeed) {
 				cp.Seed[name] = r.fresh.SeedLast
 			}
-			if r.image != 0 {
+			if r.image() != 0 {
 				if cp.Images == nil {
 					cp.Images = map[string]string{}
 				}
-				cp.Images[name] = t.images[r.image]
+				cp.Images[name] = t.images[r.image()]
 			}
 		}
 		st.mu.Unlock()

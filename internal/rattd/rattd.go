@@ -348,7 +348,7 @@ func (s *Server) rejectBundle(from string, kind transport.Kind, n int, why verif
 	s.verdicts[why].Add(outcomes)
 	switch kind {
 	case transport.KindReport, transport.KindCollection:
-		s.verdict(from, "bundle", n, why, nil)
+		s.verdict(from, 0, "bundle", n, why, nil)
 	}
 }
 
@@ -363,11 +363,13 @@ func (s *Server) rejectBundle(from string, kind transport.Kind, n int, why verif
 // a binding mismatch. Caller holds st.mu.
 func (st *stripe) bindImage(s *Server, rec *proverRec, ri uint32, name string) (string, bool) {
 	bound := ""
-	if rec != nil && rec.image != 0 {
-		bound = st.provers.images[rec.image]
+	if rec != nil && rec.image() != 0 {
+		bound = st.provers.images[rec.image()]
 	}
 	switch {
-	case name == "":
+	case name == "" || name == bound:
+		// No claim, or the binding's own name — the steady named
+		// bundle, and usually pointer-equal (the wire interns image ids).
 		return bound, true
 	case name == s.defName:
 		// An explicit claim of the default image is never stored (the
@@ -377,8 +379,6 @@ func (st *stripe) bindImage(s *Server, rec *proverRec, ri uint32, name string) (
 			return "", false
 		}
 		return "", true
-	case bound == name:
-		return name, true
 	case bound != "":
 		return "", false
 	}
@@ -399,14 +399,19 @@ func (s *Server) handleHello(from string) {
 }
 
 // handleReport validates a challenge response and answers with a
-// verdict. One stripe visit checks the binding; the challenge is
-// redeemed, and the tag verified, off-lock. A redeemed nonce cannot
-// recur, so the tag is verified without being cached.
+// verdict. One stripe visit checks the binding and reads the record's
+// route, if a collection resolved one; the challenge is redeemed, and
+// the tag verified, off-lock. A redeemed nonce cannot recur, so the tag
+// is verified without being cached.
 func (s *Server) handleReport(from string, id verifier.ImageID, reports []core.Report) {
 	st, h := s.stripeHash(from)
+	var route uint32
 	st.mu.Lock()
 	rec, ri := st.lookup(from, h)
 	name, bound := st.bindImage(s, rec, ri, id.Name)
+	if rec != nil {
+		route = rec.route
+	}
 	st.mu.Unlock()
 	var nonce verifier.Challenge
 	if len(reports) > 0 {
@@ -424,16 +429,17 @@ func (s *Server) handleReport(from string, id verifier.ImageID, reports []core.R
 		_, why, err = verifier.Judge(buf[:0], verifier.SMART, nil, reports, &x)
 	}
 	s.verdicts[why].Add(1)
-	s.verdict(from, "report", len(reports), why, err)
+	s.verdict(from, route, "report", len(reports), why, err)
 }
 
-// verdict answers a bundle with its first failure (or OK).
-func (s *Server) verdict(from, what string, n int, why verifier.Reason, err error) {
+// verdict answers a bundle with its first failure (or OK). route is the
+// prover's record's route (0: send by name).
+func (s *Server) verdict(from string, route uint32, what string, n int, why verifier.Reason, err error) {
 	ok, reason := why == verifier.ReasonOK, why.Text(err)
 	if s.cfg.Logf != nil { // guarded: the variadic boxing allocates
 		s.cfg.Logf("%s %s (%d reports): ok=%v %s", what, from, n, ok, reason)
 	}
-	s.tr.Send(transport.Msg{From: endpoint, To: from, Kind: transport.KindVerdict, OK: ok, Reason: reason})
+	s.tr.Send(transport.Msg{From: endpoint, To: from, Kind: transport.KindVerdict, ToID: route, OK: ok, Reason: reason})
 }
 
 // ingestScratch holds the reusable buffers of one bundle's ingest:
@@ -461,7 +467,12 @@ var scratchPool = sync.Pool{New: func() any { return new(ingestScratch) }}
 // step found it. The nonce and the expected tag depend only on (key,
 // counter), which the fleet shares, so both come from read-mostly memos;
 // a counter enters the nonce memo only once a report carrying it has
-// committed on the real record.
+// committed on the real record. The verdict goes out on the record's
+// route: the prover's first bundle to commit a clean report asks the
+// transport for it (NameID) before the commit lock and stores it at
+// commit, so later verdicts skip the transport's name lookup. A name
+// that never commits clean — a forger's, a spoofer's — never costs the
+// transport that lookup.
 func (s *Server) handleCollection(from string, id verifier.ImageID, reports []core.Report) {
 	sc := scratchPool.Get().(*ingestScratch)
 	s.collect(sc, from, id, reports)
@@ -496,7 +507,7 @@ func (s *Server) collect(sc *ingestScratch, from string, id verifier.ImageID, re
 		rec.state |= recWin
 		st.provers.markDirty(rec, ri)
 	}
-	fresh := rec.fresh
+	fresh, route, routed := rec.fresh, rec.route, rec.has(recRouted)
 	st.mu.Unlock()
 
 	// Judge, under the daemon's zero CollectionPolicy (no cadence rule).
@@ -507,9 +518,12 @@ func (s *Server) collect(sc *ingestScratch, from string, id verifier.ImageID, re
 	sc.why = why
 	missed := x.Missed // some nonce was not in the memo
 
-	// Commit.
+	// Commit, with the route resolved first if the record has none.
 	accepted := slices.Contains(why, verifier.ReasonOK)
 	if accepted {
+		if !routed {
+			route = s.tr.NameID(from)
+		}
 		st.mu.Lock()
 		var lost bool // a replay became the bundle's first failure
 		if accepted, lost = replay(why, reports, rec.fresh.CommitErasmus); lost {
@@ -519,6 +533,10 @@ func (s *Server) collect(sc *ingestScratch, from string, id verifier.ImageID, re
 		// is no longer the prover's, and its ID names another's.
 		if accepted && st.provers == tbl {
 			st.provers.markDirty(rec, ri)
+			if !routed {
+				rec.route = route
+				rec.state |= recRouted
+			}
 		}
 		st.mu.Unlock()
 	}
@@ -533,7 +551,7 @@ func (s *Server) collect(sc *ingestScratch, from string, id verifier.ImageID, re
 			}
 		}
 	}
-	s.verdict(from, "collection", len(reports), first, firstErr)
+	s.verdict(from, route, "collection", len(reports), first, firstErr)
 	return first
 }
 
@@ -582,7 +600,7 @@ func (s *Server) handleSeed(from string, id verifier.ImageID, reports []core.Rep
 		st.mu.Lock()
 		rec, ri = st.rec(from, h)
 		if accepted, _ := replay(why, reports, rec.fresh.CommitSeed); accepted {
-			if rec.image == 0 && name != "" {
+			if rec.image() == 0 && name != "" {
 				st.provers.bind(rec, name) // enrollment-time binding
 			}
 			rec.state |= recSeed

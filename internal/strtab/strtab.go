@@ -53,6 +53,14 @@ func (t *Table[V]) At(id uint32) *Entry[V] {
 	return &t.chunks[(id-1)>>chunkBits][(id-1)&(chunkLen-1)]
 }
 
+// Holds reports whether ID id names key: the check that makes an ID a
+// caller kept since an earlier Find safe to use in its place. It costs
+// one entry read and a string compare, usually pointer-equal, and no
+// hash; any id, 0 and IDs past t.Len() among them, is a valid argument.
+func (t *Table[V]) Holds(id uint32, key string) bool {
+	return id != 0 && id <= t.n && t.At(id).Key == key
+}
+
 // Find returns the ID of key, filed under its hash h; 0 if t does not
 // hold it.
 func (t *Table[V]) Find(key string, h uint64) uint32 {

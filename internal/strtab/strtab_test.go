@@ -113,3 +113,26 @@ func mix64(x uint64) uint64 {
 	x *= 0x94d049bb133111eb
 	return x ^ x>>31
 }
+
+// TestHolds pins the check a kept ID passes before it stands in for a
+// Find: it holds for the key's own ID, whether or not the caller's
+// string shares the table's bytes, and for no other ID — another key's,
+// 0, or one past the last given — on an empty table as on a full one.
+func TestHolds(t *testing.T) {
+	var tb Table[struct{}]
+	if tb.Holds(0, "") || tb.Holds(1, "a") {
+		t.Fatal("an empty table holds an ID")
+	}
+	for k := range 600 { // three chunks
+		tb.Add(fmt.Sprintf("k%03d", k), mix64(uint64(k)))
+	}
+	for k := range 600 {
+		key, id := fmt.Sprintf("k%03d", k), uint32(k+1)
+		if !tb.Holds(id, key) || !tb.Holds(id, string([]byte(key))) {
+			t.Fatalf("ID %d does not hold %q", id, key)
+		}
+		if tb.Holds(id%600+1, key) || tb.Holds(0, key) || tb.Holds(tb.Len()+1, key) || tb.Holds(^uint32(0), key) {
+			t.Fatalf("an ID other than %d holds %q", id, key)
+		}
+	}
+}

@@ -174,23 +174,38 @@ func BenchmarkTransport_NetThroughput(b *testing.B) {
 // 200 000 bound names — inproc_mixed's fleet — sent to in a seeded
 // shuffled order, so that the order the names were bound in cannot
 // help the probe. Each send names its peer with the string it was
-// bound under, as a daemon replying to an ingested name does.
+// bound under, as a daemon replying to an ingested name does: byname
+// looks it up (a hash and an index probe), hinted carries the name's
+// ID from NameID in Msg.ToID, as a daemon replying on a record's route
+// does (an entry read and a key compare).
 func BenchmarkTransport_LocalSendFleet(b *testing.B) {
 	names := fleetNames(200_000)
 	l := NewLocal()
 	n := 0
-	for _, name := range names {
+	ids := make([]uint32, len(names))
+	for i, name := range names {
 		l.Bind(name, func(Msg) { n++ })
+		ids[i] = l.NameID(name)
 	}
 	order := shuffled(len(names), 1)
-	m := Msg{From: "vrf", Kind: KindVerdict, OK: true}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.To = names[order[i%len(order)]]
-		l.Send(m)
-	}
-	if n != b.N {
-		b.Fatalf("delivered %d/%d", n, b.N)
+	for _, arm := range []string{"byname", "hinted"} {
+		hinted := arm == "hinted"
+		b.Run(arm, func(b *testing.B) {
+			n = 0
+			m := Msg{From: "vrf", Kind: KindVerdict, OK: true}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := order[i%len(order)]
+				m.To = names[k]
+				if hinted {
+					m.ToID = ids[k]
+				}
+				l.Send(m)
+			}
+			if n != b.N {
+				b.Fatalf("delivered %d/%d", n, b.N)
+			}
+		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"saferatt/internal/channel"
 	"saferatt/internal/core"
@@ -54,6 +55,10 @@ type harness struct {
 	// reliable marks a transport that cannot lose or repeat a message
 	// (Local: a synchronous call), and so keeps no request-ID memory.
 	reliable bool
+	// keysNames marks a transport that files names under IDs for
+	// sending (Local, Net): its NameID of a name it has delivered to is
+	// nonzero. Sim keys no name, so its NameID is always 0.
+	keysNames bool
 }
 
 // waitFor settles until cond holds or the attempt budget runs out.
@@ -85,11 +90,12 @@ func localHarness(t *testing.T) *harness {
 	t.Helper()
 	tr := NewLocal()
 	return &harness{
-		client:   tr,
-		server:   tr,
-		settle:   func() {},
-		close:    func() { tr.Close() },
-		reliable: true,
+		client:    tr,
+		server:    tr,
+		settle:    func() {},
+		close:     func() { tr.Close() },
+		reliable:  true,
+		keysNames: true,
 	}
 }
 
@@ -112,6 +118,7 @@ func netHarness(t *testing.T) *harness {
 			cli.Close()
 			srv.Close()
 		},
+		keysNames: true,
 	}
 }
 
@@ -303,6 +310,122 @@ func runConformance(t *testing.T, mk func(t *testing.T) *harness) {
 			t.Fatalf("after rebinding as frames and unbinding: %d messages, %d frames", box.len(), frames.Load())
 		}
 	})
+
+	// The Msg.ToID hint. Names carry the test's name: Net's interner is
+	// process-wide, and a row must meet names no earlier row has sent to.
+	t.Run("NameIDOfUnseenNameIsZero", func(t *testing.T) {
+		h := mk(t)
+		defer h.close()
+		if id := h.client.NameID(t.Name() + "/never-seen"); id != 0 {
+			t.Fatalf("NameID of a name never seen = %d, want 0", id)
+		}
+		var box mailbox
+		a := t.Name() + "/a"
+		hintWorld(t, h, &box, a)
+		if id := h.client.NameID(a); (id != 0) != h.keysNames {
+			t.Fatalf("NameID of a name delivered to = %d; want nonzero only on a transport that keys names", id)
+		}
+	})
+
+	t.Run("HintNamingAnotherEndpointReachesToOnly", func(t *testing.T) {
+		h := mk(t)
+		defer h.close()
+		var boxA, boxB mailbox
+		a, b := t.Name()+"/a", t.Name()+"/b"
+		hintWorld(t, h, &boxA, a)
+		hintWorld(t, h, &boxB, b)
+		idA, idB := h.client.NameID(a), h.client.NameID(b)
+		if h.keysNames && (idB == 0 || idB == idA) {
+			t.Fatalf("NameID(%q) = %d beside NameID(%q) = %d: want two distinct IDs", b, idB, a, idA)
+		}
+		if err := h.client.Send(Msg{From: "vrf", To: a, ToID: idB, Kind: KindVerdict, ReqID: 3, OK: true}); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, h, func() bool { return boxA.len() == 2 })
+		for i := 0; i < 5; i++ {
+			h.settle()
+		}
+		if got := boxA.get(1); got.To != a || got.ReqID != 3 || boxB.len() != 1 {
+			t.Fatalf("a send to %q hinted with %q's ID delivered %+v there and %d messages to %q", a, b, got, boxB.len(), b)
+		}
+	})
+
+	t.Run("ForeignOrOutOfRangeHintDeliversByName", func(t *testing.T) {
+		h, other := mk(t), mk(t)
+		defer h.close()
+		defer other.close()
+		var box, otherBox mailbox
+		a := t.Name() + "/a"
+		hintWorld(t, h, &box, t.Name()+"/first") // a takes the second ID here...
+		hintWorld(t, h, &box, a)
+		hintWorld(t, other, &otherBox, a) // ... and the first there
+		for i, hint := range []uint32{other.client.NameID(a), h.client.NameID(a) + 1<<20, ^uint32(0)} {
+			if err := h.client.Send(Msg{From: "vrf", To: a, ToID: hint, Kind: KindVerdict, ReqID: uint64(10 + i)}); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, h, func() bool { return box.len() == 3+i })
+			if got := box.get(2 + i); got.To != a || got.ReqID != uint64(10+i) {
+				t.Fatalf("hint %d delivered %+v", hint, got)
+			}
+		}
+	})
+
+	t.Run("DeliveredMsgCarriesNoHint", func(t *testing.T) {
+		h := mk(t)
+		defer h.close()
+		var box mailbox
+		a := t.Name() + "/a"
+		hintWorld(t, h, &box, a)
+		var frames []Msg
+		var mu sync.Mutex
+		b := t.Name() + "/frames"
+		if err := h.server.BindFrames(b, func(f *Frame) { mu.Lock(); frames = append(frames, f.Msg()); mu.Unlock() }); err != nil {
+			t.Fatal(err)
+		}
+		// A right hint, a wrong one and Sim's 0 alike reach the handler
+		// as 0, in both bind forms.
+		for i, hint := range []uint32{h.client.NameID(a), 7} {
+			if err := h.client.Send(Msg{From: "vrf", To: a, ToID: hint, Kind: KindVerdict, ReqID: uint64(20 + i)}); err != nil {
+				t.Fatal(err)
+			}
+			if err := h.client.Send(Msg{From: "vrf", To: b, ToID: hint, Kind: KindVerdict, ReqID: uint64(30 + i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		count := func() int { mu.Lock(); defer mu.Unlock(); return len(frames) }
+		waitFor(t, h, func() bool { return box.len() == 3 && count() == 2 })
+		for i := 1; i < 3; i++ {
+			if got := box.get(i); got.ToID != 0 {
+				t.Fatalf("delivered %+v: ToID %d, want 0", got, got.ToID)
+			}
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		for _, got := range frames {
+			if got.ToID != 0 {
+				t.Fatalf("delivered frame %+v: ToID %d, want 0", got, got.ToID)
+			}
+		}
+	})
+}
+
+// hintReqs numbers hintWorld's requests.
+var hintReqs atomic.Uint64
+
+// hintWorld binds name on h's server with box as its handler and sends
+// it one message by name, so that the transport has met the name on the
+// path a reply takes. Its request IDs are its own, so the receive dedup
+// never takes one of its messages for a row's.
+func hintWorld(t *testing.T, h *harness, box *mailbox, name string) {
+	t.Helper()
+	if err := h.server.Bind(name, box.handle); err != nil {
+		t.Fatal(err)
+	}
+	n := box.len()
+	if err := h.client.Send(Msg{From: "vrf", To: name, Kind: KindChallenge, ReqID: 1000 + hintReqs.Add(1), Nonce: []byte{1}}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, h, func() bool { return box.len() == n+1 })
 }
 
 // Every transport passes the one suite. Net coalesces whatever is
@@ -350,6 +473,27 @@ func TestConformanceNet(t *testing.T) {
 			seen[got.ReqID] = true
 		}
 	})
+	t.Run("HintIsNotOnTheWire", func(t *testing.T) {
+		// A data frame and a batch encode the same bytes whatever ToID
+		// the messages carry.
+		plain := &Msg{From: "rattd", To: "prv", Kind: KindVerdict, ReqID: 8, OK: true, Reason: "ok"}
+		hinted := *plain
+		hinted.ToID = 12345
+		if a, b := AppendFrame(nil, plain), AppendFrame(nil, &hinted); !bytes.Equal(a, b) {
+			t.Fatalf("data frame with ToID differs:\n%x\n%x", a, b)
+		}
+		if a, b := AppendBatch(nil, 9, []*Msg{plain, plain}), AppendBatch(nil, 9, []*Msg{&hinted, &hinted}); !bytes.Equal(a, b) {
+			t.Fatalf("batch frame with ToID differs:\n%x\n%x", a, b)
+		}
+	})
+}
+
+// TestMsgSize pins Msg at 136 bytes: ToID sits in the padding after
+// Kind, and every Send takes a Msg by value.
+func TestMsgSize(t *testing.T) {
+	if got := unsafe.Sizeof(Msg{}); got != 136 {
+		t.Fatalf("Msg is %d bytes, want 136", got)
+	}
 }
 
 // conformanceReport builds a report exercising every wire field.
@@ -400,14 +544,15 @@ func assertReportEqual(t *testing.T, got, want *core.Report) {
 
 // TestSimLinkShape pins what a Sim puts on its link: one datagram per
 // Send, kind = Kind.String() (what every trace line prints), payload =
-// the Msg itself, which is what MsgOf hands an in-path adversary. Link
-// traffic that is not a Msg never reaches a Bind.
+// the Msg itself, which is what MsgOf hands an in-path adversary, with
+// the sender's ToID hint cleared. Link traffic that is not a Msg never
+// reaches a Bind.
 func TestSimLinkShape(t *testing.T) {
 	k := sim.NewKernel()
 	var seen []Msg
 	link := channel.New(channel.Config{Kernel: k, Latency: sim.Millisecond, Loss: 0.3, Seed: 7,
 		Adv: channel.AdversaryFunc(func(cm channel.Message) channel.Verdict {
-			if m, ok := MsgOf(cm); ok && cm.Kind == m.Kind.String() && cm.From == m.From && cm.To == m.To {
+			if m, ok := MsgOf(cm); ok && cm.Kind == m.Kind.String() && cm.From == m.From && cm.To == m.To && m.ToID == 0 {
 				seen = append(seen, m)
 			}
 			return channel.Deliver
@@ -418,7 +563,7 @@ func TestSimLinkShape(t *testing.T) {
 
 	const n = 40
 	for i := 0; i < n; i++ {
-		tr.Send(Msg{From: "vrf", To: "prv", Kind: KindChallenge, Nonce: []byte{byte(i)}})
+		tr.Send(Msg{From: "vrf", To: "prv", ToID: uint32(i), Kind: KindChallenge, Nonce: []byte{byte(i)}})
 		tr.Send(Msg{From: "vrf", To: "prv", Kind: KindCollect})
 	}
 	link.Send("mgr", "prv", "update", []byte("not RA traffic"))

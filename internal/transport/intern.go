@@ -54,13 +54,15 @@ func newInternTable(max uint32) *internTable {
 }
 
 // lookup returns s's ID, 0 if the table does not hold it. It never
-// inserts.
-func (t *internTable) lookup(s string) uint32 {
-	h := maphash.String(t.seed, s)
+// inserts. A hint that is s's ID is returned with no hash and no probe;
+// any other hint is ignored.
+func (t *internTable) lookup(s string, hint uint32) uint32 {
 	t.mu.RLock()
-	id := t.Find(s, h)
+	if !t.Holds(hint, s) {
+		hint = t.Find(s, maphash.String(t.seed, s))
+	}
 	t.mu.RUnlock()
-	return id
+	return hint
 }
 
 // get returns the canonical string for b and its ID, interning it on

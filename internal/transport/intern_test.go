@@ -46,10 +46,10 @@ func TestInternTableBounded(t *testing.T) {
 		t.Fatalf("past-cap name got ID %d, want 0", id)
 	}
 	// lookup finds what get interned and never inserts.
-	if id := tbl.lookup("flood-peer-00063"); id != 64 {
+	if id := tbl.lookup("flood-peer-00063", 0); id != 64 {
 		t.Fatalf("lookup of a resident name = %d, want 64", id)
 	}
-	if id := tbl.lookup("flood-peer-09998"); id != 0 {
+	if id := tbl.lookup("flood-peer-09998", 0); id != 0 {
 		t.Fatalf("lookup of a refused name = %d, want 0", id)
 	}
 	if n := int(tbl.Len()); n != 64 {

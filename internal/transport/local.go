@@ -28,9 +28,12 @@ import (
 // handler beside it. A delivery is one hash, one index probe — whose
 // string compare is usually pointer-equal, since senders name peers
 // with the strings they bound — and one read of the entry the compare
-// already brought into cache. The table has no cap, because only Bind
+// already brought into cache. A send whose Msg.ToID is the name's ID
+// (NameID) skips the hash and the probe: it reads that entry and
+// compares its name with To, and only a hint that fails the compare
+// falls back to the lookup. The table has no cap, because only Bind
 // adds to it, and it never shrinks: a name stays filed, with no
-// handler, after Unbind.
+// handler, after Unbind, so its ID stays good.
 //
 // The delivered Msg is the sender's value: a handler may retain it
 // only if the sender does not mutate the payload afterwards (the
@@ -87,17 +90,31 @@ func (l *Local) Unbind(name string) {
 	l.mu.Unlock()
 }
 
+// NameID implements Transport: the ID Bind filed name under, 0 for a
+// name never bound.
+func (l *Local) NameID(name string) uint32 {
+	hash := maphash.String(l.seed, name)
+	l.mu.RLock()
+	id := l.names.Find(name, hash)
+	l.mu.RUnlock()
+	return id
+}
+
 // Send delivers m to m.To synchronously on the caller's goroutine.
 // Sends to unbound names are dropped silently (datagram semantics).
 func (l *Local) Send(m Msg) error {
-	hash := maphash.String(l.seed, m.To)
+	id := m.ToID
+	m.ToID = 0
 	l.mu.RLock()
 	if l.closed {
 		l.mu.RUnlock()
 		return errLocalClosed
 	}
+	if !l.names.Holds(id, m.To) {
+		id = l.names.Find(m.To, maphash.String(l.seed, m.To))
+	}
 	var h Handler
-	if id := l.names.Find(m.To, hash); id != 0 {
+	if id != 0 {
 		h = l.names.At(id).Val
 	}
 	l.mu.RUnlock()

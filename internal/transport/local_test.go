@@ -174,6 +174,49 @@ func TestLocalBindUnbindRacesSend(t *testing.T) {
 		}
 	})
 
+	t.Run("hinted race", func(t *testing.T) {
+		// Hinted sends — right hints, stale ones, IDs not given yet —
+		// race Binds that grow the table under them.
+		r := NewLocal()
+		names := fleetNames(64)
+		var delivered atomic.Int64
+		count := func(Msg) { delivered.Add(1) }
+		for _, name := range names {
+			r.Bind(name, count)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(2)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < 600; i++ {
+					if err := r.Bind(fmt.Sprintf("late-%d-%04d", g, i), count); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(g)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < 2000; i++ {
+					to := names[(g*7+i)%len(names)]
+					hint := uint32(i % 3000)
+					if i%2 == 0 {
+						hint = r.NameID(to)
+					}
+					if err := r.Send(Msg{From: "vrf", To: to, ToID: hint}); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		if delivered.Load() != 4*2000 {
+			t.Fatalf("%d of %d hinted sends delivered", delivered.Load(), 4*2000)
+		}
+	})
+
 	l.Bind("prv", first.handle)
 	if err := l.Close(); err != nil {
 		t.Fatal(err)

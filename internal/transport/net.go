@@ -395,10 +395,15 @@ func (n *Net) Unbind(name string) {
 	n.hmu.Unlock()
 }
 
+// NameID implements Transport: name's interned ID, which indexes its
+// route; 0 for a name the interner does not hold.
+func (n *Net) NameID(name string) uint32 { return interned.lookup(name, 0) }
+
 // route resolves the destination peer for an endpoint name: a probe of
-// the interner that never inserts, then its route.
-func (n *Net) route(to string) (*peerState, error) {
-	id := interned.lookup(to)
+// the interner that never inserts — none, if hint is to's interned ID —
+// then its route.
+func (n *Net) route(to string, hint uint32) (*peerState, error) {
+	id := interned.lookup(to, hint)
 	n.pmu.RLock()
 	st := n.peers[n.routeLocked(to, id)]
 	if st == nil {
@@ -454,7 +459,7 @@ func (n *Net) prepare(m *Msg) (*peerState, error) {
 	if m.ReqID == 0 {
 		m.ReqID = n.reqID.Add(1)
 	}
-	return n.route(m.To)
+	return n.route(m.To, m.ToID)
 }
 
 // enqueueLocked encodes m straight onto st's queue. One queue carries

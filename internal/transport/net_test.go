@@ -175,7 +175,7 @@ func TestNetRoutes(t *testing.T) {
 	}
 	routesTo := func(name string, want netip.AddrPort) {
 		t.Helper()
-		st, err := n.route(name)
+		st, err := n.route(name, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,14 +187,14 @@ func TestNetRoutes(t *testing.T) {
 		n.pmu.RLock()
 		defer n.pmu.RUnlock()
 		_, named := n.named[name]
-		id := interned.lookup(name)
+		id := interned.lookup(name, 0)
 		return !named && id != 0 && n.routes[id] != 0
 	}
 	inMap := func(name string) bool {
 		n.pmu.RLock()
 		defer n.pmu.RUnlock()
 		_, named := n.named[name]
-		return named && interned.lookup(name) == 0
+		return named && interned.lookup(name, 0) == 0
 	}
 
 	held, id := interned.get([]byte("route-held"))
@@ -267,7 +267,7 @@ func TestNetRefusedNameRoutesBounded(t *testing.T) {
 	}
 	routesTo := func(name string, want netip.AddrPort) {
 		t.Helper()
-		st, err := n.route(name)
+		st, err := n.route(name, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -67,11 +67,16 @@ func (s *Sim) BindFrames(name string, h FrameHandler) error {
 // Unbind implements Transport.
 func (s *Sim) Unbind(name string) { s.link.Disconnect(name) }
 
+// NameID implements Transport: a Sim keys no name by ID, so it is
+// always 0.
+func (s *Sim) NameID(string) uint32 { return 0 }
+
 // Send implements Transport.
 func (s *Sim) Send(m Msg) error {
 	if m.Kind == KindInvalid || m.Kind >= kindMax {
 		return fmt.Errorf("transport: cannot send kind %v", m.Kind)
 	}
+	m.ToID = 0 // keys no name, and the link's adversary sees what a handler would
 	s.link.Send(m.From, m.To, m.Kind.String(), m)
 	return nil
 }

@@ -74,6 +74,14 @@ func (k Kind) String() string {
 type Msg struct {
 	From, To string
 	Kind     Kind
+	// ToID, when nonzero, is what the sender believes the transport
+	// files To under (NameID): a hint that spares the send its name
+	// lookup. A transport uses it only once it has checked that the
+	// entry it names holds To, and otherwise looks To up by name, so a
+	// stale, foreign or made-up hint costs a lookup and never misroutes.
+	// It is send-side only: never encoded on the wire, and zero in every
+	// Msg a handler or the link is handed.
+	ToID uint32
 	// ReqID, when nonzero, makes delivery idempotent: Net (which
 	// retransmits) and Sim (whose senders may model a retry) deliver a
 	// given (From, ReqID) pair at most once, so sender-side retries
@@ -128,6 +136,12 @@ type Transport interface {
 	// in; later deliveries to the name are dropped (and the handler
 	// reference released).
 	Unbind(name string)
+	// NameID returns the dense ID the transport files name under for
+	// sending, 0 if it files it under none: Local's ID for a bound
+	// name, Net's interned ID; Sim keys no name and returns 0. A caller
+	// that sends to one name often keeps the ID and puts it in
+	// Msg.ToID.
+	NameID(name string) uint32
 	// Send queues m for delivery to m.To. Delivery is asynchronous and
 	// datagram-shaped: messages may be lost (Sim loss model, real UDP)
 	// unless a nonzero ReqID lets the transport retry, and distinct

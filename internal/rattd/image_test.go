@@ -116,6 +116,104 @@ func TestImageBindingMismatch(t *testing.T) {
 	}
 }
 
+// TestUnverifiedClaimBindsNothing: a prover's image binding is stored
+// only by the commit of a report that verified under the claim. A frame
+// under an honest prover's name that verifies nothing — report-less,
+// or forged — sent before the prover's own first bundle binds nothing,
+// so it cannot deny that prover, and the checkpoint holds no trace of
+// it.
+func TestUnverifiedClaimBindsNothing(t *testing.T) {
+	s, sensor, gateway := multiImageServer(t, 1)
+
+	// A report-less bundle claiming an image nobody registered, then the
+	// honest gateway prover's first bundle.
+	s.IngestImage("prv-gw", transport.KindCollection, "bogus", nil)
+	collect(t, s, imageProver(t, "prv-gw", gateway, "gateway"), "gateway", 1, 2)
+	if c := s.Counts(); c.Accepted != 2 || c.Rejected != 0 {
+		t.Fatalf("honest gateway bundle after a report-less bogus claim: %+v", c)
+	}
+
+	// A forged collection claiming the registered gateway image under a
+	// default-class prover's name (sensor-measured reports fail the
+	// gateway tags), then that prover's own imageless bundle.
+	ps := imageProver(t, "prv-sns", sensor, "")
+	collect(t, s, ps, "gateway", 1, 2)
+	collect(t, s, ps, "", 1, 2)
+	if c := s.Counts(); c.Accepted != 4 || c.Rejected != 2 {
+		t.Fatalf("default-class prover after a forged gateway claim: %+v", c)
+	}
+
+	// The same forgery on the SeED path, against a prover a collection
+	// has already enrolled.
+	ps2 := imageProver(t, "prv-sns2", sensor, "")
+	collect(t, s, ps2, "", 1, 1)
+	forged, err := ps2.SeedReport(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.IngestImage(ps2.Name, transport.KindSeedReport, "gateway", []core.Report{*forged})
+	collect(t, s, ps2, "", 2, 2)
+	if c := s.Counts(); c.Accepted != 6 || c.Rejected != 3 {
+		t.Fatalf("default-class prover after a forged SeED gateway claim: %+v", c)
+	}
+
+	if got := s.Checkpoint().Images; len(got) != 1 || got["prv-gw"] != "gateway" {
+		t.Fatalf("checkpoint bindings = %v, want only prv-gw -> gateway", got)
+	}
+}
+
+// TestRacingClaimsBindOnce: two clean bundles under one new name race
+// with different claims, over two registered images of the same content
+// so that both verify. The commit binds the first to get there and
+// refuses the other whole, so each prover ends bound to one image with
+// one bundle's counters committed.
+func TestRacingClaimsBindOnce(t *testing.T) {
+	gateway := mem.NewGolden(GoldenImage(8, testMem, testBlock), testBlock, 1)
+	set := verifier.NewImageSet(verifier.ImageSetConfig{Grace: 1})
+	if _, err := set.Add("sensor", verifier.ImageOfGolden(mem.NewGolden(GoldenImage(7, testMem, testBlock), testBlock, 1))); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"gateway", "gateway-b"} {
+		if _, err := set.Add(name, verifier.ImageOfGolden(gateway)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := Serve(transport.NewLocal(), Config{Images: set})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const names = 300
+	type bundle struct {
+		name    string
+		reports []core.Report
+	}
+	var a, b []bundle
+	for i := 0; i < names; i++ {
+		p := imageProver(t, fmt.Sprintf("race-%03d", i), gateway, "")
+		a = append(a, bundle{p.Name, []core.Report{selfMeasure(t, p, 1), selfMeasure(t, p, 2)}})
+		b = append(b, bundle{p.Name, []core.Report{selfMeasure(t, p, 3), selfMeasure(t, p, 4)}})
+	}
+	done := make(chan struct{})
+	go func() {
+		for _, x := range b {
+			s.IngestImage(x.name, transport.KindCollection, "gateway-b", x.reports)
+		}
+		close(done)
+	}()
+	for _, x := range a {
+		s.IngestImage(x.name, transport.KindCollection, "gateway", x.reports)
+	}
+	<-done
+	c := s.Counts()
+	if c.Accepted != 2*names || c.Verdicts[verifier.ReasonImageMismatch] != 2*names {
+		t.Fatalf("racing claims: %+v, want %d accepted and %d refused as mismatched", c, 2*names, 2*names)
+	}
+	if got := s.Checkpoint().Images; len(got) != names {
+		t.Fatalf("%d of %d provers bound", len(got), names)
+	}
+}
+
 // TestRotationGraceWindow pins the attestation-during-update story:
 // a report pinned to the retired version verifies inside the grace
 // window, rejects with a distinct stale-image outcome past it, and a

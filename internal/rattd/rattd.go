@@ -315,9 +315,9 @@ func (s *Server) Ingest(from string, kind transport.Kind, reports []core.Report)
 // IngestImage is Ingest with the wire image id ("name" or "name@vN")
 // the bundle arrived under — what the frame paths feed. An empty id
 // resolves to the prover's bound image; a named id must match the
-// binding (first named contact binds); an exact version follows the
-// registry's rotation semantics (in-grace retired versions verify,
-// stale ones reject with ReasonStaleImage).
+// binding (the first named bundle with a report that verifies binds);
+// an exact version follows the registry's rotation semantics (in-grace
+// retired versions verify, stale ones reject with ReasonStaleImage).
 func (s *Server) IngestImage(from string, kind transport.Kind, image string, reports []core.Report) {
 	id, err := verifier.ParseImageID(image)
 	if err != nil {
@@ -352,20 +352,18 @@ func (s *Server) rejectBundle(from string, kind transport.Kind, n int, why verif
 	}
 }
 
-// bindImage resolves a bundle's image name against the binding stored
-// in the prover's record: the first named contact binds (enrollment-time
-// assignment in a fleet whose provers always present their class),
-// later bundles may omit the name, and a conflicting name rejects.
-// The default image's own name normalizes to "" so homogeneous fleets
-// store no binding at all. A nil rec is a prover not enrolled yet — the
-// SMART and SeED paths do not enroll here — and leaves the binding
-// unstored; ri is rec's ID. Returns the effective name and false on
-// a binding mismatch. Caller holds st.mu.
-func (st *stripe) bindImage(s *Server, rec *proverRec, ri uint32, name string) (string, bool) {
-	bound := ""
-	if rec != nil && rec.image() != 0 {
-		bound = st.provers.images[rec.image()]
-	}
+// claim resolves a bundle's image claim, name, against bound, the image
+// its prover's record is bound to ("" for none): a bundle is judged
+// against the binding, or against its claim while the record is
+// unbound; later bundles may omit the name, and a conflicting name
+// rejects. The default image's own name normalizes to "", so
+// homogeneous fleets store no binding at all. Returns the name the
+// bundle is judged under and false on a mismatch. claim stores
+// nothing: a snapshot takes a claim at its word only to judge it, and
+// the commit of a report that verified under it binds it (bindClean).
+// A claim that verifies nothing — one spoofed frame under an honest
+// prover's name — is never stored, so it cannot deny that prover.
+func (s *Server) claim(bound, name string) (string, bool) {
 	switch {
 	case name == "" || name == bound:
 		// No claim, or the binding's own name — the steady named
@@ -375,18 +373,32 @@ func (st *stripe) bindImage(s *Server, rec *proverRec, ri uint32, name string) (
 		// An explicit claim of the default image is never stored (the
 		// default binding IS image index 0, the empty name) but still
 		// conflicts with a binding to any other image.
-		if bound != "" {
-			return "", false
-		}
-		return "", true
+		return "", bound == ""
 	case bound != "":
 		return "", false
 	}
-	if rec != nil { // first named contact binds
-		st.provers.bind(rec, name)
-		st.provers.markDirty(rec, ri)
-	}
 	return name, true
+}
+
+// lost reports whether a bundle judged under image name, against rec's
+// binding in tbl at its snapshot, lost a race: a bundle under another
+// image bound the record since, so this one was judged against the
+// wrong image and is refused whole before it commits anything. Caller
+// holds st.mu.
+func lost(tbl *proverTable, rec *proverRec, name string) bool {
+	b := tbl.images[rec.image()]
+	return b != "" && b != name
+}
+
+// bindClean binds rec, unbound, to name, the claim a report of the
+// committing bundle verified under: enrollment-time assignment in a
+// fleet whose provers always present their class. The default (name
+// "") is never stored. Caller holds st.mu, and tbl is rec's table.
+func bindClean(tbl *proverTable, rec *proverRec, ri uint32, name string) {
+	if name != "" && rec.image() == 0 {
+		tbl.bind(rec, name)
+		tbl.markDirty(rec, ri)
+	}
 }
 
 // handleHello answers a prover's hello with a fresh challenge nonce
@@ -399,20 +411,23 @@ func (s *Server) handleHello(from string) {
 }
 
 // handleReport validates a challenge response and answers with a
-// verdict. One stripe visit checks the binding and reads the record's
-// route, if a collection resolved one; the challenge is redeemed, and
-// the tag verified, off-lock. A redeemed nonce cannot recur, so the tag
-// is verified without being cached.
+// verdict. One stripe visit reads the record's binding and route, if a
+// collection resolved one; the challenge is redeemed, and the tag
+// verified, off-lock. A redeemed nonce cannot recur, so the tag is
+// verified without being cached. A clean response under a new claim
+// binds an enrolled prover's record to it; SMART enrols no one.
 func (s *Server) handleReport(from string, id verifier.ImageID, reports []core.Report) {
 	st, h := s.stripeHash(from)
 	var route uint32
+	var binding string
 	st.mu.Lock()
 	rec, ri := st.lookup(from, h)
-	name, bound := st.bindImage(s, rec, ri, id.Name)
+	tbl := st.provers
 	if rec != nil {
-		route = rec.route
+		route, binding = rec.route, tbl.images[rec.image()]
 	}
 	st.mu.Unlock()
+	name, bound := s.claim(binding, id.Name)
 	var nonce verifier.Challenge
 	if len(reports) > 0 {
 		nonce = reports[0].Nonce
@@ -427,6 +442,15 @@ func (s *Server) handleReport(from string, id verifier.ImageID, reports []core.R
 		s.setTags(&x.Tags, name, id.Version, true)
 		var buf [4]verifier.Reason // verdict scratch: one a measurement round
 		_, why, err = verifier.Judge(buf[:0], verifier.SMART, nil, reports, &x)
+	}
+	if why == verifier.ReasonOK && rec != nil && name != binding {
+		st.mu.Lock()
+		if lost(tbl, rec, name) {
+			why, err = verifier.ReasonImageMismatch, nil
+		} else if st.provers == tbl {
+			bindClean(tbl, rec, ri, name)
+		}
+		st.mu.Unlock()
 	}
 	s.verdicts[why].Add(1)
 	s.verdict(from, route, "report", len(reports), why, err)
@@ -456,11 +480,12 @@ var scratchPool = sync.Pool{New: func() any { return new(ingestScratch) }}
 
 // handleCollection validates an ERASMUS measurement history. Like a
 // SeED bundle it visits its prover's stripe twice: a snapshot (locked)
-// binds the image, enrols and copies the 48-byte verifier.Freshness out,
-// verifier.Judge runs on the copy (no lock), and a commit (locked)
-// replays CommitErasmus on the real record for the reports that came
-// out clean. Judging a copy is sound because the commit re-checks and
-// Freshness only grows: whatever a racing bundle committed since the
+// enrols, resolves the image claim and copies the 48-byte
+// verifier.Freshness out, verifier.Judge runs on the copy (no lock),
+// and a commit (locked) replays CommitErasmus on the real record for
+// the reports that came out clean and binds a clean claim. Judging a
+// copy is sound because the commit re-checks and Freshness only grows:
+// whatever a racing bundle committed since the
 // snapshot can only turn a clean report into a replay, which the
 // replayed commit reports, so exactly one bundle wins each counter. The
 // verdict carries the bundle's first failure in bundle order, whichever
@@ -486,17 +511,18 @@ func (s *Server) collect(sc *ingestScratch, from string, id verifier.ImageID, re
 	st, h := s.stripeHash(from)
 
 	// Snapshot: one probe for the record, enrolling on first contact,
-	// then the binding on it — a mismatch needs a stored binding, hence
-	// a record that already existed, so a mismatched image claim still
-	// rejects the whole bundle (every report counted) before any state
-	// moves. Then the prover gets its window, so a restarted daemon's
-	// checkpoint covers provers whose every report was rejected too
-	// (enrolled, just never clean). The record pointer is stable (records
-	// never move within their table), so the commit visit reuses it.
+	// then the claim against its binding — a mismatch needs a stored
+	// binding, hence a record that already existed, so a mismatched
+	// image claim still rejects the whole bundle (every report counted)
+	// before any state moves. Then the prover gets its window, so a
+	// restarted daemon's checkpoint covers provers whose every report was
+	// rejected too (enrolled, just never clean). The record pointer is
+	// stable (records never move within their table), so the commit
+	// visit reuses it.
 	st.mu.Lock()
 	rec, ri := st.rec(from, h)
 	tbl := st.provers
-	name, bound := st.bindImage(s, rec, ri, id.Name)
+	name, bound := s.claim(tbl.images[rec.image()], id.Name)
 	if !bound {
 		st.mu.Unlock()
 		sc.why = sc.why[:0]
@@ -518,20 +544,28 @@ func (s *Server) collect(sc *ingestScratch, from string, id verifier.ImageID, re
 	sc.why = why
 	missed := x.Missed // some nonce was not in the memo
 
-	// Commit, with the route resolved first if the record has none.
+	// Commit, with the route resolved first if the record has none. A
+	// clean report binds its claim to an unbound record.
 	accepted := slices.Contains(why, verifier.ReasonOK)
 	if accepted {
 		if !routed {
 			route = s.tr.NameID(from)
 		}
 		st.mu.Lock()
-		var lost bool // a replay became the bundle's first failure
-		if accepted, lost = replay(why, reports, rec.fresh.CommitErasmus); lost {
+		if lost(tbl, rec, name) {
+			st.mu.Unlock()
+			sc.why = sc.why[:0]
+			s.rejectBundle(from, transport.KindCollection, len(reports), verifier.ReasonImageMismatch)
+			return verifier.ReasonImageMismatch
+		}
+		var replayed bool // a replay became the bundle's first failure
+		if accepted, replayed = replay(why, reports, rec.fresh.CommitErasmus); replayed {
 			first, firstErr = verifier.ReasonReplay, nil
 		}
 		// A Restore since the snapshot swapped the table out: the record
 		// is no longer the prover's, and its ID names another's.
 		if accepted && st.provers == tbl {
+			bindClean(tbl, rec, ri, name)
 			st.provers.markDirty(rec, ri)
 			if !routed {
 				rec.route = route
@@ -565,16 +599,16 @@ func (s *Server) collect(sc *ingestScratch, from string, id verifier.ImageID, re
 // for good, so the tag is verified without being cached.
 func (s *Server) handleSeed(from string, id verifier.ImageID, reports []core.Report) {
 	st, h := s.stripeHash(from)
-	// Snapshot. The binding pass must not create the record; a first
-	// named contact that never verifies clean still binds nothing.
+	// Snapshot. It creates no record; a first contact that never
+	// verifies clean enrols and binds nothing.
 	var fresh verifier.Freshness
+	var binding string
 	st.mu.Lock()
-	rec, ri := st.lookup(from, h)
-	name, bound := st.bindImage(s, rec, ri, id.Name)
-	if rec != nil {
-		fresh = rec.fresh
+	if rec, _ := st.lookup(from, h); rec != nil {
+		fresh, binding = rec.fresh, st.provers.images[rec.image()]
 	}
 	st.mu.Unlock()
+	name, bound := s.claim(binding, id.Name)
 	if !bound {
 		s.rejectBundle(from, transport.KindSeedReport, len(reports), verifier.ReasonImageMismatch)
 		return
@@ -595,14 +629,20 @@ func (s *Server) handleSeed(from string, id verifier.ImageID, reports []core.Rep
 	}
 	why, _, _ := verifier.Judge(sc.why[:0], verifier.SeED, &fresh, reports, x)
 
-	// Commit; the first report to get here enrolls the prover.
+	// Commit; the first report to get here enrolls the prover and binds
+	// its claim.
 	if slices.Contains(why, verifier.ReasonOK) {
 		st.mu.Lock()
-		rec, ri = st.rec(from, h)
+		rec, ri := st.rec(from, h)
+		if lost(st.provers, rec, name) {
+			st.mu.Unlock()
+			sc.why = why
+			scratchPool.Put(sc)
+			s.rejectBundle(from, transport.KindSeedReport, len(reports), verifier.ReasonImageMismatch)
+			return
+		}
 		if accepted, _ := replay(why, reports, rec.fresh.CommitSeed); accepted {
-			if rec.image() == 0 && name != "" {
-				st.provers.bind(rec, name) // enrollment-time binding
-			}
+			bindClean(st.provers, rec, ri, name)
 			rec.state |= recSeed
 			st.provers.markDirty(rec, ri)
 		}

@@ -11,7 +11,7 @@ import (
 // The wire format. Every datagram is one frame:
 //
 //	0:2  magic "RA"
-//	2    version (2; a frame with any other version byte is refused)
+//	2    version (3; a frame with any other version byte is refused)
 //	3    frame type: frameData | frameAck | frameBatch
 //	4:12 request ID (big endian)
 //
@@ -47,8 +47,9 @@ const (
 	codecMagic0 = 'R'
 	codecMagic1 = 'A'
 	// CodecVersion is the frame format version. Every peer speaks it;
-	// decoders reject anything else instead of guessing.
-	CodecVersion = 2
+	// decoders reject anything else instead of guessing. Version 3 added
+	// the body-less ack sub-frame (see frame.go).
+	CodecVersion = 3
 
 	frameData  = 0
 	frameAck   = 1
@@ -146,6 +147,30 @@ type decoder struct {
 	b   []byte
 	off int
 	err error
+
+	// The last string each interned field decoded to: a batch repeats
+	// its names sub-frame after sub-frame, and a bundle its mechanism and
+	// scheme report after report, so one frame interns each distinct
+	// string once.
+	from, to, image, mech, scheme lastName
+}
+
+// lastName is one field's memo: the string it last decoded to and that
+// string's interned ID. A string the table refused past its cap (ID 0)
+// is never reused; it goes back to the table every time, as it would
+// without the memo.
+type lastName struct {
+	s  string
+	id uint32
+}
+
+// get is t.get(b), answered from the memo when b spells its string.
+func (l *lastName) get(t *internTable, b []byte) (string, uint32) {
+	if l.id != 0 && string(b) == l.s {
+		return l.s, l.id
+	}
+	l.s, l.id = t.get(b)
+	return l.s, l.id
 }
 
 func (d *decoder) fail() {

@@ -138,20 +138,22 @@ func FuzzWireCodec(f *testing.F) {
 	badCount := append([]byte(nil), batchSeed...)
 	badCount[13] = 7
 	f.Add(badCount)
+	// Ack sub-frames: verdicts with acks riding behind them, and a
+	// request-ID-0 batch of acks alone.
+	f.Add(appendMixed(79, []*Msg{
+		{From: "vrf", To: "p1", Kind: KindVerdict, ReqID: 10, OK: true},
+		{From: "vrf", To: "p2", Kind: KindVerdict, ReqID: 11, Reason: "tag mismatch"},
+	}, 8, 9))
+	f.Add(appendMixed(0, nil, 12, 13, 14))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The zero-copy decoder must agree with the owning decoder on
 		// every input: same accept/reject verdict (batch frames
 		// excepted — only the view form can represent them), and for
-		// batches, strict canonical re-encode.
+		// batches, ack sub-frames included, strict canonical re-encode.
 		var fr Frame
 		viewErr := DecodeFrameInto(data, &fr)
 		if viewErr == nil && fr.Batch {
-			subs := make([]*Msg, len(fr.Sub))
-			for i := range fr.Sub {
-				m := fr.Sub[i].Msg()
-				subs[i] = &m
-			}
-			if again := AppendBatch(nil, fr.ReqID, subs); !bytes.Equal(again, data) {
+			if again := reencodeBatch(&fr); !bytes.Equal(again, data) {
 				t.Fatalf("batch decode/encode not idempotent:\n in  %x\n out %x", data, again)
 			}
 			if _, _, err := DecodeFrame(data); err == nil {

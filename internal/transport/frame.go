@@ -26,10 +26,11 @@ import (
 // Mechanism/Scheme) are immutable and safe to retain as-is; only
 // []byte fields are borrowed.
 type Frame struct {
-	// Ack marks an acknowledgment frame: only ReqID is meaningful.
+	// Ack marks an acknowledgment, a frame or a batch's body-less
+	// sub-frame: only ReqID, the request it acknowledges, is meaningful.
 	Ack bool
 	// Batch marks a multi-message batch frame: Sub holds the decoded
-	// sub-frames (each a full data-frame view), and the envelope
+	// sub-frames (each a full data-frame view, or an Ack), and the envelope
 	// fields below are not meaningful except ReqID, which identifies
 	// and acknowledges the whole datagram.
 	Batch bool
@@ -187,14 +188,14 @@ func decodeBody(d *decoder, f *Frame) error {
 	}
 	f.Kind = kind
 	f.OK = flags&flagOK != 0
-	f.From, f.fromID = interned.get(d.bytes16())
-	f.To, _ = interned.get(d.bytes16())
+	f.From, f.fromID = d.from.get(interned, d.bytes16())
+	f.To, _ = d.to.get(interned, d.bytes16())
 	if flags&flagImage != 0 {
 		img := d.bytes8()
 		if d.err == nil && len(img) == 0 {
 			return fmt.Errorf("transport: image flag set with empty image id")
 		}
-		f.Image, _ = tokens.get(img)
+		f.Image, _ = d.image.get(tokens, img)
 	}
 	switch kind {
 	case KindChallenge:
@@ -225,9 +226,9 @@ func decodeBody(d *decoder, f *Frame) error {
 // reportInto decodes one report in view form: Nonce, Tag and Data
 // values alias the decoder's buffer.
 func reportInto(d *decoder, r *core.Report) {
-	mech, _ := tokens.get(d.bytes8())
+	mech, _ := d.mech.get(tokens, d.bytes8())
 	r.Mechanism = core.MechanismID(mech)
-	r.Scheme, _ = tokens.get(d.bytes8())
+	r.Scheme, _ = d.scheme.get(tokens, d.bytes8())
 	r.Nonce = d.bytes16()
 	r.Round = int(int32(d.u32()))
 	r.Counter = d.u64()
@@ -283,7 +284,11 @@ func reportInto(d *decoder, r *core.Report) {
 //	then per sub-frame:
 //	      u32 length L
 //	      L bytes: u64 sub request ID, then the data-frame body
-//	      (kind, flags, from, to, payload) exactly as in a data frame
+//	      (kind, flags, from, to, payload) exactly as in a data frame;
+//	      or, when L is 8, the request ID alone: an ack sub-frame,
+//	      acknowledging that request as an ack frame would
+//
+// A batch of acks alone carries batch request ID 0: nothing acks it.
 //
 // Decode is strictly canonical: every length must match exactly, the
 // count must be at least 1 and at most maxBatchSubs, and sub-frames
@@ -302,6 +307,15 @@ const (
 	batchOverhead  = headerLen + 2
 	perSubOverhead = 4
 )
+
+// ackSubLen is an ack sub-frame's length: its request ID.
+const ackSubLen = 8
+
+// appendAckSub encodes an ack of reqID as one batch sub-frame, length
+// prefix included.
+func appendAckSub(dst []byte, reqID uint64) []byte {
+	return be64(be32(dst, ackSubLen), reqID)
+}
 
 // appendSub encodes m as one batch sub-frame (request ID + data-frame
 // body), without the length prefix.
@@ -337,9 +351,7 @@ func appendSub(dst []byte, m *Msg) []byte {
 // AppendBatch encodes msgs as one batch frame under the given batch
 // request ID, appended to dst.
 func AppendBatch(dst []byte, reqID uint64, msgs []*Msg) []byte {
-	dst = append(dst, codecMagic0, codecMagic1, CodecVersion, frameBatch)
-	dst = be64(dst, reqID)
-	dst = be16(dst, uint16(len(msgs)))
+	dst = appendBatchHeader(dst, reqID, len(msgs))
 	for _, m := range msgs {
 		lenAt := len(dst)
 		dst = be32(dst, 0)
@@ -347,6 +359,13 @@ func AppendBatch(dst []byte, reqID uint64, msgs []*Msg) []byte {
 		binary.BigEndian.PutUint32(dst[lenAt:], uint32(len(dst)-lenAt-perSubOverhead))
 	}
 	return dst
+}
+
+// appendBatchHeader encodes the header of a batch of n sub-frames under
+// request ID reqID, appended to dst.
+func appendBatchHeader(dst []byte, reqID uint64, n int) []byte {
+	dst = append(dst, codecMagic0, codecMagic1, CodecVersion, frameBatch)
+	return be16(be64(dst, reqID), uint16(n))
 }
 
 // decodeBatch parses a batch frame's sub-frames into f.Sub.
@@ -376,14 +395,20 @@ func decodeBatch(buf []byte, f *Frame) error {
 			sf = &f.Sub[len(f.Sub)-1]
 		}
 		sf.ReqID = d.u64()
-		sd := decoder{b: buf[:end], off: d.off}
-		if err := decodeBody(&sd, sf); err != nil {
+		if l == ackSubLen {
+			sf.Ack = true
+			continue
+		}
+		// The body decodes on d, bounded to the sub-frame, so that the
+		// names it interns are remembered for the next sub-frame.
+		d.b = buf[:end]
+		if err := decodeBody(&d, sf); err != nil {
 			return err
 		}
-		if sd.off != end {
-			return fmt.Errorf("transport: batch sub-frame %d has %d trailing bytes", i, end-sd.off)
+		if d.off != end {
+			return fmt.Errorf("transport: batch sub-frame %d has %d trailing bytes", i, end-d.off)
 		}
-		d.off = end
+		d.b = buf
 	}
 	if d.off != len(buf) {
 		return fmt.Errorf("transport: %d trailing bytes after batch", len(buf)-d.off)

@@ -95,8 +95,8 @@ func TestFrameViewsAliasAndDetach(t *testing.T) {
 }
 
 // TestZeroCopyDecodeAllocs is the allocation gate the CI bench-smoke
-// also enforces: decoding a data frame or a batch frame into a warmed
-// Frame must not allocate at all.
+// also enforces: decoding a data frame or a batch frame — acks riding in
+// it or not — into a warmed Frame must not allocate at all.
 func TestZeroCopyDecodeAllocs(t *testing.T) {
 	data := AppendFrame(nil, &Msg{From: "prv", To: "vrf", Kind: KindCollection, ReqID: 3,
 		Reports: []*core.Report{plainReport(1), plainReport(2), plainReport(3)}})
@@ -106,9 +106,13 @@ func TestZeroCopyDecodeAllocs(t *testing.T) {
 		{From: "vrf", To: "p1", Kind: KindVerdict, ReqID: 12, OK: true},
 	})
 	ack := AppendAck(nil, 77)
+	mixed := appendMixed(13, []*Msg{
+		{From: "vrf", To: "p1", Kind: KindVerdict, ReqID: 14, OK: true},
+		{From: "vrf", To: "p2", Kind: KindVerdict, ReqID: 15, OK: true},
+	}, 10, 11)
 
 	var f Frame
-	for name, buf := range map[string][]byte{"data": data, "batch": batch, "ack": ack} {
+	for name, buf := range map[string][]byte{"data": data, "batch": batch, "ack": ack, "mixed": mixed} {
 		// Warm: grows the Reports/Sub backing and interns the names.
 		if err := DecodeFrameInto(buf, &f); err != nil {
 			t.Fatalf("%s: %v", name, err)

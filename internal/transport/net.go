@@ -106,14 +106,16 @@ type NetStats struct {
 // flush. Peers register once per distinct address; every endpoint name
 // routed to the same address shares one peerState, so a daemon
 // answering a thousand provers behind one client socket coalesces
-// across all of them.
+// across all of them, and acks what it received from that socket in
+// the same datagrams.
 type peerState struct {
 	ap netip.AddrPort
 
 	cmu   sync.Mutex // guards the coalescing queue below
 	q     []byte     // length-prefixed encoded sub-frames
-	qn    int
-	dirty bool // listed in Net.dirty, awaiting the flusher
+	qn    int        // sub-frames in q
+	acks  int        // of which ack sub-frames
+	dirty bool       // listed in Net.dirty, awaiting the flusher
 }
 
 // Net is a Transport over real UDP sockets. One Net owns one socket
@@ -125,8 +127,11 @@ type peerState struct {
 // arrives or the per-request deadline expires; retransmit state lives
 // in a sharded pending table swept by one timer-wheel goroutine.
 // Receivers acknowledge every identified data or batch frame —
-// duplicates included — and suppress re-delivery of a (from, request
-// ID) pair, so retries are idempotent end to end. Routes are learned
+// duplicates included — once it is delivered, and suppress re-delivery
+// of a (from, request ID) pair, so retries are idempotent end to end.
+// An ack joins the sender's coalescing queue as an ack sub-frame and
+// leaves with whatever reply the handler queued, or alone; either way
+// it leaves once, since nothing acks an ack. Routes are learned
 // from inbound traffic (a daemon discovers each prover's address from
 // its first datagram) or pinned with AddRoute / the Dial default
 // route. A route is kept under the name's interned ID (see internTable):
@@ -139,7 +144,7 @@ type peerState struct {
 // Receive path: RecvLoops goroutines read datagrams into pooled
 // buffers and decode them in place (zero-copy view frames), feeding
 // recvQueues() fixed-capacity ring queues sharded by source address;
-// one worker per queue acks, dedups and dispatches. Handlers run on
+// one worker per queue dedups, dispatches and acks. Handlers run on
 // those workers — a blocking handler stalls only its shard. Buffers
 // return to the pool when the worker finishes a frame, which is why
 // view frames must not be retained past the handler (see Frame).
@@ -247,7 +252,7 @@ func Listen(cfg NetConfig) (*Net, error) {
 	}
 	n.bufPool.New = func() any { return &recvBuf{data: make([]byte, 0, recvBufSize)} }
 	for i := range n.pend {
-		n.pend[i].m = map[uint64]*inflight{}
+		n.pend[i].m = map[uint64]inflight{}
 	}
 	if cfg.DropRate > 0 {
 		n.dropRNG = mrand.New(mrand.NewPCG(cfg.DropSeed, 0xd809))
@@ -428,23 +433,35 @@ func (n *Net) Send(m Msg) error {
 	}
 	st.cmu.Lock()
 	n.enqueueLocked(st, &m)
-	// Hand the peer to the flusher unless the queue already left (it
-	// filled) or an earlier Send's listing is still outstanding.
-	list := st.qn > 0 && !st.dirty
-	if list {
-		st.dirty = true
-	}
+	list := n.listLocked(st)
 	st.cmu.Unlock()
 	if list {
-		n.dmu.Lock()
-		n.dirty = append(n.dirty, st)
-		n.dmu.Unlock()
-		select {
-		case n.wake <- struct{}{}:
-		default: // a wake is already pending; it covers this listing
-		}
+		n.list(st)
 	}
 	return nil
+}
+
+// listLocked reports whether st is to be handed to the flusher: not if
+// its queue already left (it filled) or an earlier listing is still
+// outstanding. Callers hold st.cmu, and call list once they release it
+// when it returns true.
+func (n *Net) listLocked(st *peerState) bool {
+	if st.qn == 0 || st.dirty {
+		return false
+	}
+	st.dirty = true
+	return true
+}
+
+// list hands st to the flusher and wakes it.
+func (n *Net) list(st *peerState) {
+	n.dmu.Lock()
+	n.dirty = append(n.dirty, st)
+	n.dmu.Unlock()
+	select {
+	case n.wake <- struct{}{}:
+	default: // a wake is already pending; it covers this listing
+	}
 }
 
 // prepare validates an outbound message, assigns its request ID and
@@ -462,24 +479,35 @@ func (n *Net) prepare(m *Msg) (*peerState, error) {
 	return n.route(m.To, m.ToID)
 }
 
-// enqueueLocked encodes m straight onto st's queue. One queue carries
-// everything bound for st, in submission order: a message that does
-// not fit behind what is queued pushes that out first, and one too
-// large for any batch leaves at once as a plain data frame — after
-// what preceded it, never around it. Callers hold st.cmu.
+// enqueueLocked encodes m straight onto st's queue. Callers hold
+// st.cmu.
 func (n *Net) enqueueLocked(st *peerState, m *Msg) {
 	mark := len(st.q)
 	st.q = appendSub(be32(st.q, 0), m)
+	n.queuedLocked(st, mark, false)
+}
+
+// queuedLocked takes in the sub-frame just encoded onto st's queue at
+// mark (length prefix first), an ack's if ack. One queue carries
+// everything bound for st, in submission order: a sub-frame that does
+// not fit behind what is queued pushes that out first, and a message
+// too large for any batch leaves at once as a plain data frame — after
+// what preceded it, never around it. Callers hold st.cmu.
+func (n *Net) queuedLocked(st *peerState, mark int, ack bool) {
 	binary.BigEndian.PutUint32(st.q[mark:], uint32(len(st.q)-mark-perSubOverhead))
 	if mark > 0 && batchOverhead+len(st.q) > batchBytes {
-		// Roll the append back, send what was queued, requeue m at
-		// the front (same backing array; append copies like memmove).
+		// Roll the append back, send what was queued, requeue the
+		// sub-frame at the front (same backing array; append copies
+		// like memmove).
 		sub := st.q[mark:]
 		st.q = st.q[:mark]
 		n.flushLocked(st)
 		st.q = append(st.q, sub...)
 	}
 	st.qn++
+	if ack {
+		st.acks++
+	}
 	if st.qn >= maxBatch || batchOverhead+len(st.q) > batchBytes {
 		n.flushLocked(st)
 	}
@@ -514,38 +542,88 @@ func (n *Net) flusher() {
 
 // flushLocked emits st's queued sub-frames as one datagram: a plain
 // data frame when only one message is queued (no batch overhead), a
-// batch frame otherwise. Callers hold st.cmu.
+// reliable batch frame when messages and acks are, and, when acks alone
+// are, an unreliable ack frame or batch (see sendAcksLocked). Callers
+// hold st.cmu.
 func (n *Net) flushLocked(st *peerState) {
-	if st.qn == 0 {
+	msgs := st.qn - st.acks
+	switch {
+	case st.qn == 0:
 		return
-	}
-	var frame []byte
-	var id uint64
-	if st.qn == 1 {
+	case msgs == 0:
+		n.sendAcksLocked(st)
+	case st.qn == 1:
 		sub := st.q[perSubOverhead:]
-		id = binary.BigEndian.Uint64(sub[:8])
-		frame = make([]byte, 0, 4+len(sub))
+		frame := make([]byte, 0, 4+len(sub))
 		frame = append(frame, codecMagic0, codecMagic1, CodecVersion, frameData)
 		frame = append(frame, sub...)
-	} else {
-		id = n.reqID.Add(1)
-		frame = make([]byte, 0, batchOverhead+len(st.q))
-		frame = append(frame, codecMagic0, codecMagic1, CodecVersion, frameBatch)
-		frame = be64(frame, id)
-		frame = be16(frame, uint16(st.qn))
-		frame = append(frame, st.q...)
+		n.sendReliable(binary.BigEndian.Uint64(sub[:8]), frame, frame, st)
+	default:
+		id := n.reqID.Add(1)
 		n.stats.batchesSent.Add(1)
-		n.stats.coalesced.Add(uint64(st.qn))
+		n.stats.coalesced.Add(uint64(msgs))
+		frame := make([]byte, 0, batchOverhead+len(st.q)-st.acks*(perSubOverhead+ackSubLen))
+		frame = appendBatchHeader(frame, id, msgs)
+		if st.acks == 0 {
+			frame = append(frame, st.q...)
+			n.sendReliable(id, frame, frame, st)
+			break
+		}
+		// The retransmit copy keeps the messages only: the acks riding
+		// with them leave once, in the first transmission, as acks
+		// alone do.
+		frame = appendSubs(frame, st.q, false)
+		bp := ackBufs.Get().(*[]byte)
+		wire := append(appendBatchHeader((*bp)[:0], id, st.qn), frame[batchOverhead:]...)
+		wire = appendSubs(wire, st.q, true)
+		n.sendReliable(id, frame, wire, st)
+		*bp = wire
+		ackBufs.Put(bp)
 	}
 	st.q = st.q[:0]
-	st.qn = 0
-	n.sendReliable(id, frame, st)
+	st.qn, st.acks = 0, 0
 }
 
-// sendReliable registers frame in the pending table, transmits it, and
-// schedules its first retransmit on the wheel.
-func (n *Net) sendReliable(id uint64, frame []byte, st *peerState) {
-	e := &inflight{
+// appendSubs appends to dst the length-prefixed sub-frames of q that
+// are acks, if acks, or messages, if not.
+func appendSubs(dst, q []byte, acks bool) []byte {
+	for len(q) > 0 {
+		l := perSubOverhead + int(binary.BigEndian.Uint32(q))
+		if (l == perSubOverhead+ackSubLen) == acks {
+			dst = append(dst, q[:l]...)
+		}
+		q = q[l:]
+	}
+	return dst
+}
+
+// ackBufs holds the scratch a datagram carrying acks is built in: it is
+// written once and never kept for a retransmit.
+var ackBufs = sync.Pool{New: func() any { b := make([]byte, 0, batchBytes); return &b }}
+
+// sendAcksLocked sends a queue of acks alone: one ack as a plain ack
+// frame, several as a batch under request ID 0. Either leaves once,
+// outside the pending table — an ack is never acked; a lost one is
+// answered by the peer's retransmission, which is acked again. Callers
+// hold st.cmu.
+func (n *Net) sendAcksLocked(st *peerState) {
+	bp := ackBufs.Get().(*[]byte)
+	frame := (*bp)[:0]
+	if st.qn == 1 {
+		frame = AppendAck(frame, binary.BigEndian.Uint64(st.q[perSubOverhead:]))
+	} else {
+		frame = append(appendBatchHeader(frame, 0, st.qn), st.q...)
+	}
+	n.transmitOnce(frame, st.ap)
+	*bp = frame
+	ackBufs.Put(bp)
+}
+
+// sendReliable registers frame in the pending table, transmits wire —
+// frame itself, or frame with acks riding in it — and schedules the
+// first retransmit of frame on the wheel.
+func (n *Net) sendReliable(id uint64, frame, wire []byte, st *peerState) {
+	e := inflight{
 		frame:    frame,
 		st:       st,
 		deadline: time.Now().Add(n.cfg.RequestTimeout),
@@ -555,7 +633,7 @@ func (n *Net) sendReliable(id uint64, frame []byte, st *peerState) {
 	sh.mu.Lock()
 	sh.m[id] = e
 	sh.mu.Unlock()
-	n.transmit(frame, st.ap, false)
+	n.transmit(wire, st.ap, false)
 	n.wheel.schedule(id, n.cfg.RetryBase)
 }
 
@@ -579,8 +657,8 @@ func (n *Net) runWheel() {
 		for _, id := range due {
 			sh := &n.pend[id%pendShards]
 			sh.mu.Lock()
-			e := sh.m[id]
-			if e == nil {
+			e, ok := sh.m[id]
+			if !ok {
 				sh.mu.Unlock()
 				continue
 			}
@@ -596,6 +674,7 @@ func (n *Net) runWheel() {
 			if e.delay > n.cfg.RetryCap {
 				e.delay = n.cfg.RetryCap
 			}
+			sh.m[id] = e
 			sh.mu.Unlock()
 			n.transmit(frame, ap, true)
 			n.wheel.schedule(id, delay)
@@ -603,16 +682,10 @@ func (n *Net) runWheel() {
 	}
 }
 
-// transmit writes one datagram, applying injected loss.
+// transmit writes one reliable datagram, applying injected loss.
 func (n *Net) transmit(frame []byte, ap netip.AddrPort, retry bool) {
-	if n.dropRNG != nil {
-		n.lossMu.Lock()
-		drop := n.dropRNG.Float64() < n.cfg.DropRate
-		n.lossMu.Unlock()
-		if drop {
-			n.stats.injected.Add(1)
-			return
-		}
+	if n.lost() {
+		return
 	}
 	if retry {
 		n.stats.resent.Add(1)
@@ -620,6 +693,29 @@ func (n *Net) transmit(frame []byte, ap netip.AddrPort, retry bool) {
 		n.stats.sent.Add(1)
 	}
 	n.conn.WriteToUDPAddrPort(frame, ap)
+}
+
+// transmitOnce writes one datagram of acks, applying injected loss (a
+// lost ack is exactly what forces the duplicate-suppression path).
+// Sent counts data datagrams only, so this counts nothing.
+func (n *Net) transmitOnce(frame []byte, ap netip.AddrPort) {
+	if !n.lost() {
+		n.conn.WriteToUDPAddrPort(frame, ap)
+	}
+}
+
+// lost draws the injected-loss model for one datagram.
+func (n *Net) lost() bool {
+	if n.dropRNG == nil {
+		return false
+	}
+	n.lossMu.Lock()
+	drop := n.dropRNG.Float64() < n.cfg.DropRate
+	n.lossMu.Unlock()
+	if drop {
+		n.stats.injected.Add(1)
+	}
+	return drop
 }
 
 // recvBufSize is what a pooled recvBuf holds: a batch is at most batchBytes,
@@ -636,9 +732,9 @@ func (n *Net) putBuf(rb *recvBuf) {
 }
 
 // recvLoop reads datagrams into its own buffer, copies each into a
-// pooled one and decodes it there, consumes acks inline (they only
-// touch the pending table), and feeds data and batch frames to the
-// shard queues.
+// pooled one and decodes it there, consumes datagrams of acks alone
+// inline (they only touch the pending table), and feeds data and batch
+// frames — acks riding among their sub-frames — to the shard queues.
 func (n *Net) recvLoop() {
 	defer n.wg.Done()
 	read := make([]byte, 64<<10) // the largest UDP datagram
@@ -664,8 +760,7 @@ func (n *Net) recvLoop() {
 			n.putBuf(rb)
 			continue
 		}
-		if rb.frame.Ack {
-			n.handleAck(&rb.frame)
+		if n.acksOnly(&rb.frame) {
 			n.putBuf(rb)
 			continue
 		}
@@ -680,15 +775,38 @@ func (n *Net) recvLoop() {
 	}
 }
 
-// handleAck resolves an ack against the pending table: the request is
-// confirmed.
-func (n *Net) handleAck(f *Frame) {
-	sh := &n.pend[f.ReqID%pendShards]
+// acksOnly resolves f if it carries acks alone — an ack frame, or a
+// batch of ack sub-frames under request ID 0 — and reports whether it
+// did.
+func (n *Net) acksOnly(f *Frame) bool {
+	if f.Ack {
+		n.handleAck(f.ReqID)
+		return true
+	}
+	if !f.Batch || f.ReqID != 0 {
+		return false
+	}
+	for i := range f.Sub {
+		if !f.Sub[i].Ack {
+			return false
+		}
+	}
+	for i := range f.Sub {
+		n.handleAck(f.Sub[i].ReqID)
+	}
+	return true
+}
+
+// handleAck resolves an ack of reqID against the pending table: the
+// request is confirmed. An ack of a request already resolved — a
+// retransmitted batch acks again — does nothing.
+func (n *Net) handleAck(reqID uint64) {
+	sh := &n.pend[reqID%pendShards]
 	sh.mu.Lock()
-	e := sh.m[f.ReqID]
-	delete(sh.m, f.ReqID)
+	_, ok := sh.m[reqID]
+	delete(sh.m, reqID)
 	sh.mu.Unlock()
-	if e == nil {
+	if !ok {
 		return
 	}
 	n.stats.acked.Add(1)
@@ -714,11 +832,11 @@ func strShard(s string) int {
 	return int(h % dedupShards)
 }
 
-// worker drains one shard queue: ack, learn route, dedup, dispatch,
-// recycle the buffer.
+// worker drains one shard queue: resolve acks, learn routes, dedup,
+// dispatch, ack, recycle the buffer.
 func (n *Net) worker(q *pktRing) {
 	defer n.wg.Done()
-	ack := make([]byte, 0, headerLen)
+	var peer *peerState // the peer of the last frame acked
 	for {
 		rb := q.pop()
 		if rb == nil {
@@ -728,39 +846,54 @@ func (n *Net) worker(q *pktRing) {
 		now := int64(time.Since(n.start))
 		if f.Batch {
 			n.stats.batchesRecv.Add(1)
-			if f.ReqID != 0 {
-				ack = n.sendAck(ack, f.ReqID, rb.from)
-			}
 			for i := range f.Sub {
-				n.deliver(&f.Sub[i], rb.from, now)
+				if f.Sub[i].Ack {
+					n.handleAck(f.Sub[i].ReqID)
+				} else {
+					n.deliver(&f.Sub[i], rb.from, now)
+				}
 			}
 		} else {
-			// Ack duplicates included — the peer may have missed our
-			// first ack, and the ack is what stops its retries.
-			if f.ReqID != 0 {
-				ack = n.sendAck(ack, f.ReqID, rb.from)
-			}
 			n.deliver(f, rb.from, now)
+		}
+		// Ack duplicates included — the peer may have missed our first
+		// ack, and the ack is what stops its retries.
+		if f.ReqID != 0 {
+			peer = n.ack(peer, f.ReqID, rb.from)
 		}
 		n.putBuf(rb)
 	}
 }
 
-// sendAck transmits an ack frame through the injected-loss model (a
-// lost ack is exactly what forces the duplicate-suppression path).
-func (n *Net) sendAck(scratch []byte, reqID uint64, to netip.AddrPort) []byte {
-	scratch = AppendAck(scratch[:0], reqID)
-	if n.dropRNG != nil {
-		n.lossMu.Lock()
-		drop := n.dropRNG.Float64() < n.cfg.DropRate
-		n.lossMu.Unlock()
-		if drop {
-			n.stats.injected.Add(1)
-			return scratch
+// ack acknowledges reqID to from. The ack joins the queue of from's
+// peer behind whatever the handler just queued there, so it leaves in
+// the same datagram as the reply, or alone once the worker goes idle. A
+// source with no peer state yet is acked at once. peer is the peer of
+// the worker's last ack (peers are never removed, so it stays valid);
+// ack returns the peer it used.
+func (n *Net) ack(peer *peerState, reqID uint64, from netip.AddrPort) *peerState {
+	if peer == nil || peer.ap != from {
+		n.pmu.RLock()
+		peer = n.peers[n.byAddr[from]]
+		n.pmu.RUnlock()
+		if peer == nil {
+			bp := ackBufs.Get().(*[]byte)
+			*bp = AppendAck((*bp)[:0], reqID)
+			n.transmitOnce(*bp, from)
+			ackBufs.Put(bp)
+			return nil
 		}
 	}
-	n.conn.WriteToUDPAddrPort(scratch, to)
-	return scratch
+	peer.cmu.Lock()
+	mark := len(peer.q)
+	peer.q = appendAckSub(peer.q, reqID)
+	n.queuedLocked(peer, mark, true)
+	list := n.listLocked(peer)
+	peer.cmu.Unlock()
+	if list {
+		n.list(peer)
+	}
+	return peer
 }
 
 // deliver routes one decoded data frame (standalone or batch sub) to
@@ -840,7 +973,9 @@ func (n *Net) pendingCount() int {
 
 // Drain blocks until every reliable send has been acked or expired, or
 // the timeout passes. Zero timeout uses the request deadline. Queued
-// coalesced sends are flushed first.
+// coalesced sends are flushed first. It polls every millisecond: a
+// burst's last acks ride out behind its last deliveries, microseconds
+// after them, and a coarser step would make every Close wait it out.
 func (n *Net) Drain(timeout time.Duration) {
 	if timeout <= 0 {
 		timeout = n.cfg.RequestTimeout
@@ -851,7 +986,7 @@ func (n *Net) Drain(timeout time.Duration) {
 		if n.pendingCount() == 0 {
 			return
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -19,7 +19,7 @@ const pendShards = 16
 
 type pendingShard struct {
 	mu sync.Mutex
-	m  map[uint64]*inflight
+	m  map[uint64]inflight // by value: a send allocates its frame, no entry
 }
 
 // inflight is one reliable send awaiting acknowledgment.
